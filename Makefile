@@ -1,14 +1,14 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test race chaos serve-chaos bench bench-smoke bench-check docs-lint trace-demo report examples clean
+.PHONY: all check build vet test race bench-module chaos serve-chaos bench bench-smoke bench-check docs-lint trace-demo report examples clean
 
 all: build vet test
 
-# check is the pre-merge gate: build, vet, the full suite, and the race
-# detector over the concurrent fault-tolerance paths. The chaos tests run
-# inside `test`/`race` with fixed injector seeds, so the gate is
-# deterministic.
-check: build vet test race
+# check is the pre-merge gate: build, vet, the full suite, the race
+# detector over the concurrent fault-tolerance paths, and the benchmark
+# module. The chaos tests run inside `test`/`race` with fixed injector
+# seeds, so the gate is deterministic.
+check: build vet test race bench-module
 
 # Just the chaos suite (fault injection against the live Hadoop engine).
 chaos:
@@ -31,6 +31,13 @@ test:
 
 race:
 	go test -race ./...
+
+# bench/ is its own module (it must build from a bare checkout), so `./...`
+# above never compiles it: an engine API change that breaks the benchmark
+# would otherwise surface only when the benchmark next runs.
+bench-module:
+	go vet -C bench ./...
+	go test -C bench ./...
 
 # Full benchmark run: every Go benchmark, then the A/B harnesses writing
 # their JSON baselines (the files EXPERIMENTS.md quotes).

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"encoding/binary"
+	"slices"
 )
 
 // arenaBuffer is the allocation-conscious mapper-side hash table (§IV.A).
@@ -30,8 +32,23 @@ type arenaBuffer struct {
 	slots    []int32 // entry index + 1; 0 = empty
 	payload  int     // buffered payload bytes: each key once + all values
 
-	scratch [][]byte // reused value-materialization space
-	order   []int32  // reused sorted-entry index space for realign
+	scratch [][]byte  // reused value-materialization space
+	order   []sortKey // reused sort records for realign
+}
+
+// sortKey is one entry's spill-sort record: the first 8 key bytes as a
+// big-endian integer (shorter keys zero-padded) and the entry index. The
+// sort compares integers held in one flat slice and dereferences the arena
+// only on a tie, which also settles what padding cannot ("a" vs "a\x00").
+type sortKey struct {
+	prefix uint64
+	idx    int32
+}
+
+func keyPrefix(key []byte) uint64 {
+	var p [8]byte
+	copy(p[:], key)
+	return binary.BigEndian.Uint64(p[:])
 }
 
 // arenaEntry is one distinct key and its value chain.
@@ -221,14 +238,17 @@ func (b *arenaBuffer) reset() {
 func (b *arenaBuffer) forEachSorted(fn func(key []byte, values [][]byte) error) error {
 	order := b.order[:0]
 	for i := range b.entries {
-		order = append(order, int32(i))
+		order = append(order, sortKey{keyPrefix(b.key(&b.entries[i])), int32(i)})
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return bytes.Compare(b.key(&b.entries[order[i]]), b.key(&b.entries[order[j]])) < 0
+	slices.SortFunc(order, func(x, y sortKey) int {
+		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
+			return c
+		}
+		return bytes.Compare(b.key(&b.entries[x.idx]), b.key(&b.entries[y.idx]))
 	})
 	b.order = order
-	for _, idx := range order {
-		if err := fn(b.key(&b.entries[idx]), b.materialize(idx)); err != nil {
+	for _, sk := range order {
+		if err := fn(b.key(&b.entries[sk.idx]), b.materialize(sk.idx)); err != nil {
 			return err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/shuffle"
 )
@@ -60,14 +59,18 @@ func BenchmarkSend(b *testing.B) {
 
 // BenchmarkSpill measures one full fill + realign cycle: buffer 4096 pairs,
 // serialize them partition-by-partition in sorted key order into retained
-// buffers, reset. This is spill() minus the transport.
+// buffers, reset. This is spill() minus the transport. The arena's remaining
+// allocations are sumCombiner's own (two per fold of the hot key);
+// arena-nocombiner shows the buffer, the prefix sort and the realign at 0.
 func BenchmarkSpill(b *testing.B) {
 	impls := []struct {
-		name string
-		mk   func() sendBuffer
+		name    string
+		mk      func() sendBuffer
+		combine CombineFunc
 	}{
-		{"arena", func() sendBuffer { return newArenaBuffer() }},
-		{"legacy", func() sendBuffer { return newHashBuffer() }},
+		{"arena", func() sendBuffer { return newArenaBuffer() }, sumCombiner},
+		{"arena-nocombiner", func() sendBuffer { return newArenaBuffer() }, nil},
+		{"legacy", func() sendBuffer { return newHashBuffer() }, sumCombiner},
 	}
 	const nParts = 4
 	for _, impl := range impls {
@@ -76,21 +79,21 @@ func BenchmarkSpill(b *testing.B) {
 			keys := benchKeys(4096)
 			value := kv.AppendVLong(nil, 1)
 			parts := make([][]byte, nParts)
+			realign := func(key []byte, values [][]byte) error {
+				p := HashPartitioner(key, nParts)
+				parts[p] = kv.AppendKeyList(parts[p], kv.KeyList{Key: key, Values: values})
+				return nil
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, k := range keys {
-					buf.add(k, value, sumCombiner)
+					buf.add(k, value, impl.combine)
 				}
 				for p := range parts {
 					parts[p] = parts[p][:0]
 				}
-				err := buf.forEachSorted(func(key []byte, values [][]byte) error {
-					p := HashPartitioner(key, nParts)
-					parts[p] = kv.AppendKeyList(parts[p], kv.KeyList{Key: key, Values: values})
-					return nil
-				})
-				if err != nil {
+				if err := buf.forEachSorted(realign); err != nil {
 					b.Fatal(err)
 				}
 				buf.reset()
@@ -107,7 +110,7 @@ func genRuns(nRuns, keysPerRun int) [][]byte {
 	for r := range runs {
 		var data []byte
 		for k := 0; k < keysPerRun; k++ {
-			key := fmt.Sprintf("key-%06d", (k*nRuns+r)%(keysPerRun*2))
+			key := fmt.Sprintf("key-%06d", (k*(nRuns+1)+r)%(keysPerRun*2))
 			data = kv.AppendKeyList(data, kv.KeyList{Key: []byte(key), Values: [][]byte{value, value}})
 		}
 		runs[r] = sortRun(data)
@@ -136,31 +139,35 @@ func sortRun(data []byte) []byte {
 
 // BenchmarkRecvMerge compares the two grouped drains over identical
 // pre-serialized runs: the legacy buffer-everything map + sort + drain
-// against the streaming ordered k-way merge.
+// against the single k-way pass Recv pulls from. One merged op is one key
+// pulled (iterator set-up amortized over the keys of a drain), so its
+// allocs/op column is the per-key decode cost; one legacy op is a whole drain.
 func BenchmarkRecvMerge(b *testing.B) {
-	runs := genRuns(24, 512)
+	data := genRuns(24, 512)
+	runs := make([]shuffle.Run, len(data))
 	var total int64
-	for _, r := range runs {
+	for i, r := range data {
+		runs[i] = shuffle.Run{Data: r, Seq: i}
 		total += int64(len(r))
 	}
 
 	b.Run("merged", func(b *testing.B) {
-		pool := bufpool.New()
 		b.ReportAllocs()
-		b.SetBytes(total)
-		b.ResetTimer()
+		b.SetBytes(total / (2 * 512)) // input bytes per distinct key
+		var it *shuffle.Iterator
 		for i := 0; i < b.N; i++ {
-			m := shuffle.NewMerger(shuffle.Config{Factor: 10, Ordered: true, Pool: pool})
-			for seq, r := range runs {
-				// The merger may recycle consumed runs into the pool, so
-				// hand it a copy, as the transport would.
-				data := pool.Get(len(r))
-				copy(data, r)
-				m.Add(seq, data)
+			if it == nil {
+				var err error
+				if it, err = shuffle.NewIterator(runs, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-			keys := 0
-			if err := m.Merge(func(kl kv.KeyList) error { keys++; return nil }); err != nil {
+			_, ok, err := it.Next()
+			if err != nil {
 				b.Fatal(err)
+			}
+			if !ok {
+				it = nil
 			}
 		}
 	})
@@ -172,7 +179,7 @@ func BenchmarkRecvMerge(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			groups := make(map[string][][]byte)
 			var order []string
-			for _, data := range runs {
+			for _, data := range data {
 				for rest := data; len(rest) > 0; {
 					kl, n, err := kv.ReadKeyList(rest)
 					if err != nil {

@@ -112,17 +112,12 @@ type Config struct {
 	// spill streams.
 	LegacySend bool
 	// LegacyGroup selects the original grouped receive drain — buffer
-	// every fragment, sort once, drain — instead of the streaming k-way
-	// merge. Kept as the A/B baseline; the two produce byte-identical
-	// Recv streams.
+	// every fragment, sort once, drain — instead of the single k-way
+	// merge over the received runs. Kept as the A/B baseline; the two
+	// produce byte-identical Recv streams.
 	LegacyGroup bool
-	// MergeFactor is the grouped receiver's merge fan-in: a background
-	// pass folds the oldest MergeFactor runs whenever that many are
-	// pending. Default 10.
-	MergeFactor int
-	// Pool supplies partition serialization buffers on the send side and
-	// recycles consumed merge runs on the receive side (when the transport
-	// does not bring its own pool). Optional; nil allocates.
+	// Pool supplies partition serialization buffers on the send side.
+	// Optional; nil allocates.
 	Pool *bufpool.Pool
 	// Metrics, when set, receives the mpid.spill / mpid.realign /
 	// mpid.recv.merge timers and the mpid.* arena/pool counters.
@@ -148,6 +143,8 @@ type Counters struct {
 	BytesSent int64
 	// PairsReceived counts pairs decoded on the receive side.
 	PairsReceived int64
+	// BytesReceived counts realigned payload bytes taken off the transport.
+	BytesReceived int64
 }
 
 // D is one rank's MPI-D instance.
@@ -250,7 +247,7 @@ func Init(cfg Config) (*D, error) {
 		d.reuseParts = cfg.Comm.SendCopies()
 	}
 	if d.isReducer {
-		d.recvState = newReceiver(d)
+		d.recvState = &receiver{d: d, sendersLeft: len(cfg.Senders)}
 	}
 	return d, nil
 }

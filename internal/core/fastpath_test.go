@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -162,11 +165,26 @@ type streamEntry struct {
 	values [][]byte
 }
 
+// turnTag carries collectStreamsInTurn's baton between sender ranks.
+const turnTag = 4242
+
 // collectStreams runs one MPI-D exchange and captures every reducer's exact
 // Recv stream, in order.
 func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair) map[int][]streamEntry {
 	t.Helper()
+	streams, _ := collectStreamsInTurn(t, cfg, nRanks, pairsBySender, false)
+	return streams
+}
+
+// collectStreamsInTurn is collectStreams that also reports how many data
+// messages (= sorted runs) the senders shipped. With inTurn set, the ranks of
+// cfg.Senders send one after the other, each handing a baton to the next
+// once its stream is closed, so every reducer sees the same arrival order on
+// every run and a multi-sender exchange can be compared byte for byte.
+func collectStreamsInTurn(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair, inTurn bool) (map[int][]streamEntry, int64) {
+	t.Helper()
 	streams := make(map[int][]streamEntry)
+	var runs int64
 	var mu sync.Mutex
 	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
 		local := cfg
@@ -176,6 +194,17 @@ func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int]
 			return err
 		}
 		if d.IsSender() {
+			turn := -1
+			for i, r := range cfg.Senders {
+				if inTurn && r == c.Rank() {
+					turn = i
+				}
+			}
+			if turn > 0 {
+				if _, _, err := c.Recv(cfg.Senders[turn-1], turnTag); err != nil {
+					return err
+				}
+			}
 			for _, p := range pairsBySender[c.Rank()] {
 				if err := d.SendPair(p); err != nil {
 					return err
@@ -184,6 +213,14 @@ func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int]
 			if err := d.CloseSend(); err != nil {
 				return err
 			}
+			if turn >= 0 && turn+1 < len(cfg.Senders) {
+				if err := c.Send(cfg.Senders[turn+1], turnTag, nil); err != nil {
+					return err
+				}
+			}
+			mu.Lock()
+			runs += d.Counters().MessagesSent
+			mu.Unlock()
 		}
 		if d.IsReducer() {
 			var local []streamEntry
@@ -210,7 +247,7 @@ func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int]
 	if err != nil {
 		t.Fatal(err)
 	}
-	return streams
+	return streams, runs
 }
 
 func streamsEqual(t *testing.T, legacy, fast map[int][]streamEntry) {
@@ -262,8 +299,8 @@ func genPairs(n int, salt byte) []kv.Pair {
 // through the legacy core (LegacySend + LegacyGroup) and the optimized core
 // and requires the reducer-visible Recv streams to match byte for byte. A
 // single sender makes arrival order deterministic (per-pair FIFO), so this
-// is an exact check; the tiny spill threshold forces many runs and the
-// small merge factor forces background ordered passes.
+// is an exact check; the tiny spill threshold forces far more runs than any
+// merge fan-in the receiver used to fold in passes.
 func TestGroupedStreamByteIdentical(t *testing.T) {
 	variants := []struct {
 		name string
@@ -278,7 +315,7 @@ func TestGroupedStreamByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{1: genPairs(4000, 3)}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			base := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 512, MergeFactor: 3}
+			base := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 512}
 			v.mut(&base)
 			legacyCfg := base
 			legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
@@ -286,6 +323,27 @@ func TestGroupedStreamByteIdentical(t *testing.T) {
 			fast := collectStreams(t, base, 2, pairs)
 			streamsEqual(t, legacy, fast)
 		})
+	}
+}
+
+// TestGroupedManyRunsMultiSenderByteIdentical is the exact check for the
+// single k-way pass: three senders whose key sets overlap ("hot" and the
+// warm band recur in every spill of every sender) ship well over 64 runs to
+// two reducers, taking turns so arrival order is the same on both sides.
+// Every duplicate key must then concatenate its values in run-arrival
+// order, exactly as the legacy buffer-and-sort drain does.
+func TestGroupedManyRunsMultiSenderByteIdentical(t *testing.T) {
+	pairs := map[int][]kv.Pair{2: genPairs(2500, 1), 3: genPairs(2500, 9), 4: genPairs(1500, 4)}
+	for _, combiner := range []CombineFunc{nil, sumCombiner} {
+		base := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 256, Combiner: combiner}
+		legacyCfg := base
+		legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
+		legacy, _ := collectStreamsInTurn(t, legacyCfg, 5, pairs, true)
+		fast, runs := collectStreamsInTurn(t, base, 5, pairs, true)
+		if perReducer := runs / 2; perReducer < 64 {
+			t.Fatalf("only %d runs per reducer, want at least 64", perReducer)
+		}
+		streamsEqual(t, legacy, fast)
 	}
 }
 
@@ -309,7 +367,7 @@ func TestStreamingStreamByteIdentical(t *testing.T) {
 // and per-key value multisets must still agree.
 func TestGroupedMultiSenderAggregateEquivalent(t *testing.T) {
 	pairs := map[int][]kv.Pair{2: genPairs(2500, 1), 3: genPairs(2500, 9), 4: genPairs(1000, 4)}
-	base := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 1024, MergeFactor: 3, Combiner: sumCombiner}
+	base := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 1024, Combiner: sumCombiner}
 	legacyCfg := base
 	legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
 	legacy := collectStreams(t, legacyCfg, 5, pairs)
@@ -441,5 +499,108 @@ func TestFastPathTCPFaultRetry(t *testing.T) {
 				t.Fatalf("reducer received %d pairs, want the 5 retried ones", got)
 			}
 		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Single-pass receiver (PR 14)
+
+// TestSpillPrefixSortMatchesBytesCompare pins the spill order: the arena
+// sorts (8-byte prefix, index) records, and that order must equal
+// bytes.Compare on the full keys for every shape the prefix cannot tell
+// apart by itself — shared prefixes, keys shorter than the prefix, padding
+// look-alikes, the empty key and 0xFF bytes.
+func TestSpillPrefixSortMatchesBytesCompare(t *testing.T) {
+	adversarial := [][]byte{
+		{}, {0}, {0, 0}, bytes.Repeat([]byte{0}, 8), bytes.Repeat([]byte{0}, 9),
+		[]byte("a"), []byte("a\x00"), []byte("a\x00\x00"), []byte("a\x00b"), []byte("b"),
+		[]byte("prefix00"), []byte("prefix00\x00"), []byte("prefix00a"), []byte("prefix00b"), []byte("prefix0"),
+		[]byte("prefix01-long-tail-1"), []byte("prefix01-long-tail-2"), []byte("prefix01"),
+		{0xFF}, {0xFF, 0xFF}, bytes.Repeat([]byte{0xFF}, 8), bytes.Repeat([]byte{0xFF}, 9),
+		append(bytes.Repeat([]byte{0xFF}, 8), 0), {0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		{0x7F}, {0x80}, {0x80, 0}, {0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for round := 0; round < 50; round++ {
+		keys := append([][]byte(nil), adversarial...)
+		// Random keys over a two-letter alphabet collide on long prefixes.
+		for i := 0; i < 200; i++ {
+			k := make([]byte, rng.Intn(12))
+			for j := range k {
+				k[j] = []byte{0, 0xFF, 'a'}[rng.Intn(3)]
+			}
+			keys = append(keys, k)
+		}
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+
+		b := newArenaBuffer()
+		want := make(map[string]bool)
+		for _, k := range keys {
+			b.add(k, []byte{1}, nil)
+			want[string(k)] = true
+		}
+		var prev []byte
+		seen := 0
+		err := b.forEachSorted(func(key []byte, _ [][]byte) error {
+			if seen > 0 && bytes.Compare(prev, key) >= 0 {
+				return fmt.Errorf("round %d: %q yielded before %q", round, prev, key)
+			}
+			if !want[string(key)] {
+				return fmt.Errorf("round %d: unknown key %q", round, key)
+			}
+			prev = append(prev[:0], key...)
+			seen++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(want) {
+			t.Fatalf("round %d: yielded %d keys, want %d", round, seen, len(want))
+		}
+	}
+}
+
+// TestReducerErrorLeavesNoGoroutine fails the consumer of a grouped Recv
+// stream after its first key. The merge used to run in its own goroutine
+// feeding a 64-slot channel; an abandoned stream left it blocked on the send
+// forever, pinning every run buffer. The pull merge has nothing to leave
+// behind: the job ends with the consumer's own error and the goroutine
+// count returns to what it was.
+func TestReducerErrorLeavesNoGoroutine(t *testing.T) {
+	errReduce := errors.New("reduce failed on purpose")
+	before := runtime.NumGoroutine()
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		d, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 2048})
+		if err != nil {
+			return err
+		}
+		if d.IsSender() {
+			// Far more keys than the old channel buffered, over many runs.
+			for _, p := range genPairs(5000, 2) {
+				if err := d.SendPair(p); err != nil {
+					return err
+				}
+			}
+			return d.Finalize()
+		}
+		if _, _, err := d.Recv(); err != nil {
+			return err
+		}
+		return errReduce
+	})
+	if !errors.Is(err, errReduce) {
+		t.Fatalf("job error = %v, want the reducer's", err)
+	}
+	// Rank goroutines that already signalled completion may still be
+	// unwinding; yield until they are gone. A leaked merge goroutine never
+	// goes away, so the deadline only bounds the failing case.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before the job, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }

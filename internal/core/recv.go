@@ -48,49 +48,11 @@ type receiver struct {
 	drained  bool
 	drainPos int
 
-	// Merged grouped mode (default): every received partition buffer is a
-	// sorted run; the shuffle merge engine folds runs in the background
-	// while reception is still in flight, and the final k-way pass streams
-	// key groups through out while the reduce function consumes them.
-	merger   *shuffle.Merger
-	nextSeq  int
-	out      chan kv.KeyList
-	started  bool
-	mergeErr error
-}
-
-func newReceiver(d *D) *receiver {
-	r := &receiver{
-		d:           d,
-		sendersLeft: len(d.cfg.Senders),
-	}
-	switch {
-	case d.cfg.Streaming:
-	case d.cfg.LegacyGroup:
-		r.groups = make(map[string][][]byte)
-	default:
-		// Recycle consumed run buffers into the transport's read pool when
-		// there is one (TCP), closing the frame-read allocation loop;
-		// otherwise into the instance pool. Final-pass buffers are never
-		// recycled — the emitted slices alias them.
-		pool := d.comm.RecvBufferPool()
-		if pool == nil {
-			pool = d.cfg.Pool
-		}
-		r.merger = shuffle.NewMerger(shuffle.Config{
-			Factor:  d.cfg.MergeFactor,
-			Pool:    pool,
-			Ordered: true,
-			OnPass: func(info shuffle.PassInfo) {
-				d.mergeTimer.ObserveDuration(info.Duration)
-				d.cfg.Tracer.Record(d.cfg.TraceCtx, "mpid.recv.merge", trace.KindMerge,
-					info.Start, info.Start.Add(info.Duration),
-					trace.Annotation{Key: "runs", Value: fmt.Sprint(info.Runs)},
-					trace.Annotation{Key: "bytes_in", Value: fmt.Sprint(info.BytesIn)})
-			},
-		})
-	}
-	return r
+	// Merged grouped mode (default): the received partition buffers, each a
+	// sorted run numbered by arrival, and the one k-way pass over them.
+	runs       []shuffle.Run
+	merge      *shuffle.Iterator
+	mergeStart time.Time
 }
 
 // Recv returns the next key with its value list — MPI_D_Recv. Reducers call
@@ -134,6 +96,7 @@ func (r *receiver) receiveMessage() (data []byte, more bool, err error) {
 		}
 		switch st.Tag {
 		case DataTag:
+			r.d.counters.BytesReceived += int64(len(payload))
 			return payload, true, nil
 		case DoneTag:
 			r.sendersLeft--
@@ -185,6 +148,7 @@ func (r *receiver) nextStreaming() ([]byte, [][]byte, error) {
 // order — the pre-merge drain, kept as the A/B baseline (Config.LegacyGroup).
 func (r *receiver) nextGroupedLegacy() ([]byte, [][]byte, error) {
 	if !r.drained {
+		r.groups = make(map[string][][]byte)
 		for {
 			data, more, err := r.receiveMessage()
 			if err != nil {
@@ -218,16 +182,16 @@ func (r *receiver) nextGroupedLegacy() ([]byte, [][]byte, error) {
 	return []byte(k), values, nil
 }
 
-// nextGroupedMerged is the streaming grouped drain: each received partition
-// buffer is a sorted run (spill serializes in sorted key order) handed to
-// the merge engine, whose background passes fold runs while reception is
-// still in flight. Once every sender is done, the final k-way pass runs in
-// its own goroutine and streams key groups through a channel, so reduce
-// computation overlaps the tail of the merge. Equal keys concatenate their
-// values in run-arrival order (Ordered merger), which keeps the stream
-// byte-identical with the legacy drain.
+// nextGroupedMerged is the single-pass grouped drain: each received
+// partition buffer is a sorted run (spill serializes in sorted key order),
+// kept as the transport delivered it. Once every sender is done, one k-way
+// merge over all runs is pulled a key per call on the reducer's own
+// goroutine: nothing is re-serialized between reception and reduce, and an
+// abandoned stream leaves nothing running. Equal keys concatenate values in
+// run-arrival order, byte-identical with the legacy drain. Returned slices
+// alias the received buffers, which are therefore never recycled.
 func (r *receiver) nextGroupedMerged() ([]byte, [][]byte, error) {
-	if !r.started {
+	if r.merge == nil {
 		for {
 			data, more, err := r.receiveMessage()
 			if err != nil {
@@ -236,30 +200,24 @@ func (r *receiver) nextGroupedMerged() ([]byte, [][]byte, error) {
 			if !more {
 				break
 			}
-			r.merger.Add(r.nextSeq, data)
-			r.nextSeq++
+			r.runs = append(r.runs, shuffle.Run{Data: data, Seq: len(r.runs)})
 		}
-		r.out = make(chan kv.KeyList, 64)
-		mergeStart := time.Now()
-		go func() {
-			defer close(r.out)
-			r.mergeErr = r.merger.Merge(func(kl kv.KeyList) error {
-				r.out <- kl
-				return nil
-			})
-			d := r.d
-			d.mergeTimer.ObserveDuration(time.Since(mergeStart))
-			d.cfg.Tracer.Record(d.cfg.TraceCtx, "mpid.recv.merge", trace.KindMerge,
-				mergeStart, time.Now(), trace.Annotation{Key: "pass", Value: "final"})
-		}()
-		r.started = true
+		var err error
+		r.mergeStart = time.Now()
+		if r.merge, err = shuffle.NewIterator(r.runs, nil); err != nil {
+			return nil, nil, fmt.Errorf("mpid: corrupt partition buffer: %w", err)
+		}
 	}
-	kl, ok := <-r.out
+	kl, ok, err := r.merge.Next()
+	if err != nil {
+		return nil, nil, fmt.Errorf("mpid: corrupt partition buffer: %w", err)
+	}
 	if !ok {
-		// Channel closed: r.mergeErr was written before close, so the
-		// receive above orders the read after the write.
-		if r.mergeErr != nil {
-			return nil, nil, r.mergeErr
+		if d := r.d; r.runs != nil {
+			d.mergeTimer.ObserveDuration(time.Since(r.mergeStart))
+			d.cfg.Tracer.Record(d.cfg.TraceCtx, "mpid.recv.merge", trace.KindMerge,
+				r.mergeStart, time.Now(), trace.Annotation{Key: "runs", Value: fmt.Sprint(len(r.runs))})
+			r.runs = nil // observe once; Recv keeps answering io.EOF
 		}
 		return nil, nil, io.EOF
 	}

@@ -238,6 +238,38 @@ func KeyListSize(kl KeyList) int {
 
 // ReadKeyList decodes one framed key-list, returning subslices of b.
 func ReadKeyList(b []byte) (KeyList, int, error) {
+	return (*ListArena)(nil).ReadKeyList(b)
+}
+
+// ListArena carves value-list headers out of shared chunks, so decoding a
+// stream of key-lists costs one allocation per chunk instead of one per key.
+// Lists handed out never overlap and stay valid for as long as the caller
+// keeps them; a chunk is garbage once every list cut from it is. The zero
+// value is ready to use, and a nil arena allocates each list exactly.
+type ListArena struct {
+	free [][]byte
+}
+
+// listArenaChunk is the header count of one arena chunk (24 KiB of headers).
+const listArenaChunk = 1024
+
+// Take returns a zeroed n-element list with no spare capacity, so an append
+// by the caller cannot run into a neighbouring list.
+func (a *ListArena) Take(n int) [][]byte {
+	if a == nil || n > listArenaChunk/4 {
+		return make([][]byte, n)
+	}
+	if len(a.free) < n {
+		a.free = make([][]byte, listArenaChunk)
+	}
+	vs := a.free[:n:n]
+	a.free = a.free[n:]
+	return vs
+}
+
+// ReadKeyList is the package-level ReadKeyList with the value list taken
+// from the arena.
+func (a *ListArena) ReadKeyList(b []byte) (KeyList, int, error) {
 	k, n, err := ReadBytes(b)
 	if err != nil {
 		return KeyList{}, 0, err
@@ -247,16 +279,19 @@ func ReadKeyList(b []byte) (KeyList, int, error) {
 		return KeyList{}, 0, err
 	}
 	n += used
-	if cnt < 0 {
-		return KeyList{}, 0, fmt.Errorf("kv: negative value count %d", cnt)
+	// Every value costs at least its one-byte length prefix, so a count
+	// beyond the remaining bytes is corrupt; rejecting it here keeps a
+	// hostile count from sizing the allocation below.
+	if cnt < 0 || cnt > int64(len(b)-n) {
+		return KeyList{}, 0, fmt.Errorf("kv: value count %d in %d remaining bytes", cnt, len(b)-n)
 	}
-	kl := KeyList{Key: k, Values: make([][]byte, 0, cnt)}
-	for i := int64(0); i < cnt; i++ {
+	kl := KeyList{Key: k, Values: a.Take(int(cnt))}
+	for i := range kl.Values {
 		v, used, err := ReadBytes(b[n:])
 		if err != nil {
 			return KeyList{}, 0, err
 		}
-		kl.Values = append(kl.Values, v)
+		kl.Values[i] = v
 		n += used
 	}
 	return kl, n, nil

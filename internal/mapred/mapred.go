@@ -481,6 +481,11 @@ func runMapper(c *mpi.Comm, d *core.D, job Job, splits []Split) error {
 func runReducer(c *mpi.Comm, d *core.D, job Job) error {
 	var out []byte
 	emit := func(key, value []byte) error {
+		if out == nil {
+			// Every run has arrived before Recv delivers a key, so the count
+			// is final: size for an identity-shaped reduce once, not by doubling.
+			out = make([]byte, 0, d.Counters().BytesReceived)
+		}
 		out = kv.AppendPair(out, kv.Pair{Key: key, Value: value})
 		return nil
 	}
@@ -541,15 +546,21 @@ func addCounters(dst *core.Counters, src core.Counters) {
 	dst.PairsReceived += src.PairsReceived
 }
 
+// decodePairs decodes a reducer's output in place: the pairs alias b, which
+// mpi.Comm.Recv handed over for good. Counting first sizes the slice exactly.
 func decodePairs(b []byte) ([]kv.Pair, error) {
-	var pairs []kv.Pair
-	for len(b) > 0 {
-		p, n, err := kv.ReadPair(b)
+	n := 0
+	for rest := b; len(rest) > 0; n++ {
+		_, used, err := kv.ReadPair(rest)
 		if err != nil {
 			return nil, fmt.Errorf("mapred: corrupt output: %w", err)
 		}
-		pairs = append(pairs, p.Clone())
-		b = b[n:]
+		rest = rest[used:]
+	}
+	pairs := make([]kv.Pair, n)
+	for i := range pairs {
+		p, used, _ := kv.ReadPair(b) // validated by the counting pass
+		pairs[i], b = p, b[used:]
 	}
 	return pairs, nil
 }

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/kv"
+	"github.com/ict-repro/mpid/internal/mpi"
 )
 
 // wordCountMapper splits a line into words and emits (word, 1).
@@ -466,5 +469,79 @@ func TestTaskRetryNoFailuresIsFreeOfSideEffects(t *testing.T) {
 		if b[k] != v {
 			t.Errorf("count[%q]: direct %d, buffered %d", k, v, b[k])
 		}
+	}
+}
+
+// TestResultOutlivesWorld pins the buffer-ownership rule runMaster relies on:
+// Result.ByReducer aliases the buffers mpi.Comm.Recv handed the master, so
+// those must never be recycled — not when the world closes, not when the
+// next job churns the same shared pool. On each transport a sort job's
+// result is checked only after a second, different job ran over the same
+// bufpool and the first world is long closed.
+func TestResultOutlivesWorld(t *testing.T) {
+	worlds := map[string]func(n int) (*mpi.World, error){
+		"chan": func(n int) (*mpi.World, error) { return mpi.NewWorld(n), nil },
+		"ring+copy": func(n int) (*mpi.World, error) {
+			return mpi.NewRingWorldConfig(n, mpi.RingConfig{CopyPayloads: true}), nil
+		},
+		"tcp": mpi.NewTCPWorld,
+	}
+	identityMap := MapperFunc(func(k, v []byte, emit Emit) error { return emit(k, v) })
+	identityReduce := ReducerFunc(func(k []byte, values [][]byte, emit Emit) error {
+		for _, v := range values {
+			if err := emit(k, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	gen := func(seed int64, fill byte) []kv.Pair {
+		rng := rand.New(rand.NewSource(seed))
+		pairs := make([]kv.Pair, 3000)
+		for i := range pairs {
+			key := make([]byte, 10)
+			rng.Read(key)
+			pairs[i] = kv.Pair{Key: key, Value: bytes.Repeat([]byte{fill}, 90)}
+		}
+		return pairs
+	}
+	for name, newWorld := range worlds {
+		t.Run(name, func(t *testing.T) {
+			pool := bufpool.New()
+			run := func(pairs []kv.Pair) *Result {
+				t.Helper()
+				job := Job{
+					Name: "sort", Mapper: identityMap, Reducer: identityReduce,
+					Partitioner: core.FirstByteRangePartitioner, NumReducers: 2,
+					SpillThreshold: 32 << 10, Pool: pool,
+				}
+				splits := []Split{NewPairSplit(0, pairs[:len(pairs)/2]), NewPairSplit(1, pairs[len(pairs)/2:])}
+				res, err := RunOnWorld(job, splits, 2, newWorld)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			input := gen(1, 'A')
+			res := run(input)
+			run(gen(2, 'B')) // same sizes, other bytes: lands in any recycled buffer
+			runtime.GC()
+
+			var got []kv.Pair
+			for _, rp := range res.ByReducer {
+				got = append(got, rp...)
+			}
+			want := append([]kv.Pair(nil), input...)
+			sort.Slice(want, func(i, j int) bool { return kv.Compare(want[i].Key, want[j].Key) < 0 })
+			if len(got) != len(want) {
+				t.Fatalf("%d output pairs, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+					t.Fatalf("pair %d after the world closed: %x/%.8q, want %x/%.8q",
+						i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+				}
+			}
+		})
 	}
 }

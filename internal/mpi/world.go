@@ -217,6 +217,14 @@ func (c *Comm) send(to, tag int, data []byte) error {
 // Recv blocks until a message matching (source, tag) arrives and returns
 // its payload. source may be AnySource and tag may be AnyTag; the returned
 // Status carries the actual envelope.
+//
+// The payload belongs to the receiver for good, on every transport: the
+// in-process transports hand over the sender's slice (which Send forbids the
+// sender to touch again), the copying ring and TCP hand over a buffer drawn
+// from RecvBufferPool that the transport never reclaims — not on a later
+// Recv, not when the world closes. Only the receiver may recycle it, and
+// only once it holds no aliases into it. MPI-D's grouped Recv and
+// mapred.Result.ByReducer alias received payloads and so keep them.
 func (c *Comm) Recv(source, tag int) ([]byte, Status, error) {
 	if source != AnySource {
 		if err := validateRank(source, c.Size()); err != nil {

@@ -34,7 +34,6 @@ package shuffle
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -86,15 +85,8 @@ func ValidateRun(data []byte) (keys int, err error) {
 	return keys, nil
 }
 
-// run is one sorted segment awaiting merging.
-type run struct {
-	data   []byte
-	seq    int  // smallest source segment index, tie-breaks equal keys
-	pooled bool // buffer may be recycled once the run is consumed by a pass
-}
-
-// Run is one sorted segment handed to MergeRuns: framed kv.KeyList records
-// in strictly increasing key order. Seq tie-breaks equal keys across runs
+// Run is one sorted segment awaiting merging: framed kv.KeyList records in
+// strictly increasing key order. Seq tie-breaks equal keys across runs
 // (lower Seq's values come first).
 type Run struct {
 	Data []byte
@@ -104,15 +96,21 @@ type Run struct {
 // MergeRuns k-way merges sorted runs, calling emit once per key in strictly
 // increasing key order with the values of equal keys grouped (combined when
 // combine is non-nil and the key drew from more than one run). Emitted
-// slices alias the run buffers; the caller decides their lifetime. This is
-// the exported face of the merge heap, reused by MPI-D's streaming
-// receiver (internal/core) over per-sender spill fragments.
+// slices alias the run buffers; the caller decides their lifetime.
 func MergeRuns(rs []Run, combine Combiner, emit func(kv.KeyList) error) error {
-	internal := make([]run, len(rs))
-	for i, r := range rs {
-		internal[i] = run{data: r.Data, seq: r.Seq}
+	it, err := NewIterator(rs, combine)
+	if err != nil {
+		return err
 	}
-	return mergeRuns(internal, combine, emit)
+	for {
+		kl, ok, err := it.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := emit(kl); err != nil {
+			return err
+		}
+	}
 }
 
 // cursor walks a run's KeyList frames.
@@ -122,12 +120,12 @@ type cursor struct {
 	seq  int
 }
 
-// advance decodes the next frame; ok=false on clean end.
-func (c *cursor) advance() (ok bool, err error) {
+// advance decodes the next frame (value list from lists); ok=false at the end.
+func (c *cursor) advance(lists *kv.ListArena) (ok bool, err error) {
 	if len(c.rest) == 0 {
 		return false, nil
 	}
-	klist, n, err := kv.ReadKeyList(c.rest)
+	klist, n, err := lists.ReadKeyList(c.rest)
 	if err != nil {
 		return false, err
 	}
@@ -135,79 +133,124 @@ func (c *cursor) advance() (ok bool, err error) {
 	return true, nil
 }
 
-// mergeHeap orders cursors by current key, then run sequence — the k-way
-// merge frontier.
-type mergeHeap []*cursor
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if c := kv.Compare(h[i].cur.Key, h[j].cur.Key); c != 0 {
-		return c < 0
+// before orders cursors by current key, then run sequence.
+func (c *cursor) before(o *cursor) bool {
+	if cmp := bytes.Compare(c.cur.Key, o.cur.Key); cmp != 0 {
+		return cmp < 0
 	}
-	return h[i].seq < h[j].seq
-}
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*cursor)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
+	return c.seq < o.seq
 }
 
-// mergeRuns k-way merges rs, calling emit once per key with the grouped
-// values (combined when combine is non-nil and the key drew from more than
-// one run). Emitted slices alias the run buffers; the caller decides their
-// lifetime.
-func mergeRuns(rs []run, combine Combiner, emit func(kv.KeyList) error) error {
-	h := make(mergeHeap, 0, len(rs))
-	for _, r := range rs {
-		c := &cursor{rest: r.data, seq: r.seq}
-		ok, err := c.advance()
+// Iterator is the k-way merge frontier as a pull iterator: a min-heap of run
+// cursors ordered by (current key, Seq). Next yields each key once, in
+// strictly increasing order, equal keys' values concatenated in ascending
+// Seq. It runs on the caller's goroutine and holds only the run buffers, so
+// abandoning it mid-stream leaks nothing. MPI-D's grouped receiver
+// (internal/core) pulls from it; MergeRuns and Merger drive it to the end.
+type Iterator struct {
+	heap    []*cursor
+	parts   [][][]byte // reused: the per-run value lists of a multi-run key
+	combine Combiner
+	lists   kv.ListArena
+}
+
+// NewIterator positions a cursor on every non-empty run. combine, when
+// non-nil, is applied to keys that drew from more than one run.
+func NewIterator(rs []Run, combine Combiner) (*Iterator, error) {
+	it := &Iterator{heap: make([]*cursor, 0, len(rs)), combine: combine}
+	cursors := make([]cursor, len(rs))
+	for i, r := range rs {
+		c := &cursors[i]
+		c.rest, c.seq = r.Data, r.Seq
+		ok, err := c.advance(&it.lists)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if ok {
-			h = append(h, c)
+			it.heap = append(it.heap, c)
 		}
 	}
-	heap.Init(&h)
-	var group []*cursor
-	for h.Len() > 0 {
-		c := heap.Pop(&h).(*cursor)
-		group = append(group[:0], c)
-		key := c.cur.Key
-		for h.Len() > 0 && bytes.Equal(h[0].cur.Key, key) {
-			group = append(group, heap.Pop(&h).(*cursor))
-		}
-		var out kv.KeyList
-		if len(group) == 1 {
-			out = c.cur
-		} else {
-			values := make([][]byte, 0, len(group)*2)
-			for _, g := range group {
-				values = append(values, g.cur.Values...)
-			}
-			if combine != nil {
-				values = combine(key, values)
-			}
-			out = kv.KeyList{Key: key, Values: values}
-		}
-		if err := emit(out); err != nil {
-			return err
-		}
-		for _, g := range group {
-			ok, err := g.advance()
-			if err != nil {
-				return err
-			}
-			if ok {
-				heap.Push(&h, g)
-			}
-		}
+	for i := len(it.heap)/2 - 1; i >= 0; i-- {
+		it.down(i)
 	}
+	return it, nil
+}
+
+// Next returns the smallest remaining key with its grouped values; ok=false
+// after the last key. The returned slices alias the run buffers and stay
+// valid as long as the caller keeps them.
+func (it *Iterator) Next() (kl kv.KeyList, ok bool, err error) {
+	if len(it.heap) == 0 {
+		return kv.KeyList{}, false, nil
+	}
+	kl = it.heap[0].cur
+	parts, n := it.parts[:0], 0
+	// Stepping a cursor past key K leaves the lowest remaining Seq holding
+	// K, if any, on top: equal keys come off in ascending Seq.
+	for {
+		if err := it.step(); err != nil {
+			return kv.KeyList{}, false, err
+		}
+		if len(it.heap) == 0 || !bytes.Equal(it.heap[0].cur.Key, kl.Key) {
+			break
+		}
+		if n == 0 {
+			parts, n = append(parts, kl.Values), len(kl.Values)
+		}
+		parts, n = append(parts, it.heap[0].cur.Values), n+len(it.heap[0].cur.Values)
+	}
+	if n == 0 {
+		return kl, true, nil // the key came from a single run
+	}
+	kl.Values = it.lists.Take(n)[:0]
+	for _, vs := range parts {
+		kl.Values = append(kl.Values, vs...)
+	}
+	it.parts = parts
+	if it.combine != nil {
+		kl.Values = it.combine(kl.Key, kl.Values)
+	}
+	return kl, true, nil
+}
+
+// step moves the top cursor to its next frame, or drops it at its run's end.
+func (it *Iterator) step() error {
+	h := it.heap
+	ok, err := h[0].advance(&it.lists)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		last := len(h) - 1
+		h[0], h[last] = h[last], nil
+		it.heap = h[:last]
+	}
+	it.down(0)
 	return nil
+}
+
+// down restores the heap property from node i towards the leaves.
+func (it *Iterator) down(i int) {
+	h := it.heap
+	if i >= len(h) {
+		return
+	}
+	c := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(c) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = c
 }
 
 // ---------------------------------------------------------------------------
@@ -238,9 +281,10 @@ type MergeStats struct {
 type Config struct {
 	// Expected is how many segments Add will deliver in total. Merge may
 	// only be called after all of them arrived. Zero means the count is
-	// unknown (streaming use, as in MPI-D's wildcard reception): background
-	// passes then run whenever Factor runs are pending, and Merge trusts
-	// the caller to have observed end-of-stream externally.
+	// unknown (the tasktracker's node-combined copy, where one segment
+	// covers several maps): background passes then run whenever Factor
+	// runs are pending, and Merge trusts the caller to have observed
+	// end-of-stream externally.
 	Expected int
 	// Factor is the merge fan-in (io.sort.factor): an intermediate pass
 	// starts whenever at least Factor runs are pending and more segments
@@ -254,15 +298,6 @@ type Config struct {
 	// Pool recycles intermediate pass buffers; segment buffers handed to
 	// Add are recycled too once a pass consumes them. Optional.
 	Pool *BufferPool
-	// Ordered makes intermediate passes fold the lowest-seq pending runs
-	// instead of the smallest. Folding an arbitrary subset can interleave
-	// equal-key value groups out of seq order in the final stream; folding
-	// a seq-prefix cannot, because a pass output's seq is the batch minimum
-	// and every run left behind has a larger seq. MPI-D's grouped receiver
-	// relies on this to stay byte-identical with the legacy arrival-order
-	// drain. Costs the smallest-runs heuristic, so only set it when the
-	// emitted value order matters.
-	Ordered bool
 	// OnPass, when set, observes every completed intermediate pass — the
 	// hook the tasktracker uses to emit merge spans and metrics. Called
 	// from the pass's goroutine.
@@ -278,7 +313,7 @@ type Merger struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	pending []run
+	pending []Run
 	added   int
 	passes  int // in-flight background passes
 	stats   MergeStats
@@ -304,7 +339,7 @@ func NewMerger(cfg Config) *Merger {
 func (m *Merger) Add(seq int, data []byte) {
 	m.mu.Lock()
 	m.added++
-	m.pending = append(m.pending, run{data: data, seq: seq, pooled: m.cfg.Pool != nil})
+	m.pending = append(m.pending, Run{Data: data, Seq: seq})
 	m.maybeStartPassLocked()
 	m.mu.Unlock()
 }
@@ -320,50 +355,21 @@ func (m *Merger) maybeStartPassLocked() {
 		return
 	}
 	// Fold the smallest pending runs: cheapest pass, and it keeps large
-	// already-merged runs from being recopied over and over. Ordered mode
-	// folds the oldest instead to preserve the seq order of equal keys,
-	// and runs one pass at a time: with every unfolded run visible in
-	// pending, the Factor lowest seqs are a contiguous prefix of what is
-	// left, so folding them cannot jump an in-flight seq range.
-	var batch []run
-	if m.cfg.Ordered {
-		if m.passes > 0 {
-			return
-		}
-		batch = m.takeOldestLocked(m.cfg.Factor)
-	} else {
-		batch = m.takeSmallestLocked(m.cfg.Factor)
-	}
+	// already-merged runs from being recopied over and over.
+	batch := m.takeSmallestLocked(m.cfg.Factor)
 	m.passes++
 	go m.runPass(batch)
 }
 
 // takeSmallestLocked removes and returns the n pending runs with the
 // fewest bytes.
-func (m *Merger) takeSmallestLocked(n int) []run {
+func (m *Merger) takeSmallestLocked(n int) []Run {
 	// Selection by repeated scan: n and len(pending) are both small (tens).
-	batch := make([]run, 0, n)
+	batch := make([]Run, 0, n)
 	for len(batch) < n {
 		best := 0
 		for i, r := range m.pending {
-			if len(r.data) < len(m.pending[best].data) {
-				best = i
-			}
-		}
-		batch = append(batch, m.pending[best])
-		m.pending = append(m.pending[:best], m.pending[best+1:]...)
-	}
-	return batch
-}
-
-// takeOldestLocked removes and returns the n pending runs with the lowest
-// seq (Ordered mode).
-func (m *Merger) takeOldestLocked(n int) []run {
-	batch := make([]run, 0, n)
-	for len(batch) < n {
-		best := 0
-		for i, r := range m.pending {
-			if r.seq < m.pending[best].seq {
+			if len(r.Data) < len(m.pending[best].Data) {
 				best = i
 			}
 		}
@@ -374,27 +380,25 @@ func (m *Merger) takeOldestLocked(n int) []run {
 }
 
 // runPass merges one batch of runs into a single combined run.
-func (m *Merger) runPass(batch []run) {
+func (m *Merger) runPass(batch []Run) {
 	start := time.Now()
 	var bytesIn, minSeq int
-	minSeq = batch[0].seq
+	minSeq = batch[0].Seq
 	for _, r := range batch {
-		bytesIn += len(r.data)
-		if r.seq < minSeq {
-			minSeq = r.seq
+		bytesIn += len(r.Data)
+		if r.Seq < minSeq {
+			minSeq = r.Seq
 		}
 	}
 	out := m.cfg.Pool.Get(bytesIn)[:0]
 	keys := 0
-	err := mergeRuns(batch, m.cfg.Combine, func(kl kv.KeyList) error {
+	err := MergeRuns(batch, m.cfg.Combine, func(kl kv.KeyList) error {
 		out = kv.AppendKeyList(out, kl)
 		keys++
 		return nil
 	})
 	for _, r := range batch {
-		if r.pooled {
-			m.cfg.Pool.Put(r.data)
-		}
+		m.cfg.Pool.Put(r.Data)
 	}
 	dur := time.Since(start)
 
@@ -402,7 +406,7 @@ func (m *Merger) runPass(batch []run) {
 	if err != nil && m.err == nil {
 		m.err = err
 	} else if err == nil {
-		m.pending = append(m.pending, run{data: out, seq: minSeq, pooled: m.cfg.Pool != nil})
+		m.pending = append(m.pending, Run{Data: out, Seq: minSeq})
 		m.stats.Passes++
 		m.stats.RunsIn += len(batch)
 		m.stats.BytesIn += int64(bytesIn)
@@ -447,7 +451,7 @@ func (m *Merger) Merge(emit func(kv.KeyList) error) error {
 	final := m.pending
 	m.pending = nil
 	m.mu.Unlock()
-	return mergeRuns(final, nil, emit)
+	return MergeRuns(final, nil, emit)
 }
 
 // Stats returns the background-pass totals accumulated so far.

@@ -137,6 +137,78 @@ func TestMergeDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestIteratorManyRunsSeqOrder pulls one pass over far more runs than any
+// merge fan-in: keys come out strictly increasing, a key's values are the
+// concatenation of its runs' lists in ascending Seq whatever order the runs
+// were handed over in, value lists handed out earlier stay intact while the
+// pull goes on, and the iterator keeps answering ok=false once drained.
+func TestIteratorManyRunsSeqOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	segs, ref := randSegments(t, rng, 80, 30, 120)
+	runs := make([]Run, len(segs))
+	for i, s := range segs {
+		runs[i] = Run{Data: s, Seq: i}
+	}
+	rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+	it, err := NewIterator(runs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []kv.KeyList // retained as handed out, not copied
+	for {
+		kl, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if n := len(got); n > 0 && kv.Compare(got[n-1].Key, kl.Key) >= 0 {
+			t.Fatalf("iterator yielded %q after %q", kl.Key, got[n-1].Key)
+		}
+		got = append(got, kl)
+	}
+	if _, ok, err := it.Next(); ok || err != nil {
+		t.Fatalf("Next after the end = ok %v, err %v", ok, err)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("pulled %d keys, want %d", len(got), len(ref))
+	}
+	for _, kl := range got {
+		if want := ref[string(kl.Key)]; !valuesEqual(kl.Values, want) {
+			t.Fatalf("key %s: values %q, want %q", kl.Key, kl.Values, want)
+		}
+	}
+}
+
+// TestIteratorCorruptRun: a run that stops decoding surfaces as an error
+// from whichever call reaches the bad frame, never as a short stream.
+func TestIteratorCorruptRun(t *testing.T) {
+	good := buildRun(t, map[string][][]byte{"a": {[]byte("1")}, "c": {[]byte("3")}})
+	bad := append(buildRun(t, map[string][][]byte{"b": {[]byte("2")}}), 0x05, 'x') // truncated second frame
+	if _, err := NewIterator([]Run{{Data: []byte{0x7F}}}, nil); err == nil {
+		t.Fatal("NewIterator accepted a run whose first frame is truncated")
+	}
+	it, err := NewIterator([]Run{{Data: good, Seq: 0}, {Data: bad, Seq: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for {
+		kl, ok, err := it.Next()
+		if err != nil {
+			break
+		}
+		if !ok {
+			t.Fatalf("stream ended cleanly after %q despite the corrupt run", keys)
+		}
+		keys = append(keys, string(kl.Key))
+	}
+	if fmt.Sprint(keys) != "[a]" {
+		t.Fatalf("keys before the error = %q, want just a", keys)
+	}
+}
+
 // TestMergerPipelinedPasses drives a small-factor merger from concurrent
 // adders and checks (a) intermediate passes actually ran, (b) the merged
 // key space and value multisets match the reference.

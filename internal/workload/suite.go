@@ -218,10 +218,13 @@ func TeraSort(params map[string]int64) (mapred.Job, []mapred.Split, error) {
 	identityMap := mapred.MapperFunc(func(k, v []byte, emit mapred.Emit) error {
 		return emit(k, v)
 	})
-	// Identity reduce, but with the value list sorted first: engines do not
-	// guarantee value arrival order, and a sorted list makes the output of
-	// duplicate keys canonical.
+	// Identity reduce, but with a duplicate key's value list sorted first:
+	// engines do not guarantee value arrival order, and a sorted list makes
+	// the output of duplicate keys canonical.
 	identityReduce := mapred.ReducerFunc(func(k []byte, values [][]byte, emit mapred.Emit) error {
+		if len(values) == 1 {
+			return emit(k, values[0])
+		}
 		sorted := append([][]byte(nil), values...)
 		sort.Slice(sorted, func(i, j int) bool { return kv.Compare(sorted[i], sorted[j]) < 0 })
 		for _, v := range sorted {
