@@ -39,22 +39,15 @@ bench-module:
 	go vet -C bench ./...
 	go test -C bench ./...
 
-# Full benchmark run: every Go benchmark, then the A/B harnesses writing
+# Full benchmark run: every Go benchmark, then the bench suites writing
 # their JSON baselines (the files EXPERIMENTS.md quotes).
 bench:
 	go test -bench=. -benchmem ./...
-	go run ./cmd/mpid-bench -o BENCH_shuffle.json
-	go run ./cmd/mpid-bench -suite mpid -o BENCH_mpid.json
 	go run ./cmd/mpid-bench -suite serve -o BENCH_serve.json
 	go run ./cmd/mpid-bench -suite workloads -o BENCH_workloads.json
 	go run ./cmd/mpid-bench -suite shufflebytes -o BENCH_shufflebytes.json
 	go run ./cmd/mpid-bench -suite transport -o BENCH_transport.json
 
-# One iteration of every benchmark — a CI smoke test that the bench code
-# still compiles and runs, without the timing noise of a real bench run —
-# plus seconds-scale A/B runs producing the BENCH_shuffle.json,
-# BENCH_mpid.json, BENCH_serve.json, BENCH_workloads.json,
-# BENCH_shufflebytes.json and BENCH_transport.json CI artifacts.
 # Regression gate: re-run each suite's smoke config and compare the
 # scale-free headline ratios (speedups, fairness) against the committed
 # BENCH_*.json baselines within a wide tolerance. Non-fatal in CI — a
@@ -62,10 +55,13 @@ bench:
 bench-check:
 	go run ./cmd/mpid-bench -check
 
+# One iteration of every benchmark — a CI smoke test that the bench code
+# still compiles and runs, without the timing noise of a real bench run —
+# plus seconds-scale suite runs producing the BENCH_serve.json,
+# BENCH_workloads.json, BENCH_shufflebytes.json and BENCH_transport.json
+# CI artifacts.
 bench-smoke:
 	go test -bench=. -benchtime=1x ./...
-	go run ./cmd/mpid-bench -smoke -o BENCH_shuffle.json
-	go run ./cmd/mpid-bench -suite mpid -smoke -o BENCH_mpid.json
 	go run ./cmd/mpid-bench -suite serve -smoke -o BENCH_serve.json
 	go run ./cmd/mpid-bench -suite workloads -smoke -o BENCH_workloads.json
 	go run ./cmd/mpid-bench -suite shufflebytes -smoke -o BENCH_shufflebytes.json

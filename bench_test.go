@@ -229,35 +229,6 @@ func BenchmarkMPIDWordCountInProc(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Shuffle engine A/B (DESIGN.md §10) — same workload as cmd/mpid-bench and
-// the committed BENCH_shuffle.json, at the smoke scale so a bench run stays
-// fast. Compare the two ns/op numbers for the speedup.
-
-func benchShuffleEngine(b *testing.B, pipelined bool) {
-	cfg := experiments.SmokeShuffleBench()
-	segs := experiments.GenShuffleWorkload(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if pipelined {
-			var passes int
-			passes, err = experiments.PipelinedShuffleWave(segs, cfg)
-			if err == nil && i == 0 {
-				b.ReportMetric(float64(passes)/float64(cfg.Reducers), "merge-passes/reducer")
-			}
-		} else {
-			err = experiments.LegacyShuffleWave(segs, cfg)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShuffleLegacy(b *testing.B)    { benchShuffleEngine(b, false) }
-func BenchmarkShufflePipelined(b *testing.B) { benchShuffleEngine(b, true) }
-
-// ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §6)
 
 // runCoreWordCount pushes nPairs hot-key pairs through a 2-rank MPI-D

@@ -5,8 +5,7 @@
 //
 // By default it evaluates the calibrated cost models; with -live it
 // measures the real Go substrates on loopback, and -transport selects
-// the live MPI transport (chan, ring, ring+copy, tcp, or the default
-// tcp+writev).
+// the live MPI transport (chan, ring, ring+copy, or the default tcp).
 package main
 
 import (
@@ -19,7 +18,7 @@ import (
 
 func main() {
 	live := flag.Bool("live", false, "measure the real Go substrates on loopback instead of the models")
-	transport := flag.String("transport", "tcp+writev", "live MPI transport: chan | ring | ring+copy | tcp | tcp+writev")
+	transport := flag.String("transport", "tcp", "live MPI transport: chan | ring | ring+copy | tcp")
 	flag.Parse()
 
 	mode := experiments.Model

@@ -1,25 +1,16 @@
-// Command mpid-bench runs the committed A/B baselines:
+// Command mpid-bench runs the committed bench suites:
 //
-//   - suite "shuffle": the reduce-side shuffle engine benchmark — the
-//     legacy buffer-then-sort engine against the pipelined run/merge
-//     engine (internal/shuffle) — written as BENCH_shuffle.json.
-//
-//   - suite "mpid": the MPI-D core benchmark — the same live WordCount
-//     through the optimized core (arena send buffer, pooled transport,
-//     streaming receive merge), the legacy core (LegacySend+LegacyGroup)
-//     and the real mini-Hadoop engine — written as BENCH_mpid.json.
+//   - suite "workloads" (the default): the full workload suite — WordCount,
+//     TeraSort (uniform and Zipf-skewed keys), inverted index, grep,
+//     two-table join, chained multi-round PageRank — each run on the MPI-D
+//     engine and the mini-Hadoop engine, gated on byte-identical output
+//     before timing, reporting per-workload p50 times and shuffle bytes —
+//     written as BENCH_workloads.json.
 //
 //   - suite "serve": the job-service soak — a swarm of concurrent tenant
 //     clients submitting WordCount jobs through mpid-serve's RPC
 //     front-end, reporting p50/p99 job latency, backpressure counts and
 //     the cross-tenant fairness ratio — written as BENCH_serve.json.
-//
-//   - suite "workloads": the full workload suite — WordCount, TeraSort
-//     (uniform and Zipf-skewed keys), inverted index, grep, two-table
-//     join, chained multi-round PageRank — each run on the fast MPI-D
-//     core, legacy core and mini-Hadoop engine, gated on byte-identical
-//     output before timing, reporting per-workload p50 times and shuffle
-//     bytes — written as BENCH_workloads.json.
 //
 //   - suite "shufflebytes": the shuffle-byte-reduction benchmark —
 //     WordCount and the inverted index under the three byte-reduction
@@ -31,19 +22,16 @@
 //     BENCH_shufflebytes.json.
 //
 //   - suite "transport": the transport raw-speed sweep — the in-process
-//     chan baseline, the shared-memory-style ring, legacy-framed TCP and
-//     vectored (writev) TCP, each gated on byte-identical WordCount
-//     output first, then swept across message sizes for one-way latency
-//     percentiles, streaming bandwidth and allocations per round trip —
-//     written as BENCH_transport.json.
+//     chan baseline, the shared-memory-style ring and loopback TCP, each
+//     gated on byte-identical WordCount output first, then swept across
+//     message sizes for one-way latency percentiles, streaming bandwidth
+//     and allocations per round trip — written as BENCH_transport.json.
 //
-//     mpid-bench -o BENCH_shuffle.json                        full shuffle baseline
-//     mpid-bench -suite mpid -o BENCH_mpid.json               full MPI-D core baseline
+//     mpid-bench -o BENCH_workloads.json                      full workload suite
 //     mpid-bench -suite serve -o BENCH_serve.json             full job-service soak
-//     mpid-bench -suite workloads -o BENCH_workloads.json     full workload suite
 //     mpid-bench -suite shufflebytes -o BENCH_shufflebytes.json  full shuffle-byte baseline
 //     mpid-bench -suite transport -o BENCH_transport.json     full transport sweep
-//     mpid-bench -suite workloads -smoke -o /tmp/bench.json   seconds-scale CI smoke run
+//     mpid-bench -smoke -o /tmp/bench.json                    seconds-scale CI smoke run
 //     mpid-bench -check                                       regression gate vs committed baselines
 //
 // -check re-runs every suite's smoke configuration and compares the
@@ -53,13 +41,11 @@
 // smoke detector for "the optimization stopped working", not a precision
 // benchmark). Suites without a committed baseline are skipped.
 //
-// Flags override individual workload knobs (shuffle: -maps, -reducers,
-// -keys, -vocab, -copiers, -factor; mpid: -size, -reducers, -vocab;
-// serve: -tenants, -jobs, -slots, -queue, -size, -reducers; workloads:
-// -mappers, -rounds; shufflebytes: -mappers; transport: -reps, -seed;
-// common: -reps, -seed). Each suite validates output
-// equality before timing anything, prints its summary table to stdout,
-// and exits non-zero if the run fails.
+// Flags override individual workload knobs (serve: -tenants, -jobs,
+// -slots, -queue, -size, -seed; workloads: -mappers, -rounds, -reps;
+// shufflebytes: -mappers, -reps; transport: -reps, -seed). Each suite
+// validates output equality before timing anything, prints its summary
+// table to stdout, and exits non-zero if the run fails.
 package main
 
 import (
@@ -72,21 +58,15 @@ import (
 )
 
 func main() {
-	suite := flag.String("suite", "shuffle", "benchmark suite: shuffle | mpid | serve | workloads | shufflebytes | transport")
-	out := flag.String("o", "", "write the result JSON to this file (e.g. BENCH_shuffle.json)")
+	suite := flag.String("suite", "workloads", "benchmark suite: workloads | serve | shufflebytes | transport")
+	out := flag.String("o", "", "write the result JSON to this file (e.g. BENCH_workloads.json)")
 	smoke := flag.Bool("smoke", false, "use the seconds-scale smoke configuration")
-	maps := flag.Int("maps", 0, "shuffle: map segments per reducer")
-	reducers := flag.Int("reducers", 0, "override: concurrent reducers")
-	keys := flag.Int("keys", 0, "shuffle: distinct keys per segment")
-	vocab := flag.Int("vocab", 0, "override: distinct-key universe")
-	copiers := flag.Int("copiers", 0, "shuffle: parallel feeders per reducer")
-	factor := flag.Int("factor", 0, "shuffle: merge fan-in (io.sort.factor)")
-	size := flag.Int64("size", 0, "mpid/serve: input size in bytes")
+	size := flag.Int64("size", 0, "serve: per-job input size in bytes")
 	tenants := flag.Int("tenants", 0, "serve: submitting tenants")
 	jobs := flag.Int("jobs", 0, "serve: jobs per tenant")
 	slots := flag.Int("slots", 0, "serve: concurrent-job slots")
 	queue := flag.Int("queue", 0, "serve: admission queue depth")
-	reps := flag.Int("reps", 0, "override: repetitions per engine (best kept)")
+	reps := flag.Int("reps", 0, "override: timed repetitions")
 	seed := flag.Int64("seed", 0, "override: workload seed")
 	mappers := flag.Int("mappers", 0, "workloads: mapper rank / tracker count")
 	rounds := flag.Int("rounds", 0, "workloads: chained PageRank rounds")
@@ -108,71 +88,6 @@ func main() {
 	}
 
 	switch *suite {
-	case "shuffle":
-		cfg := experiments.DefaultShuffleBench()
-		if *smoke {
-			cfg = experiments.SmokeShuffleBench()
-		}
-		if *maps > 0 {
-			cfg.Maps = *maps
-		}
-		if *reducers > 0 {
-			cfg.Reducers = *reducers
-		}
-		if *keys > 0 {
-			cfg.KeysPerMap = *keys
-		}
-		if *vocab > 0 {
-			cfg.Vocab = *vocab
-		}
-		if *copiers > 0 {
-			cfg.Copiers = *copiers
-		}
-		if *factor > 0 {
-			cfg.MergeFactor = *factor
-		}
-		if *reps > 0 {
-			cfg.Reps = *reps
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiments.RunShuffleBench(cfg)
-		if err != nil {
-			fail(err)
-		}
-		res.Timestamp = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.RenderShuffleBench(res))
-		write(*out, func() ([]byte, error) { return experiments.MarshalShuffleBench(res) })
-
-	case "mpid":
-		cfg := experiments.DefaultMPIDBench()
-		if *smoke {
-			cfg = experiments.SmokeMPIDBench()
-		}
-		if *size > 0 {
-			cfg.SizeBytes = *size
-		}
-		if *reducers > 0 {
-			cfg.Reducers = *reducers
-		}
-		if *vocab > 0 {
-			cfg.Vocab = *vocab
-		}
-		if *reps > 0 {
-			cfg.Reps = *reps
-		}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiments.RunMPIDBench(cfg)
-		if err != nil {
-			fail(err)
-		}
-		res.Timestamp = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.RenderMPIDBench(res))
-		write(*out, func() ([]byte, error) { return experiments.MarshalMPIDBench(res) })
-
 	case "serve":
 		cfg := experiments.DefaultServeBench()
 		if *smoke {
@@ -192,9 +107,6 @@ func main() {
 		}
 		if *size > 0 {
 			cfg.JobBytes = *size
-		}
-		if *reducers > 0 {
-			cfg.Reducers = int64(*reducers)
 		}
 		if *seed != 0 {
 			cfg.Seed = *seed
@@ -268,7 +180,7 @@ func main() {
 		write(*out, func() ([]byte, error) { return experiments.MarshalTransportBench(res) })
 
 	default:
-		fail(fmt.Errorf("unknown suite %q (want shuffle, mpid, serve, workloads, shufflebytes or transport)", *suite))
+		fail(fmt.Errorf("unknown suite %q (want workloads, serve, shufflebytes or transport)", *suite))
 	}
 }
 

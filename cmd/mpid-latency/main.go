@@ -6,7 +6,7 @@
 // paper's GigE-testbed numbers. With -live it measures the repository's
 // real Go substrates (internal/mpi, internal/hadooprpc) on loopback
 // instead; -transport selects the live MPI transport (chan, ring,
-// ring+copy, tcp, or the default tcp+writev).
+// ring+copy, or the default tcp).
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 func main() {
 	rng := flag.String("range", "all", "size range: small, medium, large or all")
 	live := flag.Bool("live", false, "measure the real Go substrates on loopback instead of the models")
-	transport := flag.String("transport", "tcp+writev", "live MPI transport: chan | ring | ring+copy | tcp | tcp+writev")
+	transport := flag.String("transport", "tcp", "live MPI transport: chan | ring | ring+copy | tcp")
 	flag.Parse()
 
 	mode := experiments.Model

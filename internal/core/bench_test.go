@@ -10,8 +10,8 @@ import (
 )
 
 // Micro-benchmarks for the MPI-D hot path. Run with -benchmem (ReportAllocs
-// is set regardless) and compare the arena/merged sub-benchmarks against
-// their legacy siblings: the allocs/op column is the contract.
+// is set regardless) and compare the arena sub-benchmarks against their
+// legacy siblings: the allocs/op column is the contract.
 
 // benchKeys is a mixed workload: one hot key, a warm band, a cold tail.
 func benchKeys(n int) [][]byte {
@@ -137,11 +137,9 @@ func sortRun(data []byte) []byte {
 	return out
 }
 
-// BenchmarkRecvMerge compares the two grouped drains over identical
-// pre-serialized runs: the legacy buffer-everything map + sort + drain
-// against the single k-way pass Recv pulls from. One merged op is one key
-// pulled (iterator set-up amortized over the keys of a drain), so its
-// allocs/op column is the per-key decode cost; one legacy op is a whole drain.
+// BenchmarkRecvMerge pulls the single k-way pass Recv drains from over
+// pre-serialized runs. One op is one key pulled (iterator set-up amortized
+// over the keys of a drain), so allocs/op is the per-key decode cost.
 func BenchmarkRecvMerge(b *testing.B) {
 	data := genRuns(24, 512)
 	runs := make([]shuffle.Run, len(data))
@@ -150,54 +148,22 @@ func BenchmarkRecvMerge(b *testing.B) {
 		runs[i] = shuffle.Run{Data: r, Seq: i}
 		total += int64(len(r))
 	}
-
-	b.Run("merged", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(total / (2 * 512)) // input bytes per distinct key
-		var it *shuffle.Iterator
-		for i := 0; i < b.N; i++ {
-			if it == nil {
-				var err error
-				if it, err = shuffle.NewIterator(runs, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			_, ok, err := it.Next()
-			if err != nil {
+	b.ReportAllocs()
+	b.SetBytes(total / (2 * 512)) // input bytes per distinct key
+	var it *shuffle.Iterator
+	for i := 0; i < b.N; i++ {
+		if it == nil {
+			var err error
+			if it, err = shuffle.NewIterator(runs, nil); err != nil {
 				b.Fatal(err)
 			}
-			if !ok {
-				it = nil
-			}
 		}
-	})
-
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			groups := make(map[string][][]byte)
-			var order []string
-			for _, data := range data {
-				for rest := data; len(rest) > 0; {
-					kl, n, err := kv.ReadKeyList(rest)
-					if err != nil {
-						b.Fatal(err)
-					}
-					k := string(kl.Key)
-					if _, seen := groups[k]; !seen {
-						order = append(order, k)
-					}
-					groups[k] = append(groups[k], kl.Values...)
-					rest = rest[n:]
-				}
-			}
-			sort.Strings(order)
-			for _, k := range order {
-				_ = groups[k]
-				delete(groups, k)
-			}
+		_, ok, err := it.Next()
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		if !ok {
+			it = nil
+		}
+	}
 }

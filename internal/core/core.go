@@ -108,14 +108,12 @@ type Config struct {
 
 	// LegacySend selects the original map-based send buffer (one
 	// allocation per pair, map rebuilt per spill) instead of the arena
-	// buffer. Kept as the A/B baseline; the two produce byte-identical
-	// spill streams.
+	// buffer; the two produce byte-identical spill streams. It is slower
+	// on every workload, but on a well-combining job its peak RSS is
+	// lower, because the arena keeps the nodes and value bytes a combine
+	// leaves dead until the next spill. It goes once the arena reclaims
+	// them (EXPERIMENTS.md, "Retired baselines").
 	LegacySend bool
-	// LegacyGroup selects the original grouped receive drain — buffer
-	// every fragment, sort once, drain — instead of the single k-way
-	// merge over the received runs. Kept as the A/B baseline; the two
-	// produce byte-identical Recv streams.
-	LegacyGroup bool
 	// Pool supplies partition serialization buffers on the send side.
 	// Optional; nil allocates.
 	Pool *bufpool.Pool

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestUnexpectedTagReturnsTypedError(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimized-vs-legacy equivalence (satellite)
+// Grouped receive against the Streaming-regroup oracle
 
 // streamEntry is one Recv result with its bytes deep-copied out of the
 // library's buffers.
@@ -250,26 +251,54 @@ func collectStreamsInTurn(t *testing.T, cfg Config, nRanks int, pairsBySender ma
 	return streams, runs
 }
 
-func streamsEqual(t *testing.T, legacy, fast map[int][]streamEntry) {
+// regroupStreaming is the grouped receive's reference, built without the
+// k-way merge: the same exchange in Streaming mode (a production mode with
+// the identical send side) hands over every fragment in arrival order;
+// concatenating each key's fragments in that order and draining keys sorted
+// is, by Recv's contract, exactly the grouped stream.
+func regroupStreaming(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair, inTurn bool) map[int][]streamEntry {
 	t.Helper()
-	if len(legacy) != len(fast) {
-		t.Fatalf("reducer count: legacy %d, fast %d", len(legacy), len(fast))
-	}
-	for rank, ls := range legacy {
-		fs := fast[rank]
-		if len(ls) != len(fs) {
-			t.Fatalf("rank %d: legacy emitted %d entries, fast %d", rank, len(ls), len(fs))
+	cfg.Streaming = true
+	fragments, _ := collectStreamsInTurn(t, cfg, nRanks, pairsBySender, inTurn)
+	out := make(map[int][]streamEntry, len(fragments))
+	for rank, frags := range fragments {
+		byKey := make(map[string][][]byte)
+		for _, f := range frags {
+			byKey[string(f.key)] = append(byKey[string(f.key)], f.values...)
 		}
-		for i := range ls {
-			if !bytes.Equal(ls[i].key, fs[i].key) {
-				t.Fatalf("rank %d entry %d: key %q vs %q", rank, i, ls[i].key, fs[i].key)
+		keys := make([]string, 0, len(byKey))
+		for k := range byKey {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		out[rank] = make([]streamEntry, 0, len(keys))
+		for _, k := range keys {
+			out[rank] = append(out[rank], streamEntry{key: []byte(k), values: byKey[k]})
+		}
+	}
+	return out
+}
+
+func streamsEqual(t *testing.T, want, got map[int][]streamEntry) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("reducer count: want %d, got %d", len(want), len(got))
+	}
+	for rank, ws := range want {
+		gs := got[rank]
+		if len(ws) != len(gs) {
+			t.Fatalf("rank %d: want %d entries, got %d", rank, len(ws), len(gs))
+		}
+		for i := range ws {
+			if !bytes.Equal(ws[i].key, gs[i].key) {
+				t.Fatalf("rank %d entry %d: key %q vs %q", rank, i, ws[i].key, gs[i].key)
 			}
-			if len(ls[i].values) != len(fs[i].values) {
-				t.Fatalf("rank %d key %q: %d values vs %d", rank, ls[i].key, len(ls[i].values), len(fs[i].values))
+			if len(ws[i].values) != len(gs[i].values) {
+				t.Fatalf("rank %d key %q: %d values vs %d", rank, ws[i].key, len(ws[i].values), len(gs[i].values))
 			}
-			for j := range ls[i].values {
-				if !bytes.Equal(ls[i].values[j], fs[i].values[j]) {
-					t.Fatalf("rank %d key %q value %d: %x vs %x", rank, ls[i].key, j, ls[i].values[j], fs[i].values[j])
+			for j := range ws[i].values {
+				if !bytes.Equal(ws[i].values[j], gs[i].values[j]) {
+					t.Fatalf("rank %d key %q value %d: %x vs %x", rank, ws[i].key, j, ws[i].values[j], gs[i].values[j])
 				}
 			}
 		}
@@ -295,33 +324,32 @@ func genPairs(n int, salt byte) []kv.Pair {
 	return pairs
 }
 
+// sendVariants are the send-side configurations the byte-identity tests
+// sweep.
+var sendVariants = []struct {
+	name string
+	mut  func(*Config)
+}{
+	{"plain", func(c *Config) {}},
+	{"combiner", func(c *Config) { c.Combiner = sumCombiner }},
+	{"sortValues", func(c *Config) { c.SortValues = true }},
+	{"combiner+sortValues", func(c *Config) { c.Combiner = sumCombiner; c.SortValues = true }},
+	{"async", func(c *Config) { c.Async = true }},
+}
+
 // TestGroupedStreamByteIdentical drives the same single-sender workload
-// through the legacy core (LegacySend + LegacyGroup) and the optimized core
-// and requires the reducer-visible Recv streams to match byte for byte. A
-// single sender makes arrival order deterministic (per-pair FIFO), so this
-// is an exact check; the tiny spill threshold forces far more runs than any
-// merge fan-in the receiver used to fold in passes.
+// through grouped Recv and through the Streaming-regroup oracle and requires
+// the reducer-visible streams to match byte for byte. A single sender makes
+// arrival order deterministic (per-pair FIFO), so this is an exact check;
+// the tiny spill threshold forces far more runs than any merge fan-in the
+// receiver used to fold in passes.
 func TestGroupedStreamByteIdentical(t *testing.T) {
-	variants := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"plain", func(c *Config) {}},
-		{"combiner", func(c *Config) { c.Combiner = sumCombiner }},
-		{"sortValues", func(c *Config) { c.SortValues = true }},
-		{"combiner+sortValues", func(c *Config) { c.Combiner = sumCombiner; c.SortValues = true }},
-		{"async", func(c *Config) { c.Async = true }},
-	}
 	pairs := map[int][]kv.Pair{1: genPairs(4000, 3)}
-	for _, v := range variants {
+	for _, v := range sendVariants {
 		t.Run(v.name, func(t *testing.T) {
-			base := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 512}
-			v.mut(&base)
-			legacyCfg := base
-			legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
-			legacy := collectStreams(t, legacyCfg, 2, pairs)
-			fast := collectStreams(t, base, 2, pairs)
-			streamsEqual(t, legacy, fast)
+			cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 512}
+			v.mut(&cfg)
+			streamsEqual(t, regroupStreaming(t, cfg, 2, pairs, false), collectStreams(t, cfg, 2, pairs))
 		})
 	}
 }
@@ -331,87 +359,77 @@ func TestGroupedStreamByteIdentical(t *testing.T) {
 // warm band recur in every spill of every sender) ship well over 64 runs to
 // two reducers, taking turns so arrival order is the same on both sides.
 // Every duplicate key must then concatenate its values in run-arrival
-// order, exactly as the legacy buffer-and-sort drain does.
+// order, exactly as regrouping the Streaming fragments does.
 func TestGroupedManyRunsMultiSenderByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{2: genPairs(2500, 1), 3: genPairs(2500, 9), 4: genPairs(1500, 4)}
 	for _, combiner := range []CombineFunc{nil, sumCombiner} {
-		base := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 256, Combiner: combiner}
-		legacyCfg := base
-		legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
-		legacy, _ := collectStreamsInTurn(t, legacyCfg, 5, pairs, true)
-		fast, runs := collectStreamsInTurn(t, base, 5, pairs, true)
+		cfg := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 256, Combiner: combiner}
+		grouped, runs := collectStreamsInTurn(t, cfg, 5, pairs, true)
 		if perReducer := runs / 2; perReducer < 64 {
 			t.Fatalf("only %d runs per reducer, want at least 64", perReducer)
 		}
-		streamsEqual(t, legacy, fast)
+		streamsEqual(t, regroupStreaming(t, cfg, 5, pairs, true), grouped)
 	}
 }
 
 // TestStreamingStreamByteIdentical checks the arena send buffer against the
-// legacy one in streaming mode: fragments must arrive in the same order
-// with the same bytes, since both paths serialize spills in sorted key
-// order and a single sender's messages are FIFO.
+// legacy one (Config.LegacySend) in streaming mode, in every send variant:
+// fragments must arrive in the same order with the same bytes, since both
+// paths serialize spills in sorted key order and a single sender's messages
+// are FIFO.
 func TestStreamingStreamByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{1: genPairs(3000, 5)}
-	base := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 768, Streaming: true, Combiner: sumCombiner}
-	legacyCfg := base
-	legacyCfg.LegacySend = true
-	legacy := collectStreams(t, legacyCfg, 2, pairs)
-	fast := collectStreams(t, base, 2, pairs)
-	streamsEqual(t, legacy, fast)
+	for _, v := range sendVariants {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 768, Streaming: true}
+			v.mut(&cfg)
+			legacyCfg := cfg
+			legacyCfg.LegacySend = true
+			streamsEqual(t, collectStreams(t, legacyCfg, 2, pairs), collectStreams(t, cfg, 2, pairs))
+		})
+	}
 }
 
-// TestGroupedMultiSenderAggregateEquivalent compares legacy and optimized
-// cores under concurrent senders. Arrival order across senders is racy, so
-// the per-key value order is not deterministic; keys (sorted, exactly once)
-// and per-key value multisets must still agree.
+// TestGroupedMultiSenderAggregateEquivalent compares grouped Recv with the
+// Streaming-regroup oracle under concurrent senders. Arrival order across
+// senders is racy, so the per-key value order is not deterministic; keys
+// (sorted, exactly once) and per-key value multisets must still agree.
 func TestGroupedMultiSenderAggregateEquivalent(t *testing.T) {
 	pairs := map[int][]kv.Pair{2: genPairs(2500, 1), 3: genPairs(2500, 9), 4: genPairs(1000, 4)}
-	base := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 1024, Combiner: sumCombiner}
-	legacyCfg := base
-	legacyCfg.LegacySend, legacyCfg.LegacyGroup = true, true
-	legacy := collectStreams(t, legacyCfg, 5, pairs)
-	fast := collectStreams(t, base, 5, pairs)
+	cfg := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 1024, Combiner: sumCombiner}
+	oracle := regroupStreaming(t, cfg, 5, pairs, false)
+	grouped := collectStreams(t, cfg, 5, pairs)
 
 	normalize := func(streams map[int][]streamEntry) map[string][]string {
 		out := make(map[string][]string)
 		for rank, entries := range streams {
-			for _, e := range entries {
-				k := fmt.Sprintf("%d/%s", rank, e.key)
-				if _, dup := out[k]; dup {
-					t.Fatalf("rank %d emitted key %q twice", rank, e.key)
+			for i, e := range entries {
+				if i > 0 && bytes.Compare(entries[i-1].key, e.key) >= 0 {
+					t.Fatalf("rank %d emitted key %q after %q", rank, e.key, entries[i-1].key)
 				}
-				var vs []string
-				for _, v := range e.values {
-					vs = append(vs, string(v))
+				vs := make([]string, len(e.values))
+				for j, v := range e.values {
+					vs[j] = string(v)
 				}
-				sortStringsStable(vs)
-				out[k] = vs
+				sort.Strings(vs)
+				out[fmt.Sprintf("%d/%s", rank, e.key)] = vs
 			}
 		}
 		return out
 	}
-	l, f := normalize(legacy), normalize(fast)
-	if len(l) != len(f) {
-		t.Fatalf("distinct (rank, key) count: legacy %d, fast %d", len(l), len(f))
+	want, got := normalize(oracle), normalize(grouped)
+	if len(want) != len(got) {
+		t.Fatalf("distinct (rank, key) count: oracle %d, grouped %d", len(want), len(got))
 	}
-	for k, lv := range l {
-		fv := f[k]
-		if len(lv) != len(fv) {
-			t.Fatalf("%s: %d values vs %d", k, len(lv), len(fv))
+	for k, wv := range want {
+		gv := got[k]
+		if len(wv) != len(gv) {
+			t.Fatalf("%s: %d values vs %d", k, len(wv), len(gv))
 		}
-		for i := range lv {
-			if lv[i] != fv[i] {
-				t.Fatalf("%s value %d: %x vs %x", k, i, lv[i], fv[i])
+		for i := range wv {
+			if wv[i] != gv[i] {
+				t.Fatalf("%s value %d: %x vs %x", k, i, wv[i], gv[i])
 			}
-		}
-	}
-}
-
-func sortStringsStable(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }

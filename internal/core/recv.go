@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/kv"
@@ -41,14 +40,7 @@ type receiver struct {
 	// in order.
 	fragments []kv.KeyList
 
-	// Legacy grouped mode (Config.LegacyGroup): accumulated merge table,
-	// then a sorted drain.
-	groups   map[string][][]byte
-	order    []string
-	drained  bool
-	drainPos int
-
-	// Merged grouped mode (default): the received partition buffers, each a
+	// Grouped mode (default): the received partition buffers, each a
 	// sorted run numbered by arrival, and the one k-way pass over them.
 	runs       []shuffle.Run
 	merge      *shuffle.Iterator
@@ -67,14 +59,10 @@ func (d *D) Recv() ([]byte, [][]byte, error) {
 	if !d.isReducer {
 		return nil, nil, fmt.Errorf("mpid: rank %d is not a reducer", d.comm.Rank())
 	}
-	switch {
-	case d.cfg.Streaming:
+	if d.cfg.Streaming {
 		return d.recvState.nextStreaming()
-	case d.cfg.LegacyGroup:
-		return d.recvState.nextGroupedLegacy()
-	default:
-		return d.recvState.nextGroupedMerged()
 	}
+	return d.recvState.nextGroupedMerged()
 }
 
 // RecvKeyList is Recv returning a kv.KeyList.
@@ -144,52 +132,14 @@ func (r *receiver) nextStreaming() ([]byte, [][]byte, error) {
 	return f.Key, f.Values, nil
 }
 
-// nextGroupedLegacy buffers everything first, then drains keys in sorted
-// order — the pre-merge drain, kept as the A/B baseline (Config.LegacyGroup).
-func (r *receiver) nextGroupedLegacy() ([]byte, [][]byte, error) {
-	if !r.drained {
-		r.groups = make(map[string][][]byte)
-		for {
-			data, more, err := r.receiveMessage()
-			if err != nil {
-				return nil, nil, err
-			}
-			if !more {
-				break
-			}
-			frags, err := r.decode(data)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, f := range frags {
-				k := string(f.Key)
-				if _, seen := r.groups[k]; !seen {
-					r.order = append(r.order, k)
-				}
-				r.groups[k] = append(r.groups[k], f.Values...)
-			}
-		}
-		sort.Strings(r.order)
-		r.drained = true
-	}
-	if r.drainPos >= len(r.order) {
-		return nil, nil, io.EOF
-	}
-	k := r.order[r.drainPos]
-	r.drainPos++
-	values := r.groups[k]
-	delete(r.groups, k) // release as we stream out
-	return []byte(k), values, nil
-}
-
 // nextGroupedMerged is the single-pass grouped drain: each received
 // partition buffer is a sorted run (spill serializes in sorted key order),
 // kept as the transport delivered it. Once every sender is done, one k-way
 // merge over all runs is pulled a key per call on the reducer's own
 // goroutine: nothing is re-serialized between reception and reduce, and an
 // abandoned stream leaves nothing running. Equal keys concatenate values in
-// run-arrival order, byte-identical with the legacy drain. Returned slices
-// alias the received buffers, which are therefore never recycled.
+// run-arrival order. Returned slices alias the received buffers, which are
+// therefore never recycled.
 func (r *receiver) nextGroupedMerged() ([]byte, [][]byte, error) {
 	if r.merge == nil {
 		for {

@@ -53,7 +53,7 @@ type BenchCheckResult struct {
 }
 
 // benchSuites orders the gate's suites; each maps to BENCH_<suite>.json.
-var benchSuites = []string{"shuffle", "mpid", "serve", "workloads", "shufflebytes", "transport"}
+var benchSuites = []string{"serve", "workloads", "shufflebytes", "transport"}
 
 // shuffleBytesBaselines are the shufflebytes modes whose bytes_ratio is
 // 1.0 by construction; the gate compares only the reduction modes.
@@ -166,22 +166,6 @@ func extractBenchMetrics(suite string, data []byte) ([]benchMetric, error) {
 		return v, nil
 	}
 	switch suite {
-	case "shuffle":
-		v, err := num(doc, "speedup")
-		if err != nil {
-			return nil, err
-		}
-		return []benchMetric{{name: "speedup", value: v}}, nil
-	case "mpid":
-		var out []benchMetric
-		for _, key := range []string{"speedup_vs_legacy", "speedup_vs_hadoop"} {
-			v, err := num(doc, key)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, benchMetric{name: key, value: v})
-		}
-		return out, nil
 	case "serve":
 		v, err := num(doc, "fairness_ratio")
 		if err != nil {
@@ -266,21 +250,6 @@ func extractBenchMetrics(suite string, data []byte) ([]benchMetric, error) {
 // headline metrics under the same names extractBenchMetrics produces.
 func runBenchSmoke(suite string) (map[string]float64, error) {
 	switch suite {
-	case "shuffle":
-		r, err := RunShuffleBench(SmokeShuffleBench())
-		if err != nil {
-			return nil, err
-		}
-		return map[string]float64{"speedup": r.Speedup}, nil
-	case "mpid":
-		r, err := RunMPIDBench(SmokeMPIDBench())
-		if err != nil {
-			return nil, err
-		}
-		return map[string]float64{
-			"speedup_vs_legacy": r.SpeedupVsLegacy,
-			"speedup_vs_hadoop": r.SpeedupVsHadoop,
-		}, nil
 	case "serve":
 		r, err := RunServeBench(SmokeServeBench())
 		if err != nil {

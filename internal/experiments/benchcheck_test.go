@@ -17,8 +17,6 @@ func writeBench(t *testing.T, dir, suite, body string) {
 
 func TestLoadBenchBaselines(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "shuffle", `{"speedup": 1.9}`)
-	writeBench(t, dir, "mpid", `{"speedup_vs_legacy": 2.0, "speedup_vs_hadoop": 3.5}`)
 	writeBench(t, dir, "serve", `{"fairness_ratio": 1.8}`)
 	writeBench(t, dir, "workloads", `{"workloads": [
 		{"name": "wordcount", "speedup_vs_hadoop": 3.3},
@@ -39,16 +37,10 @@ func TestLoadBenchBaselines(t *testing.T) {
 	if len(skipped) != 0 {
 		t.Fatalf("skipped = %v, want none", skipped)
 	}
-	if got := len(base["shuffle"]); got != 1 {
-		t.Fatalf("shuffle metrics = %d, want 1", got)
+	if got := len(base["serve"]); got != 1 {
+		t.Fatalf("serve metrics = %d, want 1", got)
 	}
-	if m := base["shuffle"][0]; m.name != "speedup" || m.value != 1.9 || m.lowerBetter {
-		t.Fatalf("shuffle metric = %+v", m)
-	}
-	if got := len(base["mpid"]); got != 2 {
-		t.Fatalf("mpid metrics = %d, want 2", got)
-	}
-	if m := base["serve"][0]; m.name != "fairness_ratio" || !m.lowerBetter {
+	if m := base["serve"][0]; m.name != "fairness_ratio" || m.value != 1.8 || !m.lowerBetter {
 		t.Fatalf("serve metric = %+v, want lower-better fairness_ratio", m)
 	}
 	wantWork := map[string]float64{
@@ -59,7 +51,7 @@ func TestLoadBenchBaselines(t *testing.T) {
 		t.Fatalf("workloads metrics = %d, want %d", got, len(wantWork))
 	}
 	for _, m := range base["workloads"] {
-		if wantWork[m.name] != m.value {
+		if wantWork[m.name] != m.value || m.lowerBetter {
 			t.Fatalf("workloads metric %s = %v, want %v", m.name, m.value, wantWork[m.name])
 		}
 	}
@@ -89,15 +81,15 @@ func TestLoadBenchBaselines(t *testing.T) {
 
 func TestLoadBenchBaselinesMissingFilesSkipped(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "shuffle", `{"speedup": 1.9}`)
+	writeBench(t, dir, "serve", `{"fairness_ratio": 1.8}`)
 	base, skipped, err := loadBenchBaselines(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base) != 1 || len(base["shuffle"]) != 1 {
-		t.Fatalf("base = %v, want only shuffle", base)
+	if len(base) != 1 || len(base["serve"]) != 1 {
+		t.Fatalf("base = %v, want only serve", base)
 	}
-	want := map[string]bool{"mpid": true, "serve": true, "workloads": true, "shufflebytes": true, "transport": true}
+	want := map[string]bool{"workloads": true, "shufflebytes": true, "transport": true}
 	if len(skipped) != len(want) {
 		t.Fatalf("skipped = %v, want %v", skipped, want)
 	}
@@ -110,9 +102,9 @@ func TestLoadBenchBaselinesMissingFilesSkipped(t *testing.T) {
 
 func TestLoadBenchBaselinesMalformed(t *testing.T) {
 	dir := t.TempDir()
-	writeBench(t, dir, "shuffle", `{"no_speedup_here": true}`)
+	writeBench(t, dir, "serve", `{"no_fairness_here": true}`)
 	if _, _, err := loadBenchBaselines(dir); err == nil {
-		t.Fatal("want error for baseline without speedup")
+		t.Fatal("want error for baseline without fairness_ratio")
 	}
 	dir2 := t.TempDir()
 	writeBench(t, dir2, "workloads", `{"workloads": "not an array"}`)
@@ -123,8 +115,8 @@ func TestLoadBenchBaselinesMalformed(t *testing.T) {
 
 func TestCompareBenchTolerance(t *testing.T) {
 	base := map[string][]benchMetric{
-		"shuffle": {{name: "speedup", value: 2.0}},
-		"serve":   {{name: "fairness_ratio", value: 2.0, lowerBetter: true}},
+		"workloads": {{name: "wordcount.speedup_vs_hadoop", value: 2.0}},
+		"serve":     {{name: "fairness_ratio", value: 2.0, lowerBetter: true}},
 	}
 	cases := []struct {
 		name    string
@@ -132,20 +124,20 @@ func TestCompareBenchTolerance(t *testing.T) {
 		wantOK  bool
 	}{
 		{"within", map[string]map[string]float64{
-			"shuffle": {"speedup": 1.5},
-			"serve":   {"fairness_ratio": 2.5},
+			"workloads": {"wordcount.speedup_vs_hadoop": 1.5},
+			"serve":     {"fairness_ratio": 2.5},
 		}, true},
 		{"at-boundary", map[string]map[string]float64{
-			"shuffle": {"speedup": 1.0}, // exactly baseline*(1-0.5)
-			"serve":   {"fairness_ratio": 3.0},
+			"workloads": {"wordcount.speedup_vs_hadoop": 1.0}, // exactly baseline*(1-0.5)
+			"serve":     {"fairness_ratio": 3.0},
 		}, true},
 		{"speedup-regressed", map[string]map[string]float64{
-			"shuffle": {"speedup": 0.9},
-			"serve":   {"fairness_ratio": 2.0},
+			"workloads": {"wordcount.speedup_vs_hadoop": 0.9},
+			"serve":     {"fairness_ratio": 2.0},
 		}, false},
 		{"fairness-regressed", map[string]map[string]float64{
-			"shuffle": {"speedup": 2.0},
-			"serve":   {"fairness_ratio": 3.1}, // lower-better metric got worse
+			"workloads": {"wordcount.speedup_vs_hadoop": 2.0},
+			"serve":     {"fairness_ratio": 3.1}, // lower-better metric got worse
 		}, false},
 	}
 	for _, tc := range cases {

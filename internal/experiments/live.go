@@ -51,7 +51,7 @@ type liveLatencyBench struct {
 // connected client.
 func newLiveLatencyBench(transport string) (*liveLatencyBench, error) {
 	if transport == "" {
-		transport = "tcp+writev"
+		transport = "tcp"
 	}
 	w, err := NewTransportWorld(transport, 2)
 	if err != nil {
@@ -185,7 +185,7 @@ type liveBandwidthBench struct {
 
 func newLiveBandwidthBench(transport string) (*liveBandwidthBench, error) {
 	if transport == "" {
-		transport = "tcp+writev"
+		transport = "tcp"
 	}
 	b := &liveBandwidthBench{sinkErr: make(chan error, 4)}
 	ok := false

@@ -3,8 +3,8 @@ package experiments
 // Transport raw-speed benchmark: the live Figure 2/3 curves measured over
 // the repository's own MPI transports instead of the paper's cluster. For
 // every transport — the in-process chan baseline, the shared-memory-style
-// ring, the legacy-framed TCP path and the vectored (writev) TCP path —
-// the suite sweeps message sizes and reports one-way latency percentiles,
+// ring and loopback TCP with vectored (writev) framing — the suite sweeps
+// message sizes and reports one-way latency percentiles,
 // streaming bandwidth, and heap allocations per round trip through the
 // full send→recv path.
 //
@@ -36,15 +36,14 @@ import (
 )
 
 // TransportNames lists the swept transports in report order.
-var TransportNames = []string{"chan", "ring", "tcp", "tcp+writev"}
+var TransportNames = []string{"chan", "ring", "tcp"}
 
 // NewTransportWorld builds an n-rank world over the named transport:
 // "chan" (in-process reference), "ring" (shared-memory-style rings,
 // zero-copy hand-off), "ring+copy" (ring with the copying device
-// emulation), "tcp" (loopback TCP, legacy bufio framing) or "tcp+writev"
-// (loopback TCP, vectored framing). The extra ring+copy name is accepted
-// everywhere a -transport flag is, though the committed sweep covers the
-// four report rows.
+// emulation) or "tcp" (loopback TCP, vectored framing). The extra
+// ring+copy name is accepted everywhere a -transport flag is, though the
+// committed sweep covers the three report rows.
 func NewTransportWorld(name string, n int) (*mpi.World, error) {
 	switch name {
 	case "chan":
@@ -54,11 +53,9 @@ func NewTransportWorld(name string, n int) (*mpi.World, error) {
 	case "ring+copy":
 		return mpi.NewRingWorldConfig(n, mpi.RingConfig{CopyPayloads: true}), nil
 	case "tcp":
-		return mpi.NewTCPWorldOptions(n, mpi.TCPOptions{LegacyFraming: true})
-	case "tcp+writev":
-		return mpi.NewTCPWorldOptions(n, mpi.TCPOptions{})
+		return mpi.NewTCPWorld(n)
 	}
-	return nil, fmt.Errorf("unknown transport %q (want chan, ring, ring+copy, tcp or tcp+writev)", name)
+	return nil, fmt.Errorf("unknown transport %q (want chan, ring, ring+copy or tcp)", name)
 }
 
 // TransportBenchConfig shapes one transport sweep.
@@ -106,7 +103,7 @@ func SmokeTransportBench() TransportBenchConfig {
 // TransportSizeRow is one (transport, size) sample set.
 type TransportSizeRow struct {
 	SizeBytes   int     `json:"size_bytes"`
-	P50Us       float64 `json:"p50_us"`  // one-way latency (round trip / 2)
+	P50Us       float64 `json:"p50_us"` // one-way latency (round trip / 2)
 	P90Us       float64 `json:"p90_us"`
 	MeanUs      float64 `json:"mean_us"`
 	BandwidthMB float64 `json:"bandwidth_mb_s"` // one-way streaming MB/s
@@ -289,7 +286,7 @@ func transportEqualityGate(cfg TransportBenchConfig) error {
 		if err != nil {
 			return fmt.Errorf("transportbench: wordcount over %s: %w", name, err)
 		}
-		canon := canonicalPairs(result)
+		canon := result.Pairs()
 		var buf []byte
 		for _, p := range canon {
 			buf = append(buf, p.Key...)

@@ -37,7 +37,7 @@ func TestTransportWordCountByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wordcount over %s: %v", name, err)
 		}
-		outputs[name] = canonicalPairs(result)
+		outputs[name] = result.Pairs()
 	}
 	if !pairsEqual(outputs["chan"], outputs["ring+copy"]) {
 		t.Fatal("ring+copy wordcount output differs from chan")

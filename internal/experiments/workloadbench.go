@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -17,12 +18,12 @@ import (
 // WorkloadBench is the workload-suite benchmark behind BENCH_workloads.json:
 // every workload in workload.Suite — WordCount, sampled-range-partitioner
 // TeraSort (uniform and Zipf-skewed), inverted index, grep, the two-table
-// join, and a chained multi-round PageRank — run on all three engines (fast
-// MPI-D core, legacy MPI-D core, mini-Hadoop). Each workload is gated on
-// byte-identical canonical output across the engines before a single timing
-// rep runs; a workload whose engines disagree fails the whole bench. The
-// timings are per-workload p50s, so the committed JSON is comparable across
-// machines with different tail noise.
+// join, and a chained multi-round PageRank — run on both engines (MPI-D,
+// mini-Hadoop). Each workload is gated on byte-identical canonical output
+// across the engines before a single timing rep runs; a workload whose
+// engines disagree fails the whole bench. The timings are per-workload
+// p50s, so the committed JSON is comparable across machines with different
+// tail noise.
 
 // WorkloadBenchConfig shapes one suite run.
 type WorkloadBenchConfig struct {
@@ -67,15 +68,14 @@ type WorkloadBenchRow struct {
 	// Name is the bench-row name; "terasort-skew" is the terasort spec with
 	// Zipf(1.5) keys, every other row matches its suite spec name.
 	Name string `json:"name"`
-	// OutputPairs is the canonical output size all three engines agreed on.
+	// OutputPairs is the canonical output size both engines agreed on.
 	OutputPairs int `json:"output_pairs"`
-	// ShuffleBytes is the map-to-reduce traffic of the fast core's gate run
+	// ShuffleBytes is the map-to-reduce traffic of the MPI-D gate run
 	// (summed over rounds for chained PageRank).
 	ShuffleBytes int64   `json:"shuffle_bytes"`
-	FastP50Ms    float64 `json:"fast_p50_ms"`
-	LegacyP50Ms  float64 `json:"legacy_p50_ms"`
+	MPIDP50Ms    float64 `json:"mpid_p50_ms"`
 	HadoopP50Ms  float64 `json:"hadoop_p50_ms"`
-	// SpeedupVsHadoop is HadoopP50Ms / FastP50Ms.
+	// SpeedupVsHadoop is HadoopP50Ms / MPIDP50Ms.
 	SpeedupVsHadoop float64 `json:"speedup_vs_hadoop"`
 }
 
@@ -112,16 +112,29 @@ func benchCases(cfg WorkloadBenchConfig) []benchCase {
 	return cases
 }
 
+// pairsEqual compares two canonical (Result.Pairs) outputs byte for byte.
+func pairsEqual(a, b []kv.Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
 // engineRunner runs one workload case end to end on one engine and returns
 // its canonical output plus the shuffle bytes it moved.
 type engineRunner func() ([]kv.Pair, int64, error)
 
-// caseRunners builds the three engine runners for a case. PageRank is the
+// caseRunners builds the two engine runners for a case. PageRank is the
 // chained case: every engine runs cfg.PageRankRounds rounds, each round's
 // canonical output feeding the next round's splits in memory — the input is
 // read exactly once, which is the MPI-D iterative advantage the paper's
 // Hadoop baseline cannot express without re-materializing to the DFS.
-func caseRunners(c benchCase, cfg WorkloadBenchConfig) (fast, legacy, had engineRunner, err error) {
+func caseRunners(c benchCase, cfg WorkloadBenchConfig) (mpid, had engineRunner, err error) {
 	var spec *workload.Spec
 	suite := workload.Suite()
 	for i := range suite {
@@ -131,17 +144,16 @@ func caseRunners(c benchCase, cfg WorkloadBenchConfig) (fast, legacy, had engine
 		}
 	}
 	if spec == nil {
-		return nil, nil, nil, fmt.Errorf("workloadbench: no suite spec %q", c.spec)
+		return nil, nil, fmt.Errorf("workloadbench: no suite spec %q", c.spec)
 	}
 	job, splits, err := spec.Build(c.params)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("workloadbench: build %s: %w", c.name, err)
+		return nil, nil, fmt.Errorf("workloadbench: build %s: %w", c.name, err)
 	}
 	hcfg := hadoop.Config{
 		NumTrackers: cfg.Mappers, MapSlots: 1, ReduceSlots: 1,
 		Heartbeat: time.Duration(cfg.HeartbeatMs) * time.Millisecond,
 	}
-	pool := bufpool.New()
 
 	single := func(run func(mapred.Job, []mapred.Split) (*mapred.Result, error), j mapred.Job) engineRunner {
 		return func() ([]kv.Pair, int64, error) {
@@ -173,10 +185,8 @@ func caseRunners(c benchCase, cfg WorkloadBenchConfig) (fast, legacy, had engine
 		}
 	}
 
-	fastJob, legacyJob := job, job
-	fastJob.Pool = pool
-	legacyJob.LegacySend = true
-	legacyJob.LegacyGroup = true
+	mpidJob := job
+	mpidJob.Pool = bufpool.New()
 
 	runMPID := func(j mapred.Job, s []mapred.Split) (*mapred.Result, error) {
 		return mapred.Run(j, s, cfg.Mappers)
@@ -189,42 +199,35 @@ func caseRunners(c benchCase, cfg WorkloadBenchConfig) (fast, legacy, had engine
 	if c.spec == "pagerank" {
 		build = chained
 	}
-	return build(runMPID, fastJob), build(runMPID, legacyJob), build(runHadoop, job), nil
+	return build(runMPID, mpidJob), build(runHadoop, job), nil
 }
 
-// RunWorkloadBench runs the full suite: for every case, gate all three
+// RunWorkloadBench runs the full suite: for every case, gate both
 // engines on byte-identical canonical output, then time Reps runs per
 // engine and report p50s.
 func RunWorkloadBench(cfg WorkloadBenchConfig) (*WorkloadBenchResult, error) {
 	result := &WorkloadBenchResult{Config: cfg}
 	for _, c := range benchCases(cfg) {
-		fast, legacy, had, err := caseRunners(c, cfg)
+		mpid, had, err := caseRunners(c, cfg)
 		if err != nil {
 			return nil, err
 		}
 
-		// Equality gate: nothing is timed until the three engines agree
+		// Equality gate: nothing is timed until the two engines agree
 		// byte for byte on the canonical output.
-		want, shuffleBytes, err := fast()
+		want, shuffleBytes, err := mpid()
 		if err != nil {
-			return nil, fmt.Errorf("workloadbench: %s: fast core: %w", c.name, err)
+			return nil, fmt.Errorf("workloadbench: %s: mpid engine: %w", c.name, err)
 		}
 		if len(want) == 0 {
-			return nil, fmt.Errorf("workloadbench: %s: fast core produced no output", c.name)
-		}
-		legacyOut, _, err := legacy()
-		if err != nil {
-			return nil, fmt.Errorf("workloadbench: %s: legacy core: %w", c.name, err)
-		}
-		if !pairsEqual(want, legacyOut) {
-			return nil, fmt.Errorf("workloadbench: %s: legacy core output differs from fast core (%d vs %d pairs)", c.name, len(legacyOut), len(want))
+			return nil, fmt.Errorf("workloadbench: %s: mpid engine produced no output", c.name)
 		}
 		hadoopOut, _, err := had()
 		if err != nil {
 			return nil, fmt.Errorf("workloadbench: %s: hadoop engine: %w", c.name, err)
 		}
 		if !pairsEqual(want, hadoopOut) {
-			return nil, fmt.Errorf("workloadbench: %s: hadoop output differs from fast core (%d vs %d pairs)", c.name, len(hadoopOut), len(want))
+			return nil, fmt.Errorf("workloadbench: %s: hadoop output differs from mpid (%d vs %d pairs)", c.name, len(hadoopOut), len(want))
 		}
 
 		p50 := func(run engineRunner) (float64, error) {
@@ -239,17 +242,14 @@ func RunWorkloadBench(cfg WorkloadBenchConfig) (*WorkloadBenchResult, error) {
 			return t.Stats().P50, nil
 		}
 		row := WorkloadBenchRow{Name: c.name, OutputPairs: len(want), ShuffleBytes: shuffleBytes}
-		if row.FastP50Ms, err = p50(fast); err != nil {
-			return nil, fmt.Errorf("workloadbench: %s: fast core: %w", c.name, err)
-		}
-		if row.LegacyP50Ms, err = p50(legacy); err != nil {
-			return nil, fmt.Errorf("workloadbench: %s: legacy core: %w", c.name, err)
+		if row.MPIDP50Ms, err = p50(mpid); err != nil {
+			return nil, fmt.Errorf("workloadbench: %s: mpid engine: %w", c.name, err)
 		}
 		if row.HadoopP50Ms, err = p50(had); err != nil {
 			return nil, fmt.Errorf("workloadbench: %s: hadoop engine: %w", c.name, err)
 		}
-		if row.FastP50Ms > 0 {
-			row.SpeedupVsHadoop = row.HadoopP50Ms / row.FastP50Ms
+		if row.MPIDP50Ms > 0 {
+			row.SpeedupVsHadoop = row.HadoopP50Ms / row.MPIDP50Ms
 		}
 		result.Workloads = append(result.Workloads, row)
 	}
@@ -264,13 +264,13 @@ func MarshalWorkloadBench(r *WorkloadBenchResult) ([]byte, error) {
 // RenderWorkloadBench prints the per-workload table.
 func RenderWorkloadBench(r *WorkloadBenchResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "workload suite (%d mappers, %d reps, p50 ms; gated on byte-identical 3-engine output)\n",
+	fmt.Fprintf(&b, "workload suite (%d mappers, %d reps, p50 ms; gated on byte-identical 2-engine output)\n",
 		r.Config.Mappers, r.Config.Reps)
-	fmt.Fprintf(&b, "  %-14s %10s %12s %10s %10s %10s %8s\n",
-		"workload", "pairs", "shuffle B", "fast", "legacy", "hadoop", "vs had")
+	fmt.Fprintf(&b, "  %-14s %10s %12s %10s %10s %8s\n",
+		"workload", "pairs", "shuffle B", "mpid", "hadoop", "vs had")
 	for _, w := range r.Workloads {
-		fmt.Fprintf(&b, "  %-14s %10d %12d %10.1f %10.1f %10.1f %7.2fx\n",
-			w.Name, w.OutputPairs, w.ShuffleBytes, w.FastP50Ms, w.LegacyP50Ms, w.HadoopP50Ms, w.SpeedupVsHadoop)
+		fmt.Fprintf(&b, "  %-14s %10d %12d %10.1f %10.1f %7.2fx\n",
+			w.Name, w.OutputPairs, w.ShuffleBytes, w.MPIDP50Ms, w.HadoopP50Ms, w.SpeedupVsHadoop)
 	}
 	return b.String()
 }

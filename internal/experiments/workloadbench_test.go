@@ -9,37 +9,29 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 )
 
-// TestWorkloadSuiteThreeEngineEquality is the equality gate as a test: every
+// TestWorkloadSuiteTwoEngineEquality is the equality gate as a test: every
 // bench case — including the Zipf(1.5) skewed-key TeraSort, whose duplicate
 // keys used to flip Pairs() ordering between runs — must produce
-// byte-identical canonical output on the fast MPI-D core, the legacy core,
-// and the mini-Hadoop engine. CI runs this under -race alongside the core
-// equivalence suite.
-func TestWorkloadSuiteThreeEngineEquality(t *testing.T) {
+// byte-identical canonical output on the MPI-D engine and the mini-Hadoop
+// engine. CI runs this under -race alongside the core equivalence suite.
+func TestWorkloadSuiteTwoEngineEquality(t *testing.T) {
 	cfg := SmokeWorkloadBench()
 	for _, c := range benchCases(cfg) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			fast, legacy, had, err := caseRunners(c, cfg)
+			mpid, had, err := caseRunners(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, shuffled, err := fast()
+			want, shuffled, err := mpid()
 			if err != nil {
-				t.Fatalf("fast core: %v", err)
+				t.Fatalf("mpid engine: %v", err)
 			}
 			if len(want) == 0 {
-				t.Fatal("fast core produced no output")
+				t.Fatal("mpid engine produced no output")
 			}
 			if shuffled == 0 {
-				t.Fatal("fast core reported zero shuffle bytes")
-			}
-			legacyOut, _, err := legacy()
-			if err != nil {
-				t.Fatalf("legacy core: %v", err)
-			}
-			if !pairsEqual(want, legacyOut) {
-				t.Fatalf("legacy core output differs (%d vs %d pairs)", len(legacyOut), len(want))
+				t.Fatal("mpid engine reported zero shuffle bytes")
 			}
 			hadoopOut, _, err := had()
 			if err != nil {
@@ -62,11 +54,11 @@ func TestSkewedTeraSortStressesDuplicates(t *testing.T) {
 		if c.name != "terasort-skew" {
 			continue
 		}
-		fast, _, _, err := caseRunners(c, cfg)
+		mpid, _, err := caseRunners(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs, _, err := fast()
+		pairs, _, err := mpid()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,15 +110,11 @@ func TestPageRankChainedFixedPointAcrossEngines(t *testing.T) {
 		return out
 	}
 
-	fast, legacy, had, err := caseRunners(*c, cfg)
+	mpid, had, err := caseRunners(*c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atN, _, err := fast()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyOut, _, err := legacy()
+	atN, _, err := mpid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +122,7 @@ func TestPageRankChainedFixedPointAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pairsEqual(atN, legacyOut) || !pairsEqual(atN, hadoopOut) {
+	if !pairsEqual(atN, hadoopOut) {
 		t.Fatal("engines disagree on the chained PageRank state")
 	}
 
@@ -148,11 +136,11 @@ func TestPageRankChainedFixedPointAcrossEngines(t *testing.T) {
 
 	// One more round must move no vertex by more than 1e-6.
 	cfg.PageRankRounds++
-	fast1, _, _, err := caseRunners(*c, cfg)
+	mpid1, _, err := caseRunners(*c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atN1, _, err := fast1()
+	atN1, _, err := mpid1()
 	if err != nil {
 		t.Fatal(err)
 	}

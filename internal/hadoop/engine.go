@@ -62,18 +62,13 @@ type Config struct {
 	// MergeFactor is the reduce-side merge fan-in (io.sort.factor; default
 	// 10): while fetches are still in flight, a background merge pass folds
 	// the MergeFactor smallest pending runs into one, overlapping merge CPU
-	// with copy wait. Only meaningful on the pipelined shuffle path.
+	// with copy wait.
 	MergeFactor int
 	// CompressShuffle compresses map-output segments on the jetty wire
 	// (mapred.compress.map.output): trackers advertise acceptance on fetch,
 	// shuffle servers DEFLATE each served segment, and the copier inflates
 	// into pooled buffers. Trades a little CPU for shuffle bytes.
 	CompressShuffle bool
-	// LegacyShuffle restores the pre-pipeline reduce path — buffer every
-	// fetched segment into one hash map, then sort the whole key space —
-	// kept for A/B benchmarking and the byte-identical property tests. The
-	// default (false) is the pipelined sorted-run merge engine.
-	LegacyShuffle bool
 	// NodeCombine enables the per-tracker combine stage — in-node combining
 	// for the Hadoop path. Map tasks defer their completion report; once
 	// the jobtracker signals the map queue drained (actMapsDrained), each
@@ -166,7 +161,9 @@ type TrackerState struct {
 type ClusterControl interface {
 	// Trackers snapshots every registered tracker's state. Trackers
 	// register asynchronously, so early calls may see fewer than
-	// Config.NumTrackers entries.
+	// Config.NumTrackers entries. Once the job has finished or failed it
+	// returns none: the trackers are shutting their servers down, and a
+	// prober must not read that as death.
 	Trackers() []TrackerState
 	// MarkLost declares a tracker dead, re-queueing its running tasks and
 	// re-executing its completed maps elsewhere — the same path the
@@ -541,10 +538,16 @@ func (jt *jobTracker) sweepLoop() {
 	}
 }
 
+// overLocked reports whether the job has finished or failed — the point
+// past which tracker liveness no longer matters. Caller holds jt.mu.
+func (jt *jobTracker) overLocked() bool {
+	return jt.failure != nil || jt.reducesDone == jt.job.NumReducers
+}
+
 func (jt *jobTracker) sweep(now time.Time) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	if jt.failure != nil || jt.reducesDone == jt.job.NumReducers || len(jt.trackers) == 0 {
+	if jt.overLocked() || len(jt.trackers) == 0 {
 		return
 	}
 	alive := 0
@@ -564,10 +567,14 @@ func (jt *jobTracker) sweep(now time.Time) {
 }
 
 // Trackers implements ClusterControl: a snapshot of every registered
-// tracker's liveness state.
+// tracker's liveness state, empty once the job is over — from then on
+// MarkLost is inert, so there is nothing left worth probing.
 func (jt *jobTracker) Trackers() []TrackerState {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
+	if jt.overLocked() {
+		return nil
+	}
 	out := make([]TrackerState, 0, len(jt.trackers))
 	for _, tr := range jt.trackers {
 		out = append(out, TrackerState{
@@ -590,7 +597,7 @@ func (jt *jobTracker) MarkLost(id int) bool {
 	if id < 0 || id >= len(jt.trackers) {
 		return false
 	}
-	if jt.failure != nil || jt.reducesDone == jt.job.NumReducers {
+	if jt.overLocked() {
 		return false
 	}
 	tr := jt.trackers[id]

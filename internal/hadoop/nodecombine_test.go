@@ -67,26 +67,6 @@ func TestNodeCombineByteIdenticalAndFewerBytes(t *testing.T) {
 	}
 }
 
-// TestNodeCombineLegacyShuffleByteIdentical: the legacy reduce path never
-// exploits group segments — node-combined maps degrade to their per-map
-// fallback rows — and the output stays byte-identical.
-func TestNodeCombineLegacyShuffleByteIdentical(t *testing.T) {
-	text := genText(t, 50_000, 22)
-	splits := mapred.SplitText(text, 5_000)
-	job := observedWC(2)
-	want, err := Run(job, splits, Config{NumTrackers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(job, splits, Config{NumTrackers: 2, NodeCombine: true, LegacyShuffle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodePairs(got.Pairs()), encodePairs(want.Pairs())) {
-		t.Fatal("NodeCombine+LegacyShuffle changed job output")
-	}
-}
-
 // TestNodeCombineFallbackCounter: a combiner whose derived reducer rekeys
 // its output trips CombinerFromReducer's fallback everywhere it runs. The
 // node-level combine stage must emit those fallbacks into the job

@@ -13,34 +13,32 @@ import (
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
-// Pipeline tests: the pipelined shuffle (sorted spills + concurrent
-// k-way merge, the default path) must produce output byte-identical to
-// the legacy buffer-then-sort path (Config.LegacyShuffle) — fault-free,
-// under chaos, and with wire compression on — and its merge passes must
-// visibly overlap the copy phase in the trace.
+// Pipeline tests: the pipelined shuffle (sorted spills + concurrent k-way
+// merge with background combine passes) must produce output byte-identical
+// to the MPI-D engine's for the same job — a reference that shares none of
+// the copier, pass-scheduling or combine-pass code — fault-free, under
+// chaos, and with wire compression on — and its merge passes must visibly
+// overlap the copy phase in the trace.
 
-// runBoth runs one job on both shuffle paths and returns the framed
-// outputs for byte-exact comparison.
-func runBoth(t *testing.T, job mapred.Job, splits []mapred.Split, cfg Config) (pipelined, legacy []byte) {
+// runBoth runs one job on the hadoop engine and on the MPI-D engine and
+// returns the framed outputs for byte-exact comparison.
+func runBoth(t *testing.T, job mapred.Job, splits []mapred.Split, cfg Config) (hadoop, mpid []byte) {
 	t.Helper()
-	cfg.LegacyShuffle = false
-	resP, err := Run(job, splits, cfg)
+	resH, err := Run(job, splits, cfg)
 	if err != nil {
-		t.Fatalf("pipelined run: %v", err)
+		t.Fatalf("hadoop run: %v", err)
 	}
-	cfg.LegacyShuffle = true
-	cfg.Metrics = nil // fresh registry; don't mix the two runs' counters
-	resL, err := Run(job, splits, cfg)
+	resM, err := mapred.Run(job, splits, cfg.NumTrackers)
 	if err != nil {
-		t.Fatalf("legacy run: %v", err)
+		t.Fatalf("mpid run: %v", err)
 	}
-	return encodePairs(resP.Pairs()), encodePairs(resL.Pairs())
+	return encodePairs(resH.Pairs()), encodePairs(resM.Pairs())
 }
 
-// TestPipelinedMatchesLegacy sweeps map/reduce shapes — including ones
-// where maps far exceed MergeFactor, so intermediate passes actually run —
-// and checks byte-identical output between the two paths.
-func TestPipelinedMatchesLegacy(t *testing.T) {
+// TestPipelinedMatchesMPID sweeps map/reduce shapes — including ones where
+// maps far exceed MergeFactor, so intermediate passes actually run — and
+// checks byte-identical output between the two engines.
+func TestPipelinedMatchesMPID(t *testing.T) {
 	cases := []struct {
 		name     string
 		size     int
@@ -60,30 +58,30 @@ func TestPipelinedMatchesLegacy(t *testing.T) {
 			job := wcJob(tc.reducers)
 			got, want := runBoth(t, job, splits, Config{NumTrackers: 3, MergeFactor: tc.factor})
 			if !bytes.Equal(got, want) {
-				t.Fatalf("pipelined output differs from legacy (%d vs %d bytes)", len(got), len(want))
+				t.Fatalf("hadoop output differs from mpid (%d vs %d bytes)", len(got), len(want))
 			}
 		})
 	}
 }
 
-// TestPipelinedMatchesLegacyNoCombiner covers the path where merge passes
+// TestPipelinedMatchesMPIDNoCombiner covers the path where merge passes
 // concatenate multi-run value lists instead of combining them.
-func TestPipelinedMatchesLegacyNoCombiner(t *testing.T) {
+func TestPipelinedMatchesMPIDNoCombiner(t *testing.T) {
 	text := genText(t, 50_000, 31)
 	splits := mapred.SplitText(text, 2_500) // 20 maps
 	job := wcJob(2)
 	job.Combiner = nil
 	got, want := runBoth(t, job, splits, Config{NumTrackers: 2, MergeFactor: 4})
 	if !bytes.Equal(got, want) {
-		t.Fatalf("no-combiner pipelined output differs from legacy (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("no-combiner hadoop output differs from mpid (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
-// TestPipelinedMatchesLegacyOrderInsensitive drives a reducer that
+// TestPipelinedMatchesMPIDOrderInsensitive drives a reducer that
 // canonicalizes its value list before emitting — the strictest
 // order-insensitive check of multi-run value merging: every value byte
 // must survive the pass tree, in any order.
-func TestPipelinedMatchesLegacyOrderInsensitive(t *testing.T) {
+func TestPipelinedMatchesMPIDOrderInsensitive(t *testing.T) {
 	// Map each word to "word -> split-local occurrence tag"; the reducer
 	// sorts and joins the tags, so outputs match iff the merged value
 	// multisets match exactly.
@@ -109,43 +107,41 @@ func TestPipelinedMatchesLegacyOrderInsensitive(t *testing.T) {
 	job := mapred.Job{Name: "tag-join", Mapper: tagMapper, Reducer: joinReducer, NumReducers: 3}
 	got, want := runBoth(t, job, splits, Config{NumTrackers: 3, MergeFactor: 3})
 	if !bytes.Equal(got, want) {
-		t.Fatalf("order-insensitive output differs between paths (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("order-insensitive output differs between engines (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
-// TestPipelinedMatchesLegacyUnderChaos repeats the flaky-RPC chaos run on
-// both paths: injected failures, retries and map re-executions must not
-// break the byte-identical guarantee.
-func TestPipelinedMatchesLegacyUnderChaos(t *testing.T) {
+// TestPipelinedUnderChaosMatchesFaultFree repeats the flaky-RPC chaos run
+// with maps far above MergeFactor, so background merge passes run while
+// fetches fail, retry and chase re-executed maps: the output must stay
+// byte-identical to the fault-free run of the same configuration.
+func TestPipelinedUnderChaosMatchesFaultFree(t *testing.T) {
 	text := genText(t, 40_000, 7)
 	splits := mapred.SplitText(text, 2_000) // 20 maps
 	job := wcJob(3)
-	newCfg := func(legacy bool) Config {
-		return Config{
-			NumTrackers:   3,
-			MergeFactor:   4,
-			LegacyShuffle: legacy,
-			Injector: faults.New(42, faults.Rule{
-				Component:   "hadooprpc.client",
-				Operation:   "call",
-				Probability: 0.1,
-				Action:      faults.Fail,
-			}),
-			RPC: hadooprpc.Options{
-				MaxAttempts: 8,
-				Backoff:     faults.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
-			},
-		}
-	}
-	resP, err := Run(job, splits, newCfg(false))
+	cfg := Config{NumTrackers: 3, MergeFactor: 4}
+	clean, err := Run(job, splits, cfg)
 	if err != nil {
-		t.Fatalf("pipelined under chaos: %v", err)
+		t.Fatalf("fault-free run: %v", err)
 	}
-	resL, err := Run(job, splits, newCfg(true))
+	cfg.Injector = faults.New(42, faults.Rule{
+		Component:   "hadooprpc.client",
+		Operation:   "call",
+		Probability: 0.1,
+		Action:      faults.Fail,
+	})
+	cfg.RPC = hadooprpc.Options{
+		MaxAttempts: 8,
+		Backoff:     faults.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
+	}
+	res, rep, err := RunWithReport(job, splits, cfg)
 	if err != nil {
-		t.Fatalf("legacy under chaos: %v", err)
+		t.Fatalf("run under chaos: %v", err)
 	}
-	if got, want := encodePairs(resP.Pairs()), encodePairs(resL.Pairs()); !bytes.Equal(got, want) {
+	if rep.Metrics.Counter("shuffle.merge_passes") == 0 {
+		t.Fatal("no background merge pass ran: the chaos run never exercised the pass tree")
+	}
+	if got, want := encodePairs(res.Pairs()), encodePairs(clean.Pairs()); !bytes.Equal(got, want) {
 		t.Fatalf("outputs differ under chaos (%d vs %d bytes)", len(got), len(want))
 	}
 }

@@ -243,3 +243,30 @@ func TestChaosTrackerCrashReportCounters(t *testing.T) {
 		t.Errorf("report has %d map timings, want %d", len(rep.Maps), len(splits))
 	}
 }
+
+// TestWatchHandleInertOnceJobOver: a liveness prober keeps the handle
+// Config.Watch gave it until the job returns, while the trackers are
+// already closing their shuffle servers. The handle used to go on listing
+// every tracker as alive, so a prober read the shutdown as death — a dead
+// verdict (and an unhealthy /healthz) for a job that had succeeded. Once
+// the job is over the handle must list nothing and accept no verdict.
+func TestWatchHandleInertOnceJobOver(t *testing.T) {
+	var cc ClusterControl
+	text := genText(t, 20_000, 41)
+	_, err := Run(wcJob(2), mapred.SplitText(text, 5_000), Config{
+		NumTrackers: 2,
+		Watch:       func(c ClusterControl) { cc = c },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc == nil {
+		t.Fatal("Watch never called")
+	}
+	if got := cc.Trackers(); len(got) != 0 {
+		t.Fatalf("Trackers() after the job finished = %+v, want none", got)
+	}
+	if cc.MarkLost(0) {
+		t.Fatal("MarkLost acted on a finished job")
+	}
+}

@@ -28,12 +28,11 @@ func (m MapTiming) Total() time.Duration { return m.Run + m.Spill }
 // ReduceTiming is one reduce task's copy/sort/reduce phase breakdown —
 // the live analogue of the per-reducer bars in the paper's Figure 1.
 // Copy spans from the first mapLocations poll until every map output is
-// fetched and merged; Sort is the final merge pass (the key collection
-// and ordering pass on the legacy path); Reduce is the user Reduce loop
-// plus output serialization. Merge is the background merge-pass CPU time
-// the pipelined shuffle overlapped with the copy phase — it runs inside
-// Copy's wall time, so it is reported alongside the phases but not added
-// to Total.
+// fetched and merged; Sort is the final merge pass; Reduce is the user
+// Reduce loop plus output serialization. Merge is the background
+// merge-pass CPU time the shuffle overlapped with the copy phase — it
+// runs inside Copy's wall time, so it is reported alongside the phases
+// but not added to Total.
 type ReduceTiming struct {
 	Task    int
 	Tracker int

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
@@ -52,7 +53,7 @@ type taskTracker struct {
 	jettySrv  *jetty.Server
 	jettyAddr string
 	fetch     *jetty.Client
-	pool      *shuffle.BufferPool // fetch + merge buffers, shared across this tracker's reduces
+	pool      *bufpool.Pool // fetch + merge buffers, shared across this tracker's reduces
 
 	// combine is the job combiner every combine stage on this tracker uses
 	// (map spill, reduce-side merge passes, node-level combine). When the
@@ -97,7 +98,7 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, job mapred.Job,
 		ev:        cfg.Events,
 		store:     jetty.NewStore(),
 		fetch:     jetty.NewClient(),
-		pool:      shuffle.NewBufferPool(),
+		pool:      bufpool.New(),
 		mapSem:    make(chan struct{}, cfg.MapSlots),
 		reduceSem: make(chan struct{}, cfg.ReduceSlots),
 	}
@@ -106,18 +107,16 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, job mapred.Job,
 		tt.combine = job.ObservedCombiner(cfg.Metrics)
 	}
 	// The shuffle fetch client shares the RPC retry budget, the fault
-	// injector, the job's metrics registry and — on the pipelined path —
-	// the tracker's buffer pool, so fetch buffers recycle through the
-	// merger and back into the next fetch.
+	// injector, the job's metrics registry and the tracker's buffer pool,
+	// so fetch buffers recycle through the merger and back into the next
+	// fetch.
 	tt.fetch.MaxAttempts = cfg.RPC.MaxAttempts
 	tt.fetch.Backoff = cfg.RPC.Backoff
 	tt.fetch.Injector = cfg.Injector
 	tt.fetch.Metrics = cfg.Metrics
 	tt.fetch.Events = cfg.Events
 	tt.fetch.Compress = cfg.CompressShuffle
-	if !cfg.LegacyShuffle {
-		tt.fetch.Pool = tt.pool
-	}
+	tt.fetch.Pool = tt.pool
 	tt.fetch.SetSeed(int64(idx) + 1)
 
 	tt.jettySrv = jetty.NewServer(tt.store)
@@ -627,32 +626,29 @@ type reducePhases struct {
 // the user reduce function. The returned phases are the task's wall times
 // per stage, reported to the jobtracker with the output.
 //
-// The default path is the pipelined shuffle (runReducePipelined): fetched
-// segments are sorted runs, a concurrent merger folds them while copies
-// are still in flight, and the final merge streams key groups in order —
-// no whole-key-space sort. Config.LegacyShuffle selects the old
-// buffer-everything-then-sort path (runReduceLegacy), kept for A/B
-// benchmarking and the byte-identical property tests.
-func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]byte, reducePhases, error) {
-	if tt.cfg.LegacyShuffle {
-		return tt.runReduceLegacy(task, attempt, pctx)
-	}
-	return tt.runReducePipelined(task, attempt, pctx)
-}
-
-// runReducePipelined is the streaming shuffle: copiers validate each
-// fetched run and hand it straight to a shuffle.Merger, whose background
-// passes fold runs (applying the job's combiner) while more fetches are in
-// flight — the copy/merge overlap the paper says Hadoop's copy-dominated
-// shuffle is missing. The sort phase is the final k-way pass; the reduce
-// loop consumes its merge order directly.
+// The shuffle is pipelined: fetched segments are sorted runs, copiers
+// validate each one and hand it straight to a shuffle.Merger, whose
+// background passes fold runs (applying the job's combiner) while more
+// fetches are in flight — the copy/merge overlap the paper says Hadoop's
+// copy-dominated shuffle is missing. The sort phase is the final k-way
+// pass; the reduce loop consumes its merge order directly, so there is no
+// whole-key-space sort.
 //
-// The same scheduling rules as the legacy path apply: re-advertised maps
-// are deduped per poll and guarded on the fetched set under the merge
-// lock, and a no-progress poll backs off for a heartbeat. A fetch that
-// yields a malformed run counts as a fetch failure (reported, map
-// re-executed) — corruption must not surface mid-merge.
-func (tt *taskTracker) runReducePipelined(task, attempt int, pctx trace.Context) ([]byte, reducePhases, error) {
+// A failed fetch, or one that yields a malformed run, leaves no partial
+// state behind: the failure is reported to the jobtracker (fetchFailed),
+// the map is re-executed elsewhere, and the next mapLocations poll
+// redirects this reducer to the new copy — corruption must not surface
+// mid-merge. Two scheduling rules keep the copy loop honest:
+//
+//   - a mapID may be advertised more than once in a single mapLocations
+//     response (an old and a re-executed copy, both completed); jobs are
+//     deduped per poll, and the hand-off to the merger is guarded on the
+//     fetched set under the merge lock, so one map's values can never be
+//     merged twice;
+//   - when a poll makes no progress — no new locations, or every fetch
+//     failed — the reducer backs off for a heartbeat instead of hot-polling
+//     the jobtracker in a tight RPC loop while maps are still running.
+func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]byte, reducePhases, error) {
 	var ph reducePhases
 	span := tt.tr.StartChild(pctx, fmt.Sprintf("r%d", task), trace.KindTask)
 	span.Annotate("attempt", fmt.Sprint(attempt))
@@ -803,8 +799,8 @@ func (tt *taskTracker) runReducePipelined(task, attempt int, pctx trace.Context)
 	tt.met.Timer("task.reduce.copy").ObserveDuration(ph.copy)
 
 	// Sort phase = the final k-way merge pass: it streams key groups in
-	// merge order, so there is no whole-key-space sort.Strings here. Groups
-	// alias the merger's buffers, which stay live until the task returns.
+	// merge order. Groups alias the merger's buffers, which stay live until
+	// the task returns.
 	sortSpan := span.Child("reduce.sort", trace.KindPhase)
 	defer sortSpan.End()
 	sortStart := time.Now()
@@ -1034,162 +1030,6 @@ func (tt *taskTracker) fetchRun(j mapOutputLoc, reduce int, pctx trace.Context) 
 		return nil, fmt.Errorf("corrupt map %d output: %w", j.mapID, err)
 	}
 	return data, nil
-}
-
-// runReduceLegacy is the pre-pipeline path: parse every fetched output
-// completely, buffer all values into one hash map, then sort the whole key
-// space with sort.Strings before reducing. Selected by
-// Config.LegacyShuffle for A/B benchmarking.
-//
-// Each fetched output is parsed completely before it is merged, so a fetch
-// or parse failure leaves no partial state behind: the failure is reported
-// to the jobtracker (fetchFailed), the map is re-executed elsewhere, and
-// the next mapLocations poll redirects this reducer to the new copy.
-//
-// Two scheduling rules keep the copy loop honest:
-//
-//   - a mapID may be advertised more than once in a single mapLocations
-//     response (an old and a re-executed copy, both completed); jobs are
-//     deduped per poll, and the merge itself is guarded on the fetched set
-//     under the merge lock, so one map's values can never be merged twice;
-//   - when a poll makes no progress — no new locations, or every fetch
-//     failed — the reducer backs off for a heartbeat instead of hot-polling
-//     the jobtracker in a tight RPC loop while maps are still running.
-func (tt *taskTracker) runReduceLegacy(task, attempt int, pctx trace.Context) ([]byte, reducePhases, error) {
-	var ph reducePhases
-	span := tt.tr.StartChild(pctx, fmt.Sprintf("r%d", task), trace.KindTask)
-	span.Annotate("attempt", fmt.Sprint(attempt))
-	defer span.End()
-	fetched := make(map[int]bool, len(tt.splits))
-	merged := make(map[string][][]byte)
-	var mergedMu sync.Mutex // guards merged and fetched together
-	copierSem := make(chan struct{}, tt.cfg.CopierThreads)
-
-	// Span.End is idempotent, so each phase span is deferred for the error
-	// paths and ended explicitly at its boundary on the happy path.
-	copySpan := span.Child("reduce.copy", trace.KindPhase)
-	defer copySpan.End()
-	copyStart := time.Now()
-	for len(fetched) < len(tt.splits) {
-		if tt.isAborting() {
-			return nil, ph, fmt.Errorf("job aborted during copy")
-		}
-		groups, jobs, err := tt.pollMapLocations(fetched)
-		if err != nil {
-			return nil, ph, err
-		}
-		// The legacy path parses whole outputs into one hash map and never
-		// exploits group segments; node-combined maps are fetched per-map
-		// through their fallback rows, keeping this path byte-identical to
-		// its pre-NodeCombine behaviour.
-		for _, g := range groups {
-			jobs = append(jobs, g.rows...)
-		}
-		// Fetch the new outputs with bounded parallelism. A failed fetch
-		// is reported and skipped, not fatal: the map will move.
-		var (
-			wg       sync.WaitGroup
-			okMu     sync.Mutex
-			progress int
-			failed   []mapOutputLoc
-		)
-		for _, j := range jobs {
-			j := j
-			copierSem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-copierSem }()
-				lists, err := tt.fetchAndParse(j, task, copySpan.Context())
-				if err != nil {
-					okMu.Lock()
-					failed = append(failed, j)
-					okMu.Unlock()
-					return
-				}
-				mergedMu.Lock()
-				if !fetched[j.mapID] {
-					for _, kl := range lists {
-						merged[string(kl.Key)] = append(merged[string(kl.Key)], kl.Values...)
-					}
-					fetched[j.mapID] = true
-				}
-				mergedMu.Unlock()
-				okMu.Lock()
-				progress++
-				okMu.Unlock()
-			}()
-		}
-		wg.Wait()
-		if err := tt.reportFetchFailures(task, failed); err != nil {
-			return nil, ph, err
-		}
-		if len(fetched) < len(tt.splits) && progress == 0 {
-			time.Sleep(tt.cfg.Heartbeat)
-		}
-	}
-	ph.copy = time.Since(copyStart)
-	copySpan.End()
-	tt.met.Timer("task.reduce.copy").ObserveDuration(ph.copy)
-
-	// Sort keys (the merge-sort phase) and reduce.
-	sortSpan := span.Child("reduce.sort", trace.KindPhase)
-	sortStart := time.Now()
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ph.sort = time.Since(sortStart)
-	sortSpan.End()
-	tt.met.Timer("task.reduce.sort").ObserveDuration(ph.sort)
-
-	reduceSpan := span.Child("reduce.reduce", trace.KindPhase)
-	defer reduceSpan.End()
-	reduceStart := time.Now()
-	var out []byte
-	emit := func(key, value []byte) error {
-		out = kv.AppendPair(out, kv.Pair{Key: key, Value: value})
-		return nil
-	}
-	for _, k := range keys {
-		if err := tt.job.Reducer.Reduce([]byte(k), merged[k], emit); err != nil {
-			return nil, ph, err
-		}
-	}
-	ph.reduce = time.Since(reduceStart)
-	reduceSpan.End()
-	tt.met.Timer("task.reduce.reduce").ObserveDuration(ph.reduce)
-	return out, ph, nil
-}
-
-// fetchAndParse retrieves one map output partition and decodes it fully,
-// returning the key lists only if the whole body is well-formed. The fetch
-// span parents under the reduce task's copy phase, and its context rides
-// the HTTP request so the serving tracker's span parents under it in turn.
-func (tt *taskTracker) fetchAndParse(j mapOutputLoc, reduce int, pctx trace.Context) ([]kv.KeyList, error) {
-	fs := tt.tr.StartChild(pctx, fmt.Sprintf("fetch m%d", j.mapID), trace.KindFetch)
-	defer fs.End()
-	fs.Annotate("from", fmt.Sprintf("tracker%d", j.trackerID))
-	data, err := tt.fetch.FetchMapOutputContext(tt.ctx, fs.Context(), j.addr,
-		jetty.OutputKey{Job: jobName, Map: j.mapID, Reduce: reduce})
-	if err != nil {
-		fs.Annotate("error", err.Error())
-		tt.emitFetchFail(fs, j, reduce, err)
-		return nil, err
-	}
-	fs.Annotate("bytes", fmt.Sprint(len(data)))
-	var lists []kv.KeyList
-	for len(data) > 0 {
-		klist, n, err := kv.ReadKeyList(data)
-		if err != nil {
-			fs.Annotate("error", "corrupt output")
-			return nil, fmt.Errorf("corrupt map %d output: %w", j.mapID, err)
-		}
-		lists = append(lists, klist)
-		data = data[n:]
-	}
-	return lists, nil
 }
 
 // emitFetchFail records a reducer's definitive fetch failure, cross-linked

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
@@ -205,7 +206,7 @@ type Server struct {
 	// (the DEFLATE-negotiated path always uses the chunk loop).
 	ZeroCopy bool
 
-	pool    *shuffle.BufferPool // recycles compression buffers across serves
+	pool    *bufpool.Pool // recycles compression buffers across serves
 	httpSrv *http.Server
 	ln      net.Listener
 	wg      sync.WaitGroup
@@ -215,7 +216,7 @@ type Server struct {
 
 // NewServer creates a server over the given store.
 func NewServer(store *Store) *Server {
-	return &Server{store: store, WriteChunk: 64 * 1024, ZeroCopy: true, pool: shuffle.NewBufferPool()}
+	return &Server{store: store, WriteChunk: 64 * 1024, ZeroCopy: true, pool: bufpool.New()}
 }
 
 // Listen binds to addr and starts serving; it returns the bound address.
@@ -484,7 +485,7 @@ type Client struct {
 	// shuffle stops allocating per fetch. Callers that hand fetched
 	// segments to a shuffle.Merger with the same pool get end-to-end buffer
 	// recycling.
-	Pool *shuffle.BufferPool
+	Pool *bufpool.Pool
 
 	jit *faults.Jitter
 }

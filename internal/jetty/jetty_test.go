@@ -8,8 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/metrics"
-	"github.com/ict-repro/mpid/internal/shuffle"
 )
 
 func startServer(t *testing.T) (*Store, *Server, string) {
@@ -183,7 +183,7 @@ func TestCompressedFetchRoundTrip(t *testing.T) {
 	c := NewClient()
 	defer c.Close()
 	c.Compress = true
-	c.Pool = shuffle.NewBufferPool()
+	c.Pool = bufpool.New()
 	got, err := c.FetchMapOutput(addr, key)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestPooledFetch(t *testing.T) {
 
 	c := NewClient()
 	defer c.Close()
-	c.Pool = shuffle.NewBufferPool()
+	c.Pool = bufpool.New()
 	for i := 0; i < 3; i++ {
 		got, err := c.FetchMapOutput(addr, key)
 		if err != nil {

@@ -126,11 +126,9 @@ type Job struct {
 	SpillThreshold int
 	SortValues     bool
 	Async          bool
-	// LegacySend and LegacyGroup select MPI-D's pre-optimization send
-	// buffer and grouped drain (core.Config knobs of the same names) — the
-	// A/B baseline the mpidbench harness measures the fast path against.
-	LegacySend  bool
-	LegacyGroup bool
+	// LegacySend selects MPI-D's map-based send buffer (the core.Config
+	// knob of the same name).
+	LegacySend bool
 	// Pool passes a shared buffer pool through to core.Config.Pool.
 	Pool *bufpool.Pool
 	// MaxTaskAttempts is how many times a failing map task is retried
@@ -265,7 +263,6 @@ func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mp
 			SortValues:     job.SortValues,
 			Async:          job.Async,
 			LegacySend:     job.LegacySend,
-			LegacyGroup:    job.LegacyGroup,
 			NodeArena:      nodeArena,
 			Pool:           job.Pool,
 		}

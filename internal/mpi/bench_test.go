@@ -95,28 +95,19 @@ func BenchmarkChanRoundtrip(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPVectoredSend compares the vectored (writev) TCP framing
-// against the legacy bufio copy-then-flush path at an eager and a
-// rendezvous size. Rendezvous is where writev pays most visibly: header
-// and payload leave in one syscall instead of a flush plus a write.
+// BenchmarkTCPVectoredSend ping-pongs over the vectored (writev) TCP
+// framing at an eager and a rendezvous size. Rendezvous is where writev
+// pays most visibly: header and payload leave in one syscall.
 func BenchmarkTCPVectoredSend(b *testing.B) {
-	for _, framing := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"vectored", false},
-		{"legacy", true},
-	} {
-		for _, size := range []int{1 << 10, 256 << 10} {
-			b.Run(fmt.Sprintf("%s/%dKB", framing.name, size>>10), func(b *testing.B) {
-				w, err := NewTCPWorldOptions(2, TCPOptions{LegacyFraming: framing.legacy})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer w.Close()
-				benchPingPong(b, w, size)
-			})
-		}
+	for _, size := range []int{1 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			w, err := NewTCPWorld(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			benchPingPong(b, w, size)
+		})
 	}
 }
 

@@ -42,12 +42,6 @@ type TCPOptions struct {
 	// sending rank (peer = destination component), plus "read"/"write"
 	// through the wrapped per-pair connections.
 	Injector *faults.Injector
-	// LegacyFraming selects the pre-writev framing path: eager frames
-	// copy into a per-connection bufio.Writer and rendezvous payloads
-	// take a separate syscall after the header flush. It is kept as the
-	// equivalence-tested A/B baseline for the vectored framing
-	// (BENCH_transport.json's "tcp" rows; default framing is "tcp+writev").
-	LegacyFraming bool
 	// Metrics, when set, counts framing traffic: mpi.tcp.vectored_writes
 	// (writev flushes) and mpi.tcp.vectored_frames (frames they carried).
 	Metrics *metrics.Registry
@@ -75,7 +69,6 @@ func NewTCPWorldOptions(n int, opts TCPOptions) (*World, error) {
 		listeners: make([]net.Listener, n),
 		conns:     make(map[connKey]*tcpConn),
 		inj:       opts.Injector,
-		legacy:    opts.LegacyFraming,
 		metrics:   opts.Metrics,
 		comps:     rankComponents(n),
 		pool:      bufpool.New(),
@@ -105,19 +98,15 @@ type connKey struct{ src, dst int }
 // Done fan-out at CloseSend) coalesce into one syscall instead of one
 // flush per frame.
 //
-// In the default vectored framing mode, queued eager frames accumulate as
-// pooled contiguous header+payload buffers in pend, and a flush ships the
-// whole batch through net.Buffers — one writev syscall, no intermediate
-// bufio copy. A rendezvous send joins the same writev: pending eager
-// frames, its header (the persistent rhdr scratch) and the caller's
-// payload go out as one vector, where the legacy path paid a flush plus a
-// separate payload write. In legacy mode w is the bufio.Writer and
-// pend/vec stay nil.
+// Queued eager frames accumulate as pooled contiguous header+payload
+// buffers in pend, and a flush ships the whole batch through net.Buffers —
+// one writev syscall, no intermediate copy. A rendezvous send joins the
+// same writev: pending eager frames, its header (the persistent rhdr
+// scratch) and the caller's payload go out as one vector.
 type tcpConn struct {
 	mu        sync.Mutex
 	c         net.Conn
-	w         *bufio.Writer // legacy framing only
-	pend      net.Buffers   // queued eager frames (pooled hdr+payload buffers)
+	pend      net.Buffers // queued eager frames (pooled hdr+payload buffers)
 	pendBytes int
 	vec       net.Buffers // writev scratch, rebuilt per flush, capacity reused
 	rhdr      [frameHeaderSize]byte
@@ -134,7 +123,6 @@ type tcpTransport struct {
 	inj       *faults.Injector // nil injects nothing
 	pool      *bufpool.Pool    // frame payload buffers, shared with receivers
 	comps     []string         // precomputed "mpi.rank<r>" injector names
-	legacy    bool             // bufio copy-then-flush framing instead of writev
 	metrics   *metrics.Registry
 	// Pre-resolved counters: Registry.Counter is a lock+map lookup, too
 	// heavy per flush. Both are nil-safe without a registry.
@@ -150,17 +138,17 @@ type tcpTransport struct {
 const frameHeaderSize = 20
 
 // eagerThreshold is the eager/rendezvous split point. Messages below it are
-// copied into the connection's buffered writer (eager: the sender's buffer
-// is free on return, flushes batch across back-to-back sends); messages at
-// or above it flush the writer and then stream straight from the caller's
-// buffer into the socket, skipping the intermediate bufio copy — the moral
-// equivalent of MPI's rendezvous protocol for large realigned partitions.
+// copied into a pooled frame buffer queued on the connection (eager: the
+// sender's buffer is free on return, flushes batch across back-to-back
+// sends); messages at or above it go out straight from the caller's buffer
+// in the same vectored write as whatever is queued, skipping the copy — the
+// moral equivalent of MPI's rendezvous protocol for large realigned
+// partitions.
 const eagerThreshold = 64 << 10
 
 // tcpFlushBytes caps how many eager bytes queue on a connection before a
 // sender flushes even with other senders still waiting, bounding the
-// batch the last-writer-out heuristic can accumulate. It matches the
-// legacy bufio.Writer's capacity, which auto-flushed at the same point.
+// batch the last-writer-out heuristic can accumulate.
 const tcpFlushBytes = 256 << 10
 
 func (t *tcpTransport) acceptLoop(rank int, ln net.Listener) {
@@ -223,9 +211,6 @@ func (t *tcpTransport) connFor(src, dst int) (*tcpConn, error) {
 	}
 	wrapped := faults.WrapConn(conn, t.inj, t.comps[src], t.comps[dst])
 	c := &tcpConn{c: wrapped}
-	if t.legacy {
-		c.w = bufio.NewWriterSize(wrapped, tcpFlushBytes)
-	}
 	t.conns[key] = c
 	return c, nil
 }
@@ -265,12 +250,7 @@ func (t *tcpTransport) send(to int, m Message) error {
 	if err != nil {
 		return err
 	}
-	if t.legacy {
-		err = t.sendLegacy(c, m)
-	} else {
-		err = t.sendVectored(c, m)
-	}
-	if err != nil {
+	if err = t.sendVectored(c, m); err != nil {
 		// The frame may be half-written; the connection cannot carry
 		// another message. Forget it so a retry redials.
 		t.dropConn(m.Source, to, c)
@@ -336,45 +316,6 @@ func (t *tcpTransport) flushVecLocked(c *tcpConn, frames int) error {
 	c.vec = base[:0]
 	t.cVecWrites.Inc()
 	t.cVecFrames.Add(int64(frames))
-	return err
-}
-
-// sendLegacy is the pre-writev framing: eager frames copy into the
-// connection's bufio.Writer, rendezvous payloads stream directly after a
-// header flush. Kept as the selectable A/B baseline (TCPOptions
-// .LegacyFraming) the transport bench compares writev against.
-func (t *tcpTransport) sendLegacy(c *tcpConn, m Message) error {
-	c.waiters.Add(1)
-	c.mu.Lock()
-	// The persistent header scratch (guarded by mu, like the vectored
-	// path) keeps the header off the heap — a stack array escapes through
-	// bufio's underlying-writer interface and costs an allocation per send.
-	putFrameHeader(c.rhdr[:], m)
-	_, err := c.w.Write(c.rhdr[:])
-	if len(m.Data) >= eagerThreshold {
-		// Rendezvous: push the header (and any batched eager frames) out,
-		// then stream the payload straight from the caller's buffer. The
-		// waiter count is irrelevant here — the direct write leaves nothing
-		// buffered behind it.
-		if err == nil {
-			err = c.w.Flush()
-		}
-		if err == nil {
-			_, err = c.c.Write(m.Data)
-		}
-		c.waiters.Add(-1)
-	} else {
-		if err == nil && len(m.Data) > 0 {
-			_, err = c.w.Write(m.Data)
-		}
-		// Last writer out flushes. Sequential sends always see waiters==0
-		// and flush immediately, preserving per-message latency and error
-		// reporting.
-		if last := c.waiters.Add(-1) == 0; err == nil && last {
-			err = c.w.Flush()
-		}
-	}
-	c.mu.Unlock()
 	return err
 }
 

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"github.com/ict-repro/mpid/internal/bufpool"
 )
 
 var flateWriters = sync.Pool{
@@ -35,7 +37,7 @@ func Compress(dst, src []byte) []byte {
 
 // Decompress inflates src, which must decode to exactly size bytes. The
 // output buffer comes from pool when non-nil.
-func Decompress(pool *BufferPool, src []byte, size int) ([]byte, error) {
+func Decompress(pool *bufpool.Pool, src []byte, size int) ([]byte, error) {
 	out := pool.Get(size)
 	r := flate.NewReader(bytes.NewReader(src))
 	n, err := io.ReadFull(r, out)

@@ -48,19 +48,6 @@ import (
 type Combiner func(key []byte, values [][]byte) [][]byte
 
 // ---------------------------------------------------------------------------
-// Buffer pool
-
-// BufferPool is the size-classed byte-buffer pool shared across the live
-// stack. It started here (PR 4) and was promoted to internal/bufpool once
-// the MPI-D fast path needed the same recycling; the alias keeps the
-// shuffle/jetty/tasktracker call sites unchanged. A nil *BufferPool is
-// valid and simply allocates.
-type BufferPool = bufpool.Pool
-
-// NewBufferPool creates an empty pool.
-func NewBufferPool() *BufferPool { return bufpool.New() }
-
-// ---------------------------------------------------------------------------
 // Runs
 
 // ValidateRun scans a run and checks every frame decodes and keys are
@@ -297,7 +284,7 @@ type Config struct {
 	Combine Combiner
 	// Pool recycles intermediate pass buffers; segment buffers handed to
 	// Add are recycled too once a pass consumes them. Optional.
-	Pool *BufferPool
+	Pool *bufpool.Pool
 	// OnPass, when set, observes every completed intermediate pass — the
 	// hook the tasktracker uses to emit merge spans and metrics. Called
 	// from the pass's goroutine.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/kv"
 )
 
@@ -220,7 +221,7 @@ func TestMergerPipelinedPasses(t *testing.T) {
 	m := NewMerger(Config{
 		Expected: len(segs),
 		Factor:   4,
-		Pool:     NewBufferPool(),
+		Pool:     bufpool.New(),
 		OnPass: func(pi PassInfo) {
 			passMu.Lock()
 			passes++
@@ -270,7 +271,7 @@ func TestMergerCombine(t *testing.T) {
 	m := NewMerger(Config{
 		Expected: segs,
 		Factor:   3,
-		Pool:     NewBufferPool(),
+		Pool:     bufpool.New(),
 		Combine: func(key []byte, values [][]byte) [][]byte {
 			var total int64
 			for _, v := range values {
@@ -346,7 +347,7 @@ func TestMergeEmptySegments(t *testing.T) {
 }
 
 func TestBufferPoolReuse(t *testing.T) {
-	p := NewBufferPool()
+	p := bufpool.New()
 	b := p.Get(100)
 	if len(b) != 100 {
 		t.Fatalf("Get(100) len = %d", len(b))
@@ -357,7 +358,7 @@ func TestBufferPoolReuse(t *testing.T) {
 		t.Fatalf("recycled Get(50): len %d cap %d", len(b2), cap(b2))
 	}
 	// Nil pool allocates.
-	var nilPool *BufferPool
+	var nilPool *bufpool.Pool
 	if got := nilPool.Get(8); len(got) != 8 {
 		t.Fatalf("nil pool Get(8) len = %d", len(got))
 	}

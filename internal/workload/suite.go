@@ -32,9 +32,9 @@ func observedCombiner(r mapred.Reducer) func(*metrics.Registry) core.CombineFunc
 // workloads from "Sorting, Searching, and Simulation in the MapReduce
 // Framework": a sampled-range-partitioner TeraSort, inverted index, grep,
 // a two-table join, and an iterative PageRank, each built so its output is
-// byte-identical across the fast core, legacy core and hadoop engines —
-// reducers canonicalize value order internally instead of depending on
-// arrival order, which no engine guarantees.
+// byte-identical across the MPI-D and hadoop engines — reducers
+// canonicalize value order internally instead of depending on arrival
+// order, which no engine guarantees.
 //
 // Each Spec declares the integer parameters it accepts; the serve registry
 // rejects submissions naming any other parameter, so a client typo cannot
