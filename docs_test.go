@@ -176,15 +176,9 @@ func TestDocSections(t *testing.T) {
 // field or registered flag name in the production sources under internal/
 // and cmd/ may contain "legacy" (any case). A perf change that leaves its
 // predecessor behind a switch fails here.
-//
-// One exception stands: LegacySend (core.Config and its mapred.Job mirror).
-// PR 15's pre-deletion check found the map-based send buffer 24 % below the
-// arena on wc-mpid-chan peak_rss_mb in 10 of 10 pairs, so it stays until the
-// arena reclaims what a combine leaves dead (EXPERIMENTS.md, "Retired
-// baselines"); delete the exception with the field.
 func TestNoLegacySurface(t *testing.T) {
 	isLegacy := func(name string) bool {
-		return name != "LegacySend" && strings.Contains(strings.ToLower(name), "legacy")
+		return strings.Contains(strings.ToLower(name), "legacy")
 	}
 	fset := token.NewFileSet()
 	walk := func(path string, d os.DirEntry, err error) error {

@@ -111,7 +111,7 @@ type Stats struct {
 // Run executes the job under coded shuffle and returns its result — output
 // equality with mapred.Run (canonical Pairs) is the correctness gate — plus
 // the byte accounting. Job knobs that configure the MPI-D transport
-// (LegacySend, Async, SpillThreshold, MaxTaskAttempts...) do not apply: the
+// (Async, SpillThreshold, MaxTaskAttempts...) do not apply: the
 // prototype has its own static exchange.
 func Run(job mapred.Job, splits []mapred.Split, opt Options) (*mapred.Result, *Stats, error) {
 	if job.Mapper == nil || job.Reducer == nil {

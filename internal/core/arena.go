@@ -5,20 +5,27 @@ import (
 	"cmp"
 	"encoding/binary"
 	"slices"
+
+	"github.com/ict-repro/mpid/internal/kv"
 )
 
-// arenaBuffer is the allocation-conscious mapper-side hash table (§IV.A).
-// Where the legacy hashBuffer pays one allocation per buffered pair (the
-// value copy), one per new key (the map key string) and a map rebuild per
-// spill, the arena keeps everything in four flat slices that are reset —
-// not reallocated — between spills:
+// arenaBuffer is the mapper-side hash table of §IV.A: Send buffers pairs
+// here, grouped by key, so the combiner can merge values locally before
+// anything is serialized or transmitted. Everything lives in three flat
+// slices that are reset — not reallocated — between spills:
 //
 //	keyArena  all key bytes, appended back to back
-//	valArena  all value bytes, appended back to back
-//	entries   one record per distinct key: offsets into keyArena plus the
-//	          head/tail of its value chain
-//	nodes     one record per buffered value: offsets into valArena plus a
-//	          next link, forming each key's chain in insertion order
+//	valArena  one block per distinct key, holding that key's values in
+//	          insertion order, each a kv length-prefixed byte string
+//	entries   one record per distinct key: offsets into keyArena plus its
+//	          block's offset, used length and capacity
+//
+// A key's first block is cut to fit its first value, so a key that never
+// repeats (TeraSort) wastes nothing. A block that fills moves to the arena's
+// end at twice the capacity; the blocks it leaves behind add up to less than
+// the one it occupies. A combine fold writes its result back over the start
+// of the key's own block, so a combining job's arena is bounded by distinct
+// keys x combineEvery however many pairs pass through it.
 //
 // The hash table itself is open addressing with linear probing over int32
 // entry indices, so lookups touch no pointers and growth is a flat rehash.
@@ -28,11 +35,11 @@ type arenaBuffer struct {
 	keyArena []byte
 	valArena []byte
 	entries  []arenaEntry
-	nodes    []valNode
 	slots    []int32 // entry index + 1; 0 = empty
 	payload  int     // buffered payload bytes: each key once + all values
 
 	scratch [][]byte  // reused value-materialization space
+	stage   []byte    // reused staging space for a fold's result
 	order   []sortKey // reused sort records for realign
 }
 
@@ -51,21 +58,15 @@ func keyPrefix(key []byte) uint64 {
 	return binary.BigEndian.Uint64(p[:])
 }
 
-// arenaEntry is one distinct key and its value chain.
+// arenaEntry is one distinct key and its value block.
 type arenaEntry struct {
 	hash   uint64
 	keyOff int32
 	keyLen int32
-	head   int32 // node index + 1; 0 = empty chain
-	tail   int32
+	valOff int32 // block start in valArena
+	valLen int32 // block bytes in use
+	valCap int32 // block capacity
 	nvals  int32
-}
-
-// valNode is one buffered value in a key's chain.
-type valNode struct {
-	off  int32
-	len  int32
-	next int32 // node index + 1; 0 = end of chain
 }
 
 const arenaInitSlots = 64 // must stay a power of two
@@ -148,66 +149,84 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 		b.insertSlot(h, idx)
 		b.payload += len(key)
 	}
-	b.appendValue(idx, value)
-	b.payload += len(value)
 	e := &b.entries[idx]
+	b.appendValue(e, value)
+	b.payload += len(value)
 	if combine == nil || e.nvals < combineEvery {
 		return 0
 	}
-	return b.combineEntry(idx, combine)
+	return b.combineEntry(e, combine)
 }
 
-// appendValue copies value into the arena and links it at the entry's tail.
-func (b *arenaBuffer) appendValue(idx int32, value []byte) {
-	off := int32(len(b.valArena))
-	b.valArena = append(b.valArena, value...)
-	node := int32(len(b.nodes))
-	b.nodes = append(b.nodes, valNode{off: off, len: int32(len(value))})
-	e := &b.entries[idx]
-	if e.tail != 0 {
-		b.nodes[e.tail-1].next = node + 1
-	} else {
-		e.head = node + 1
+// appendValue copies value, as a kv length-prefixed record, to the end of the
+// entry's block.
+func (b *arenaBuffer) appendValue(e *arenaEntry, value []byte) {
+	if e.valCap == 0 {
+		// First value: cut the block to fit, straight off the arena's end.
+		e.valOff = int32(len(b.valArena))
+		b.valArena = kv.AppendBytes(b.valArena, value)
+		e.valLen = int32(len(b.valArena)) - e.valOff
+		e.valCap, e.nvals = e.valLen, 1
+		return
 	}
-	e.tail = node + 1
+	need := e.valLen + int32(kv.BytesSize(value))
+	if need > e.valCap {
+		b.growBlock(e, need)
+	}
+	// Capacity is there, so this append writes in place.
+	kv.AppendBytes(b.valArena[e.valOff:e.valOff+e.valLen:e.valOff+e.valCap], value)
+	e.valLen = need
 	e.nvals++
 }
 
-// materialize walks an entry's chain into the reusable scratch slice. The
-// returned slices alias valArena and are valid until the next arena append.
-func (b *arenaBuffer) materialize(idx int32) [][]byte {
-	e := &b.entries[idx]
+// growBlock moves the entry's block to the end of valArena with room for at
+// least need bytes and at least twice what it had.
+func (b *arenaBuffer) growBlock(e *arenaEntry, need int32) {
+	newCap := max(need, 2*e.valCap)
+	off := len(b.valArena)
+	b.valArena = slices.Grow(b.valArena, int(newCap))[:off+int(newCap)]
+	copy(b.valArena[off:], b.valArena[e.valOff:e.valOff+e.valLen])
+	e.valOff, e.valCap = int32(off), newCap
+}
+
+// materialize decodes an entry's block into the reusable scratch slice. The
+// returned slices alias valArena and are valid until the next arena write.
+func (b *arenaBuffer) materialize(e *arenaEntry) [][]byte {
 	vs := b.scratch[:0]
-	for n := e.head; n != 0; n = b.nodes[n-1].next {
-		nd := &b.nodes[n-1]
-		vs = append(vs, b.valArena[nd.off:nd.off+nd.len])
+	for block := b.valArena[e.valOff : e.valOff+e.valLen]; len(block) > 0; {
+		v, n, err := kv.ReadBytes(block)
+		if err != nil {
+			panic("mpid: corrupt send-buffer block: " + err.Error())
+		}
+		vs = append(vs, v)
+		block = block[n:]
 	}
 	b.scratch = vs
 	return vs
 }
 
-// combineEntry folds an entry's value chain through the combiner and rebuilds
-// the chain from the result. Old value bytes become arena garbage until the
-// next reset, which is the trade the incremental combiner exists to make: it
-// runs precisely to keep hot-key chains short, so the dead bytes it strands
-// are bounded by combineEvery values per fold.
-func (b *arenaBuffer) combineEntry(idx int32, combine CombineFunc) int64 {
-	vs := b.materialize(idx)
+// combineEntry folds an entry's values through the combiner and writes the
+// result back over the start of the entry's own block, so a fold strands
+// nothing. The result may alias the block it is about to overwrite (see
+// CombineFunc), so it is staged first.
+func (b *arenaBuffer) combineEntry(e *arenaEntry, combine CombineFunc) int64 {
+	vs := b.materialize(e)
 	oldLen, oldBytes := len(vs), 0
 	for _, v := range vs {
 		oldBytes += len(v)
 	}
-	out := combine(b.key(&b.entries[idx]), vs)
-	// Rebuild the chain from the combined list. The returned slices may
-	// alias valArena; append copies them to fresh offsets before the chain
-	// is repointed, and Go's copy is overlap-safe in the non-growing case.
-	e := &b.entries[idx]
-	e.head, e.tail, e.nvals = 0, 0, 0
-	newBytes := 0
+	out := combine(b.key(e), vs)
+	stage, newBytes := b.stage[:0], 0
 	for _, v := range out {
-		b.appendValue(idx, v)
+		stage = kv.AppendBytes(stage, v)
 		newBytes += len(v)
 	}
+	b.stage = stage
+	e.valLen, e.nvals = 0, int32(len(out)) // nothing for a grow to carry over
+	if int32(len(stage)) > e.valCap {
+		b.growBlock(e, int32(len(stage)))
+	}
+	e.valLen = int32(copy(b.valArena[e.valOff:], stage))
 	b.payload += newBytes - oldBytes
 	return int64(oldLen - len(out))
 }
@@ -224,7 +243,6 @@ func (b *arenaBuffer) reset() {
 	b.keyArena = b.keyArena[:0]
 	b.valArena = b.valArena[:0]
 	b.entries = b.entries[:0]
-	b.nodes = b.nodes[:0]
 	for i := range b.slots {
 		b.slots[i] = 0
 	}
@@ -248,7 +266,8 @@ func (b *arenaBuffer) forEachSorted(fn func(key []byte, values [][]byte) error) 
 	})
 	b.order = order
 	for _, sk := range order {
-		if err := fn(b.key(&b.entries[sk.idx]), b.materialize(sk.idx)); err != nil {
+		e := &b.entries[sk.idx]
+		if err := fn(b.key(e), b.materialize(e)); err != nil {
 			return err
 		}
 	}

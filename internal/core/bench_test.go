@@ -10,8 +10,7 @@ import (
 )
 
 // Micro-benchmarks for the MPI-D hot path. Run with -benchmem (ReportAllocs
-// is set regardless) and compare the arena sub-benchmarks against their
-// legacy siblings: the allocs/op column is the contract.
+// is set regardless): the allocs/op column is the contract.
 
 // benchKeys is a mixed workload: one hot key, a warm band, a cold tail.
 func benchKeys(n int) [][]byte {
@@ -30,52 +29,38 @@ func benchKeys(n int) [][]byte {
 }
 
 // BenchmarkSend measures buffering one pair (the Send fast path minus the
-// MPI world), including the incremental combiner and the spill-cycle reset.
+// MPI world), including the incremental combiner. The payload never reaches
+// a spill, as in the Figure 6 job: folds write in place, so the arena stays
+// the size of its key set however large b.N gets.
 func BenchmarkSend(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() sendBuffer
-	}{
-		{"arena", func() sendBuffer { return newArenaBuffer() }},
-		{"legacy", func() sendBuffer { return newHashBuffer() }},
-	}
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			buf := impl.mk()
-			keys := benchKeys(4096)
-			value := kv.AppendVLong(nil, 1)
-			b.ReportAllocs()
-			b.SetBytes(int64(len(value) + 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.add(keys[i%len(keys)], value, sumCombiner)
-				if buf.bytes() >= 1<<20 {
-					buf.reset()
-				}
-			}
-		})
+	buf := newArenaBuffer()
+	keys := benchKeys(4096)
+	value := kv.AppendVLong(nil, 1)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(value) + 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.add(keys[i%len(keys)], value, sumCombiner)
 	}
 }
 
 // BenchmarkSpill measures one full fill + realign cycle: buffer 4096 pairs,
 // serialize them partition-by-partition in sorted key order into retained
-// buffers, reset. This is spill() minus the transport. The arena's remaining
-// allocations are sumCombiner's own (two per fold of the hot key);
-// arena-nocombiner shows the buffer, the prefix sort and the realign at 0.
+// buffers, reset. This is spill() minus the transport. The combiner
+// sub-benchmark's allocations are sumCombiner's own (two per fold of the hot
+// key); nocombiner shows the buffer, the prefix sort and the realign at 0.
 func BenchmarkSpill(b *testing.B) {
 	impls := []struct {
 		name    string
-		mk      func() sendBuffer
 		combine CombineFunc
 	}{
-		{"arena", func() sendBuffer { return newArenaBuffer() }, sumCombiner},
-		{"arena-nocombiner", func() sendBuffer { return newArenaBuffer() }, nil},
-		{"legacy", func() sendBuffer { return newHashBuffer() }, sumCombiner},
+		{"combiner", sumCombiner},
+		{"nocombiner", nil},
 	}
 	const nParts = 4
 	for _, impl := range impls {
 		b.Run(impl.name, func(b *testing.B) {
-			buf := impl.mk()
+			buf := newArenaBuffer()
 			keys := benchKeys(4096)
 			value := kv.AppendVLong(nil, 1)
 			parts := make([][]byte, nParts)

@@ -57,7 +57,10 @@ var ErrFinalized = errors.New("mpid: instance finalized")
 
 // CombineFunc merges the accumulated values of one key into a (usually
 // shorter) list — the paper's local combiner, "commonly ... assigned as the
-// reduce function". It must be pure: same inputs, same outputs.
+// reduce function". It must be pure: same inputs, same outputs. key and
+// values point into the send buffer and are valid only until the function
+// returns; the result may alias them (return values itself, or a subset),
+// and the buffer copies it before reusing that space.
 type CombineFunc func(key []byte, values [][]byte) [][]byte
 
 // PartitionFunc maps a key to a partition in [0, n). The default is the
@@ -102,18 +105,9 @@ type Config struct {
 	// buffer with the given node-shared arena, so the incremental combiner
 	// folds keys across every co-located sender before anything ships —
 	// in-node combining. All co-located senders must receive the same
-	// instance; access is serialized behind its mutex. Incompatible with
-	// LegacySend. See NodeArena for the full semantics.
+	// instance; access is serialized behind its mutex. See NodeArena for
+	// the full semantics.
 	NodeArena *NodeArena
-
-	// LegacySend selects the original map-based send buffer (one
-	// allocation per pair, map rebuilt per spill) instead of the arena
-	// buffer; the two produce byte-identical spill streams. It is slower
-	// on every workload, but on a well-combining job its peak RSS is
-	// lower, because the arena keeps the nodes and value bytes a combine
-	// leaves dead until the next spill. It goes once the arena reclaims
-	// them (EXPERIMENTS.md, "Retired baselines").
-	LegacySend bool
 	// Pool supplies partition serialization buffers on the send side.
 	// Optional; nil allocates.
 	Pool *bufpool.Pool
@@ -153,7 +147,7 @@ type D struct {
 	isReducer bool
 
 	// Send side.
-	buf        sendBuffer
+	buf        *arenaBuffer
 	nodeArena  *NodeArena     // shared buffer, when node combining; buf aliases its arena
 	partBufs   [][]byte       // partition buffers retained across spills
 	reuseParts bool           // transport copies payloads, so retaining is safe
@@ -227,16 +221,10 @@ func Init(cfg Config) (*D, error) {
 	d.mergeTimer = cfg.Metrics.Timer("mpid.recv.merge")
 	d.partReuse = cfg.Metrics.Counter("mpid.spill.partbuf.reused")
 	if d.isSender {
-		switch {
-		case cfg.NodeArena != nil:
-			if cfg.LegacySend {
-				return nil, errors.New("mpid: Config.NodeArena requires the arena send buffer (unset LegacySend)")
-			}
+		if cfg.NodeArena != nil {
 			d.nodeArena = cfg.NodeArena
 			d.buf = cfg.NodeArena.attach()
-		case cfg.LegacySend:
-			d.buf = newHashBuffer()
-		default:
+		} else {
 			d.buf = newArenaBuffer()
 		}
 		// Partition buffers may only be retained across spills when the

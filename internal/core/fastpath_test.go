@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -18,63 +20,263 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Send-buffer accounting (satellite: incremental byte accounting regression)
+// Send buffer against a plain-map reference
 
-// truePayload recomputes a buffer's payload byte count the slow way: each
-// key once plus every buffered value.
-func truePayload(t *testing.T, b sendBuffer) int {
-	t.Helper()
+// refBuffer is the send buffer's specification in the plainest terms: a map
+// from key to its value list, folded by the combiner whenever a list reaches
+// combineEvery. It shares no code with arenaBuffer; every value it holds is
+// its own allocation, so a combiner result that aliases its input is harmless
+// here by construction.
+type refBuffer map[string][][]byte
+
+func cloneValues(values [][]byte) [][]byte {
+	out := make([][]byte, len(values))
+	for i, v := range values {
+		out[i] = append([]byte(nil), v...)
+	}
+	return out
+}
+
+func (r refBuffer) add(key, value []byte, combine CombineFunc) {
+	vs := append(r[string(key)], append([]byte(nil), value...))
+	if combine != nil && len(vs) >= combineEvery {
+		vs = cloneValues(combine(key, vs))
+	}
+	r[string(key)] = vs
+}
+
+// payload is each key once plus every buffered value, counted the slow way.
+func (r refBuffer) payload() int {
 	total := 0
-	err := b.forEachSorted(func(key []byte, values [][]byte) error {
-		total += len(key)
-		for _, v := range values {
+	for k, vs := range r {
+		total += len(k)
+		for _, v := range vs {
 			total += len(v)
 		}
+	}
+	return total
+}
+
+// sorted lists the buffered keys in spill order with their value lists.
+func (r refBuffer) sorted() []streamEntry {
+	out := make([]streamEntry, 0, len(r))
+	for k, vs := range r {
+		out = append(out, streamEntry{key: []byte(k), values: vs})
+	}
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].key, out[j].key) < 0 })
+	return out
+}
+
+// snapshot deep-copies what the arena would spill, in spill order.
+func snapshot(t *testing.T, b *arenaBuffer) []streamEntry {
+	t.Helper()
+	var out []streamEntry
+	err := b.forEachSorted(func(key []byte, values [][]byte) error {
+		out = append(out, streamEntry{key: append([]byte(nil), key...), values: cloneValues(values)})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return total
+	return out
+}
+
+// checkAgainstRef requires the arena's byte count and, when deep is set, its
+// whole contents to equal the reference's.
+func checkAgainstRef(t *testing.T, at string, b *arenaBuffer, ref refBuffer, deep bool) {
+	t.Helper()
+	if got, want := b.bytes(), ref.payload(); got != want {
+		t.Fatalf("%s: bytes() = %d, reference payload %d", at, got, want)
+	}
+	if deep {
+		streamsEqual(t, map[int][]streamEntry{0: ref.sorted()}, map[int][]streamEntry{0: snapshot(t, b)})
+	}
 }
 
 func TestSendBufferAccountingAcrossCombineAndSpillCycles(t *testing.T) {
-	impls := map[string]func() sendBuffer{
-		"arena":  func() sendBuffer { return newArenaBuffer() },
-		"legacy": func() sendBuffer { return newHashBuffer() },
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			b := mk()
-			// Three fill/spill cycles; the hot key crosses combineEvery
-			// several times per cycle, so the incremental combiner's
-			// accounting adjustments are exercised repeatedly.
-			for cycle := 0; cycle < 3; cycle++ {
-				for i := 0; i < 3*combineEvery; i++ {
-					key := []byte(fmt.Sprintf("key-%d", i%5))
-					if i%2 == 0 {
-						key = []byte("hot")
-					}
-					b.add(key, kv.AppendVLong(nil, int64(i%9+1)), sumCombiner)
-					if i%257 == 0 {
-						if got, want := b.bytes(), truePayload(t, b); got != want {
-							t.Fatalf("cycle %d pair %d: bytes() = %d, true payload %d", cycle, i, got, want)
-						}
-					}
-				}
-				if got, want := b.bytes(), truePayload(t, b); got != want {
-					t.Fatalf("cycle %d end: bytes() = %d, true payload %d", cycle, got, want)
-				}
-				b.reset()
-				if b.bytes() != 0 || !b.empty() {
-					t.Fatalf("cycle %d: reset left bytes=%d empty=%v", cycle, b.bytes(), b.empty())
-				}
+	b := newArenaBuffer()
+	// Three fill/spill cycles; the hot key crosses combineEvery several
+	// times per cycle, so the fold's accounting adjustments and its rewrite
+	// of the key's block are exercised repeatedly, and on recycled arenas.
+	for cycle := 0; cycle < 3; cycle++ {
+		ref := refBuffer{}
+		for i := 0; i < 3*combineEvery; i++ {
+			key := []byte(fmt.Sprintf("key-%d", i%5))
+			if i%2 == 0 {
+				key = []byte("hot")
 			}
+			value := kv.AppendVLong(nil, int64(i%9+1))
+			b.add(key, value, sumCombiner)
+			ref.add(key, value, sumCombiner)
+			checkAgainstRef(t, fmt.Sprintf("cycle %d pair %d", cycle, i), b, ref, i%257 == 0)
+		}
+		checkAgainstRef(t, fmt.Sprintf("cycle %d end", cycle), b, ref, true)
+		b.reset()
+		if b.bytes() != 0 || !b.empty() {
+			t.Fatalf("cycle %d: reset left bytes=%d empty=%v", cycle, b.bytes(), b.empty())
+		}
+	}
+}
+
+// TestArenaCombineAliasing pins CombineFunc's contract from the buffer's
+// side: a result may alias the inputs, and the fold writes it back over the
+// very block the inputs live in. Each combiner below breaks a write-back that
+// copies result values in place one after the other.
+func TestArenaCombineAliasing(t *testing.T) {
+	combiners := []struct {
+		name    string
+		combine CombineFunc
+	}{
+		// CombinerFromReducer's fallback: the input list itself.
+		{"identity", func(_ []byte, values [][]byte) [][]byte { return values }},
+		// A subset of the inputs, latest first: sources sit behind and ahead
+		// of where they are written.
+		{"subset", func(_ []byte, values [][]byte) [][]byte {
+			return [][]byte{values[len(values)-1], values[len(values)/2], values[0]}
+		}},
+		// One value longer than the whole block it was folded from.
+		{"longer", func(_ []byte, values [][]byte) [][]byte {
+			if len(values[0]) > 64<<10 {
+				return values[:1] // stop doubling; still aliases
+			}
+			joined := bytes.Join(values, nil)
+			return [][]byte{append(joined, joined...)}
+		}},
+		// More values out than one, some aliased and one fresh.
+		{"several", func(_ []byte, values [][]byte) [][]byte {
+			return [][]byte{values[1], sumCombiner(nil, values)[0], values[0], values[1]}
+		}},
+	}
+	for _, c := range combiners {
+		t.Run(c.name, func(t *testing.T) {
+			b, ref := newArenaBuffer(), refBuffer{}
+			for i := 0; i < 3*combineEvery+17; i++ {
+				key := []byte(fmt.Sprintf("key-%d", i%3))
+				if i%4 != 0 {
+					key = []byte("hot")
+				}
+				value := kv.AppendVLong(nil, int64(i)*int64(i)) // 1 to 4 bytes
+				b.add(key, value, c.combine)
+				ref.add(key, value, c.combine)
+				checkAgainstRef(t, fmt.Sprintf("pair %d", i), b, ref, i%64 == 0)
+			}
+			checkAgainstRef(t, "end", b, ref, true)
 		})
 	}
 }
 
-func TestArenaBufferGrowAndChains(t *testing.T) {
+// zipfKeys draws n keys from a Zipf distribution over distinct words, the
+// shape of the Figure 6 WordCount input.
+func zipfKeys(n, distinct int) [][]byte {
+	words := make([][]byte, distinct)
+	for i := range words {
+		words[i] = []byte(fmt.Sprintf("word%03d", i))
+	}
+	z := rand.NewZipf(rand.New(rand.NewSource(16)), 1.15, 1, uint64(distinct-1))
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = words[z.Uint64()]
+	}
+	return keys
+}
+
+// TestArenaFootprintBoundedUnderCombine: a combining job that never reaches
+// the spill threshold must hold memory in proportion to distinct keys x
+// combineEvery, not to pairs emitted. One buffered WordCount value is a 2-byte
+// record, so a key's block settles at 1 KiB (one doubling past combineEvery
+// records, for the folded count in front), the blocks it outgrew add up to
+// less than that, and the arena slice's own growth adds a quarter: under 12
+// bytes per (key, combineEvery slot) for every backing array together. A
+// buffer that keeps even one byte per emitted pair is a megabyte over.
+func TestArenaFootprintBoundedUnderCombine(t *testing.T) {
+	const emits, distinct = 1_000_000, 500
+	b := newArenaBuffer()
+	one := kv.AppendVLong(nil, 1)
+	for _, key := range zipfKeys(emits, distinct) {
+		b.add(key, one, sumCombiner)
+	}
+	if len(b.entries) != distinct {
+		t.Fatalf("%d distinct keys buffered, want %d", len(b.entries), distinct)
+	}
+	footprint := cap(b.keyArena) + cap(b.valArena) + cap(b.entries)*int(unsafe.Sizeof(arenaEntry{})) + cap(b.slots)*4
+	if bound := 12 * distinct * combineEvery; footprint > bound {
+		t.Fatalf("send buffer holds %d bytes after %d emits, want at most %d", footprint, emits, bound)
+	}
+	var total int64
+	for _, e := range snapshot(t, b) {
+		n, _, err := kv.ReadVLong(sumCombiner(e.key, e.values)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	if total != emits {
+		t.Fatalf("buffered counts sum to %d, want %d", total, emits)
+	}
+}
+
+// TestSendAllocatesNothingSteadyState holds D.Send at zero allocations per
+// emit once the arena is warm, folds included, given a combiner that itself
+// allocates nothing.
+func TestSendAllocatesNothingSteadyState(t *testing.T) {
+	var buf [binary.MaxVarintLen64 + 1]byte
+	var out [1][]byte
+	combine := func(_ []byte, values [][]byte) [][]byte {
+		var total int64
+		for _, v := range values {
+			n, _, _ := kv.ReadVLong(v)
+			total += n
+		}
+		out[0] = kv.AppendVLong(buf[:0], total)
+		return out[:]
+	}
+	// Round-robin keys: one pass folds every key exactly once, so block
+	// capacities are settled after the second pass by construction.
+	keys := make([][]byte, 500)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("word%03d", i))
+	}
+	one := kv.AppendVLong(nil, 1)
+	var allocs float64
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		d, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{1}, Combiner: combine})
+		if err != nil {
+			return err
+		}
+		if d.IsReducer() {
+			// Parked in Recv until the sender finalizes: no allocation noise.
+			for {
+				if _, _, err := d.Recv(); err != nil {
+					if err == io.EOF {
+						return nil
+					}
+					return err
+				}
+			}
+		}
+		pass := func() {
+			for i := 0; i < combineEvery*len(keys); i++ {
+				if err := d.Send(keys[i%len(keys)], one); err != nil {
+					panic(err)
+				}
+			}
+		}
+		pass()
+		pass()
+		// AllocsPerRun truncates to whole allocations per run, so a run is a
+		// whole pass: one allocation anywhere in its 128 K emits is counted.
+		allocs = testing.AllocsPerRun(4, pass)
+		return d.Finalize()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Send allocates %.0f times per pass in steady state, want 0", allocs)
+	}
+}
+
+func TestArenaBufferGrowKeepsValueOrder(t *testing.T) {
 	b := newArenaBuffer()
 	// Far more distinct keys than the initial slot table holds.
 	const keys = 10 * arenaInitSlots
@@ -95,7 +297,7 @@ func TestArenaBufferGrowAndChains(t *testing.T) {
 		}
 		for round, v := range values {
 			if len(v) != 1 || v[0] != byte(round) {
-				return fmt.Errorf("key %q value %d = %v (chain order broken)", key, round, v)
+				return fmt.Errorf("key %q value %d = %v (insertion order broken)", key, round, v)
 			}
 		}
 		seen++
@@ -372,10 +574,39 @@ func TestGroupedManyRunsMultiSenderByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamingStreamByteIdentical checks the arena send buffer against the
-// legacy one (Config.LegacySend) in streaming mode, in every send variant:
-// fragments must arrive in the same order with the same bytes, since both
-// paths serialize spills in sorted key order and a single sender's messages
+// refStream is what one sender's pairs must look like to a single streaming
+// reducer, derived from the specification alone: buffer into refBuffer, and
+// whenever the payload reaches the threshold (and once at close) hand over
+// every key in sorted order with its combined, optionally sorted, value list.
+func refStream(cfg Config, pairs []kv.Pair) []streamEntry {
+	var out []streamEntry
+	ref := refBuffer{}
+	spill := func() {
+		for _, e := range ref.sorted() {
+			if cfg.Combiner != nil {
+				e.values = cfg.Combiner(e.key, e.values)
+			}
+			if cfg.SortValues {
+				sort.Slice(e.values, func(i, j int) bool { return bytes.Compare(e.values[i], e.values[j]) < 0 })
+			}
+			out = append(out, e)
+		}
+		clear(ref)
+	}
+	for _, p := range pairs {
+		ref.add(p.Key, p.Value, cfg.Combiner)
+		if ref.payload() >= cfg.SpillThreshold {
+			spill()
+		}
+	}
+	spill()
+	return out
+}
+
+// TestStreamingStreamByteIdentical checks the whole send side — arena, fold,
+// spill order, realign, wire — against refStream in streaming mode, in every
+// send variant: fragments must arrive in the same order with the same bytes,
+// since spills serialize in sorted key order and a single sender's messages
 // are FIFO.
 func TestStreamingStreamByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{1: genPairs(3000, 5)}
@@ -383,9 +614,7 @@ func TestStreamingStreamByteIdentical(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 768, Streaming: true}
 			v.mut(&cfg)
-			legacyCfg := cfg
-			legacyCfg.LegacySend = true
-			streamsEqual(t, collectStreams(t, legacyCfg, 2, pairs), collectStreams(t, cfg, 2, pairs))
+			streamsEqual(t, map[int][]streamEntry{0: refStream(cfg, pairs[1])}, collectStreams(t, cfg, 2, pairs))
 		})
 	}
 }

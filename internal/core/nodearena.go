@@ -24,10 +24,6 @@ import "sync"
 //     closes, which spills them; every member still emits its own DoneTag
 //     markers, and reducers only declare end-of-stream once every sender's
 //     marker arrived, so the late shared spill is always consumed.
-//
-// The shared buffer requires the arena fast path: combining across ranks
-// needs one hash table, and the legacy per-pair map buffer was never built
-// for sharing. Init rejects NodeArena together with LegacySend.
 type NodeArena struct {
 	mu      sync.Mutex
 	buf     *arenaBuffer

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/kv"
@@ -11,99 +10,12 @@ import (
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
-// sendBuffer is the mapper-side hash table of §IV.A: Send buffers pairs
-// here, grouped by key, so the combiner can merge values locally before
-// anything is serialized or transmitted. Two implementations exist: the
-// arenaBuffer fast path and the legacy map-based hashBuffer, kept behind
-// Config.LegacySend as the A/B baseline.
-type sendBuffer interface {
-	// add buffers one pair (copying key and value) and returns how many
-	// pairs the incremental combiner eliminated.
-	add(key, value []byte, combine CombineFunc) int64
-	// bytes is the buffered payload size SpillThreshold is compared against.
-	bytes() int
-	empty() bool
-	reset()
-	// forEachSorted yields each key with its buffered values, keys in
-	// lexicographic order; yielded slices are only valid inside the callback.
-	forEachSorted(fn func(key []byte, values [][]byte) error) error
-}
-
 // combineEvery bounds a key's in-buffer value list: once it reaches this
 // length the combiner folds it down. This keeps hot keys from growing
 // unbounded slices between spills — the paper puts local combination inside
 // the MPI_D_Send routine, and doing it incrementally is what makes that
 // cheap ("the aim of combining is to reduce the memory consuming").
 const combineEvery = 256
-
-// legacyGroup is one key's buffered values plus their running byte total,
-// so the incremental combiner adjusts accounting in O(result) instead of
-// re-walking the whole list on every fold.
-type legacyGroup struct {
-	values [][]byte
-	vbytes int
-}
-
-// hashBuffer is the legacy map-based send buffer (Config.LegacySend). It
-// pays an allocation per pair and a map rebuild per spill; the arenaBuffer
-// replaces it as the default.
-type hashBuffer struct {
-	groups  map[string]*legacyGroup
-	keys    []string // insertion order; sorted at spill
-	payload int
-}
-
-func newHashBuffer() *hashBuffer {
-	return &hashBuffer{groups: make(map[string]*legacyGroup)}
-}
-
-func (b *hashBuffer) add(key, value []byte, combine CombineFunc) int64 {
-	k := string(key)
-	g, ok := b.groups[k]
-	if !ok {
-		g = &legacyGroup{}
-		b.groups[k] = g
-		b.keys = append(b.keys, k)
-		b.payload += len(key)
-	}
-	// Values are copied: Send promises the caller its buffers are free to
-	// reuse on return, which the examples rely on when scanning input.
-	g.values = append(g.values, append([]byte(nil), value...))
-	g.vbytes += len(value)
-	b.payload += len(value)
-	var combined int64
-	if combine != nil && len(g.values) >= combineEvery {
-		oldLen, oldBytes := len(g.values), g.vbytes
-		g.values = combine([]byte(k), g.values)
-		newBytes := 0
-		for _, v := range g.values {
-			newBytes += len(v)
-		}
-		g.vbytes = newBytes
-		b.payload += newBytes - oldBytes
-		combined = int64(oldLen - len(g.values))
-	}
-	return combined
-}
-
-func (b *hashBuffer) bytes() int  { return b.payload }
-func (b *hashBuffer) empty() bool { return len(b.keys) == 0 }
-
-func (b *hashBuffer) reset() {
-	b.groups = make(map[string]*legacyGroup)
-	b.keys = b.keys[:0]
-	b.payload = 0
-}
-
-func (b *hashBuffer) forEachSorted(fn func(key []byte, values [][]byte) error) error {
-	sort.Strings(b.keys)
-	for _, k := range b.keys {
-		if err := fn([]byte(k), b.groups[k].values); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Send buffers one key-value pair for delivery to the reducer owning its
 // partition — MPI_D_Send. It returns quickly: at worst it triggers a spill

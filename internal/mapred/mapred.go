@@ -116,7 +116,7 @@ type Job struct {
 	// in-process world is a single node), so duplicate keys fold across
 	// co-located mappers before shipping; on the hadoop engine the flag of
 	// the same name on hadoop.Config merges co-located map outputs behind
-	// the shuffle server. Requires the arena send buffer (not LegacySend).
+	// the shuffle server.
 	NodeCombine bool
 	// Partitioner overrides MPI-D's hash-mod default.
 	Partitioner core.PartitionFunc
@@ -126,9 +126,6 @@ type Job struct {
 	SpillThreshold int
 	SortValues     bool
 	Async          bool
-	// LegacySend selects MPI-D's map-based send buffer (the core.Config
-	// knob of the same name).
-	LegacySend bool
 	// Pool passes a shared buffer pool through to core.Config.Pool.
 	Pool *bufpool.Pool
 	// MaxTaskAttempts is how many times a failing map task is retried
@@ -262,7 +259,6 @@ func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mp
 			SpillThreshold: job.SpillThreshold,
 			SortValues:     job.SortValues,
 			Async:          job.Async,
-			LegacySend:     job.LegacySend,
 			NodeArena:      nodeArena,
 			Pool:           job.Pool,
 		}

@@ -82,20 +82,3 @@ func TestNodeCombineSharedArena(t *testing.T) {
 		t.Fatal("shared arena never shipped fewer bytes than the per-rank baseline")
 	}
 }
-
-// TestNodeCombineRejectsLegacySend: the shared arena needs the arena fast
-// path; combining across ranks was never built into the legacy per-pair
-// map buffer.
-func TestNodeCombineRejectsLegacySend(t *testing.T) {
-	text := genText(2_000, 10)
-	job := Job{
-		Name:        "wc-conflict",
-		Mapper:      wordCountMapper,
-		Reducer:     wordCountReducer,
-		NodeCombine: true,
-		LegacySend:  true,
-	}
-	if _, err := Run(job, SplitText(text, 1_000), 2); err == nil {
-		t.Fatal("NodeCombine+LegacySend should be rejected")
-	}
-}
