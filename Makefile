@@ -14,11 +14,16 @@ check: build vet test race bench-module
 chaos:
 	go test ./internal/hadoop/ -run TestChaos -v
 
-# The job-service chaos suite under the race detector: probe-detected
-# tracker kill recovering byte-identical, and probe flapping causing no
-# spurious re-execution.
+# The job-service chaos suite under the race detector, one half per engine.
+# hadoop: probe-detected tracker kill recovering byte-identical, and probe
+# flapping causing no spurious re-execution. MPI-D, whose ranks cannot be
+# lost without the process: cancel, deadline, a failing, panicking or
+# vanished rank — on the runtime, its mpi substrate and through the service
+# — each ending in the failure's own error with no goroutine left behind.
 serve-chaos:
-	go test -race ./internal/serve/ -run TestChaos -v
+	go test -race ./internal/serve/ -run 'TestChaos|TestDrain|TestMapperPanicFailsJobOnly' -v
+	go test -race ./internal/mapred/ -run 'TestContext|TestRankFailureEndsJob' -v
+	go test -race ./internal/mpi/ -run 'TestAbortCause|TestRun' -v
 
 build:
 	go build ./...

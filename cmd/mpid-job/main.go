@@ -25,6 +25,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -32,6 +33,7 @@ import (
 	"runtime"
 
 	"github.com/ict-repro/mpid/internal/core"
+	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
@@ -41,7 +43,7 @@ import (
 func main() {
 	jobName := flag.String("job", "wordcount", "job: wordcount, grep or sort")
 	input := flag.String("input", "", "input text file (required)")
-	engine := flag.String("engine", "mpid", "execution engine: mpid or hadoop")
+	engineName := flag.String("engine", "mpid", "execution engine: mpid or hadoop")
 	pattern := flag.String("pattern", "", "regexp for -job grep")
 	reducers := flag.Int("reducers", 2, "reduce task count")
 	mappers := flag.Int("mappers", runtime.GOMAXPROCS(0), "mapper count (mpid engine) / tasktrackers (hadoop engine)")
@@ -56,7 +58,7 @@ func main() {
 	if *input == "" {
 		fatal(fmt.Errorf("-input is required"))
 	}
-	if *engine != "hadoop" && (*traceFile != "" || *adminAddr != "" || *showMetrics || *showEvents) {
+	if *engineName != "hadoop" && (*traceFile != "" || *adminAddr != "" || *showMetrics || *showEvents) {
 		fatal(fmt.Errorf("-trace, -admin, -metrics and -events need -engine hadoop (the mpid engine has no jobtracker to observe)"))
 	}
 	text, err := os.ReadFile(*input)
@@ -70,44 +72,33 @@ func main() {
 	}
 	splits := mapred.SplitText(text, *blockKB<<10)
 
-	var result *mapred.Result
-	switch *engine {
-	case "mpid":
-		result, err = mapred.Run(job, splits, *mappers)
-	case "hadoop":
-		var rec *obs.Recorder
-		if *showEvents {
-			rec = obs.NewRecorder(0)
-		}
-		var rep *hadoop.JobReport
-		result, rep, err = hadoop.RunWithReport(job, splits, hadoop.Config{
-			NumTrackers: *mappers,
-			AdminAddr:   *adminAddr,
-			Events:      rec,
-		})
-		if err == nil {
-			if *showMetrics {
-				fmt.Fprint(os.Stderr, rep.Metrics.String())
-			}
-			if *showEvents {
-				fmt.Fprint(os.Stderr, obs.RenderEvents(rec.Events()))
-			}
-			if *traceFile != "" {
-				if werr := writeTrace(*traceFile, rep); werr != nil {
-					fatal(werr)
-				}
-			}
-		}
-	default:
-		err = fmt.Errorf("unknown engine %q (want mpid or hadoop)", *engine)
-	}
+	eng, err := engine.New(*engineName, hadoop.Config{NumTrackers: *mappers, AdminAddr: *adminAddr})
 	if err != nil {
 		fatal(err)
+	}
+	var tel engine.Telemetry
+	if *showEvents {
+		tel.Events = obs.NewRecorder(0)
+	}
+	result, rep, err := eng.Run(context.Background(), job, splits, tel)
+	if err != nil {
+		fatal(err)
+	}
+	if *showMetrics {
+		fmt.Fprint(os.Stderr, rep.Metrics.String())
+	}
+	if *showEvents {
+		fmt.Fprint(os.Stderr, obs.RenderEvents(tel.Events.Events()))
+	}
+	if *traceFile != "" {
+		if err := writeTrace(*traceFile, rep); err != nil {
+			fatal(err)
+		}
 	}
 
 	pairs := result.Pairs()
 	fmt.Fprintf(os.Stderr, "mpid-job: %s on %s engine: %d splits, %d output pairs\n",
-		*jobName, *engine, len(splits), len(pairs))
+		*jobName, *engineName, len(splits), len(pairs))
 	for i, p := range pairs {
 		if *top > 0 && i == *top {
 			break

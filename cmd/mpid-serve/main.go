@@ -1,15 +1,21 @@
-// Command mpid-serve runs the mini-Hadoop engine as a long-lived
-// multi-tenant job service: a daemon that accepts WordCount-class job
-// submissions over the Hadoop-style RPC wire, schedules them fairly
-// across tenants under bounded admission, probes each running job's
-// tasktrackers for liveness, and drains gracefully on SIGTERM.
+// Command mpid-serve runs a MapReduce engine as a long-lived multi-tenant
+// job service: a daemon that accepts WordCount-class job submissions over
+// the Hadoop-style RPC wire, schedules them fairly across tenants under
+// bounded admission, and drains gracefully on SIGTERM.
 //
 // Daemon mode (the default):
 //
 //	mpid-serve -addr 127.0.0.1:9070 -admin 127.0.0.1:9071
+//	mpid-serve -engine hadoop -trackers 3 -heartbeat 5ms
 //
-// serves the JobServiceProtocol on -addr and, when -admin is set, the
-// observability endpoints (/metrics, /metrics.prom, /trace.json,
+// -engine picks what runs the jobs: mpid (the default — each job on an
+// in-process MPI-D world of -trackers mapper ranks) or hadoop (each job on
+// a mini-cluster of -trackers tasktrackers, probed for liveness while it
+// runs). -heartbeat, -probe-interval, -probe-dead and -no-probe configure
+// tasktrackers and are rejected without -engine hadoop.
+//
+// The daemon serves the JobServiceProtocol on -addr and, when -admin is
+// set, the observability endpoints (/metrics, /metrics.prom, /trace.json,
 // /timeline, /jobs, /events, /healthz, /series, /series.json,
 // /debug/pprof/) on -admin: -events sizes the flight-recorder ring and
 // -sample paces the time-series sampler behind /series.json. SIGTERM or
@@ -43,6 +49,7 @@ import (
 	"time"
 
 	"github.com/ict-repro/mpid/internal/admin"
+	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
 	"github.com/ict-repro/mpid/internal/obs"
@@ -55,11 +62,12 @@ func main() {
 	adminAddr := flag.String("admin", "", "daemon: admin HTTP listen address (empty = no admin server)")
 	slots := flag.Int("slots", 4, "daemon: concurrent-job slots")
 	queue := flag.Int("queue", 64, "daemon: admission queue depth")
-	trackers := flag.Int("trackers", 2, "daemon: tasktrackers per job")
-	heartbeat := flag.Duration("heartbeat", 0, "daemon: tracker heartbeat interval (0 = engine default)")
-	probeEvery := flag.Duration("probe-interval", 0, "daemon: liveness probe pacing (0 = prober default)")
-	probeDead := flag.Int("probe-dead", 0, "daemon: consecutive probe losses before a dead verdict (0 = prober default)")
-	noProbe := flag.Bool("no-probe", false, "daemon: disable active liveness probing")
+	engineName := flag.String("engine", "mpid", "daemon: engine running the jobs: mpid or hadoop")
+	trackers := flag.Int("trackers", 2, "daemon: mapper ranks (mpid) / tasktrackers (hadoop) per job")
+	heartbeat := flag.Duration("heartbeat", 0, "daemon, -engine hadoop: tracker heartbeat interval (0 = engine default)")
+	probeEvery := flag.Duration("probe-interval", 0, "daemon, -engine hadoop: liveness probe pacing (0 = prober default)")
+	probeDead := flag.Int("probe-dead", 0, "daemon, -engine hadoop: consecutive probe losses before a dead verdict (0 = prober default)")
+	noProbe := flag.Bool("no-probe", false, "daemon, -engine hadoop: disable active liveness probing")
 	drain := flag.Duration("drain", 30*time.Second, "daemon: graceful drain budget on SIGTERM")
 	eventCap := flag.Int("events", obs.DefaultEventCap, "daemon: flight-recorder ring capacity")
 	sample := flag.Duration("sample", time.Second, "daemon: metrics time-series sampling interval")
@@ -79,19 +87,26 @@ func main() {
 		}
 		return
 	}
-	if err := runDaemon(*addr, *adminAddr, *slots, *queue, *trackers, *heartbeat,
+	if err := runDaemon(*addr, *adminAddr, *engineName, *slots, *queue, *trackers, *heartbeat,
 		*probeEvery, *probeDead, *noProbe, *drain, *eventCap, *sample); err != nil {
 		fail(err)
 	}
 }
 
-func runDaemon(addr, adminAddr string, slots, queue, trackers int, heartbeat,
+func runDaemon(addr, adminAddr, engineName string, slots, queue, trackers int, heartbeat,
 	probeEvery time.Duration, probeDead int, noProbe bool, drain time.Duration,
 	eventCap int, sample time.Duration) error {
+	if _, err := engine.New(engineName, hadoop.Config{}); err != nil {
+		return err
+	}
+	if engineName != "hadoop" && (heartbeat != 0 || probeEvery != 0 || probeDead != 0 || noProbe) {
+		return errors.New("-heartbeat, -probe-interval, -probe-dead and -no-probe need -engine hadoop (mpid ranks are goroutines of this process: no tasktrackers to pace or probe)")
+	}
 	rec := obs.NewRecorder(eventCap)
 	svc := serve.New(serve.Config{
 		Slots:      slots,
 		QueueDepth: queue,
+		Engine:     engineName,
 		Probe: serve.ProbeConfig{
 			Interval:  probeEvery,
 			DeadAfter: probeDead,
@@ -110,8 +125,8 @@ func runDaemon(addr, adminAddr string, slots, queue, trackers int, heartbeat,
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("mpid-serve: serving %s v%d on %s (%d slots, %d queue)\n",
-		serve.ProtocolName, serve.ProtocolVersion, bound, slots, queue)
+	fmt.Printf("mpid-serve: serving %s v%d on %s (%s engine, %d slots, %d queue)\n",
+		serve.ProtocolName, serve.ProtocolVersion, bound, engineName, slots, queue)
 
 	if adminAddr != "" {
 		cfg := serve.DefaultSeries()

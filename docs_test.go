@@ -129,6 +129,8 @@ func TestDocSections(t *testing.T) {
 			"## 14. Transport raw speed",
 			"NodeCombine", "NodeArena", "Mcast", "mapred.combiner.fallback",
 			"NewRingWorld", "CopyPayloads", "PutFile",
+			"-engine mpid|hadoop", "engine.New", "mapred.RunContext",
+			"mpi.World.Abort", "ErrExpired",
 		},
 		"EXPERIMENTS.md": {
 			"## Extension — Workload suite",
@@ -139,6 +141,8 @@ func TestDocSections(t *testing.T) {
 			"### BENCH_transport.json schema",
 			"### Figure 6 (coded)",
 			"## Retired baselines",
+			"### The service on the MPI-D path (PR 17)",
+			"### PR 17 against its parent, every run",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",
 			"ring_vs_chan_small_p50", "max_allocs_per_op",
 		},
@@ -149,11 +153,13 @@ func TestDocSections(t *testing.T) {
 			"shuffle-byte reduction (ext.)",
 			"transport raw speed (ext.)",
 			"NewRingWorld", "Store.PutFile",
+			"**`internal/engine`**", "Engine.Run",
 		},
 		"README.md": {
 			"BENCH_serve.json", "BENCH_workloads.json",
 			"BENCH_shufflebytes.json", "BENCH_transport.json",
 			"-suite shufflebytes", "-suite transport",
+			"`-engine mpid\\|hadoop`", "-engine hadoop",
 		},
 	}
 	for doc, wants := range required {

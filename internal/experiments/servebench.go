@@ -114,6 +114,7 @@ func RunServeBench(cfg ServeBenchConfig) (*ServeBenchResult, error) {
 	svc := serve.New(serve.Config{
 		Slots:      cfg.Slots,
 		QueueDepth: cfg.QueueDepth,
+		Engine:     "hadoop", // what BENCH_serve.json was measured on
 		Cluster: hadoop.Config{
 			NumTrackers: cfg.Trackers,
 		},

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/bufpool"
+	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
@@ -155,9 +157,9 @@ func caseRunners(c benchCase, cfg WorkloadBenchConfig) (mpid, had engineRunner, 
 		Heartbeat: time.Duration(cfg.HeartbeatMs) * time.Millisecond,
 	}
 
-	single := func(run func(mapred.Job, []mapred.Split) (*mapred.Result, error), j mapred.Job) engineRunner {
+	single := func(eng engine.Engine, j mapred.Job) engineRunner {
 		return func() ([]kv.Pair, int64, error) {
-			res, err := run(j, splits)
+			res, _, err := eng.Run(context.Background(), j, splits, engine.Telemetry{})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -166,14 +168,14 @@ func caseRunners(c benchCase, cfg WorkloadBenchConfig) (mpid, had engineRunner, 
 	}
 	// Chained PageRank: same job every round, splits rebuilt from the
 	// previous round's canonical output.
-	chained := func(run func(mapred.Job, []mapred.Split) (*mapred.Result, error), j mapred.Job) engineRunner {
+	chained := func(eng engine.Engine, j mapred.Job) engineRunner {
 		splitBytes := int(workload.Param(c.params, "split", 4<<10))
 		return func() ([]kv.Pair, int64, error) {
 			cur := splits
 			var pairs []kv.Pair
 			var shuffled int64
 			for round := 0; round < cfg.PageRankRounds; round++ {
-				res, err := run(j, cur)
+				res, _, err := eng.Run(context.Background(), j, cur, engine.Telemetry{})
 				if err != nil {
 					return nil, 0, fmt.Errorf("round %d: %w", round, err)
 				}
@@ -188,18 +190,11 @@ func caseRunners(c benchCase, cfg WorkloadBenchConfig) (mpid, had engineRunner, 
 	mpidJob := job
 	mpidJob.Pool = bufpool.New()
 
-	runMPID := func(j mapred.Job, s []mapred.Split) (*mapred.Result, error) {
-		return mapred.Run(j, s, cfg.Mappers)
-	}
-	runHadoop := func(j mapred.Job, s []mapred.Split) (*mapred.Result, error) {
-		return hadoop.Run(j, s, hcfg)
-	}
-
 	build := single
 	if c.spec == "pagerank" {
 		build = chained
 	}
-	return build(runMPID, mpidJob), build(runHadoop, job), nil
+	return build(engine.MPID{Mappers: cfg.Mappers}, mpidJob), build(engine.Hadoop{Config: hcfg}, job), nil
 }
 
 // RunWorkloadBench runs the full suite: for every case, gate both

@@ -11,6 +11,7 @@ package mapred
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/mpi"
+	"github.com/ict-repro/mpid/internal/trace"
 )
 
 // Emit is the output collector handed to map and reduce functions.
@@ -204,9 +206,7 @@ const (
 // nMappers mapper ranks and job.NumReducers reducer ranks, scheduling
 // splits dynamically, and returns the collected output.
 func Run(job Job, splits []Split, nMappers int) (*Result, error) {
-	return RunOnWorld(job, splits, nMappers, func(n int) (*mpi.World, error) {
-		return mpi.NewWorld(n), nil
-	})
+	return RunContext(context.Background(), job, splits, Exec{Mappers: nMappers})
 }
 
 // RunOnWorld is Run over a caller-chosen transport: newWorld receives the
@@ -215,6 +215,32 @@ func Run(job Job, splits []Split, nMappers int) (*Result, error) {
 // transport equivalence suite uses this to run the identical job over the
 // chan, ring and TCP transports and compare outputs byte for byte.
 func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mpi.World, error)) (*Result, error) {
+	return RunContext(context.Background(), job, splits, Exec{Mappers: nMappers, NewWorld: newWorld})
+}
+
+// Exec says where an MPI-D job runs and what observes it.
+type Exec struct {
+	// Mappers is the mapper rank count (required, > 0).
+	Mappers int
+	// NewWorld builds the job's world, as RunOnWorld describes; nil means
+	// an in-process world.
+	NewWorld func(n int) (*mpi.World, error)
+	// Metrics and Tracer pass through to every rank's core.Config. Both
+	// are optional.
+	Metrics *metrics.Registry
+	Tracer  *trace.Tracer
+}
+
+// RunContext is the job runner Run and RunOnWorld wrap. Once ctx is done
+// the world is aborted with the context's error: ranks blocked in a receive
+// or a send unblock on every transport, mappers take no further split, and
+// the error returned satisfies errors.Is(err, context.Canceled) or
+// errors.Is(err, context.DeadlineExceeded). A record already inside the
+// user's Map or Reduce runs to its end first — there is no per-record
+// check. A context that can never be done (context.Background) costs
+// nothing: no callback is registered.
+func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, error) {
+	nMappers := x.Mappers
 	if job.Mapper == nil || job.Reducer == nil {
 		return nil, errors.New("mapred: job needs Mapper and Reducer")
 	}
@@ -223,6 +249,9 @@ func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mp
 	}
 	if job.NumReducers <= 0 {
 		job.NumReducers = 1
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mapred: job %q: %w", job.Name, err)
 	}
 
 	nRanks := 1 + job.NumReducers + nMappers
@@ -244,11 +273,19 @@ func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mp
 		nodeArena = core.NewNodeArena()
 	}
 
+	newWorld := x.NewWorld
+	if newWorld == nil {
+		newWorld = func(n int) (*mpi.World, error) { return mpi.NewWorld(n), nil }
+	}
 	w, err := newWorld(nRanks)
 	if err != nil {
 		return nil, fmt.Errorf("mapred: job %q: world: %w", job.Name, err)
 	}
 	defer w.Close()
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { w.Abort(ctx.Err()) })
+		defer stop()
+	}
 	err = mpi.RunOn(w, func(c *mpi.Comm) error {
 		cfg := core.Config{
 			Comm:           c,
@@ -261,6 +298,8 @@ func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mp
 			Async:          job.Async,
 			NodeArena:      nodeArena,
 			Pool:           job.Pool,
+			Metrics:        x.Metrics,
+			Tracer:         x.Tracer,
 		}
 		d, err := core.Init(cfg)
 		if err != nil {
@@ -272,7 +311,7 @@ func RunOnWorld(job Job, splits []Split, nMappers int, newWorld func(n int) (*mp
 		case d.IsReducer():
 			return runReducer(c, d, job)
 		default:
-			return runMapper(c, d, job, splits)
+			return runMapper(ctx, c, d, job, splits)
 		}
 	})
 	if err != nil {
@@ -404,9 +443,14 @@ func runMaster(c *mpi.Comm, d *core.D, result *Result, job Job, splits []Split, 
 // runMapper pulls splits until the master says done, mapping each record.
 // With retries enabled, an attempt's output is buffered and committed only
 // on success; a failed attempt is reported to the master for re-queueing.
-func runMapper(c *mpi.Comm, d *core.D, job Job, splits []Split) error {
+func runMapper(ctx context.Context, c *mpi.Comm, d *core.D, job Job, splits []Split) error {
 	retries := job.MaxTaskAttempts > 1
 	for {
+		// A canceled job takes no further split, even one the master could
+		// still hand out before the abort reaches this rank's world.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if err := c.Send(0, tagSched, []byte{schedRequest}); err != nil {
 			return err
 		}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -282,6 +285,86 @@ func TestRunRecoversPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("panic did not surface as error")
+	}
+}
+
+// TestAbortCause: an outside Abort unblocks ranks with ErrWorldClosed but
+// RunOn reports the abort's reason, on every transport; the first Close or
+// Abort fixes the cause for good.
+func TestAbortCause(t *testing.T) {
+	reason := errors.New("caller gave up")
+	worlds := map[string]func() *World{
+		"chan": func() *World { return NewWorld(3) },
+		"ring": func() *World { return NewRingWorld(3) },
+		"tcp": func() *World {
+			w, err := NewTCPWorld(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		},
+	}
+	for name, newWorld := range worlds {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld()
+			if w.Cause() != nil {
+				t.Fatalf("open world has cause %v", w.Cause())
+			}
+			var blocked sync.WaitGroup
+			blocked.Add(w.Size())
+			go func() {
+				blocked.Wait() // every rank is at (or one step from) its Recv
+				w.Abort(reason)
+			}()
+			err := RunOn(w, func(c *Comm) error {
+				blocked.Done()
+				_, _, err := c.Recv(AnySource, 1)
+				if !errors.Is(err, ErrWorldClosed) {
+					return fmt.Errorf("rank %d unblocked with %v", c.Rank(), err)
+				}
+				return err
+			})
+			if !errors.Is(err, reason) || errors.Is(err, ErrWorldClosed) {
+				t.Fatalf("RunOn = %v, want the abort's reason", err)
+			}
+			w.Close()
+			w.Abort(errors.New("too late"))
+			if !errors.Is(w.Cause(), reason) {
+				t.Fatalf("cause after later Close/Abort = %v, want the first", w.Cause())
+			}
+		})
+	}
+}
+
+// TestRunReportsFirstFailureInTime: rank 2 fails while ranks 0 and 1 are
+// blocked on it; they unblock with ErrWorldClosed and may wrap it as they
+// like — RunOn still returns rank 2's error, not the lowest rank's.
+func TestRunReportsFirstFailureInTime(t *testing.T) {
+	sentinel := errors.New("rank 2 failed first")
+	err := Run(3, func(c *Comm) error {
+		if c.Rank() == 2 {
+			return sentinel
+		}
+		_, _, err := c.Recv(2, 1)
+		return fmt.Errorf("rank %d gave up: %v", c.Rank(), err) // %v: no longer Is ErrWorldClosed
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("Run err = %v, want rank 2's", err)
+	}
+}
+
+// TestRunRankGoexit: a rank that leaves through runtime.Goexit (t.FailNow
+// inside a rank does) counts as failed, so its peers are not left blocked.
+func TestRunRankGoexit(t *testing.T) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			runtime.Goexit()
+		}
+		_, _, err := c.Recv(1, 1)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 1 exited without returning") {
+		t.Fatalf("Run err = %v, want rank 1's exit", err)
 	}
 }
 

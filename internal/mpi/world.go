@@ -1,23 +1,25 @@
 package mpi
 
 import (
-	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ict-repro/mpid/internal/bufpool"
 )
 
 // World is a set of communicating ranks sharing one transport. Create one
 // with NewWorld (in-process) or NewTCPWorld (sockets), obtain per-rank
-// communicators with Comm, and Close it when done.
+// communicators with Comm, and Close it when done — or Abort it, from any
+// goroutine, when the work on it must stop early: both unblock every
+// pending Recv, Wait and parked ring producer, on every transport.
 type World struct {
 	size int
 	eps  []*endpoint
 	tr   transport
 
-	mu     sync.Mutex
-	closed bool
+	mu    sync.Mutex
+	cause error // why the world shut down; nil while open, set once
 }
 
 // NewWorld creates an in-process world of n ranks. Ranks are goroutines;
@@ -47,18 +49,37 @@ func (w *World) Comm(rank int) *Comm {
 
 // Close shuts the world down: blocked receives return ErrWorldClosed.
 // Close is idempotent.
-func (w *World) Close() error {
+func (w *World) Close() error { return w.Abort(ErrWorldClosed) }
+
+// Abort is Close with a reason: a failed rank's error, a canceled context's
+// cause (nil means ErrWorldClosed). Ranks still unblock with ErrWorldClosed
+// — the reason is not theirs — and Cause, which is what RunOn returns for
+// them, keeps it. Only the first Close or Abort acts; a later one waits for
+// it to finish and changes nothing.
+func (w *World) Abort(cause error) error {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if w.cause != nil {
 		return nil
 	}
-	w.closed = true
-	w.mu.Unlock()
+	if cause == nil {
+		cause = ErrWorldClosed
+	}
+	w.cause = cause
 	for _, ep := range w.eps {
 		ep.close()
 	}
 	return w.tr.close()
+}
+
+// Cause reports why the world shut down: the error given to the Abort that
+// closed it, ErrWorldClosed after a plain Close, nil while it is open. Once
+// it is non-nil the shutdown is complete: no rank is still blocked and no
+// send succeeds.
+func (w *World) Cause() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.cause
 }
 
 // procTransport delivers directly into the destination endpoint queue.
@@ -77,8 +98,8 @@ func (t *procTransport) copies() bool { return false }
 func (t *procTransport) recvPool() *bufpool.Pool { return nil }
 
 // Run executes body once per rank, each in its own goroutine, over a fresh
-// in-process world, and waits for all of them. It returns the first non-nil
-// error (other ranks may then unblock with ErrWorldClosed as the world is
+// in-process world, and waits for all of them. It returns the first rank
+// failure (the other ranks then unblock with ErrWorldClosed as the world is
 // torn down). This is the moral equivalent of mpirun -np n.
 func Run(n int, body func(*Comm) error) error {
 	w := NewWorld(n)
@@ -86,42 +107,41 @@ func Run(n int, body func(*Comm) error) error {
 	return RunOn(w, body)
 }
 
-// RunOn executes body once per rank of an existing world and waits.
+// RunOn executes body once per rank of an existing world and waits. A rank
+// that returns an error, panics or exits without returning (runtime.Goexit)
+// aborts the world with that failure, so no peer stays blocked on it. If any
+// rank failed, RunOn returns the world's Cause: the failure that came first
+// in time — not the ErrWorldClosed, or a transport's closed-socket error,
+// that its peers then report — or the reason an outside Abort gave.
 func RunOn(w *World, body func(*Comm) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, w.size)
+	var failed atomic.Bool
 	for r := 0; r < w.size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			var err error
+			returned := false
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
-					w.Close() // unblock peers
+					err = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+				} else if !returned {
+					err = fmt.Errorf("mpi: rank %d exited without returning", rank)
+				}
+				if err != nil {
+					failed.Store(true)
+					w.Abort(err) // unblock peers waiting on this rank
 				}
 			}()
-			if err := body(w.Comm(rank)); err != nil {
-				errs[rank] = err
-				w.Close() // unblock peers waiting on this rank
-			}
+			err = body(w.Comm(rank))
+			returned = true
 		}(r)
 	}
 	wg.Wait()
-	// Prefer a root-cause error over the ErrWorldClosed noise peers report
-	// when the world is torn down under them.
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ErrWorldClosed) {
-			return err
-		}
-		if fallback == nil {
-			fallback = err
-		}
+	if !failed.Load() {
+		return nil
 	}
-	return fallback
+	return w.Cause()
 }
 
 // Comm is a rank's handle on a communicator: all point-to-point and
@@ -225,6 +245,10 @@ func (c *Comm) send(to, tag int, data []byte) error {
 // Recv, not when the world closes. Only the receiver may recycle it, and
 // only once it holds no aliases into it. MPI-D's grouped Recv and
 // mapred.Result.ByReducer alias received payloads and so keep them.
+//
+// Once the world has shut down — Close, Abort, or a failed rank under RunOn
+// — a Recv with no queued match returns ErrWorldClosed, whatever the reason;
+// World.Cause holds the reason.
 func (c *Comm) Recv(source, tag int) ([]byte, Status, error) {
 	if source != AnySource {
 		if err := validateRank(source, c.Size()); err != nil {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"github.com/ict-repro/mpid/internal/hadooprpc"
 )
 
 // TestBuildRejectsUnknownParam is the regression test for the silent-typo
@@ -82,38 +80,28 @@ func TestBadParamWireCodec(t *testing.T) {
 // TestBadParamRoundTripsRPC submits a typo'd parameter through the real
 // wire path and asserts the client gets the typed error back.
 func TestBadParamRoundTripsRPC(t *testing.T) {
-	s := New(Config{Cluster: testCluster()})
-	defer s.Drain(5 * time.Second)
-	srv := hadooprpc.NewServer()
-	srv.Register(NewProtocol(s, NewWorkloads()))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	onBothEngines(t, func(t *testing.T, eng string) {
+		s := New(Config{Engine: eng, Cluster: testCluster()})
+		defer s.Drain(5 * time.Second)
+		c := serveRPC(t, s, NewWorkloads())
 
-	c, err := DialService(addr, hadooprpc.Options{CallTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	_, err = c.Submit("alice", "terasort", map[string]int64{"record": 100}) // typo: `records`
-	if err == nil {
-		t.Fatal("typo'd submission accepted over RPC")
-	}
-	if !errors.Is(err, ErrBadParam) {
-		t.Fatalf("remote err = %v, want ErrBadParam", err)
-	}
-	var bad *BadParamError
-	if !errors.As(err, &bad) {
-		t.Fatalf("remote err = %T (%v), want *BadParamError", err, err)
-	}
-	if bad.Workload != "terasort" || bad.Param != "record" {
-		t.Fatalf("remote BadParamError = %+v", bad)
-	}
-	// The service never admitted the job.
-	if st := s.Stats(); st.Done != 0 || st.Failed != 0 || st.Queued != 0 {
-		t.Fatalf("stats after rejected submit = %+v, want all zero", st)
-	}
+		_, err := c.Submit("alice", "terasort", map[string]int64{"record": 100}) // typo: `records`
+		if err == nil {
+			t.Fatal("typo'd submission accepted over RPC")
+		}
+		if !errors.Is(err, ErrBadParam) {
+			t.Fatalf("remote err = %v, want ErrBadParam", err)
+		}
+		var bad *BadParamError
+		if !errors.As(err, &bad) {
+			t.Fatalf("remote err = %T (%v), want *BadParamError", err, err)
+		}
+		if bad.Workload != "terasort" || bad.Param != "record" {
+			t.Fatalf("remote BadParamError = %+v", bad)
+		}
+		// The service never admitted the job.
+		if st := s.Stats(); st.Done != 0 || st.Failed != 0 || st.Queued != 0 {
+			t.Fatalf("stats after rejected submit = %+v, want all zero", st)
+		}
+	})
 }

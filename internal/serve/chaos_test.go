@@ -12,7 +12,8 @@ import (
 	"github.com/ict-repro/mpid/internal/mapred"
 )
 
-// Chaos tests for the probe-driven recovery path. The heartbeat-timeout
+// Chaos tests for the probe-driven recovery path — the hadoop engine's: it
+// is the one with tasktrackers to kill and probe. The heartbeat-timeout
 // sweep is disabled throughout (TrackerTimeout < 0), so the active prober
 // is the ONLY detector — if these pass, probe verdicts alone drive the
 // engine's re-execution machinery, and drive it exactly once per real
@@ -51,7 +52,7 @@ func chaosCluster(inj *faults.Injector) hadoop.Config {
 // cleanDigest runs the job fault-free and returns the reference digest.
 func cleanDigest(t *testing.T) []byte {
 	t.Helper()
-	s := New(Config{Cluster: chaosCluster(nil), Probe: ProbeConfig{Interval: time.Millisecond, Timeout: 250 * time.Millisecond, DeadAfter: 3}})
+	s := New(Config{Engine: "hadoop", Cluster: chaosCluster(nil), Probe: ProbeConfig{Interval: time.Millisecond, Timeout: 250 * time.Millisecond, DeadAfter: 3}})
 	job, splits := chaosWC(t)
 	j, err := s.Submit("ref", "wc", job, splits)
 	if err != nil {
@@ -83,6 +84,7 @@ func TestChaosProbeDetectedTrackerKill(t *testing.T) {
 		Action:    faults.Crash,
 	})
 	s := New(Config{
+		Engine:  "hadoop",
 		Cluster: chaosCluster(inj),
 		Probe:   ProbeConfig{Interval: time.Millisecond, Timeout: 250 * time.Millisecond, DeadAfter: 3},
 	})
@@ -135,6 +137,7 @@ func TestChaosProbeFlappingNoSpuriousReexecution(t *testing.T) {
 		Action:    faults.Fail,
 	})
 	s := New(Config{
+		Engine:  "hadoop",
 		Cluster: chaosCluster(inj),
 		Probe:   ProbeConfig{Interval: time.Millisecond, Timeout: 250 * time.Millisecond, DeadAfter: 3},
 	})

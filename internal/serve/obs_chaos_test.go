@@ -46,6 +46,7 @@ func TestChaosFlightRecorderAndHealth(t *testing.T) {
 		Action:    faults.Crash,
 	})
 	s := New(Config{
+		Engine:  "hadoop",
 		Cluster: chaosCluster(inj),
 		Probe:   ProbeConfig{Interval: time.Millisecond, Timeout: 250 * time.Millisecond, DeadAfter: 3},
 		Events:  rec,

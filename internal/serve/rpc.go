@@ -80,6 +80,10 @@ func decodeBadParam(msg string) (*BadParamError, bool) {
 	return e, true
 }
 
+// expiredMarker marks a wait on an evicted job record on the wire, so the
+// client returns the same ErrExpired the local Lookup does.
+const expiredMarker = "EXPIRED"
+
 // NewProtocol builds the RPC protocol serving the job service:
 //
 //	submit(tenant, workload, paramsJSON) -> jobID
@@ -88,7 +92,8 @@ func decodeBadParam(msg string) (*BadParamError, bool) {
 //
 // Submissions name a registered workload (jobs carry function values and
 // cannot cross the wire). Saturation travels as a typed marker in the
-// remote error text; Client.Submit reconstructs the *SaturatedError.
+// remote error text; Client.Submit reconstructs the *SaturatedError. A wait
+// on an evicted record travels the same way and comes back as ErrExpired.
 func NewProtocol(s *Service, workloads *Workloads) *hadooprpc.Protocol {
 	return &hadooprpc.Protocol{
 		Name:    ProtocolName,
@@ -133,6 +138,9 @@ func NewProtocol(s *Service, workloads *Workloads) *hadooprpc.Protocol {
 					return nil, err
 				}
 				j, err := s.Lookup(id)
+				if errors.Is(err, ErrExpired) {
+					return nil, fmt.Errorf("%s job=%d", expiredMarker, id)
+				}
 				if err != nil {
 					return nil, err
 				}
@@ -146,7 +154,7 @@ func NewProtocol(s *Service, workloads *Workloads) *hadooprpc.Protocol {
 				resp := kv.AppendVLong(nil, ok)
 				resp = kv.AppendBytes(resp, []byte(msg))
 				resp = kv.AppendVLong(resp, int64(j.Latency()))
-				resp = kv.AppendBytes(resp, OutputDigest(j.Result))
+				resp = kv.AppendBytes(resp, j.digest)
 				return resp, nil
 			},
 			"stats": func(params [][]byte) ([]byte, error) {
@@ -204,12 +212,16 @@ func (c *Client) Submit(tenant, workload string, params map[string]int64) (int64
 	return id, err
 }
 
-// Wait blocks until the job finishes and returns its remote result. The
-// call rides the RPC layer's deadline: pass Options with a CallTimeout
-// sized for the longest job when dialing.
+// Wait blocks until the job finishes and returns its remote result, or
+// ErrExpired if the service no longer retains the job's record. The call
+// rides the RPC layer's deadline: pass Options with a CallTimeout sized for
+// the longest job when dialing.
 func (c *Client) Wait(id int64) (RemoteResult, error) {
 	resp, err := c.rpc.Call("wait", kv.AppendVLong(nil, id))
 	if err != nil {
+		if strings.Contains(err.Error(), expiredMarker) {
+			return RemoteResult{}, fmt.Errorf("%w: %d", ErrExpired, id)
+		}
 		return RemoteResult{}, err
 	}
 	ok, n, err := kv.ReadVLong(resp)

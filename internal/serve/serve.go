@@ -1,11 +1,12 @@
-// Package serve is the long-lived multi-tenant job service: it wraps the
-// hadoop engine's single-job RunWithReport behind a daemon that accepts
-// concurrent submissions, queues them fairly across tenants, and survives
-// saturation and component failure — promoting the engine from "boot a
-// jobtracker, run one job, exit" to the persistent-deployment shape the
-// DataMPI follow-up work evaluates with mixed workloads.
+// Package serve is the long-lived multi-tenant job service: it puts one
+// engine.Engine — the MPI-D runtime by default, the mini-Hadoop cluster on
+// request — behind a daemon that accepts concurrent submissions, queues them
+// fairly across tenants, and survives saturation and component failure —
+// promoting an engine from "run one job, exit" to the persistent-deployment
+// shape the DataMPI follow-up work evaluates with mixed workloads: one
+// resident service, the communication runtime a choice behind one job API.
 //
-// The service's contract has four parts:
+// The service's contract has five parts:
 //
 //   - Admission control and backpressure: a bounded number of concurrent
 //     job slots plus a bounded waiting queue. A submission past both is
@@ -19,17 +20,23 @@
 //     (updates propagate to the service-wide parent, so per-job counters
 //     sum exactly to the fleet totals) and its own tracer (spans fold into
 //     a capped service-wide collector after the job) — two concurrent jobs
-//     never bleed counters or spans into each other's JobReport.
-//   - Active liveness probing: every running job gets a Prober that paces
-//     probe requests at its cluster's tasktrackers and feeds dead verdicts
-//     into the engine's re-execution path via hadoop.ClusterControl, so
-//     recovery starts on probe loss rather than heartbeat-timeout expiry.
+//     never bleed counters or spans into each other.
+//   - Bounded retention: a finished job keeps its result, report and output
+//     digest — never its input — and finished records are evicted oldest
+//     first once together they hold more than a fixed byte budget. An
+//     evicted id answers ErrExpired, a never-issued one ErrUnknownJob.
+//   - Active liveness probing, on the engine that has something to probe:
+//     every job running on hadoop tasktrackers gets a Prober that paces
+//     probe requests at them and feeds dead verdicts into the engine's
+//     re-execution path via hadoop.ClusterControl, so recovery starts on
+//     probe loss rather than heartbeat-timeout expiry. MPI-D ranks are
+//     goroutines of the service process; they cannot be lost without it.
 //
 // Drain implements graceful shutdown (cmd/mpid-serve wires it to SIGTERM):
 // stop admitting, let queued and running jobs finish, and past the drain
-// budget cancel the stragglers through their job contexts — which the
-// engine threads down to the shuffle fetch loops, so cancellation is
-// prompt, not backoff-schedule-eventual.
+// budget cancel the stragglers through their job contexts — which MPI-D
+// turns into a world abort that unblocks every rank, and hadoop threads
+// down to the shuffle fetch loops, so cancellation is prompt on both.
 package serve
 
 import (
@@ -41,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/metrics"
@@ -55,8 +63,17 @@ var ErrSaturated = errors.New("serve: saturated")
 // ErrDraining rejects submissions arriving after shutdown began.
 var ErrDraining = errors.New("serve: draining, not admitting jobs")
 
-// ErrUnknownJob reports a job id the service has no record of.
+// ErrUnknownJob reports a job id the service never issued.
 var ErrUnknownJob = errors.New("serve: unknown job")
+
+// ErrExpired reports a job that ran here but whose record has since been
+// evicted from retention: its outcome is no longer available.
+var ErrExpired = errors.New("serve: job record expired")
+
+// retainBytes is the retention budget: what finished jobs' results and
+// reports may hold together before the oldest are evicted. The record of a
+// 512 KiB WordCount is a few tens of KiB, of a 10 MB TeraSort about 15 MB.
+const retainBytes = 64 << 20
 
 // SaturatedError is the typed admission rejection: the service's slots and
 // queue are full. It carries enough for a client to back off intelligently
@@ -82,26 +99,27 @@ func (e *SaturatedError) Is(target error) bool { return target == ErrSaturated }
 // Config sizes the service.
 type Config struct {
 	// Slots is the number of jobs allowed to run concurrently (default 4).
-	// Each job is its own mini-cluster, so this bounds process-wide
-	// goroutine and socket load.
+	// Each job is its own world or mini-cluster, so this bounds
+	// process-wide goroutine and socket load.
 	Slots int
 	// QueueDepth bounds jobs waiting beyond the running ones (default 64).
 	// A submission finding Slots running and QueueDepth queued is rejected
 	// with *SaturatedError.
 	QueueDepth int
-	// RetainJobs bounds finished-job records kept for Lookup/stats
-	// (default 4096); the oldest are forgotten first. Running and queued
-	// jobs are never evicted.
-	RetainJobs int
 	// TraceCap bounds the service-wide span collector (default 16384
 	// spans); a long-lived daemon would otherwise grow without limit.
 	TraceCap int
-	// Probe configures each running job's liveness prober. The zero value
-	// probes with defaults; set Probe.Disable to rely on heartbeat
-	// timeouts alone.
+	// Probe configures each running job's liveness prober (hadoop engine;
+	// MPI-D has no trackers to probe). The zero value probes with
+	// defaults; set Probe.Disable to rely on heartbeat timeouts alone.
 	Probe ProbeConfig
-	// Cluster is the per-job engine template. The service overrides
-	// Metrics, Tracer and Watch per job; everything else passes through.
+	// Engine names what runs the jobs, as engine.New does: "mpid" (the
+	// default) or "hadoop". New panics on any other name.
+	Engine string
+	// Cluster sizes the engine — NumTrackers is the mapper rank count on
+	// MPI-D, the tasktracker count on hadoop (default 2) — and is
+	// otherwise the hadoop engine's per-job template. The service
+	// overrides Metrics, Tracer, Events and Watch per job.
 	Cluster hadoop.Config
 	// Metrics is the service-wide registry (default fresh). Per-job
 	// registries are children of it, so its counters are fleet totals.
@@ -119,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 4096
 	}
 	if c.TraceCap <= 0 {
 		c.TraceCap = 16384
@@ -168,6 +183,8 @@ type Job struct {
 	Tenant string
 	Name   string
 
+	// The submission itself; released the moment the engine returns, so a
+	// retained record never pins its input.
 	job    mapred.Job
 	splits []mapred.Split
 
@@ -175,10 +192,13 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	// Written once by runJob before done closes.
+	// Written once by runJob before done closes. Report is the hadoop
+	// engine's; MPI-D jobs have none.
 	Result *mapred.Result
 	Report *hadoop.JobReport
 	Err    error
+	digest []byte // OutputDigest(Result), hashed once
+	size   int64  // bytes this record charges against the retention budget
 
 	// Guarded by the service mutex.
 	state    JobState
@@ -245,10 +265,11 @@ type tenantQueue struct {
 
 // Service is the job service. Construct with New; safe for concurrent use.
 type Service struct {
-	cfg Config
-	met *metrics.Registry
-	tr  *trace.Tracer
-	ev  *obs.Recorder
+	cfg    Config
+	engine engine.Engine
+	met    *metrics.Registry
+	tr     *trace.Tracer
+	ev     *obs.Recorder
 
 	mu       sync.Mutex
 	probers  map[int64]*Prober // running jobs' probers, for health
@@ -261,6 +282,8 @@ type Service struct {
 	drained  chan struct{} // closed once draining and quiesced
 	jobs     map[int64]*Job
 	order    []int64 // finished job ids, oldest first, for retention
+	retained int64   // sum of the finished records' sizes
+	budget   int64   // retainBytes; tests shrink it
 	nextID   int64
 	ewmaSec  float64 // smoothed job latency, drives RetryAfter
 }
@@ -268,10 +291,16 @@ type Service struct {
 // New creates a service. It is idle until submissions arrive.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
+	eng, err := engine.New(cfg.Engine, cfg.Cluster)
+	if err != nil {
+		panic("serve: " + err.Error())
+	}
 	tr := trace.New("serve")
 	tr.SetCap(cfg.TraceCap)
 	return &Service{
 		cfg:     cfg,
+		engine:  eng,
+		budget:  retainBytes,
 		met:     cfg.Metrics,
 		tr:      tr,
 		ev:      cfg.Events,
@@ -346,16 +375,19 @@ func (s *Service) Submit(tenant, name string, job mapred.Job, splits []mapred.Sp
 	return j, nil
 }
 
-// Lookup returns the job with the given id, or ErrUnknownJob (the record
-// may also have aged out of retention).
+// Lookup returns the job with the given id: ErrExpired if its record has
+// been evicted from retention, ErrUnknownJob if no such id was ever issued.
 func (s *Service) Lookup(id int64) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownJob, id)
+	switch {
+	case ok:
+		return j, nil
+	case id >= 1 && id <= s.nextID: // ids are issued densely from 1
+		return nil, fmt.Errorf("%w: %d", ErrExpired, id)
 	}
-	return j, nil
+	return nil, fmt.Errorf("%w: %d", ErrUnknownJob, id)
 }
 
 // tenantLocked returns the tenant's queue, creating it (and its ring slot)
@@ -419,51 +451,55 @@ func (s *Service) popLocked() *Job {
 	return nil
 }
 
-// runJob executes one admitted job on its own mini-cluster with isolated
+// runJob executes one admitted job on the service's engine with isolated
 // observability, then folds the results back into the service.
 func (s *Service) runJob(j *Job) {
-	cfg := s.cfg.Cluster
 	// Isolation: a child registry (updates propagate to the service-wide
-	// parent) and a private tracer. The JobReport snapshots the child, so
-	// concurrent jobs never see each other's counters or spans.
-	cfg.Metrics = s.met.NewChild()
-	cfg.Tracer = trace.New("jobtracker")
-	// The child recorder stamps this job's id and tenant on every engine
-	// event and folds them into the service-wide ring.
-	cfg.Events = s.ev.NewChild(j.ID, j.Tenant)
+	// parent), a private tracer, and a child recorder that stamps this
+	// job's id and tenant on every engine event and folds them into the
+	// service-wide ring. Concurrent jobs never see each other's counters
+	// or spans.
+	tel := engine.Telemetry{
+		Metrics: s.met.NewChild(),
+		Tracer:  trace.New("jobtracker"),
+		Events:  s.ev.NewChild(j.ID, j.Tenant),
+	}
 	var prober *Prober
 	if !s.cfg.Probe.Disable {
-		userWatch := cfg.Watch
-		cfg.Watch = func(cc hadoop.ClusterControl) {
-			prober = NewProber(s.cfg.Probe, cc, cfg.Metrics, cfg.Events)
+		// Only an engine with trackers calls Watch, so only its jobs get a
+		// prober.
+		tel.Watch = func(cc hadoop.ClusterControl) {
+			prober = NewProber(s.cfg.Probe, cc, tel.Metrics, tel.Events)
 			prober.Start()
 			// Registered probers drive the /healthz probe check; the entry
 			// lives exactly as long as the job runs.
 			s.mu.Lock()
 			s.probers[j.ID] = prober
 			s.mu.Unlock()
-			if userWatch != nil {
-				userWatch(cc)
-			}
 		}
 	}
-	res, rep, err := hadoop.RunWithReportContext(j.ctx, j.job, j.splits, cfg)
+	res, rep, err := s.engine.Run(j.ctx, j.job, j.splits, tel)
 	if prober != nil {
 		prober.Stop()
 	}
 	j.cancel()
+	j.job, j.splits = mapred.Job{}, nil
 	// Fold the job's spans into the capped service-wide collector.
-	s.tr.Add(cfg.Tracer.Drain()...)
+	s.tr.Add(tel.Tracer.Drain()...)
 	j.Result, j.Report, j.Err = res, rep, err
 
 	if err == nil {
-		cfg.Events.Emit(obs.Event{Type: obs.EvJobDone, Detail: j.Name})
+		tel.Events.Emit(obs.Event{Type: obs.EvJobDone, Detail: j.Name})
 	} else {
-		cfg.Events.Emit(obs.Event{Type: obs.EvJobFailed,
+		tel.Events.Emit(obs.Event{Type: obs.EvJobFailed,
 			Detail: fmt.Sprintf("%s: %v", j.Name, err)})
 	}
 
+	// The job finished here: hashing its output is the record's cost, not
+	// part of the job's latency.
 	now := time.Now()
+	j.digest = OutputDigest(res)
+	j.size = recordBytes(res, rep)
 	s.mu.Lock()
 	delete(s.probers, j.ID)
 	j.finished = now
@@ -490,7 +526,7 @@ func (s *Service) runJob(j *Job) {
 	} else {
 		s.ewmaSec = alpha*runSec + (1-alpha)*s.ewmaSec
 	}
-	s.forgetLocked(j.ID)
+	s.retainLocked(j)
 	s.met.Gauge("serve.running").Set(int64(s.running))
 	s.dispatchLocked()
 	if s.draining && s.running == 0 && s.queued == 0 {
@@ -504,20 +540,44 @@ func (s *Service) runJob(j *Job) {
 	close(j.done)
 }
 
-// forgetLocked records a finished job for retention and evicts the oldest
-// beyond RetainJobs.
-func (s *Service) forgetLocked(id int64) {
-	s.order = append(s.order, id)
-	for len(s.order) > s.cfg.RetainJobs {
+// retainLocked charges a finished job's record to the retention budget and
+// evicts the oldest finished records while the budget is exceeded — the
+// newest always stays, so a just-finished job can be looked up whatever
+// its size. Running and queued jobs are not in order and so never evicted.
+func (s *Service) retainLocked(j *Job) {
+	s.order = append(s.order, j.ID)
+	s.retained += j.size
+	for s.retained > s.budget && len(s.order) > 1 {
+		s.retained -= s.jobs[s.order[0]].size
 		delete(s.jobs, s.order[0])
 		s.order = s.order[1:]
 	}
 }
 
+// recordBytes approximates what a finished job's record keeps alive: the
+// output pairs' bytes and slice headers, the report's spans, timings and
+// metric entries at flat per-item estimates, and the record itself.
+func recordBytes(res *mapred.Result, rep *hadoop.JobReport) int64 {
+	n := int64(512)
+	if res != nil {
+		for _, pairs := range res.ByReducer {
+			n += 48 * int64(len(pairs))
+			for _, p := range pairs {
+				n += int64(len(p.Key) + len(p.Value))
+			}
+		}
+	}
+	if rep != nil {
+		n += 256*int64(len(rep.Spans)) + 64*int64(len(rep.Maps)+len(rep.Reduces))
+		n += 128 * int64(len(rep.Metrics.Counters)+len(rep.Metrics.Gauges)+len(rep.Metrics.Timers))
+	}
+	return n
+}
+
 // Drain begins graceful shutdown: stop admitting, let queued and running
 // jobs finish, and past the timeout cancel what remains through the job
-// contexts (the engine threads cancellation down to the fetch loops, so
-// stragglers stop promptly). It returns nil when everything finished
+// contexts (either engine stops a canceled job promptly, whether or not
+// its user code watches the context). It returns nil when everything finished
 // within budget, or an error naming how many jobs were canceled.
 func (s *Service) Drain(timeout time.Duration) error {
 	s.mu.Lock()
