@@ -7,10 +7,11 @@
 // It grew out of internal/shuffle's BufferPool (PR 4), promoted to its own
 // package once the MPI-D fast path needed the same recycling on both sides
 // of the exchange: a spill serializes realigned partitions into pooled
-// buffers, the transport reads frames into pooled buffers, and the
-// receive-side merge returns consumed run buffers to the pool — so a
-// steady-state WordCount stops allocating per spill, per frame and per
-// merge pass.
+// buffers, and the transport reads frames into the buffers its receivers
+// put back. MPI-D's own grouped receiver puts nothing back — its merge
+// hands out slices of the received runs, and mapred's result keeps them —
+// which is why the TCP frame reader asks with Lookup and sizes its misses
+// exactly instead of rounding them up to a class it will never see again.
 //
 // Buffers are grouped into power-of-two size classes so a Get never reuses
 // a buffer more than 2x larger than requested (which would strand memory),
@@ -56,8 +57,8 @@ type Pool struct {
 	puts atomic.Int64
 }
 
-// Stats is a snapshot of a pool's traffic: Gets counts Get calls, Hits the
-// Gets served from a recycled buffer, Puts the buffers returned.
+// Stats is a snapshot of a pool's traffic: Gets counts Get and Lookup calls,
+// Hits the ones served from a recycled buffer, Puts the buffers returned.
 type Stats struct {
 	Gets int64
 	Hits int64
@@ -81,35 +82,52 @@ func classFor(n int) int {
 }
 
 // Get returns a length-n buffer, reusing a pooled one when its size class
-// has a free buffer. Use b[:0] to append.
+// has a free buffer. Use b[:0] to append. A miss allocates the whole class,
+// so the buffer files back under the class it was asked from.
 func (p *Pool) Get(n int) []byte {
+	if b := p.Lookup(n); b != nil {
+		return b
+	}
+	if c := classFor(n); p != nil && c >= 0 {
+		return make([]byte, n, 1<<(minClassShift+c))
+	}
+	return make([]byte, n)
+}
+
+// Lookup is Get without the allocation: it returns a recycled length-n
+// buffer, or nil when the pool has none (a nil pool never has). It is for
+// a caller that keeps most of what it takes — a class-sized buffer that is
+// never Put back only wastes the rounding — and so sizes its own misses.
+func (p *Pool) Lookup(n int) []byte {
 	if p == nil {
-		return make([]byte, n)
+		return nil
 	}
 	p.gets.Add(1)
 	c := classFor(n)
 	if c < 0 {
-		return make([]byte, n)
+		return nil
 	}
-	if v := p.classes[c].Get(); v != nil {
-		// Native buffers (capacity exactly the class size) are stored as a
-		// raw array pointer — pointer-shaped, so the interface carries it
-		// without boxing — and the slice is rebuilt here from the known
-		// class capacity. Foreign capacities ride in recycled *[]byte boxes.
-		if ptr, ok := v.(unsafe.Pointer); ok {
-			p.hits.Add(1)
-			return unsafe.Slice((*byte)(ptr), 1<<(minClassShift+c))[:n]
-		}
-		h := v.(*[]byte)
-		b := *h
-		*h = nil
-		p.hdrs.Put(h)
-		if cap(b) >= n {
-			p.hits.Add(1)
-			return b[:n]
-		}
+	v := p.classes[c].Get()
+	if v == nil {
+		return nil
 	}
-	return make([]byte, n, 1<<(minClassShift+c))
+	// Native buffers (capacity exactly the class size) are stored as a
+	// raw array pointer — pointer-shaped, so the interface carries it
+	// without boxing — and the slice is rebuilt here from the known
+	// class capacity. Foreign capacities ride in recycled *[]byte boxes.
+	if ptr, ok := v.(unsafe.Pointer); ok {
+		p.hits.Add(1)
+		return unsafe.Slice((*byte)(ptr), 1<<(minClassShift+c))[:n]
+	}
+	h := v.(*[]byte)
+	b := *h
+	*h = nil
+	p.hdrs.Put(h)
+	if cap(b) < n {
+		return nil // only the smallest class files buffers below its size; dropped
+	}
+	p.hits.Add(1)
+	return b[:n]
 }
 
 // Put returns a buffer to its size class. The caller must not use b

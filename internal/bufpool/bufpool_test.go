@@ -126,3 +126,55 @@ func TestGetPutCycleAllocFree(t *testing.T) {
 		t.Fatalf("warm Get/Put cycle allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestLookup covers the allocation-free half of Get: what it reports for a
+// nil pool, an empty class, a recycled class-sized buffer and a recycled
+// buffer too small for the request.
+func TestLookup(t *testing.T) {
+	if b := (*Pool)(nil).Lookup(100); b != nil {
+		t.Fatalf("nil pool Lookup = %d-byte buffer, want a miss", len(b))
+	}
+	p := New()
+	if b := p.Lookup(100); b != nil {
+		t.Fatalf("empty pool Lookup = %d-byte buffer, want a miss", len(b))
+	}
+	if b := p.Lookup(32 << 20); b != nil {
+		t.Fatalf("oversize Lookup = %d-byte buffer, want a miss", len(b))
+	}
+	if s := p.Stats(); s.Gets != 2 || s.Hits != 0 {
+		t.Fatalf("stats after two misses = %+v, want 2 gets, 0 hits", s)
+	}
+
+	// Native hit: a class-sized buffer comes back at the requested length.
+	// sync.Pool drops a share of puts under the race detector; cycle until
+	// one sticks, as TestGetLengthAndReuse does.
+	var got []byte
+	for i := 0; i < 64 && got == nil; i++ {
+		p.Put(make([]byte, 8<<10))
+		got = p.Lookup(5000)
+	}
+	if len(got) != 5000 || cap(got) != 8<<10 {
+		t.Fatalf("Lookup(5000) after Put(8K) = len %d cap %d, want 5000 in the 8K buffer", len(got), cap(got))
+	}
+	if p.Stats().Hits != 1 {
+		t.Fatalf("stats = %+v, want exactly one hit", p.Stats())
+	}
+
+	// Foreign and too small: only the smallest class files buffers below its
+	// size, and one of those must never be served to a larger request.
+	for i := 0; i < 64; i++ {
+		p.Put(make([]byte, 100))
+		if b := p.Lookup(200); b != nil {
+			t.Fatalf("Lookup(200) served a buffer of cap %d", cap(b))
+		}
+	}
+	// ... while a request it does cover is a hit on it.
+	got = nil
+	for i := 0; i < 64 && got == nil; i++ {
+		p.Put(make([]byte, 100))
+		got = p.Lookup(60)
+	}
+	if len(got) != 60 || cap(got) != 100 {
+		t.Fatalf("Lookup(60) after Put(100) = len %d cap %d, want 60 in the 100-byte buffer", len(got), cap(got))
+	}
+}

@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"slices"
+	"sync"
 
 	"github.com/ict-repro/mpid/internal/kv"
 )
@@ -30,7 +30,13 @@ import (
 // The hash table itself is open addressing with linear probing over int32
 // entry indices, so lookups touch no pointers and growth is a flat rehash.
 // Steady state, Send allocates nothing: arenas and tables retain their
-// capacity across spill cycles.
+// capacity across spill cycles, and across jobs — a private arena comes from
+// arenaPool at Init and goes back, reset, at Finalize, so only the first job
+// of a process grows one from zero.
+//
+// A spill orders keys with a byte radix over fixed-size sort records (see
+// forEachSorted), so the arena is dereferenced only to settle keys whose
+// first eight bytes are equal.
 type arenaBuffer struct {
 	keyArena []byte
 	valArena []byte
@@ -41,11 +47,16 @@ type arenaBuffer struct {
 	scratch [][]byte  // reused value-materialization space
 	stage   []byte    // reused staging space for a fold's result
 	order   []sortKey // reused sort records for realign
+	orderB  []sortKey // the radix passes' other half, swapped with order
 }
+
+// arenaPool keeps finalized instances' private arenas for the next Init. A
+// NodeArena's buffer has no finalize point and never enters it.
+var arenaPool = sync.Pool{New: func() any { return newArenaBuffer() }}
 
 // sortKey is one entry's spill-sort record: the first 8 key bytes as a
 // big-endian integer (shorter keys zero-padded) and the entry index. The
-// sort compares integers held in one flat slice and dereferences the arena
+// sort moves integers held in one flat slice and dereferences the arena
 // only on a tie, which also settles what padding cannot ("a" vs "a\x00").
 type sortKey struct {
 	prefix uint64
@@ -249,27 +260,85 @@ func (b *arenaBuffer) reset() {
 	b.payload = 0
 }
 
+// wireBytes is the size the buffered key lists serialize to (kv.AppendKeyList
+// framing included), before any spill-time combine shrinks them.
+func (b *arenaBuffer) wireBytes() int {
+	n := len(b.keyArena)
+	for i := range b.entries {
+		e := &b.entries[i]
+		n += kv.VLongSize(int64(e.keyLen)) + kv.VLongSize(int64(e.nvals)) + int(e.valLen)
+	}
+	return n
+}
+
 // forEachSorted yields each distinct key with its materialized value list,
 // keys in lexicographic order — the iteration order spill serializes, which
 // the receive-side k-way merge relies on. The yielded slices alias the
 // arenas and are invalid after the callback returns.
+//
+// The order is an LSD byte radix over the keys' 8-byte prefixes: one pass
+// over the keys fills all eight histograms, a byte position every key agrees
+// on is skipped (short keys agree on their zero padding, so WordCount pays
+// two or three scatter passes and TeraSort eight), and each remaining
+// position is one stable scatter between order and orderB. Keys the prefix
+// cannot separate are then ordered by full-key comparison, run by run.
 func (b *arenaBuffer) forEachSorted(fn func(key []byte, values [][]byte) error) error {
-	order := b.order[:0]
-	for i := range b.entries {
-		order = append(order, sortKey{keyPrefix(b.key(&b.entries[i])), int32(i)})
+	n := len(b.entries)
+	if n == 0 {
+		return nil
 	}
-	slices.SortFunc(order, func(x, y sortKey) int {
-		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
-			return c
+	src := slices.Grow(b.order[:0], n)[:n]
+	dst := slices.Grow(b.orderB[:0], n)[:n]
+	var hist [8][256]int32
+	for i := range src {
+		p := keyPrefix(b.key(&b.entries[i]))
+		src[i] = sortKey{p, int32(i)}
+		for d := range hist {
+			hist[d][byte(p>>(8*d))]++
 		}
-		return bytes.Compare(b.key(&b.entries[x.idx]), b.key(&b.entries[y.idx]))
-	})
-	b.order = order
-	for _, sk := range order {
+	}
+	for d := range hist {
+		h, shift := &hist[d], 8*d
+		if h[byte(src[0].prefix>>shift)] == int32(n) {
+			continue // every key has the same byte here
+		}
+		off := int32(0)
+		for v, c := range h {
+			h[v], off = off, off+c
+		}
+		for _, sk := range src {
+			v := byte(sk.prefix >> shift)
+			dst[h[v]] = sk
+			h[v]++
+		}
+		src, dst = dst, src
+	}
+	b.order, b.orderB = src, dst
+	b.settleTies(src)
+	for _, sk := range src {
 		e := &b.entries[sk.idx]
 		if err := fn(b.key(e), b.materialize(e)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// settleTies orders each run of equal prefixes by the full keys: what the
+// radix leaves undecided are keys sharing their first eight bytes and keys
+// that differ only in trailing zero bytes the padding mimics.
+func (b *arenaBuffer) settleTies(order []sortKey) {
+	byKey := func(x, y sortKey) int {
+		return bytes.Compare(b.key(&b.entries[x.idx]), b.key(&b.entries[y.idx]))
+	}
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && order[j].prefix == order[i].prefix {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(order[i:j], byKey)
+		}
+		i = j
+	}
 }

@@ -225,7 +225,7 @@ func Init(cfg Config) (*D, error) {
 			d.nodeArena = cfg.NodeArena
 			d.buf = cfg.NodeArena.attach()
 		} else {
-			d.buf = newArenaBuffer()
+			d.buf = arenaPool.Get().(*arenaBuffer)
 		}
 		// Partition buffers may only be retained across spills when the
 		// transport copies payloads before send returns (TCP); the
@@ -254,7 +254,9 @@ func (d *D) partitionOwner(p int) int { return d.cfg.Reducers[p] }
 func (d *D) numPartitions() int { return len(d.cfg.Reducers) }
 
 // Finalize flushes buffered pairs, emits end-of-stream to every reducer and
-// marks the instance finalized — MPI_D_Finalize. It is idempotent.
+// marks the instance finalized — MPI_D_Finalize. It is idempotent. An
+// instance whose Finalize fails (an aborted world) keeps its send buffer,
+// which is then simply garbage.
 func (d *D) Finalize() error {
 	if d.finalized {
 		return nil
@@ -267,6 +269,14 @@ func (d *D) Finalize() error {
 		d.cfg.Pool.Put(b)
 	}
 	d.partBufs = nil
+	// A private arena goes back for the next job's Init; a shared one stays
+	// with its NodeArena. Send, Flush and CloseSend all return before they
+	// reach d.buf on a finalized instance.
+	if d.buf != nil && d.nodeArena == nil {
+		d.buf.reset()
+		arenaPool.Put(d.buf)
+	}
+	d.buf = nil
 	if d.cfg.Pool != nil {
 		s := d.cfg.Pool.Stats()
 		d.cfg.Metrics.Gauge("mpid.pool.gets").Set(s.Gets)

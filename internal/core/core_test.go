@@ -747,3 +747,42 @@ func TestPaperStyleAliases(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSpillSizesPartitionBuffersWithoutPool: a job without a pool (every
+// served and every CLI job) must still serialize each partition into one
+// buffer sized for it, framing bytes included, rather than grow it from
+// nothing by doubling on every spill. The chan transport hands the reducer
+// the sender's partition buffer itself, so its capacity tells: an even share
+// of the arena's serialized size plus takePartBufs' 512 bytes of slack.
+func TestSpillSizesPartitionBuffersWithoutPool(t *testing.T) {
+	err := mpi.Run(3, func(c *mpi.Comm) error {
+		if c.Rank() < 2 {
+			// Below the MPI-D layer on purpose: D.Recv hides the buffer.
+			data, _, err := c.Recv(2, DataTag)
+			if err != nil {
+				return err
+			}
+			if cap(data) != len(data)+512 {
+				return fmt.Errorf("partition %d: %d bytes in a buffer of %d, want one allocation of %d (regrown, or sized without the framing)",
+					c.Rank(), len(data), cap(data), len(data)+512)
+			}
+			return nil
+		}
+		d, err := Init(Config{Comm: c, Reducers: []int{0, 1}, Senders: []int{2},
+			Partitioner: func(key []byte, _ int) int { return int(key[0] - 'a') }})
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 400; i++ {
+			for _, p := range []string{"a", "b"} { // two partitions of equal size
+				if err := d.Send([]byte(fmt.Sprintf("%s%04d", p, i)), []byte("value")); err != nil {
+					return err
+				}
+			}
+		}
+		return d.Flush()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -217,7 +217,9 @@ func TestArenaFootprintBoundedUnderCombine(t *testing.T) {
 
 // TestSendAllocatesNothingSteadyState holds D.Send at zero allocations per
 // emit once the arena is warm, folds included, given a combiner that itself
-// allocates nothing.
+// allocates nothing — and holds a later instance in the same process to zero
+// from its very first pair, because it starts on the arena the first one
+// finalized. Both instances must deliver the same bytes.
 func TestSendAllocatesNothingSteadyState(t *testing.T) {
 	var buf [binary.MaxVarintLen64 + 1]byte
 	var out [1][]byte
@@ -237,42 +239,91 @@ func TestSendAllocatesNothingSteadyState(t *testing.T) {
 		keys[i] = []byte(fmt.Sprintf("word%03d", i))
 	}
 	one := kv.AppendVLong(nil, 1)
-	var allocs float64
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		d, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{1}, Combiner: combine})
-		if err != nil {
-			return err
-		}
-		if d.IsReducer() {
-			// Parked in Recv until the sender finalizes: no allocation noise.
-			for {
-				if _, _, err := d.Recv(); err != nil {
+
+	// job runs one sender through six passes, the four after the first warm
+	// ones counted, and returns the sender's arena, the allocations per
+	// counted pass and what the reducer received.
+	job := func(warm int) (arena *arenaBuffer, allocs uint64, got []streamEntry) {
+		counted := make(chan struct{})
+		signal := sync.OnceFunc(func() { close(counted) })
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				// The reducer starts only once the sender has counted, so
+				// nothing it allocates setting up lands in the count; the
+				// chan transport buffers whatever is sent before then.
+				<-counted
+			} else {
+				defer signal() // on an early error too
+			}
+			d, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{1}, Combiner: combine})
+			if err != nil {
+				return err
+			}
+			if d.IsReducer() {
+				for {
+					k, vs, err := d.Recv()
 					if err == io.EOF {
 						return nil
 					}
-					return err
+					if err != nil {
+						return err
+					}
+					got = append(got, streamEntry{key: append([]byte(nil), k...), values: cloneValues(vs)})
 				}
 			}
-		}
-		pass := func() {
-			for i := 0; i < combineEvery*len(keys); i++ {
-				if err := d.Send(keys[i%len(keys)], one); err != nil {
-					panic(err)
+			arena = d.buf
+			passes := func(n int) {
+				for i := 0; i < n*combineEvery*len(keys); i++ {
+					if err := d.Send(keys[i%len(keys)], one); err != nil {
+						panic(err)
+					}
 				}
 			}
+			passes(warm)
+			// Mallocs is read around exactly four passes (AllocsPerRun would
+			// spend an uncounted warm-up pass first) and, like AllocsPerRun,
+			// truncated to whole allocations per pass: an arena growing from
+			// zero costs dozens in its first pass, a stray runtime
+			// allocation rounds away.
+			restore := runtime.GOMAXPROCS(1)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			passes(4)
+			runtime.ReadMemStats(&m1)
+			runtime.GOMAXPROCS(restore)
+			allocs = (m1.Mallocs - m0.Mallocs) / 4
+			signal()
+			passes(2 - warm)
+			return d.Finalize()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		pass()
-		pass()
-		// AllocsPerRun truncates to whole allocations per run, so a run is a
-		// whole pass: one allocation anywhere in its 128 K emits is counted.
-		allocs = testing.AllocsPerRun(4, pass)
-		return d.Finalize()
-	})
-	if err != nil {
-		t.Fatal(err)
+		return arena, allocs, got
 	}
+
+	first, allocs, want := job(2)
 	if allocs != 0 {
-		t.Fatalf("Send allocates %.0f times per pass in steady state, want 0", allocs)
+		t.Fatalf("Send allocates %d times per pass in steady state, want 0", allocs)
+	}
+	// The pool may hand the next instance another arena: it drops a share of
+	// its puts under the race detector and everything at a GC cycle. Cycle
+	// until an instance starts on an arena an earlier one finalized; every
+	// job of the loop sends the same pairs, so any of them warms it.
+	seen := map[*arenaBuffer]bool{first: true}
+	for attempt := 0; ; attempt++ {
+		arena, allocs, got := job(0)
+		streamsEqual(t, map[int][]streamEntry{0: want}, map[int][]streamEntry{0: got})
+		if seen[arena] {
+			if allocs != 0 {
+				t.Fatalf("an instance on a recycled arena allocates %d times per pass from its first pair, want 0", allocs)
+			}
+			return
+		}
+		if attempt == 50 {
+			t.Fatal("50 instances in a row started on a fresh arena: Finalize is not returning them")
+		}
+		seen[arena] = true
 	}
 }
 

@@ -131,7 +131,9 @@ func (d *D) spill() error {
 
 // takePartBufs returns nParts empty partition buffers: the retained ones
 // from the previous spill when the transport allows reuse, fresh pool
-// buffers otherwise (ownership then transfers with the message).
+// buffers otherwise (ownership then transfers with the message). Fresh ones
+// are sized to an even share of what the arena will serialize, so a balanced
+// spill never regrows them; a nil pool allocates that size.
 func (d *D) takePartBufs(nParts int) [][]byte {
 	parts := d.partBufs
 	d.partBufs = nil
@@ -142,10 +144,9 @@ func (d *D) takePartBufs(nParts int) [][]byte {
 		return parts
 	}
 	parts = make([][]byte, nParts)
-	if est := d.buf.bytes()/nParts + 512; d.cfg.Pool != nil {
-		for i := range parts {
-			parts[i] = d.cfg.Pool.Get(est)[:0]
-		}
+	est := d.buf.wireBytes()/nParts + 512
+	for i := range parts {
+		parts[i] = d.cfg.Pool.Get(est)[:0]
 	}
 	return parts
 }

@@ -163,27 +163,37 @@ func (t *tcpTransport) acceptLoop(rank int, ln net.Listener) {
 	}
 }
 
+// readLoop delivers one connection's frames to rank's endpoint until the
+// peer closes or sends a header that cannot be a frame of this world.
+//
+// A payload is read into a recycled buffer when the pool has one and into an
+// exactly sized one otherwise: most receivers keep what they receive (MPI-D's
+// grouped Recv and mapred's result alias it), and a kept buffer rounded up to
+// its size class is cleared memory nobody reads. The reader holds one eager
+// frame, so an eager message arrives in one read and a rendezvous payload is
+// read from the socket straight into its buffer.
 func (t *tcpTransport) readLoop(rank int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 256*1024)
+	r := bufio.NewReaderSize(conn, eagerThreshold)
 	var hdr [frameHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
-		src := int(int32(binary.BigEndian.Uint32(hdr[0:4])))
-		tag := int(int32(binary.BigEndian.Uint32(hdr[4:8])))
-		comm := int(binary.BigEndian.Uint64(hdr[8:16]))
-		size := binary.BigEndian.Uint32(hdr[16:20])
-		var data []byte
+		m, size, err := parseFrameHeader(hdr[:], len(t.eps))
+		if err != nil {
+			return
+		}
 		if size > 0 {
-			data = t.pool.Get(int(size))
-			if _, err := io.ReadFull(r, data); err != nil {
+			if m.Data = t.pool.Lookup(int(size)); m.Data == nil {
+				m.Data = make([]byte, size)
+			}
+			if _, err := io.ReadFull(r, m.Data); err != nil {
 				return
 			}
 		}
-		if err := t.eps[rank].deliver(Message{Source: src, Tag: tag, Comm: comm, Data: data}); err != nil {
+		if err := t.eps[rank].deliver(m); err != nil {
 			return
 		}
 	}
@@ -232,6 +242,20 @@ func putFrameHeader(b []byte, m Message) {
 	binary.BigEndian.PutUint32(b[4:8], uint32(int32(m.Tag)))
 	binary.BigEndian.PutUint64(b[8:16], uint64(m.Comm))
 	binary.BigEndian.PutUint32(b[16:20], uint32(len(m.Data)))
+}
+
+// parseFrameHeader is putFrameHeader's inverse for a world of n ranks: the
+// envelope without its payload, and the payload's length. The source rank
+// indexes per-rank state on the receiving side (Comm.toSub, Status.Source),
+// so one outside [0, n) is an error. Any length is legal, as in send.
+func parseFrameHeader(b []byte, n int) (m Message, size uint32, err error) {
+	m.Source = int(int32(binary.BigEndian.Uint32(b[0:4])))
+	m.Tag = int(int32(binary.BigEndian.Uint32(b[4:8])))
+	m.Comm = int(binary.BigEndian.Uint64(b[8:16]))
+	if m.Source < 0 || m.Source >= n {
+		return Message{}, 0, fmt.Errorf("mpi: frame from rank %d in a world of %d", m.Source, n)
+	}
+	return m, binary.BigEndian.Uint32(b[16:20]), nil
 }
 
 func (t *tcpTransport) send(to int, m Message) error {
@@ -323,9 +347,9 @@ func (t *tcpTransport) flushVecLocked(c *tcpConn, frames int) error {
 // before send returns, so callers may reuse their buffers.
 func (t *tcpTransport) copies() bool { return true }
 
-// recvPool exposes the pool readLoop draws frame payloads from. Receivers
+// recvPool exposes the pool readLoop looks frame payloads up in. Receivers
 // that return consumed payloads close the allocation loop: steady-state
-// frame reads become pool hits.
+// frame reads become pool hits (see Comm.RecvBufferPool for which sizes).
 func (t *tcpTransport) recvPool() *bufpool.Pool { return t.pool }
 
 func (t *tcpTransport) close() error {

@@ -2,8 +2,14 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // runTCP mirrors Run over a TCP world.
@@ -204,4 +210,137 @@ func TestTCPInvalidWorldSize(t *testing.T) {
 	if _, err := NewTCPWorld(0); err == nil {
 		t.Fatal("NewTCPWorld(0) succeeded")
 	}
+}
+
+// TestTCPRecvBufferSizedToFrame: a payload the pool has no recycled buffer
+// for is read into exactly its own size, not its size class — most receivers
+// keep what they receive, and the rounding would be cleared, unread memory.
+// (A rendezvous size, so the pool holds no eager send buffer of its class.)
+func TestTCPRecvBufferSizedToFrame(t *testing.T) {
+	const size = 300_000
+	runTCP(t, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.Send(1, 1, bytes.Repeat([]byte{0xCD}, size))
+		}
+		data, _, err := c.Recv(0, 1)
+		if err != nil {
+			return err
+		}
+		if len(data) != size || cap(data) != size {
+			return fmt.Errorf("%d-byte message arrived in a buffer of len %d cap %d, want both %d", size, len(data), cap(data), size)
+		}
+		return nil
+	})
+}
+
+// TestTCPPutBackPingPongAllocFree: a receiver that returns class-sized
+// payloads to RecvBufferPool still makes every later frame read a pool hit —
+// an exactly sized 256 KiB buffer is a native buffer of its class.
+func TestTCPPutBackPingPongAllocFree(t *testing.T) {
+	const size, warm, reps = 256 << 10, 50, 200
+	var perOp uint64
+	runTCP(t, 2, func(c *Comm) error {
+		pool, peer := c.RecvBufferPool(), 1-c.Rank()
+		payload := make([]byte, size)
+		var m0, m1 runtime.MemStats
+		for i := 0; i < warm+reps; i++ {
+			if i == warm && c.Rank() == 0 {
+				runtime.ReadMemStats(&m0)
+			}
+			if c.Rank() == 0 {
+				if err := c.Send(peer, 1, payload); err != nil {
+					return err
+				}
+			}
+			data, _, err := c.Recv(peer, 1)
+			if err != nil {
+				return err
+			}
+			pool.Put(data)
+			if c.Rank() == 1 {
+				if err := c.Send(peer, 1, payload); err != nil {
+					return err
+				}
+			}
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+			// Whole allocations per round trip, as testing.B reports them.
+			perOp = (m1.Mallocs - m0.Mallocs) / reps
+		}
+		return nil
+	})
+	if perOp != 0 {
+		t.Fatalf("put-back 256 KiB ping-pong allocates %d times per round trip, want 0", perOp)
+	}
+}
+
+// TestTCPOutOfRangeSourceClosesConnection writes a frame whose source rank
+// does not exist in the world straight onto a rank's listener. The source
+// indexes per-rank state on the receive side (Comm.toSub panics on a
+// stranger; mapred's master indexes its result slice by Status.Source), so
+// the read loop must drop the connection and deliver nothing.
+func TestTCPOutOfRangeSourceClosesConnection(t *testing.T) {
+	for _, src := range []int{2, -1, 1 << 30} {
+		w, err := NewTCPWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := net.Dial("tcp", w.tr.(*tcpTransport).addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := make([]byte, frameHeaderSize+5)
+		putFrameHeader(frame, Message{Source: src, Tag: 7, Data: frame[frameHeaderSize:]})
+		if _, err := raw.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("source %d: read on the offending connection = %v, want EOF (closed by the receiver)", src, err)
+		}
+		if _, ok, _ := w.Comm(1).Iprobe(AnySource, AnyTag); ok {
+			t.Fatalf("source %d: the frame was delivered", src)
+		}
+		raw.Close()
+		w.Close()
+	}
+}
+
+// FuzzTCPFrameHeader holds parseFrameHeader to two properties: it inverts
+// putFrameHeader for every envelope send accepts, and on arbitrary header
+// bytes it returns an error or an in-range source — never a panic, never a
+// rank the receive side would index out of range with.
+func FuzzTCPFrameHeader(f *testing.F) {
+	seed := func(m Message, size uint32, n int) {
+		hdr := make([]byte, frameHeaderSize)
+		putFrameHeader(hdr, m)
+		binary.BigEndian.PutUint32(hdr[16:], size) // a length with no payload behind it
+		f.Add(hdr, n)
+	}
+	seed(Message{Source: 0, Tag: 0, Comm: 0}, 0, 1)
+	seed(Message{Source: 4, Tag: 0x4D5044, Comm: 0}, 520_000, 5)
+	seed(Message{Source: 1, Tag: -3, Comm: 7 << 32}, 1<<32-1, 2)
+	seed(Message{Source: 5, Tag: 1, Comm: 1}, 10, 5)  // one past the last rank
+	seed(Message{Source: -1, Tag: 1, Comm: 1}, 10, 5) // AnySource on the wire
+	f.Add(bytes.Repeat([]byte{0xFF}, frameHeaderSize), 8)
+	f.Fuzz(func(t *testing.T, hdr []byte, n int) {
+		if len(hdr) < frameHeaderSize {
+			return
+		}
+		m, size, err := parseFrameHeader(hdr[:frameHeaderSize], n)
+		if err != nil {
+			return
+		}
+		if m.Source < 0 || m.Source >= n {
+			t.Fatalf("accepted source %d in a world of %d", m.Source, n)
+		}
+		// What it accepted re-encodes to the bytes it was given.
+		again := make([]byte, frameHeaderSize)
+		putFrameHeader(again, m)
+		binary.BigEndian.PutUint32(again[16:], size)
+		if !bytes.Equal(again, hdr[:frameHeaderSize]) {
+			t.Fatalf("header %x parsed to %+v size %d, which encodes to %x", hdr[:frameHeaderSize], m, size, again)
+		}
+	})
 }

@@ -172,11 +172,22 @@ func (c *Comm) Rank() int { return c.rank }
 // realigned partition buffers across spills where it is safe.
 func (c *Comm) SendCopies() bool { return c.world.tr.copies() }
 
-// RecvBufferPool returns the pool the transport draws received frame
-// payloads from, or nil (in-process transport). A receiver that has fully
+// RecvBufferPool returns the pool the transport looks received frame
+// payloads up in, or nil (in-process transport). A receiver that has fully
 // consumed a payload — and holds no aliases into it — may Put it back so
 // steady-state frame reads stop allocating; returning foreign buffers is
 // harmless.
+//
+// On TCP a frame the pool has no buffer for is read into one of exactly the
+// frame's size, because most receivers keep their frames and a kept buffer
+// rounded up to its size class is cleared memory nobody reads. Putting back
+// therefore pays off for payloads of a class size (a power of two from
+// 4 KiB to 16 MiB) and for a recurring size below 4 KiB; a buffer of any
+// other size files under the class below the one the next read of that size
+// looks in, so the put is harmless and the read allocates again — a
+// 520 000-byte stream with put-back runs at about two thirds of its
+// class-sized rate (BenchmarkTCPStream, EXPERIMENTS.md "Pay for a sort
+// job's bytes once").
 func (c *Comm) RecvBufferPool() *bufpool.Pool { return c.world.tr.recvPool() }
 
 // Size returns the communicator size.
@@ -241,9 +252,10 @@ func (c *Comm) send(to, tag int, data []byte) error {
 // The payload belongs to the receiver for good, on every transport: the
 // in-process transports hand over the sender's slice (which Send forbids the
 // sender to touch again), the copying ring and TCP hand over a buffer drawn
-// from RecvBufferPool that the transport never reclaims — not on a later
-// Recv, not when the world closes. Only the receiver may recycle it, and
-// only once it holds no aliases into it. MPI-D's grouped Recv and
+// from RecvBufferPool (on a TCP pool miss, one allocated at exactly the
+// payload's size) that the transport never reclaims — not on a later Recv,
+// not when the world closes. Only the receiver may recycle it, and only once
+// it holds no aliases into it. MPI-D's grouped Recv and
 // mapred.Result.ByReducer alias received payloads and so keep them.
 //
 // Once the world has shut down — Close, Abort, or a failed rank under RunOn

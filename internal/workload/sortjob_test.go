@@ -1,0 +1,86 @@
+package workload
+
+import (
+	"runtime"
+	"sort"
+	"testing"
+
+	"github.com/ict-repro/mpid/internal/bufpool"
+	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/mpi"
+)
+
+// The benchmark's sort-mpid-tcp job, reproduced here so its cost per job is
+// a committed measurement: TeraSort 100 000 x 100 B over a per-job loopback
+// TCP world, 2 mappers + 2 reducers, one buffer pool shared by every job.
+const (
+	sortJobRecords = 100_000
+	sortJobBytes   = sortJobRecords * 100
+	sortJobMappers = 2
+)
+
+// sortJobTCP returns a function that runs the job once and fails tb on an
+// error or a short output.
+func sortJobTCP(tb testing.TB) func() {
+	tb.Helper()
+	job, splits, err := TeraSort(map[string]int64{"records": sortJobRecords, "splits": 16, "reducers": 2, "seed": 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	job.Pool = bufpool.New()
+	return func() {
+		res, err := mapred.RunOnWorld(job, splits, sortJobMappers, func(n int) (*mpi.World, error) {
+			return mpi.NewTCPWorldOptions(n, mpi.TCPOptions{})
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if n := len(res.ByReducer[0]) + len(res.ByReducer[1]); n != sortJobRecords {
+			tb.Fatalf("job produced %d pairs, want %d", n, sortJobRecords)
+		}
+	}
+}
+
+// BenchmarkSortJobTCP is the ROADMAP's "a per-job TCP world allocates N
+// times its input" number: read B/op against the 10 MB input.
+func BenchmarkSortJobTCP(b *testing.B) {
+	run := sortJobTCP(b)
+	run() // first job in the process: arenas and pools grow from zero
+	b.ReportAllocs()
+	b.SetBytes(sortJobBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// TestSortJobTCPAllocBudget gates what one sort job allocates once the
+// process is warm: the median over five jobs must stay within 5.5 x the
+// input (7.3 x before send arenas outlived the job and frame reads were
+// sized to the frame; 4.4 x after — the slack covers a GC cycle emptying the
+// arena pool between jobs).
+func TestSortJobTCPAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector, so arenas are not reused")
+	}
+	if testing.Short() {
+		t.Skip("runs seven 10 MB sort jobs")
+	}
+	run := sortJobTCP(t)
+	run()
+	run()
+	var deltas []uint64
+	var m0, m1 runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		deltas = append(deltas, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	sort.Slice(deltas, func(i, j int) bool { return deltas[i] < deltas[j] })
+	median := deltas[len(deltas)/2]
+	t.Logf("allocated per job (sorted): %v; median %.2f x input", deltas, float64(median)/sortJobBytes)
+	if budget := uint64(5.5 * sortJobBytes); median > budget {
+		t.Fatalf("a sort job allocates %d B in the median, budget %d B (5.5 x the %d B input)", median, budget, sortJobBytes)
+	}
+}
