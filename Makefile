@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test race bench-module chaos serve-chaos bench bench-smoke bench-check docs-lint trace-demo report examples clean
+.PHONY: all check build vet test race bench-module chaos serve-chaos bench bench-smoke docs-lint trace-demo report examples clean
 
 all: build vet test
 
@@ -20,6 +20,7 @@ chaos:
 # lost without the process: cancel, deadline, a failing, panicking or
 # vanished rank — on the runtime, its mpi substrate and through the service
 # — each ending in the failure's own error with no goroutine left behind.
+# Both: a panicking mapper or reducer fails its own job and no other.
 serve-chaos:
 	go test -race ./internal/serve/ -run 'TestChaos|TestDrain|TestMapperPanicFailsJobOnly' -v
 	go test -race ./internal/mapred/ -run 'TestContext|TestRankFailureEndsJob' -v
@@ -44,33 +45,17 @@ bench-module:
 	go vet -C bench ./...
 	go test -C bench ./...
 
-# Full benchmark run: every Go benchmark, then the bench suites writing
-# their JSON baselines (the files EXPERIMENTS.md quotes).
+# Full benchmark run: every Go benchmark, then the repo benchmark
+# (BENCHMARK.json; bench/README.md) — four workloads, each ending in one
+# JSON object on stdout.
 bench:
 	go test -bench=. -benchmem ./...
-	go run ./cmd/mpid-bench -suite serve -o BENCH_serve.json
-	go run ./cmd/mpid-bench -suite workloads -o BENCH_workloads.json
-	go run ./cmd/mpid-bench -suite shufflebytes -o BENCH_shufflebytes.json
-	go run ./cmd/mpid-bench -suite transport -o BENCH_transport.json
+	bash bench/run.sh
 
-# Regression gate: re-run each suite's smoke config and compare the
-# scale-free headline ratios (speedups, fairness) against the committed
-# BENCH_*.json baselines within a wide tolerance. Non-fatal in CI — a
-# smoke run on shared hardware reports drift, it doesn't block merges.
-bench-check:
-	go run ./cmd/mpid-bench -check
-
-# One iteration of every benchmark — a CI smoke test that the bench code
-# still compiles and runs, without the timing noise of a real bench run —
-# plus seconds-scale suite runs producing the BENCH_serve.json,
-# BENCH_workloads.json, BENCH_shufflebytes.json and BENCH_transport.json
-# CI artifacts.
+# One iteration of every Go benchmark — a CI smoke test that the benchmark
+# code still compiles and runs, without the timing noise of a real run.
 bench-smoke:
 	go test -bench=. -benchtime=1x ./...
-	go run ./cmd/mpid-bench -suite serve -smoke -o BENCH_serve.json
-	go run ./cmd/mpid-bench -suite workloads -smoke -o BENCH_workloads.json
-	go run ./cmd/mpid-bench -suite shufflebytes -smoke -o BENCH_shufflebytes.json
-	go run ./cmd/mpid-bench -suite transport -smoke -o BENCH_transport.json
 
 # Documentation lint: every internal package must carry a package doc
 # comment, and every local markdown link in the top-level docs must

@@ -32,6 +32,6 @@
 // package-by-package map and data-flow diagrams, DESIGN.md for the system
 // inventory and substitutions, and EXPERIMENTS.md for paper-vs-measured
 // results. Runnable entry points are under cmd/ and examples/; the
-// fault-tolerance chaos suite runs with `make chaos`, the bench suites
-// behind the committed BENCH_*.json with `make bench`.
+// fault-tolerance chaos suite runs with `make chaos`, the repository's
+// benchmark (bench/, BENCHMARK.json) with `bash bench/run.sh`.
 package mpid

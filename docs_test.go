@@ -116,7 +116,7 @@ func fileHasPrefixComment(t *testing.T, f, prefix string) bool {
 // TestDocSections pins the load-bearing sections and names the
 // top-level docs promise each other: DESIGN.md section numbers that
 // other docs cite, the flags and packages ARCHITECTURE.md documents,
-// and the committed-baseline schemas EXPERIMENTS.md describes. A
+// and the retired baselines EXPERIMENTS.md freezes. A
 // rename or deletion that breaks a cross-reference fails here instead
 // of silently leaving a dangling mention.
 func TestDocSections(t *testing.T) {
@@ -127,8 +127,9 @@ func TestDocSections(t *testing.T) {
 			"## 12. The job service (mpid-serve)",
 			"## 13. Shuffle-byte reduction",
 			"## 14. Transport raw speed",
-			"NodeCombine", "NodeArena", "Mcast", "mapred.combiner.fallback",
+			"mapred.combiner.fallback", "CodedReplication",
 			"NewRingWorld", "CopyPayloads", "PutFile",
+			"TestPutBackPingPongAllocFree",
 			"-engine mpid|hadoop", "engine.New", "mapred.RunContext",
 			"mpi.World.Abort", "ErrExpired",
 		},
@@ -136,29 +137,29 @@ func TestDocSections(t *testing.T) {
 			"## Extension — Workload suite",
 			"## Extension — Shuffle-byte reduction",
 			"## Extension — Transport raw speed",
-			"### BENCH_workloads.json schema",
-			"### BENCH_shufflebytes.json schema",
-			"### BENCH_transport.json schema",
 			"### Figure 6 (coded)",
+			"### Allocations per round trip, as a test (PR 20)",
 			"## Retired baselines",
+			"### The second benchmark, retired by PR 20",
 			"### The service on the MPI-D path (PR 17)",
 			"### PR 17 against its parent, every run",
+			"### PR 20 against its parent, every run",
+			"**`BENCH_serve.json`**", "**`BENCH_workloads.json`**",
+			"**`BENCH_shufflebytes.json`**", "**`BENCH_transport.json`**",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",
 			"ring_vs_chan_small_p50", "max_allocs_per_op",
 		},
 		"ARCHITECTURE.md": {
-			"**`internal/coded`**",
-			"Config.NodeCombine", "Job.NodeCombine", "core.NodeArena",
-			"Mcast", "CodedReplication",
+			"CodedReplication",
 			"shuffle-byte reduction (ext.)",
 			"transport raw speed (ext.)",
 			"NewRingWorld", "Store.PutFile",
 			"**`internal/engine`**", "Engine.Run",
+			"## Who reaches what",
 		},
 		"README.md": {
-			"BENCH_serve.json", "BENCH_workloads.json",
-			"BENCH_shufflebytes.json", "BENCH_transport.json",
-			"-suite shufflebytes", "-suite transport",
+			"bash bench/run.sh", "BENCHMARK.json",
+			"EXPERIMENTS.md#retired-baselines",
 			"`-engine mpid\\|hadoop`", "-engine hadoop",
 		},
 	}

@@ -11,12 +11,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/dfs"
+	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -78,13 +80,13 @@ func main() {
 		return emit(key, kv.AppendVLong(nil, total))
 	})
 
-	result, err := mapred.Run(mapred.Job{
+	result, _, err := engine.MPID{Mappers: 6}.Run(context.Background(), mapred.Job{
 		Name:        "dfs-wordcount",
 		Mapper:      mapper,
 		Reducer:     reducer,
 		Combiner:    mapred.CombinerFromReducer(reducer),
 		NumReducers: 4,
-	}, splits, 6)
+	}, splits, engine.Telemetry{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,17 +146,17 @@ func main() {
 		time.Sleep(2 * time.Millisecond) // keep maps in flight at crash time
 		return mapper.Map(k, line, emit)
 	})
-	liveRes, err := hadoop.Run(mapred.Job{
+	liveRes, _, err := engine.Hadoop{Config: hadoop.Config{
+		NumTrackers:    3,
+		Injector:       inj,
+		TrackerTimeout: 200 * time.Millisecond,
+	}}.Run(context.Background(), mapred.Job{
 		Name:        "dfs-wordcount-live",
 		Mapper:      slowMapper,
 		Reducer:     reducer,
 		Combiner:    mapred.CombinerFromReducer(reducer),
 		NumReducers: 4,
-	}, splits, hadoop.Config{
-		NumTrackers:    3,
-		Injector:       inj,
-		TrackerTimeout: 200 * time.Millisecond,
-	})
+	}, splits, engine.Telemetry{})
 	if err != nil {
 		log.Fatal(err)
 	}

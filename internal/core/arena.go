@@ -50,8 +50,7 @@ type arenaBuffer struct {
 	orderB  []sortKey // the radix passes' other half, swapped with order
 }
 
-// arenaPool keeps finalized instances' private arenas for the next Init. A
-// NodeArena's buffer has no finalize point and never enters it.
+// arenaPool keeps finalized instances' arenas for the next Init.
 var arenaPool = sync.Pool{New: func() any { return newArenaBuffer() }}
 
 // sortKey is one entry's spill-sort record: the first 8 key bytes as a

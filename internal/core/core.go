@@ -101,13 +101,6 @@ type Config struct {
 	// (with disjoint value lists), as in the paper's streaming reducer.
 	Streaming bool
 
-	// NodeArena, when set on a sender rank, replaces its private send
-	// buffer with the given node-shared arena, so the incremental combiner
-	// folds keys across every co-located sender before anything ships —
-	// in-node combining. All co-located senders must receive the same
-	// instance; access is serialized behind its mutex. See NodeArena for
-	// the full semantics.
-	NodeArena *NodeArena
 	// Pool supplies partition serialization buffers on the send side.
 	// Optional; nil allocates.
 	Pool *bufpool.Pool
@@ -148,7 +141,6 @@ type D struct {
 
 	// Send side.
 	buf        *arenaBuffer
-	nodeArena  *NodeArena     // shared buffer, when node combining; buf aliases its arena
 	partBufs   [][]byte       // partition buffers retained across spills
 	reuseParts bool           // transport copies payloads, so retaining is safe
 	pending    []*mpi.Request // in-flight Isends (Async mode)
@@ -221,12 +213,7 @@ func Init(cfg Config) (*D, error) {
 	d.mergeTimer = cfg.Metrics.Timer("mpid.recv.merge")
 	d.partReuse = cfg.Metrics.Counter("mpid.spill.partbuf.reused")
 	if d.isSender {
-		if cfg.NodeArena != nil {
-			d.nodeArena = cfg.NodeArena
-			d.buf = cfg.NodeArena.attach()
-		} else {
-			d.buf = arenaPool.Get().(*arenaBuffer)
-		}
+		d.buf = arenaPool.Get().(*arenaBuffer)
 		// Partition buffers may only be retained across spills when the
 		// transport copies payloads before send returns (TCP); the
 		// in-process transport hands the slice itself to the receiver.
@@ -269,10 +256,9 @@ func (d *D) Finalize() error {
 		d.cfg.Pool.Put(b)
 	}
 	d.partBufs = nil
-	// A private arena goes back for the next job's Init; a shared one stays
-	// with its NodeArena. Send, Flush and CloseSend all return before they
-	// reach d.buf on a finalized instance.
-	if d.buf != nil && d.nodeArena == nil {
+	// The arena goes back for the next job's Init. Send, Flush and CloseSend
+	// all return before they reach d.buf on a finalized instance.
+	if d.buf != nil {
 		d.buf.reset()
 		arenaPool.Put(d.buf)
 	}
@@ -290,27 +276,11 @@ func (d *D) Finalize() error {
 // CloseSend flushes this rank's buffer and tells every reducer this sender
 // is done, without tearing down the receive side. A rank that both sends
 // and receives calls CloseSend before draining Recv.
-//
-// On a shared NodeArena, only the last co-located member to close spills
-// the leftovers; earlier closers leave them buffered so the cross-rank
-// combine stays maximal. Every member still emits its own DoneTag markers,
-// and reducers drain data until all markers arrived, so the late shared
-// spill is always consumed.
 func (d *D) CloseSend() error {
 	if !d.isSender || !d.sendOpen {
 		return nil
 	}
-	if d.nodeArena != nil {
-		d.nodeArena.mu.Lock()
-		var err error
-		if d.nodeArena.detachLocked() {
-			err = d.spill()
-		}
-		d.nodeArena.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	} else if err := d.spill(); err != nil {
+	if err := d.spill(); err != nil {
 		return err
 	}
 	if err := d.completePending(); err != nil {

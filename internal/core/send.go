@@ -20,10 +20,6 @@ const combineEvery = 256
 // Send buffers one key-value pair for delivery to the reducer owning its
 // partition — MPI_D_Send. It returns quickly: at worst it triggers a spill
 // of the buffered table. The caller keeps ownership of key and value.
-//
-// With a shared NodeArena configured, buffer access (and any spill it
-// triggers) runs under the arena lock, serializing co-located senders; the
-// spill threshold then applies to the node's aggregate buffered bytes.
 func (d *D) Send(key, value []byte) error {
 	if d.finalized {
 		return ErrFinalized
@@ -33,10 +29,6 @@ func (d *D) Send(key, value []byte) error {
 	}
 	if !d.sendOpen {
 		return errors.New("mpid: send side already closed")
-	}
-	if d.nodeArena != nil {
-		d.nodeArena.mu.Lock()
-		defer d.nodeArena.mu.Unlock()
 	}
 	d.counters.PairsCombined += d.buf.add(key, value, d.cfg.Combiner)
 	d.counters.PairsSent++
@@ -152,18 +144,12 @@ func (d *D) takePartBufs(nParts int) [][]byte {
 }
 
 // Flush forces a spill of whatever is buffered, without closing the stream.
-// On a shared NodeArena this flushes the whole node's buffer, whichever
-// member buffered the pairs.
 func (d *D) Flush() error {
 	if d.finalized {
 		return ErrFinalized
 	}
 	if !d.isSender {
 		return nil
-	}
-	if d.nodeArena != nil {
-		d.nodeArena.mu.Lock()
-		defer d.nodeArena.mu.Unlock()
 	}
 	return d.spill()
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
+	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/hadoopsim"
 	"github.com/ict-repro/mpid/internal/mapred"
@@ -46,11 +48,11 @@ func Figure1LiveAt(sizeBytes int64, adminAddr string) (*Figure1LiveResult, error
 
 	// Same cluster shape and heartbeat scaling as Figure6Live: 64 KB tasks
 	// get a 25 ms heartbeat where the paper pairs 64 MB tasks with 3 s.
-	_, report, err := hadoop.RunWithReport(liveWordCountJob(), splits, hadoop.Config{
+	_, report, err := engine.Hadoop{Config: hadoop.Config{
 		NumTrackers: 4, MapSlots: 1, ReduceSlots: 1,
 		Heartbeat: 25 * time.Millisecond,
 		AdminAddr: adminAddr,
-	})
+	}}.Run(context.Background(), liveWordCountJob(), splits, engine.Telemetry{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: live figure 1 at %d bytes: %w", sizeBytes, err)
 	}

@@ -64,7 +64,7 @@ type Figure6CodedRow struct {
 // r ∈ rs at each Figure 6 input size up to maxSizeGB — the shipped-bytes
 // counterpart of the time-based sweep. r = 1 is the uncoded baseline;
 // higher r trades r× redundant map work for an r× reduction in shipped
-// shuffle bytes (internal/coded is the live prototype of the same trade).
+// shuffle bytes, so job time falls only where the network bounds the job.
 func Figure6Coded(maxSizeGB int64, rs []int) []Figure6CodedRow {
 	var rows []Figure6CodedRow
 	for _, gb := range Figure6Sizes {

@@ -3,8 +3,8 @@ package experiments
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
+	"strings"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/hadooprpc"
@@ -33,6 +33,28 @@ func liveReps(size int64) int {
 }
 
 const liveWarmup = 5 // dropped iterations, as the paper drops its first 5
+
+// TransportNames lists the names NewTransportWorld accepts — what every
+// -transport flag takes.
+var TransportNames = []string{"chan", "ring", "ring+copy", "tcp"}
+
+// NewTransportWorld builds an n-rank world over the named transport:
+// "chan" (in-process reference), "ring" (shared-memory-style rings,
+// zero-copy hand-off), "ring+copy" (ring with the copying device
+// emulation) or "tcp" (loopback TCP, vectored framing).
+func NewTransportWorld(name string, n int) (*mpi.World, error) {
+	switch name {
+	case "chan":
+		return mpi.NewWorld(n), nil
+	case "ring":
+		return mpi.NewRingWorld(n), nil
+	case "ring+copy":
+		return mpi.NewRingWorldConfig(n, mpi.RingConfig{CopyPayloads: true}), nil
+	case "tcp":
+		return mpi.NewTCPWorld(n)
+	}
+	return nil, fmt.Errorf("unknown transport %q (want %s)", name, strings.Join(TransportNames, ", "))
+}
 
 // --------------------------------------------------------------------------
 // Latency (Figure 2)
@@ -369,5 +391,3 @@ func (b *liveBandwidthBench) Close() {
 		b.rawLn.Close()
 	}
 }
-
-var _ io.Reader = (*bufio.Reader)(nil) // keep imports honest

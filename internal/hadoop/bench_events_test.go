@@ -28,7 +28,7 @@ func BenchmarkWordCountEvents(b *testing.B) {
 	run := func(b *testing.B, rec *obs.Recorder) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(job, splits, Config{NumTrackers: 3, Events: rec}); err != nil {
+			if _, _, err := runJob(job, splits, Config{NumTrackers: 3, Events: rec}); err != nil {
 				b.Fatal(err)
 			}
 		}

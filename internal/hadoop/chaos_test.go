@@ -46,7 +46,7 @@ func TestChaosWordCountUnderFlakyRPC(t *testing.T) {
 	splits := mapred.SplitText(text, 4_000)
 	job := wcJob(3)
 
-	clean, err := Run(job, splits, Config{NumTrackers: 3})
+	clean, _, err := runJob(job, splits, Config{NumTrackers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestChaosWordCountUnderFlakyRPC(t *testing.T) {
 		Probability: 0.1,
 		Action:      faults.Fail,
 	})
-	res, err := Run(job, splits, Config{
+	res, _, err := runJob(job, splits, Config{
 		NumTrackers: 3,
 		Injector:    inj,
 		RPC: hadooprpc.Options{
@@ -93,7 +93,7 @@ func TestChaosTrackerCrashMidJob(t *testing.T) {
 	job := wcJob(3)
 	job.Mapper = slowMapper
 
-	clean, err := Run(job, splits, Config{NumTrackers: 3})
+	clean, _, err := runJob(job, splits, Config{NumTrackers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestChaosTrackerCrashMidJob(t *testing.T) {
 		After:     10,
 		Action:    faults.Crash,
 	})
-	res, err := Run(job, splits, Config{
+	res, _, err := runJob(job, splits, Config{
 		NumTrackers:    3,
 		Injector:       inj,
 		TrackerTimeout: 200 * time.Millisecond,
@@ -172,7 +172,7 @@ func TestChaosDataNodeCrashMidRead(t *testing.T) {
 	})
 	nn.SetInjector(inj)
 
-	res, err := Run(wcJob(2), splits, Config{NumTrackers: 2})
+	res, _, err := runJob(wcJob(2), splits, Config{NumTrackers: 2})
 	if err != nil {
 		t.Fatalf("job with DataNode crash: %v", err)
 	}

@@ -69,21 +69,6 @@ type Config struct {
 	// shuffle servers DEFLATE each served segment, and the copier inflates
 	// into pooled buffers. Trades a little CPU for shuffle bytes.
 	CompressShuffle bool
-	// NodeCombine enables the per-tracker combine stage — in-node combining
-	// for the Hadoop path. Map tasks defer their completion report; once
-	// the jobtracker signals the map queue drained (actMapsDrained), each
-	// tracker merges the sorted spill runs of its co-located completed
-	// maps through the job's combiner and publishes one combined segment
-	// per partition under a negative group id, which reducers fetch in one
-	// request instead of one per map. Per-map segments are still published
-	// and advertised, so reducers that already hold part of a group — or
-	// whose group fetch fails — fall back to per-map fetches through the
-	// unchanged fetchFailed/re-execution machinery. Requires deterministic
-	// map output (the repo-wide byte-identity assumption): a group fetch
-	// credits every original member, including one that was re-queued
-	// after a lost tracker. Off (the default), the per-task path of prior
-	// releases runs byte-identically unchanged.
-	NodeCombine bool
 	// MaxTaskAttempts bounds how many times one task may be attempted
 	// before the job aborts (mapred.map.max.attempts; default 4).
 	// Re-executions forced by tracker loss are not charged against it.
@@ -108,8 +93,8 @@ type Config struct {
 	// latency/bytes/retries from the copy stage, per-task phase timers
 	// (task.map.run/spill, task.reduce.copy/sort/reduce), scheduling
 	// counters (hadoop.map_launches, hadoop.reexecutions, ...) and — when
-	// an Injector is set — injected-fault counts. Left nil, Run creates a
-	// fresh registry per job so the jobtracker Report is always populated.
+	// an Injector is set — injected-fault counts. Left nil, the engine creates
+	// a fresh registry per job so the jobtracker Report is always populated.
 	Metrics *metrics.Registry
 	// Tracer is the jobtracker's span collector. Every job is traced: the
 	// jobtracker opens a root job span plus a scheduler-side span per task
@@ -131,8 +116,8 @@ type Config struct {
 	// observe tracker addresses and feed dead verdicts into the same
 	// re-execution path the heartbeat-timeout sweep uses — so recovery can
 	// start on probe loss instead of waiting out TrackerTimeout. The handle
-	// stays valid until RunWithReport returns; calls after that are safe
-	// no-ops.
+	// stays valid until RunWithReportContext returns; calls after that are
+	// safe no-ops.
 	Watch func(ClusterControl)
 	// Events, when set, is the job's flight recorder: the jobtracker emits
 	// attempt lifecycle events (scheduled/failed/lost/superseded) and fetch
@@ -241,11 +226,6 @@ const (
 	actLaunchReduce = 2
 	actAbort        = 3
 	actJobDone      = 4
-	// actMapsDrained (NodeCombine only) tells a tracker the map queue is
-	// empty, so the maps it holds locally are the last it will get for now
-	// and it may run its node-level combine over them. Purely a batching
-	// hint: a later re-queue simply produces another, smaller group.
-	actMapsDrained = 5
 )
 
 // Task kinds on the wire.
@@ -254,31 +234,21 @@ const (
 	taskKindReduce = "r"
 )
 
-// Run executes the job over the given splits on a fresh mini-cluster and
-// returns the collected result. It is the Hadoop-path analogue of
-// mapred.Run. The job succeeds as long as every reduce completes, even if
-// individual tasktrackers crashed along the way.
-func Run(job mapred.Job, splits []mapred.Split, cfg Config) (*mapred.Result, error) {
-	res, _, err := RunWithReport(job, splits, cfg)
-	return res, err
-}
-
-// RunWithReport executes the job like Run and additionally returns the
-// jobtracker's per-job report: the live Figure-1-style per-reducer
-// copy/sort/reduce breakdown, per-map run/spill times, and the job's
-// metrics snapshot (RPC, shuffle, scheduling and fault counters). The
-// report is returned even when the job fails, so a post-mortem can see how
-// far it got; it is nil only when the job never started.
-func RunWithReport(job mapred.Job, splits []mapred.Split, cfg Config) (*mapred.Result, *JobReport, error) {
-	return RunWithReportContext(context.Background(), job, splits, cfg)
-}
-
-// RunWithReportContext is RunWithReport under a context: cancellation
-// aborts the job — trackers stop heartbeating, reduce copy loops cut their
-// fetch and backoff schedules short (the context threads down to the jetty
-// client), and the error returned is the context's. The report still
-// reflects whatever completed before the cancel, so a drained job leaves a
-// usable post-mortem.
+// RunWithReportContext executes the job over the given splits on a fresh
+// mini-cluster — the Hadoop-path analogue of mapred.RunContext — and returns
+// the collected result with the jobtracker's per-job report: the live
+// Figure-1-style per-reducer copy/sort/reduce breakdown, per-map run/spill
+// times, and the job's metrics snapshot (RPC, shuffle, scheduling and fault
+// counters). The job succeeds as long as every reduce completes, even if
+// individual tasktrackers crashed along the way. The report is returned even
+// when the job fails, so a post-mortem can see how far it got; it is nil
+// only when the job never started.
+//
+// Cancelling ctx aborts the job — trackers stop heartbeating, reduce copy
+// loops cut their fetch and backoff schedules short (the context threads
+// down to the jetty client), and the error returned is the context's. The
+// report still reflects whatever completed before the cancel, so a drained
+// job leaves a usable post-mortem.
 func RunWithReportContext(ctx context.Context, job mapred.Job, splits []mapred.Split, cfg Config) (*mapred.Result, *JobReport, error) {
 	if job.Mapper == nil || job.Reducer == nil {
 		return nil, nil, errors.New("hadoop: job needs Mapper and Reducer")
@@ -402,22 +372,16 @@ type jobTracker struct {
 	done    chan struct{}
 	sweeper sync.WaitGroup
 
-	mu           sync.Mutex
-	jobSpan      *trace.Span
-	attemptSpans map[string]*trace.Span // open scheduler-side attempt spans
-	seenSpans    map[uint64]bool        // shipped span ids, for replay dedup
-	trackers     []*trackerInfo
-	pendingMaps  []int
-	runningMaps  map[int]int // map task -> tracker currently executing it
-	completed    map[int]bool
-	mapsDone     int
-	mapLocation  map[int]int // completed map -> tracker serving its output
-	// NodeCombine bookkeeping: which group segment covers a completed map,
-	// and each group's full original membership. Membership is never pruned
-	// when a member is re-queued — map output is deterministic, so a group
-	// fetch legitimately credits every original member (see Config.NodeCombine).
-	mapGroup       map[int]int64 // completed map -> group id serving it
-	groupMembers   map[int64][]int
+	mu             sync.Mutex
+	jobSpan        *trace.Span
+	attemptSpans   map[string]*trace.Span // open scheduler-side attempt spans
+	seenSpans      map[uint64]bool        // shipped span ids, for replay dedup
+	trackers       []*trackerInfo
+	pendingMaps    []int
+	runningMaps    map[int]int // map task -> tracker currently executing it
+	completed      map[int]bool
+	mapsDone       int
+	mapLocation    map[int]int // completed map -> tracker serving its output
 	pendingReduces []int
 	runningReduces map[int]int
 	doneReduces    map[int]bool
@@ -446,8 +410,6 @@ func newJobTracker(job mapred.Job, splits []mapred.Split, cfg Config) *jobTracke
 		runningMaps:    make(map[int]int),
 		completed:      make(map[int]bool),
 		mapLocation:    make(map[int]int),
-		mapGroup:       make(map[int]int64),
-		groupMembers:   make(map[int64][]int),
 		runningReduces: make(map[int]int),
 		doneReduces:    make(map[int]bool),
 		outputs:        make([][]kv.Pair, job.NumReducers),
@@ -474,7 +436,6 @@ func (jt *jobTracker) start() (string, error) {
 			"register":        jt.handleRegister,
 			"heartbeat":       jt.handleHeartbeat,
 			"mapCompleted":    jt.handleMapCompleted,
-			"nodeCombined":    jt.handleNodeCombined,
 			"reduceCompleted": jt.handleReduceCompleted,
 			"taskFailed":      jt.handleTaskFailed,
 			"fetchFailed":     jt.handleFetchFailed,
@@ -732,7 +693,6 @@ func (jt *jobTracker) markLostLocked(tr *trackerInfo) {
 			jt.completed[task] = false
 			jt.mapsDone--
 			delete(jt.mapLocation, task)
-			delete(jt.mapGroup, task)
 			jt.pendingMaps = append(jt.pendingMaps, task)
 		}
 	}
@@ -850,9 +810,6 @@ func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 			resp = kv.AppendVLong(resp, int64(jt.executions[taskKey(taskKindReduce, task)]))
 			resp = kv.AppendVLong(resp, int64(span.Context().Span))
 		}
-		if jt.cfg.NodeCombine && len(jt.pendingMaps) == 0 {
-			resp = kv.AppendVLong(resp, actMapsDrained)
-		}
 	}
 	if resp == nil {
 		resp = []byte{} // cacheable empty response
@@ -899,24 +856,15 @@ func (jt *jobTracker) handleMapCompleted(params [][]byte) ([]byte, error) {
 	if jt.trackers[trackerID].lost {
 		return nil, nil
 	}
-	jt.completeMapLocked(int(trackerID), int(mapID), runNs, spillNs)
-	return nil, nil
-}
-
-// completeMapLocked records one map completion: the shared core of
-// mapCompleted (per-task path) and nodeCombined (per-member). A plain
-// completion clears any stale group membership so the map is advertised
-// under its own id again.
-func (jt *jobTracker) completeMapLocked(trackerID, task int, runNs, spillNs int64) {
-	if owner, running := jt.runningMaps[task]; running && owner == trackerID {
+	task := int(mapID)
+	if owner, running := jt.runningMaps[task]; running && owner == int(trackerID) {
 		delete(jt.runningMaps, task)
 	}
 	jt.endAttemptLocked(taskKindMap, task, "ok")
-	jt.mapLocation[task] = trackerID
-	delete(jt.mapGroup, task)
+	jt.mapLocation[task] = int(trackerID)
 	jt.mapTimings[task] = MapTiming{
 		Task:    task,
-		Tracker: trackerID,
+		Tracker: int(trackerID),
 		Run:     time.Duration(runNs),
 		Spill:   time.Duration(spillNs),
 	}
@@ -924,74 +872,6 @@ func (jt *jobTracker) completeMapLocked(trackerID, task int, runNs, spillNs int6
 		jt.completed[task] = true
 		jt.mapsDone++
 	}
-}
-
-// handleNodeCombined: [trackerID, groupID, members, spans?] — a tracker
-// finished its node-level combine stage: every member map completes at
-// once, served by the shared group segment. The members blob is a VLong
-// count followed by (mapID, runNs, spillNs) per member. Idempotent like
-// mapCompleted; completions from lost trackers are ignored.
-func (jt *jobTracker) handleNodeCombined(params [][]byte) ([]byte, error) {
-	if len(params) < 3 {
-		return nil, errors.New("nodeCombined wants 3 parameters")
-	}
-	trackerID, _, err := kv.ReadVLong(params[0])
-	if err != nil {
-		return nil, err
-	}
-	groupID, _, err := kv.ReadVLong(params[1])
-	if err != nil {
-		return nil, err
-	}
-	blob := params[2]
-	count, n, err := kv.ReadVLong(blob)
-	if err != nil {
-		return nil, err
-	}
-	blob = blob[n:]
-	type member struct {
-		task           int
-		runNs, spillNs int64
-	}
-	members := make([]member, 0, int(count))
-	for i := int64(0); i < count; i++ {
-		var m member
-		task64, n, err := kv.ReadVLong(blob)
-		if err != nil {
-			return nil, err
-		}
-		blob = blob[n:]
-		m.task = int(task64)
-		if m.runNs, n, err = kv.ReadVLong(blob); err != nil {
-			return nil, err
-		}
-		blob = blob[n:]
-		if m.spillNs, n, err = kv.ReadVLong(blob); err != nil {
-			return nil, err
-		}
-		blob = blob[n:]
-		members = append(members, m)
-	}
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	if trackerID < 0 || int(trackerID) >= len(jt.trackers) {
-		return nil, fmt.Errorf("unknown tracker %d", trackerID)
-	}
-	if len(params) > 3 {
-		jt.ingestSpansLocked(params[3])
-	}
-	if jt.trackers[trackerID].lost {
-		return nil, nil
-	}
-	ids := make([]int, 0, len(members))
-	for _, m := range members {
-		jt.completeMapLocked(int(trackerID), m.task, m.runNs, m.spillNs)
-		jt.mapGroup[m.task] = groupID
-		ids = append(ids, m.task)
-	}
-	sort.Ints(ids)
-	jt.groupMembers[groupID] = ids
-	jt.met.Counter("hadoop.node_combines").Inc()
 	return nil, nil
 }
 
@@ -1160,7 +1040,6 @@ func (jt *jobTracker) handleFetchFailed(params [][]byte) ([]byte, error) {
 	jt.completed[task] = false
 	jt.mapsDone--
 	delete(jt.mapLocation, task)
-	delete(jt.mapGroup, task)
 	if _, running := jt.runningMaps[task]; !running {
 		jt.pendingMaps = append(jt.pendingMaps, task)
 	}
@@ -1170,14 +1049,9 @@ func (jt *jobTracker) handleFetchFailed(params [][]byte) ([]byte, error) {
 }
 
 // handleMapLocations: [] -> [count, then per completed map: mapID,
-// trackerID, jettyAddr, groupID; then groupCount, per group: groupID,
-// memberCount, members...]. Reducers poll this until every map is present —
+// trackerID, jettyAddr]. Reducers poll this until every map is present —
 // the event stream a real reduce task's copier follows. The trackerID lets
-// a reducer report fetch failures against the right server. A map combined
-// into a node-level group carries that group's (negative) id; an
-// uncombined map carries its own id. The trailing table lists each
-// advertised group's full original membership, so a reducer fetching the
-// group segment knows exactly which maps it credits.
+// a reducer report fetch failures against the right server.
 func (jt *jobTracker) handleMapLocations(params [][]byte) ([]byte, error) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
@@ -1189,31 +1063,11 @@ func (jt *jobTracker) handleMapLocations(params [][]byte) ([]byte, error) {
 	}
 	sort.Ints(done)
 	resp := kv.AppendVLong(nil, int64(len(done)))
-	var groups []int64
-	seen := make(map[int64]bool)
 	for _, task := range done {
 		loc := jt.mapLocation[task]
-		group, grouped := jt.mapGroup[task]
-		if !grouped {
-			group = int64(task)
-		}
 		resp = kv.AppendVLong(resp, int64(task))
 		resp = kv.AppendVLong(resp, int64(loc))
 		resp = kv.AppendBytes(resp, []byte(jt.trackers[loc].jettyAddr))
-		resp = kv.AppendVLong(resp, group)
-		if grouped && !seen[group] {
-			seen[group] = true
-			groups = append(groups, group)
-		}
-	}
-	resp = kv.AppendVLong(resp, int64(len(groups)))
-	for _, g := range groups {
-		members := jt.groupMembers[g]
-		resp = kv.AppendVLong(resp, g)
-		resp = kv.AppendVLong(resp, int64(len(members)))
-		for _, m := range members {
-			resp = kv.AppendVLong(resp, int64(m))
-		}
 	}
 	return resp, nil
 }

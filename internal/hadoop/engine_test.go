@@ -2,6 +2,7 @@ package hadoop
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -32,6 +33,12 @@ var wcReducer = mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred
 	}
 	return emit(key, kv.AppendVLong(nil, total))
 })
+
+// runJob runs one job to completion on a fresh mini-cluster: the package's
+// tests' one way into RunWithReportContext.
+func runJob(job mapred.Job, splits []mapred.Split, cfg Config) (*mapred.Result, *JobReport, error) {
+	return RunWithReportContext(context.Background(), job, splits, cfg)
+}
 
 func genText(t *testing.T, size int, seed int64) []byte {
 	t.Helper()
@@ -71,7 +78,7 @@ func TestWordCountOnMiniHadoop(t *testing.T) {
 		Combiner:    mapred.CombinerFromReducer(wcReducer),
 		NumReducers: 3,
 	}
-	res, err := Run(job, mapred.SplitText(text, 8_000), Config{NumTrackers: 3})
+	res, _, err := runJob(job, mapred.SplitText(text, 8_000), Config{NumTrackers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +108,7 @@ func TestMiniHadoopMatchesMPIDEngine(t *testing.T) {
 		Combiner:    mapred.CombinerFromReducer(wcReducer),
 		NumReducers: 2,
 	}
-	hres, err := Run(job, splits, Config{NumTrackers: 2})
+	hres, _, err := runJob(job, splits, Config{NumTrackers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func TestMiniHadoopSortJobGlobalOrder(t *testing.T) {
 		}
 		return nil
 	})
-	res, err := Run(mapred.Job{
+	res, _, err := runJob(mapred.Job{
 		Mapper:      identityMap,
 		Reducer:     identityReduce,
 		Partitioner: core.FirstByteRangePartitioner,
@@ -167,7 +174,7 @@ func TestMiniHadoopMapperErrorAbortsJob(t *testing.T) {
 	bad := mapred.MapperFunc(func(_, _ []byte, _ mapred.Emit) error {
 		return errors.New("deliberate map failure")
 	})
-	_, err := Run(mapred.Job{Mapper: bad, Reducer: wcReducer},
+	_, _, err := runJob(mapred.Job{Mapper: bad, Reducer: wcReducer},
 		mapred.SplitText([]byte("x\n"), 10), Config{})
 	if err == nil || !strings.Contains(err.Error(), "deliberate map failure") {
 		t.Fatalf("err = %v", err)
@@ -178,7 +185,7 @@ func TestMiniHadoopReducerErrorAbortsJob(t *testing.T) {
 	bad := mapred.ReducerFunc(func(_ []byte, _ [][]byte, _ mapred.Emit) error {
 		return errors.New("deliberate reduce failure")
 	})
-	_, err := Run(mapred.Job{Mapper: wcMapper, Reducer: bad},
+	_, _, err := runJob(mapred.Job{Mapper: wcMapper, Reducer: bad},
 		mapred.SplitText([]byte("x y\n"), 10), Config{})
 	if err == nil || !strings.Contains(err.Error(), "deliberate reduce failure") {
 		t.Fatalf("err = %v", err)
@@ -186,13 +193,13 @@ func TestMiniHadoopReducerErrorAbortsJob(t *testing.T) {
 }
 
 func TestMiniHadoopValidation(t *testing.T) {
-	if _, err := Run(mapred.Job{}, nil, Config{}); err == nil {
+	if _, _, err := runJob(mapred.Job{}, nil, Config{}); err == nil {
 		t.Error("job without mapper/reducer accepted")
 	}
 }
 
 func TestMiniHadoopEmptyInput(t *testing.T) {
-	res, err := Run(mapred.Job{Mapper: wcMapper, Reducer: wcReducer, NumReducers: 2},
+	res, _, err := runJob(mapred.Job{Mapper: wcMapper, Reducer: wcReducer, NumReducers: 2},
 		nil, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +216,7 @@ func TestMiniHadoopManyTrackersAndSlots(t *testing.T) {
 		Reducer:     wcReducer,
 		NumReducers: 4,
 	}
-	res, err := Run(job, mapred.SplitText(text, 2_000),
+	res, _, err := runJob(job, mapred.SplitText(text, 2_000),
 		Config{NumTrackers: 4, MapSlots: 3, ReduceSlots: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +243,7 @@ func TestCopierThreadsConfigurable(t *testing.T) {
 	job := mapred.Job{Mapper: wcMapper, Reducer: wcReducer, NumReducers: 2}
 	want := refCounts(text)
 	for _, copiers := range []int{1, 8} {
-		res, err := Run(job, splits, Config{NumTrackers: 2, CopierThreads: copiers})
+		res, _, err := runJob(job, splits, Config{NumTrackers: 2, CopierThreads: copiers})
 		if err != nil {
 			t.Fatalf("copiers=%d: %v", copiers, err)
 		}

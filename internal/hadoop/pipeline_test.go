@@ -7,9 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
+	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -24,7 +27,7 @@ import (
 // returns the framed outputs for byte-exact comparison.
 func runBoth(t *testing.T, job mapred.Job, splits []mapred.Split, cfg Config) (hadoop, mpid []byte) {
 	t.Helper()
-	resH, err := Run(job, splits, cfg)
+	resH, _, err := runJob(job, splits, cfg)
 	if err != nil {
 		t.Fatalf("hadoop run: %v", err)
 	}
@@ -120,7 +123,7 @@ func TestPipelinedUnderChaosMatchesFaultFree(t *testing.T) {
 	splits := mapred.SplitText(text, 2_000) // 20 maps
 	job := wcJob(3)
 	cfg := Config{NumTrackers: 3, MergeFactor: 4}
-	clean, err := Run(job, splits, cfg)
+	clean, _, err := runJob(job, splits, cfg)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
@@ -134,7 +137,7 @@ func TestPipelinedUnderChaosMatchesFaultFree(t *testing.T) {
 		MaxAttempts: 8,
 		Backoff:     faults.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
 	}
-	res, rep, err := RunWithReport(job, splits, cfg)
+	res, rep, err := runJob(job, splits, cfg)
 	if err != nil {
 		t.Fatalf("run under chaos: %v", err)
 	}
@@ -153,11 +156,11 @@ func TestCompressedShuffleMatches(t *testing.T) {
 	text := genText(t, 40_000, 13)
 	splits := mapred.SplitText(text, 4_000)
 	job := wcJob(2)
-	plain, err := Run(job, splits, Config{NumTrackers: 2})
+	plain, _, err := runJob(job, splits, Config{NumTrackers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := RunWithReport(job, splits, Config{NumTrackers: 2, CompressShuffle: true})
+	res, rep, err := runJob(job, splits, Config{NumTrackers: 2, CompressShuffle: true})
 	if err != nil {
 		t.Fatalf("compressed run: %v", err)
 	}
@@ -169,6 +172,48 @@ func TestCompressedShuffleMatches(t *testing.T) {
 	}
 }
 
+// TestObservedCombinerFallbackCounter: a job that supplies its combiner as an
+// ObservedCombiner factory has it bound to the job's registry, so a combiner
+// whose derived reducer rekeys its output — tripping CombinerFromReducer's
+// fallback, which passes the values through untouched — is visible as
+// mapred.combiner.fallback while the output still matches the combiner-free
+// run.
+func TestObservedCombinerFallbackCounter(t *testing.T) {
+	rekey := mapred.ReducerFunc(func(_ []byte, values [][]byte, emit mapred.Emit) error {
+		var total int64
+		for _, v := range values {
+			n, _, err := kv.ReadVLong(v)
+			if err != nil {
+				return err
+			}
+			total += n
+		}
+		return emit([]byte("rekeyed"), kv.AppendVLong(nil, total))
+	})
+	text := genText(t, 40_000, 23)
+	splits := mapred.SplitText(text, 5_000)
+	job := wcJob(2)
+	job.Combiner = nil
+	plain, _, err := runJob(job, splits, Config{NumTrackers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.ObservedCombiner = func(reg *metrics.Registry) core.CombineFunc {
+		return mapred.CombinerFromReducerObserved(rekey, reg)
+	}
+	reg := metrics.NewRegistry()
+	got, _, err := runJob(job, splits, Config{NumTrackers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodePairs(got.Pairs()), encodePairs(plain.Pairs())) {
+		t.Fatal("fallback did not pass values through untouched")
+	}
+	if reg.Snapshot().Counter("mapred.combiner.fallback") == 0 {
+		t.Fatal("rekeying combiner tripped no fallbacks in the job's registry")
+	}
+}
+
 // TestMergeOverlapVisibleInSpans is the trace-level acceptance check: with
 // many maps and a small MergeFactor, at least one background merge span
 // must lie inside its reduce task's copy-phase span — the copy/merge
@@ -177,7 +222,7 @@ func TestMergeOverlapVisibleInSpans(t *testing.T) {
 	text := genText(t, 120_000, 5)
 	splits := mapred.SplitText(text, 2_000) // ~60 maps
 	job := wcJob(2)
-	_, rep, err := RunWithReport(job, splits, Config{NumTrackers: 3, MergeFactor: 4})
+	_, rep, err := runJob(job, splits, Config{NumTrackers: 3, MergeFactor: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

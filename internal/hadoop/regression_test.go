@@ -44,7 +44,7 @@ func TestReducePollingBoundedWhileMapsPending(t *testing.T) {
 		NumReducers: 1,
 	}
 	m := metrics.NewRegistry()
-	res, err := Run(job, splits, Config{
+	res, _, err := runJob(job, splits, Config{
 		NumTrackers: 2, MapSlots: 1, ReduceSlots: 1,
 		Heartbeat: 2 * time.Millisecond,
 		Metrics:   m,
@@ -89,9 +89,7 @@ func fakeJobTracker(t *testing.T, locs []mapOutputLoc) (string, func()) {
 					resp = kv.AppendVLong(resp, int64(l.mapID))
 					resp = kv.AppendVLong(resp, int64(l.trackerID))
 					resp = kv.AppendBytes(resp, []byte(l.addr))
-					resp = kv.AppendVLong(resp, int64(l.mapID)) // own group: uncombined
 				}
-				resp = kv.AppendVLong(resp, 0) // no node-combined groups
 				return resp, nil
 			},
 			"fetchFailed": func(params [][]byte) ([]byte, error) {
@@ -182,7 +180,7 @@ func mustDecodePairs(t *testing.T, b []byte) []kv.Pair {
 }
 
 // TestChaosTrackerCrashReportCounters re-runs the tracker-crash chaos
-// scenario through RunWithReport: the job report must surface the fault
+// scenario and reads the job report: it must surface the fault
 // (injected-crash counter), the recovery (re-execution and tracker-loss
 // counters) and a complete per-reducer phase breakdown.
 func TestChaosTrackerCrashReportCounters(t *testing.T) {
@@ -201,7 +199,7 @@ func TestChaosTrackerCrashReportCounters(t *testing.T) {
 		After:     10,
 		Action:    faults.Crash,
 	})
-	res, rep, err := RunWithReport(job, splits, Config{
+	res, rep, err := runJob(job, splits, Config{
 		NumTrackers:    3,
 		Injector:       inj,
 		TrackerTimeout: 200 * time.Millisecond,
@@ -217,7 +215,7 @@ func TestChaosTrackerCrashReportCounters(t *testing.T) {
 		t.Fatalf("MaxTaskExecutions = %d, want >= 2", res.MaxTaskExecutions)
 	}
 	if rep == nil {
-		t.Fatal("RunWithReport returned nil report")
+		t.Fatal("nil job report")
 	}
 	if n := rep.Metrics.Counter("faults.injected.crash"); n == 0 {
 		t.Error("faults.injected.crash = 0, want > 0 — injector not wired to the job registry")
@@ -253,7 +251,7 @@ func TestChaosTrackerCrashReportCounters(t *testing.T) {
 func TestWatchHandleInertOnceJobOver(t *testing.T) {
 	var cc ClusterControl
 	text := genText(t, 20_000, 41)
-	_, err := Run(wcJob(2), mapred.SplitText(text, 5_000), Config{
+	_, _, err := runJob(wcJob(2), mapred.SplitText(text, 5_000), Config{
 		NumTrackers: 2,
 		Watch:       func(c ClusterControl) { cc = c },
 	})

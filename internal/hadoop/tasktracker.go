@@ -56,24 +56,15 @@ type taskTracker struct {
 	pool      *bufpool.Pool // fetch + merge buffers, shared across this tracker's reduces
 
 	// combine is the job combiner every combine stage on this tracker uses
-	// (map spill, reduce-side merge passes, node-level combine). When the
-	// job provides an ObservedCombiner factory it is bound to the job's
-	// metrics registry here, so combiner fallbacks anywhere on the tracker
-	// surface as mapred.combiner.fallback.
+	// (map spill, reduce-side merge passes). When the job provides an
+	// ObservedCombiner factory it is bound to the job's metrics registry
+	// here, so combiner fallbacks anywhere on the tracker surface as
+	// mapred.combiner.fallback.
 	combine core.CombineFunc
 
 	mapSem    chan struct{}
 	reduceSem chan struct{}
 	tasks     sync.WaitGroup
-
-	// NodeCombine state: spills of locally-completed maps awaiting the
-	// node-level combine stage, the drain hint from the jobtracker, and a
-	// single-flight latch for the flush goroutine. All under nodeMu.
-	nodeMu      sync.Mutex
-	nodePending []nodeSpill
-	nodeSeq     int
-	nodeDrained bool
-	nodeFlush   bool
 
 	mu         sync.Mutex
 	taskErr    error
@@ -263,7 +254,6 @@ func (tt *taskTracker) run() error {
 			defer tt.mu.Unlock()
 			return tt.taskErr
 		}
-		tt.maybeNodeFlush()
 		time.Sleep(tt.cfg.Heartbeat)
 	}
 }
@@ -307,19 +297,10 @@ func (tt *taskTracker) dispatch(resp []byte) (bool, error) {
 			// Parent the task span under the scheduler's attempt span.
 			pctx := trace.Context{Trace: tt.jobCtx.Trace, Span: uint64(span64)}
 			if act == actLaunchMap {
-				// A fresh launch reopens the local batch: its spill belongs
-				// in the next node-level combine group.
-				tt.nodeMu.Lock()
-				tt.nodeDrained = false
-				tt.nodeMu.Unlock()
 				tt.launchMap(int(id64), int(att64), pctx)
 			} else {
 				tt.launchReduce(int(id64), int(att64), pctx)
 			}
-		case actMapsDrained:
-			tt.nodeMu.Lock()
-			tt.nodeDrained = true
-			tt.nodeMu.Unlock()
 		default:
 			return false, fmt.Errorf("hadoop: unknown action %d", act)
 		}
@@ -333,20 +314,9 @@ func (tt *taskTracker) launchMap(task, attempt int, pctx trace.Context) {
 	go func() {
 		defer tt.tasks.Done()
 		defer func() { <-tt.mapSem }()
-		ph, parts, err := tt.runMapTask(task, attempt, pctx)
+		ph, err := tt.runMapTask(task, attempt, pctx)
 		if err != nil {
 			tt.reportTaskFailed(taskKindMap, task, fmt.Errorf("map task %d: %w", task, err))
-			return
-		}
-		if tt.cfg.NodeCombine {
-			// Defer the completion report: the map joins this tracker's
-			// pending batch and completes via the node-level combine stage.
-			tt.nodeMu.Lock()
-			tt.nodePending = append(tt.nodePending, nodeSpill{task: task, ph: ph, parts: parts})
-			tt.nodeMu.Unlock()
-			tt.mu.Lock()
-			tt.mapsRun++
-			tt.mu.Unlock()
 			return
 		}
 		// The task's spans are finished before the completion RPC, so the
@@ -402,106 +372,14 @@ func (tt *taskTracker) launchReduce(task, attempt int, pctx trace.Context) {
 	}()
 }
 
-// maybeNodeFlush starts the node-level combine stage when it is due: the
-// jobtracker signalled the map queue drained, no map is still running in a
-// slot (its spill belongs in this group), a batch is pending, and no flush
-// is already in flight. Called once per heartbeat; the stage itself runs
-// in a goroutine so merging never stalls the heartbeat loop.
-func (tt *taskTracker) maybeNodeFlush() {
-	if !tt.cfg.NodeCombine {
-		return
-	}
-	tt.nodeMu.Lock()
-	defer tt.nodeMu.Unlock()
-	if tt.nodeFlush || !tt.nodeDrained || len(tt.nodePending) == 0 {
-		return
-	}
-	if free(tt.mapSem) != cap(tt.mapSem) {
-		return
-	}
-	batch := tt.nodePending
-	tt.nodePending = nil
-	tt.nodeSeq++
-	// Group ids are negative so they can never collide with a map id, and
-	// carry the tracker id so concurrent trackers never collide either.
-	gid := -(int64(tt.id)*1_000_000 + int64(tt.nodeSeq))
-	tt.nodeFlush = true
-	tt.tasks.Add(1)
-	go func() {
-		defer tt.tasks.Done()
-		tt.flushNodeGroup(batch, gid)
-		tt.nodeMu.Lock()
-		tt.nodeFlush = false
-		tt.nodeMu.Unlock()
-	}()
-}
-
-// flushNodeGroup is the node-level combine stage: for each partition it
-// k-way merges the batch members' sorted spill runs through the job's
-// combiner (the in-node combining the per-task path cannot do), publishes
-// the combined segment under the group id, and reports every member
-// complete in one nodeCombined RPC. Per-map segments stay published as the
-// reducers' fallback. A merge failure fails every member so the jobtracker
-// can re-queue them.
-func (tt *taskTracker) flushNodeGroup(batch []nodeSpill, gid int64) {
-	span := tt.tr.StartChild(tt.jobCtx, fmt.Sprintf("nodecombine g%d", -gid), trace.KindMerge)
-	defer span.End()
-	span.Annotate("maps", fmt.Sprint(len(batch)))
-	start := time.Now()
-	var comb shuffle.Combiner
-	if tt.combine != nil {
-		comb = shuffle.Combiner(tt.combine)
-	}
-	nParts := tt.job.NumReducers
-	var inBytes, outBytes int
-	for p := 0; p < nParts; p++ {
-		runs := make([]shuffle.Run, 0, len(batch))
-		for _, sp := range batch {
-			if len(sp.parts[p]) > 0 {
-				runs = append(runs, shuffle.Run{Data: sp.parts[p], Seq: sp.task})
-				inBytes += len(sp.parts[p])
-			}
-		}
-		var buf []byte
-		err := shuffle.MergeRuns(runs, comb, func(kl kv.KeyList) error {
-			buf = kv.AppendKeyList(buf, kl)
-			return nil
-		})
-		if err != nil {
-			span.Annotate("error", err.Error())
-			for _, sp := range batch {
-				tt.reportTaskFailed(taskKindMap, sp.task, fmt.Errorf("node combine of map %d: %w", sp.task, err))
-			}
-			return
-		}
-		outBytes += len(buf)
-		tt.store.Put(jetty.OutputKey{Job: jobName, Map: int(gid), Reduce: p}, buf)
-	}
-	tt.met.Timer("task.map.nodecombine").ObserveDuration(time.Since(start))
-	tt.met.Counter("hadoop.node_combine_maps").Add(int64(len(batch)))
-	sctx := span.Context()
-	tt.ev.Emit(obs.Event{Type: obs.EvSpill, Task: fmt.Sprintf("g%d", -gid),
-		Span: sctx.Span, Trace: sctx.Trace,
-		Detail: fmt.Sprintf("tracker %d node combine: %d maps, %d -> %d bytes",
-			tt.idx, len(batch), inBytes, outBytes)})
-
-	blob := kv.AppendVLong(nil, int64(len(batch)))
-	for _, sp := range batch {
-		blob = kv.AppendVLong(blob, int64(sp.task))
-		blob = kv.AppendVLong(blob, int64(sp.ph.run))
-		blob = kv.AppendVLong(blob, int64(sp.ph.spill))
-	}
-	span.End()
-	params := [][]byte{
-		kv.AppendVLong(nil, int64(tt.id)),
-		kv.AppendVLong(nil, gid),
-		blob,
-	}
-	if sb := trace.EncodeSpans(tt.tr.Drain()); sb != nil {
-		params = append(params, sb)
-	}
-	if _, err := tt.rpc.Call("nodeCombined", params...); err != nil {
-		tt.noteErr(fmt.Errorf("hadoop: reporting node combine g%d: %w", -gid, err))
+// recoverTask, deferred first in a task body, turns a panic in the user's
+// mapper, combiner or reducer into the task's error: the attempt is reported
+// through taskFailed like any other task error (MaxTaskAttempts then fails a
+// job whose code panics every time) and the process — other tasks, other
+// tenants' jobs — keeps running.
+func recoverTask(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("panicked: %v", p)
 	}
 }
 
@@ -513,22 +391,10 @@ type mapPhases struct {
 	spill time.Duration
 }
 
-// nodeSpill is one locally-completed map awaiting the node-level combine
-// stage: its phase times for the deferred completion report and its
-// published per-partition sorted runs (aliasing the shuffle store's
-// segments, read-only).
-type nodeSpill struct {
-	task  int
-	ph    mapPhases
-	parts [][]byte
-}
-
 // runMapTask maps one split, partitions the output, optionally combines,
-// and publishes per-reduce partitions into the local shuffle store. The
-// returned slice holds the published per-partition runs, which the
-// NodeCombine path merges across co-located maps.
-func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (mapPhases, [][]byte, error) {
-	var ph mapPhases
+// and publishes per-reduce partitions into the local shuffle store.
+func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (ph mapPhases, err error) {
+	defer recoverTask(&err)
 	span := tt.tr.StartChild(pctx, fmt.Sprintf("m%d", task), trace.KindTask)
 	span.Annotate("attempt", fmt.Sprint(attempt))
 	defer span.End()
@@ -562,7 +428,7 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (mapPha
 		return tt.job.Mapper.Map(k, v, emit)
 	}); err != nil {
 		span.Annotate("error", err.Error())
-		return ph, nil, err
+		return ph, err
 	}
 	ph.run = time.Since(runStart)
 	runSpan.End()
@@ -577,7 +443,6 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (mapPha
 	defer spillSpan.End()
 	spillStart := time.Now()
 	var spilled int
-	parts := make([][]byte, nParts)
 	for p := 0; p < nParts; p++ {
 		sort.Strings(order[p])
 		var buf []byte
@@ -589,7 +454,6 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (mapPha
 			buf = kv.AppendKeyList(buf, kv.KeyList{Key: []byte(k), Values: values})
 		}
 		spilled += len(buf)
-		parts[p] = buf
 		tt.store.Put(jetty.OutputKey{Job: jobName, Map: task, Reduce: p}, buf)
 	}
 	ph.spill = time.Since(spillStart)
@@ -599,7 +463,7 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (mapPha
 	tt.ev.Emit(obs.Event{Type: obs.EvSpill, Task: fmt.Sprintf("m%d", task),
 		Attempt: attempt, Span: sctx.Span, Trace: sctx.Trace,
 		Detail: fmt.Sprintf("tracker %d: %d partitions, %d bytes", tt.idx, nParts, spilled)})
-	return ph, parts, nil
+	return ph, nil
 }
 
 // mapOutputLoc is one completed map's shuffle address.
@@ -648,8 +512,8 @@ type reducePhases struct {
 //   - when a poll makes no progress — no new locations, or every fetch
 //     failed — the reducer backs off for a heartbeat instead of hot-polling
 //     the jobtracker in a tight RPC loop while maps are still running.
-func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]byte, reducePhases, error) {
-	var ph reducePhases
+func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out []byte, ph reducePhases, err error) {
+	defer recoverTask(&err)
 	span := tt.tr.StartChild(pctx, fmt.Sprintf("r%d", task), trace.KindTask)
 	span.Annotate("attempt", fmt.Sprint(attempt))
 	defer span.End()
@@ -658,18 +522,11 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]b
 	if tt.combine != nil {
 		combine = shuffle.Combiner(tt.combine)
 	}
-	// With NodeCombine a group segment covers several maps, so fewer
-	// segments than splits arrive; the merger runs in streaming mode and
-	// the copy loop's own fetched-set accounting declares end-of-stream.
-	expected := len(tt.splits)
-	if tt.cfg.NodeCombine {
-		expected = 0
-	}
 	// OnPass fires from each background pass's own goroutine, and passes
 	// can overlap — the pass number must be atomic.
 	var passNo int64
 	merger := shuffle.NewMerger(shuffle.Config{
-		Expected: expected,
+		Expected: len(tt.splits),
 		Factor:   tt.cfg.MergeFactor,
 		Combine:  combine,
 		Pool:     tt.pool,
@@ -696,7 +553,7 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]b
 		if tt.isAborting() {
 			return nil, ph, fmt.Errorf("job aborted during copy")
 		}
-		groups, jobs, err := tt.pollMapLocations(fetched)
+		jobs, err := tt.pollMapLocations(fetched)
 		if err != nil {
 			return nil, ph, err
 		}
@@ -706,56 +563,6 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]b
 			progress int
 			failed   []mapOutputLoc
 		)
-		// Wave 1 (NodeCombine): group segments, one fetch crediting every
-		// member map. A group whose fetch fails degrades to per-map fetches
-		// in wave 2 — the unicast re-fetch fallback — and only those decide
-		// whether to report fetchFailed.
-		for _, g := range groups {
-			g := g
-			copierSem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-copierSem }()
-				data, err := tt.fetchGroup(g, task, copySpan.Context())
-				if err != nil {
-					okMu.Lock()
-					jobs = append(jobs, g.rows...)
-					okMu.Unlock()
-					return
-				}
-				mergedMu.Lock()
-				fresh := true
-				for _, m := range g.members {
-					if fetched[m] {
-						fresh = false
-						break
-					}
-				}
-				if fresh {
-					seq := g.members[0]
-					for _, m := range g.members {
-						fetched[m] = true
-						if m < seq {
-							seq = m
-						}
-					}
-					merger.Add(seq, data)
-					mergedMu.Unlock()
-				} else {
-					// A per-map fetch of a member raced this group copy;
-					// the overlapping data must not reach the merger.
-					mergedMu.Unlock()
-					tt.pool.Put(data)
-				}
-				okMu.Lock()
-				progress++
-				okMu.Unlock()
-			}()
-		}
-		wg.Wait()
-		// Wave 2: per-map segments (uncombined maps, partially-covered
-		// groups, and wave-1 fallbacks).
 		for _, j := range jobs {
 			j := j
 			copierSem <- struct{}{}
@@ -820,7 +627,6 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]b
 	reduceSpan := span.Child("reduce.reduce", trace.KindPhase)
 	defer reduceSpan.End()
 	reduceStart := time.Now()
-	var out []byte
 	emit := func(key, value []byte) error {
 		out = kv.AppendPair(out, kv.Pair{Key: key, Value: value})
 		return nil
@@ -836,162 +642,43 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) ([]b
 	return out, ph, nil
 }
 
-// groupFetch is one node-combined segment worth fetching: its (negative)
-// group id, the tracker serving it, the group's full original membership,
-// and the members' per-map rows — the unicast fallback plan if the group
-// fetch fails or the group is already partially covered.
-type groupFetch struct {
-	groupID   int64
-	trackerID int
-	addr      string
-	members   []int
-	rows      []mapOutputLoc
-}
-
 // pollMapLocations asks the jobtracker for completed map locations and
-// plans this round's fetches: group segments to fetch whole, and per-map
-// segments for everything else. Maps already fetched are skipped, and maps
-// advertised more than once in one response (an old and a re-executed
-// copy) are deduped. A group with any member already fetched is never
-// fetched as a group — its data would overlap the merger's input — so its
-// remaining members are planned per-map instead.
-func (tt *taskTracker) pollMapLocations(fetched map[int]bool) ([]groupFetch, []mapOutputLoc, error) {
+// returns the ones not yet fetched, deduped within the response (an old
+// and a re-executed copy of one map may both be advertised).
+func (tt *taskTracker) pollMapLocations(fetched map[int]bool) ([]mapOutputLoc, error) {
 	locs, err := tt.rpc.Call("mapLocations")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	count, n, err := kv.ReadVLong(locs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	locs = locs[n:]
-	type row struct {
-		loc   mapOutputLoc
-		group int64
-	}
-	rows := make([]row, 0, int(count))
+	var jobs []mapOutputLoc
+	queued := make(map[int]bool, int(count))
 	for i := int64(0); i < count; i++ {
 		mapID64, n, err := kv.ReadVLong(locs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		locs = locs[n:]
 		trackerID64, n, err := kv.ReadVLong(locs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		locs = locs[n:]
 		addr, n, err := kv.ReadBytes(locs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		locs = locs[n:]
-		group, n, err := kv.ReadVLong(locs)
-		if err != nil {
-			return nil, nil, err
-		}
-		locs = locs[n:]
-		rows = append(rows, row{
-			loc:   mapOutputLoc{mapID: int(mapID64), trackerID: int(trackerID64), addr: string(addr)},
-			group: group,
-		})
-	}
-	members := make(map[int64][]int)
-	groupCount, n, err := kv.ReadVLong(locs)
-	if err != nil {
-		return nil, nil, err
-	}
-	locs = locs[n:]
-	for i := int64(0); i < groupCount; i++ {
-		g, n, err := kv.ReadVLong(locs)
-		if err != nil {
-			return nil, nil, err
-		}
-		locs = locs[n:]
-		memberCount, n, err := kv.ReadVLong(locs)
-		if err != nil {
-			return nil, nil, err
-		}
-		locs = locs[n:]
-		ms := make([]int, 0, int(memberCount))
-		for j := int64(0); j < memberCount; j++ {
-			m, n, err := kv.ReadVLong(locs)
-			if err != nil {
-				return nil, nil, err
-			}
-			locs = locs[n:]
-			ms = append(ms, int(m))
-		}
-		members[g] = ms
-	}
-
-	var (
-		jobs       []mapOutputLoc
-		groups     []groupFetch
-		groupOrder []int64
-	)
-	queued := make(map[int]bool, len(rows))
-	grouped := make(map[int64]*groupFetch)
-	for _, r := range rows {
-		if fetched[r.loc.mapID] || queued[r.loc.mapID] {
-			continue
-		}
-		queued[r.loc.mapID] = true
-		if r.group == int64(r.loc.mapID) || len(members[r.group]) == 0 {
-			jobs = append(jobs, r.loc)
-			continue
-		}
-		g, ok := grouped[r.group]
-		if !ok {
-			g = &groupFetch{
-				groupID:   r.group,
-				trackerID: r.loc.trackerID,
-				addr:      r.loc.addr,
-				members:   members[r.group],
-			}
-			grouped[r.group] = g
-			groupOrder = append(groupOrder, r.group)
-		}
-		g.rows = append(g.rows, r.loc)
-	}
-	for _, id := range groupOrder {
-		g := grouped[id]
-		covered := false
-		for _, m := range g.members {
-			if fetched[m] {
-				covered = true
-				break
-			}
-		}
-		if covered {
-			jobs = append(jobs, g.rows...)
-		} else {
-			groups = append(groups, *g)
+		if mapID := int(mapID64); !fetched[mapID] && !queued[mapID] {
+			queued[mapID] = true
+			jobs = append(jobs, mapOutputLoc{mapID: mapID, trackerID: int(trackerID64), addr: string(addr)})
 		}
 	}
-	return groups, jobs, nil
-}
-
-// fetchGroup retrieves one node-combined group segment and validates it is
-// a well-formed sorted run, exactly like fetchRun for a per-map segment.
-func (tt *taskTracker) fetchGroup(g groupFetch, reduce int, pctx trace.Context) ([]byte, error) {
-	fs := tt.tr.StartChild(pctx, fmt.Sprintf("fetch g%d", -g.groupID), trace.KindFetch)
-	defer fs.End()
-	fs.Annotate("from", fmt.Sprintf("tracker%d", g.trackerID))
-	fs.Annotate("maps", fmt.Sprint(len(g.members)))
-	data, err := tt.fetch.FetchMapOutputContext(tt.ctx, fs.Context(), g.addr,
-		jetty.OutputKey{Job: jobName, Map: int(g.groupID), Reduce: reduce})
-	if err != nil {
-		fs.Annotate("error", err.Error())
-		return nil, err
-	}
-	fs.Annotate("bytes", fmt.Sprint(len(data)))
-	if _, err := shuffle.ValidateRun(data); err != nil {
-		fs.Annotate("error", "corrupt output")
-		tt.pool.Put(data)
-		return nil, fmt.Errorf("corrupt group %d output: %w", g.groupID, err)
-	}
-	return data, nil
+	return jobs, nil
 }
 
 // reportFetchFailures tells the jobtracker about failed fetches so the

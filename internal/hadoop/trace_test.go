@@ -29,7 +29,7 @@ func note(s trace.Span, key string) string {
 func TestTracedJobSpans(t *testing.T) {
 	text := genText(t, 60_000, 7)
 	splits := mapred.SplitText(text, 6_000)
-	_, rep, err := RunWithReport(wcJob(2), splits, Config{
+	_, rep, err := runJob(wcJob(2), splits, Config{
 		NumTrackers: 2,
 		AdminAddr:   "127.0.0.1:0",
 	})
@@ -159,7 +159,7 @@ func TestChaosTrackerCrashTrace(t *testing.T) {
 		After:     10,
 		Action:    faults.Crash,
 	})
-	res, rep, err := RunWithReport(job, splits, Config{
+	res, rep, err := runJob(job, splits, Config{
 		NumTrackers:    3,
 		Injector:       inj,
 		TrackerTimeout: 200 * time.Millisecond,

@@ -108,18 +108,11 @@ type Job struct {
 	Combiner core.CombineFunc
 	// ObservedCombiner, when set, builds a metrics-observing variant of
 	// Combiner bound to an engine's per-job registry (normally via
-	// CombinerFromReducerObserved). Engines that combine outside the MPI-D
-	// send path — the hadoop engine's node-level combine stage — prefer it
-	// over Combiner so combiner fallbacks surface as
+	// CombinerFromReducerObserved). The hadoop engine, which combines
+	// outside the MPI-D send path (map spill, reduce-side merge passes),
+	// prefers it over Combiner so combiner fallbacks surface as
 	// mapred.combiner.fallback in the job's /metrics.prom.
 	ObservedCombiner func(*metrics.Registry) core.CombineFunc
-	// NodeCombine lifts the combine stage from task scope to node scope.
-	// On the MPI-D engine every mapper rank shares one core.NodeArena (the
-	// in-process world is a single node), so duplicate keys fold across
-	// co-located mappers before shipping; on the hadoop engine the flag of
-	// the same name on hadoop.Config merges co-located map outputs behind
-	// the shuffle server.
-	NodeCombine bool
 	// Partitioner overrides MPI-D's hash-mod default.
 	Partitioner core.PartitionFunc
 	// NumReducers is the reducer count (default 1).
@@ -266,13 +259,6 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 
 	result := &Result{ByReducer: make([][]kv.Pair, job.NumReducers), MapTasks: len(splits)}
 
-	// One shared arena for all mapper ranks: the in-process world is one
-	// node, so NodeCombine means every sender combines into the same buffer.
-	var nodeArena *core.NodeArena
-	if job.NodeCombine {
-		nodeArena = core.NewNodeArena()
-	}
-
 	newWorld := x.NewWorld
 	if newWorld == nil {
 		newWorld = func(n int) (*mpi.World, error) { return mpi.NewWorld(n), nil }
@@ -296,7 +282,6 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 			SpillThreshold: job.SpillThreshold,
 			SortValues:     job.SortValues,
 			Async:          job.Async,
-			NodeArena:      nodeArena,
 			Pool:           job.Pool,
 			Metrics:        x.Metrics,
 			Tracer:         x.Tracer,

@@ -84,7 +84,8 @@ func BenchmarkRingRoundtrip(b *testing.B) {
 }
 
 // BenchmarkChanRoundtrip is the in-process chan-transport baseline the
-// ring is gated against (bench-check: ring p50 ≤ chan p50 at small sizes).
+// ring is read against (its reason to exist is a small-message p50 below
+// chan's; ROADMAP item 5).
 func BenchmarkChanRoundtrip(b *testing.B) {
 	for _, size := range []int{16, 1 << 10, 32 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {

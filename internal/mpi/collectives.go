@@ -1,10 +1,9 @@
 // Collective operations over a communicator: Barrier, Bcast, Reduce,
-// Allreduce, Gather, Scatter, Allgather, Alltoall(v), Sendrecv, and the
-// one-sided Mcast multicast primitive.
+// Allreduce, Gather, Scatter, Allgather, Alltoall(v) and Sendrecv.
 //
 // # The call-order contract
 //
-// Every true collective here (everything except Mcast and Sendrecv) must be
+// Every true collective here (everything except Sendrecv) must be
 // called by every rank of the communicator, in the same program order.
 // That contract is what lets tag allocation be a plain per-rank counter
 // (nextCollTag): rank k's third collective call and rank j's third
@@ -21,18 +20,6 @@
 // gather/scatter/all-to-all family uses eager linear exchanges, which the
 // non-blocking eager transports make deadlock-free (send-all then
 // receive-all never blocks on a peer's send).
-//
-// # Multicast (Mcast)
-//
-// Mcast is deliberately not a collective: only the sender calls it, and
-// each destination receives the payload with a plain Recv on the same user
-// tag. It models the one-to-many transmission of a multicast-capable
-// fabric (Ethernet multicast, InfiniBand UD multicast, or a rack switch
-// replicating a frame): one logical transmission serves every destination.
-// The in-process and TCP transports emulate it by unicast fan-out, so
-// callers that account for network traffic (the coded-shuffle prototype in
-// internal/coded) should count len(data) once per Mcast call, not once per
-// destination — that is exactly the accounting gap coded shuffle exploits.
 
 package mpi
 
@@ -275,54 +262,6 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 		out[i] = data
 	}
 	return out, nil
-}
-
-// Mcast transmits one payload to several destinations — the multicast
-// primitive. Unlike the collectives above it is one-sided: only the sender
-// calls it, and each destination receives the payload with an ordinary
-// Recv(sender, tag) on the same user tag. Destinations must be distinct
-// ranks of this communicator and must not include the sender; tag must be
-// a user tag (below the reserved collective space).
-//
-// Semantically this is one transmission: on a multicast-capable fabric the
-// payload crosses the sender's link once however many destinations there
-// are. The transports here emulate that with an eager unicast fan-out, so
-// delivery order between destinations is unspecified, but per-destination
-// FIFO ordering (the transport invariant) still holds. Callers modelling
-// network cost should charge len(data) once per Mcast call — the
-// accounting the coded-shuffle prototype (internal/coded) builds on.
-//
-// Ownership of data transfers with the message on zero-copy transports,
-// exactly as for Send: the caller must not modify the slice afterwards.
-// On those transports every destination also receives an alias of the
-// same backing array, so receivers must treat a multicast payload as
-// read-only.
-func (c *Comm) Mcast(dests []int, tag int, data []byte) error {
-	if err := validateTag(tag); err != nil {
-		return err
-	}
-	if len(dests) == 0 {
-		return fmt.Errorf("mpi: Mcast needs at least one destination")
-	}
-	seen := make(map[int]bool, len(dests))
-	for _, d := range dests {
-		if err := validateRank(d, c.Size()); err != nil {
-			return err
-		}
-		if d == c.rank {
-			return fmt.Errorf("mpi: Mcast destination %d is the sender", d)
-		}
-		if seen[d] {
-			return fmt.Errorf("mpi: Mcast destination %d listed twice", d)
-		}
-		seen[d] = true
-	}
-	for _, d := range dests {
-		if err := c.send(d, tag, data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -54,12 +54,15 @@ type Params struct {
 	// (MPI_Isend adoption, §IV.A future work). The paper's prototype is
 	// synchronous; the ablation bench flips this.
 	Async bool
-	// CodedReplication models the coded-shuffle prototype (internal/coded)
-	// at cluster scale: every split is mapped by r nodes, so each mapper
+	// CodedReplication models Coded MapReduce's shuffle (PAPERS.md) at
+	// cluster scale: every split is mapped by r nodes, so each mapper
 	// pays r× the input read and map CPU, and every coded multicast
 	// serves r destinations per transmission, so the bytes a mapper ships
 	// divide by r. The reducers merge the same logical intermediate data
-	// either way. 0 or 1 means plain (uncoded) shuffle.
+	// either way. 0 or 1 means plain (uncoded) shuffle. The model is what
+	// states the regime: coding wins end to end only when the network,
+	// not the map scan, bounds the job (EXPERIMENTS.md "Figure 6 (coded)";
+	// the live prototype's last numbers are under "Retired baselines").
 	CodedReplication int
 	// Pipelined overlaps the reducer's merge with the map phase: each
 	// mapper's share of the intermediate data is merged as that mapper

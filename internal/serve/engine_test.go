@@ -100,35 +100,40 @@ func TestDrainCancelsJobThatIgnoresItsContext(t *testing.T) {
 	})
 }
 
-// TestMapperPanicFailsJobOnly: a user mapper that panics fails its own job
-// with the panic in the error, and the service goes on admitting and
-// running jobs. MPI-D only: mpi.RunOn recovers a rank's panic, while the
-// hadoop engine runs map tasks on bare goroutines and a panic there takes
-// the process down — its behaviour is the frozen baseline (ROADMAP item 2).
+// TestMapperPanicFailsJobOnly: a user mapper or reducer that panics fails
+// its own job with the panic in the error, and the service goes on admitting
+// and running jobs. mpi.RunOn recovers a rank's panic; the hadoop engine's
+// tasktracker recovers a task's and reports it failed, so the job ends once
+// MaxTaskAttempts attempts have panicked.
 func TestMapperPanicFailsJobOnly(t *testing.T) {
-	s := New(Config{Cluster: testCluster()})
-	defer s.Drain(5 * time.Second)
-	job, splits := smallWC(t)
-	bad := job
-	bad.Mapper = mapred.MapperFunc(func(_, _ []byte, _ mapred.Emit) error { panic("user mapper exploded") })
-	j, err := s.Submit("alice", "bad", bad, splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	if j.Err == nil || !strings.Contains(j.Err.Error(), "user mapper exploded") {
-		t.Fatalf("job error = %v, want the mapper's panic", j.Err)
-	}
-	j, err = s.Submit("alice", "wc", job, splits)
-	if err != nil {
-		t.Fatalf("submit after a panicked job: %v", err)
-	}
-	if err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("job after a panicked job: %v", err)
-	}
-	if st := s.Stats(); st.Done != 1 || st.Failed != 1 || st.Running != 0 {
-		t.Fatalf("stats = %+v, want done=1 failed=1 running=0", st)
-	}
+	onBothEngines(t, func(t *testing.T, eng string) {
+		s := New(Config{Engine: eng, Cluster: testCluster()})
+		defer s.Drain(5 * time.Second)
+		job, splits := smallWC(t)
+		badMapper, badReducer := job, job
+		badMapper.Mapper = mapred.MapperFunc(func(_, _ []byte, _ mapred.Emit) error { panic("user mapper exploded") })
+		badReducer.Reducer = mapred.ReducerFunc(func(_ []byte, _ [][]byte, _ mapred.Emit) error { panic("user reducer exploded") })
+		for want, bad := range map[string]mapred.Job{"user mapper exploded": badMapper, "user reducer exploded": badReducer} {
+			j, err := s.Submit("alice", "bad", bad, splits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			if j.Err == nil || !strings.Contains(j.Err.Error(), want) {
+				t.Fatalf("job error = %v, want the panic %q", j.Err, want)
+			}
+		}
+		j, err := s.Submit("alice", "wc", job, splits)
+		if err != nil {
+			t.Fatalf("submit after the panicked jobs: %v", err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatalf("job after the panicked jobs: %v", err)
+		}
+		if st := s.Stats(); st.Done != 1 || st.Failed != 2 || st.Running != 0 {
+			t.Fatalf("stats = %+v, want done=1 failed=2 running=0", st)
+		}
+	})
 }
 
 // pinnedSplit is a split the test can watch being garbage collected.

@@ -267,11 +267,7 @@ type MergeStats struct {
 // Config shapes a Merger.
 type Config struct {
 	// Expected is how many segments Add will deliver in total. Merge may
-	// only be called after all of them arrived. Zero means the count is
-	// unknown (the tasktracker's node-combined copy, where one segment
-	// covers several maps): background passes then run whenever Factor
-	// runs are pending, and Merge trusts the caller to have observed
-	// end-of-stream externally.
+	// only be called after all of them arrived.
 	Expected int
 	// Factor is the merge fan-in (io.sort.factor): an intermediate pass
 	// starts whenever at least Factor runs are pending and more segments
@@ -335,10 +331,7 @@ func (m *Merger) Add(seq int, data []byte) {
 // pending and more segments are still expected. The final batch is left
 // for Merge so the last arrivals don't trigger a useless extra pass.
 func (m *Merger) maybeStartPassLocked() {
-	if m.err != nil || len(m.pending) < m.cfg.Factor {
-		return
-	}
-	if m.cfg.Expected > 0 && m.added >= m.cfg.Expected {
+	if m.err != nil || len(m.pending) < m.cfg.Factor || m.added >= m.cfg.Expected {
 		return
 	}
 	// Fold the smallest pending runs: cheapest pass, and it keeps large
@@ -379,11 +372,20 @@ func (m *Merger) runPass(batch []Run) {
 	}
 	out := m.cfg.Pool.Get(bytesIn)[:0]
 	keys := 0
-	err := MergeRuns(batch, m.cfg.Combine, func(kl kv.KeyList) error {
-		out = kv.AppendKeyList(out, kl)
-		keys++
-		return nil
-	})
+	err := func() (err error) {
+		// The combiner is user code and this goroutine is the merger's own:
+		// a panic here must reach Merge as an error, not end the process.
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("shuffle: merge pass panicked: %v", p)
+			}
+		}()
+		return MergeRuns(batch, m.cfg.Combine, func(kl kv.KeyList) error {
+			out = kv.AppendKeyList(out, kl)
+			keys++
+			return nil
+		})
+	}()
 	for _, r := range batch {
 		m.cfg.Pool.Put(r.Data)
 	}
@@ -430,7 +432,7 @@ func (m *Merger) Merge(emit func(kv.KeyList) error) error {
 		m.mu.Unlock()
 		return err
 	}
-	if m.cfg.Expected > 0 && m.added != m.cfg.Expected {
+	if m.added != m.cfg.Expected {
 		n := m.added
 		m.mu.Unlock()
 		return fmt.Errorf("shuffle: final merge with %d/%d segments", n, m.cfg.Expected)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -324,6 +325,25 @@ func TestMergerCombine(t *testing.T) {
 	}
 	if st := m.Stats(); st.Passes == 0 || st.BytesOut >= st.BytesIn {
 		t.Fatalf("combining passes should shrink data: %+v", st)
+	}
+}
+
+// TestMergerCombinerPanicBecomesMergeError: background passes run the
+// caller's combiner on goroutines the caller never sees, so a combiner that
+// panics there must surface from Merge instead of killing the process.
+func TestMergerCombinerPanicBecomesMergeError(t *testing.T) {
+	one := [][]byte{kv.AppendVLong(nil, 1)}
+	m := NewMerger(Config{
+		Expected: 4,
+		Factor:   2,
+		Combine:  func([]byte, [][]byte) [][]byte { panic("combiner bug") },
+	})
+	for s := 0; s < 4; s++ {
+		m.Add(s, buildRun(t, map[string][][]byte{"k": one}))
+	}
+	err := m.Merge(func(kv.KeyList) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "combiner bug") {
+		t.Fatalf("Merge = %v, want the pass's panic as an error", err)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 )
 
 // observedCombiner builds the Job.ObservedCombiner hook for a derived
-// combiner: engines that combine outside the MPI-D send path (the hadoop
-// engine's node-level stage) bind it to their per-job registry so combiner
-// fallbacks are visible as mapred.combiner.fallback in /metrics.prom.
+// combiner: the hadoop engine, which combines outside the MPI-D send path,
+// binds it to its per-job registry so combiner fallbacks are visible as
+// mapred.combiner.fallback in /metrics.prom.
 func observedCombiner(r mapred.Reducer) func(*metrics.Registry) core.CombineFunc {
 	return func(reg *metrics.Registry) core.CombineFunc {
 		return mapred.CombinerFromReducerObserved(r, reg)
