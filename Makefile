@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test race bench-module chaos serve-chaos bench bench-smoke docs-lint trace-demo report examples clean
+.PHONY: all check build vet test race bench-module chaos serve-chaos bench bench-smoke docs-lint trace-demo report examples loc clean
 
 all: build vet test
 
@@ -83,6 +83,14 @@ examples:
 	go run ./examples/latency
 	go run ./examples/dfsjob
 	go run ./examples/pagerank
+
+# The four line counts ROADMAP.md's "State at PR N" quotes: non-test Go
+# outside bench/, the four engine packages, tests, and bench/.
+loc:
+	@printf 'non-test Go outside bench/  %6d\n' $$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l)
+	@printf 'core+hadoop+mapred+mpi      %6d\n' $$(git ls-files 'internal/core/*.go' 'internal/hadoop/*.go' 'internal/mapred/*.go' 'internal/mpi/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)
+	@printf 'tests                       %6d\n' $$(git ls-files '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)
+	@printf 'bench/                      %6d\n' $$(git ls-files 'bench/*.go' | xargs cat | wc -l)
 
 clean:
 	go clean ./...

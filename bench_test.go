@@ -26,7 +26,6 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/mpi"
-	"github.com/ict-repro/mpid/internal/mpidsim"
 	"github.com/ict-repro/mpid/internal/netmodel"
 	"github.com/ict-repro/mpid/internal/workload"
 )
@@ -436,26 +435,6 @@ func BenchmarkAblationPartitionSkew(b *testing.B) {
 			run(b, func([]byte, int) int { return 0 })
 		}
 	})
-}
-
-// BenchmarkAblationAsyncOverlap flips the Isend overlap of the simulated
-// MPI-D system (the §IV.A future-work optimization).
-func BenchmarkAblationAsyncOverlap(b *testing.B) {
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "async"
-		}
-		b.Run(name, func(b *testing.B) {
-			var jobSecs float64
-			for i := 0; i < b.N; i++ {
-				p := mpidsim.WordCount(4 * netmodel.GB)
-				p.Async = async
-				jobSecs = mpidsim.Run(p).JobTime.Seconds()
-			}
-			b.ReportMetric(jobSecs, "sim-job-s")
-		})
-	}
 }
 
 // BenchmarkFigure6Live runs the identical WordCount on the real mini-Hadoop

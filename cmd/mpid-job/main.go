@@ -24,7 +24,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -38,6 +37,7 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/obs"
+	"github.com/ict-repro/mpid/internal/workload"
 )
 
 func main() {
@@ -119,31 +119,7 @@ func main() {
 func buildJob(name, pattern string, reducers int) (mapred.Job, error) {
 	switch name {
 	case "wordcount":
-		reducer := mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred.Emit) error {
-			var total int64
-			for _, v := range values {
-				n, _, err := kv.ReadVLong(v)
-				if err != nil {
-					return err
-				}
-				total += n
-			}
-			return emit(key, kv.AppendVLong(nil, total))
-		})
-		return mapred.Job{
-			Name: name,
-			Mapper: mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
-				for _, w := range bytes.Fields(line) {
-					if err := emit(w, kv.AppendVLong(nil, 1)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}),
-			Reducer:     reducer,
-			Combiner:    mapred.CombinerFromReducer(reducer),
-			NumReducers: reducers,
-		}, nil
+		return workload.WordCountJob(reducers), nil
 
 	case "grep":
 		if pattern == "" {

@@ -1,9 +1,8 @@
 // Command mpid-wordcount regenerates Figure 6: WordCount execution time on
 // simulated Hadoop vs the simulated MPI-D system (7 worker nodes, 49
-// mapper processes, 1 reducer) across input sizes from 1 GB up. -coded adds
-// the MPI-D model with Coded-MapReduce map replication r = 1, 2, 3: shipped
-// bytes fall 1/r and job time rises, because this job is bound by the map
-// scan — coding pays only where the network is the bottleneck.
+// mapper processes, 1 reducer) across input sizes from 1 GB up.
+// -interconnects projects the MPI-D model onto faster networks; -live adds
+// the same WordCount on the two real engines on this machine.
 package main
 
 import (
@@ -18,14 +17,10 @@ func main() {
 	maxGB := flag.Int64("max", 100, "largest input size in GB")
 	interconnects := flag.Bool("interconnects", false, "also project MPI-D onto 10GigE and InfiniBand (§VI(4))")
 	live := flag.Bool("live", false, "also run the live engine comparison: real mini-Hadoop vs real MPI-D on this machine")
-	coded := flag.Bool("coded", false, "also sweep the model's coded-shuffle map replication r=1,2,3 (shipped bytes vs job time)")
 	flag.Parse()
 
 	rows := experiments.Figure6(*maxGB)
 	fmt.Println(experiments.RenderFigure6(rows))
-	if *coded {
-		fmt.Println(experiments.RenderFigure6Coded(experiments.Figure6Coded(*maxGB, []int{1, 2, 3})))
-	}
 	if *interconnects {
 		fmt.Println(experiments.RenderInterconnects(experiments.ExtensionInterconnects(*maxGB)))
 	}

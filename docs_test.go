@@ -127,7 +127,7 @@ func TestDocSections(t *testing.T) {
 			"## 12. The job service (mpid-serve)",
 			"## 13. Shuffle-byte reduction",
 			"## 14. Transport raw speed",
-			"mapred.combiner.fallback", "CodedReplication",
+			"mapred.combiner.fallback", "mergeFactor",
 			"NewRingWorld", "CopyPayloads", "PutFile",
 			"TestPutBackPingPongAllocFree",
 			"-engine mpid|hadoop", "engine.New", "mapred.RunContext",
@@ -137,25 +137,27 @@ func TestDocSections(t *testing.T) {
 			"## Extension — Workload suite",
 			"## Extension — Shuffle-byte reduction",
 			"## Extension — Transport raw speed",
-			"### Figure 6 (coded)",
 			"### Allocations per round trip, as a test (PR 20)",
 			"## Retired baselines",
 			"### The second benchmark, retired by PR 20",
+			"### What only tests reached, retired by PR 21",
+			"#### Figure 6 (coded)",
 			"### The service on the MPI-D path (PR 17)",
 			"### PR 17 against its parent, every run",
 			"### PR 20 against its parent, every run",
+			"### PR 21 against its parent, every run",
 			"**`BENCH_serve.json`**", "**`BENCH_workloads.json`**",
 			"**`BENCH_shufflebytes.json`**", "**`BENCH_transport.json`**",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",
 			"ring_vs_chan_small_p50", "max_allocs_per_op",
 		},
 		"ARCHITECTURE.md": {
-			"CodedReplication",
 			"shuffle-byte reduction (ext.)",
 			"transport raw speed (ext.)",
 			"NewRingWorld", "Store.PutFile",
 			"**`internal/engine`**", "Engine.Run",
 			"## Who reaches what",
+			"### Reached by tests alone",
 		},
 		"README.md": {
 			"bash bench/run.sh", "BENCHMARK.json",

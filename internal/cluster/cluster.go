@@ -108,14 +108,6 @@ func (n *Node) Compute(p *des.Proc, bytes int64, bytesPerSec float64) {
 	n.Cores.Use(p, 1, d)
 }
 
-// ComputeTime occupies one core for a fixed duration.
-func (n *Node) ComputeTime(p *des.Proc, d des.Time) {
-	if d <= 0 {
-		return
-	}
-	n.Cores.Use(p, 1, d)
-}
-
 // ReadStream reads bytes sequentially from the node's disk.
 func (n *Node) ReadStream(p *des.Proc, bytes int64) {
 	n.DiskRead.Transfer(p, bytes)
@@ -155,11 +147,4 @@ func (c *Cluster) Transfer(p *des.Proc, from, to *Node, bytes int64) {
 	out := from.NICOut.Start(bytes)
 	in := to.NICIn.Start(bytes)
 	des.WaitAll(p, out, in)
-}
-
-// TransferStart is the non-blocking Transfer: it returns a latch completing
-// when both link directions finish. The latency is folded into the sender
-// link by the caller when needed.
-func (c *Cluster) TransferStart(from, to *Node, bytes int64) (*des.Done, *des.Done) {
-	return from.NICOut.Start(bytes), to.NICIn.Start(bytes)
 }

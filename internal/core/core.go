@@ -91,10 +91,6 @@ type Config struct {
 	// SortValues sorts each key's value list during realignment, the
 	// on-demand sorting hook from §IV.A. Off by default.
 	SortValues bool
-	// Async ships spilled partitions with MPI_Isend so map computation
-	// overlaps communication (§IV.A future work). Sends are then
-	// completed at the next spill or at Finalize.
-	Async bool
 	// Streaming makes Recv hand over key/value-list fragments as they
 	// arrive instead of merging per key across mappers first. Uses
 	// constant reducer memory, but a key may be delivered more than once
@@ -107,10 +103,8 @@ type Config struct {
 	// Metrics, when set, receives the mpid.spill / mpid.realign /
 	// mpid.recv.merge timers and the mpid.* arena/pool counters.
 	Metrics *metrics.Registry
-	// Tracer, when set, records spill/realign/merge spans under TraceCtx.
+	// Tracer, when set, records spill/realign/merge spans as roots.
 	Tracer *trace.Tracer
-	// TraceCtx is the parent span context for recorded spans.
-	TraceCtx trace.Context
 }
 
 // Counters expose what the library did, for tests, the harness and the
@@ -141,9 +135,8 @@ type D struct {
 
 	// Send side.
 	buf        *arenaBuffer
-	partBufs   [][]byte       // partition buffers retained across spills
-	reuseParts bool           // transport copies payloads, so retaining is safe
-	pending    []*mpi.Request // in-flight Isends (Async mode)
+	partBufs   [][]byte // partition buffers retained across spills
+	reuseParts bool     // transport copies payloads, so retaining is safe
 	sendOpen   bool
 	finalized  bool
 
@@ -281,9 +274,6 @@ func (d *D) CloseSend() error {
 		return nil
 	}
 	if err := d.spill(); err != nil {
-		return err
-	}
-	if err := d.completePending(); err != nil {
 		return err
 	}
 	for p := 0; p < d.numPartitions(); p++ {

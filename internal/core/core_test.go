@@ -147,12 +147,6 @@ func TestWordCountTinySpillThreshold(t *testing.T) {
 	checkCounts(t, got, referenceCounts(words))
 }
 
-func TestWordCountAsyncMode(t *testing.T) {
-	words := sampleWords([]int{1, 2, 3}, 400, 5)
-	got := runWordCount(t, Config{Reducers: []int{0}, Combiner: sumCombiner, SpillThreshold: 64, Async: true}, 4, words)
-	checkCounts(t, got, referenceCounts(words))
-}
-
 func TestWordCountStreamingMode(t *testing.T) {
 	// Streaming may deliver a key multiple times; the aggregate must match.
 	words := sampleWords([]int{1, 2}, 300, 6)
@@ -608,7 +602,6 @@ func TestRandomizedEquivalenceProperty(t *testing.T) {
 			Reducers:       reducers,
 			Combiner:       sumCombiner,
 			SpillThreshold: 1 << uint(4+rng.Intn(10)),
-			Async:          rng.Intn(2) == 0,
 		}
 		got := runWordCount(t, cfg, nRanks, words)
 		checkCounts(t, got, referenceCounts(words))

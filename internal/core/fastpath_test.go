@@ -587,7 +587,6 @@ var sendVariants = []struct {
 	{"combiner", func(c *Config) { c.Combiner = sumCombiner }},
 	{"sortValues", func(c *Config) { c.SortValues = true }},
 	{"combiner+sortValues", func(c *Config) { c.Combiner = sumCombiner; c.SortValues = true }},
-	{"async", func(c *Config) { c.Async = true }},
 }
 
 // TestGroupedStreamByteIdentical drives the same single-sender workload
@@ -734,7 +733,7 @@ func TestFastPathTCPFaultRetry(t *testing.T) {
 	for _, sz := range sizes {
 		t.Run(sz.name, func(t *testing.T) {
 			inj := faults.New(1, faults.Rule{Component: "mpi.rank1", Operation: "write", Until: 1, Action: faults.Drop})
-			w, err := mpi.NewTCPWorldWithFaults(2, inj)
+			w, err := mpi.NewTCPWorldOptions(2, mpi.TCPOptions{Injector: inj})
 			if err != nil {
 				t.Fatal(err)
 			}

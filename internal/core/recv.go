@@ -165,7 +165,7 @@ func (r *receiver) nextGroupedMerged() ([]byte, [][]byte, error) {
 	if !ok {
 		if d := r.d; r.runs != nil {
 			d.mergeTimer.ObserveDuration(time.Since(r.mergeStart))
-			d.cfg.Tracer.Record(d.cfg.TraceCtx, "mpid.recv.merge", trace.KindMerge,
+			d.cfg.Tracer.Record(trace.Context{}, "mpid.recv.merge", trace.KindMerge,
 				r.mergeStart, time.Now(), trace.Annotation{Key: "runs", Value: fmt.Sprint(len(r.runs))})
 			r.runs = nil // observe once; Recv keeps answering io.EOF
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/ict-repro/mpid/internal/kv"
-	"github.com/ict-repro/mpid/internal/mpi"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -55,13 +54,6 @@ func (d *D) spill() error {
 	}
 	d.counters.Spills++
 
-	// In Async mode, complete the previous spill's sends first so at most
-	// one spill is in flight — bounded memory, still overlapped. This also
-	// makes partition-buffer reuse safe: no Isend still reads them.
-	if err := d.completePending(); err != nil {
-		return err
-	}
-
 	spillStart := time.Now()
 	nParts := d.numPartitions()
 	parts := d.takePartBufs(nParts)
@@ -98,25 +90,20 @@ func (d *D) spill() error {
 		dst := d.partitionOwner(p)
 		d.counters.MessagesSent++
 		d.counters.BytesSent += int64(len(data))
-		if d.cfg.Async {
-			d.pending = append(d.pending, d.comm.Isend(dst, DataTag, data))
-			continue
-		}
 		if err := d.comm.Send(dst, DataTag, data); err != nil {
 			return err
 		}
 	}
 	if d.reuseParts {
-		// The transport copied every payload (and Async completes pending
-		// sends before the next realign), so the buffers are ours again.
+		// The transport copied every payload, so the buffers are ours again.
 		d.partBufs = parts
 		d.partReuse.Add(int64(nParts))
 	}
 	end := time.Now()
 	d.spillTimer.ObserveDuration(end.Sub(spillStart))
 	if d.cfg.Tracer != nil {
-		d.cfg.Tracer.Record(d.cfg.TraceCtx, "mpid.realign", trace.KindMerge, spillStart, realignEnd)
-		d.cfg.Tracer.Record(d.cfg.TraceCtx, "mpid.spill", trace.KindMerge, spillStart, end)
+		d.cfg.Tracer.Record(trace.Context{}, "mpid.realign", trace.KindMerge, spillStart, realignEnd)
+		d.cfg.Tracer.Record(trace.Context{}, "mpid.spill", trace.KindMerge, spillStart, end)
 	}
 	return nil
 }
@@ -152,14 +139,4 @@ func (d *D) Flush() error {
 		return nil
 	}
 	return d.spill()
-}
-
-// completePending waits for outstanding Isends (Async mode).
-func (d *D) completePending() error {
-	if len(d.pending) == 0 {
-		return nil
-	}
-	err := mpi.WaitAll(d.pending...)
-	d.pending = d.pending[:0]
-	return err
 }

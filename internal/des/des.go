@@ -97,10 +97,6 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events still scheduled (including cancelled
-// events that have not been reaped yet).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) *Event {

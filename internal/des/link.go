@@ -38,9 +38,6 @@ func NewLink(e *Engine, name string, bytesPerSecond float64) *Link {
 	return &Link{eng: e, name: name, rate: bytesPerSecond, lastTouch: e.now}
 }
 
-// Rate returns the link capacity in bytes/second.
-func (l *Link) Rate() float64 { return l.rate }
-
 // ActiveTransfers returns the number of in-flight transfers.
 func (l *Link) ActiveTransfers() int { return len(l.active) }
 

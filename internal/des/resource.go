@@ -33,9 +33,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Acquire blocks the process until n units are available and admission is
 // FIFO-fair (a waiter never overtakes an earlier one, even if the earlier one
 // needs more units). Requesting more than the capacity panics.

@@ -308,24 +308,3 @@ func TestFigure6LiveEnginesAgreeAndMPIDWins(t *testing.T) {
 		t.Errorf("render:\n%s", out)
 	}
 }
-
-func TestFigure6CodedSweep(t *testing.T) {
-	rows := Figure6Coded(2, []int{1, 2})
-	if len(rows) != 4 { // sizes {1,2} x r {1,2}
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	byKey := map[[2]int64]Figure6CodedRow{}
-	for _, r := range rows {
-		byKey[[2]int64{r.SizeGB, int64(r.Replication)}] = r
-	}
-	for _, gb := range []int64{1, 2} {
-		r1, r2 := byKey[[2]int64{gb, 1}], byKey[[2]int64{gb, 2}]
-		if r2.ShuffleGB >= r1.ShuffleGB {
-			t.Errorf("%dGB: r=2 shipped %.3fGB, not below r=1's %.3fGB", gb, r2.ShuffleGB, r1.ShuffleGB)
-		}
-	}
-	out := RenderFigure6Coded(rows)
-	if !strings.Contains(out, "coded") || !strings.Contains(out, "shipped(GB)") {
-		t.Errorf("render:\n%s", out)
-	}
-}

@@ -26,21 +26,18 @@ type Figure1LiveResult struct {
 	SimCopyPercent float64
 }
 
-// Figure1Live runs the live WordCount on the mini-Hadoop engine (RPC
+// Figure1LiveAt runs the live WordCount on the mini-Hadoop engine (RPC
 // heartbeats, HTTP shuffle, slot scheduling) and collects the
 // jobtracker's per-task phase report — the measured counterpart of the
 // Figure 1 the simulator reproduces at paper scale. The input is small
 // enough for one machine, so the absolute times are milliseconds, not the
 // paper's thousands of seconds; the structure (per-reducer copy/sort/
 // reduce split, copy share) is what carries over.
-func Figure1Live(sizeBytes int64) (*Figure1LiveResult, error) {
-	return Figure1LiveAt(sizeBytes, "")
-}
-
-// Figure1LiveAt is Figure1Live with a live admin endpoint (metrics, trace,
-// timeline, pprof) bound at adminAddr for the duration of the run; ""
-// disables it. The returned report carries the job's full span trace
-// either way, so a post-run Chrome export never needs the endpoint.
+//
+// A live admin endpoint (metrics, trace, timeline, pprof) is bound at
+// adminAddr for the duration of the run; "" disables it. The returned
+// report carries the job's full span trace either way, so a post-run
+// Chrome export never needs the endpoint.
 func Figure1LiveAt(sizeBytes int64, adminAddr string) (*Figure1LiveResult, error) {
 	vocab := workload.NewVocabulary(2_000, 33)
 	text := workload.NewTextGenerator(vocab, 1.15, sizeBytes).BytesOfText(int(sizeBytes))
@@ -52,7 +49,7 @@ func Figure1LiveAt(sizeBytes int64, adminAddr string) (*Figure1LiveResult, error
 		NumTrackers: 4, MapSlots: 1, ReduceSlots: 1,
 		Heartbeat: 25 * time.Millisecond,
 		AdminAddr: adminAddr,
-	}}.Run(context.Background(), liveWordCountJob(), splits, engine.Telemetry{})
+	}}.Run(context.Background(), workload.WordCountJob(2), splits, engine.Telemetry{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: live figure 1 at %d bytes: %w", sizeBytes, err)
 	}

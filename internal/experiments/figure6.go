@@ -51,53 +51,6 @@ func Figure6(maxSizeGB int64) []Figure6Row {
 	return rows
 }
 
-// Figure6CodedRow is one point of the coded-shuffle extension to Figure 6:
-// MPI-D WordCount at one input size and map-replication factor r.
-type Figure6CodedRow struct {
-	SizeGB      int64
-	Replication int
-	MPID        float64 // seconds
-	ShuffleGB   float64 // shipped shuffle bytes (sender-link accounting)
-}
-
-// Figure6Coded sweeps the MPI-D simulation with coded-shuffle replication
-// r ∈ rs at each Figure 6 input size up to maxSizeGB — the shipped-bytes
-// counterpart of the time-based sweep. r = 1 is the uncoded baseline;
-// higher r trades r× redundant map work for an r× reduction in shipped
-// shuffle bytes, so job time falls only where the network bounds the job.
-func Figure6Coded(maxSizeGB int64, rs []int) []Figure6CodedRow {
-	var rows []Figure6CodedRow
-	for _, gb := range Figure6Sizes {
-		if gb > maxSizeGB {
-			continue
-		}
-		for _, r := range rs {
-			p := mpidsim.WordCount(gb * netmodel.GB)
-			p.CodedReplication = r
-			rep := mpidsim.Run(p)
-			rows = append(rows, Figure6CodedRow{
-				SizeGB:      gb,
-				Replication: r,
-				MPID:        rep.JobTime.Seconds(),
-				ShuffleGB:   float64(rep.BytesShuffle) / float64(netmodel.GB),
-			})
-		}
-	}
-	return rows
-}
-
-// RenderFigure6Coded prints the coded sweep, one line per (size, r).
-func RenderFigure6Coded(rows []Figure6CodedRow) string {
-	var b strings.Builder
-	b.WriteString("Figure 6 (coded): MPI-D WordCount with coded-shuffle map replication r\n")
-	b.WriteString(fmt.Sprintf("%-7s %3s %12s %14s\n", "input", "r", "MPI-D(s)", "shipped(GB)"))
-	for _, r := range rows {
-		b.WriteString(fmt.Sprintf("%-7s %3d %12.1f %14.3f\n",
-			fmt.Sprintf("%dGB", r.SizeGB), r.Replication, r.MPID, r.ShuffleGB))
-	}
-	return b.String()
-}
-
 // RenderFigure6 prints the sweep in the paper's terms.
 func RenderFigure6(rows []Figure6Row) string {
 	var b strings.Builder

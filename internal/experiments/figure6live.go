@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -9,7 +8,6 @@ import (
 
 	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
-	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/workload"
 )
@@ -31,36 +29,6 @@ func (r Figure6LiveRow) Ratio() float64 {
 	return float64(r.MPID) / float64(r.Hadoop)
 }
 
-// liveWordCountJob builds the WordCount job both engines run.
-func liveWordCountJob() mapred.Job {
-	mapper := mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
-		for _, w := range bytes.Fields(line) {
-			if err := emit(w, kv.AppendVLong(nil, 1)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	reducer := mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred.Emit) error {
-		var total int64
-		for _, v := range values {
-			n, _, err := kv.ReadVLong(v)
-			if err != nil {
-				return err
-			}
-			total += n
-		}
-		return emit(key, kv.AppendVLong(nil, total))
-	})
-	return mapred.Job{
-		Name:        "live-wordcount",
-		Mapper:      mapper,
-		Reducer:     reducer,
-		Combiner:    mapred.CombinerFromReducer(reducer),
-		NumReducers: 2,
-	}
-}
-
 // Figure6Live runs the engine comparison at the given input sizes (bytes).
 // This is the live analogue of Figure 6 scaled to one machine: both data
 // paths are real — the Hadoop engine pays RPC heartbeat scheduling, map
@@ -68,7 +36,7 @@ func liveWordCountJob() mapred.Job {
 // combined, realigned buffers between pre-spawned ranks.
 func Figure6Live(sizes []int64) ([]Figure6LiveRow, error) {
 	vocab := workload.NewVocabulary(2_000, 33)
-	job := liveWordCountJob()
+	job := workload.WordCountJob(2)
 	// The heartbeat is scaled with the workload: the paper's cluster pairs
 	// a 3 s heartbeat with 64 MB tasks; these 64 KB tasks get 25 ms,
 	// keeping the scheduling-to-work ratio comparable rather than hiding

@@ -18,7 +18,7 @@ func TestTransportWordCountByteIdentical(t *testing.T) {
 	vocab := workload.NewVocabulary(500, 33)
 	text := workload.NewTextGenerator(vocab, 1.15, 1).BytesOfText(64 << 10)
 	splits := mapred.SplitText(text, 16<<10)
-	job := liveWordCountJob()
+	job := workload.WordCountJob(2)
 
 	var ref []byte
 	for _, name := range TransportNames {

@@ -14,7 +14,7 @@
 // every byte crossing real sockets.
 //
 // The engine is fault tolerant in the Hadoop mold: failed tasks are
-// re-queued and re-executed up to Config.MaxTaskAttempts; tasktrackers
+// re-queued and re-executed up to four times (maxTaskAttempts); tasktrackers
 // that stop heartbeating are declared lost after Config.TrackerTimeout and
 // their work (including already-completed map outputs, which died with
 // their shuffle server) is re-executed elsewhere; reducers that cannot
@@ -53,26 +53,6 @@ type Config struct {
 	// default here is 2 ms so tests and live benchmarks are not dominated
 	// by idle waiting — scale it up to study scheduling latency.
 	Heartbeat time.Duration
-	// SlowstartFraction gates reduce launches on map progress (default
-	// 0.05, as mapred.reduce.slowstart).
-	SlowstartFraction float64
-	// CopierThreads is the number of parallel shuffle fetchers per reduce
-	// task (mapred.reduce.parallel.copies; default 5).
-	CopierThreads int
-	// MergeFactor is the reduce-side merge fan-in (io.sort.factor; default
-	// 10): while fetches are still in flight, a background merge pass folds
-	// the MergeFactor smallest pending runs into one, overlapping merge CPU
-	// with copy wait.
-	MergeFactor int
-	// CompressShuffle compresses map-output segments on the jetty wire
-	// (mapred.compress.map.output): trackers advertise acceptance on fetch,
-	// shuffle servers DEFLATE each served segment, and the copier inflates
-	// into pooled buffers. Trades a little CPU for shuffle bytes.
-	CompressShuffle bool
-	// MaxTaskAttempts bounds how many times one task may be attempted
-	// before the job aborts (mapred.map.max.attempts; default 4).
-	// Re-executions forced by tracker loss are not charged against it.
-	MaxTaskAttempts int
 	// TrackerTimeout is how long a tracker may go without heartbeating
 	// before the jobtracker declares it lost and re-queues its tasks
 	// (default max(500 ms, 150 heartbeats); negative disables liveness
@@ -172,18 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 2 * time.Millisecond
 	}
-	if c.SlowstartFraction <= 0 {
-		c.SlowstartFraction = 0.05
-	}
-	if c.CopierThreads <= 0 {
-		c.CopierThreads = 5
-	}
-	if c.MergeFactor <= 1 {
-		c.MergeFactor = 10
-	}
-	if c.MaxTaskAttempts <= 0 {
-		c.MaxTaskAttempts = 4
-	}
 	if c.TrackerTimeout == 0 {
 		c.TrackerTimeout = 150 * c.Heartbeat
 		if c.TrackerTimeout < 500*time.Millisecond {
@@ -213,6 +181,25 @@ func (c Config) rpcOptions() hadooprpc.Options {
 	}
 	return o
 }
+
+// Scheduling and shuffle constants, at Hadoop's defaults.
+const (
+	// slowstartFraction gates reduce launches on map progress
+	// (mapred.reduce.slowstart).
+	slowstartFraction = 0.05
+	// copierThreads is the number of parallel shuffle fetchers per reduce
+	// task (mapred.reduce.parallel.copies).
+	copierThreads = 5
+	// mergeFactor is the reduce-side merge fan-in (io.sort.factor): while
+	// fetches are still in flight, a background merge pass folds the
+	// mergeFactor smallest pending runs into one, overlapping merge CPU
+	// with copy wait.
+	mergeFactor = 10
+	// maxTaskAttempts bounds how many times one task may be attempted
+	// before the job aborts (mapred.map.max.attempts). Re-executions forced
+	// by tracker loss are not charged against it.
+	maxTaskAttempts = 4
+)
 
 // Protocol identity for the jobtracker RPC service.
 const (
@@ -794,7 +781,7 @@ func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 			resp = kv.AppendVLong(resp, int64(jt.executions[taskKey(taskKindMap, task)]))
 			resp = kv.AppendVLong(resp, int64(span.Context().Span))
 		}
-		slowstartMet := float64(jt.mapsDone) >= jt.cfg.SlowstartFraction*float64(len(jt.splits))
+		slowstartMet := float64(jt.mapsDone) >= slowstartFraction*float64(len(jt.splits))
 		if freeReduce > 0 && slowstartMet && len(jt.pendingReduces) > 0 {
 			task := jt.pendingReduces[0]
 			jt.pendingReduces = jt.pendingReduces[1:]
@@ -948,7 +935,7 @@ func (jt *jobTracker) handleReduceCompleted(params [][]byte) ([]byte, error) {
 }
 
 // handleTaskFailed: [trackerID, kind, taskID, message, spans?]. The task
-// is re-queued and charged one attempt; past MaxTaskAttempts the job
+// is re-queued and charged one attempt; past maxTaskAttempts the job
 // aborts with the task's error.
 func (jt *jobTracker) handleTaskFailed(params [][]byte) ([]byte, error) {
 	if len(params) < 4 {
@@ -984,7 +971,7 @@ func (jt *jobTracker) handleTaskFailed(params [][]byte) ([]byte, error) {
 	key := taskKey(kind, task)
 	jt.attempts[key]++
 	jt.met.Counter("hadoop.task_failures").Inc()
-	if jt.attempts[key] >= jt.cfg.MaxTaskAttempts {
+	if jt.attempts[key] >= maxTaskAttempts {
 		jt.abortLocked(fmt.Errorf("hadoop: task %s failed %d times, giving up: %s",
 			key, jt.attempts[key], msg))
 		return nil, nil
@@ -1033,7 +1020,7 @@ func (jt *jobTracker) handleFetchFailed(params [][]byte) ([]byte, error) {
 	key := taskKey(taskKindMap, task)
 	jt.attempts[key]++
 	jt.met.Counter("hadoop.fetch_failures").Inc()
-	if jt.attempts[key] >= jt.cfg.MaxTaskAttempts {
+	if jt.attempts[key] >= maxTaskAttempts {
 		jt.abortLocked(fmt.Errorf("hadoop: map %d unfetchable after %d attempts", task, jt.attempts[key]))
 		return nil, nil
 	}

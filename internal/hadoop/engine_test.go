@@ -234,27 +234,3 @@ func TestMiniHadoopManyTrackersAndSlots(t *testing.T) {
 		t.Fatalf("word totals differ: %d vs %d", gt, wt)
 	}
 }
-
-func TestCopierThreadsConfigurable(t *testing.T) {
-	// A single copier thread must still complete correctly (degenerate
-	// pool), and many threads must not duplicate or lose fetches.
-	text := genText(t, 20_000, 9)
-	splits := mapred.SplitText(text, 2_000)
-	job := mapred.Job{Mapper: wcMapper, Reducer: wcReducer, NumReducers: 2}
-	want := refCounts(text)
-	for _, copiers := range []int{1, 8} {
-		res, _, err := runJob(job, splits, Config{NumTrackers: 2, CopierThreads: copiers})
-		if err != nil {
-			t.Fatalf("copiers=%d: %v", copiers, err)
-		}
-		got := decode(t, res.Pairs())
-		if len(got) != len(want) {
-			t.Fatalf("copiers=%d: distinct words %d, want %d", copiers, len(got), len(want))
-		}
-		for w, c := range want {
-			if got[w] != c {
-				t.Fatalf("copiers=%d: count[%q] = %d, want %d", copiers, w, got[w], c)
-			}
-		}
-	}
-}

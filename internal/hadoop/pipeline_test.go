@@ -19,9 +19,10 @@ import (
 // Pipeline tests: the pipelined shuffle (sorted spills + concurrent k-way
 // merge with background combine passes) must produce output byte-identical
 // to the MPI-D engine's for the same job — a reference that shares none of
-// the copier, pass-scheduling or combine-pass code — fault-free, under
-// chaos, and with wire compression on — and its merge passes must visibly
-// overlap the copy phase in the trace.
+// the copier, pass-scheduling or combine-pass code — fault-free and under
+// chaos — and its merge passes must visibly overlap the copy phase in the
+// trace. The merge fan-in is fixed (mergeFactor), so the shapes that must
+// reach the pass tree do it by map count.
 
 // runBoth runs one job on the hadoop engine and on the MPI-D engine and
 // returns the framed outputs for byte-exact comparison.
@@ -39,7 +40,7 @@ func runBoth(t *testing.T, job mapred.Job, splits []mapred.Split, cfg Config) (h
 }
 
 // TestPipelinedMatchesMPID sweeps map/reduce shapes — including ones where
-// maps far exceed MergeFactor, so intermediate passes actually run — and
+// maps far exceed mergeFactor, so intermediate passes actually run — and
 // checks byte-identical output between the two engines.
 func TestPipelinedMatchesMPID(t *testing.T) {
 	cases := []struct {
@@ -47,11 +48,10 @@ func TestPipelinedMatchesMPID(t *testing.T) {
 		size     int
 		split    int
 		reducers int
-		factor   int
 	}{
-		{"few-maps", 20_000, 5_000, 2, 10},      // below factor: final merge only
-		{"many-maps", 80_000, 2_000, 3, 4},      // 40 maps, factor 4: deep pass tree
-		{"single-reducer", 60_000, 3_000, 1, 3}, // everything funnels into one merger
+		{"few-maps", 20_000, 5_000, 2},       // 4 maps, below the factor: final merge only
+		{"many-maps", 80_000, 1_000, 3},      // 80 maps: several passes per reducer
+		{"single-reducer", 60_000, 1_000, 1}, // 60 maps funnel into one merger
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -59,7 +59,7 @@ func TestPipelinedMatchesMPID(t *testing.T) {
 			text := genText(t, tc.size, 23)
 			splits := mapred.SplitText(text, tc.split)
 			job := wcJob(tc.reducers)
-			got, want := runBoth(t, job, splits, Config{NumTrackers: 3, MergeFactor: tc.factor})
+			got, want := runBoth(t, job, splits, Config{NumTrackers: 3})
 			if !bytes.Equal(got, want) {
 				t.Fatalf("hadoop output differs from mpid (%d vs %d bytes)", len(got), len(want))
 			}
@@ -71,10 +71,10 @@ func TestPipelinedMatchesMPID(t *testing.T) {
 // concatenate multi-run value lists instead of combining them.
 func TestPipelinedMatchesMPIDNoCombiner(t *testing.T) {
 	text := genText(t, 50_000, 31)
-	splits := mapred.SplitText(text, 2_500) // 20 maps
+	splits := mapred.SplitText(text, 1_000) // 50 maps
 	job := wcJob(2)
 	job.Combiner = nil
-	got, want := runBoth(t, job, splits, Config{NumTrackers: 2, MergeFactor: 4})
+	got, want := runBoth(t, job, splits, Config{NumTrackers: 2})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("no-combiner hadoop output differs from mpid (%d vs %d bytes)", len(got), len(want))
 	}
@@ -106,23 +106,23 @@ func TestPipelinedMatchesMPIDOrderInsensitive(t *testing.T) {
 		return emit(key, []byte(fmt.Sprint(tags)))
 	})
 	text := genText(t, 40_000, 17)
-	splits := mapred.SplitText(text, 2_000) // 20 maps
+	splits := mapred.SplitText(text, 1_000) // 40 maps
 	job := mapred.Job{Name: "tag-join", Mapper: tagMapper, Reducer: joinReducer, NumReducers: 3}
-	got, want := runBoth(t, job, splits, Config{NumTrackers: 3, MergeFactor: 3})
+	got, want := runBoth(t, job, splits, Config{NumTrackers: 3})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("order-insensitive output differs between engines (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
 // TestPipelinedUnderChaosMatchesFaultFree repeats the flaky-RPC chaos run
-// with maps far above MergeFactor, so background merge passes run while
+// with maps far above mergeFactor, so background merge passes run while
 // fetches fail, retry and chase re-executed maps: the output must stay
 // byte-identical to the fault-free run of the same configuration.
 func TestPipelinedUnderChaosMatchesFaultFree(t *testing.T) {
 	text := genText(t, 40_000, 7)
-	splits := mapred.SplitText(text, 2_000) // 20 maps
+	splits := mapred.SplitText(text, 500) // 80 maps
 	job := wcJob(3)
-	cfg := Config{NumTrackers: 3, MergeFactor: 4}
+	cfg := Config{NumTrackers: 3}
 	clean, _, err := runJob(job, splits, cfg)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
@@ -146,29 +146,6 @@ func TestPipelinedUnderChaosMatchesFaultFree(t *testing.T) {
 	}
 	if got, want := encodePairs(res.Pairs()), encodePairs(clean.Pairs()); !bytes.Equal(got, want) {
 		t.Fatalf("outputs differ under chaos (%d vs %d bytes)", len(got), len(want))
-	}
-}
-
-// TestCompressedShuffleMatches turns wire compression on and checks the
-// output still matches the uncompressed run, and that compressed fetches
-// actually happened.
-func TestCompressedShuffleMatches(t *testing.T) {
-	text := genText(t, 40_000, 13)
-	splits := mapred.SplitText(text, 4_000)
-	job := wcJob(2)
-	plain, _, err := runJob(job, splits, Config{NumTrackers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, rep, err := runJob(job, splits, Config{NumTrackers: 2, CompressShuffle: true})
-	if err != nil {
-		t.Fatalf("compressed run: %v", err)
-	}
-	if got, want := encodePairs(res.Pairs()), encodePairs(plain.Pairs()); !bytes.Equal(got, want) {
-		t.Fatalf("compressed output differs (%d vs %d bytes)", len(got), len(want))
-	}
-	if n := rep.Metrics.Counter("shuffle.fetches_compressed"); n == 0 {
-		t.Fatal("CompressShuffle on but no compressed fetches recorded")
 	}
 }
 
@@ -215,14 +192,14 @@ func TestObservedCombinerFallbackCounter(t *testing.T) {
 }
 
 // TestMergeOverlapVisibleInSpans is the trace-level acceptance check: with
-// many maps and a small MergeFactor, at least one background merge span
+// maps far above mergeFactor, at least one background merge span
 // must lie inside its reduce task's copy-phase span — the copy/merge
 // overlap the pipeline exists to create, as it appears in the Chrome trace.
 func TestMergeOverlapVisibleInSpans(t *testing.T) {
 	text := genText(t, 120_000, 5)
-	splits := mapred.SplitText(text, 2_000) // ~60 maps
+	splits := mapred.SplitText(text, 1_000) // ~120 maps
 	job := wcJob(2)
-	_, rep, err := runJob(job, splits, Config{NumTrackers: 3, MergeFactor: 4})
+	_, rep, err := runJob(job, splits, Config{NumTrackers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

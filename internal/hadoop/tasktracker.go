@@ -106,7 +106,6 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, job mapred.Job,
 	tt.fetch.Injector = cfg.Injector
 	tt.fetch.Metrics = cfg.Metrics
 	tt.fetch.Events = cfg.Events
-	tt.fetch.Compress = cfg.CompressShuffle
 	tt.fetch.Pool = tt.pool
 	tt.fetch.SetSeed(int64(idx) + 1)
 
@@ -115,7 +114,6 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, job mapred.Job,
 	tt.jettySrv.Component = tt.comp + ".jetty"
 	tt.jettySrv.Metrics = cfg.Metrics
 	tt.jettySrv.Tracer = tt.tr
-	tt.jettySrv.Compress = cfg.CompressShuffle
 	addr, err := tt.jettySrv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -374,7 +372,7 @@ func (tt *taskTracker) launchReduce(task, attempt int, pctx trace.Context) {
 
 // recoverTask, deferred first in a task body, turns a panic in the user's
 // mapper, combiner or reducer into the task's error: the attempt is reported
-// through taskFailed like any other task error (MaxTaskAttempts then fails a
+// through taskFailed like any other task error (maxTaskAttempts then fails a
 // job whose code panics every time) and the process — other tasks, other
 // tenants' jobs — keeps running.
 func recoverTask(err *error) {
@@ -527,7 +525,7 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	var passNo int64
 	merger := shuffle.NewMerger(shuffle.Config{
 		Expected: len(tt.splits),
-		Factor:   tt.cfg.MergeFactor,
+		Factor:   mergeFactor,
 		Combine:  combine,
 		Pool:     tt.pool,
 		OnPass: func(pi shuffle.PassInfo) {
@@ -544,7 +542,7 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 
 	fetched := make(map[int]bool, len(tt.splits))
 	var mergedMu sync.Mutex // guards fetched; serializes merger handoff
-	copierSem := make(chan struct{}, tt.cfg.CopierThreads)
+	copierSem := make(chan struct{}, copierThreads)
 
 	copySpan := span.Child("reduce.copy", trace.KindPhase)
 	defer copySpan.End()

@@ -52,7 +52,7 @@ func DialOptions(addr, protocol string, version int64, opts Options) (*Client, e
 		version:  version,
 		opts:     opts.withDefaults(),
 	}
-	c.jit = faults.NewJitter(c.opts.Seed)
+	c.jit = faults.NewJitter(jitterSeed)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var deadline time.Time

@@ -76,7 +76,7 @@ func DialMuxOptions(addr, protocol string, version int64, opts Options) (*MuxCli
 		version:  version,
 		opts:     opts.withDefaults(),
 	}
-	c.jit = faults.NewJitter(c.opts.Seed)
+	c.jit = faults.NewJitter(jitterSeed)
 	var deadline time.Time
 	if c.opts.CallTimeout > 0 {
 		deadline = time.Now().Add(c.opts.CallTimeout)

@@ -35,8 +35,6 @@ type Options struct {
 	MaxAttempts int
 	// Backoff shapes the delay between retries.
 	Backoff faults.Backoff
-	// Seed drives retry jitter, keeping schedules reproducible.
-	Seed int64
 	// Injector, when set, receives injection points: "dial" and "call"
 	// operations on Component, plus "read"/"write" through the wrapped
 	// connection.
@@ -70,11 +68,11 @@ func (o Options) withDefaults() Options {
 	if o.Component == "" {
 		o.Component = "hadooprpc.client"
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	return o
 }
+
+// jitterSeed drives retry jitter; fixed, so backoff schedules reproduce.
+const jitterSeed = 1
 
 // IsRemote reports whether err is a per-call error returned by the server's
 // handler (the connection stays usable, and retrying cannot help).

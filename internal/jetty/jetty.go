@@ -6,9 +6,9 @@
 // It is built on net/http, which plays the role Jetty plays inside Hadoop:
 // an embedded HTTP server. The shuffle protocol follows the 0.20
 // MapOutputServlet: outputs are addressed by (job, map, reduce), responses
-// carry the map-output length headers, and bodies stream in configurable
-// write chunks — streaming is why the paper measures Jetty within 2-3% of
-// MPI peak bandwidth while Hadoop RPC sits two orders of magnitude below.
+// carry the map-output length headers, and bodies stream — streaming is why
+// the paper measures Jetty within 2-3% of MPI peak bandwidth while Hadoop
+// RPC sits two orders of magnitude below.
 package jetty
 
 import (
@@ -28,7 +28,6 @@ import (
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
-	"github.com/ict-repro/mpid/internal/shuffle"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -76,14 +75,6 @@ const (
 	// reducer's fetch span. Absent on untraced fetches; ignored by servers
 	// without a Tracer.
 	HeaderTraceContext = "X-Trace-Context"
-	// HeaderAcceptCompressed is sent by copiers willing to inflate
-	// (mapred.compress.map.output): a compressing server then DEFLATEs the
-	// segment. Servers without Compress ignore it, so mixed clusters work.
-	HeaderAcceptCompressed = "X-Accept-Compressed"
-	// HeaderCompressed marks a response body as DEFLATE-compressed; the raw
-	// segment length still travels in HeaderMapOutputLength so the client
-	// can size its inflate buffer and verify the stream.
-	HeaderCompressed = "X-Map-Output-Compressed"
 )
 
 // OutputKey addresses one map output partition.
@@ -126,9 +117,9 @@ func (s *Store) Put(key OutputKey, data []byte) {
 }
 
 // PutFile registers a disk-resident output: the segment lives in the spill
-// file at path and is served straight off disk (sendfile on the
-// uncompressed path). The file is stat'd once here so its size is known;
-// the caller must keep it intact until Delete.
+// file at path and is served straight off disk (sendfile). The file is
+// stat'd once here so its size is known; the caller must keep it intact
+// until Delete.
 func (s *Store) PutFile(key OutputKey, path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -177,10 +168,6 @@ func (s *Store) Len() int {
 // Server is the embedded HTTP server a tasktracker would run.
 type Server struct {
 	store *Store
-	// WriteChunk is the servlet's output buffer size: the body is written
-	// in chunks of this many bytes (Hadoop uses a 64 KB buffer). The
-	// bandwidth experiment sweeps it.
-	WriteChunk int
 	// Injector, when set, gates every mapOutput request ("serve"
 	// operation); an injected fault answers 503 Service Unavailable,
 	// which clients treat as retryable. Set before Listen.
@@ -194,19 +181,7 @@ type Server struct {
 	// parented under the fetcher's span when the request carries
 	// HeaderTraceContext. Set before Listen.
 	Tracer *trace.Tracer
-	// Compress, when set, DEFLATEs map-output bodies for clients that sent
-	// HeaderAcceptCompressed, trading serve CPU for shuffle wire bytes.
-	// Set before Listen.
-	Compress bool
-	// ZeroCopy (default on) serves uncompressed map outputs through
-	// io.Copy over the ResponseWriter's io.ReaderFrom: file-backed
-	// segments go out via sendfile without touching user space, and
-	// in-memory ones in a single buffered pass instead of the servlet's
-	// WriteChunk copy loop. Clear it to emulate the chunked servlet copy
-	// (the DEFLATE-negotiated path always uses the chunk loop).
-	ZeroCopy bool
 
-	pool    *bufpool.Pool // recycles compression buffers across serves
 	httpSrv *http.Server
 	ln      net.Listener
 	wg      sync.WaitGroup
@@ -216,7 +191,7 @@ type Server struct {
 
 // NewServer creates a server over the given store.
 func NewServer(store *Store) *Server {
-	return &Server{store: store, WriteChunk: 64 * 1024, ZeroCopy: true, pool: bufpool.New()}
+	return &Server{store: store}
 }
 
 // Listen binds to addr and starts serving; it returns the bound address.
@@ -295,62 +270,25 @@ func (s *Server) handleMapOutput(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "jetty: no such map output", http.StatusGone)
 		return
 	}
-	compress := s.Compress && r.Header.Get(HeaderAcceptCompressed) != ""
 	if fpath != "" {
-		// File-backed segment. The uncompressed serve goes through
-		// sendfile below; compression needs the bytes in user space, so
-		// only then is the spill file read into a pooled buffer.
-		if !compress {
-			s.serveFile(w, span, fpath, fsize, reduceID)
-			return
-		}
-		f, err := os.Open(fpath)
-		if err != nil {
-			span.Annotate("error", err.Error())
-			http.Error(w, "jetty: map output unreadable", http.StatusGone)
-			return
-		}
-		buf := s.pool.Get(int(fsize))
-		_, rerr := io.ReadFull(f, buf)
-		f.Close()
-		if rerr != nil {
-			s.pool.Put(buf)
-			span.Annotate("error", rerr.Error())
-			http.Error(w, "jetty: map output unreadable", http.StatusGone)
-			return
-		}
-		defer s.pool.Put(buf)
-		data = buf
+		s.serveFile(w, span, fpath, fsize, reduceID)
+		return
 	}
 	span.Annotate("bytes", strconv.Itoa(len(data)))
 	w.Header().Set(HeaderMapOutputLength, strconv.Itoa(len(data)))
 	w.Header().Set(HeaderForReduce, strconv.Itoa(reduceID))
-	body := data
-	if compress {
-		comp := shuffle.Compress(s.pool.Get(len(data))[:0], data)
-		w.Header().Set(HeaderCompressed, "1")
-		span.Annotate("wire_bytes", strconv.Itoa(len(comp)))
-		s.Metrics.Counter("shuffle.serves_compressed").Inc()
-		body = comp
-		defer s.pool.Put(comp)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	s.Metrics.Counter("shuffle.serves").Inc()
-	s.Metrics.Counter("shuffle.serve_bytes").Add(int64(len(body)))
-	if s.ZeroCopy && !compress {
-		// net/http's ResponseWriter implements io.ReaderFrom; with
-		// Content-Length set the body bypasses chunked encoding, so
-		// io.Copy moves the segment in one buffered pass instead of the
-		// WriteChunk servlet loop.
-		n, _ := io.Copy(w, bytes.NewReader(body))
-		s.Metrics.Counter("shuffle.serves_zerocopy").Inc()
-		s.Metrics.Counter("shuffle.zerocopy_bytes").Add(n)
-		return
-	}
-	s.writeChunked(w, body)
+	s.Metrics.Counter("shuffle.serve_bytes").Add(int64(len(data)))
+	// net/http's ResponseWriter implements io.ReaderFrom; with
+	// Content-Length set the body bypasses chunked encoding, so io.Copy
+	// moves the segment in one buffered pass.
+	n, _ := io.Copy(w, bytes.NewReader(data))
+	s.Metrics.Counter("shuffle.serves_zerocopy").Inc()
+	s.Metrics.Counter("shuffle.zerocopy_bytes").Add(n)
 }
 
-// serveFile streams an uncompressed file-backed segment. io.Copy finds the
+// serveFile streams a file-backed segment. io.Copy finds the
 // ResponseWriter's io.ReaderFrom and the *os.File source, which on Linux
 // collapses into sendfile(2): the segment moves disk→socket without ever
 // entering user space — the Jetty NIO transferTo serving Hadoop uses when
@@ -393,15 +331,16 @@ func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("pong"))
 }
 
-// handleStream serves size synthetic bytes, the §II.B bandwidth endpoint.
-// Optional "chunk" overrides the server write size for the sweep.
+// handleStream serves size synthetic bytes, the §II.B bandwidth endpoint,
+// written "chunk" bytes at a time — the sweep's server-side packet size
+// (default streamChunk, the 64 KB buffer Hadoop's servlet uses).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	size, err := strconv.ParseInt(r.URL.Query().Get("size"), 10, 64)
 	if err != nil || size < 0 {
 		http.Error(w, "jetty: bad stream size", http.StatusBadRequest)
 		return
 	}
-	chunk := s.WriteChunk
+	chunk := streamChunk
 	if c := r.URL.Query().Get("chunk"); c != "" {
 		if v, err := strconv.Atoi(c); err == nil && v > 0 {
 			chunk = v
@@ -425,23 +364,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeChunked writes data in WriteChunk-sized pieces, mirroring the
-// servlet's buffered copy loop.
-func (s *Server) writeChunked(w io.Writer, data []byte) {
-	chunk := s.WriteChunk
-	if chunk <= 0 {
-		chunk = 64 * 1024
-	}
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := w.Write(data[off:end]); err != nil {
-			return
-		}
-	}
-}
+// streamChunk is handleStream's write size when the request names none.
+const streamChunk = 64 * 1024
 
 // --------------------------------------------------------------------------
 // Client: the reducer-side copier.
@@ -465,8 +389,6 @@ type Client struct {
 	// Injector, when set, gates every fetch attempt ("fetch" operation,
 	// peer = server address).
 	Injector *faults.Injector
-	// Component names this client to the injector (default "jetty.client").
-	Component string
 	// Metrics, when set, receives fetch observability: "shuffle.fetches"
 	// and "shuffle.fetch_bytes" counters, a "shuffle.fetch_latency" timer
 	// over whole fetches (retries included), "shuffle.fetch_retries" for
@@ -477,11 +399,7 @@ type Client struct {
 	// for every repeated attempt against the same server. A nil recorder
 	// records nothing.
 	Events *obs.Recorder
-	// Compress advertises HeaderAcceptCompressed on map-output fetches;
-	// against a compressing server the body arrives DEFLATEd and is
-	// inflated here. The returned bytes are always the raw segment.
-	Compress bool
-	// Pool, when set, supplies the fetch and inflate buffers, so a steady
+	// Pool, when set, supplies the fetch buffers, so a steady
 	// shuffle stops allocating per fetch. Callers that hand fetched
 	// segments to a shuffle.Merger with the same pool get end-to-end buffer
 	// recycling.
@@ -571,13 +489,10 @@ func (c *Client) FetchMapOutputContext(ctx context.Context, tctx trace.Context, 
 	}
 }
 
-// fetchOnce is one fetch attempt: injection point, then the HTTP exchange.
+// fetchOnce is one fetch attempt: injection point (component
+// "jetty.client"), then the HTTP exchange.
 func (c *Client) fetchOnce(ctx context.Context, url, peer string, tctx trace.Context) ([]byte, error) {
-	comp := c.Component
-	if comp == "" {
-		comp = "jetty.client"
-	}
-	if err := c.Injector.Check(comp, "fetch", peer); err != nil {
+	if err := c.Injector.Check("jetty.client", "fetch", peer); err != nil {
 		return nil, err
 	}
 	return c.fetch(ctx, url, tctx)
@@ -653,9 +568,6 @@ func (c *Client) fetch(ctx context.Context, url string, tctx trace.Context) ([]b
 	if tctx.Valid() {
 		req.Header.Set(HeaderTraceContext, tctx.String())
 	}
-	if c.Compress {
-		req.Header.Set(HeaderAcceptCompressed, "1")
-	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err
@@ -676,18 +588,6 @@ func (c *Client) fetch(ctx context.Context, url string, tctx trace.Context) ([]b
 	data, err := c.readBody(resp)
 	if err != nil {
 		return nil, err
-	}
-	if resp.Header.Get(HeaderCompressed) != "" {
-		if want < 0 {
-			return nil, fmt.Errorf("jetty: compressed response without %s", HeaderMapOutputLength)
-		}
-		raw, err := shuffle.Decompress(c.Pool, data, int(want))
-		c.Pool.Put(data)
-		if err != nil {
-			return nil, err
-		}
-		c.Metrics.Counter("shuffle.fetches_compressed").Inc()
-		return raw, nil
 	}
 	if want >= 0 && int64(len(data)) != want {
 		return nil, fmt.Errorf("jetty: got %d bytes, header said %d", len(data), want)

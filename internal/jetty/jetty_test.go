@@ -84,20 +84,6 @@ func TestEmptyMapOutput(t *testing.T) {
 	}
 }
 
-func TestSmallWriteChunkStillCorrect(t *testing.T) {
-	store, srv, addr := startServer(t)
-	srv.WriteChunk = 7 // pathological chunking must not corrupt data
-	key := OutputKey{Job: "j", Map: 1, Reduce: 1}
-	payload := []byte("0123456789abcdefghij")
-	store.Put(key, payload)
-	c := NewClient()
-	defer c.Close()
-	got, err := c.FetchMapOutput(addr, key)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("got %q err %v", got, err)
-	}
-}
-
 func TestStreamEndpointExactSize(t *testing.T) {
 	_, _, addr := startServer(t)
 	c := NewClient()
@@ -171,40 +157,6 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestCompressedFetchRoundTrip(t *testing.T) {
-	store, srv, addr := startServer(t)
-	srv.Compress = true
-	key := OutputKey{Job: "job_1", Map: 0, Reduce: 0}
-	payload := bytes.Repeat([]byte("intermediate "), 4096)
-	store.Put(key, payload)
-
-	// A compressing client gets the raw bytes back, inflated from fewer
-	// wire bytes.
-	c := NewClient()
-	defer c.Close()
-	c.Compress = true
-	c.Pool = bufpool.New()
-	got, err := c.FetchMapOutput(addr, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("compressed fetch: %d bytes, want %d", len(got), len(payload))
-	}
-
-	// A client that does not advertise acceptance gets plain bytes from
-	// the same compressing server.
-	plain := NewClient()
-	defer plain.Close()
-	got, err = plain.FetchMapOutput(addr, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("plain fetch from compressing server: %d bytes, want %d", len(got), len(payload))
-	}
-}
-
 func TestPooledFetch(t *testing.T) {
 	store, _, addr := startServer(t)
 	key := OutputKey{Job: "job_1", Map: 0, Reduce: 0}
@@ -266,33 +218,6 @@ func TestFileBackedFetch(t *testing.T) {
 	}
 }
 
-// TestFileBackedCompressedFetch exercises the file-backed + DEFLATE
-// combination: the spill is read back into user space, compressed, and
-// still inflates to the original bytes client-side.
-func TestFileBackedCompressedFetch(t *testing.T) {
-	store, srv, addr := startServer(t)
-	srv.Compress = true
-	payload := bytes.Repeat([]byte("compressible compressible "), 2048)
-	path := filepath.Join(t.TempDir(), "spill_1.out")
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	key := OutputKey{Job: "job_fc", Map: 0, Reduce: 0}
-	if err := store.PutFile(key, path); err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient()
-	c.Compress = true
-	defer c.Close()
-	got, err := c.FetchMapOutput(addr, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("compressed file-backed fetch corrupted the segment")
-	}
-}
-
 // TestFileBackedGoneAfterDelete checks Delete drops file-backed references
 // and that PutFile of a missing path fails up front.
 func TestFileBackedGoneAfterDelete(t *testing.T) {
@@ -313,25 +238,5 @@ func TestFileBackedGoneAfterDelete(t *testing.T) {
 	}
 	if err := store.PutFile(key, filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("PutFile of a missing spill succeeded")
-	}
-}
-
-// TestZeroCopyOffStillCorrect pins the escape hatch: with ZeroCopy cleared
-// the servlet chunk loop serves the same bytes.
-func TestZeroCopyOffStillCorrect(t *testing.T) {
-	store, srv, addr := startServer(t)
-	srv.ZeroCopy = false
-	srv.WriteChunk = 7
-	payload := bytes.Repeat([]byte("chunked"), 999)
-	key := OutputKey{Job: "job_z", Map: 0, Reduce: 0}
-	store.Put(key, payload)
-	c := NewClient()
-	defer c.Close()
-	got, err := c.FetchMapOutput(addr, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("chunked serve corrupted the segment")
 	}
 }

@@ -117,10 +117,9 @@ type Job struct {
 	Partitioner core.PartitionFunc
 	// NumReducers is the reducer count (default 1).
 	NumReducers int
-	// SpillThreshold, SortValues and Async pass through to core.Config.
+	// SpillThreshold and SortValues pass through to core.Config.
 	SpillThreshold int
 	SortValues     bool
-	Async          bool
 	// Pool passes a shared buffer pool through to core.Config.Pool.
 	Pool *bufpool.Pool
 	// MaxTaskAttempts is how many times a failing map task is retried
@@ -281,7 +280,6 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 			Partitioner:    job.Partitioner,
 			SpillThreshold: job.SpillThreshold,
 			SortValues:     job.SortValues,
-			Async:          job.Async,
 			Pool:           job.Pool,
 			Metrics:        x.Metrics,
 			Tracer:         x.Tracer,

@@ -289,7 +289,6 @@ func TestManyReducersManyMappersStress(t *testing.T) {
 		Reducer:     wordCountReducer,
 		Combiner:    CombinerFromReducer(wordCountReducer),
 		NumReducers: 7,
-		Async:       true,
 	}
 	res, err := Run(job, SplitText(text, 5_000), 7)
 	if err != nil {

@@ -19,26 +19,20 @@ type endpoint struct {
 	// (the ring transport): instead of a delivery goroutine pushing into
 	// the queue, whichever receiver is blocked takes the pump role, drains
 	// the transport and matches in place. pumping marks the role taken;
-	// both fields are guarded by mu, and pump methods are only ever called
-	// by the role holder (or by a mu holder for the non-blocking tryPop),
-	// so the transport side needs no extra synchronization.
+	// both fields are guarded by mu, and waitNext is only ever called by
+	// the role holder, so the transport side needs no extra
+	// synchronization.
 	pump    pump
 	pumping bool
 	nwait   int // receivers blocked in cond.Wait; broadcasts skip when zero
 }
 
 // pump is the receiver-driven progress interface a transport may attach to
-// an endpoint. tryPop never blocks; waitNext blocks until a message is
-// available or the transport shuts down (second result false).
+// an endpoint: waitNext blocks until a message is available or the transport
+// shuts down (second result false).
 type pump interface {
-	tryPop() (Message, bool)
 	waitNext() (Message, bool)
 }
-
-// pumpDrainLimit bounds how many messages a non-blocking tryRecv/iprobe
-// pulls from the pump in one call, so a firehose sender cannot pin a
-// non-blocking caller inside the drain loop.
-const pumpDrainLimit = 1024
 
 func newEndpoint() *endpoint {
 	ep := &endpoint{}
@@ -75,12 +69,8 @@ func (ep *endpoint) waitLocked() {
 	ep.nwait--
 }
 
-// matches reports whether message m satisfies the (comm, source, tag)
-// envelope. source is a world rank or AnySource; comm never has a wildcard.
-func matches(m Message, comm, source, tag int) bool {
-	if m.Comm != comm {
-		return false
-	}
+// matches reports whether message m satisfies the (source, tag) envelope.
+func matches(m Message, source, tag int) bool {
 	if source != AnySource && m.Source != source {
 		return false
 	}
@@ -92,9 +82,9 @@ func matches(m Message, comm, source, tag int) bool {
 
 // findLocked returns the index of the earliest queued match, or -1.
 // Scanning in arrival order preserves non-overtaking for matching envelopes.
-func (ep *endpoint) findLocked(comm, source, tag int) int {
+func (ep *endpoint) findLocked(source, tag int) int {
 	for i, m := range ep.queue {
-		if matches(m, comm, source, tag) {
+		if matches(m, source, tag) {
 			return i
 		}
 	}
@@ -110,28 +100,6 @@ func (ep *endpoint) removeLocked(i int) Message {
 	return m
 }
 
-// drainPumpLocked pulls already-published messages from the pump into the
-// queue without blocking. Called with mu held; holding mu while the pump
-// role is free makes the caller the de-facto role holder, so tryPop is
-// safe. Wakes matchers when anything arrived.
-func (ep *endpoint) drainPumpLocked() {
-	if ep.pump == nil || ep.pumping {
-		return
-	}
-	n := 0
-	for n < pumpDrainLimit {
-		m, ok := ep.pump.tryPop()
-		if !ok {
-			break
-		}
-		ep.queue = append(ep.queue, m)
-		n++
-	}
-	if n > 0 {
-		ep.wakeLocked()
-	}
-}
-
 // recv blocks until a message matching (source, tag) arrives and returns it.
 //
 // With a pump attached, the first blocked receiver takes the pump role and
@@ -140,11 +108,11 @@ func (ep *endpoint) drainPumpLocked() {
 // already proved no earlier queued match exists, and per-source FIFO pop
 // order preserves non-overtaking), queues everything else for the other
 // waiters, and hands the role over when it leaves.
-func (ep *endpoint) recv(comm, source, tag int) (Message, error) {
+func (ep *endpoint) recv(source, tag int) (Message, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	for {
-		if i := ep.findLocked(comm, source, tag); i >= 0 {
+		if i := ep.findLocked(source, tag); i >= 0 {
 			return ep.removeLocked(i), nil
 		}
 		if ep.closed {
@@ -163,7 +131,7 @@ func (ep *endpoint) recv(comm, source, tag int) (Message, error) {
 				ep.wakeLocked()
 				return Message{}, ErrWorldClosed
 			}
-			if matches(m, comm, source, tag) {
+			if matches(m, source, tag) {
 				ep.wakeLocked() // hand the pump role to a waiter
 				return m, nil
 			}
@@ -175,84 +143,10 @@ func (ep *endpoint) recv(comm, source, tag int) (Message, error) {
 	}
 }
 
-// tryRecv returns a matching message if one is queued, without blocking.
-func (ep *endpoint) tryRecv(comm, source, tag int) (Message, bool, error) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if i := ep.findLocked(comm, source, tag); i >= 0 {
-		return ep.removeLocked(i), true, nil
-	}
-	ep.drainPumpLocked()
-	if i := ep.findLocked(comm, source, tag); i >= 0 {
-		return ep.removeLocked(i), true, nil
-	}
-	if ep.closed {
-		return Message{}, false, ErrWorldClosed
-	}
-	return Message{}, false, nil
-}
-
-// probe blocks until a matching message is queued and returns its status
-// without consuming it. A probing pump-role holder always queues what it
-// pops — probe must never consume.
-func (ep *endpoint) probe(comm, source, tag int) (Status, error) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	for {
-		if i := ep.findLocked(comm, source, tag); i >= 0 {
-			m := ep.queue[i]
-			return Status{Source: m.Source, Tag: m.Tag, Size: len(m.Data)}, nil
-		}
-		if ep.closed {
-			return Status{}, ErrWorldClosed
-		}
-		if ep.pump != nil && !ep.pumping {
-			ep.pumping = true
-			ep.mu.Unlock()
-			m, ok := ep.pump.waitNext()
-			ep.mu.Lock()
-			ep.pumping = false
-			ep.wakeLocked()
-			if !ok {
-				return Status{}, ErrWorldClosed
-			}
-			ep.queue = append(ep.queue, m)
-			continue
-		}
-		ep.waitLocked()
-	}
-}
-
-// iprobe is the non-blocking probe.
-func (ep *endpoint) iprobe(comm, source, tag int) (Status, bool, error) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if i := ep.findLocked(comm, source, tag); i >= 0 {
-		m := ep.queue[i]
-		return Status{Source: m.Source, Tag: m.Tag, Size: len(m.Data)}, true, nil
-	}
-	ep.drainPumpLocked()
-	if i := ep.findLocked(comm, source, tag); i >= 0 {
-		m := ep.queue[i]
-		return Status{Source: m.Source, Tag: m.Tag, Size: len(m.Data)}, true, nil
-	}
-	if ep.closed {
-		return Status{}, false, ErrWorldClosed
-	}
-	return Status{}, false, nil
-}
-
 // close marks the endpoint dead and wakes all blocked receivers.
 func (ep *endpoint) close() {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	ep.closed = true
 	ep.cond.Broadcast()
-}
-
-// pendingCount returns the number of undelivered messages (for tests).
-func (ep *endpoint) pendingCount() int {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return len(ep.queue)
 }

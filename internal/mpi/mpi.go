@@ -1,23 +1,28 @@
 // Package mpi is a from-scratch message-passing runtime in Go with MPI
-// semantics: a world of ranks, point-to-point Send/Recv with (source, tag)
-// envelope matching including wildcards, non-blocking Isend/Irecv with
-// Wait/Test, Probe, and tree-based collectives.
+// semantics, cut to what MapReduce needs of MPI: a world of ranks, blocking
+// point-to-point Send/Recv with (source, tag) envelope matching including
+// wildcards, and a Barrier. There is nothing non-blocking, no probe, no
+// sub-communicator and no data-moving collective: MPI-D and the jobs above
+// it use none of them.
 //
 // Go has no mature MPI bindings, so this package substitutes for MPICH2 as
 // the substrate MPI-D (internal/core) builds on, per the paper's design:
 // "MPI-D is built on the basic point-to-point primitives in MPI" (§IV.A).
-// Two transports are provided:
+// Three transports sit behind the same World:
 //
-//   - in-process: ranks are goroutines exchanging messages through matched
-//     queues — zero-copy hand-off, used by the examples and most tests;
-//   - TCP: ranks exchange length-prefixed frames over real sockets
-//     (loopback or a cluster), used by the latency/bandwidth harness.
+//   - in-process (NewWorld): ranks are goroutines exchanging messages
+//     through matched queues — zero-copy hand-off, what mapred.Run, the
+//     job service and the examples use;
+//   - ring (NewRingWorld): the same hand-off through per-pair slot rings,
+//     optionally copying as a shared-memory device would;
+//   - TCP (NewTCPWorld): ranks exchange length-prefixed frames over real
+//     sockets — the live Figure 2/3 curves, and any job given a TCP world
+//     (mapred.RunOnWorld; the benchmark's sort-mpid-tcp workload).
 //
 // Semantics follow the MPI standard where it matters for correctness:
 // messages between a pair of ranks with matching envelopes are
 // non-overtaking; Recv with AnySource/AnyTag matches the earliest queued
-// message; collectives must be called by every rank of the communicator in
-// the same order.
+// message; Barrier must be called by every rank of the world.
 package mpi
 
 import (
@@ -27,7 +32,7 @@ import (
 	"github.com/ict-repro/mpid/internal/bufpool"
 )
 
-// Wildcards for Recv/Probe envelope matching.
+// Wildcards for Recv envelope matching.
 const (
 	// AnySource matches a message from any rank.
 	AnySource = -1
@@ -35,16 +40,16 @@ const (
 	AnyTag = -2
 )
 
-// Tag space: user tags must be small non-negative integers; the collective
-// implementation reserves tags at collTagBase and above.
+// Tag space: user tags must be small non-negative integers; Barrier
+// reserves tags at collTagBase and above.
 const (
 	// MaxUserTag is the largest tag user code may pass to Send/Recv.
 	MaxUserTag = 1<<28 - 1
-	// collTagBase is the start of the internal collective tag space.
+	// collTagBase is the start of Barrier's internal tag space.
 	collTagBase = 1 << 28
 )
 
-// Status describes a received or probed message.
+// Status describes a received message.
 type Status struct {
 	// Source is the sending rank.
 	Source int
@@ -54,14 +59,10 @@ type Status struct {
 	Size int
 }
 
-// Message is an envelope plus payload moving through a transport. Source
-// is always a world rank; Comm identifies the communicator the message was
-// sent on (0 is the world communicator), so traffic on split
-// sub-communicators cannot match receives on other communicators.
+// Message is an envelope plus payload moving through a transport.
 type Message struct {
 	Source int
 	Tag    int
-	Comm   int
 	Data   []byte
 }
 

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -136,83 +135,6 @@ func TestAnyTagWildcard(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestProbeThenRecv(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 9, []byte("sized"))
-		}
-		st, err := c.Probe(AnySource, AnyTag)
-		if err != nil {
-			return err
-		}
-		if st.Size != 5 || st.Source != 0 || st.Tag != 9 {
-			return fmt.Errorf("probe status %+v", st)
-		}
-		data, _, err := c.Recv(st.Source, st.Tag)
-		if err != nil {
-			return err
-		}
-		if string(data) != "sized" {
-			return fmt.Errorf("recv after probe got %q", data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIprobeNonBlocking(t *testing.T) {
-	w := NewWorld(2)
-	defer w.Close()
-	c1 := w.Comm(1)
-	if _, ok, err := c1.Iprobe(AnySource, AnyTag); err != nil || ok {
-		t.Fatalf("Iprobe on empty queue: ok=%v err=%v", ok, err)
-	}
-	if err := w.Comm(0).Send(1, 1, []byte("z")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := c1.Iprobe(0, 1); err != nil || !ok {
-		t.Fatalf("Iprobe after send: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestIsendIrecvWait(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 4, []byte("async"))
-			_, _, err := req.Wait()
-			return err
-		}
-		req := c.Irecv(0, 4)
-		data, st, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if string(data) != "async" || st.Source != 0 {
-			return fmt.Errorf("irecv got %q %+v", data, st)
-		}
-		if !req.Test() {
-			return errors.New("Test false after Wait")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitAllCollectsError(t *testing.T) {
-	w := NewWorld(2)
-	defer w.Close()
-	c := w.Comm(0)
-	bad := c.Isend(99, 1, nil) // invalid rank
-	good := c.Isend(1, 1, []byte("ok"))
-	if err := WaitAll(bad, good); err == nil {
-		t.Fatal("WaitAll swallowed the invalid-rank error")
 	}
 }
 
@@ -369,7 +291,7 @@ func TestRunRankGoexit(t *testing.T) {
 }
 
 // --------------------------------------------------------------------------
-// Collectives
+// Barrier
 
 func worldSizes() []int { return []int{1, 2, 3, 4, 7, 8} }
 
@@ -392,180 +314,21 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestBcastAllRootsAllSizes(t *testing.T) {
-	for _, n := range worldSizes() {
-		for root := 0; root < n; root++ {
-			payload := []byte(fmt.Sprintf("payload-from-%d", root))
-			err := Run(n, func(c *Comm) error {
-				var in []byte
-				if c.Rank() == root {
-					in = payload
-				}
-				out, err := c.Bcast(root, in)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(out, payload) {
-					return fmt.Errorf("rank %d got %q", c.Rank(), out)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("n=%d root=%d: %v", n, root, err)
-			}
-		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, n := range worldSizes() {
-		for root := 0; root < n; root++ {
-			err := Run(n, func(c *Comm) error {
-				out, err := c.Reduce(root, EncodeInt64(int64(c.Rank()+1)), SumInt64)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == root {
-					want := int64(n * (n + 1) / 2)
-					if got := DecodeInt64(out); got != want {
-						return fmt.Errorf("sum = %d, want %d", got, want)
-					}
-				} else if out != nil {
-					return fmt.Errorf("non-root got %v", out)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("n=%d root=%d: %v", n, root, err)
-			}
-		}
-	}
-}
-
-func TestAllreduceMax(t *testing.T) {
-	for _, n := range worldSizes() {
-		err := Run(n, func(c *Comm) error {
-			out, err := c.Allreduce(EncodeInt64(int64(c.Rank())), MaxInt64)
-			if err != nil {
-				return err
-			}
-			if got := DecodeInt64(out); got != int64(n-1) {
-				return fmt.Errorf("rank %d: max = %d, want %d", c.Rank(), got, n-1)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	const n = 5
-	err := Run(n, func(c *Comm) error {
-		gathered, err := c.Gather(2, []byte{byte(c.Rank() * 10)})
-		if err != nil {
-			return err
-		}
-		var parts [][]byte
-		if c.Rank() == 2 {
-			for i, g := range gathered {
-				if len(g) != 1 || g[0] != byte(i*10) {
-					return fmt.Errorf("gathered[%d] = %v", i, g)
-				}
-			}
-			parts = make([][]byte, n)
-			for i := range parts {
-				parts[i] = []byte{byte(i * 10), 1}
-			}
-		}
-		mine, err := c.Scatter(2, parts)
-		if err != nil {
-			return err
-		}
-		if len(mine) != 2 || mine[0] != byte(c.Rank()*10) {
-			return fmt.Errorf("rank %d scattered %v", c.Rank(), mine)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterWrongPartCount(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		var parts [][]byte
-		if c.Rank() == 0 {
-			parts = make([][]byte, 1) // wrong: needs 2
-			_, err := c.Scatter(0, parts)
-			if err == nil {
-				return errors.New("Scatter accepted wrong part count")
-			}
-			return fmt.Errorf("expected failure: %w", err)
-		}
-		_, err := c.Scatter(0, nil)
-		_ = err // unblocked by teardown
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error to propagate")
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	for _, n := range worldSizes() {
-		err := Run(n, func(c *Comm) error {
-			out, err := c.Allgather([]byte{byte(c.Rank())})
-			if err != nil {
-				return err
-			}
-			for i, o := range out {
-				if len(o) != 1 || o[0] != byte(i) {
-					return fmt.Errorf("rank %d: out[%d] = %v", c.Rank(), i, o)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	for _, n := range worldSizes() {
-		err := Run(n, func(c *Comm) error {
-			parts := make([][]byte, n)
-			for j := range parts {
-				parts[j] = []byte{byte(c.Rank()), byte(j)}
-			}
-			out, err := c.Alltoall(parts)
-			if err != nil {
-				return err
-			}
-			for i, o := range out {
-				if len(o) != 2 || o[0] != byte(i) || o[1] != byte(c.Rank()) {
-					return fmt.Errorf("rank %d: out[%d] = %v", c.Rank(), i, o)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
+// TestConsecutiveCollectivesDoNotInterfere: back-to-back barriers, the only
+// collective left, each use their own reserved tag, so a fast rank's
+// notification for barrier i+1 is never taken for barrier i — no rank leaves
+// barrier i before every rank has entered it.
 func TestConsecutiveCollectivesDoNotInterfere(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		for i := 0; i < 50; i++ {
-			out, err := c.Allreduce(EncodeInt64(int64(i)), SumInt64)
-			if err != nil {
+	const n, rounds = 4, 50
+	var entered [rounds]atomic.Int32
+	err := Run(n, func(c *Comm) error {
+		for i := 0; i < rounds; i++ {
+			entered[i].Add(1)
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-			if got := DecodeInt64(out); got != int64(4*i) {
-				return fmt.Errorf("iter %d: %d, want %d", i, got, 4*i)
+			if got := entered[i].Load(); got != n {
+				return fmt.Errorf("rank %d left barrier %d with %d/%d entered", c.Rank(), i, got, n)
 			}
 		}
 		return nil
@@ -594,26 +357,6 @@ func TestCollectivesMixedWithPointToPoint(t *testing.T) {
 			if string(data) != "user" {
 				return fmt.Errorf("got %q", data)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSingleRankWorldCollectives(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		out, err := c.Bcast(0, []byte("solo"))
-		if err != nil || string(out) != "solo" {
-			return fmt.Errorf("bcast: %q %v", out, err)
-		}
-		red, err := c.Reduce(0, EncodeInt64(9), SumInt64)
-		if err != nil || DecodeInt64(red) != 9 {
-			return fmt.Errorf("reduce: %v %v", red, err)
 		}
 		return nil
 	})

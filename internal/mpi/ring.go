@@ -55,12 +55,12 @@ import (
 //     back-to-back sends costs one wakeup, not one per message.
 //
 // The consumer side is driven by the receiving rank itself: whichever
-// goroutine is blocked in Recv/Probe takes the endpoint's pump role,
-// drains published slots into the shared matching queue, and hands the
-// role over when it leaves (see endpoint.recvPumped). A torn slot — a
-// producer that claimed a position and died before publishing — stalls
-// only its own ring, exactly as a torn TCP frame kills only its own
-// connection; other sources keep delivering.
+// goroutine is blocked in Recv takes the endpoint's pump role, drains
+// published slots into the shared matching queue, and hands the role over
+// when it leaves (see endpoint.recv). A torn slot — a producer that claimed
+// a position and died before publishing — stalls only its own ring, exactly
+// as a torn TCP frame kills only its own connection; other sources keep
+// delivering.
 
 // Ring geometry defaults; see RingConfig to override.
 const (
@@ -142,12 +142,6 @@ func (cfg RingConfig) withDefaults() RingConfig {
 // ring transport with default geometry (zero-copy hand-off).
 func NewRingWorld(n int) *World {
 	return NewRingWorldConfig(n, RingConfig{})
-}
-
-// NewRingWorldWithFaults is NewRingWorld with a fault injector gating
-// sends, mirroring NewTCPWorldWithFaults.
-func NewRingWorldWithFaults(n int, inj *faults.Injector) *World {
-	return NewRingWorldConfig(n, RingConfig{Injector: inj})
 }
 
 // NewRingWorldConfig creates a ring world with explicit geometry.
@@ -240,7 +234,6 @@ type ringSlot struct {
 	src    int32
 	size   int32
 	tag    int64
-	comm   int64
 	ext    []byte // out-of-line payload (nil for inline)
 	inline []byte // slot-owned inline window, cap = InlineBytes
 }
@@ -401,7 +394,6 @@ func (r *ring) push(m Message) error {
 			}
 			slot.src = int32(m.Source)
 			slot.tag = int64(m.Tag)
-			slot.comm = int64(m.Comm)
 			slot.size = int32(n)
 			if inline {
 				if n > 0 {
@@ -459,7 +451,7 @@ func (r *ring) pop() (Message, bool) {
 	if slot.seq.Load() != pos+1 {
 		return Message{}, false
 	}
-	m := Message{Source: int(slot.src), Tag: int(slot.tag), Comm: int(slot.comm)}
+	m := Message{Source: int(slot.src), Tag: int(slot.tag)}
 	n := int(slot.size)
 	if slot.ext != nil {
 		m.Data = slot.ext[:n]

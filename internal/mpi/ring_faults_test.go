@@ -164,9 +164,11 @@ func TestRingTornSlotNeverObserved(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRingIsendStorm mirrors the TCP coverage bar: a burst of in-flight
-// Isends from every rank into one receiver, all waited, all delivered.
-func TestRingIsendStorm(t *testing.T) {
+// TestRingSendStorm mirrors the TCP coverage bar: a burst of concurrent
+// blocking Sends — one goroutine per message, so each 16-slot ring has 64
+// producers racing to claim its slots — from every rank into one receiver,
+// all returned, all delivered.
+func TestRingSendStorm(t *testing.T) {
 	const senders = 3
 	const burst = 64
 	for _, copyMode := range []bool{false, true} {
@@ -179,22 +181,16 @@ func TestRingIsendStorm(t *testing.T) {
 			defer w.Close()
 			var wg sync.WaitGroup
 			for s := 1; s <= senders; s++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					c := w.Comm(rank)
-					reqs := make([]*Request, 0, burst)
-					for i := 0; i < burst; i++ {
-						msg := []byte(fmt.Sprintf("r%d-i%03d", rank, i))
-						reqs = append(reqs, c.Isend(0, rank, msg))
-					}
-					for i, r := range reqs {
-						if _, _, err := r.Wait(); err != nil {
-							t.Errorf("rank %d isend %d: %v", rank, i, err)
-							return
+				c := w.Comm(s)
+				for i := 0; i < burst; i++ {
+					wg.Add(1)
+					go func(rank, i int) {
+						defer wg.Done()
+						if err := c.Send(0, rank, []byte(fmt.Sprintf("r%d-i%03d", rank, i))); err != nil {
+							t.Errorf("rank %d send %d: %v", rank, i, err)
 						}
-					}
-				}(s)
+					}(s, i)
+				}
 			}
 			c := w.Comm(0)
 			got := map[int]int{}
@@ -221,7 +217,7 @@ func TestRingIsendStorm(t *testing.T) {
 // survivor's message.
 func TestRingAnySourceReceiveWhileSenderDies(t *testing.T) {
 	inj := faults.New(1, faults.Rule{Component: "mpi.rank1", Operation: "send", Action: faults.Drop})
-	w := NewRingWorldWithFaults(3, inj)
+	w := NewRingWorldConfig(3, RingConfig{Injector: inj})
 	defer w.Close()
 
 	recvd := make(chan error, 1)

@@ -18,7 +18,7 @@ import (
 // NewTCPWorld creates a world of n ranks whose messages travel over real TCP
 // sockets on the loopback interface. Rank goroutines still live in this
 // process (Go cannot fork MPI-style), but every byte crosses the kernel
-// socket path, which is what the latency/bandwidth harness measures.
+// socket path.
 func NewTCPWorld(n int) (*World, error) {
 	return NewTCPWorldOptions(n, TCPOptions{})
 }
@@ -45,13 +45,6 @@ type TCPOptions struct {
 	// Metrics, when set, counts framing traffic: mpi.tcp.vectored_writes
 	// (writev flushes) and mpi.tcp.vectored_frames (frames they carried).
 	Metrics *metrics.Registry
-}
-
-// NewTCPWorldWithFaults creates a TCP world whose transport consults a fault
-// injector; see TCPOptions.Injector for the injection points. A nil
-// injector yields a plain TCP world.
-func NewTCPWorldWithFaults(n int, inj *faults.Injector) (*World, error) {
-	return NewTCPWorldOptions(n, TCPOptions{Injector: inj})
 }
 
 // NewTCPWorldOptions creates a TCP world with explicit options.
@@ -94,9 +87,8 @@ type connKey struct{ src, dst int }
 
 // tcpConn serializes writes from concurrent senders on one connection.
 // waiters counts senders inside send() for this connection; the last one
-// out flushes, so back-to-back small sends (an Async spill's Isends, the
-// Done fan-out at CloseSend) coalesce into one syscall instead of one
-// flush per frame.
+// out flushes, so back-to-back small sends from concurrent senders coalesce
+// into one syscall instead of one flush per frame.
 //
 // Queued eager frames accumulate as pooled contiguous header+payload
 // buffers in pend, and a flush ships the whole batch through net.Buffers —
@@ -134,8 +126,8 @@ type tcpTransport struct {
 	wg     sync.WaitGroup
 }
 
-// frameHeader is src(int32) tag(int32) comm(uint64) length(uint32).
-const frameHeaderSize = 20
+// frameHeader is src(int32) tag(int32) length(uint32).
+const frameHeaderSize = 12
 
 // eagerThreshold is the eager/rendezvous split point. Messages below it are
 // copied into a pooled frame buffer queued on the connection (eager: the
@@ -240,22 +232,22 @@ func (t *tcpTransport) dropConn(src, dst int, c *tcpConn) {
 func putFrameHeader(b []byte, m Message) {
 	binary.BigEndian.PutUint32(b[0:4], uint32(int32(m.Source)))
 	binary.BigEndian.PutUint32(b[4:8], uint32(int32(m.Tag)))
-	binary.BigEndian.PutUint64(b[8:16], uint64(m.Comm))
-	binary.BigEndian.PutUint32(b[16:20], uint32(len(m.Data)))
+	binary.BigEndian.PutUint32(b[8:12], uint32(len(m.Data)))
 }
 
 // parseFrameHeader is putFrameHeader's inverse for a world of n ranks: the
 // envelope without its payload, and the payload's length. The source rank
-// indexes per-rank state on the receiving side (Comm.toSub, Status.Source),
-// so one outside [0, n) is an error. Any length is legal, as in send.
+// reaches the receiver as Status.Source, which callers index per-rank state
+// with (mapred files a reducer's output under it) and send replies to, and
+// it names the sender in this transport's per-pair connection table — so
+// one outside [0, n) is an error. Any length is legal, as in send.
 func parseFrameHeader(b []byte, n int) (m Message, size uint32, err error) {
 	m.Source = int(int32(binary.BigEndian.Uint32(b[0:4])))
 	m.Tag = int(int32(binary.BigEndian.Uint32(b[4:8])))
-	m.Comm = int(binary.BigEndian.Uint64(b[8:16]))
 	if m.Source < 0 || m.Source >= n {
 		return Message{}, 0, fmt.Errorf("mpi: frame from rank %d in a world of %d", m.Source, n)
 	}
-	return m, binary.BigEndian.Uint32(b[16:20]), nil
+	return m, binary.BigEndian.Uint32(b[8:12]), nil
 }
 
 func (t *tcpTransport) send(to int, m Message) error {

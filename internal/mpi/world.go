@@ -12,7 +12,7 @@ import (
 // with NewWorld (in-process) or NewTCPWorld (sockets), obtain per-rank
 // communicators with Comm, and Close it when done — or Abort it, from any
 // goroutine, when the work on it must stop early: both unblock every
-// pending Recv, Wait and parked ring producer, on every transport.
+// pending Recv and parked ring producer, on every transport.
 type World struct {
 	size int
 	eps  []*endpoint
@@ -44,7 +44,7 @@ func (w *World) Comm(rank int) *Comm {
 	if err := validateRank(rank, w.size); err != nil {
 		panic(err)
 	}
-	return &Comm{world: w, worldRank: rank, rank: rank, ep: w.eps[rank]}
+	return &Comm{world: w, rank: rank, ep: w.eps[rank]}
 }
 
 // Close shuts the world down: blocked receives return ErrWorldClosed.
@@ -144,26 +144,21 @@ func RunOn(w *World, body func(*Comm) error) error {
 	return w.Cause()
 }
 
-// Comm is a rank's handle on a communicator: all point-to-point and
-// collective operations go through it. The world communicator comes from
-// World.Comm; sub-communicators from Split and Dup. A Comm is confined to
-// its rank's goroutine, except that Isend/Irecv requests may be waited on
-// from anywhere.
+// Comm is a rank's handle on the world: Send, Recv and Barrier go through
+// it. A Comm is confined to its rank's goroutine.
 type Comm struct {
-	world     *World
-	worldRank int // this process's rank in the world
-	rank      int // this process's rank within this communicator
-	ep        *endpoint
+	world *World
+	rank  int
+	ep    *endpoint
 
-	id    int   // communicator id; 0 is the world communicator
-	group []int // group[i] = world rank of comm rank i; nil = identity
-
-	collSeq  int // collective sequence number; aligned across ranks by call order
-	splitSeq int // split/dup sequence number; aligned across ranks by call order
+	barrierSeq int // Barrier calls so far; aligned across ranks by call order
 }
 
-// Rank returns this process's rank within the communicator, in [0, Size).
+// Rank returns this process's rank, in [0, Size).
 func (c *Comm) Rank() int { return c.rank }
+
+// Size returns the number of ranks in the world.
+func (c *Comm) Size() int { return c.world.size }
 
 // SendCopies reports whether Send copies the payload before returning. When
 // true (TCP transport) the caller may reuse its buffer immediately after
@@ -190,40 +185,6 @@ func (c *Comm) SendCopies() bool { return c.world.tr.copies() }
 // job's bytes once").
 func (c *Comm) RecvBufferPool() *bufpool.Pool { return c.world.tr.recvPool() }
 
-// Size returns the communicator size.
-func (c *Comm) Size() int {
-	if c.group == nil {
-		return c.world.size
-	}
-	return len(c.group)
-}
-
-// WorldRank returns this process's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.worldRank }
-
-// toWorld translates a communicator rank to a world rank.
-func (c *Comm) toWorld(rank int) int {
-	if c.group == nil {
-		return rank
-	}
-	return c.group[rank]
-}
-
-// toSub translates a world rank back to this communicator's rank. It
-// panics on a rank outside the group: the transport only delivers messages
-// tagged with this communicator's id, which members alone can send.
-func (c *Comm) toSub(worldRank int) int {
-	if c.group == nil {
-		return worldRank
-	}
-	for i, w := range c.group {
-		if w == worldRank {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("mpi: world rank %d is not in communicator %d", worldRank, c.id))
-}
-
 // Send transmits data to rank `to` with the given tag. It is a buffered
 // (eager) send: it returns once the message is handed to the transport.
 // Ownership of data transfers with the message — the caller must not modify
@@ -238,11 +199,9 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 	return c.send(to, tag, data)
 }
 
-// send skips user-tag validation so collectives can use reserved tags. The
-// destination is a communicator rank; the envelope carries world ranks and
-// the communicator id.
+// send skips user-tag validation so Barrier can use reserved tags.
 func (c *Comm) send(to, tag int, data []byte) error {
-	return c.world.tr.send(c.toWorld(to), Message{Source: c.worldRank, Tag: tag, Comm: c.id, Data: data})
+	return c.world.tr.send(to, Message{Source: c.rank, Tag: tag, Data: data})
 }
 
 // Recv blocks until a message matching (source, tag) arrives and returns
@@ -272,144 +231,9 @@ func (c *Comm) Recv(source, tag int) ([]byte, Status, error) {
 			return nil, Status{}, err
 		}
 	}
-	return c.recv(source, tag)
-}
-
-func (c *Comm) recv(source, tag int) ([]byte, Status, error) {
-	worldSource := source
-	if source != AnySource {
-		worldSource = c.toWorld(source)
-	}
-	m, err := c.ep.recv(c.id, worldSource, tag)
+	m, err := c.ep.recv(source, tag)
 	if err != nil {
 		return nil, Status{}, err
 	}
-	return m.Data, Status{Source: c.toSub(m.Source), Tag: m.Tag, Size: len(m.Data)}, nil
-}
-
-// crecv is the collective-internal receive: from is a communicator rank,
-// the payload alone is returned.
-func (c *Comm) crecv(from, tag int) ([]byte, error) {
-	m, err := c.ep.recv(c.id, c.toWorld(from), tag)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
-// Probe blocks until a message matching (source, tag) is available and
-// returns its status without receiving it.
-func (c *Comm) Probe(source, tag int) (Status, error) {
-	worldSource := source
-	if source != AnySource {
-		worldSource = c.toWorld(source)
-	}
-	st, err := c.ep.probe(c.id, worldSource, tag)
-	if err != nil {
-		return st, err
-	}
-	st.Source = c.toSub(st.Source)
-	return st, nil
-}
-
-// Iprobe reports whether a matching message is available, without blocking.
-func (c *Comm) Iprobe(source, tag int) (Status, bool, error) {
-	worldSource := source
-	if source != AnySource {
-		worldSource = c.toWorld(source)
-	}
-	st, ok, err := c.ep.iprobe(c.id, worldSource, tag)
-	if err != nil || !ok {
-		return st, ok, err
-	}
-	st.Source = c.toSub(st.Source)
-	return st, ok, nil
-}
-
-// Request is a handle on a non-blocking operation. Wait blocks until it
-// completes; Test polls.
-type Request struct {
-	once sync.Once
-	done chan struct{}
-	data []byte
-	st   Status
-	err  error
-}
-
-func newRequest() *Request { return &Request{done: make(chan struct{})} }
-
-func (r *Request) complete(data []byte, st Status, err error) {
-	r.once.Do(func() {
-		r.data, r.st, r.err = data, st, err
-		close(r.done)
-	})
-}
-
-// Wait blocks until the operation completes. For receives, the payload is
-// returned; for sends the payload is nil.
-func (r *Request) Wait() ([]byte, Status, error) {
-	<-r.done
-	return r.data, r.st, r.err
-}
-
-// Test reports whether the operation has completed without blocking.
-func (r *Request) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Isend starts a non-blocking send and returns immediately. The same
-// ownership rule as Send applies from the moment Isend is called.
-func (c *Comm) Isend(to, tag int, data []byte) *Request {
-	req := newRequest()
-	if err := validateRank(to, c.Size()); err != nil {
-		req.complete(nil, Status{}, err)
-		return req
-	}
-	if err := validateTag(tag); err != nil {
-		req.complete(nil, Status{}, err)
-		return req
-	}
-	go func() {
-		err := c.send(to, tag, data)
-		req.complete(nil, Status{}, err)
-	}()
-	return req
-}
-
-// Irecv starts a non-blocking receive for (source, tag).
-func (c *Comm) Irecv(source, tag int) *Request {
-	req := newRequest()
-	if source != AnySource {
-		if err := validateRank(source, c.Size()); err != nil {
-			req.complete(nil, Status{}, err)
-			return req
-		}
-	}
-	if tag != AnyTag {
-		if err := validateTag(tag); err != nil {
-			req.complete(nil, Status{}, err)
-			return req
-		}
-	}
-	go func() {
-		data, st, err := c.recv(source, tag)
-		req.complete(data, st, err)
-	}()
-	return req
-}
-
-// WaitAll waits for every request and returns the first error.
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return m.Data, Status{Source: m.Source, Tag: m.Tag, Size: len(m.Data)}, nil
 }

@@ -13,8 +13,8 @@
 //     arranges ("we distribute all input data across all nodes to
 //     guarantee the data accessing locally as in Hadoop");
 //   - the map side buffers pairs in a hash table, combines locally, spills
-//     realigned contiguous partitions and ships them with plain MPI sends;
-//     with Async on, sends overlap the next chunk's compute;
+//     realigned contiguous partitions and ships them with plain blocking
+//     MPI sends, as the paper's prototype does;
 //   - reducers receive with wildcard MPI_Recv; their inbound NIC is the
 //     natural large-scale bottleneck when few reducers serve many mappers
 //     (the paper runs 49 mappers against a single reducer).
@@ -50,28 +50,6 @@ type Params struct {
 	SpillBuffer int64
 	// InitTime is the one-time mpiexec launch + MPI_D_Init cost.
 	InitTime des.Time
-	// Async overlaps a spill's sends with the next chunk's compute
-	// (MPI_Isend adoption, §IV.A future work). The paper's prototype is
-	// synchronous; the ablation bench flips this.
-	Async bool
-	// CodedReplication models Coded MapReduce's shuffle (PAPERS.md) at
-	// cluster scale: every split is mapped by r nodes, so each mapper
-	// pays r× the input read and map CPU, and every coded multicast
-	// serves r destinations per transmission, so the bytes a mapper ships
-	// divide by r. The reducers merge the same logical intermediate data
-	// either way. 0 or 1 means plain (uncoded) shuffle. The model is what
-	// states the regime: coding wins end to end only when the network,
-	// not the map scan, bounds the job (EXPERIMENTS.md "Figure 6 (coded)";
-	// the live prototype's last numbers are under "Retired baselines").
-	CodedReplication int
-	// Pipelined overlaps the reducer's merge with the map phase: each
-	// mapper's share of the intermediate data is merged as that mapper
-	// completes, instead of waiting for every mapper before touching any
-	// data — the simulation mirror of the live engine's pipelined shuffle
-	// (internal/shuffle), where background merge passes run while copies
-	// are in flight. Only the final merge tail remains after the last
-	// mapper finishes.
-	Pipelined bool
 }
 
 // withDefaults fills zero fields.
@@ -143,10 +121,6 @@ func Run(p Params) *Report {
 	if p.InputBytes <= 0 {
 		panic(fmt.Sprintf("mpidsim: InputBytes must be positive, got %d", p.InputBytes))
 	}
-	rep := int64(p.CodedReplication)
-	if rep < 1 {
-		rep = 1
-	}
 	eng := des.New()
 	cl := cluster.New(eng, p.Cluster)
 	workers := cl.Nodes[1:] // rank 0's node is the master, as in the paper
@@ -184,7 +158,6 @@ func Run(p Params) *Report {
 		eng.Go(fmt.Sprintf("mapper-%d", m), func(pr *des.Proc) {
 			pr.Sleep(p.InitTime)
 			stat := ProcStat{Rank: m + 1, Node: node.ID, Start: pr.Now()}
-			var pendingOut, pendingIn *des.Done
 			remaining := myShare
 			for remaining > 0 {
 				chunk := p.SpillBuffer
@@ -192,16 +165,10 @@ func Run(p Params) *Report {
 					chunk = remaining
 				}
 				remaining -= chunk
-				// Coded replication: the same input range is read and
-				// mapped on r nodes, so each mapper's share costs r× in
-				// read and CPU...
-				node.ReadStream(pr, chunk*rep)
-				node.Compute(pr, chunk*rep, p.MapCPUBytesPerSec)
-				// ...and buys an r× reduction in shipped bytes: each
-				// coded multicast crosses the sender's link once but
-				// serves r destinations.
-				out := int64(float64(chunk) * p.CombinedSelectivity / float64(rep))
-				stat.BytesRead += chunk * rep
+				node.ReadStream(pr, chunk)
+				node.Compute(pr, chunk, p.MapCPUBytesPerSec)
+				out := int64(float64(chunk) * p.CombinedSelectivity)
+				stat.BytesRead += chunk
 				stat.BytesSent += out
 				// Realigned partitions ship to each reducer; even split.
 				per := out / int64(p.NumReducers)
@@ -213,20 +180,8 @@ func Run(p Params) *Report {
 					if dst == node || per == 0 {
 						continue
 					}
-					if p.Async {
-						// Overlap: wait for the previous spill's send,
-						// then launch this one and keep computing.
-						if pendingOut != nil {
-							des.WaitAll(pr, pendingOut, pendingIn)
-						}
-						pendingOut, pendingIn = cl.TransferStart(node, dst, per)
-					} else {
-						cl.Transfer(pr, node, dst, per)
-					}
+					cl.Transfer(pr, node, dst, per)
 				}
-			}
-			if pendingOut != nil {
-				des.WaitAll(pr, pendingOut, pendingIn)
 			}
 			stat.End = pr.Now()
 			if stat.End > mapEnd {
@@ -238,11 +193,8 @@ func Run(p Params) *Report {
 		})
 	}
 
-	// Reducer processes: merge + reduce their share of the intermediate
-	// data. Synchronous reducers wait for every mapper before touching any
-	// data; pipelined reducers consume each mapper's share as its
-	// completion latch fires, so merge CPU overlaps the mapper tail and
-	// only the last share is paid after MapEnd.
+	// Reducer processes: wait for every mapper, then merge + reduce their
+	// share of the intermediate data.
 	totalIntermediate := int64(float64(p.InputBytes) * p.CombinedSelectivity)
 	perReducer := totalIntermediate / int64(p.NumReducers)
 	for r := 0; r < p.NumReducers; r++ {
@@ -250,22 +202,9 @@ func Run(p Params) *Report {
 		node := reducerNode(r)
 		eng.Go(fmt.Sprintf("reducer-%d", r), func(pr *des.Proc) {
 			pr.Sleep(p.InitTime)
-			if p.Pipelined {
-				perMapper := perReducer / int64(p.NumMappers)
-				rem := perReducer - perMapper*int64(p.NumMappers)
-				for m := 0; m < p.NumMappers; m++ {
-					des.WaitAll(pr, mapperDone[m])
-					chunk := perMapper
-					if m == 0 {
-						chunk += rem
-					}
-					node.Compute(pr, chunk, p.ReduceCPUBytesPerSec)
-				}
-			} else {
-				des.WaitAll(pr, mapperDone...)
-				// Reverse realignment + merge + user reduce.
-				node.Compute(pr, perReducer, p.ReduceCPUBytesPerSec)
-			}
+			des.WaitAll(pr, mapperDone...)
+			// Reverse realignment + merge + user reduce.
+			node.Compute(pr, perReducer, p.ReduceCPUBytesPerSec)
 			node.WriteStream(pr, perReducer)
 		})
 	}

@@ -258,7 +258,6 @@ func TestLintPromRejects(t *testing.T) {
 func TestSamplerRatesAndRings(t *testing.T) {
 	reg := metrics.NewRegistry()
 	smp := NewSampler(reg, SeriesConfig{
-		Capacity: 4,
 		Counters: []string{"c"},
 		Gauges:   []string{"g"},
 		Timers:   []string{"t"},
@@ -306,14 +305,14 @@ func TestSamplerRatesAndRings(t *testing.T) {
 		t.Fatal("timer must expand to a .p99 series")
 	}
 
-	// Ring wraps at capacity 4.
-	for i := 3; i <= 10; i++ {
+	// Ring wraps at DefaultSeriesCap.
+	for i := 3; i <= DefaultSeriesCap+6; i++ {
 		smp.Sample(base.Add(time.Duration(i) * time.Second))
 	}
 	snap = smp.Snapshot()
 	for _, s := range snap.Series {
-		if len(s.Points) != 4 {
-			t.Fatalf("series %s has %d points, want 4 (ring cap)", s.Name, len(s.Points))
+		if len(s.Points) != DefaultSeriesCap {
+			t.Fatalf("series %s has %d points, want %d (ring cap)", s.Name, len(s.Points), DefaultSeriesCap)
 		}
 		for i := 1; i < len(s.Points); i++ {
 			if s.Points[i-1].UnixMs >= s.Points[i].UnixMs {

@@ -11,12 +11,11 @@ import (
 	"github.com/ict-repro/mpid/internal/metrics"
 )
 
-// SeriesConfig selects what the sampler tracks and how much history it keeps.
+// SeriesConfig selects what the sampler tracks; it keeps DefaultSeriesCap
+// points of each series.
 type SeriesConfig struct {
 	// Interval between samples; DefaultSampleInterval when zero.
 	Interval time.Duration
-	// Capacity is points retained per series; DefaultSeriesCap when zero.
-	Capacity int
 	// Counters are sampled as per-second rates (delta since the previous
 	// sample over elapsed wall time), so a soak plot shows throughput, not
 	// an ever-growing total.
@@ -28,10 +27,12 @@ type SeriesConfig struct {
 	Timers []string
 }
 
-// Defaults for SeriesConfig zero fields.
 const (
+	// DefaultSampleInterval is the sampling period when SeriesConfig.Interval
+	// is zero.
 	DefaultSampleInterval = time.Second
-	DefaultSeriesCap      = 512
+	// DefaultSeriesCap is how many points each series retains.
+	DefaultSeriesCap = 512
 )
 
 // Point is one sample: a unix-milli timestamp and a value.
@@ -71,19 +72,19 @@ type Sampler struct {
 	done       chan struct{}
 }
 
+// ring keeps a series' latest DefaultSeriesCap points.
 type ring struct {
 	pts  []Point
 	next int
-	cap  int
 }
 
 func (g *ring) add(p Point) {
-	if len(g.pts) < g.cap {
+	if len(g.pts) < DefaultSeriesCap {
 		g.pts = append(g.pts, p)
 		return
 	}
 	g.pts[g.next] = p
-	g.next = (g.next + 1) % g.cap
+	g.next = (g.next + 1) % DefaultSeriesCap
 }
 
 func (g *ring) snapshot() []Point {
@@ -98,9 +99,6 @@ func (g *ring) snapshot() []Point {
 func NewSampler(reg *metrics.Registry, cfg SeriesConfig) *Sampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultSampleInterval
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultSeriesCap
 	}
 	return &Sampler{
 		reg:        reg,
@@ -180,7 +178,7 @@ func (s *Sampler) Sample(now time.Time) {
 func (s *Sampler) put(name, kind string, p Point) {
 	g := s.rings[name]
 	if g == nil {
-		g = &ring{cap: s.cfg.Capacity}
+		g = &ring{}
 		s.rings[name] = g
 		s.kinds[name] = kind
 	}

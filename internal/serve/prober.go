@@ -22,9 +22,6 @@ type ProbeConfig struct {
 	// Timeout bounds one probe's round trip (default 4x Interval). A probe
 	// that misses it counts as lost even if a response arrives later.
 	Timeout time.Duration
-	// Window is the rolling sample window per tracker over which loss rate
-	// and latency are kept (default 32 probes).
-	Window int
 	// DeadAfter is the consecutive-loss threshold for a dead verdict
 	// (default 5): one dropped probe is noise, DeadAfter in a row is a
 	// dead data path. Larger values tolerate flappier networks at the
@@ -42,14 +39,15 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = 4 * c.Interval
 	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 5
 	}
 	return c
 }
+
+// probeWindow is the rolling sample window per tracker, in probes, over
+// which loss rate and latency are kept.
+const probeWindow = 32
 
 // probeState is one tracker's rolling probe history.
 type probeState struct {
@@ -64,7 +62,7 @@ type probeState struct {
 }
 
 // record pushes one probe outcome into the ring.
-func (ps *probeState) record(ok bool, rtt time.Duration, window int) {
+func (ps *probeState) record(ok bool, rtt time.Duration) {
 	ps.sent++
 	if !ok {
 		ps.lost++
@@ -72,13 +70,13 @@ func (ps *probeState) record(ok bool, rtt time.Duration, window int) {
 	} else {
 		ps.consecLoss = 0
 	}
-	if len(ps.window) < window {
+	if len(ps.window) < probeWindow {
 		ps.window = append(ps.window, ok)
 		ps.rtts = append(ps.rtts, rtt)
 	} else {
 		ps.window[ps.next] = ok
 		ps.rtts[ps.next] = rtt
-		ps.next = (ps.next + 1) % window
+		ps.next = (ps.next + 1) % probeWindow
 	}
 }
 
@@ -200,7 +198,7 @@ func (p *Prober) probe(tr hadoop.TrackerState) {
 		ps = &probeState{addr: tr.Addr}
 		p.states[tr.ID] = ps
 	}
-	ps.record(ok, rtt, p.cfg.Window)
+	ps.record(ok, rtt)
 	deliver := !ps.verdict && ps.consecLoss >= p.cfg.DeadAfter
 	if deliver {
 		ps.verdict = true

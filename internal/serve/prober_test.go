@@ -130,7 +130,7 @@ func TestProberReArmsAfterRecovery(t *testing.T) {
 // deserves its own check: withDefaults must not resurrect a disabled probe.
 func TestProbeConfigDefaults(t *testing.T) {
 	c := ProbeConfig{}.withDefaults()
-	if c.Interval <= 0 || c.Timeout <= 0 || c.Window <= 0 || c.DeadAfter <= 0 {
+	if c.Interval <= 0 || c.Timeout <= 0 || c.DeadAfter <= 0 {
 		t.Fatalf("withDefaults left zero fields: %+v", c)
 	}
 	d := ProbeConfig{Disable: true}.withDefaults()

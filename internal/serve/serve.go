@@ -70,6 +70,10 @@ var ErrUnknownJob = errors.New("serve: unknown job")
 // evicted from retention: its outcome is no longer available.
 var ErrExpired = errors.New("serve: job record expired")
 
+// traceCap bounds the service-wide span collector; a long-lived daemon
+// would otherwise grow without limit.
+const traceCap = 16384
+
 // retainBytes is the retention budget: what finished jobs' results and
 // reports may hold together before the oldest are evicted. The record of a
 // 512 KiB WordCount is a few tens of KiB, of a 10 MB TeraSort about 15 MB.
@@ -106,9 +110,6 @@ type Config struct {
 	// A submission finding Slots running and QueueDepth queued is rejected
 	// with *SaturatedError.
 	QueueDepth int
-	// TraceCap bounds the service-wide span collector (default 16384
-	// spans); a long-lived daemon would otherwise grow without limit.
-	TraceCap int
 	// Probe configures each running job's liveness prober (hadoop engine;
 	// MPI-D has no trackers to probe). The zero value probes with
 	// defaults; set Probe.Disable to rely on heartbeat timeouts alone.
@@ -121,9 +122,6 @@ type Config struct {
 	// otherwise the hadoop engine's per-job template. The service
 	// overrides Metrics, Tracer, Events and Watch per job.
 	Cluster hadoop.Config
-	// Metrics is the service-wide registry (default fresh). Per-job
-	// registries are children of it, so its counters are fleet totals.
-	Metrics *metrics.Registry
 	// Events is the service-wide flight recorder (default a fresh
 	// DefaultEventCap ring). Each job records into a child of it stamped
 	// with the job's id and tenant, so the service ring interleaves every
@@ -137,12 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 16384
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
 	}
 	if c.Events == nil {
 		c.Events = obs.NewRecorder(0)
@@ -296,12 +288,12 @@ func New(cfg Config) *Service {
 		panic("serve: " + err.Error())
 	}
 	tr := trace.New("serve")
-	tr.SetCap(cfg.TraceCap)
+	tr.SetCap(traceCap)
 	return &Service{
 		cfg:     cfg,
 		engine:  eng,
 		budget:  retainBytes,
-		met:     cfg.Metrics,
+		met:     metrics.NewRegistry(),
 		tr:      tr,
 		ev:      cfg.Events,
 		probers: make(map[int64]*Prober),

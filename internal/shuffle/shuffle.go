@@ -1,8 +1,7 @@
 // Package shuffle is the pipelined shuffle/merge engine behind the live
 // Hadoop path's reduce side: sorted spill runs, a concurrent k-way merger
-// that folds runs together while shuffle fetches are still in flight, a
-// reusable buffer pool for fetch and merge buffers, and the optional
-// segment compression the jetty wire uses.
+// that folds runs together while shuffle fetches are still in flight, and
+// the single-pass Iterator MPI-D's grouped receive pulls from.
 //
 // The paper's Figure 1 and Table I show the copy stage of shuffle
 // dominating Hadoop job time; DataMPI-style systems win by overlapping

@@ -385,31 +385,6 @@ func TestBufferPoolReuse(t *testing.T) {
 	nilPool.Put(nil)
 }
 
-func TestCompressRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, size := range []int{0, 1, 100, 64 << 10} {
-		src := make([]byte, size)
-		for i := range src {
-			src[i] = byte('a' + rng.Intn(8)) // compressible
-		}
-		comp := Compress(nil, src)
-		out, err := Decompress(nil, comp, size)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if !bytes.Equal(out, src) {
-			t.Fatalf("size %d: round trip mismatch", size)
-		}
-		if _, err := Decompress(nil, comp, size+1); err == nil && size > 0 {
-			t.Fatalf("size %d: inflate to wrong size did not error", size)
-		}
-	}
-	big := bytes.Repeat([]byte("shuffle "), 8<<10)
-	if comp := Compress(nil, big); len(comp) >= len(big) {
-		t.Fatalf("compressible payload grew: %d -> %d", len(big), len(comp))
-	}
-}
-
 func valuesEqual(a, b [][]byte) bool {
 	if len(a) != len(b) {
 		return false

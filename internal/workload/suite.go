@@ -109,9 +109,9 @@ func Param(params map[string]int64, key string, def int64) int64 {
 // ---------------------------------------------------------------------------
 // WordCount
 
-// WordCount builds the canonical WordCount job over Zipf-distributed
-// synthetic text — the same job shape the paper's live engine comparison
-// runs. Parameters (all optional):
+// WordCount builds the canonical WordCount job (WordCountJob) over
+// Zipf-distributed synthetic text — the same job shape the paper's live
+// engine comparison runs. Parameters (all optional):
 //
 //	bytes     input size in bytes (default 32768)
 //	split     split size in bytes (default 8192)
@@ -129,8 +129,14 @@ func WordCount(params map[string]int64) (mapred.Job, []mapred.Split, error) {
 
 	vocab := NewVocabulary(500, seed)
 	text := NewTextGenerator(vocab, 1.15, seed).BytesOfText(int(size))
-	splits := mapred.SplitText(text, int(split))
+	return WordCountJob(int(reducers)), mapred.SplitText(text, int(split)), nil
+}
 
+// WordCountJob is the WordCount job itself, over any line-oriented splits:
+// the one mapper/reducer pair every driver runs — the generator above,
+// mpid-job -job wordcount on a file, the live Figure 6 — so a change to
+// either reaches all of them.
+func WordCountJob(reducers int) mapred.Job {
 	mapper := mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
 		for _, w := range bytes.Fields(line) {
 			if err := emit(w, kv.AppendVLong(nil, 1)); err != nil {
@@ -140,15 +146,14 @@ func WordCount(params map[string]int64) (mapred.Job, []mapred.Split, error) {
 		return nil
 	})
 	reducer := sumReducer()
-	job := mapred.Job{
+	return mapred.Job{
 		Name:             "wordcount",
 		Mapper:           mapper,
 		Reducer:          reducer,
 		Combiner:         mapred.CombinerFromReducer(reducer),
 		ObservedCombiner: observedCombiner(reducer),
-		NumReducers:      int(reducers),
+		NumReducers:      reducers,
 	}
-	return job, splits, nil
 }
 
 // sumReducer sums VLong-encoded counts; order-insensitive, so it is safe
@@ -487,7 +492,7 @@ const (
 // PageRank builds ONE PageRank round over a synthetic hub-heavy graph with
 // uniform initial ranks. Iterative runs chain rounds without re-reading
 // input: feed a round's output through PageRankNextSplits and run
-// PageRankJob again (the workloadbench harness does exactly this). The
+// PageRankJob again (the engine equality suite does exactly this). The
 // registry entry runs a single round, which is what a digest needs to be
 // comparable. Parameters:
 //
