@@ -23,7 +23,7 @@ chaos:
 # Both: a panicking mapper or reducer fails its own job and no other.
 serve-chaos:
 	go test -race ./internal/serve/ -run 'TestChaos|TestDrain|TestMapperPanicFailsJobOnly' -v
-	go test -race ./internal/mapred/ -run 'TestContext|TestRankFailureEndsJob' -v
+	go test -race ./internal/mapred/ -run 'TestContext|TestRankFailureEndsJob|TestReducerFailureLeavesNoResult' -v
 	go test -race ./internal/mpi/ -run 'TestAbortCause|TestRun' -v
 
 build:

@@ -132,6 +132,7 @@ func TestDocSections(t *testing.T) {
 			"TestPutBackPingPongAllocFree",
 			"-engine mpid|hadoop", "engine.New", "mapred.RunContext",
 			"mpi.World.Abort", "ErrExpired",
+			"**Output: built once, where it is reduced.**",
 		},
 		"EXPERIMENTS.md": {
 			"## Extension — Workload suite",
@@ -146,6 +147,8 @@ func TestDocSections(t *testing.T) {
 			"### PR 17 against its parent, every run",
 			"### PR 20 against its parent, every run",
 			"### PR 21 against its parent, every run",
+			"### Reducers own their output (PR 22)",
+			"### PR 22 against its parent, every run",
 			"**`BENCH_serve.json`**", "**`BENCH_workloads.json`**",
 			"**`BENCH_shufflebytes.json`**", "**`BENCH_transport.json`**",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",

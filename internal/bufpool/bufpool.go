@@ -9,9 +9,9 @@
 // of the exchange: a spill serializes realigned partitions into pooled
 // buffers, and the transport reads frames into the buffers its receivers
 // put back. MPI-D's own grouped receiver puts nothing back — its merge
-// hands out slices of the received runs, and mapred's result keeps them —
-// which is why the TCP frame reader asks with Lookup and sizes its misses
-// exactly instead of rounding them up to a class it will never see again.
+// hands the reduce function slices of the received runs — which is why the
+// TCP frame reader asks with Lookup and sizes its misses exactly instead of
+// rounding them up to a class it will never see again.
 //
 // Buffers are grouped into power-of-two size classes so a Get never reuses
 // a buffer more than 2x larger than requested (which would strand memory),

@@ -25,7 +25,10 @@ import (
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
-// Emit is the output collector handed to map and reduce functions.
+// Emit is the output collector handed to map and reduce functions. On every
+// engine it copies key and value before it returns, so the caller may reuse
+// both buffers at once: one of each can serve a whole task. A mapper's
+// emissions enter the shuffle; a reducer's are what Result holds.
 type Emit func(key, value []byte) error
 
 // Mapper transforms one input record into zero or more key-value pairs.
@@ -166,7 +169,11 @@ type Result struct {
 // unstable sort here made every duplicate-key workload's canonical output
 // flip nondeterministically between runs.)
 func (r *Result) Pairs() []kv.Pair {
-	var all []kv.Pair
+	n := 0
+	for _, pairs := range r.ByReducer {
+		n += len(pairs)
+	}
+	all := make([]kv.Pair, 0, n)
 	for _, pairs := range r.ByReducer {
 		all = append(all, pairs...)
 	}
@@ -183,7 +190,6 @@ func (r *Result) Pairs() []kv.Pair {
 const (
 	tagSched      = 101 // mapper -> master: scheduling events (typed payload)
 	tagTaskAssign = 102 // master -> mapper: split id, or -1 for done
-	tagOutput     = 103 // reducer -> master: serialized output pairs
 	tagCounters   = 104 // mapper -> master: serialized counters
 )
 
@@ -225,12 +231,12 @@ type Exec struct {
 
 // RunContext is the job runner Run and RunOnWorld wrap. Once ctx is done
 // the world is aborted with the context's error: ranks blocked in a receive
-// or a send unblock on every transport, mappers take no further split, and
-// the error returned satisfies errors.Is(err, context.Canceled) or
-// errors.Is(err, context.DeadlineExceeded). A record already inside the
-// user's Map or Reduce runs to its end first — there is no per-record
-// check. A context that can never be done (context.Background) costs
-// nothing: no callback is registered.
+// or a send unblock on every transport, mappers take no further split and
+// reducers no further key, and the error returned satisfies errors.Is(err,
+// context.Canceled) or errors.Is(err, context.DeadlineExceeded). A record
+// already inside the user's Map or Reduce runs to its end first — there is
+// no per-record check. A context that can never be done
+// (context.Background) costs nothing: no callback is registered.
 func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, error) {
 	nMappers := x.Mappers
 	if job.Mapper == nil || job.Reducer == nil {
@@ -267,6 +273,9 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 		return nil, fmt.Errorf("mapred: job %q: world: %w", job.Name, err)
 	}
 	defer w.Close()
+	if w.Size() != nRanks {
+		return nil, fmt.Errorf("mapred: job %q: world has %d ranks, job needs %d", job.Name, w.Size(), nRanks)
+	}
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { w.Abort(ctx.Err()) })
 		defer stop()
@@ -290,9 +299,9 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 		}
 		switch {
 		case c.Rank() == 0:
-			return runMaster(c, d, result, job, splits, nMappers, job.NumReducers)
+			return runMaster(c, d, result, job, splits, nMappers)
 		case d.IsReducer():
-			return runReducer(c, d, job)
+			return runReducer(ctx, d, job, &result.ByReducer[c.Rank()-1])
 		default:
 			return runMapper(ctx, c, d, job, splits)
 		}
@@ -304,9 +313,9 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 }
 
 // runMaster schedules splits to mappers on demand — re-queueing failed
-// attempts up to the job's retry budget — and collects reducer outputs and
-// mapper counters.
-func runMaster(c *mpi.Comm, d *core.D, result *Result, job Job, splits []Split, nMappers, nReducers int) error {
+// attempts up to the job's retry budget — and sums the mappers' counters. No
+// output passes through it: each reducer files its own partition.
+func runMaster(c *mpi.Comm, d *core.D, result *Result, job Job, splits []Split, nMappers int) error {
 	maxAttempts := job.MaxTaskAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -396,7 +405,6 @@ func runMaster(c *mpi.Comm, d *core.D, result *Result, job Job, splits []Split, 
 			return fmt.Errorf("mapred: unknown scheduling event %d", data[0])
 		}
 	}
-	// Mapper counters.
 	for i := 0; i < nMappers; i++ {
 		data, _, err := c.Recv(mpi.AnySource, tagCounters)
 		if err != nil {
@@ -407,18 +415,6 @@ func runMaster(c *mpi.Comm, d *core.D, result *Result, job Job, splits []Split, 
 			return err
 		}
 		addCounters(&result.MapCounters, cs)
-	}
-	// Reducer outputs, indexed by reducer rank.
-	for i := 0; i < nReducers; i++ {
-		data, st, err := c.Recv(mpi.AnySource, tagOutput)
-		if err != nil {
-			return err
-		}
-		pairs, err := decodePairs(data)
-		if err != nil {
-			return err
-		}
-		result.ByReducer[st.Source-1] = pairs
 	}
 	return d.Finalize()
 }
@@ -496,20 +492,42 @@ func runMapper(ctx context.Context, c *mpi.Comm, d *core.D, job Job, splits []Sp
 	return c.Send(0, tagCounters, encodeCounters(d.Counters()))
 }
 
-// runReducer drains MPI-D, reduces each group and ships the output to the
-// master.
-func runReducer(c *mpi.Comm, d *core.D, job Job) error {
-	var out []byte
+// runReducer drains MPI-D, reduces each group and files the output in *part,
+// this rank's own slot of Result.ByReducer: a partition is built once, where
+// it is reduced, and crosses no transport. mpi.RunOn's join orders the write
+// before RunContext returns, and a failed job returns no Result, so a partial
+// partition is never visible. emit copies key and value back to back into a
+// block and appends a header aliasing the copy, cap-limited so an append by
+// the Result's holder cannot reach the next pair. Blocks are plain allocations,
+// never from Job.Pool — a Result outlives its job — and a full one is never
+// regrown: pairs alias it. Once every run is in, nothing here touches the
+// world, so the loop asks the context itself.
+func runReducer(ctx context.Context, d *core.D, job Job, part *[]kv.Pair) error {
+	var pairs []kv.Pair
+	var block []byte
 	emit := func(key, value []byte) error {
-		if out == nil {
-			// Every run has arrived before Recv delivers a key, so the count
-			// is final: size for an identity-shaped reduce once, not by doubling.
-			out = make([]byte, 0, d.Counters().BytesReceived)
+		need := len(key) + len(value)
+		if need > cap(block)-len(block) {
+			// Every run is in before Recv delivers a key: the count is final.
+			// A block of constant size taxes every small job (EXPERIMENTS.md).
+			received := int(d.Counters().BytesReceived)
+			if pairs == nil {
+				// Headers for pairs this size, but no more bytes of header
+				// (48 each) than of data: the first key is often the shortest.
+				// serve retains results, so a high guess is clipped below.
+				pairs = make([]kv.Pair, 0, received/max(need+1, 48)+1)
+			}
+			block = make([]byte, 0, max(received, need))
 		}
-		out = kv.AppendPair(out, kv.Pair{Key: key, Value: value})
+		k, v := len(block), len(block)+len(key)
+		block = append(append(block, key...), value...)
+		pairs = append(pairs, kv.Pair{Key: block[k:v:v], Value: block[v:len(block):len(block)]})
 		return nil
 	}
 	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		key, values, err := d.Recv()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
@@ -521,14 +539,15 @@ func runReducer(c *mpi.Comm, d *core.D, job Job) error {
 			return fmt.Errorf("reduce key %q: %w", key, err)
 		}
 	}
-	if err := d.Finalize(); err != nil {
-		return err
+	if cap(pairs)-len(pairs) > len(pairs)/8 {
+		pairs = append(make([]kv.Pair, 0, len(pairs)), pairs...)
 	}
-	return c.Send(0, tagOutput, out)
+	*part = pairs
+	return d.Finalize()
 }
 
 // --------------------------------------------------------------------------
-// Counter and pair serialization for master collection.
+// Counter serialization for master collection.
 
 func encodeCounters(cs core.Counters) []byte {
 	b := kv.AppendVLong(nil, cs.PairsSent)
@@ -564,23 +583,4 @@ func addCounters(dst *core.Counters, src core.Counters) {
 	dst.MessagesSent += src.MessagesSent
 	dst.BytesSent += src.BytesSent
 	dst.PairsReceived += src.PairsReceived
-}
-
-// decodePairs decodes a reducer's output in place: the pairs alias b, which
-// mpi.Comm.Recv handed over for good. Counting first sizes the slice exactly.
-func decodePairs(b []byte) ([]kv.Pair, error) {
-	n := 0
-	for rest := b; len(rest) > 0; n++ {
-		_, used, err := kv.ReadPair(rest)
-		if err != nil {
-			return nil, fmt.Errorf("mapred: corrupt output: %w", err)
-		}
-		rest = rest[used:]
-	}
-	pairs := make([]kv.Pair, n)
-	for i := range pairs {
-		p, used, _ := kv.ReadPair(b) // validated by the counting pass
-		pairs[i], b = p, b[used:]
-	}
-	return pairs, nil
 }

@@ -471,12 +471,13 @@ func TestTaskRetryNoFailuresIsFreeOfSideEffects(t *testing.T) {
 	}
 }
 
-// TestResultOutlivesWorld pins the buffer-ownership rule runMaster relies on:
-// Result.ByReducer aliases the buffers mpi.Comm.Recv handed the master, so
-// those must never be recycled — not when the world closes, not when the
-// next job churns the same shared pool. On each transport a sort job's
-// result is checked only after a second, different job ran over the same
-// bufpool and the first world is long closed.
+// TestResultOutlivesWorld pins what a holder of a Result relies on: it
+// aliases nothing pooled or recycled. A reducer copies its output into blocks
+// it allocated itself — never from Job.Pool, never a transport's receive
+// buffer — so nothing changes it: not the world closing, not the next job
+// churning the same shared pool. On each transport a sort job's result is
+// checked only after a second, different job ran over the same bufpool and
+// the first world is long closed.
 func TestResultOutlivesWorld(t *testing.T) {
 	worlds := map[string]func(n int) (*mpi.World, error){
 		"chan": func(n int) (*mpi.World, error) { return mpi.NewWorld(n), nil },

@@ -160,8 +160,9 @@ func (t *tcpTransport) acceptLoop(rank int, ln net.Listener) {
 //
 // A payload is read into a recycled buffer when the pool has one and into an
 // exactly sized one otherwise: most receivers keep what they receive (MPI-D's
-// grouped Recv and mapred's result alias it), and a kept buffer rounded up to
-// its size class is cleared memory nobody reads. The reader holds one eager
+// grouped Recv holds every run until its merge ends, and hands the reduce
+// function slices of them), and a kept buffer rounded up to its size class is
+// cleared memory nobody reads. The reader holds one eager
 // frame, so an eager message arrives in one read and a rendezvous payload is
 // read from the socket straight into its buffer.
 func (t *tcpTransport) readLoop(rank int, conn net.Conn) {
@@ -238,8 +239,8 @@ func putFrameHeader(b []byte, m Message) {
 // parseFrameHeader is putFrameHeader's inverse for a world of n ranks: the
 // envelope without its payload, and the payload's length. The source rank
 // reaches the receiver as Status.Source, which callers index per-rank state
-// with (mapred files a reducer's output under it) and send replies to, and
-// it names the sender in this transport's per-pair connection table — so
+// with and send replies to (mapred's master answers a split request at it),
+// and it names the sender in this transport's per-pair connection table — so
 // one outside [0, n) is an error. Any length is legal, as in send.
 func parseFrameHeader(b []byte, n int) (m Message, size uint32, err error) {
 	m.Source = int(int32(binary.BigEndian.Uint32(b[0:4])))

@@ -214,8 +214,8 @@ func (c *Comm) send(to, tag int, data []byte) error {
 // from RecvBufferPool (on a TCP pool miss, one allocated at exactly the
 // payload's size) that the transport never reclaims — not on a later Recv,
 // not when the world closes. Only the receiver may recycle it, and only once
-// it holds no aliases into it. MPI-D's grouped Recv and
-// mapred.Result.ByReducer alias received payloads and so keep them.
+// it holds no aliases into it. MPI-D's grouped Recv keeps its payloads: they
+// are the runs it merges, and the value lists it returns alias them.
 //
 // Once the world has shut down — Close, Abort, or a failed rank under RunOn
 // — a Recv with no queued match returns ErrWorldClosed, whatever the reason;

@@ -55,10 +55,14 @@ func BenchmarkSortJobTCP(b *testing.B) {
 }
 
 // TestSortJobTCPAllocBudget gates what one sort job allocates once the
-// process is warm: the median over five jobs must stay within 5.5 x the
-// input (7.3 x before send arenas outlived the job and frame reads were
-// sized to the frame; 4.4 x after — the slack covers a GC cycle emptying the
-// arena pool between jobs).
+// process is warm: the median over five jobs must stay within 3.5 x the
+// input. The ladder, as BenchmarkSortJobTCP's B/op: 7.3 x before send arenas
+// outlived the job and frame reads were sized to the frame, 4.4 x after, 3.3 x
+// now that a reducer's output is built once, where it is reduced, not
+// re-serialised, framed to rank 0 and decoded there. The median here leaves
+// out the jobs between which a GC cycle emptied the arena pool, so it reads
+// lower — 3.9 x before this last step, 2.9 x after, 3.7 x in such a job —
+// and the slack covers those.
 func TestSortJobTCPAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector, so arenas are not reused")
@@ -80,7 +84,7 @@ func TestSortJobTCPAllocBudget(t *testing.T) {
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i] < deltas[j] })
 	median := deltas[len(deltas)/2]
 	t.Logf("allocated per job (sorted): %v; median %.2f x input", deltas, float64(median)/sortJobBytes)
-	if budget := uint64(5.5 * sortJobBytes); median > budget {
-		t.Fatalf("a sort job allocates %d B in the median, budget %d B (5.5 x the %d B input)", median, budget, sortJobBytes)
+	if budget := uint64(3.5 * sortJobBytes); median > budget {
+		t.Fatalf("a sort job allocates %d B in the median, budget %d B (3.5 x the %d B input)", median, budget, sortJobBytes)
 	}
 }
