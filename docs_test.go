@@ -116,7 +116,8 @@ func fileHasPrefixComment(t *testing.T, f, prefix string) bool {
 // TestDocSections pins the load-bearing sections and names the
 // top-level docs promise each other: DESIGN.md section numbers that
 // other docs cite, the flags and packages ARCHITECTURE.md documents,
-// and the retired baselines EXPERIMENTS.md freezes. A
+// the retired baselines EXPERIMENTS.md freezes, and its links to the
+// every-run records under runs/. A
 // rename or deletion that breaks a cross-reference fails here instead
 // of silently leaving a dangling mention.
 func TestDocSections(t *testing.T) {
@@ -149,6 +150,8 @@ func TestDocSections(t *testing.T) {
 			"### PR 21 against its parent, every run",
 			"### Reducers own their output (PR 22)",
 			"### PR 22 against its parent, every run",
+			"### The map side of the Figure 6 job (PR 26)",
+			"[runs/PR-26.md](runs/PR-26.md)",
 			"**`BENCH_serve.json`**", "**`BENCH_workloads.json`**",
 			"**`BENCH_shufflebytes.json`**", "**`BENCH_transport.json`**",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",

@@ -25,10 +25,21 @@ func (s *LineSplit) ID() int { return s.id }
 // Len returns the split size in bytes.
 func (s *LineSplit) Len() int { return len(s.data) }
 
-// Records implements Split, yielding (offset, line) records.
+// keySlab is the size of the buffers LineSplit.Records carves offset keys
+// from: hundreds of lines' keys per allocation.
+const keySlab = 4 << 10
+
+// maxVLong is the longest encoding kv.AppendVLong produces.
+const maxVLong = 9
+
+// Records implements Split, yielding (offset, line) records. The offset keys
+// are carved from slabs the call allocates and never reuses, so a key stays
+// valid after Records returns; each is capacity-limited, so an append to one
+// cannot overwrite its neighbour.
 func (s *LineSplit) Records(yield func(key, value []byte) error) error {
 	data := s.data
 	offset := int64(0)
+	var slab []byte
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		var line []byte
@@ -38,7 +49,12 @@ func (s *LineSplit) Records(yield func(key, value []byte) error) error {
 		} else {
 			line, consumed = data[:nl], int64(nl+1)
 		}
-		if err := yield(kv.AppendVLong(nil, offset), line); err != nil {
+		if cap(slab)-len(slab) < maxVLong {
+			slab = make([]byte, 0, keySlab)
+		}
+		start := len(slab)
+		slab = kv.AppendVLong(slab, offset)
+		if err := yield(slab[start:len(slab):len(slab)], line); err != nil {
 			return err
 		}
 		offset += consumed

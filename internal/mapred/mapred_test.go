@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/core"
@@ -344,6 +345,73 @@ func TestLineSplitEmpty(t *testing.T) {
 	if count != 0 {
 		t.Fatalf("empty split yielded %d records", count)
 	}
+}
+
+// TestLineSplitKeysOutliveRecords: Records carves its offset keys from slabs
+// it never overwrites, so a mapper that keeps every key still holds each
+// line's offset after Records returns, across several slabs; and each key is
+// cap-limited, so an append to one reaches no other. The split has an empty
+// line at its start and in its middle, a line longer than a slab, and a last
+// line with no newline.
+func TestLineSplitKeysOutliveRecords(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteString("\n")
+	b.WriteString(strings.Repeat("x", 2*keySlab) + "\n")
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&b, "line %d\n", i)
+		if i == 1500 {
+			b.WriteString("\n")
+		}
+	}
+	b.WriteString("last line, no newline")
+	data := b.Bytes()
+
+	var want []int64
+	for off := 0; off < len(data); {
+		want = append(want, int64(off))
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			break
+		}
+		off += nl + 1
+	}
+
+	var keys [][]byte
+	if err := NewLineSplit(0, data).Records(func(k, _ []byte) error {
+		keys = append(keys, k)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if len(keys) != len(want) {
+			t.Fatalf("%s: %d keys, want %d", when, len(keys), len(want))
+		}
+		for i, k := range keys {
+			off, n, err := kv.ReadVLong(k)
+			if err != nil || n != len(k) || off != want[i] {
+				t.Fatalf("%s: key %d is %x (offset %d, %d of %d bytes read, %v), want offset %d", when, i, k, off, n, len(k), err, want[i])
+			}
+		}
+	}
+	check("after Records returned")
+
+	slabs := 1
+	for i := 1; i < len(keys); i++ {
+		prev := keys[i-1]
+		if unsafe.SliceData(keys[i]) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev))) {
+			slabs++
+		}
+	}
+	if slabs < 3 {
+		t.Fatalf("%d keys came from %d slabs; the test needs at least 3", len(keys), slabs)
+	}
+
+	for _, k := range keys {
+		_ = append(k, 'x')
+	}
+	check("after appending to every key")
 }
 
 func TestSplitTextCoversAllBytes(t *testing.T) {

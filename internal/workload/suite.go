@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -132,16 +134,45 @@ func WordCount(params map[string]int64) (mapred.Job, []mapred.Split, error) {
 	return WordCountJob(int(reducers)), mapred.SplitText(text, int(split)), nil
 }
 
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts, the table bytes.Fields classifies ASCII with.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // WordCountJob is the WordCount job itself, over any line-oriented splits:
 // the one mapper/reducer pair every driver runs — the generator above,
 // mpid-job -job wordcount on a file, the live Figure 6 — so a change to
 // either reaches all of them.
+//
+// The mapper splits a line exactly as bytes.Fields does (FuzzWordCountFields
+// holds it to that), in one pass and in place: it emits sub-slices of the
+// line, each with the same encoded 1. Sharing one value across emissions is
+// sound because mapred.Emit copies before it returns, on every engine.
 func WordCountJob(reducers int) mapred.Job {
+	one := kv.AppendVLong(nil, 1)
 	mapper := mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
-		for _, w := range bytes.Fields(line) {
-			if err := emit(w, kv.AppendVLong(nil, 1)); err != nil {
-				return err
+		start := -1 // first byte of the current word, or -1 between words
+		for i := 0; i < len(line); {
+			c, width := line[i], 1
+			space := asciiSpace[c]
+			if c >= utf8.RuneSelf {
+				// Invalid UTF-8 decodes to RuneError, which is not a space.
+				var r rune
+				r, width = utf8.DecodeRune(line[i:])
+				space = unicode.IsSpace(r)
 			}
+			switch {
+			case !space && start < 0:
+				start = i
+			case space && start >= 0:
+				if err := emit(line[start:i], one); err != nil {
+					return err
+				}
+				start = -1
+			}
+			i += width
+		}
+		if start >= 0 {
+			return emit(line[start:], one)
 		}
 		return nil
 	})
