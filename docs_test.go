@@ -152,6 +152,8 @@ func TestDocSections(t *testing.T) {
 			"### PR 22 against its parent, every run",
 			"### The map side of the Figure 6 job (PR 26)",
 			"[runs/PR-26.md](runs/PR-26.md)",
+			"### The Send half of the Figure 6 job (PR 27)",
+			"[runs/PR-27.md](runs/PR-27.md)",
 			"**`BENCH_serve.json`**", "**`BENCH_workloads.json`**",
 			"**`BENCH_shufflebytes.json`**", "**`BENCH_transport.json`**",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",

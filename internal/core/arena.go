@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -29,6 +30,10 @@ import (
 //
 // The hash table itself is open addressing with linear probing over int32
 // entry indices, so lookups touch no pointers and growth is a flat rehash.
+// Each entry holds its key as two words (keyWords), which with its length are
+// a key of at most 16 bytes: a probe decides it in registers, and only a
+// longer key is compared in keyArena. The table hash (keyHash) folds the words
+// with a 64x64->128 multiply and depends on no Partitioner.
 // Steady state, Send allocates nothing: arenas and tables retain their
 // capacity across spill cycles, and across jobs — a private arena comes from
 // arenaPool at Init and goes back, reset, at Finalize, so only the first job
@@ -71,6 +76,7 @@ func keyPrefix(key []byte) uint64 {
 // arenaEntry is one distinct key and its value block.
 type arenaEntry struct {
 	hash   uint64
+	w0, w1 uint64 // keyWords(key)
 	keyOff int32
 	keyLen int32
 	valOff int32 // block start in valArena
@@ -85,27 +91,43 @@ func newArenaBuffer() *arenaBuffer {
 	return &arenaBuffer{slots: make([]int32, arenaInitSlots)}
 }
 
-// fnv1a matches HashPartitioner's hash; reimplemented here so the table
-// hash cannot drift under a custom partitioner.
-func fnv1a(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
+// keyWords loads a key as two little-endian words from overlapping loads: a
+// 1-3 byte key's first, middle and last byte; a 4-7 byte key's first and last
+// four; and from 8 bytes on, the first eight of its last sixteen and its last
+// eight. Up to 16 bytes the loads cover every byte, so equal length and words
+// mean equal keys.
+func keyWords(key []byte) (w0, w1 uint64) {
+	switch n := len(key); {
+	case n >= 8:
+		return binary.LittleEndian.Uint64(key[max(n-16, 0):]), binary.LittleEndian.Uint64(key[n-8:])
+	case n >= 4:
+		return uint64(binary.LittleEndian.Uint32(key)), uint64(binary.LittleEndian.Uint32(key[n-4:]))
+	case n > 0:
+		return uint64(key[0])<<16 | uint64(key[n/2])<<8 | uint64(key[n-1]), 0
 	}
-	return h
+	return 0, 0
+}
+
+// keyHash is the table hash of a key whose keyWords are w0, w1: each 128-bit
+// product folds to hi ^ lo. A key longer than 16 bytes first folds every
+// 16-byte chunk before its last 16 bytes, so every byte feeds the hash.
+func keyHash(key []byte, w0, w1 uint64) uint64 {
+	const k0, k1 = 0xa0761d6478bd642f, 0xe7037ed1a0b428db
+	h := uint64(len(key)) ^ k0
+	for p := key; len(p) > 16; p = p[16:] {
+		hi, lo := bits.Mul64(binary.LittleEndian.Uint64(p)^k1, binary.LittleEndian.Uint64(p[8:])^h)
+		h = hi ^ lo
+	}
+	hi, lo := bits.Mul64(w0^k1, w1^h)
+	return hi ^ lo
 }
 
 func (b *arenaBuffer) key(e *arenaEntry) []byte {
 	return b.keyArena[e.keyOff : e.keyOff+e.keyLen]
 }
 
-// find returns the entry index for key, or -1.
-func (b *arenaBuffer) find(h uint64, key []byte) int32 {
+// find returns the entry index for key, given its keyHash and keyWords, or -1.
+func (b *arenaBuffer) find(h, w0, w1 uint64, key []byte) int32 {
 	mask := uint64(len(b.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		idx := b.slots[i]
@@ -113,7 +135,8 @@ func (b *arenaBuffer) find(h uint64, key []byte) int32 {
 			return -1
 		}
 		e := &b.entries[idx-1]
-		if e.hash == h && bytes.Equal(b.key(e), key) {
+		if e.hash == h && e.keyLen == int32(len(key)) && e.w0 == w0 && e.w1 == w1 &&
+			(len(key) <= 16 || bytes.Equal(b.key(e), key)) {
 			return idx - 1
 		}
 	}
@@ -143,8 +166,9 @@ func (b *arenaBuffer) grow() {
 // incremental combiner eliminated (0 without a combiner). Byte accounting is
 // incremental: no walks outside the combine fold itself.
 func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
-	h := fnv1a(key)
-	idx := b.find(h, key)
+	w0, w1 := keyWords(key)
+	h := keyHash(key, w0, w1)
+	idx := b.find(h, w0, w1, key)
 	if idx < 0 {
 		if len(b.entries)*4 >= len(b.slots)*3 {
 			b.grow()
@@ -152,6 +176,8 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 		idx = int32(len(b.entries))
 		b.entries = append(b.entries, arenaEntry{
 			hash:   h,
+			w0:     w0,
+			w1:     w1,
 			keyOff: int32(len(b.keyArena)),
 			keyLen: int32(len(key)),
 		})
@@ -169,23 +195,24 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 }
 
 // appendValue copies value, as a kv length-prefixed record, to the end of the
-// entry's block.
+// entry's block. A value below 128 bytes is its length's own one-byte VLong,
+// so the common record is written here without a call.
 func (b *arenaBuffer) appendValue(e *arenaEntry, value []byte) {
-	if e.valCap == 0 {
-		// First value: cut the block to fit, straight off the arena's end.
-		e.valOff = int32(len(b.valArena))
-		b.valArena = kv.AppendBytes(b.valArena, value)
-		e.valLen = int32(len(b.valArena)) - e.valOff
-		e.valCap, e.nvals = e.valLen, 1
-		return
+	size := int32(len(value)) + 1
+	if len(value) >= 128 {
+		size = int32(kv.BytesSize(value))
 	}
-	need := e.valLen + int32(kv.BytesSize(value))
-	if need > e.valCap {
+	if need := e.valLen + size; need > e.valCap {
 		b.growBlock(e, need)
 	}
-	// Capacity is there, so this append writes in place.
-	kv.AppendBytes(b.valArena[e.valOff:e.valOff+e.valLen:e.valOff+e.valCap], value)
-	e.valLen = need
+	rec := b.valArena[e.valOff+e.valLen : e.valOff+e.valLen+size]
+	if len(value) < 128 {
+		rec[0] = byte(len(value))
+		copy(rec[1:], value)
+	} else {
+		kv.AppendBytes(rec[:0], value)
+	}
+	e.valLen += size
 	e.nvals++
 }
 
@@ -204,6 +231,11 @@ func (b *arenaBuffer) growBlock(e *arenaEntry, need int32) {
 func (b *arenaBuffer) materialize(e *arenaEntry) [][]byte {
 	vs := b.scratch[:0]
 	for block := b.valArena[e.valOff : e.valOff+e.valLen]; len(block) > 0; {
+		if n := int(block[0]); n < 128 && n < len(block) {
+			vs = append(vs, block[1:1+n:1+n])
+			block = block[1+n:]
+			continue
+		}
 		v, n, err := kv.ReadBytes(block)
 		if err != nil {
 			panic("mpid: corrupt send-buffer block: " + err.Error())

@@ -44,6 +44,21 @@ func BenchmarkSend(b *testing.B) {
 	}
 }
 
+// BenchmarkSendZipf is BenchmarkSend over the Figure 6 job's key shape: words
+// drawn Zipf 1.15 from 500 distinct, each with one shared encoded 1, as
+// WordCountJob's mapper sends them. One op is one pair.
+func BenchmarkSendZipf(b *testing.B) {
+	buf := newArenaBuffer()
+	keys := zipfKeys(1<<16, 500)
+	value := kv.AppendVLong(nil, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.add(keys[i%len(keys)], value, sumCombiner)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pair")
+}
+
 // BenchmarkSpill measures one full fill + realign cycle: buffer 4096 pairs,
 // serialize them partition-by-partition in sorted key order into retained
 // buffers, reset. This is spill() minus the transport. The combiner

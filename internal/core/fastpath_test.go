@@ -95,6 +95,12 @@ func checkAgainstRef(t *testing.T, at string, b *arenaBuffer, ref refBuffer, dee
 
 func TestSendBufferAccountingAcrossCombineAndSpillCycles(t *testing.T) {
 	b := newArenaBuffer()
+	// Keys over 16 bytes that share their first and last 16 bytes: a probe
+	// compares them in keyArena, not by their words alone.
+	long := make([][]byte, 3)
+	for j := range long {
+		long[j] = []byte(fmt.Sprintf("first-sixteen-by%cTES-last-sixteen", 'a'+j))
+	}
 	// Three fill/spill cycles; the hot key crosses combineEvery several
 	// times per cycle, so the fold's accounting adjustments and its rewrite
 	// of the key's block are exercised repeatedly, and on recycled arenas.
@@ -102,8 +108,11 @@ func TestSendBufferAccountingAcrossCombineAndSpillCycles(t *testing.T) {
 		ref := refBuffer{}
 		for i := 0; i < 3*combineEvery; i++ {
 			key := []byte(fmt.Sprintf("key-%d", i%5))
-			if i%2 == 0 {
+			switch {
+			case i%2 == 0:
 				key = []byte("hot")
+			case i%5 == 1:
+				key = long[i%3]
 			}
 			value := kv.AppendVLong(nil, int64(i%9+1))
 			b.add(key, value, sumCombiner)
@@ -156,6 +165,11 @@ func TestArenaCombineAliasing(t *testing.T) {
 					key = []byte("hot")
 				}
 				value := kv.AppendVLong(nil, int64(i)*int64(i)) // 1 to 4 bytes
+				if i%10 == 5 {
+					// Either side of the one-byte length prefix: 127, 128
+					// and 129 bytes.
+					value = append(value, bytes.Repeat([]byte{byte(i)}, 127+i%3-len(value))...)
+				}
 				b.add(key, value, c.combine)
 				ref.add(key, value, c.combine)
 				checkAgainstRef(t, fmt.Sprintf("pair %d", i), b, ref, i%64 == 0)
@@ -198,7 +212,7 @@ func TestArenaFootprintBoundedUnderCombine(t *testing.T) {
 	if len(b.entries) != distinct {
 		t.Fatalf("%d distinct keys buffered, want %d", len(b.entries), distinct)
 	}
-	footprint := cap(b.keyArena) + cap(b.valArena) + cap(b.entries)*int(unsafe.Sizeof(arenaEntry{})) + cap(b.slots)*4
+	footprint := cap(b.keyArena) + cap(b.valArena) + cap(b.entries)*int(unsafe.Sizeof(arenaEntry{})) + cap(b.slots)*int(unsafe.Sizeof(b.slots[0]))
 	if bound := 12 * distinct * combineEvery; footprint > bound {
 		t.Fatalf("send buffer holds %d bytes after %d emits, want at most %d", footprint, emits, bound)
 	}

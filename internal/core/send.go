@@ -20,14 +20,8 @@ const combineEvery = 256
 // partition — MPI_D_Send. It returns quickly: at worst it triggers a spill
 // of the buffered table. The caller keeps ownership of key and value.
 func (d *D) Send(key, value []byte) error {
-	if d.finalized {
-		return ErrFinalized
-	}
-	if !d.isSender {
-		return fmt.Errorf("mpid: rank %d is not a sender", d.comm.Rank())
-	}
 	if !d.sendOpen {
-		return errors.New("mpid: send side already closed")
+		return d.sendRefused()
 	}
 	d.counters.PairsCombined += d.buf.add(key, value, d.cfg.Combiner)
 	d.counters.PairsSent++
@@ -35,6 +29,18 @@ func (d *D) Send(key, value []byte) error {
 		return d.spill()
 	}
 	return nil
+}
+
+// sendRefused says why Send was refused. A finalized instance and a rank that
+// is not a sender both have sendOpen unset, so Send tests only that.
+func (d *D) sendRefused() error {
+	switch {
+	case d.finalized:
+		return ErrFinalized
+	case !d.isSender:
+		return fmt.Errorf("mpid: rank %d is not a sender", d.comm.Rank())
+	}
+	return errors.New("mpid: send side already closed")
 }
 
 // SendPair is Send for a kv.Pair.

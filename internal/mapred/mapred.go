@@ -465,7 +465,7 @@ func runMapper(ctx context.Context, c *mpi.Comm, d *core.D, job Job, splits []Sp
 				}
 			}
 		} else {
-			emit := func(key, value []byte) error { return d.Send(key, value) }
+			emit := Emit(d.Send)
 			taskErr = splits[idx].Records(func(k, v []byte) error {
 				return job.Mapper.Map(k, v, emit)
 			})

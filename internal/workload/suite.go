@@ -150,29 +150,49 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 func WordCountJob(reducers int) mapred.Job {
 	one := kv.AppendVLong(nil, 1)
 	mapper := mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
-		start := -1 // first byte of the current word, or -1 between words
-		for i := 0; i < len(line); {
-			c, width := line[i], 1
-			space := asciiSpace[c]
-			if c >= utf8.RuneSelf {
-				// Invalid UTF-8 decodes to RuneError, which is not a space.
-				var r rune
-				r, width = utf8.DecodeRune(line[i:])
-				space = unicode.IsSpace(r)
-			}
-			switch {
-			case !space && start < 0:
-				start = i
-			case space && start >= 0:
-				if err := emit(line[start:i], one); err != nil {
-					return err
+		// Two tight loops, as in bytes.Fields' ASCII path: one skips a run
+		// of spaces, the next scans a word. Each stops on a rune of the
+		// other kind and hands its width w to the next, so a byte at or
+		// above utf8.RuneSelf is decoded once. Invalid UTF-8 decodes to
+		// RuneError, which is not a space.
+		for i, w := 0, 0; i < len(line); i += w {
+			// Spaces, up to a word's first rune.
+			for w = 0; i < len(line); {
+				if c := line[i]; c < utf8.RuneSelf {
+					if !asciiSpace[c] {
+						w = 1
+						break
+					}
+					i++
+				} else if r, n := utf8.DecodeRune(line[i:]); unicode.IsSpace(r) {
+					i += n
+				} else {
+					w = n
+					break
 				}
-				start = -1
 			}
-			i += width
-		}
-		if start >= 0 {
-			return emit(line[start:], one)
+			if w == 0 {
+				break
+			}
+			// The word, up to the space that ends it (skipped by the outer
+			// loop) or the line's end (w = 0).
+			start := i
+			for i, w = i+w, 0; i < len(line); i++ {
+				if c := line[i]; c < utf8.RuneSelf {
+					if asciiSpace[c] {
+						w = 1
+						break
+					}
+				} else if r, n := utf8.DecodeRune(line[i:]); unicode.IsSpace(r) {
+					w = n
+					break
+				} else {
+					i += n - 1
+				}
+			}
+			if err := emit(line[start:i], one); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
