@@ -154,6 +154,8 @@ func TestDocSections(t *testing.T) {
 			"[runs/PR-26.md](runs/PR-26.md)",
 			"### The Send half of the Figure 6 job (PR 27)",
 			"[runs/PR-27.md](runs/PR-27.md)",
+			"### The baseline pays what Hadoop 0.20 paid (PR 28)",
+			"[runs/PR-28.md](runs/PR-28.md)",
 			"**`BENCH_serve.json`**", "**`BENCH_workloads.json`**",
 			"**`BENCH_shufflebytes.json`**", "**`BENCH_transport.json`**",
 			"coded-r1", "mpid-nodearena", "hadoop-nodecombine",

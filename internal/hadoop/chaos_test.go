@@ -194,3 +194,92 @@ func TestChaosDataNodeCrashMidRead(t *testing.T) {
 		t.Fatalf("FailedAttempts = %d, want 0 (DFS failover should be invisible to the engine)", res.FailedAttempts)
 	}
 }
+
+// TestChaosTrackerCrashAfterStagingReduce kills a tracker between staging a
+// reduce's part in the job's output committer and reporting the reduce
+// complete. The part no completion names must be dropped, the reduce must
+// re-execute on a survivor, and the output must be byte-identical.
+func TestChaosTrackerCrashAfterStagingReduce(t *testing.T) {
+	text := genText(t, 60_000, 13)
+	splits := mapred.SplitText(text, 3_000)
+	slowMapper := mapred.MapperFunc(func(k, v []byte, emit mapred.Emit) error {
+		time.Sleep(time.Millisecond)
+		return wcMapper.Map(k, v, emit)
+	})
+	job := wcJob(3)
+	job.Mapper = slowMapper
+	// One reduce slot per tracker: each of the three trackers runs one of
+	// the three reduces, so the doomed one stages a part.
+	cfg := Config{NumTrackers: 3, ReduceSlots: 1}
+	clean, _, err := runJob(job, splits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inj := faults.New(1, faults.Rule{Component: "hadoop.tracker1", Operation: "commit", Action: faults.Crash})
+	cfg.Injector = inj
+	cfg.TrackerTimeout = 200 * time.Millisecond
+	res, rep, err := runJob(job, splits, cfg)
+	if err != nil {
+		t.Fatalf("job with tracker crash after staging: %v", err)
+	}
+	if !inj.Crashed("hadoop.tracker1") {
+		t.Fatal("tracker 1 never reached the commit point")
+	}
+	if res.MaxTaskExecutions < 2 {
+		t.Fatalf("MaxTaskExecutions = %d, want >= 2 (the reduce re-executed)", res.MaxTaskExecutions)
+	}
+	if n := rep.Metrics.Counter("hadoop.outputs_dropped"); n != 1 {
+		t.Fatalf("hadoop.outputs_dropped = %d, want 1 (the dead attempt's part)", n)
+	}
+	if got, want := encodePairs(res.Pairs()), encodePairs(clean.Pairs()); !bytes.Equal(got, want) {
+		t.Fatalf("output after crash at commit differs from fault-free run (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestChaosLateReduceCompletionKeepsPromotedPart drives the jobtracker's
+// commit protocol directly: two attempts of one reduce stage different
+// parts, the second completes first and is promoted, and the first one's
+// late completion must neither replace the promoted part nor leave its own
+// part staged. An attempt staging after the commit leaves nothing either.
+func TestChaosLateReduceCompletionKeepsPromotedPart(t *testing.T) {
+	jt := newJobTracker(wcJob(1), nil, Config{}.withDefaults())
+	for i := 0; i < 2; i++ {
+		if _, err := jt.handleRegister([][]byte{[]byte("127.0.0.1:0")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loser := []kv.Pair{{Key: []byte("k"), Value: []byte("old")}}
+	winner := []kv.Pair{{Key: []byte("k"), Value: []byte("new")}}
+	complete := func(tracker, attempt int, part []kv.Pair) {
+		t.Helper()
+		params := [][]byte{
+			kv.AppendVLong(nil, int64(tracker)), kv.AppendVLong(nil, 0), kv.AppendVLong(nil, int64(attempt)),
+			kv.AppendVLong(nil, int64(len(part))), kv.AppendVLong(nil, 4),
+		}
+		for i := 0; i < 4; i++ {
+			params = append(params, kv.AppendVLong(nil, 0))
+		}
+		if _, err := jt.handleReduceCompleted(params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jt.out.stage(0, 1, loser, 4)
+	jt.out.stage(0, 2, winner, 4)
+	complete(1, 2, winner)
+	complete(0, 1, loser)
+	jt.out.stage(0, 3, loser, 4)
+
+	if got := encodePairs(jt.outputs[0]); !bytes.Equal(got, encodePairs(winner)) {
+		t.Fatalf("promoted part replaced: %q", got)
+	}
+	if jt.reducesDone != 1 {
+		t.Fatalf("reducesDone = %d, want 1", jt.reducesDone)
+	}
+	if n := len(jt.out.staged); n != 0 {
+		t.Fatalf("%d parts still staged after the commit, want 0", n)
+	}
+	if n := jt.met.Snapshot().Counter("hadoop.outputs_dropped"); n != 1 {
+		t.Fatalf("hadoop.outputs_dropped = %d, want 1", n)
+	}
+}

@@ -283,7 +283,7 @@ func RunWithReportContext(ctx context.Context, job mapred.Job, splits []mapred.S
 	var wg sync.WaitGroup
 	trackerErrs := make([]error, cfg.NumTrackers)
 	for i := 0; i < cfg.NumTrackers; i++ {
-		tt, err := newTaskTracker(ctx, i, addr, job, splits, cfg)
+		tt, err := newTaskTracker(ctx, i, addr, jt.out, job, splits, cfg)
 		if err != nil {
 			jt.abort(fmt.Errorf("hadoop: tracker %d: %w", i, err))
 			break
@@ -373,9 +373,10 @@ type jobTracker struct {
 	runningReduces map[int]int
 	doneReduces    map[int]bool
 	reducesDone    int
-	outputs        [][]kv.Pair
-	attempts       map[string]int // task key -> failure-charged attempts
-	executions     map[string]int // task key -> times launched
+	out            *outputCommitter // staged reduce parts, shared with the trackers
+	outputs        [][]kv.Pair      // promoted parts, Result.ByReducer
+	attempts       map[string]int   // task key -> failure-charged attempts
+	executions     map[string]int   // task key -> times launched
 	mapTimings     map[int]MapTiming
 	reduceTimings  map[int]ReduceTiming
 	failure        error
@@ -399,6 +400,7 @@ func newJobTracker(job mapred.Job, splits []mapred.Split, cfg Config) *jobTracke
 		mapLocation:    make(map[int]int),
 		runningReduces: make(map[int]int),
 		doneReduces:    make(map[int]bool),
+		out:            newOutputCommitter(job.NumReducers),
 		outputs:        make([][]kv.Pair, job.NumReducers),
 		attempts:       make(map[string]int),
 		executions:     make(map[string]int),
@@ -723,22 +725,11 @@ func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 	if len(params) < 4 {
 		return nil, errors.New("heartbeat wants 4 parameters")
 	}
-	trackerID, _, err := kv.ReadVLong(params[0])
+	v, err := readVLongs(params, 4)
 	if err != nil {
 		return nil, err
 	}
-	seq, _, err := kv.ReadVLong(params[1])
-	if err != nil {
-		return nil, err
-	}
-	freeMap, _, err := kv.ReadVLong(params[2])
-	if err != nil {
-		return nil, err
-	}
-	freeReduce, _, err := kv.ReadVLong(params[3])
-	if err != nil {
-		return nil, err
-	}
+	trackerID, seq, freeMap, freeReduce := v[0], v[1], v[2], v[3]
 
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
@@ -816,22 +807,11 @@ func (jt *jobTracker) handleMapCompleted(params [][]byte) ([]byte, error) {
 	if len(params) < 4 {
 		return nil, errors.New("mapCompleted wants 4 parameters")
 	}
-	trackerID, _, err := kv.ReadVLong(params[0])
+	v, err := readVLongs(params, 4)
 	if err != nil {
 		return nil, err
 	}
-	mapID, _, err := kv.ReadVLong(params[1])
-	if err != nil {
-		return nil, err
-	}
-	runNs, _, err := kv.ReadVLong(params[2])
-	if err != nil {
-		return nil, err
-	}
-	spillNs, _, err := kv.ReadVLong(params[3])
-	if err != nil {
-		return nil, err
-	}
+	trackerID, mapID, runNs, spillNs := v[0], v[1], v[2], v[3]
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
 	if trackerID < 0 || int(trackerID) >= len(jt.trackers) {
@@ -862,72 +842,58 @@ func (jt *jobTracker) handleMapCompleted(params [][]byte) ([]byte, error) {
 	return nil, nil
 }
 
-// handleReduceCompleted: [trackerID, reduceID, framedPairs, copyNs,
-// sortNs, reduceNs, mergeNs, spans?]. Idempotent — duplicate completions
-// (retried RPCs, speculative re-executions after a tracker was wrongly
-// presumed lost) are dropped. The Ns parameters carry the reduce task's
-// measured copy/sort/reduce phase wall times plus the background merge
-// CPU time overlapped with copy; the optional eighth is the tracker's
-// drained span batch.
+// handleReduceCompleted: [trackerID, reduceID, attempt, pairs, bytes,
+// copyNs, sortNs, reduceNs, mergeNs, spans?]. The attempt staged its part
+// in the job's output committer; the first completion accepted promotes it,
+// and later ones — retried RPCs, attempts re-executed after a tracker was
+// wrongly presumed lost, attempts from a lost tracker — drop their part. The
+// Ns parameters carry the reduce task's measured copy/sort/reduce phase
+// wall times plus the background merge CPU time overlapped with copy; the
+// optional tenth is the tracker's drained span batch.
 func (jt *jobTracker) handleReduceCompleted(params [][]byte) ([]byte, error) {
-	if len(params) < 7 {
-		return nil, errors.New("reduceCompleted wants 7 parameters")
+	if len(params) < 9 {
+		return nil, errors.New("reduceCompleted wants 9 parameters")
 	}
-	trackerID, _, err := kv.ReadVLong(params[0])
+	v, err := readVLongs(params, 9)
 	if err != nil {
 		return nil, err
 	}
-	reduceID, _, err := kv.ReadVLong(params[1])
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := decodePairs(params[2])
-	if err != nil {
-		return nil, err
-	}
-	copyNs, _, err := kv.ReadVLong(params[3])
-	if err != nil {
-		return nil, err
-	}
-	sortNs, _, err := kv.ReadVLong(params[4])
-	if err != nil {
-		return nil, err
-	}
-	reduceNs, _, err := kv.ReadVLong(params[5])
-	if err != nil {
-		return nil, err
-	}
-	mergeNs, _, err := kv.ReadVLong(params[6])
-	if err != nil {
-		return nil, err
-	}
+	trackerID, task, attempt := v[0], int(v[1]), int(v[2])
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
 	if trackerID < 0 || int(trackerID) >= len(jt.trackers) {
 		return nil, fmt.Errorf("unknown tracker %d", trackerID)
 	}
-	if int(reduceID) < 0 || int(reduceID) >= len(jt.outputs) {
-		return nil, fmt.Errorf("reduce id %d out of range", reduceID)
+	if task < 0 || task >= len(jt.outputs) {
+		return nil, fmt.Errorf("reduce id %d out of range", task)
 	}
-	if len(params) > 7 {
-		jt.ingestSpansLocked(params[7])
+	if len(params) > 9 {
+		jt.ingestSpansLocked(params[9])
 	}
-	if jt.trackers[trackerID].lost || jt.doneReduces[int(reduceID)] {
+	if jt.trackers[trackerID].lost || jt.doneReduces[task] {
+		if jt.out.discard(task, attempt) {
+			jt.met.Counter("hadoop.outputs_dropped").Inc()
+		}
 		return nil, nil
 	}
-	task := int(reduceID)
+	part, dropped, err := jt.out.commit(task, attempt, int(v[3]), int(v[4]))
+	if err != nil {
+		jt.abortLocked(err)
+		return nil, err
+	}
+	jt.met.Counter("hadoop.outputs_dropped").Add(int64(dropped))
 	if owner, running := jt.runningReduces[task]; running && owner == int(trackerID) {
 		delete(jt.runningReduces, task)
 	}
 	jt.endAttemptLocked(taskKindReduce, task, "ok")
-	jt.outputs[task] = pairs
+	jt.outputs[task] = part
 	jt.reduceTimings[task] = ReduceTiming{
 		Task:    task,
 		Tracker: int(trackerID),
-		Copy:    time.Duration(copyNs),
-		Sort:    time.Duration(sortNs),
-		Reduce:  time.Duration(reduceNs),
-		Merge:   time.Duration(mergeNs),
+		Copy:    time.Duration(v[5]),
+		Sort:    time.Duration(v[6]),
+		Reduce:  time.Duration(v[7]),
+		Merge:   time.Duration(v[8]),
 	}
 	jt.doneReduces[task] = true
 	jt.reducesDone++
@@ -998,17 +964,11 @@ func (jt *jobTracker) handleFetchFailed(params [][]byte) ([]byte, error) {
 	if len(params) != 3 {
 		return nil, errors.New("fetchFailed wants 3 parameters")
 	}
-	if _, _, err := kv.ReadVLong(params[0]); err != nil { // reduceID, informational
-		return nil, err
-	}
-	mapID, _, err := kv.ReadVLong(params[1])
+	v, err := readVLongs(params, 3) // reduceID (informational), mapID, trackerID
 	if err != nil {
 		return nil, err
 	}
-	trackerID, _, err := kv.ReadVLong(params[2])
-	if err != nil {
-		return nil, err
-	}
+	mapID, trackerID := v[1], v[2]
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
 	task := int(mapID)
@@ -1033,6 +993,16 @@ func (jt *jobTracker) handleFetchFailed(params [][]byte) ([]byte, error) {
 	jt.ev.Emit(obs.Event{Type: obs.EvFetchRedirect, Task: key,
 		Detail: fmt.Sprintf("map output on tracker %d unfetchable; re-queued", trackerID)})
 	return nil, nil
+}
+
+// readVLongs decodes a handler's first n (at most 9) parameters as VLongs.
+func readVLongs(params [][]byte, n int) (v [9]int64, err error) {
+	for i := 0; i < n; i++ {
+		if v[i], _, err = kv.ReadVLong(params[i]); err != nil {
+			return v, err
+		}
+	}
+	return v, nil
 }
 
 // handleMapLocations: [] -> [count, then per completed map: mapID,

@@ -106,7 +106,7 @@ func fakeJobTracker(t *testing.T, locs []mapOutputLoc) (string, func()) {
 }
 
 // runReduceAgainst runs one reduce task against a fake jobtracker that
-// advertises the given locations, returning the framed reduce output.
+// advertises the given locations, returning the reduce output framed.
 func runReduceAgainst(t *testing.T, locs []mapOutputLoc, numSplits int) []byte {
 	t.Helper()
 	jtAddr, stop := fakeJobTracker(t, locs)
@@ -116,7 +116,7 @@ func runReduceAgainst(t *testing.T, locs []mapOutputLoc, numSplits int) []byte {
 		splits[i] = mapred.NewPairSplit(i, nil)
 	}
 	job := mapred.Job{Mapper: wcMapper, Reducer: wcReducer, NumReducers: 1}
-	tt, err := newTaskTracker(context.Background(), 0, jtAddr, job, splits, Config{}.withDefaults())
+	tt, err := newTaskTracker(context.Background(), 0, jtAddr, newOutputCommitter(1), job, splits, Config{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func runReduceAgainst(t *testing.T, locs []mapOutputLoc, numSplits int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return encodePairs(out.Pairs())
 }
 
 // TestDuplicateMapAdvertisementMergesOnce: a re-executed map can appear
@@ -172,9 +172,13 @@ func TestDuplicateMapAdvertisementMergesOnce(t *testing.T) {
 
 func mustDecodePairs(t *testing.T, b []byte) []kv.Pair {
 	t.Helper()
-	pairs, err := decodePairs(b)
-	if err != nil {
-		t.Fatal(err)
+	var pairs []kv.Pair
+	for len(b) > 0 {
+		p, n, err := kv.ReadPair(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, b = append(pairs, p), b[n:]
 	}
 	return pairs
 }

@@ -3,7 +3,6 @@ package hadoop
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +48,7 @@ type taskTracker struct {
 	jobCtx trace.Context // the job root span, from the register response
 
 	rpc       *hadooprpc.MuxClient
+	out       *outputCommitter // the job's output directory, shared by every tracker
 	store     *jetty.Store
 	jettySrv  *jetty.Server
 	jettyAddr string
@@ -75,10 +75,11 @@ type taskTracker struct {
 	redsFailed int
 }
 
-func newTaskTracker(ctx context.Context, idx int, jtAddr string, job mapred.Job, splits []mapred.Split, cfg Config) (*taskTracker, error) {
+func newTaskTracker(ctx context.Context, idx int, jtAddr string, out *outputCommitter, job mapred.Job, splits []mapred.Split, cfg Config) (*taskTracker, error) {
 	tt := &taskTracker{
 		idx:       idx,
 		ctx:       ctx,
+		out:       out,
 		comp:      fmt.Sprintf("hadoop.tracker%d", idx),
 		job:       job,
 		splits:    splits,
@@ -349,9 +350,23 @@ func (tt *taskTracker) launchReduce(task, attempt int, pctx trace.Context) {
 			tt.reportTaskFailed(taskKindReduce, task, fmt.Errorf("reduce task %d: %w", task, err))
 			return
 		}
+		// The part goes to the job's output directory; the completion RPC
+		// carries its size only, as Hadoop's status report does. A tracker
+		// crashing here leaves a staged part no completion names.
+		pairs := out.Pairs()
+		tt.out.stage(task, attempt, pairs, out.Size())
+		if err := tt.inj.Check(tt.comp, "commit", ""); err != nil {
+			if !faults.IsCrash(err) {
+				tt.reportTaskFailed(taskKindReduce, task, fmt.Errorf("reduce task %d: %w", task, err))
+			}
+			return
+		}
 		params := [][]byte{
 			kv.AppendVLong(nil, int64(tt.id)),
-			kv.AppendVLong(nil, int64(task)), out,
+			kv.AppendVLong(nil, int64(task)),
+			kv.AppendVLong(nil, int64(attempt)),
+			kv.AppendVLong(nil, int64(len(pairs))),
+			kv.AppendVLong(nil, int64(out.Size())),
 			kv.AppendVLong(nil, int64(ph.copy)),
 			kv.AppendVLong(nil, int64(ph.sort)),
 			kv.AppendVLong(nil, int64(ph.reduce)),
@@ -401,23 +416,13 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (ph map
 	if partitioner == nil {
 		partitioner = core.HashPartitioner
 	}
-	// Collect pairs grouped per partition, keyed for the combiner.
-	groups := make([]map[string][][]byte, nParts)
-	order := make([][]string, nParts)
-	for i := range groups {
-		groups[i] = make(map[string][][]byte)
-	}
+	out := newMapOutput(splitLen(tt.splits[task]))
 	emit := func(key, value []byte) error {
 		p := partitioner(key, nParts)
 		if p < 0 || p >= nParts {
 			return fmt.Errorf("partitioner returned %d for %d partitions", p, nParts)
 		}
-		k := string(key)
-		if _, seen := groups[p][k]; !seen {
-			order[p] = append(order[p], k)
-		}
-		groups[p][k] = append(groups[p][k], append([]byte(nil), value...))
-		return nil
+		return out.add(p, key, value)
 	}
 	runSpan := span.Child("map.run", trace.KindPhase)
 	defer runSpan.End()
@@ -432,8 +437,8 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (ph map
 	runSpan.End()
 	tt.met.Timer("task.map.run").ObserveDuration(ph.run)
 
-	// Spill: sort, combine and serialize each partition, publish to the
-	// store. Sorting here makes every published segment a run — framed
+	// Spill: sort the index, combine and serialize each partition, publish
+	// to the store. Sorting here makes every published segment a run — framed
 	// KeyLists in strictly increasing key order — which is what lets the
 	// reduce side merge instead of re-sort (the map-side half of the
 	// pipelined shuffle; see internal/shuffle).
@@ -441,18 +446,9 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (ph map
 	defer spillSpan.End()
 	spillStart := time.Now()
 	var spilled int
-	for p := 0; p < nParts; p++ {
-		sort.Strings(order[p])
-		var buf []byte
-		for _, k := range order[p] {
-			values := groups[p][k]
-			if tt.combine != nil {
-				values = tt.combine([]byte(k), values)
-			}
-			buf = kv.AppendKeyList(buf, kv.KeyList{Key: []byte(k), Values: values})
-		}
-		spilled += len(buf)
-		tt.store.Put(jetty.OutputKey{Job: jobName, Map: task, Reduce: p}, buf)
+	for p, seg := range out.spill(nParts, tt.combine) {
+		spilled += len(seg)
+		tt.store.Put(jetty.OutputKey{Job: jobName, Map: task, Reduce: p}, seg)
 	}
 	ph.spill = time.Since(spillStart)
 	spillSpan.End()
@@ -485,8 +481,9 @@ type reducePhases struct {
 // runReduceTask is the copy/sort/reduce lifecycle: poll the jobtracker for
 // completed map locations, fetch partitions over HTTP with a pool of
 // parallel copiers (mapred.reduce.parallel.copies), merge by key, and run
-// the user reduce function. The returned phases are the task's wall times
-// per stage, reported to the jobtracker with the output.
+// the user reduce function into a part built where it is reduced. The
+// returned phases are the task's wall times per stage, reported to the
+// jobtracker with the part's size.
 //
 // The shuffle is pipelined: fetched segments are sorted runs, copiers
 // validate each one and hand it straight to a shuffle.Merger, whose
@@ -510,7 +507,7 @@ type reducePhases struct {
 //   - when a poll makes no progress — no new locations, or every fetch
 //     failed — the reducer backs off for a heartbeat instead of hot-polling
 //     the jobtracker in a tight RPC loop while maps are still running.
-func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out []byte, ph reducePhases, err error) {
+func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out *mapred.PartBuilder, ph reducePhases, err error) {
 	defer recoverTask(&err)
 	span := tt.tr.StartChild(pctx, fmt.Sprintf("r%d", task), trace.KindTask)
 	span.Annotate("attempt", fmt.Sprint(attempt))
@@ -610,8 +607,10 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	defer sortSpan.End()
 	sortStart := time.Now()
 	var groups []kv.KeyList
+	handed := 0
 	if err := merger.Merge(func(kl kv.KeyList) error {
 		groups = append(groups, kl)
+		handed += kl.Size()
 		return nil
 	}); err != nil {
 		span.Annotate("error", err.Error())
@@ -625,10 +624,8 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	reduceSpan := span.Child("reduce.reduce", trace.KindPhase)
 	defer reduceSpan.End()
 	reduceStart := time.Now()
-	emit := func(key, value []byte) error {
-		out = kv.AppendPair(out, kv.Pair{Key: key, Value: value})
-		return nil
-	}
+	out = mapred.NewPartBuilder(func() int { return handed })
+	emit := mapred.Emit(out.Emit)
 	for _, g := range groups {
 		if err := tt.job.Reducer.Reduce(g.Key, g.Values, emit); err != nil {
 			return nil, ph, err
@@ -726,6 +723,14 @@ func (tt *taskTracker) emitFetchFail(fs *trace.Span, j mapOutputLoc, reduce int,
 		Detail: fmt.Sprintf("map %d on tracker %d: %v", j.mapID, j.trackerID, err)})
 }
 
+// splitLen is a split's size in bytes when it reports one, else 0.
+func splitLen(s mapred.Split) int {
+	if l, ok := s.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return 0
+}
+
 func (tt *taskTracker) isAborting() bool {
 	if tt.ctx.Err() != nil {
 		return true
@@ -733,18 +738,4 @@ func (tt *taskTracker) isAborting() bool {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
 	return tt.aborting
-}
-
-// decodePairs parses framed pairs (reduce output).
-func decodePairs(b []byte) ([]kv.Pair, error) {
-	var pairs []kv.Pair
-	for len(b) > 0 {
-		p, n, err := kv.ReadPair(b)
-		if err != nil {
-			return nil, fmt.Errorf("hadoop: corrupt reduce output: %w", err)
-		}
-		pairs = append(pairs, p.Clone())
-		b = b[n:]
-	}
-	return pairs, nil
 }

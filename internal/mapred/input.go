@@ -107,6 +107,15 @@ func NewPairSplit(id int, pairs []kv.Pair) *PairSplit {
 // ID implements Split.
 func (s *PairSplit) ID() int { return s.id }
 
+// Len returns the split's key and value bytes.
+func (s *PairSplit) Len() int {
+	n := 0
+	for _, p := range s.pairs {
+		n += p.Size()
+	}
+	return n
+}
+
 // Records implements Split.
 func (s *PairSplit) Records(yield func(key, value []byte) error) error {
 	for _, p := range s.pairs {

@@ -496,34 +496,13 @@ func runMapper(ctx context.Context, c *mpi.Comm, d *core.D, job Job, splits []Sp
 // this rank's own slot of Result.ByReducer: a partition is built once, where
 // it is reduced, and crosses no transport. mpi.RunOn's join orders the write
 // before RunContext returns, and a failed job returns no Result, so a partial
-// partition is never visible. emit copies key and value back to back into a
-// block and appends a header aliasing the copy, cap-limited so an append by
-// the Result's holder cannot reach the next pair. Blocks are plain allocations,
-// never from Job.Pool — a Result outlives its job — and a full one is never
-// regrown: pairs alias it. Once every run is in, nothing here touches the
+// partition is never visible. Once every run is in, nothing here touches the
 // world, so the loop asks the context itself.
 func runReducer(ctx context.Context, d *core.D, job Job, part *[]kv.Pair) error {
-	var pairs []kv.Pair
-	var block []byte
-	emit := func(key, value []byte) error {
-		need := len(key) + len(value)
-		if need > cap(block)-len(block) {
-			// Every run is in before Recv delivers a key: the count is final.
-			// A block of constant size taxes every small job (EXPERIMENTS.md).
-			received := int(d.Counters().BytesReceived)
-			if pairs == nil {
-				// Headers for pairs this size, but no more bytes of header
-				// (48 each) than of data: the first key is often the shortest.
-				// serve retains results, so a high guess is clipped below.
-				pairs = make([]kv.Pair, 0, received/max(need+1, 48)+1)
-			}
-			block = make([]byte, 0, max(received, need))
-		}
-		k, v := len(block), len(block)+len(key)
-		block = append(append(block, key...), value...)
-		pairs = append(pairs, kv.Pair{Key: block[k:v:v], Value: block[v:len(block):len(block)]})
-		return nil
-	}
+	// Every run is in before Recv delivers a key: the count is final by the
+	// first emit.
+	out := NewPartBuilder(func() int { return int(d.Counters().BytesReceived) })
+	emit := Emit(out.Emit)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -539,12 +518,61 @@ func runReducer(ctx context.Context, d *core.D, job Job, part *[]kv.Pair) error 
 			return fmt.Errorf("reduce key %q: %w", key, err)
 		}
 	}
-	if cap(pairs)-len(pairs) > len(pairs)/8 {
-		pairs = append(make([]kv.Pair, 0, len(pairs)), pairs...)
-	}
-	*part = pairs
+	*part = out.Pairs()
 	return d.Finalize()
 }
+
+// PartBuilder builds one reducer's output partition where it is reduced, on
+// either engine. Emit copies key and value back to back into a block and
+// appends a header aliasing the copy, cap-limited so an append by the
+// Result's holder cannot reach the next pair. A block is sized from the bytes
+// the shuffle delivered to the reducer, so an output no larger than its input
+// takes one; a block of constant size taxes every small job (EXPERIMENTS.md).
+// Blocks are plain allocations, never from Job.Pool — a Result
+// outlives its job — and a full one is never regrown: pairs alias it.
+type PartBuilder struct {
+	received func() int // bytes the shuffle delivered; read when a block fills
+	pairs    []kv.Pair
+	block    []byte
+	size     int
+}
+
+// NewPartBuilder returns a builder whose blocks are sized by received.
+func NewPartBuilder(received func() int) *PartBuilder {
+	return &PartBuilder{received: received}
+}
+
+// Emit is the reducer's output collector.
+func (b *PartBuilder) Emit(key, value []byte) error {
+	need := len(key) + len(value)
+	if need > cap(b.block)-len(b.block) {
+		received := b.received()
+		if b.pairs == nil {
+			// Headers for pairs this size, but no more bytes of header
+			// (48 each) than of data: the first key is often the shortest.
+			// serve retains results, so a high guess is clipped in Pairs.
+			b.pairs = make([]kv.Pair, 0, received/max(need+1, 48)+1)
+		}
+		b.block = make([]byte, 0, max(received, need))
+	}
+	k, v := len(b.block), len(b.block)+len(key)
+	b.block = append(append(b.block, key...), value...)
+	b.pairs = append(b.pairs, kv.Pair{Key: b.block[k:v:v], Value: b.block[v:len(b.block):len(b.block)]})
+	b.size += need
+	return nil
+}
+
+// Pairs returns the partition, its header slice trimmed when more than an
+// eighth of it is unused.
+func (b *PartBuilder) Pairs() []kv.Pair {
+	if cap(b.pairs)-len(b.pairs) > len(b.pairs)/8 {
+		b.pairs = append(make([]kv.Pair, 0, len(b.pairs)), b.pairs...)
+	}
+	return b.pairs
+}
+
+// Size returns the key and value bytes emitted so far.
+func (b *PartBuilder) Size() int { return b.size }
 
 // --------------------------------------------------------------------------
 // Counter serialization for master collection.
