@@ -472,11 +472,7 @@ func (jt *jobTracker) abortLocked(err error) {
 // are declared lost and their work re-queued.
 func (jt *jobTracker) sweepLoop() {
 	defer jt.sweeper.Done()
-	interval := jt.cfg.TrackerTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(max(jt.cfg.TrackerTimeout/4, time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {
@@ -500,20 +496,22 @@ func (jt *jobTracker) sweep(now time.Time) {
 	if jt.overLocked() || len(jt.trackers) == 0 {
 		return
 	}
-	alive := 0
 	for _, tr := range jt.trackers {
-		if tr.lost {
-			continue
-		}
-		if now.Sub(tr.lastSeen) > jt.cfg.TrackerTimeout {
+		if !tr.lost && now.Sub(tr.lastSeen) > jt.cfg.TrackerTimeout {
 			jt.markLostLocked(tr)
-		} else {
-			alive++
 		}
 	}
-	if alive == 0 {
-		jt.abortLocked(errors.New("hadoop: all tasktrackers lost"))
+	jt.abortIfAllLostLocked()
+}
+
+// abortIfAllLostLocked fails the job once no tracker is left alive.
+func (jt *jobTracker) abortIfAllLostLocked() {
+	for _, tr := range jt.trackers {
+		if !tr.lost {
+			return
+		}
 	}
+	jt.abortLocked(errors.New("hadoop: all tasktrackers lost"))
 }
 
 // Trackers implements ClusterControl: a snapshot of every registered
@@ -544,29 +542,14 @@ func (jt *jobTracker) Trackers() []TrackerState {
 func (jt *jobTracker) MarkLost(id int) bool {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	if id < 0 || id >= len(jt.trackers) {
+	if id < 0 || id >= len(jt.trackers) || jt.overLocked() || jt.trackers[id].lost {
 		return false
 	}
-	if jt.overLocked() {
-		return false
-	}
-	tr := jt.trackers[id]
-	if tr.lost {
-		return false
-	}
-	jt.markLostLocked(tr)
+	jt.markLostLocked(jt.trackers[id])
 	jt.met.Counter("hadoop.trackers_probe_lost").Inc()
-	alive := 0
-	for _, t := range jt.trackers {
-		if !t.lost {
-			alive++
-		}
-	}
 	// The sweep's all-lost abort may be disabled (TrackerTimeout < 0), so
 	// the externally-driven path must reach the same terminal state itself.
-	if alive == 0 {
-		jt.abortLocked(errors.New("hadoop: all tasktrackers lost"))
-	}
+	jt.abortIfAllLostLocked()
 	return true
 }
 

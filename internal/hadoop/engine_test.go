@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -189,6 +193,52 @@ func TestMiniHadoopReducerErrorAbortsJob(t *testing.T) {
 		mapred.SplitText([]byte("x y\n"), 10), Config{})
 	if err == nil || !strings.Contains(err.Error(), "deliberate reduce failure") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestHadoopJobCanceledMidReduceEnds: a job canceled by its reducer, on the
+// first of the partition's keys, stops at the next key — the final merge feeds
+// the reducer and polls the job's context between keys — and returns the
+// context's error within a deadline, leaving no goroutine behind.
+func TestHadoopJobCanceledMidReduceEnds(t *testing.T) {
+	const keys = 20_000
+	var text bytes.Buffer
+	for i := 0; i < keys; i++ {
+		fmt.Fprintf(&text, "w%06d\n", i)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var reduced atomic.Int64
+	job := mapred.Job{Mapper: wcMapper, NumReducers: 1, Reducer: mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred.Emit) error {
+		if reduced.Add(1) == 1 {
+			cancel()
+		}
+		return wcReducer(key, values, emit)
+	})}
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RunWithReportContext(ctx, job, mapred.SplitText(text.Bytes(), 40_000), Config{NumTrackers: 2})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("job error = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("canceled job hung:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	if n := reduced.Load(); n > keys/100 {
+		t.Errorf("reducer saw %d of the partition's %d keys: the cancel did not stop the reduce", n, keys)
+	}
+	for limit := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(limit); {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines before the job, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
 

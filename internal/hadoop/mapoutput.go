@@ -128,7 +128,7 @@ func (m *mapOutput) spill(nParts int, combine core.CombineFunc) [][]byte {
 	counts := m.sort(nParts)
 	segs := make([][]byte, nParts)
 	vals := make([][]byte, 0, slices.Max(counts))
-	var lists []kv.KeyList
+	lists := make([]kv.KeyList, 0, slices.Max(counts))
 	idx := m.idx
 	for p, n := range counts {
 		recs := idx[:n]

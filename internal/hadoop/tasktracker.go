@@ -489,9 +489,9 @@ type reducePhases struct {
 // validate each one and hand it straight to a shuffle.Merger, whose
 // background passes fold runs (applying the job's combiner) while more
 // fetches are in flight — the copy/merge overlap the paper says Hadoop's
-// copy-dominated shuffle is missing. The sort phase is the final k-way
-// pass; the reduce loop consumes its merge order directly, so there is no
-// whole-key-space sort.
+// copy-dominated shuffle is missing. The final k-way pass feeds the reduce
+// function key by key, so there is no whole-key-space sort and no list of
+// groups; the sort phase ends when its first key reaches the reducer.
 //
 // A failed fetch, or one that yields a malformed run, leaves no partial
 // state behind: the failure is reported to the jobtracker (fetchFailed),
@@ -538,7 +538,7 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	})
 
 	fetched := make(map[int]bool, len(tt.splits))
-	var mergedMu sync.Mutex // guards fetched; serializes merger handoff
+	var mu sync.Mutex // guards fetched and a poll's tallies; serializes merger handoff
 	copierSem := make(chan struct{}, copierThreads)
 
 	copySpan := span.Child("reduce.copy", trace.KindPhase)
@@ -554,38 +554,31 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 		}
 		var (
 			wg       sync.WaitGroup
-			okMu     sync.Mutex
 			progress int
 			failed   []mapOutputLoc
 		)
 		for _, j := range jobs {
-			j := j
 			copierSem <- struct{}{}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer func() { <-copierSem }()
 				data, err := tt.fetchRun(j, task, copySpan.Context())
+				mu.Lock()
+				defer mu.Unlock()
 				if err != nil {
-					okMu.Lock()
 					failed = append(failed, j)
-					okMu.Unlock()
 					return
 				}
-				mergedMu.Lock()
-				if !fetched[j.mapID] {
-					fetched[j.mapID] = true
-					merger.Add(j.mapID, data)
-					mergedMu.Unlock()
-				} else {
+				progress++
+				if fetched[j.mapID] {
 					// A re-execution raced the original copy; this
 					// duplicate must not reach the merger.
-					mergedMu.Unlock()
 					tt.pool.Put(data)
+					return
 				}
-				okMu.Lock()
-				progress++
-				okMu.Unlock()
+				fetched[j.mapID] = true
+				merger.Add(j.mapID, data)
 			}()
 		}
 		wg.Wait()
@@ -600,37 +593,41 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	copySpan.End()
 	tt.met.Timer("task.reduce.copy").ObserveDuration(ph.copy)
 
-	// Sort phase = the final k-way merge pass: it streams key groups in
-	// merge order. Groups alias the merger's buffers, which stay live until
-	// the task returns.
+	// Sort phase = the final k-way merge pass up to its first key group; from
+	// there the pass feeds the reduce function directly, as Hadoop 0.20's final
+	// merge feeds the reduce loop, so the rest of it is reduce time. Between
+	// keys the loop polls the job's context without a lock.
 	sortSpan := span.Child("reduce.sort", trace.KindPhase)
 	defer sortSpan.End()
 	sortStart := time.Now()
-	var groups []kv.KeyList
-	handed := 0
-	if err := merger.Merge(func(kl kv.KeyList) error {
-		groups = append(groups, kl)
-		handed += kl.Size()
-		return nil
-	}); err != nil {
+	var reduceSpan *trace.Span
+	var reduceStart time.Time
+	defer func() { reduceSpan.End() }()
+	sorted := func() {
+		if reduceStart.IsZero() {
+			ph.sort = time.Since(sortStart)
+			sortSpan.End()
+			tt.met.Timer("task.reduce.sort").ObserveDuration(ph.sort)
+			reduceSpan, reduceStart = span.Child("reduce.reduce", trace.KindPhase), time.Now()
+		}
+	}
+	out = mapred.NewPartBuilder(func() int { return merger.Stats().FinalBytes })
+	emit, done := mapred.Emit(out.Emit), tt.ctx.Done()
+	err = merger.Merge(func(kl kv.KeyList) error {
+		sorted()
+		select {
+		case <-done:
+			return tt.ctx.Err()
+		default:
+			return tt.job.Reducer.Reduce(kl.Key, kl.Values, emit)
+		}
+	})
+	ph.merge = merger.Stats().Time
+	if err != nil {
 		span.Annotate("error", err.Error())
 		return nil, ph, err
 	}
-	ph.sort = time.Since(sortStart)
-	sortSpan.End()
-	tt.met.Timer("task.reduce.sort").ObserveDuration(ph.sort)
-	ph.merge = merger.Stats().Time
-
-	reduceSpan := span.Child("reduce.reduce", trace.KindPhase)
-	defer reduceSpan.End()
-	reduceStart := time.Now()
-	out = mapred.NewPartBuilder(func() int { return handed })
-	emit := mapred.Emit(out.Emit)
-	for _, g := range groups {
-		if err := tt.job.Reducer.Reduce(g.Key, g.Values, emit); err != nil {
-			return nil, ph, err
-		}
-	}
+	sorted() // an empty partition's merge never reaches the reducer
 	ph.reduce = time.Since(reduceStart)
 	reduceSpan.End()
 	tt.met.Timer("task.reduce.reduce").ObserveDuration(ph.reduce)

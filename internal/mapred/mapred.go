@@ -551,7 +551,7 @@ func (b *PartBuilder) Emit(key, value []byte) error {
 			// Headers for pairs this size, but no more bytes of header
 			// (48 each) than of data: the first key is often the shortest.
 			// serve retains results, so a high guess is clipped in Pairs.
-			b.pairs = make([]kv.Pair, 0, received/max(need+1, 48)+1)
+			b.pairs = make([]kv.Pair, 0, received/max(need, 48)+1)
 		}
 		b.block = make([]byte, 0, max(received, need))
 	}

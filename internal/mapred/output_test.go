@@ -115,6 +115,33 @@ func TestReducerOutputCrossesBlocks(t *testing.T) {
 	}
 }
 
+// TestPartBuilderExactHintNeverRegrows: like-sized pairs of at least 48 bytes
+// whose size hint is exactly their key and value bytes get room for every
+// header at the first emit, so the header slice never regrows, and Pairs
+// returns it as built instead of copying it to trim the spare.
+func TestPartBuilderExactHintNeverRegrows(t *testing.T) {
+	for _, shape := range []struct{ pairs, keyLen, valueLen int }{{1000, 10, 90}, {1000, 8, 40}, {100, 16, 1000}} {
+		t.Run(fmt.Sprintf("%d+%d", shape.keyLen, shape.valueLen), func(t *testing.T) {
+			b := NewPartBuilder(func() int { return shape.pairs * (shape.keyLen + shape.valueLen) })
+			key, value := make([]byte, shape.keyLen), make([]byte, shape.valueLen)
+			var headers *kv.Pair
+			for i := 0; i < shape.pairs; i++ {
+				if err := b.Emit(key, value); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					headers = unsafe.SliceData(b.pairs)
+				} else if unsafe.SliceData(b.pairs) != headers {
+					t.Fatalf("header slice regrew at pair %d of %d", i, shape.pairs)
+				}
+			}
+			if got := b.Pairs(); len(got) != shape.pairs || unsafe.SliceData(got) != headers {
+				t.Fatalf("Pairs returned %d pairs in a copy of the header slice, want all %d in the slice as built", len(got), shape.pairs)
+			}
+		})
+	}
+}
+
 // TestReducerOutputShapes: the partitions that are not a run of like-sized
 // pairs — an empty key, an empty value, both; a reducer that is called and
 // emits nothing, and one that is never called; a pair larger than the first

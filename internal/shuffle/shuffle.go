@@ -53,20 +53,33 @@ type Combiner func(key []byte, values [][]byte) [][]byte
 // strictly increasing (each key appears once, sorted). It returns the
 // number of keys. Reducers validate fetched segments up front so a corrupt
 // fetch is reported against the serving tracker instead of surfacing
-// mid-merge.
+// mid-merge. It makes kv.ReadKeyList's checks without building value lists,
+// so a valid run costs no allocation, as Hadoop's IFile checksum costs none.
 func ValidateRun(data []byte) (keys int, err error) {
 	var prev []byte
 	for len(data) > 0 {
-		klist, n, err := kv.ReadKeyList(data)
+		key, n, err := kv.ReadBytes(data)
+		var count int64
+		var used int
+		if err == nil {
+			count, used, err = kv.ReadVLong(data[n:])
+			n += used
+		}
+		// kv.ReadKeyList's bound: every value costs at least its length byte.
+		if err == nil && (count < 0 || count > int64(len(data)-n)) {
+			err = fmt.Errorf("value count %d in %d remaining bytes", count, len(data)-n)
+		}
+		for ; err == nil && count > 0; count-- {
+			_, used, err = kv.ReadBytes(data[n:])
+			n += used
+		}
 		if err != nil {
 			return keys, fmt.Errorf("shuffle: corrupt run at key %d: %w", keys, err)
 		}
-		if keys > 0 && kv.Compare(prev, klist.Key) >= 0 {
-			return keys, fmt.Errorf("shuffle: run not sorted at key %d (%q after %q)", keys, klist.Key, prev)
+		if keys > 0 && kv.Compare(prev, key) >= 0 {
+			return keys, fmt.Errorf("shuffle: run not sorted at key %d (%q after %q)", keys, key, prev)
 		}
-		prev = klist.Key
-		keys++
-		data = data[n:]
+		prev, keys, data = key, keys+1, data[n:]
 	}
 	return keys, nil
 }
@@ -253,14 +266,15 @@ type PassInfo struct {
 	Duration time.Duration // wall time of the pass
 }
 
-// MergeStats aggregates a Merger's background work, reported by the
-// reduce task alongside its phase timers.
+// MergeStats sums a Merger's work, reported by the reduce task alongside its
+// phase timers; PassInfo has each intermediate pass's runs and bytes.
 type MergeStats struct {
-	Passes   int
-	RunsIn   int           // runs consumed by intermediate passes
-	BytesIn  int64         // framed bytes consumed by intermediate passes
-	BytesOut int64         // framed bytes produced by intermediate passes
-	Time     time.Duration // total background merge CPU time
+	Passes int
+	Time   time.Duration // total background merge CPU time
+	// FinalBytes is the framed size of the runs the final pass merges, a
+	// bound on the key and value bytes Merge hands to emit; 0 until Merge has
+	// taken them. Runs an intermediate pass combined count at their output.
+	FinalBytes int
 }
 
 // Config shapes a Merger.
@@ -396,9 +410,6 @@ func (m *Merger) runPass(batch []Run) {
 	} else if err == nil {
 		m.pending = append(m.pending, Run{Data: out, Seq: minSeq})
 		m.stats.Passes++
-		m.stats.RunsIn += len(batch)
-		m.stats.BytesIn += int64(bytesIn)
-		m.stats.BytesOut += int64(len(out))
 		m.stats.Time += dur
 		m.maybeStartPassLocked()
 	}
@@ -438,11 +449,14 @@ func (m *Merger) Merge(emit func(kv.KeyList) error) error {
 	}
 	final := m.pending
 	m.pending = nil
+	for _, r := range final {
+		m.stats.FinalBytes += len(r.Data)
+	}
 	m.mu.Unlock()
 	return MergeRuns(final, nil, emit)
 }
 
-// Stats returns the background-pass totals accumulated so far.
+// Stats returns the totals accumulated so far.
 func (m *Merger) Stats() MergeStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -115,17 +115,75 @@ func TestValidateRun(t *testing.T) {
 	}
 }
 
+// TestValidateRunAllocatesNothing: checking a fetched run builds no value
+// lists, so a valid run costs no allocation however many keys it holds.
+func TestValidateRunAllocatesNothing(t *testing.T) {
+	const keys = 1000
+	var run []byte
+	for i := 0; i < keys; i++ {
+		run = kv.AppendKeyList(run, kv.KeyList{Key: []byte(fmt.Sprintf("key-%06d", i)), Values: [][]byte{[]byte("v"), {}}})
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if n, err := ValidateRun(run); n != keys || err != nil {
+			t.Fatalf("ValidateRun = %d, %v; want %d, nil", n, err, keys)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ValidateRun of a %d-key run allocates %.0f times, want 0", keys, allocs)
+	}
+}
+
+// validateByDecoding is ValidateRun as it was while it decoded every frame
+// with kv.ReadKeyList: the reference FuzzValidateRun holds the walk to.
+func validateByDecoding(data []byte) (keys int, err error) {
+	var prev []byte
+	for len(data) > 0 {
+		klist, n, err := kv.ReadKeyList(data)
+		if err != nil {
+			return keys, err
+		}
+		if keys > 0 && kv.Compare(prev, klist.Key) >= 0 {
+			return keys, fmt.Errorf("run not sorted at key %d", keys)
+		}
+		prev = klist.Key
+		keys++
+		data = data[n:]
+	}
+	return keys, nil
+}
+
+// FuzzValidateRun: the allocation-free walk accepts exactly the runs that
+// decoding every frame accepts, and counts the same keys before it stops.
+// Seeds live in testdata/fuzz.
+func FuzzValidateRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys, err := ValidateRun(data)
+		want, wantErr := validateByDecoding(data)
+		if keys != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("ValidateRun = %d, %v; decoding every frame = %d, %v", keys, err, want, wantErr)
+		}
+	})
+}
+
 // TestMergeDeterministicOrder checks the pure final merge (no intermediate
 // passes): exact equality with the reference, including cross-segment
-// value order by segment sequence.
+// value order by segment sequence, over every byte that was added.
 func TestMergeDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	segs, ref := randSegments(t, rng, 6, 40, 60)
 	m := NewMerger(Config{Expected: len(segs), Factor: 100})
+	added := 0
 	for i, s := range segs {
 		m.Add(i, s)
+		added += len(s)
+	}
+	if st := m.Stats(); st.FinalBytes != 0 {
+		t.Fatalf("FinalBytes = %d before Merge, want 0", st.FinalBytes)
 	}
 	keys, got := collect(t, m)
+	if st := m.Stats(); st.FinalBytes != added {
+		t.Fatalf("FinalBytes = %d with no passes, want the %d bytes added", st.FinalBytes, added)
+	}
 	if len(keys) != len(ref) {
 		t.Fatalf("merged %d keys, want %d", len(keys), len(ref))
 	}
@@ -257,18 +315,19 @@ func TestMergerPipelinedPasses(t *testing.T) {
 		t.Fatal("no intermediate passes ran — pipeline not pipelining")
 	}
 	st := m.Stats()
-	if st.Passes != passes || st.RunsIn == 0 || st.Time <= 0 {
+	if st.Passes != passes || st.Time <= 0 {
 		t.Fatalf("stats %+v disagree with %d observed passes", st, passes)
 	}
 }
 
 // TestMergerCombine checks merge-time combining: with a sum combiner,
 // per-key totals survive arbitrary pass composition, and intermediate
-// passes shrink the data.
+// passes shrink the data the final pass merges below what was added.
 func TestMergerCombine(t *testing.T) {
 	const segs, keysPer, vocab = 20, 30, 40
 	rng := rand.New(rand.NewSource(3))
 	ref := make(map[string]int64)
+	added := 0
 	m := NewMerger(Config{
 		Expected: segs,
 		Factor:   3,
@@ -297,7 +356,9 @@ func TestMergerCombine(t *testing.T) {
 			ref[k] += n
 			groups[k] = [][]byte{kv.AppendVLong(nil, n)}
 		}
-		m.Add(s, buildRun(t, groups))
+		run := buildRun(t, groups)
+		added += len(run)
+		m.Add(s, run)
 	}
 	got := make(map[string]int64)
 	err := m.Merge(func(kl kv.KeyList) error {
@@ -323,8 +384,8 @@ func TestMergerCombine(t *testing.T) {
 			t.Fatalf("key %s: total %d, want %d", k, got[k], want)
 		}
 	}
-	if st := m.Stats(); st.Passes == 0 || st.BytesOut >= st.BytesIn {
-		t.Fatalf("combining passes should shrink data: %+v", st)
+	if st := m.Stats(); st.Passes == 0 || st.FinalBytes <= 0 || st.FinalBytes >= added {
+		t.Fatalf("combining passes should shrink the %d bytes added: %+v", added, st)
 	}
 }
 
