@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -16,10 +18,10 @@ import (
 // slices that are reset — not reallocated — between spills:
 //
 //	keyArena  all key bytes, appended back to back
-//	valArena  one block per distinct key, holding that key's values in
-//	          insertion order, each a kv length-prefixed byte string
-//	entries   one record per distinct key: offsets into keyArena plus its
-//	          block's offset, used length and capacity
+//	valArena  one block per entry, holding its values in insertion order,
+//	          each a kv length-prefixed byte string — already their wire form
+//	entries   one record per distinct key (one per pair once perPair): offsets
+//	          into keyArena plus its block's offset, used length and capacity
 //
 // A key's first block is cut to fit its first value, so a key that never
 // repeats (TeraSort) wastes nothing. A block that fills moves to the arena's
@@ -27,6 +29,19 @@ import (
 // the one it occupies. A combine fold writes its result back over the start
 // of the key's own block, so a combining job's arena is bounded by distinct
 // keys x combineEvery however many pairs pass through it.
+//
+// The table exists so that a combiner, or the value sort, sees all of a key's
+// buffered values. When neither is configured (ungrouped, set at Init), it
+// only saves the spill sorting a key once per pair, which pays while keys
+// repeat, so the buffer watches what the table does for it. It probes in
+// windows of sampleSize pairs; after a window in which more than three pairs
+// in four made an entry of their own, it stops probing (perPair) and appends
+// each pair as an entry of its own, its key stored with it. After
+// unprobedPairs pairs it probes again over an emptied table, so that a job
+// whose keys start repeating halfway through a cycle (a join reading one
+// table's rows, then the other's) is grouped again. A key may thus hold
+// several entries, each younger than the last; the spill's sort makes them
+// adjacent, in insertion order, and they share one frame.
 //
 // The hash table itself is open addressing with linear probing over int32
 // entry indices, so lookups touch no pointers and growth is a flat rehash.
@@ -39,15 +54,25 @@ import (
 // arenaPool at Init and goes back, reset, at Finalize, so only the first job
 // of a process grows one from zero.
 //
-// A spill orders keys with a byte radix over fixed-size sort records (see
-// forEachSorted), so the arena is dereferenced only to settle keys whose
-// first eight bytes are equal.
+// A spill orders entries with a byte radix over fixed-size sort records (see
+// sortOrder), so the arena is dereferenced only to settle keys whose first
+// eight bytes are equal, and copies each block into its partition buffer as
+// it lies (see realign).
 type arenaBuffer struct {
 	keyArena []byte
 	valArena []byte
 	entries  []arenaEntry
 	slots    []int32 // entry index + 1; 0 = empty
-	payload  int     // buffered payload bytes: each key once + all values
+	// payload is the buffered byte count SpillThreshold is compared against:
+	// every buffered value plus each distinct key once, or each pair's key
+	// when ungrouped, however the pairs are held. Entries, slots and sort
+	// records are not counted.
+	payload   int
+	ungrouped bool // no combiner or value sort needs a key's whole list
+	perPair   bool // appending one entry per pair, the table unused
+	window    int  // pairs in the current probed or unprobed window (ungrouped)
+	fresh     int  // pairs of the probed window that made an entry of their own
+	tableFrom int  // the table indexes entries[tableFrom:]
 
 	scratch [][]byte  // reused value-materialization space
 	stage   []byte    // reused staging space for a fold's result
@@ -58,22 +83,17 @@ type arenaBuffer struct {
 // arenaPool keeps finalized instances' arenas for the next Init.
 var arenaPool = sync.Pool{New: func() any { return newArenaBuffer() }}
 
-// sortKey is one entry's spill-sort record: the first 8 key bytes as a
-// big-endian integer (shorter keys zero-padded) and the entry index. The
-// sort moves integers held in one flat slice and dereferences the arena
-// only on a tie, which also settles what padding cannot ("a" vs "a\x00").
+// sortKey is one entry's spill-sort record: its key's kv.Prefix and the
+// entry index. The sort moves integers held in one flat slice and
+// dereferences the arena only on a tie, which also settles what padding
+// cannot ("a" vs "a\x00").
 type sortKey struct {
 	prefix uint64
 	idx    int32
 }
 
-func keyPrefix(key []byte) uint64 {
-	var p [8]byte
-	copy(p[:], key)
-	return binary.BigEndian.Uint64(p[:])
-}
-
-// arenaEntry is one distinct key and its value block.
+// arenaEntry is one distinct key, or one pair once perPair, and its value
+// block.
 type arenaEntry struct {
 	hash   uint64
 	w0, w1 uint64 // keyWords(key)
@@ -86,6 +106,13 @@ type arenaEntry struct {
 }
 
 const arenaInitSlots = 64 // must stay a power of two
+
+// An ungrouped buffer decides whether to probe from windows of sampleSize
+// probed pairs, and probes again after unprobedPairs pairs appended unprobed.
+const (
+	sampleSize    = 256
+	unprobedPairs = 15 * sampleSize
+)
 
 func newArenaBuffer() *arenaBuffer {
 	return &arenaBuffer{slots: make([]int32, arenaInitSlots)}
@@ -153,12 +180,25 @@ func (b *arenaBuffer) insertSlot(h uint64, idx int32) {
 	b.slots[i] = idx + 1
 }
 
-// grow doubles the slot table and rehashes every entry.
+// grow doubles the slot table and rehashes every entry it indexes.
 func (b *arenaBuffer) grow() {
 	b.slots = make([]int32, 2*len(b.slots))
-	for i := range b.entries {
+	for i := b.tableFrom; i < len(b.entries); i++ {
 		b.insertSlot(b.entries[i].hash, int32(i))
 	}
+}
+
+// clearTable empties the table, so later pairs make fresh entries.
+func (b *arenaBuffer) clearTable() {
+	clear(b.slots)
+	b.tableFrom = len(b.entries)
+}
+
+// probeAgain ends an unprobed stretch. The table is emptied first: a key's
+// next pair must not join an entry older than the ones appended since.
+func (b *arenaBuffer) probeAgain() {
+	b.clearTable()
+	b.perPair, b.window = false, 0
 }
 
 // add buffers one pair, copying key and value into the arenas (Send promises
@@ -166,11 +206,30 @@ func (b *arenaBuffer) grow() {
 // incremental combiner eliminated (0 without a combiner). Byte accounting is
 // incremental: no walks outside the combine fold itself.
 func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
+	if b.perPair {
+		off := len(b.valArena)
+		b.valArena = kv.AppendBytes(b.valArena, value)
+		n := int32(len(b.valArena) - off)
+		b.entries = append(b.entries, arenaEntry{
+			keyOff: int32(len(b.keyArena)),
+			keyLen: int32(len(key)),
+			valOff: int32(off),
+			valLen: n,
+			valCap: n,
+			nvals:  1,
+		})
+		b.keyArena = append(b.keyArena, key...)
+		b.payload += len(key) + len(value)
+		if b.window++; b.window == unprobedPairs {
+			b.probeAgain()
+		}
+		return 0
+	}
 	w0, w1 := keyWords(key)
 	h := keyHash(key, w0, w1)
 	idx := b.find(h, w0, w1, key)
 	if idx < 0 {
-		if len(b.entries)*4 >= len(b.slots)*3 {
+		if (len(b.entries)-b.tableFrom)*4 >= len(b.slots)*3 {
 			b.grow()
 		}
 		idx = int32(len(b.entries))
@@ -184,14 +243,24 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 		b.keyArena = append(b.keyArena, key...)
 		b.insertSlot(h, idx)
 		b.payload += len(key)
+		b.fresh++
+	} else if b.ungrouped {
+		b.payload += len(key)
 	}
 	e := &b.entries[idx]
 	b.appendValue(e, value)
 	b.payload += len(value)
+	if b.ungrouped {
+		if b.window++; b.window == sampleSize {
+			b.perPair = b.fresh*4 > sampleSize*3
+			b.window, b.fresh = 0, 0
+		}
+		return 0
+	}
 	if combine == nil || e.nvals < combineEvery {
 		return 0
 	}
-	return b.combineEntry(e, combine)
+	return b.foldEntry(e, combine, false)
 }
 
 // appendValue copies value, as a kv length-prefixed record, to the end of the
@@ -226,8 +295,9 @@ func (b *arenaBuffer) growBlock(e *arenaEntry, need int32) {
 	e.valOff, e.valCap = int32(off), newCap
 }
 
-// materialize decodes an entry's block into the reusable scratch slice. The
-// returned slices alias valArena and are valid until the next arena write.
+// materialize decodes an entry's block into the reusable scratch slice, for a
+// fold. The returned slices alias valArena and are valid until the next arena
+// write.
 func (b *arenaBuffer) materialize(e *arenaEntry) [][]byte {
 	vs := b.scratch[:0]
 	for block := b.valArena[e.valOff : e.valOff+e.valLen]; len(block) > 0; {
@@ -247,17 +317,24 @@ func (b *arenaBuffer) materialize(e *arenaEntry) [][]byte {
 	return vs
 }
 
-// combineEntry folds an entry's values through the combiner and writes the
-// result back over the start of the entry's own block, so a fold strands
-// nothing. The result may alias the block it is about to overwrite (see
-// CombineFunc), so it is staged first.
-func (b *arenaBuffer) combineEntry(e *arenaEntry, combine CombineFunc) int64 {
+// foldEntry passes an entry's values through the combiner, when set, and then
+// the value sort, when set, and writes the result back over the start of the
+// entry's own block, so a fold strands nothing. The result may alias the block
+// it is about to overwrite (see CombineFunc), so it is staged first. It
+// returns how many values the combiner eliminated.
+func (b *arenaBuffer) foldEntry(e *arenaEntry, combine CombineFunc, sortValues bool) int64 {
 	vs := b.materialize(e)
 	oldLen, oldBytes := len(vs), 0
 	for _, v := range vs {
 		oldBytes += len(v)
 	}
-	out := combine(b.key(e), vs)
+	out := vs
+	if combine != nil {
+		out = combine(b.key(e), vs)
+	}
+	if sortValues {
+		sortValueList(out)
+	}
 	stage, newBytes := b.stage[:0], 0
 	for _, v := range out {
 		stage = kv.AppendBytes(stage, v)
@@ -273,8 +350,8 @@ func (b *arenaBuffer) combineEntry(e *arenaEntry, combine CombineFunc) int64 {
 	return int64(oldLen - len(out))
 }
 
-// bytes reports the buffered payload byte count (each key once plus every
-// buffered value), the quantity SpillThreshold is compared against.
+// bytes reports the buffered payload byte count, the quantity SpillThreshold
+// is compared against (see payload).
 func (b *arenaBuffer) bytes() int { return b.payload }
 
 func (b *arenaBuffer) empty() bool { return len(b.entries) == 0 }
@@ -285,10 +362,9 @@ func (b *arenaBuffer) reset() {
 	b.keyArena = b.keyArena[:0]
 	b.valArena = b.valArena[:0]
 	b.entries = b.entries[:0]
-	for i := range b.slots {
-		b.slots[i] = 0
-	}
+	b.clearTable()
 	b.payload = 0
+	b.perPair, b.window, b.fresh = false, 0, 0
 }
 
 // wireBytes is the size the buffered key lists serialize to (kv.AppendKeyList
@@ -302,10 +378,9 @@ func (b *arenaBuffer) wireBytes() int {
 	return n
 }
 
-// forEachSorted yields each distinct key with its materialized value list,
-// keys in lexicographic order — the iteration order spill serializes, which
-// the receive-side k-way merge relies on. The yielded slices alias the
-// arenas and are invalid after the callback returns.
+// sortOrder returns the entries' sort records in spill order: keys in
+// bytes.Compare order, equal keys (entries of an ungrouped buffer) in
+// insertion order. The slice is the arena's own and valid until the next sort.
 //
 // The order is an LSD byte radix over the keys' 8-byte prefixes: one pass
 // over the keys fills all eight histograms, a byte position every key agrees
@@ -313,7 +388,7 @@ func (b *arenaBuffer) wireBytes() int {
 // two or three scatter passes and TeraSort eight), and each remaining
 // position is one stable scatter between order and orderB. Keys the prefix
 // cannot separate are then ordered by full-key comparison, run by run.
-func (b *arenaBuffer) forEachSorted(fn func(key []byte, values [][]byte) error) error {
+func (b *arenaBuffer) sortOrder() []sortKey {
 	n := len(b.entries)
 	if n == 0 {
 		return nil
@@ -322,7 +397,7 @@ func (b *arenaBuffer) forEachSorted(fn func(key []byte, values [][]byte) error) 
 	dst := slices.Grow(b.orderB[:0], n)[:n]
 	var hist [8][256]int32
 	for i := range src {
-		p := keyPrefix(b.key(&b.entries[i]))
+		p := kv.Prefix(b.key(&b.entries[i]))
 		src[i] = sortKey{p, int32(i)}
 		for d := range hist {
 			hist[d][byte(p>>(8*d))]++
@@ -346,21 +421,19 @@ func (b *arenaBuffer) forEachSorted(fn func(key []byte, values [][]byte) error) 
 	}
 	b.order, b.orderB = src, dst
 	b.settleTies(src)
-	for _, sk := range src {
-		e := &b.entries[sk.idx]
-		if err := fn(b.key(e), b.materialize(e)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return src
 }
 
-// settleTies orders each run of equal prefixes by the full keys: what the
-// radix leaves undecided are keys sharing their first eight bytes and keys
-// that differ only in trailing zero bytes the padding mimics.
+// settleTies orders each run of equal prefixes by the full keys, and equal
+// keys by entry index: what the radix leaves undecided are keys sharing their
+// first eight bytes and keys that differ only in trailing zero bytes the
+// padding mimics.
 func (b *arenaBuffer) settleTies(order []sortKey) {
 	byKey := func(x, y sortKey) int {
-		return bytes.Compare(b.key(&b.entries[x.idx]), b.key(&b.entries[y.idx]))
+		if c := bytes.Compare(b.key(&b.entries[x.idx]), b.key(&b.entries[y.idx])); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.idx, y.idx)
 	}
 	for i := 0; i < len(order); {
 		j := i + 1
@@ -372,4 +445,41 @@ func (b *arenaBuffer) settleTies(order []sortKey) {
 		}
 		i = j
 	}
+}
+
+// realign appends every buffered key's frame to its partition's buffer, in
+// spill order, so each buffer is a sorted run — the invariant the receive-side
+// k-way merge builds on. A frame is kv.AppendKeyList's: the key, its value
+// count, then the key's value blocks copied as they lie, since a block already
+// is its values' wire encoding. Equal keys, adjacent entries of an ungrouped
+// buffer, share one frame. A combiner or the value sort first rewrites a key's
+// block in place (foldEntry); combined counts the pairs the combiner
+// eliminated.
+func (b *arenaBuffer) realign(parts [][]byte, partition PartitionFunc, combine CombineFunc, sortValues bool) (combined int64, err error) {
+	order := b.sortOrder()
+	for i := 0; i < len(order); {
+		first := &b.entries[order[i].idx]
+		key := b.key(first)
+		j, nvals := i+1, int64(first.nvals)
+		for b.ungrouped && j < len(order) && order[j].prefix == order[i].prefix && bytes.Equal(b.key(&b.entries[order[j].idx]), key) {
+			nvals += int64(b.entries[order[j].idx].nvals)
+			j++
+		}
+		if combine != nil || sortValues {
+			combined += b.foldEntry(first, combine, sortValues)
+			nvals = int64(first.nvals)
+		}
+		p := partition(key, len(parts))
+		if p < 0 || p >= len(parts) {
+			return combined, fmt.Errorf("mpid: partitioner returned %d for %d partitions", p, len(parts))
+		}
+		dst := kv.AppendVLong(kv.AppendBytes(parts[p], key), nvals)
+		for _, sk := range order[i:j] {
+			e := &b.entries[sk.idx]
+			dst = append(dst, b.valArena[e.valOff:e.valOff+e.valLen]...)
+		}
+		parts[p] = dst
+		i = j
+	}
+	return combined, nil
 }

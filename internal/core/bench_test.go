@@ -60,30 +60,35 @@ func BenchmarkSendZipf(b *testing.B) {
 }
 
 // BenchmarkSpill measures one full fill + realign cycle: buffer 4096 pairs,
-// serialize them partition-by-partition in sorted key order into retained
+// realign them partition by partition in sorted key order into retained
 // buffers, reset. This is spill() minus the transport. The combiner
-// sub-benchmark's allocations are sumCombiner's own (two per fold of the hot
-// key); nocombiner shows the buffer, the prefix sort and the realign at 0.
+// sub-benchmark's allocations are sumCombiner's own (two per fold: every key
+// at the spill, and the hot key as it fills). The other two are ungrouped, as
+// Init sets up a buffer without a combiner, and show the buffer, the prefix
+// sort and the verbatim realign at 0: nocombiner's keys repeat, so it probes
+// every pair; distinct's do not, so it stops probing after sampleSize pairs.
 func BenchmarkSpill(b *testing.B) {
+	distinct := make([][]byte, 4096)
+	for i := range distinct {
+		distinct[i] = []byte(fmt.Sprintf("key-%08d", (i*2654435761)%(1<<30)))
+	}
 	impls := []struct {
 		name    string
 		combine CombineFunc
+		keys    [][]byte
 	}{
-		{"combiner", sumCombiner},
-		{"nocombiner", nil},
+		{"combiner", sumCombiner, benchKeys(4096)},
+		{"nocombiner", nil, benchKeys(4096)},
+		{"distinct", nil, distinct},
 	}
 	const nParts = 4
 	for _, impl := range impls {
 		b.Run(impl.name, func(b *testing.B) {
 			buf := newArenaBuffer()
-			keys := benchKeys(4096)
+			buf.ungrouped = impl.combine == nil
+			keys := impl.keys
 			value := kv.AppendVLong(nil, 1)
 			parts := make([][]byte, nParts)
-			realign := func(key []byte, values [][]byte) error {
-				p := HashPartitioner(key, nParts)
-				parts[p] = kv.AppendKeyList(parts[p], kv.KeyList{Key: key, Values: values})
-				return nil
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -93,7 +98,7 @@ func BenchmarkSpill(b *testing.B) {
 				for p := range parts {
 					parts[p] = parts[p][:0]
 				}
-				if err := buf.forEachSorted(realign); err != nil {
+				if _, err := buf.realign(parts, HashPartitioner, impl.combine, false); err != nil {
 					b.Fatal(err)
 				}
 				buf.reset()

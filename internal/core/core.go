@@ -32,8 +32,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/ict-repro/mpid/internal/bufpool"
@@ -86,7 +88,11 @@ type Config struct {
 	Partitioner PartitionFunc
 	// SpillThreshold is the buffered payload size in bytes that triggers
 	// a spill ("when the hash table buffer exceeds a particular size").
-	// Default 1 MiB.
+	// The payload is every buffered value plus each distinct key once when
+	// a Combiner or SortValues groups the buffer by key; without either, it
+	// counts each pair's key. Bookkeeping is not counted: about 80 bytes per
+	// distinct key, and per pair while a spill's keys are mostly distinct,
+	// so small pairs hold more memory than the threshold. Default 1 MiB.
 	SpillThreshold int
 	// SortValues sorts each key's value list during realignment, the
 	// on-demand sorting hook from §IV.A. Off by default.
@@ -185,6 +191,9 @@ func Init(cfg Config) (*D, error) {
 		if r < 0 || r >= size {
 			return nil, fmt.Errorf("mpid: sender rank %d out of range [0,%d)", r, size)
 		}
+		if inSenders[r] {
+			return nil, fmt.Errorf("mpid: sender rank %d listed twice", r)
+		}
 		inSenders[r] = true
 	}
 	if cfg.SpillThreshold <= 0 {
@@ -207,6 +216,8 @@ func Init(cfg Config) (*D, error) {
 	d.partReuse = cfg.Metrics.Counter("mpid.spill.partbuf.reused")
 	if d.isSender {
 		d.buf = arenaPool.Get().(*arenaBuffer)
+		// Only a combiner or the value sort needs a key's whole list.
+		d.buf.ungrouped = cfg.Combiner == nil && !cfg.SortValues
 		// Partition buffers may only be retained across spills when the
 		// transport copies payloads before send returns (TCP); the
 		// in-process transport hands the slice itself to the receiver.
@@ -359,7 +370,17 @@ func RangePartitioner(cuts [][]byte) PartitionFunc {
 		owned[i] = append([]byte(nil), c...)
 	}
 	return func(key []byte, n int) int {
-		p := sort.Search(len(owned), func(i int) bool { return kv.Compare(key, owned[i]) < 0 })
+		// The first cut above key, as sort.Search would find it, without
+		// the call through a closure per probe.
+		p, hi := 0, len(owned)
+		for p < hi {
+			m := int(uint(p+hi) >> 1)
+			if bytes.Compare(key, owned[m]) < 0 {
+				hi = m
+			} else {
+				p = m + 1
+			}
+		}
 		if p >= n {
 			p = n - 1
 		}
@@ -369,5 +390,5 @@ func RangePartitioner(cuts [][]byte) PartitionFunc {
 
 // sortValueList orders a value list lexicographically (SortValues option).
 func sortValueList(values [][]byte) {
-	sort.Slice(values, func(i, j int) bool { return kv.Compare(values[i], values[j]) < 0 })
+	slices.SortFunc(values, bytes.Compare)
 }

@@ -429,6 +429,11 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{9}}); err == nil {
 			return errors.New("out-of-range sender accepted")
 		}
+		// A sender listed twice would leave every reducer waiting for an
+		// end-of-stream marker that never comes.
+		if _, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{1, 1}}); err == nil {
+			return errors.New("duplicate sender accepted")
+		}
 		return nil
 	})
 	if err != nil {

@@ -45,11 +45,16 @@ func (r refBuffer) add(key, value []byte, combine CombineFunc) {
 	r[string(key)] = vs
 }
 
-// payload is each key once plus every buffered value, counted the slow way.
-func (r refBuffer) payload() int {
+// payload is every buffered value plus each key once, or once per value when
+// ungrouped (a buffer no combiner or value sort groups), counted the slow way.
+func (r refBuffer) payload(ungrouped bool) int {
 	total := 0
 	for k, vs := range r {
-		total += len(k)
+		keys := 1
+		if ungrouped {
+			keys = len(vs)
+		}
+		total += keys * len(k)
 		for _, v := range vs {
 			total += len(v)
 		}
@@ -67,16 +72,28 @@ func (r refBuffer) sorted() []streamEntry {
 	return out
 }
 
-// snapshot deep-copies what the arena would spill, in spill order.
-func snapshot(t *testing.T, b *arenaBuffer) []streamEntry {
+// snapshot realigns the arena, unfolded, into one partition and decodes it:
+// what the arena would spill, in spill order.
+func snapshot(t testing.TB, b *arenaBuffer) []streamEntry {
+	t.Helper()
+	parts := [][]byte{nil}
+	if _, err := b.realign(parts, func([]byte, int) int { return 0 }, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	return decodeFrames(t, parts[0])
+}
+
+// decodeFrames decodes a realigned partition buffer frame by frame.
+func decodeFrames(t testing.TB, data []byte) []streamEntry {
 	t.Helper()
 	var out []streamEntry
-	err := b.forEachSorted(func(key []byte, values [][]byte) error {
-		out = append(out, streamEntry{key: append([]byte(nil), key...), values: cloneValues(values)})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for len(data) > 0 {
+		kl, n, err := kv.ReadKeyList(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, streamEntry{key: kl.Key, values: kl.Values})
+		data = data[n:]
 	}
 	return out
 }
@@ -85,7 +102,7 @@ func snapshot(t *testing.T, b *arenaBuffer) []streamEntry {
 // whole contents to equal the reference's.
 func checkAgainstRef(t *testing.T, at string, b *arenaBuffer, ref refBuffer, deep bool) {
 	t.Helper()
-	if got, want := b.bytes(), ref.payload(); got != want {
+	if got, want := b.bytes(), ref.payload(b.ungrouped); got != want {
 		t.Fatalf("%s: bytes() = %d, reference payload %d", at, got, want)
 	}
 	if deep {
@@ -233,7 +250,8 @@ func TestArenaFootprintBoundedUnderCombine(t *testing.T) {
 // emit once the arena is warm, folds included, given a combiner that itself
 // allocates nothing — and holds a later instance in the same process to zero
 // from its very first pair, because it starts on the arena the first one
-// finalized. Both instances must deliver the same bytes.
+// finalized. Both instances must deliver the same bytes. Without a combiner
+// (the nocombiner subtest) a warm Send plus its spills allocates nothing too.
 func TestSendAllocatesNothingSteadyState(t *testing.T) {
 	var buf [binary.MaxVarintLen64 + 1]byte
 	var out [1][]byte
@@ -254,22 +272,27 @@ func TestSendAllocatesNothingSteadyState(t *testing.T) {
 	}
 	one := kv.AppendVLong(nil, 1)
 
-	// job runs one sender through six passes, the four after the first warm
-	// ones counted, and returns the sender's arena, the allocations per
-	// counted pass and what the reducer received.
-	job := func(warm int) (arena *arenaBuffer, allocs uint64, got []streamEntry) {
+	// job runs one sender with the config cfg (its Comm, Reducers and Senders
+	// filled in here) on world w through six passes of perPass pairs, the four
+	// after the first warm ones counted, and returns the sender's arena, the
+	// allocations per counted pass, the spills before Finalize and what the
+	// reducer received.
+	job := func(w *mpi.World, cfg Config, perPass, warm int) (arena *arenaBuffer, allocs uint64, spills int64, got []streamEntry) {
+		defer w.Close()
 		counted := make(chan struct{})
 		signal := sync.OnceFunc(func() { close(counted) })
-		err := mpi.Run(2, func(c *mpi.Comm) error {
+		err := mpi.RunOn(w, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				// The reducer starts only once the sender has counted, so
 				// nothing it allocates setting up lands in the count; the
-				// chan transport buffers whatever is sent before then.
+				// transport buffers whatever is sent before then.
 				<-counted
 			} else {
 				defer signal() // on an early error too
 			}
-			d, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{1}, Combiner: combine})
+			rc := cfg
+			rc.Comm, rc.Reducers, rc.Senders = c, []int{0}, []int{1}
+			d, err := Init(rc)
 			if err != nil {
 				return err
 			}
@@ -287,7 +310,7 @@ func TestSendAllocatesNothingSteadyState(t *testing.T) {
 			}
 			arena = d.buf
 			passes := func(n int) {
-				for i := 0; i < n*combineEvery*len(keys); i++ {
+				for i := 0; i < n*perPass; i++ {
 					if err := d.Send(keys[i%len(keys)], one); err != nil {
 						panic(err)
 					}
@@ -308,15 +331,44 @@ func TestSendAllocatesNothingSteadyState(t *testing.T) {
 			allocs = (m1.Mallocs - m0.Mallocs) / 4
 			signal()
 			passes(2 - warm)
+			spills = d.Counters().Spills
 			return d.Finalize()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return arena, allocs, got
+		return arena, allocs, spills, got
 	}
 
-	first, allocs, want := job(2)
+	// Without a combiner every pair is buffered and every spill ships. A
+	// copying transport lets the sender retain its partition buffers across
+	// spills, and the copying ring takes a spill below its inline size into a
+	// slot, holding every spill until the reducer drains. Each 3 KiB spill
+	// probes its first sampleSize pairs, finds their keys distinct and
+	// buffers the rest unprobed.
+	t.Run("nocombiner", func(t *testing.T) {
+		w := mpi.NewRingWorldConfig(2, mpi.RingConfig{CopyPayloads: true, InlineBytes: 8 << 10})
+		_, allocs, spills, got := job(w, Config{SpillThreshold: 3 << 10}, len(keys), 2)
+		if allocs != 0 {
+			t.Fatalf("Send without a combiner allocates %d times per pass in steady state, spills included, want 0", allocs)
+		}
+		if spills < 6 {
+			t.Fatalf("only %d spills: the count did not cover the spill path", spills)
+		}
+		received := 0
+		for _, e := range got {
+			received += len(e.values)
+		}
+		if want := 6 * len(keys); received != want {
+			t.Fatalf("reducer received %d values, want %d", received, want)
+		}
+	})
+
+	combining := func(warm int) (*arenaBuffer, uint64, []streamEntry) {
+		arena, allocs, _, got := job(mpi.NewWorld(2), Config{Combiner: combine}, combineEvery*len(keys), warm)
+		return arena, allocs, got
+	}
+	first, allocs, want := combining(2)
 	if allocs != 0 {
 		t.Fatalf("Send allocates %d times per pass in steady state, want 0", allocs)
 	}
@@ -326,7 +378,7 @@ func TestSendAllocatesNothingSteadyState(t *testing.T) {
 	// job of the loop sends the same pairs, so any of them warms it.
 	seen := map[*arenaBuffer]bool{first: true}
 	for attempt := 0; ; attempt++ {
-		arena, allocs, got := job(0)
+		arena, allocs, got := combining(0)
 		streamsEqual(t, map[int][]streamEntry{0: want}, map[int][]streamEntry{0: got})
 		if seen[arena] {
 			if allocs != 0 {
@@ -350,29 +402,22 @@ func TestArenaBufferGrowKeepsValueOrder(t *testing.T) {
 			b.add([]byte(fmt.Sprintf("key-%05d", i)), []byte{byte(round)}, nil)
 		}
 	}
-	seen := 0
-	prev := []byte(nil)
-	err := b.forEachSorted(func(key []byte, values [][]byte) error {
-		if prev != nil && bytes.Compare(prev, key) >= 0 {
-			return fmt.Errorf("keys out of order: %q then %q", prev, key)
+	entries := snapshot(t, b)
+	if len(entries) != keys {
+		t.Fatalf("realigned %d keys, want %d", len(entries), keys)
+	}
+	for i, e := range entries {
+		if i > 0 && bytes.Compare(entries[i-1].key, e.key) >= 0 {
+			t.Fatalf("keys out of order: %q then %q", entries[i-1].key, e.key)
 		}
-		prev = append(prev[:0], key...)
-		if len(values) != 3 {
-			return fmt.Errorf("key %q has %d values, want 3", key, len(values))
+		if len(e.values) != 3 {
+			t.Fatalf("key %q has %d values, want 3", e.key, len(e.values))
 		}
-		for round, v := range values {
+		for round, v := range e.values {
 			if len(v) != 1 || v[0] != byte(round) {
-				return fmt.Errorf("key %q value %d = %v (insertion order broken)", key, round, v)
+				t.Fatalf("key %q value %d = %v (insertion order broken)", e.key, round, v)
 			}
 		}
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != keys {
-		t.Fatalf("iterated %d keys, want %d", seen, keys)
 	}
 }
 
@@ -659,7 +704,7 @@ func refStream(cfg Config, pairs []kv.Pair) []streamEntry {
 	}
 	for _, p := range pairs {
 		ref.add(p.Key, p.Value, cfg.Combiner)
-		if ref.payload() >= cfg.SpillThreshold {
+		if ref.payload(cfg.Combiner == nil && !cfg.SortValues) >= cfg.SpillThreshold {
 			spill()
 		}
 	}
@@ -850,24 +895,15 @@ func TestSpillPrefixSortMatchesBytesCompare(t *testing.T) {
 			b.add(k, []byte{1}, nil)
 			want[string(k)] = true
 		}
-		var prev []byte
-		seen := 0
-		err := b.forEachSorted(func(key []byte, _ [][]byte) error {
-			if seen > 0 && bytes.Compare(prev, key) >= 0 {
-				return fmt.Errorf("round %d: %q yielded before %q", round, prev, key)
-			}
-			if !want[string(key)] {
-				return fmt.Errorf("round %d: unknown key %q", round, key)
-			}
-			prev = append(prev[:0], key...)
-			seen++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		order := b.sortOrder()
+		if len(order) != len(want) {
+			t.Fatalf("round %d: sorted %d keys, want %d", round, len(order), len(want))
 		}
-		if seen != len(want) {
-			t.Fatalf("round %d: yielded %d keys, want %d", round, seen, len(want))
+		for i := 1; i < len(order); i++ {
+			prev, key := b.key(&b.entries[order[i-1].idx]), b.key(&b.entries[order[i].idx])
+			if bytes.Compare(prev, key) >= 0 {
+				t.Fatalf("round %d: %q sorted before %q", round, prev, key)
+			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/ict-repro/mpid/internal/kv"
@@ -133,6 +135,28 @@ func TestRangePartitionerBalancesSkew(t *testing.T) {
 		if sampled(a, n) > sampled(b, n) {
 			t.Fatalf("partition(%q)=%d > partition(%q)=%d breaks range order",
 				a, sampled(a, n), b, sampled(b, n))
+		}
+	}
+}
+
+// TestRangePartitionerMatchesSortSearch holds the partitioner's hand-written
+// binary search to sort.Search over the cuts: random cuts and keys over a
+// small alphabet, every cut itself, the empty key, and partition counts from
+// len(cuts)+1 down to 1, which clamp.
+func TestRangePartitionerMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for round := 0; round < 300; round++ {
+		cuts := SampleCuts(randomKeys(rng, 1+rng.Intn(200), 1+rng.Intn(3)), 1+rng.Intn(20))
+		part := RangePartitioner(cuts)
+		keys := append(randomKeys(rng, 100, rng.Intn(4)), []byte{})
+		keys = append(keys, cuts...)
+		for _, key := range keys {
+			search := sort.Search(len(cuts), func(i int) bool { return bytes.Compare(key, cuts[i]) < 0 })
+			for _, n := range []int{len(cuts) + 1, len(cuts)/2 + 1, 1} {
+				if got, want := part(key, n), min(search, n-1); got != want {
+					t.Fatalf("%d cuts %q, n=%d: partition(%q) = %d, sort.Search gives %d", len(cuts), cuts, n, key, got, want)
+				}
+			}
 		}
 	}
 }

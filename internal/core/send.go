@@ -64,24 +64,10 @@ func (d *D) spill() error {
 	nParts := d.numPartitions()
 	parts := d.takePartBufs(nParts)
 
-	// Realignment: serialize each key's (possibly combined) value list
-	// into its partition's contiguous buffer, in sorted key order.
-	err := d.buf.forEachSorted(func(key []byte, values [][]byte) error {
-		if d.cfg.Combiner != nil {
-			before := len(values)
-			values = d.cfg.Combiner(key, values)
-			d.counters.PairsCombined += int64(before - len(values))
-		}
-		if d.cfg.SortValues {
-			sortValueList(values)
-		}
-		p := d.cfg.Partitioner(key, nParts)
-		if p < 0 || p >= nParts {
-			return fmt.Errorf("mpid: partitioner returned %d for %d partitions", p, nParts)
-		}
-		parts[p] = kv.AppendKeyList(parts[p], kv.KeyList{Key: key, Values: values})
-		return nil
-	})
+	// Realignment: each key's frame into its partition's contiguous buffer,
+	// in sorted key order.
+	combined, err := d.buf.realign(parts, d.cfg.Partitioner, d.cfg.Combiner, d.cfg.SortValues)
+	d.counters.PairsCombined += combined
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// checkSpillOrder buffers keys into b and requires forEachSorted to yield
+// checkSpillOrder buffers keys into b and requires its sort order to hold
 // exactly the distinct keys in bytes.Compare order — the oracle is sort.Slice
 // over a plain copy, which shares nothing with the arena's radix.
 func checkSpillOrder(t testing.TB, b *arenaBuffer, keys [][]byte) {
@@ -23,22 +23,14 @@ func checkSpillOrder(t testing.TB, b *arenaBuffer, keys [][]byte) {
 		}
 	}
 	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
-	i := 0
-	err := b.forEachSorted(func(key []byte, _ [][]byte) error {
-		if i >= len(want) {
-			return fmt.Errorf("yielded more than the %d distinct keys: %q", len(want), key)
-		}
-		if !bytes.Equal(key, want[i]) {
-			return fmt.Errorf("position %d: yielded %q, bytes.Compare order has %q", i, key, want[i])
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	order := b.sortOrder()
+	if len(order) != len(want) {
+		t.Fatalf("sorted %d keys, want %d", len(order), len(want))
 	}
-	if i != len(want) {
-		t.Fatalf("yielded %d keys, want %d", i, len(want))
+	for i, sk := range order {
+		if key := b.key(&b.entries[sk.idx]); !bytes.Equal(key, want[i]) {
+			t.Fatalf("position %d: sorted %q, bytes.Compare order has %q", i, key, want[i])
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package hadoop
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -20,9 +19,8 @@ type mapOutput struct {
 	idx []mapRecord
 }
 
-// mapRecord indexes one pair in mapOutput.buf. prefix is the key's first
-// eight bytes, big-endian and zero-padded, so prefixes order keys up to
-// their eighth byte.
+// mapRecord indexes one pair in mapOutput.buf. prefix is the key's kv.Prefix,
+// its first eight bytes, so prefixes order keys up to their eighth byte.
 type mapRecord struct {
 	prefix                uint64
 	part, off, klen, vlen int32
@@ -43,9 +41,7 @@ func (m *mapOutput) add(part int, key, value []byte) error {
 		return errMapOutputTooLarge
 	}
 	m.buf = append(append(m.buf, key...), value...)
-	var p [8]byte
-	copy(p[:], key)
-	m.idx = append(m.idx, mapRecord{binary.BigEndian.Uint64(p[:]), int32(part), int32(off), int32(len(key)), int32(len(value))})
+	m.idx = append(m.idx, mapRecord{kv.Prefix(key), int32(part), int32(off), int32(len(key)), int32(len(value))})
 	return nil
 }
 

@@ -60,6 +60,19 @@ func (kl KeyList) Size() int {
 // Compare orders keys lexicographically, the default Hadoop raw comparator.
 func Compare(a, b []byte) int { return bytes.Compare(a, b) }
 
+// Prefix is a key's first eight bytes as a big-endian integer, a shorter key
+// zero-padded. Prefixes order keys as Compare does up to their eighth byte:
+// unequal prefixes decide, equal ones leave the full keys to compare (keys
+// sharing eight bytes, or "a" and "a\x00", which padding cannot tell apart).
+func Prefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var p [8]byte
+	copy(p[:], key)
+	return binary.BigEndian.Uint64(p[:])
+}
+
 // ---------------------------------------------------------------------------
 // Hadoop VInt/VLong zero-compressed encoding.
 //

@@ -112,11 +112,13 @@ func MergeRuns(rs []Run, combine Combiner, emit func(kv.KeyList) error) error {
 	}
 }
 
-// cursor walks a run's KeyList frames.
+// cursor walks a run's KeyList frames. prefix is the current key's
+// kv.Prefix, so most comparisons between cursors are one integer compare.
 type cursor struct {
-	rest []byte
-	cur  kv.KeyList
-	seq  int
+	rest   []byte
+	cur    kv.KeyList
+	prefix uint64
+	seq    int
 }
 
 // advance decodes the next frame (value list from lists); ok=false at the end.
@@ -128,12 +130,16 @@ func (c *cursor) advance(lists *kv.ListArena) (ok bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	c.cur, c.rest = klist, c.rest[n:]
+	c.cur, c.rest, c.prefix = klist, c.rest[n:], kv.Prefix(klist.Key)
 	return true, nil
 }
 
-// before orders cursors by current key, then run sequence.
+// before orders cursors by current key, then run sequence. Unequal prefixes
+// decide the keys; only a tie compares them in full.
 func (c *cursor) before(o *cursor) bool {
+	if c.prefix != o.prefix {
+		return c.prefix < o.prefix
+	}
 	if cmp := bytes.Compare(c.cur.Key, o.cur.Key); cmp != 0 {
 		return cmp < 0
 	}
@@ -182,7 +188,7 @@ func (it *Iterator) Next() (kl kv.KeyList, ok bool, err error) {
 	if len(it.heap) == 0 {
 		return kv.KeyList{}, false, nil
 	}
-	kl = it.heap[0].cur
+	kl, prefix := it.heap[0].cur, it.heap[0].prefix
 	parts, n := it.parts[:0], 0
 	// Stepping a cursor past key K leaves the lowest remaining Seq holding
 	// K, if any, on top: equal keys come off in ascending Seq.
@@ -190,7 +196,7 @@ func (it *Iterator) Next() (kl kv.KeyList, ok bool, err error) {
 		if err := it.step(); err != nil {
 			return kv.KeyList{}, false, err
 		}
-		if len(it.heap) == 0 || !bytes.Equal(it.heap[0].cur.Key, kl.Key) {
+		if len(it.heap) == 0 || it.heap[0].prefix != prefix || !bytes.Equal(it.heap[0].cur.Key, kl.Key) {
 			break
 		}
 		if n == 0 {

@@ -476,3 +476,80 @@ func sameMultiset(a, b [][]byte) bool {
 	}
 	return true
 }
+
+// fuzzRuns decodes fuzz input as runs of up to four: each record is a header
+// byte naming its run (low two bits) and its key's length (the rest, mod 20),
+// then the key bytes, the last key cut short by the end of the input. A
+// record's value is its own position in the input. Each run frames its
+// distinct keys in bytes.Compare order, values in record order.
+func fuzzRuns(data []byte) []map[string][][]byte {
+	runs := make([]map[string][][]byte, 4)
+	for i := range runs {
+		runs[i] = make(map[string][][]byte)
+	}
+	for rec := 0; len(data) > 0; rec++ {
+		r, n := int(data[0]&3), min(int(data[0]>>2)%20, len(data)-1)
+		key := string(data[1 : 1+n])
+		runs[r][key] = append(runs[r][key], kv.AppendVLong(nil, int64(rec)))
+		data = data[1+n:]
+	}
+	return runs
+}
+
+// FuzzIteratorOrder holds the prefix-comparing merge to a sort-based
+// reference: every run's frames sorted together by (key, Seq) with a stable
+// sort, equal keys' values concatenated. The runs are handed over in reverse
+// of their Seq, so heap order, not slice order, must put them right. Seeds
+// live in testdata/fuzz: padding look-alikes ("a" against "a\x00"), keys
+// sharing an 8-byte prefix, runs of 0xFF bytes, and one key in every run.
+func FuzzIteratorOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		groups := fuzzRuns(data)
+		type frame struct {
+			key    []byte
+			seq    int
+			values [][]byte
+		}
+		var frames []frame
+		runs := make([]Run, 0, len(groups))
+		for seq := len(groups) - 1; seq >= 0; seq-- {
+			runs = append(runs, Run{Data: buildRun(t, groups[seq]), Seq: seq})
+			for k, vs := range groups[seq] {
+				frames = append(frames, frame{[]byte(k), seq, vs})
+			}
+		}
+		sort.SliceStable(frames, func(i, j int) bool {
+			if c := bytes.Compare(frames[i].key, frames[j].key); c != 0 {
+				return c < 0
+			}
+			return frames[i].seq < frames[j].seq
+		})
+		var want []kv.KeyList
+		for _, fr := range frames {
+			if n := len(want); n > 0 && bytes.Equal(want[n-1].Key, fr.key) {
+				want[n-1].Values = append(want[n-1].Values, fr.values...)
+				continue
+			}
+			want = append(want, kv.KeyList{Key: fr.key, Values: append([][]byte(nil), fr.values...)})
+		}
+		it, err := NewIterator(runs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			kl, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if i != len(want) {
+					t.Fatalf("iterator yielded %d keys, want %d", i, len(want))
+				}
+				return
+			}
+			if i >= len(want) || !bytes.Equal(kl.Key, want[i].Key) || !valuesEqual(kl.Values, want[i].Values) {
+				t.Fatalf("key %d: iterator yielded %q %q, want %q", i, kl.Key, kl.Values, want[min(i, len(want)-1)])
+			}
+		}
+	})
+}

@@ -61,9 +61,12 @@ func BenchmarkSortJobTCP(b *testing.B) {
 // one allocates. Each job starts right after a collection and runs with the
 // collector off, so no GC cycle can empty a sync.Pool mid-job: a pooled send
 // arena survives into the victim cache of the collection before the job and
-// is found there.
+// is found there. Everything runs on one P: a sync.Pool keeps one object per
+// P where no other P can take it, so with two a mapper starting on the other
+// P would miss a pooled arena and grow a new one.
 func allocPerJob(t *testing.T, run func(), jobs int) (bytes, mallocs uint64) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run()
 	run()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
