@@ -118,41 +118,83 @@ func (m *mapOutput) sort(nParts int) []int {
 
 // spill returns one segment per partition, nil for an empty one: framed key
 // lists in key order, each key's values in emission order, through combine
-// when it is set. The combiner's value list and its values alias the buffer
-// and are cap-limited, so an append to either cannot reach the next record.
+// when it is set. Each segment is one allocation of exactly its size, and
+// without a combiner its frames are written straight from buf, sized by a
+// pass over the sorted index. Only combine sees a value list: the list and
+// its values alias the buffer and are cap-limited, so an append to either
+// cannot reach the next record.
 func (m *mapOutput) spill(nParts int, combine core.CombineFunc) [][]byte {
 	counts := m.sort(nParts)
 	segs := make([][]byte, nParts)
-	vals := make([][]byte, 0, slices.Max(counts))
-	lists := make([]kv.KeyList, 0, slices.Max(counts))
+	var vals [][]byte
+	var lists []kv.KeyList
+	if combine != nil {
+		vals = make([][]byte, 0, slices.Max(counts))
+		lists = make([]kv.KeyList, 0, slices.Max(counts))
+	}
 	idx := m.idx
 	for p, n := range counts {
 		recs := idx[:n]
 		idx = idx[n:]
-		vals, lists = vals[:0], lists[:0]
-		size := 0
-		for i := 0; i < n; {
-			first, start := recs[i], len(vals)
-			key := m.key(first)
-			for ; i < n && recs[i].prefix == first.prefix && recs[i].klen == first.klen &&
-				(first.klen <= 8 || bytes.Equal(m.key(recs[i]), key)); i++ {
-				vals = append(vals, m.value(recs[i]))
-			}
-			kl := kv.KeyList{Key: key, Values: vals[start:len(vals):len(vals)]}
-			if combine != nil {
-				kl.Values = combine(kl.Key, kl.Values)
-			}
-			lists = append(lists, kl)
-			size += kv.KeyListSize(kl)
-		}
 		if n == 0 {
 			continue
 		}
+		if combine != nil {
+			segs[p] = m.combined(recs, combine, vals[:0], lists[:0])
+			continue
+		}
+		size := 0
+		for i := 0; i < n; {
+			j := m.keyEnd(recs, i)
+			size += kv.BytesSize(m.key(recs[i])) + kv.VLongSize(int64(j-i))
+			for _, r := range recs[i:j] {
+				size += kv.VLongSize(int64(r.vlen)) + int(r.vlen)
+			}
+			i = j
+		}
 		seg := make([]byte, 0, size)
-		for _, kl := range lists {
-			seg = kv.AppendKeyList(seg, kl)
+		for i := 0; i < n; {
+			j := m.keyEnd(recs, i)
+			seg = kv.AppendVLong(kv.AppendBytes(seg, m.key(recs[i])), int64(j-i))
+			for _, r := range recs[i:j] {
+				seg = kv.AppendBytes(seg, m.value(r))
+			}
+			i = j
 		}
 		segs[p] = seg
 	}
 	return segs
+}
+
+// combined frames one partition's sorted records through combine, vals and
+// lists lending their capacity to the value lists and the combined keys.
+func (m *mapOutput) combined(recs []mapRecord, combine core.CombineFunc, vals [][]byte, lists []kv.KeyList) []byte {
+	size := 0
+	for i := 0; i < len(recs); {
+		j, start := m.keyEnd(recs, i), len(vals)
+		for _, r := range recs[i:j] {
+			vals = append(vals, m.value(r))
+		}
+		kl := kv.KeyList{Key: m.key(recs[i]), Values: vals[start:len(vals):len(vals)]}
+		kl.Values = combine(kl.Key, kl.Values)
+		lists = append(lists, kl)
+		size += kv.KeyListSize(kl)
+		i = j
+	}
+	seg := make([]byte, 0, size)
+	for _, kl := range lists {
+		seg = kv.AppendKeyList(seg, kl)
+	}
+	return seg
+}
+
+// keyEnd returns the end of the records from recs[i] on that share its key.
+// Equal prefixes and lengths decide keys of up to eight bytes.
+func (m *mapOutput) keyEnd(recs []mapRecord, i int) int {
+	first := recs[i]
+	j := i + 1
+	for ; j < len(recs) && recs[j].prefix == first.prefix && recs[j].klen == first.klen &&
+		(first.klen <= 8 || bytes.Equal(m.key(recs[j]), m.key(first))); j++ {
+	}
+	return j
 }

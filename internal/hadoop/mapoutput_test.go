@@ -3,6 +3,7 @@ package hadoop
 import (
 	"bytes"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/ict-repro/mpid/internal/core"
@@ -16,18 +17,28 @@ type spillRecord struct {
 }
 
 // spillInput encodes a map task for FuzzHadoopSpill: the partition count,
-// the combiner mode, then per record its key, value and partition.
+// the combiner mode, then per record its key, value and partition. A key or
+// value is a length byte and that many bytes; a length byte with its top bit
+// set adds longPad after them, making a field of 128 bytes or more.
 func spillInput(nParts, mode byte, recs ...spillRecord) []byte {
 	b := []byte{nParts - 1, mode}
+	field := func(s string) {
+		if short, ok := strings.CutSuffix(s, longPad); ok {
+			b = append(append(b, 0x80|byte(len(short))), short...)
+			return
+		}
+		b = append(append(b, byte(len(s))), s...)
+	}
 	for _, r := range recs {
-		b = append(b, byte(len(r.key)))
-		b = append(b, r.key...)
-		b = append(b, byte(len(r.value)))
-		b = append(b, r.value...)
+		field(r.key)
+		field(r.value)
 		b = append(b, byte(r.part))
 	}
 	return b
 }
+
+// longPad ends a fuzzed key or value whose length byte has its top bit set.
+var longPad = strings.Repeat("p", 128)
 
 func decodeSpillInput(b []byte) (nParts int, combine core.CombineFunc, recs []spillRecord) {
 	if len(b) < 2 {
@@ -44,20 +55,30 @@ func decodeSpillInput(b []byte) (nParts int, combine core.CombineFunc, recs []sp
 			return append(values, append(values[0], '+'))
 		}
 	}
+	// field decodes a key or value of fewer than limit bytes before its padding.
+	field := func(limit int) (string, bool) {
+		n := int(b[0]&0x7F) % limit
+		if len(b) < 1+n+1 {
+			return "", false
+		}
+		s := string(b[1 : 1+n])
+		if b[0]&0x80 != 0 {
+			s += longPad
+		}
+		b = b[1+n:]
+		return s, true
+	}
 	for b = b[2:]; len(b) > 0; {
-		kl := int(b[0] % 20)
-		if len(b) < 1+kl+1 {
+		key, ok := field(20)
+		if !ok {
 			break
 		}
-		key := string(b[1 : 1+kl])
-		b = b[1+kl:]
-		vl := int(b[0] % 8)
-		if len(b) < 1+vl+1 {
+		value, ok := field(8)
+		if !ok {
 			break
 		}
-		value := string(b[1 : 1+vl])
-		recs = append(recs, spillRecord{key, value, int(b[1+vl]) % nParts})
-		b = b[1+vl+1:]
+		recs = append(recs, spillRecord{key, value, int(b[0]) % nParts})
+		b = b[1:]
 	}
 	return nParts, combine, recs
 }
@@ -92,7 +113,8 @@ func referenceSpill(nParts int, combine core.CombineFunc, recs []spillRecord) []
 
 // FuzzHadoopSpill holds the map output buffer's segments byte-identical to
 // the reference's: key order, value order within a key (emission order) and
-// the combiner's view of both.
+// the combiner's view of both. Every segment fills its allocation exactly,
+// so the size taken from the sorted index before writing is right.
 func FuzzHadoopSpill(f *testing.F) {
 	f.Add(spillInput(2, 0, spillRecord{"", "a", 0}, spillRecord{"x", "b", 1}, spillRecord{"", "c", 0}, spillRecord{"\x00", "d", 0}))
 	f.Add(spillInput(1, 0,
@@ -107,6 +129,10 @@ func FuzzHadoopSpill(f *testing.F) {
 	f.Add(spillInput(1, 2, spillRecord{"a", "1", 0}, spillRecord{"a", "2", 0}, spillRecord{"b", "3", 0}, spillRecord{"b", "4", 0},
 		spillRecord{"abcdefghij", "5", 0}, spillRecord{"abcdefghij", "6", 0}, spillRecord{"c", "7", 0}))
 	f.Add(spillInput(1, 2, spillRecord{"a", "1", 0}, spillRecord{"b", "2", 0}, spillRecord{"c", "3", 0}))
+	f.Add(spillInput(2, 0,
+		spillRecord{"k" + longPad, "v" + longPad, 0}, spillRecord{"k", "short", 0}, spillRecord{"k" + longPad, longPad, 0},
+		spillRecord{"j" + longPad, "w", 1}, spillRecord{"k" + longPad, "", 0}, spillRecord{longPad, "x" + longPad, 1}))
+	f.Add(spillInput(1, 1, spillRecord{"k" + longPad, "v" + longPad, 0}, spillRecord{"k" + longPad, "w", 0}, spillRecord{"k", "x", 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nParts, combine, recs := decodeSpillInput(data)
 		want := referenceSpill(nParts, combine, recs)
@@ -120,6 +146,9 @@ func FuzzHadoopSpill(f *testing.F) {
 		for p := range want {
 			if !bytes.Equal(got[p], want[p]) {
 				t.Fatalf("partition %d: segment %q, want %q", p, got[p], want[p])
+			}
+			if len(got[p]) != cap(got[p]) {
+				t.Fatalf("partition %d: segment of %d bytes in an allocation of %d", p, len(got[p]), cap(got[p]))
 			}
 		}
 	})

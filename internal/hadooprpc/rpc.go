@@ -411,6 +411,9 @@ func readCall(r io.Reader) (*call, error) {
 			return nil, err
 		}
 		plen := binary.BigEndian.Uint32(l[:])
+		if int64(plen) > int64(len(br.b)-br.pos) {
+			return nil, fmt.Errorf("hadooprpc: parameter of %d bytes overruns its frame", plen)
+		}
 		p := make([]byte, plen) // the copy Hadoop pays deserializing
 		if _, err := io.ReadFull(br, p); err != nil {
 			return nil, err

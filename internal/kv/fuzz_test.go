@@ -69,32 +69,29 @@ func FuzzReadKeyList(f *testing.F) {
 	f.Add([]byte{0, 0x87, 0x05})                                                // count -6
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := tight(data)
-		var arena ListArena
-		for _, read := range []func([]byte) (KeyList, int, error){ReadKeyList, arena.ReadKeyList} {
-			kl, n, err := read(b)
-			if err != nil {
-				continue
-			}
-			if n <= 0 || n > len(b) {
-				t.Fatalf("consumed %d of %d bytes", n, len(b))
-			}
-			// A list longer than its bytes could carry means the count
-			// bound failed to hold the allocation down.
-			if len(kl.Values) > n {
-				t.Fatalf("%d values decoded from %d bytes", len(kl.Values), n)
-			}
-			checkWithin(t, b, kl.Key)
-			for _, v := range kl.Values {
-				checkWithin(t, b, v)
-			}
-			got, _, err := ReadKeyList(AppendKeyList(nil, kl))
-			if err != nil || !bytes.Equal(got.Key, kl.Key) || len(got.Values) != len(kl.Values) {
-				t.Fatalf("round trip of %d-value list for %q failed: %v", len(kl.Values), kl.Key, err)
-			}
-			for i := range got.Values {
-				if !bytes.Equal(got.Values[i], kl.Values[i]) {
-					t.Fatalf("round trip value %d: %q vs %q", i, got.Values[i], kl.Values[i])
-				}
+		kl, n, err := ReadKeyList(b)
+		if err != nil {
+			return
+		}
+		if n <= 0 || n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		// A list longer than its bytes could carry means the count
+		// bound failed to hold the allocation down.
+		if len(kl.Values) > n {
+			t.Fatalf("%d values decoded from %d bytes", len(kl.Values), n)
+		}
+		checkWithin(t, b, kl.Key)
+		for _, v := range kl.Values {
+			checkWithin(t, b, v)
+		}
+		got, _, err := ReadKeyList(AppendKeyList(nil, kl))
+		if err != nil || !bytes.Equal(got.Key, kl.Key) || len(got.Values) != len(kl.Values) {
+			t.Fatalf("round trip of %d-value list for %q failed: %v", len(kl.Values), kl.Key, err)
+		}
+		for i := range got.Values {
+			if !bytes.Equal(got.Values[i], kl.Values[i]) {
+				t.Fatalf("round trip value %d: %q vs %q", i, got.Values[i], kl.Values[i])
 			}
 		}
 	})

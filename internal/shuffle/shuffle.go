@@ -33,6 +33,7 @@ package shuffle
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -53,35 +54,27 @@ type Combiner func(key []byte, values [][]byte) [][]byte
 // strictly increasing (each key appears once, sorted). It returns the
 // number of keys. Reducers validate fetched segments up front so a corrupt
 // fetch is reported against the serving tracker instead of surfacing
-// mid-merge. It makes kv.ReadKeyList's checks without building value lists,
-// so a valid run costs no allocation, as Hadoop's IFile checksum costs none.
+// mid-merge. It walks the run with the merge cursor's advance, which makes
+// kv.ReadKeyList's checks without building value lists, so a valid run costs
+// no allocation, as Hadoop's IFile checksum costs none.
 func ValidateRun(data []byte) (keys int, err error) {
+	var c cursor
 	var prev []byte
-	for len(data) > 0 {
-		key, n, err := kv.ReadBytes(data)
-		var count int64
-		var used int
-		if err == nil {
-			count, used, err = kv.ReadVLong(data[n:])
-			n += used
-		}
-		// kv.ReadKeyList's bound: every value costs at least its length byte.
-		if err == nil && (count < 0 || count > int64(len(data)-n)) {
-			err = fmt.Errorf("value count %d in %d remaining bytes", count, len(data)-n)
-		}
-		for ; err == nil && count > 0; count-- {
-			_, used, err = kv.ReadBytes(data[n:])
-			n += used
-		}
+	var prevPrefix uint64
+	for {
+		ok, err := c.advance(data)
 		if err != nil {
 			return keys, fmt.Errorf("shuffle: corrupt run at key %d: %w", keys, err)
 		}
-		if keys > 0 && kv.Compare(prev, key) >= 0 {
+		if !ok {
+			return keys, nil
+		}
+		key := data[c.keyStart:c.keyEnd]
+		if keys > 0 && (c.prefix < prevPrefix || c.prefix == prevPrefix && bytes.Compare(prev, key) >= 0) {
 			return keys, fmt.Errorf("shuffle: run not sorted at key %d (%q after %q)", keys, key, prev)
 		}
-		prev, keys, data = key, keys+1, data[n:]
+		prev, prevPrefix, keys = key, c.prefix, keys+1
 	}
-	return keys, nil
 }
 
 // Run is one sorted segment awaiting merging: framed kv.KeyList records in
@@ -94,8 +87,8 @@ type Run struct {
 
 // MergeRuns k-way merges sorted runs, calling emit once per key in strictly
 // increasing key order with the values of equal keys grouped (combined when
-// combine is non-nil and the key drew from more than one run). Emitted
-// slices alias the run buffers; the caller decides their lifetime.
+// combine is non-nil and the key drew values from more than one run).
+// Emitted slices alias the run buffers; the caller decides their lifetime.
 func MergeRuns(rs []Run, combine Combiner, emit func(kv.KeyList) error) error {
 	it, err := NewIterator(rs, combine)
 	if err != nil {
@@ -112,38 +105,73 @@ func MergeRuns(rs []Run, combine Combiner, emit func(kv.KeyList) error) error {
 	}
 }
 
-// cursor walks a run's KeyList frames. prefix is the current key's
-// kv.Prefix, so most comparisons between cursors are one integer compare.
+// cursor is one KeyList frame of run number run, held as offsets into the
+// run's data: the frame is data[start:end], its key data[keyStart:keyEnd],
+// and its count value records data[vals:end]. prefix is the key's kv.Prefix,
+// so most comparisons between cursors are one integer compare. A cursor
+// holds no pointer, so stepping one and sifting the heap write none.
 type cursor struct {
-	rest   []byte
-	cur    kv.KeyList
-	prefix uint64
-	seq    int
+	start, keyStart, keyEnd, vals, end int
+	count                              int
+	prefix                             uint64
+	run, seq                           int
 }
 
-// advance decodes the next frame (value list from lists); ok=false at the end.
-func (c *cursor) advance(lists *kv.ListArena) (ok bool, err error) {
-	if len(c.rest) == 0 {
+// errLength reports a length or count that is no VLong, or one that
+// reaches past the end of its run.
+var errLength = errors.New("length overruns the run")
+
+// advance moves c to the frame that follows its current one in data, making
+// kv.ReadKeyList's checks without building a value list; ok=false at the end
+// of data. On an error c is left as it was.
+func (c *cursor) advance(data []byte) (ok bool, err error) {
+	start := c.end
+	if start == len(data) {
 		return false, nil
 	}
-	klist, n, err := lists.ReadKeyList(c.rest)
-	if err != nil {
-		return false, err
+	b := data[start:]
+	klen, n := readLength(b)
+	if n == 0 {
+		return false, errLength
 	}
-	c.cur, c.rest, c.prefix = klist, c.rest[n:], kv.Prefix(klist.Key)
+	keyEnd := n + klen
+	count, used := readLength(b[keyEnd:])
+	if used == 0 {
+		return false, errLength
+	}
+	end := keyEnd + used
+	vals := end
+	for i := count; i > 0; i-- {
+		vlen, used := readLength(b[end:])
+		if used == 0 {
+			return false, errLength
+		}
+		end += used + vlen
+	}
+	c.start, c.keyStart, c.keyEnd, c.vals, c.end = start, start+n, start+keyEnd, start+vals, start+end
+	c.count, c.prefix = count, kv.Prefix(b[n:keyEnd])
 	return true, nil
 }
 
-// before orders cursors by current key, then run sequence. Unequal prefixes
-// decide the keys; only a tie compares them in full.
-func (c *cursor) before(o *cursor) bool {
-	if c.prefix != o.prefix {
-		return c.prefix < o.prefix
+// readLength reads the VLong at the head of b as a length or a count and
+// returns it with its size, or n = 0 if b does not hold that many bytes after
+// it. So a count is bounded as kv.ReadKeyList bounds it: every value costs at
+// least its length byte. A one-byte VLong, the common case, is read here
+// without a call into kv.ReadVLong.
+func readLength(b []byte) (v, n int) {
+	if len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) {
+		return int(b[0]), 1
 	}
-	if cmp := bytes.Compare(c.cur.Key, o.cur.Key); cmp != 0 {
-		return cmp < 0
+	return readLongLength(b)
+}
+
+// readLongLength is readLength past its inline case.
+func readLongLength(b []byte) (v, n int) {
+	v64, n, err := kv.ReadVLong(b)
+	if err != nil || v64 < 0 || v64 > int64(len(b)-n) {
+		return 0, 0
 	}
-	return c.seq < o.seq
+	return int(v64), n
 }
 
 // Iterator is the k-way merge frontier as a pull iterator: a min-heap of run
@@ -153,90 +181,156 @@ func (c *cursor) before(o *cursor) bool {
 // abandoning it mid-stream leaks nothing. MPI-D's grouped receiver
 // (internal/core) pulls from it; MergeRuns and Merger drive it to the end.
 type Iterator struct {
-	heap    []*cursor
-	parts   [][][]byte // reused: the per-run value lists of a multi-run key
+	runs    []Run
+	cursors []cursor // cursors[i] walks runs[i]
+	heap    []int32  // indices into cursors
+	group   []cursor // the frames of the key pop last took, in ascending Seq
+	count   int      // the values of those frames
 	combine Combiner
 	lists   kv.ListArena
 }
 
 // NewIterator positions a cursor on every non-empty run. combine, when
-// non-nil, is applied to keys that drew from more than one run.
+// non-nil, is applied to keys that drew values from more than one run.
 func NewIterator(rs []Run, combine Combiner) (*Iterator, error) {
-	it := &Iterator{heap: make([]*cursor, 0, len(rs)), combine: combine}
-	cursors := make([]cursor, len(rs))
-	for i, r := range rs {
-		c := &cursors[i]
-		c.rest, c.seq = r.Data, r.Seq
-		ok, err := c.advance(&it.lists)
+	frontier := make([]cursor, 2*len(rs))
+	it := &Iterator{
+		runs: rs, combine: combine, heap: make([]int32, 0, len(rs)),
+		cursors: frontier[:len(rs)], group: frontier[len(rs):len(rs)],
+	}
+	if err := it.start(); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// start positions every cursor on its run's first frame and heaps the
+// cursors of the non-empty runs. The caller has set runs, and cursors, heap
+// and group each with room for one entry per run.
+func (it *Iterator) start() error {
+	for i, r := range it.runs {
+		c := &it.cursors[i]
+		*c = cursor{run: i, seq: r.Seq}
+		ok, err := c.advance(r.Data)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
-			it.heap = append(it.heap, c)
+			it.heap = it.heap[:len(it.heap)+1]
+			it.heap[len(it.heap)-1] = int32(i)
 		}
 	}
 	for i := len(it.heap)/2 - 1; i >= 0; i-- {
 		it.down(i)
 	}
-	return it, nil
+	return nil
 }
 
 // Next returns the smallest remaining key with its grouped values; ok=false
 // after the last key. The returned slices alias the run buffers and stay
 // valid as long as the caller keeps them.
 func (it *Iterator) Next() (kl kv.KeyList, ok bool, err error) {
-	if len(it.heap) == 0 {
-		return kv.KeyList{}, false, nil
+	key, ok, err := it.pop()
+	if err != nil || !ok {
+		return kv.KeyList{}, false, err
 	}
-	kl, prefix := it.heap[0].cur, it.heap[0].prefix
-	parts, n := it.parts[:0], 0
-	// Stepping a cursor past key K leaves the lowest remaining Seq holding
-	// K, if any, on top: equal keys come off in ascending Seq.
-	for {
-		if err := it.step(); err != nil {
-			return kv.KeyList{}, false, err
-		}
-		if len(it.heap) == 0 || it.heap[0].prefix != prefix || !bytes.Equal(it.heap[0].cur.Key, kl.Key) {
-			break
-		}
-		if n == 0 {
-			parts, n = append(parts, kl.Values), len(kl.Values)
-		}
-		parts, n = append(parts, it.heap[0].cur.Values), n+len(it.heap[0].cur.Values)
-	}
-	if n == 0 {
-		return kl, true, nil // the key came from a single run
-	}
-	kl.Values = it.lists.Take(n)[:0]
-	for _, vs := range parts {
-		kl.Values = append(kl.Values, vs...)
-	}
-	it.parts = parts
-	if it.combine != nil {
+	kl = kv.KeyList{Key: key, Values: it.values(&it.lists)}
+	if it.combine != nil && len(it.group) > 1 && it.count > 0 {
 		kl.Values = it.combine(kl.Key, kl.Values)
 	}
 	return kl, true, nil
 }
 
+// pop takes the smallest remaining key: its frames go to it.group in
+// ascending Seq, and their cursors step past it. ok=false after the last key.
+func (it *Iterator) pop() (key []byte, ok bool, err error) {
+	if len(it.heap) == 0 {
+		return nil, false, nil
+	}
+	top := &it.cursors[it.heap[0]]
+	key, prefix := it.key(top), top.prefix
+	it.group = it.group[:1]
+	it.group[0], it.count = *top, top.count
+	// Stepping a cursor past key K leaves the lowest remaining Seq holding
+	// K, if any, on top: equal keys come off in ascending Seq.
+	for {
+		if err := it.step(); err != nil {
+			return nil, false, err
+		}
+		if len(it.heap) == 0 {
+			break
+		}
+		top = &it.cursors[it.heap[0]]
+		if top.prefix != prefix || !bytes.Equal(it.key(top), key) {
+			break
+		}
+		it.group = it.group[:len(it.group)+1]
+		it.group[len(it.group)-1], it.count = *top, it.count+top.count
+	}
+	return key, true, nil
+}
+
+// values decodes the value records of the key pop last took into one list
+// from lists.
+func (it *Iterator) values(lists *kv.ListArena) [][]byte {
+	vs := lists.Take(it.count)[:0]
+	for i := range it.group {
+		c := &it.group[i]
+		for recs := it.runs[c.run].Data[c.vals:c.end]; len(recs) > 0; {
+			l, n := readLength(recs) // advance checked every record
+			vs, recs = append(vs, recs[n:n+l:n+l]), recs[n+l:]
+		}
+	}
+	return vs
+}
+
+// key returns c's key, aliasing its run.
+func (it *Iterator) key(c *cursor) []byte {
+	return it.runs[c.run].Data[c.keyStart:c.keyEnd:c.keyEnd]
+}
+
+// frame returns the bytes of data[from:c.end] in c's run.
+func (it *Iterator) frame(c *cursor, from int) []byte {
+	return it.runs[c.run].Data[from:c.end]
+}
+
 // step moves the top cursor to its next frame, or drops it at its run's end.
 func (it *Iterator) step() error {
 	h := it.heap
-	ok, err := h[0].advance(&it.lists)
+	c := &it.cursors[h[0]]
+	ok, err := c.advance(it.runs[c.run].Data)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		last := len(h) - 1
-		h[0], h[last] = h[last], nil
-		it.heap = h[:last]
+		h[0] = h[last]
+		it.heap = it.heap[:last]
 	}
 	it.down(0)
 	return nil
 }
 
+// before orders cursors x and y by current key, then run sequence. Unequal
+// prefixes decide the keys, inline; only a tie goes on to tieBefore.
+func (it *Iterator) before(x, y *cursor) bool {
+	if x.prefix != y.prefix {
+		return x.prefix < y.prefix
+	}
+	return it.tieBefore(x, y)
+}
+
+// tieBefore is before for cursors whose keys share a prefix.
+func (it *Iterator) tieBefore(x, y *cursor) bool {
+	if c := bytes.Compare(it.key(x), it.key(y)); c != 0 {
+		return c < 0
+	}
+	return x.seq < y.seq
+}
+
 // down restores the heap property from node i towards the leaves.
 func (it *Iterator) down(i int) {
-	h := it.heap
+	h, cs := it.heap, it.cursors
 	if i >= len(h) {
 		return
 	}
@@ -246,16 +340,62 @@ func (it *Iterator) down(i int) {
 		if child >= len(h) {
 			break
 		}
-		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+		if r := child + 1; r < len(h) && it.before(&cs[h[r]], &cs[h[child]]) {
 			child = r
 		}
-		if !h[child].before(c) {
+		if !it.before(&cs[h[child]], &cs[c]) {
 			break
 		}
 		h[i] = h[child]
 		i = child
 	}
 	h[i] = c
+}
+
+// passFanIn is the run count up to which a merge pass keeps its frontier on
+// the stack: Config.Factor's default with room to spare.
+const passFanIn = 16
+
+// mergePass merges rs into one run appended to out and returns it with its
+// key count. It moves frames as they lie: a key from one run is copied as its
+// frame, and a key found in several runs becomes one frame of the key, the
+// summed count and each run's value records in ascending Seq. Only a key
+// combine must see, one that drew values from more than one run, is decoded
+// and re-encoded. The output is the frames kv.AppendKeyList writes over
+// MergeRuns whenever the runs are canonically encoded; a non-canonical VLong
+// in a copied frame stays as it was.
+func mergePass(out []byte, rs []Run, combine Combiner) ([]byte, int, error) {
+	var frontier [2 * passFanIn]cursor
+	var heap [passFanIn]int32
+	var lists kv.ListArena
+	it := Iterator{runs: rs}
+	if len(rs) <= passFanIn {
+		it.cursors, it.group, it.heap = frontier[:len(rs)], frontier[len(rs):len(rs)], heap[:0]
+	} else {
+		all := make([]cursor, 2*len(rs))
+		it.cursors, it.group, it.heap = all[:len(rs)], all[len(rs):len(rs)], make([]int32, 0, len(rs))
+	}
+	if err := it.start(); err != nil {
+		return out, 0, err
+	}
+	for keys := 0; ; keys++ {
+		key, ok, err := it.pop()
+		if err != nil || !ok {
+			return out, keys, err
+		}
+		g := it.group
+		switch {
+		case len(g) == 1:
+			out = append(out, it.frame(&g[0], g[0].start)...)
+		case combine != nil && it.count > 0:
+			out = kv.AppendKeyList(out, kv.KeyList{Key: key, Values: combine(key, it.values(&lists))})
+		default:
+			out = kv.AppendVLong(kv.AppendBytes(out, key), int64(it.count))
+			for i := range g {
+				out = append(out, it.frame(&g[i], g[i].vals)...)
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +530,7 @@ func (m *Merger) runPass(batch []Run) {
 		}
 	}
 	out := m.cfg.Pool.Get(bytesIn)[:0]
-	keys := 0
+	var keys int
 	err := func() (err error) {
 		// The combiner is user code and this goroutine is the merger's own:
 		// a panic here must reach Merge as an error, not end the process.
@@ -399,11 +539,8 @@ func (m *Merger) runPass(batch []Run) {
 				err = fmt.Errorf("shuffle: merge pass panicked: %v", p)
 			}
 		}()
-		return MergeRuns(batch, m.cfg.Combine, func(kl kv.KeyList) error {
-			out = kv.AppendKeyList(out, kl)
-			keys++
-			return nil
-		})
+		out, keys, err = mergePass(out, batch, m.cfg.Combine)
+		return err
 	}()
 	for _, r := range batch {
 		m.cfg.Pool.Put(r.Data)

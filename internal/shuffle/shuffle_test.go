@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -480,17 +481,27 @@ func sameMultiset(a, b [][]byte) bool {
 // fuzzRuns decodes fuzz input as runs of up to four: each record is a header
 // byte naming its run (low two bits) and its key's length (the rest, mod 20),
 // then the key bytes, the last key cut short by the end of the input. A
-// record's value is its own position in the input. Each run frames its
-// distinct keys in bytes.Compare order, values in record order.
+// record's value is its own position in the input as a VLong; a header with
+// its top bit set pads it past 128 bytes, so its length prefix takes two
+// bytes, and one with only the next bit set makes it empty. Each run frames
+// its distinct keys in bytes.Compare order, values in record order.
 func fuzzRuns(data []byte) []map[string][][]byte {
 	runs := make([]map[string][][]byte, 4)
 	for i := range runs {
 		runs[i] = make(map[string][][]byte)
 	}
 	for rec := 0; len(data) > 0; rec++ {
-		r, n := int(data[0]&3), min(int(data[0]>>2)%20, len(data)-1)
+		h := data[0]
+		r, n := int(h&3), min(int(h>>2)%20, len(data)-1)
 		key := string(data[1 : 1+n])
-		runs[r][key] = append(runs[r][key], kv.AppendVLong(nil, int64(rec)))
+		value := kv.AppendVLong(nil, int64(rec))
+		switch {
+		case h&0x80 != 0:
+			value = append(value, bytes.Repeat([]byte{0xAB}, 128+rec%64)...)
+		case h&0x40 != 0:
+			value = value[:0]
+		}
+		runs[r][key] = append(runs[r][key], value)
 		data = data[1+n:]
 	}
 	return runs
@@ -549,6 +560,175 @@ func FuzzIteratorOrder(f *testing.F) {
 			}
 			if i >= len(want) || !bytes.Equal(kl.Key, want[i].Key) || !valuesEqual(kl.Values, want[i].Values) {
 				t.Fatalf("key %d: iterator yielded %q %q, want %q", i, kl.Key, kl.Values, want[min(i, len(want)-1)])
+			}
+		}
+	})
+}
+
+// longForm frames a run as buildRun does, but writes every length and count
+// below 256 as a two-byte VLong where one byte would do: a run ValidateRun
+// accepts that no kv.Append function writes.
+func longForm(t *testing.T, run []byte) []byte {
+	t.Helper()
+	vlong := func(dst []byte, v int) []byte {
+		if v < 256 {
+			return append(dst, 0x8F, byte(v)) // -113: one positive byte follows
+		}
+		return kv.AppendVLong(dst, int64(v))
+	}
+	var out []byte
+	for len(run) > 0 {
+		kl, n, err := kv.ReadKeyList(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(vlong(out, len(kl.Key)), kl.Key...)
+		out = vlong(out, len(kl.Values))
+		for _, v := range kl.Values {
+			out = append(vlong(out, len(v)), v...)
+		}
+		run = run[n:]
+	}
+	return out
+}
+
+// decodeRun decodes every frame of a run.
+func decodeRun(t *testing.T, run []byte) []kv.KeyList {
+	t.Helper()
+	var out []kv.KeyList
+	for len(run) > 0 {
+		kl, n, err := kv.ReadKeyList(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, kl)
+		run = run[n:]
+	}
+	return out
+}
+
+// joinValues is a combiner that concatenates a key's values into one.
+func joinValues(_ []byte, values [][]byte) [][]byte { return [][]byte{bytes.Join(values, nil)} }
+
+// FuzzMergePass holds a merge pass, which copies frames as they lie, to
+// kv.AppendKeyList over MergeRuns, with and without a combiner: byte for byte
+// over canonically framed runs, and frame for frame once decoded when every
+// other run writes its lengths in a longer form than needed, which a copied
+// frame keeps. Seeds live in testdata/fuzz: empty keys and values, values of
+// 128 bytes and more, and one key in every run.
+func FuzzMergePass(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		groups := fuzzRuns(data)
+		canonical := make([]Run, len(groups))
+		mixed := make([]Run, len(groups))
+		for seq, g := range groups {
+			run := buildRun(t, g)
+			canonical[seq], mixed[seq] = Run{Data: run, Seq: seq}, Run{Data: run, Seq: seq}
+			if seq%2 == 1 {
+				mixed[seq].Data = longForm(t, run)
+				if _, err := ValidateRun(mixed[seq].Data); err != nil {
+					t.Fatalf("long-form run rejected: %v", err)
+				}
+			}
+		}
+		for _, combine := range []Combiner{nil, joinValues} {
+			var want []byte
+			keys := 0
+			if err := MergeRuns(canonical, combine, func(kl kv.KeyList) error {
+				want, keys = kv.AppendKeyList(want, kl), keys+1
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			got, n, err := mergePass(nil, canonical, combine)
+			if err != nil || n != keys || !bytes.Equal(got, want) {
+				t.Fatalf("combine %v: pass = %q, %d keys, %v; want %q, %d keys", combine != nil, got, n, err, want, keys)
+			}
+			got, n, err = mergePass(nil, mixed, combine)
+			if err != nil || n != keys {
+				t.Fatalf("combine %v, long-form runs: pass = %d keys, %v; want %d keys", combine != nil, n, err, keys)
+			}
+			if g, w := decodeRun(t, got), decodeRun(t, want); len(g) != len(w) {
+				t.Fatalf("combine %v, long-form runs: %d frames, want %d", combine != nil, len(g), len(w))
+			} else {
+				for i := range w {
+					if !bytes.Equal(g[i].Key, w[i].Key) || !valuesEqual(g[i].Values, w[i].Values) {
+						t.Fatalf("combine %v, long-form runs: frame %d = %q %q, want %q %q", combine != nil, i, g[i].Key, g[i].Values, w[i].Key, w[i].Values)
+					}
+				}
+			}
+		}
+	})
+}
+
+// passRuns returns n TeraSort-shaped runs of up to keys keys each: random
+// 10-byte keys with one 90-byte value, every run drawing from one pool of
+// 4 x n x keys keys so that some keys repeat across runs.
+func passRuns(tb testing.TB, n, keys int) (runs []Run, size int) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(5))
+	pool := make([]string, 4*n*keys)
+	for i := range pool {
+		k := make([]byte, 10)
+		rng.Read(k)
+		pool[i] = string(k)
+	}
+	value := bytes.Repeat([]byte{'v'}, 90)
+	for seq := 0; seq < n; seq++ {
+		ks := make([]string, keys)
+		for i := range ks {
+			ks[i] = pool[rng.Intn(len(pool))]
+		}
+		sort.Strings(ks)
+		ks = slices.Compact(ks)
+		var data []byte
+		for _, k := range ks {
+			data = kv.AppendKeyList(data, kv.KeyList{Key: []byte(k), Values: [][]byte{value}})
+		}
+		runs, size = append(runs, Run{Data: data, Seq: seq}), size+len(data)
+	}
+	return runs, size
+}
+
+// TestMergePassAllocs: a merge pass over a merge factor's worth of runs
+// builds no value list and keeps its frontier on the stack, so the one thing
+// it allocates is the output buffer.
+func TestMergePassAllocs(t *testing.T) {
+	runs, size := passRuns(t, 10, 500)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := mergePass(make([]byte, 0, size), runs, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a merge pass over 10 runs allocates %.0f times, want 1 (its output buffer)", allocs)
+	}
+}
+
+// BenchmarkMergeRuns is the merge rung alone: 10 TeraSort-shaped runs merged
+// into the value lists a reducer reads (final, what the reduce side's last
+// merge and MPI-D's receiver do) and into one run (pass, an intermediate
+// merge pass).
+func BenchmarkMergeRuns(b *testing.B) {
+	runs, size := passRuns(b, 10, 2000)
+	b.ResetTimer()
+	b.Run("final", func(b *testing.B) {
+		b.SetBytes(int64(size))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := MergeRuns(runs, nil, func(kv.KeyList) error { return nil }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pass", func(b *testing.B) {
+		b.SetBytes(int64(size))
+		b.ReportAllocs()
+		out := make([]byte, 0, size)
+		for i := 0; i < b.N; i++ {
+			var err error
+			if out, _, err = mergePass(out[:0], runs, nil); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
