@@ -47,7 +47,7 @@ type taskTracker struct {
 	ev     *obs.Recorder
 	jobCtx trace.Context // the job root span, from the register response
 
-	rpc       *hadooprpc.MuxClient
+	rpc       *hadooprpc.Client
 	out       *outputCommitter // the job's output directory, shared by every tracker
 	store     *jetty.Store
 	jettySrv  *jetty.Server
@@ -121,7 +121,7 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, out *outputComm
 	}
 	tt.jettyAddr = addr
 
-	tt.rpc, err = hadooprpc.DialMuxOptions(jtAddr, jtProtocolName, jtProtocolVersion, cfg.rpcOptions())
+	tt.rpc, err = hadooprpc.DialOptions(jtAddr, jtProtocolName, jtProtocolVersion, cfg.rpcOptions())
 	if err != nil {
 		tt.jettySrv.Close()
 		return nil, err

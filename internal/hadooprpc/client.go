@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -14,14 +15,21 @@ import (
 )
 
 // Client is an RPC proxy for one protocol on one server, the analogue of
-// RPC.getProxy in Hadoop. As in Hadoop 0.20's ipc.Client with a single
-// connection, calls on one Client are serialized: one call is in flight at
-// a time. Concurrency requires multiple clients, which is exactly the
-// behaviour that throttles shuffle-over-RPC.
+// RPC.getProxy over Hadoop 0.20's ipc.Client: many goroutines share one
+// connection, and calls are matched to responses by call id. The
+// connection's own reader goroutine receives each response and hands it to
+// its waiting caller, as ipc.Client's Connection thread runs
+// receiveResponse(). Note what multiplexing does NOT buy: the server
+// processes a connection's calls serially and responses return in
+// submission order, so bulk-payload calls still queue behind each other.
+// The bandwidth pathology of Figure 3 is unchanged; only small control
+// calls benefit from sharing.
 //
-// A Client dialed with retry options (Options.MaxAttempts > 1) survives
-// transport failures: a failed call closes the connection, and the next
-// attempt redials and replays the call after a backoff.
+// With Options.MaxAttempts > 1 the client is self-healing: a call that
+// fails at the transport level (broken connection, timeout, injected
+// fault) abandons the connection, redials and replays after an
+// exponential backoff with jitter. Remote handler errors are returned
+// immediately — the server answered; retrying cannot change its mind.
 type Client struct {
 	addr     string
 	protocol string
@@ -30,12 +38,34 @@ type Client struct {
 	jit      *faults.Jitter
 
 	mu     sync.Mutex
-	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
-	nextID int32
+	cur    *conn // nil when disconnected
 	closed bool
 }
+
+// conn is one generation of the underlying connection. Reconnecting
+// replaces the whole struct, so stale callers fail cleanly instead of
+// racing a half-reset state.
+type conn struct {
+	nc net.Conn
+	w  *bufio.Writer
+
+	mu      sync.Mutex // guards writes, id allocation, pending, readErr
+	nextID  int32
+	pending map[int32]chan result
+	readErr error
+}
+
+type result struct {
+	value []byte
+	err   error
+}
+
+var (
+	// errConnAbandoned marks a connection torn down locally (timeout or
+	// injected drop); pending calls fail with it.
+	errConnAbandoned = errors.New("hadooprpc: connection abandoned")
+	errClosed        = errors.New("hadooprpc: client closed")
+)
 
 // Dial connects with default options (10 s dial timeout, 30 s call
 // timeout, no retries): the fail-fast client the benchmarks use.
@@ -43,89 +73,206 @@ func Dial(addr, protocol string, version int64) (*Client, error) {
 	return DialOptions(addr, protocol, version, Options{})
 }
 
-// DialOptions connects to the server, sends the connection header and
-// performs the VersionedProtocol handshake for the named protocol.
+// DialOptions connects, sends the connection header and performs the
+// VersionedProtocol handshake, returning a client safe for concurrent use.
+// The initial dial is fail-fast even with retries enabled; retries govern
+// subsequent Calls.
 func DialOptions(addr, protocol string, version int64, opts Options) (*Client, error) {
 	c := &Client{
 		addr:     addr,
 		protocol: protocol,
 		version:  version,
 		opts:     opts.withDefaults(),
+		jit:      faults.NewJitter(jitterSeed),
 	}
-	c.jit = faults.NewJitter(jitterSeed)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var deadline time.Time
-	if c.opts.CallTimeout > 0 {
-		deadline = time.Now().Add(c.opts.CallTimeout)
-	}
-	if err := c.connectLocked(deadline); err != nil {
+	if _, err := c.ensureConn(c.deadline(time.Now())); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// connectLocked dials, sends the connection header and runs the handshake,
-// all inside the caller's deadline. On any failure the half-open connection
-// is torn down.
-func (c *Client) connectLocked(deadline time.Time) error {
-	if err := c.opts.Injector.Check(c.opts.Component, "dial", c.addr); err != nil {
-		return err
+// deadline is the expiry of a budget starting at start; zero when
+// CallTimeout is disabled.
+func (c *Client) deadline(start time.Time) time.Time {
+	if c.opts.CallTimeout <= 0 {
+		return time.Time{}
 	}
-	d := net.Dialer{}
+	return start.Add(c.opts.CallTimeout)
+}
+
+// ensureConn returns the live connection, dialing a fresh one if needed;
+// the dial and handshake of a fresh connection run inside the caller's
+// deadline.
+func (c *Client) ensureConn(deadline time.Time) (*conn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, errClosed
+	}
+	if c.cur != nil && c.cur.alive() {
+		return c.cur, nil
+	}
+	cn, err := c.dialLocked(deadline)
+	if err != nil {
+		return nil, err
+	}
+	c.cur = cn
+	return cn, nil
+}
+
+// dialLocked establishes one connection generation: TCP connect, header,
+// read loop, handshake.
+func (c *Client) dialLocked(deadline time.Time) (*conn, error) {
+	if err := c.opts.Injector.Check(c.opts.Component, "dial", c.addr); err != nil {
+		return nil, err
+	}
+	d := net.Dialer{Deadline: deadline}
 	if c.opts.DialTimeout > 0 {
 		d.Timeout = c.opts.DialTimeout
 	}
-	conn, err := d.Dial("tcp", c.addr)
+	nc, err := d.Dial("tcp", c.addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
+	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn = faults.WrapConn(conn, c.opts.Injector, c.opts.Component, c.addr)
-	c.conn = conn
-	c.r = bufio.NewReaderSize(conn, 64*1024)
-	c.w = bufio.NewWriterSize(conn, 64*1024)
-
-	// Connection header.
-	if _, err := c.w.WriteString(headerMagic); err == nil {
-		if err = c.w.WriteByte(headerVersion); err == nil {
-			err = c.w.Flush()
+	nc = faults.WrapConn(nc, c.opts.Injector, c.opts.Component, c.addr)
+	cn := &conn{
+		nc:      nc,
+		w:       bufio.NewWriterSize(nc, 64*1024),
+		pending: make(map[int32]chan result),
+	}
+	if _, err := cn.w.WriteString(headerMagic); err == nil {
+		if err = cn.w.WriteByte(headerVersion); err == nil {
+			err = cn.w.Flush()
 		}
 	}
 	if err != nil {
-		c.dropLocked()
-		return err
+		nc.Close()
+		return nil, err
 	}
-	// VersionedProtocol handshake.
+	go cn.readLoop()
+
 	var ver [8]byte
 	binary.BigEndian.PutUint64(ver[:], uint64(c.version))
-	got, err := c.callLocked(getProtocolVersionMethod, [][]byte{ver[:]}, nil, deadline)
+	got, err := c.callOn(cn, getProtocolVersionMethod, [][]byte{ver[:]}, nil, deadline)
 	if err != nil {
-		c.dropLocked()
-		return fmt.Errorf("hadooprpc: handshake: %w", err)
+		cn.kill(errConnAbandoned)
+		return nil, fmt.Errorf("hadooprpc: handshake: %w", err)
 	}
 	if len(got) != 8 || int64(binary.BigEndian.Uint64(got)) != c.version {
-		c.dropLocked()
-		return ErrVersionMismatch
+		cn.kill(errConnAbandoned)
+		return nil, ErrVersionMismatch
 	}
-	return nil
+	return cn, nil
 }
 
-// dropLocked abandons the current connection.
-func (c *Client) dropLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-	}
-	c.conn, c.r, c.w = nil, nil, nil
+// alive reports whether the connection generation can still carry calls.
+func (cn *conn) alive() bool {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	return cn.readErr == nil
 }
 
-// Call invokes method with the given parameters and returns its value. The
-// entire parameter set is serialized into one call frame before anything
-// hits the wire — Hadoop's copy-then-send behaviour. With retries enabled,
-// a transport failure reconnects and replays the call after a backoff, up
-// to Options.MaxAttempts total attempts.
+// kill poisons the generation: the socket closes, the read loop exits and
+// pending calls fail.
+func (cn *conn) kill(err error) {
+	cn.mu.Lock()
+	if cn.readErr == nil {
+		cn.readErr = err
+	}
+	for id, ch := range cn.pending {
+		ch <- result{err: err}
+		delete(cn.pending, id)
+	}
+	cn.mu.Unlock()
+	cn.nc.Close()
+}
+
+// readLoop delivers responses to their waiting callers by call id.
+func (cn *conn) readLoop() {
+	r := bufio.NewReaderSize(cn.nc, 64*1024)
+	for {
+		id, value, err := readResponse(r)
+		if err != nil && !IsRemote(err) {
+			// Connection-level failure: fail every pending call.
+			cn.kill(err)
+			return
+		}
+		cn.mu.Lock()
+		ch, ok := cn.pending[id]
+		delete(cn.pending, id)
+		cn.mu.Unlock()
+		if ok {
+			ch <- result{value: value, err: err}
+		}
+	}
+}
+
+// callOn performs one call/response exchange on a connection generation,
+// bounded by the Call's remaining budget (a zero deadline waits forever). A
+// timeout abandons the generation and fails with os.ErrDeadlineExceeded:
+// once the response stream is out of sync with the caller's patience, the
+// safe move is Hadoop's — reconnect.
+func (c *Client) callOn(cn *conn, method string, params [][]byte, tctx []byte, deadline time.Time) ([]byte, error) {
+	ch := make(chan result, 1)
+
+	cn.mu.Lock()
+	if cn.readErr != nil {
+		err := cn.readErr
+		cn.mu.Unlock()
+		return nil, err
+	}
+	id := cn.nextID
+	cn.nextID++
+	cn.pending[id] = ch
+	frame, err := encodeCall(id, c.protocol, method, params, tctx)
+	if err == nil {
+		_, err = cn.w.Write(frame)
+		if err == nil {
+			err = cn.w.Flush()
+		}
+	}
+	if err != nil {
+		delete(cn.pending, id)
+		cn.mu.Unlock()
+		return nil, err
+	}
+	cn.mu.Unlock()
+	c.opts.Metrics.Counter("rpc.bytes_sent").Add(int64(len(frame)))
+
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case res := <-ch:
+		c.opts.Metrics.Counter("rpc.bytes_recv").Add(int64(len(res.value)))
+		return res.value, res.err
+	case <-expired:
+		cn.kill(errConnAbandoned)
+		return nil, os.ErrDeadlineExceeded
+	}
+}
+
+// invalidate discards a dead generation so the next attempt redials.
+func (c *Client) invalidate(cn *conn) {
+	c.mu.Lock()
+	if c.cur == cn {
+		c.cur = nil
+	}
+	c.mu.Unlock()
+	cn.kill(errConnAbandoned)
+}
+
+// Call invokes method with the given parameters and returns its value; it
+// is safe to call from many goroutines at once. The entire parameter set is
+// serialized into one call frame before anything hits the wire — Hadoop's
+// copy-then-send behaviour. Transport failures are retried on a fresh
+// connection up to Options.MaxAttempts total attempts.
 func (c *Client) Call(method string, params ...[]byte) ([]byte, error) {
 	return c.CallTraced(nil, method, params...)
 }
@@ -135,154 +282,93 @@ func (c *Client) Call(method string, params ...[]byte) ([]byte, error) {
 // Handlers that do not understand tracing never see it; servers that do
 // can parent their spans under the caller's. A nil tctx is a plain Call.
 func (c *Client) CallTraced(tctx []byte, method string, params ...[]byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m := c.opts.Metrics
 	m.Counter("rpc.calls").Inc()
 	m.Counter("rpc.calls." + method).Inc()
 	start := time.Now()
 	defer func() { m.Timer("rpc.latency").ObserveDuration(time.Since(start)) }()
-	// CallTimeout is the whole Call's budget: attempts, reconnects and
-	// backoff sleeps all draw from one deadline, so a flapping peer cannot
-	// stretch the Call to MaxAttempts fresh timeouts.
-	var deadline time.Time
-	if c.opts.CallTimeout > 0 {
-		deadline = start.Add(c.opts.CallTimeout)
-	}
-	var lastErr error
+	// One total budget for the whole Call — attempts, redials and backoff
+	// sleeps included — so a flapping peer cannot stretch a Call to
+	// MaxAttempts fresh timeouts.
+	deadline := c.deadline(start)
 	for attempt := 1; ; attempt++ {
-		if c.closed {
-			return nil, errors.New("hadooprpc: client closed")
-		}
-		value, err := c.attemptLocked(method, params, tctx, deadline)
+		value, err := c.attempt(method, params, tctx, deadline)
 		if err == nil || !retryable(err) {
 			if err != nil {
 				m.Counter("rpc.errors").Inc()
 			}
 			return value, err
 		}
-		lastErr = err
-		if attempt >= c.opts.MaxAttempts {
+		c.mu.Lock()
+		closed := c.closed
+		c.mu.Unlock()
+		if closed {
 			m.Counter("rpc.errors").Inc()
-			return nil, lastErr
+			return nil, err
 		}
-		delay := c.opts.Backoff.Delay(attempt, c.jit)
+		// The budget is spent if it has run out, or would run out during
+		// the backoff before another attempt.
+		var delay time.Duration
+		if attempt < c.opts.MaxAttempts {
+			delay = c.opts.Backoff.Delay(attempt, c.jit)
+		}
 		if !deadline.IsZero() && !time.Now().Add(delay).Before(deadline) {
 			m.Counter("rpc.errors").Inc()
 			de := &DeadlineError{
 				Method: method, Attempts: attempt,
-				Elapsed: time.Since(start), Cause: lastErr,
+				Elapsed: time.Since(start), Cause: err,
 			}
 			c.opts.Events.Emit(obs.Event{Type: obs.EvRPCDeadline, Detail: de.Error()})
 			return nil, de
 		}
+		if attempt >= c.opts.MaxAttempts {
+			m.Counter("rpc.errors").Inc()
+			return nil, err
+		}
 		m.Counter("rpc.retries").Inc()
 		c.opts.Events.Emit(obs.Event{Type: obs.EvRPCRetry,
-			Detail: fmt.Sprintf("%s attempt %d: %v", method, attempt, lastErr)})
-		// Sleeping under the lock is deliberate: one call in flight at a
-		// time is this client's contract.
+			Detail: fmt.Sprintf("%s attempt %d: %v", method, attempt, err)})
 		time.Sleep(delay)
 	}
 }
 
-// attemptLocked is one try: ensure a connection, run the injection point,
-// send and await the response. Transport failures poison the connection.
-// deadline, when non-zero, is the whole Call's budget expiry.
-func (c *Client) attemptLocked(method string, params [][]byte, tctx []byte, deadline time.Time) ([]byte, error) {
-	if c.conn == nil {
-		if err := c.connectLocked(deadline); err != nil {
-			return nil, err
-		}
-	}
+// attempt is one try of a Call: injection point, connection, exchange.
+func (c *Client) attempt(method string, params [][]byte, tctx []byte, deadline time.Time) ([]byte, error) {
 	if err := c.opts.Injector.Check(c.opts.Component, "call", method); err != nil {
-		if errors.Is(err, faults.ErrDropped) || faults.IsCrash(err) {
-			c.dropLocked()
+		if errors.Is(err, faults.ErrDropped) {
+			c.mu.Lock()
+			cn := c.cur
+			c.mu.Unlock()
+			if cn != nil {
+				c.invalidate(cn)
+			}
 		}
 		return nil, err
 	}
-	value, err := c.callLocked(method, params, tctx, deadline)
-	if err != nil && !errors.Is(err, errRemote) {
-		c.dropLocked()
+	cn, err := c.ensureConn(deadline)
+	if err != nil {
+		return nil, err
+	}
+	value, err := c.callOn(cn, method, params, tctx, deadline)
+	if err != nil && !IsRemote(err) {
+		c.invalidate(cn)
 	}
 	return value, err
 }
 
-// callLocked performs one framed call/response exchange on the live
-// connection, bounded by the Call's remaining budget.
-func (c *Client) callLocked(method string, params [][]byte, tctx []byte, deadline time.Time) ([]byte, error) {
-	id := c.nextID
-	c.nextID++
-	frame, err := encodeCall(id, c.protocol, method, params, tctx)
-	if err != nil {
-		return nil, err
-	}
-	if !deadline.IsZero() {
-		c.conn.SetDeadline(deadline)
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if _, err := c.w.Write(frame); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	c.opts.Metrics.Counter("rpc.bytes_sent").Add(int64(len(frame)))
-	gotID, value, err := readResponse(c.r)
-	if err != nil {
-		return nil, err
-	}
-	if gotID != id {
-		return nil, fmt.Errorf("hadooprpc: response id %d for call %d", gotID, id)
-	}
-	c.opts.Metrics.Counter("rpc.bytes_recv").Add(int64(len(value)))
-	return value, nil
-}
-
-// Close tears down the connection.
+// Close tears the connection down; pending calls fail. It is idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	if c.conn == nil {
-		return nil
+	cn := c.cur
+	c.cur = nil
+	c.mu.Unlock()
+	if cn != nil {
+		cn.kill(errClosed)
 	}
-	err := c.conn.Close()
-	c.conn, c.r, c.w = nil, nil, nil
-	return err
-}
-
-// --------------------------------------------------------------------------
-// Echo protocol: the benchmark protocol from §II.B. The paper implements "a
-// basic class extending from VersionedProtocol ... with a simple recv
-// method, which only checks the received data size" and echoes it back for
-// ping-pong timing.
-
-// EchoProtocolName is the registered name of the benchmark protocol.
-const EchoProtocolName = "org.ict.mpid.EchoProtocol"
-
-// EchoProtocolVersion is its VersionedProtocol version.
-const EchoProtocolVersion int64 = 1
-
-// NewEchoProtocol builds the benchmark protocol: recv(data) checks the size
-// and returns the data to the invoker.
-func NewEchoProtocol() *Protocol {
-	return &Protocol{
-		Name:    EchoProtocolName,
-		Version: EchoProtocolVersion,
-		Methods: map[string]Handler{
-			"recv": func(params [][]byte) ([]byte, error) {
-				if len(params) != 1 {
-					return nil, fmt.Errorf("recv wants 1 parameter, got %d", len(params))
-				}
-				// "only checks the received data size":
-				if params[0] == nil {
-					return []byte{}, nil
-				}
-				return params[0], nil
-			},
-		},
-	}
+	return nil
 }

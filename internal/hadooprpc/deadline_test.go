@@ -15,14 +15,14 @@ import (
 // full timeout, so a generous retry budget could multiply the configured
 // deadline many times over.
 
-// TestMuxCallTimeoutIsTotalBudget drives a mux client against a permanent
+// TestCallTimeoutIsTotalBudget drives a client against a permanent
 // injected fault with a retry budget far larger than the deadline allows.
 // The call must give up when the budget expires — not after MaxAttempts —
 // and report the expiry as a typed DeadlineError.
-func TestMuxCallTimeoutIsTotalBudget(t *testing.T) {
+func TestCallTimeoutIsTotalBudget(t *testing.T) {
 	addr := startEchoServer(t)
 	inj := faults.New(1, faults.Rule{Operation: "call", Action: faults.Fail})
-	c, err := DialMuxOptions(addr, EchoProtocolName, EchoProtocolVersion, Options{
+	c, err := DialOptions(addr, EchoProtocolName, EchoProtocolVersion, Options{
 		CallTimeout: 100 * time.Millisecond,
 		MaxAttempts: 1000,
 		Backoff:     faults.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond},
@@ -67,46 +67,13 @@ func TestMuxCallTimeoutIsTotalBudget(t *testing.T) {
 	}
 }
 
-// TestClientCallTimeoutIsTotalBudget is the same property on the plain
-// (non-mux) client.
-func TestClientCallTimeoutIsTotalBudget(t *testing.T) {
-	addr := startEchoServer(t)
-	inj := faults.New(1, faults.Rule{Operation: "call", Action: faults.Fail})
-	c, err := DialOptions(addr, EchoProtocolName, EchoProtocolVersion, Options{
-		CallTimeout: 100 * time.Millisecond,
-		MaxAttempts: 1000,
-		Backoff:     faults.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond},
-		Injector:    inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	start := time.Now()
-	_, err = c.Call("recv", []byte("doomed"))
-	if err == nil {
-		t.Fatal("call under permanent fault returned nil error")
-	}
-	var de *DeadlineError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v (%T), want *DeadlineError", err, err)
-	}
-	if de.Attempts >= 1000 {
-		t.Fatalf("DeadlineError.Attempts = %d, want far fewer than MaxAttempts", de.Attempts)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("call consumed %v, want about the 100 ms budget", elapsed)
-	}
-}
-
 // TestDeadlineCoversReconnects drops the connection on every attempt, so
 // each retry pays a reconnect: the budget must bound the whole
 // dial-call-drop cycle, not just the in-flight calls.
 func TestDeadlineCoversReconnects(t *testing.T) {
 	addr := startEchoServer(t)
 	inj := faults.New(1, faults.Rule{Operation: "call", Action: faults.Drop})
-	c, err := DialMuxOptions(addr, EchoProtocolName, EchoProtocolVersion, Options{
+	c, err := DialOptions(addr, EchoProtocolName, EchoProtocolVersion, Options{
 		CallTimeout: 100 * time.Millisecond,
 		MaxAttempts: 1000,
 		Backoff:     faults.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},

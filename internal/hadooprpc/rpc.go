@@ -15,7 +15,11 @@
 //     why the paper measures RPC bandwidth topping out ~100x below wire
 //     speed: every "packet" is a fully-materialized, copied, type-tagged
 //     call;
-//   - responses framed as callID + status + value.
+//   - responses framed as callID + status + value;
+//   - calls multiplexed by id over one connection per client, a reader
+//     goroutine per connection handing each response to its caller (the
+//     Connection thread of ipc.Client), and a server that dispatches one
+//     connection's calls serially.
 //
 // Unlike HTTP shuffle, a call's parameters and return value transit the
 // connection as single buffers; there is no streaming path. The package is
@@ -259,6 +263,39 @@ func (s *Server) dispatch(c *call) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s.%s", ErrUnknownMethod, c.protocol, c.method)
 	}
 	return h(c.params)
+}
+
+// --------------------------------------------------------------------------
+// Echo protocol: the benchmark protocol from §II.B. The paper implements "a
+// basic class extending from VersionedProtocol ... with a simple recv
+// method, which only checks the received data size" and echoes it back for
+// ping-pong timing.
+
+// EchoProtocolName is the registered name of the benchmark protocol.
+const EchoProtocolName = "org.ict.mpid.EchoProtocol"
+
+// EchoProtocolVersion is its VersionedProtocol version.
+const EchoProtocolVersion int64 = 1
+
+// NewEchoProtocol builds the benchmark protocol: recv(data) checks the size
+// and returns the data to the invoker.
+func NewEchoProtocol() *Protocol {
+	return &Protocol{
+		Name:    EchoProtocolName,
+		Version: EchoProtocolVersion,
+		Methods: map[string]Handler{
+			"recv": func(params [][]byte) ([]byte, error) {
+				if len(params) != 1 {
+					return nil, fmt.Errorf("recv wants 1 parameter, got %d", len(params))
+				}
+				// "only checks the received data size":
+				if params[0] == nil {
+					return []byte{}, nil
+				}
+				return params[0], nil
+			},
+		},
+	}
 }
 
 // call is a decoded invocation frame.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -239,7 +240,7 @@ func TestBadHeaderRejected(t *testing.T) {
 	defer s.Close()
 	// Speak garbage; server should just drop us, and a follow-up good
 	// client must still work.
-	conn, err := netDial(addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,17 +253,9 @@ func TestBadHeaderRejected(t *testing.T) {
 	}
 }
 
-// netDial avoids importing net at every call site above.
-func netDial(addr string) (interface {
-	Write([]byte) (int, error)
-	Close() error
-}, error) {
-	return rawDial(addr)
-}
-
-func TestMuxClientConcurrentCalls(t *testing.T) {
+func TestClientConcurrentCalls(t *testing.T) {
 	addr := startEchoServer(t)
-	c, err := DialMux(addr, EchoProtocolName, EchoProtocolVersion)
+	c, err := Dial(addr, EchoProtocolName, EchoProtocolVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +283,9 @@ func TestMuxClientConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestMuxClientRemoteErrorDoesNotKillConnection(t *testing.T) {
+func TestClientRemoteErrorDoesNotKillConnection(t *testing.T) {
 	addr := startEchoServer(t)
-	c, err := DialMux(addr, EchoProtocolName, EchoProtocolVersion)
+	c, err := Dial(addr, EchoProtocolName, EchoProtocolVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,21 +299,22 @@ func TestMuxClientRemoteErrorDoesNotKillConnection(t *testing.T) {
 	}
 }
 
-func TestMuxClientHandshakeRejectsWrongVersion(t *testing.T) {
+func TestClientHandshakeRejectsWrongVersion(t *testing.T) {
 	addr := startEchoServer(t)
-	if _, err := DialMux(addr, EchoProtocolName, 404); err == nil {
+	if _, err := Dial(addr, EchoProtocolName, 404); err == nil {
 		t.Fatal("wrong version accepted")
 	}
 }
 
-func TestMuxClientFailsPendingOnServerClose(t *testing.T) {
+func TestClientFailsPendingOnServerClose(t *testing.T) {
 	s := NewServer()
-	block := make(chan struct{})
+	entered, block := make(chan struct{}), make(chan struct{})
 	s.Register(&Protocol{
 		Name:    "slow",
 		Version: 1,
 		Methods: map[string]Handler{
 			"wait": func([][]byte) ([]byte, error) {
+				close(entered)
 				<-block
 				return nil, nil
 			},
@@ -330,7 +324,7 @@ func TestMuxClientFailsPendingOnServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialMux(addr, "slow", 1)
+	c, err := Dial(addr, "slow", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +334,8 @@ func TestMuxClientFailsPendingOnServerClose(t *testing.T) {
 		_, err := c.Call("wait")
 		done <- err
 	}()
-	// Give the call time to reach the server, then kill the server.
-	time.Sleep(50 * time.Millisecond)
+	// Once the call has reached the server, kill the server.
+	<-entered
 	close(block)
 	s.Close()
 	select {
@@ -366,9 +360,9 @@ func TestMuxClientFailsPendingOnServerClose(t *testing.T) {
 	}
 }
 
-func TestMuxClientCloseIdempotent(t *testing.T) {
+func TestClientCloseIdempotent(t *testing.T) {
 	addr := startEchoServer(t)
-	c, err := DialMux(addr, EchoProtocolName, EchoProtocolVersion)
+	c, err := Dial(addr, EchoProtocolName, EchoProtocolVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

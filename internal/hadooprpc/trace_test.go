@@ -42,9 +42,7 @@ func traceTestProtocol(t *testing.T, gotCtx *[][]byte) *Protocol {
 //   - a traced call to a legacy handler is served as if untraced (the
 //     dispatcher strips the trailing context param);
 //   - an untraced call to a traced handler delivers a nil context;
-//   - a traced call to a traced handler delivers the exact encoded context;
-//
-// exercised over both client types (serialized Client and MuxClient).
+//   - a traced call to a traced handler delivers the exact encoded context.
 func TestTraceContextBackCompat(t *testing.T) {
 	var seen [][]byte
 	s := NewServer()
@@ -54,58 +52,44 @@ func TestTraceContextBackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	ctx := trace.Context{Trace: 77, Span: 13}
-	tctx := trace.EncodeContext(ctx)
-
-	runCalls := func(name string, call func(tctx []byte, method string, params ...[]byte) ([]byte, error)) {
-		t.Helper()
-		seen = seen[:0]
-
-		// Traced call, legacy handler: strict param count must hold.
-		got, err := call(tctx, "legacy", []byte("ab"), []byte("cd"))
-		if err != nil {
-			t.Fatalf("%s: traced call to legacy handler: %v", name, err)
-		}
-		if !bytes.Equal(got, []byte("abcd")) {
-			t.Fatalf("%s: legacy handler returned %q", name, got)
-		}
-
-		// Untraced call, traced handler: context must arrive nil.
-		if _, err := call(nil, "aware", []byte("x")); err != nil {
-			t.Fatalf("%s: untraced call to traced handler: %v", name, err)
-		}
-
-		// Traced call, traced handler: context must round-trip exactly.
-		if _, err := call(tctx, "aware", []byte("y")); err != nil {
-			t.Fatalf("%s: traced call to traced handler: %v", name, err)
-		}
-
-		if len(seen) != 2 {
-			t.Fatalf("%s: traced handler invoked %d times, want 2", name, len(seen))
-		}
-		if len(seen[0]) != 0 {
-			t.Fatalf("%s: untraced call delivered context %x", name, seen[0])
-		}
-		dec, err := trace.DecodeContext(seen[1])
-		if err != nil || dec != ctx {
-			t.Fatalf("%s: context did not survive the wire: %v %v", name, dec, err)
-		}
-	}
-
 	c, err := Dial(addr, "org.ict.mpid.TraceTestProtocol", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	runCalls("client", c.CallTraced)
 
-	mc, err := DialMux(addr, "org.ict.mpid.TraceTestProtocol", 1)
+	ctx := trace.Context{Trace: 77, Span: 13}
+	tctx := trace.EncodeContext(ctx)
+
+	// Traced call, legacy handler: strict param count must hold.
+	got, err := c.CallTraced(tctx, "legacy", []byte("ab"), []byte("cd"))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("traced call to legacy handler: %v", err)
 	}
-	defer mc.Close()
-	runCalls("mux", mc.CallTraced)
+	if !bytes.Equal(got, []byte("abcd")) {
+		t.Fatalf("legacy handler returned %q", got)
+	}
+
+	// Untraced call, traced handler: context must arrive nil.
+	if _, err := c.CallTraced(nil, "aware", []byte("x")); err != nil {
+		t.Fatalf("untraced call to traced handler: %v", err)
+	}
+
+	// Traced call, traced handler: context must round-trip exactly.
+	if _, err := c.CallTraced(tctx, "aware", []byte("y")); err != nil {
+		t.Fatalf("traced call to traced handler: %v", err)
+	}
+
+	if len(seen) != 2 {
+		t.Fatalf("traced handler invoked %d times, want 2", len(seen))
+	}
+	if len(seen[0]) != 0 {
+		t.Fatalf("untraced call delivered context %x", seen[0])
+	}
+	dec, err := trace.DecodeContext(seen[1])
+	if err != nil || dec != ctx {
+		t.Fatalf("context did not survive the wire: %v %v", dec, err)
+	}
 }
 
 // TestTraceParamSkippedOnWire checks the framing directly: a traced frame

@@ -15,10 +15,10 @@
 // The two differ fundamentally per substrate. MPI and Jetty stream: packets
 // pipeline through one connection, so per-packet cost is a CPU/syscall
 // overhead plus wire time. Hadoop RPC cannot stream — every packet is a
-// full RPC invocation carrying the payload as a serialized parameter, and a
-// connection allows a single outstanding call — so per-packet cost is the
-// full call latency. That mechanism, not the wire, is why the paper
-// measures Hadoop RPC peaking at ~1.4 MB/s on a 125 MB/s network.
+// full RPC invocation carrying the payload as a serialized parameter, and
+// its caller waits for the response — so per-packet cost is the full call
+// latency. That mechanism, not the wire, is why the paper measures Hadoop
+// RPC peaking at ~1.4 MB/s on a 125 MB/s network.
 //
 // Model parameters are calibrated to the anchor measurements the paper
 // reports (see DESIGN.md §5); the calibration tests in this package pin the
@@ -230,8 +230,8 @@ func MPI() Model {
 // HadoopRPC returns the Hadoop RPC model, anchored to the paper's reported
 // points: 1.3 ms for 1-16 B, 8.9 ms at 1 KB, ~100x MPI at 256 KB, 1259 ms
 // at 1 MB, 56827 ms at 64 MB (effective bandwidth ~1.1-1.4 MB/s). Hadoop
-// RPC serializes the payload field-by-field through ObjectWritable and
-// allows one outstanding call per connection, so it is call-per-packet.
+// RPC serializes the payload field-by-field through ObjectWritable and its
+// caller waits for each response, so it is call-per-packet.
 func HadoopRPC() Model {
 	return NewCurve("HadoopRPC", []Point{
 		{1, 1300 * time.Microsecond},

@@ -176,12 +176,12 @@ type RemoteResult struct {
 
 // Client is a job-service RPC client: the submitter side of cmd/mpid-serve.
 type Client struct {
-	rpc *hadooprpc.MuxClient
+	rpc *hadooprpc.Client
 }
 
 // DialService connects to a running mpid-serve daemon.
 func DialService(addr string, opts hadooprpc.Options) (*Client, error) {
-	rpc, err := hadooprpc.DialMuxOptions(addr, ProtocolName, ProtocolVersion, opts)
+	rpc, err := hadooprpc.DialOptions(addr, ProtocolName, ProtocolVersion, opts)
 	if err != nil {
 		return nil, err
 	}
