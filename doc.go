@@ -23,9 +23,8 @@
 // internal/workload generators, and the nil-safe observability trio
 // internal/metrics, internal/trace, internal/faults with internal/admin
 // as the live endpoint), a deterministic simulation stack (internal/des,
-// internal/cluster, internal/netmodel, internal/hadoopsim,
-// internal/mpidsim) for the cluster-scale experiments that cannot run on
-// one machine, and a harness (internal/experiments, internal/stats,
+// internal/netmodel, internal/sim) for the cluster-scale experiments that
+// cannot run on one machine, and a harness (internal/experiments, internal/stats,
 // bench_test.go, cmd/*) that prints measured values next to the paper's.
 //
 // Start with README.md for the library tour, ARCHITECTURE.md for the

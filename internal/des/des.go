@@ -4,13 +4,13 @@
 // of plain scheduled callbacks it offers goroutine-backed simulation
 // processes (Proc) in the style of SimPy: a process runs real Go code and
 // blocks on simulation primitives — Sleep, Resource.Acquire, Link.Transfer,
-// Queue.Get — while the kernel guarantees that at most one process (or the
-// kernel itself) executes at a time, so simulations are data-race free and
-// fully deterministic: ties in event time are broken by schedule order.
+// Done.Wait, Signal.Wait — while the kernel guarantees that at most one
+// process (or the kernel itself) executes at a time, so simulations are
+// data-race free and fully deterministic: ties in event time are broken by
+// schedule order.
 //
-// All higher-level simulators in this repository (the cluster model, the
-// Hadoop MapReduce simulator and the MPI-D system simulator) are built on
-// this package.
+// internal/sim builds the paper's testbed and both MapReduce systems'
+// schedules on this package.
 package des
 
 import (
@@ -34,18 +34,11 @@ type Event struct {
 	seq       uint64
 	fn        func()
 	cancelled bool
-	index     int // heap index, -1 once popped
 }
-
-// At reports the virtual time the event is scheduled for.
-func (ev *Event) At() Time { return ev.at }
 
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired is a no-op.
 func (ev *Event) Cancel() { ev.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (ev *Event) Cancelled() bool { return ev.cancelled }
 
 type eventHeap []*Event
 
@@ -56,29 +49,20 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*h = old[:n-1]
 	return ev
 }
 
 // Engine is the simulation kernel. The zero value is not usable; create one
 // with New. An Engine must be driven from a single goroutine (typically the
-// test or main goroutine) via Run or RunUntil.
+// test or main goroutine) via Run.
 type Engine struct {
 	now    Time
 	queue  eventHeap
@@ -148,27 +132,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
-// Unlike Run it tolerates still-blocked processes (they may be waiting on
-// events after t).
-func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if next.cancelled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		e.step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // Proc is a simulation process: real Go code running in its own goroutine,
 // interleaved with the kernel so that exactly one of them executes at a time.
 // All blocking methods must be called from the process's own goroutine.
@@ -176,14 +139,7 @@ type Proc struct {
 	eng    *Engine
 	name   string
 	resume chan struct{}
-	done   bool
 }
-
-// Name returns the label the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine the process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -212,7 +168,6 @@ func (p *Proc) run(fn func(*Proc)) {
 		if r := recover(); r != nil {
 			p.eng.panicV = fmt.Sprintf("des: process %q panicked: %v", p.name, r)
 		}
-		p.done = true
 		p.eng.active--
 		p.eng.yield <- struct{}{}
 	}()
@@ -255,16 +210,6 @@ func (p *Proc) Sleep(d Time) {
 	p.yieldAndWait()
 }
 
-// SleepUntil suspends the process until absolute virtual time t. If t is in
-// the past it returns immediately.
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.eng.now {
-		return
-	}
-	p.eng.At(t, func() { p.eng.handoff(p) })
-	p.yieldAndWait()
-}
-
 // Signal is a broadcast condition: processes wait on it, another party fires
 // it, and all current waiters resume. Later waiters block until the next
 // Fire. A fired Signal resets automatically.
@@ -291,9 +236,6 @@ func (s *Signal) Fire() {
 	}
 }
 
-// WaiterCount returns the number of processes currently blocked in Wait.
-func (s *Signal) WaiterCount() int { return len(s.waiters) }
-
 // Done is a one-shot completion latch. Wait returns immediately once
 // Complete has been called.
 type Done struct {
@@ -304,9 +246,6 @@ type Done struct {
 
 // NewDone creates a latch bound to the engine.
 func NewDone(e *Engine) *Done { return &Done{eng: e} }
-
-// Completed reports whether Complete has been called.
-func (d *Done) Completed() bool { return d.complete }
 
 // Complete releases all current and future waiters. Calling it twice panics:
 // a latch completing twice means two owners think they finished the same work.

@@ -44,9 +44,6 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
@@ -82,21 +79,6 @@ func TestProcSleepAdvancesClock(t *testing.T) {
 	e.Run()
 	if wake != 5*time.Second {
 		t.Fatalf("woke at %v, want 5s", wake)
-	}
-}
-
-func TestProcSleepUntil(t *testing.T) {
-	e := New()
-	var times []Time
-	e.Go("p", func(p *Proc) {
-		p.SleepUntil(3 * time.Second)
-		times = append(times, p.Now())
-		p.SleepUntil(time.Second) // already past: no-op
-		times = append(times, p.Now())
-	})
-	e.Run()
-	if times[0] != 3*time.Second || times[1] != 3*time.Second {
-		t.Fatalf("times = %v", times)
 	}
 }
 
@@ -156,24 +138,6 @@ func TestDeadlockDetection(t *testing.T) {
 	e.Run()
 }
 
-func TestRunUntilStopsAtBoundary(t *testing.T) {
-	e := New()
-	var fired []Time
-	e.At(time.Second, func() { fired = append(fired, e.Now()) })
-	e.At(5*time.Second, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(2 * time.Second)
-	if len(fired) != 1 || fired[0] != time.Second {
-		t.Fatalf("fired = %v", fired)
-	}
-	if e.Now() != 2*time.Second {
-		t.Fatalf("clock = %v, want 2s", e.Now())
-	}
-	e.RunUntil(10 * time.Second)
-	if len(fired) != 2 {
-		t.Fatalf("second event did not fire: %v", fired)
-	}
-}
-
 func TestSignalWakesAllWaiters(t *testing.T) {
 	e := New()
 	sig := NewSignal(e)
@@ -186,8 +150,8 @@ func TestSignalWakesAllWaiters(t *testing.T) {
 	}
 	e.Go("firer", func(p *Proc) {
 		p.Sleep(time.Second)
-		if sig.WaiterCount() != 4 {
-			t.Errorf("WaiterCount = %d, want 4", sig.WaiterCount())
+		if woken != 0 {
+			t.Errorf("%d waiters woke before Fire", woken)
 		}
 		sig.Fire()
 	})
@@ -219,9 +183,6 @@ func TestDoneLatch(t *testing.T) {
 	e.Run()
 	if sawAt != 2*time.Second {
 		t.Fatalf("waiter resumed at %v, want 2s", sawAt)
-	}
-	if !d.Completed() {
-		t.Fatal("Completed() = false")
 	}
 }
 

@@ -143,9 +143,5 @@ func secondsToTime(s float64) Time {
 	return Time(ns)
 }
 
-// Seconds converts virtual Time to float seconds; it mirrors
-// time.Duration.Seconds and exists for symmetry with FromSeconds.
-func Seconds(t Time) float64 { return t.Seconds() }
-
 // FromSeconds converts float seconds to virtual Time, rounding up.
 func FromSeconds(s float64) Time { return secondsToTime(s) }

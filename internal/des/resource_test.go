@@ -112,101 +112,6 @@ func TestResourceUse(t *testing.T) {
 	}
 }
 
-func TestQueuePutGet(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	var got []int
-	e.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(time.Second)
-			q.Put(i)
-		}
-		q.Close()
-	})
-	e.Run()
-	if len(got) != 5 {
-		t.Fatalf("got %v, want 5 items", got)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-}
-
-func TestQueueMultipleConsumersFIFO(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	per := make(map[string][]int)
-	for _, name := range []string{"c1", "c2"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			for {
-				v, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				per[name] = append(per[name], v)
-				p.Sleep(time.Second)
-			}
-		})
-	}
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 6; i++ {
-			q.Put(i)
-		}
-		p.Sleep(10 * time.Second)
-		q.Close()
-	})
-	e.Run()
-	total := len(per["c1"]) + len(per["c2"])
-	if total != 6 {
-		t.Fatalf("consumed %d items, want 6 (%v)", total, per)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	e := New()
-	q := NewQueue[string](e)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	q.Put("x")
-	if v, ok := q.TryGet(); !ok || v != "x" {
-		t.Fatalf("TryGet = %q, %v", v, ok)
-	}
-}
-
-func TestQueueCloseUnblocksWaiters(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	unblocked := 0
-	for i := 0; i < 3; i++ {
-		e.Go("c", func(p *Proc) {
-			if _, ok := q.Get(p); !ok {
-				unblocked++
-			}
-		})
-	}
-	e.Go("closer", func(p *Proc) {
-		p.Sleep(time.Second)
-		q.Close()
-	})
-	e.Run()
-	if unblocked != 3 {
-		t.Fatalf("unblocked = %d, want 3", unblocked)
-	}
-}
-
 func TestLinkSingleTransferTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "nic", 100) // 100 B/s

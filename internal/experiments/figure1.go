@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ict-repro/mpid/internal/hadoopsim"
 	"github.com/ict-repro/mpid/internal/netmodel"
+	"github.com/ict-repro/mpid/internal/sim"
 	"github.com/ict-repro/mpid/internal/stats"
 )
 
 // Figure1Params returns the §II.A configuration behind Figure 1: the
 // GridMix JavaSort benchmark over 150 GB, 64 MB blocks, 8/8 slots on 7
 // worker nodes, 2345 reduce tasks.
-func Figure1Params(inputBytes int64) hadoopsim.Params {
-	p := hadoopsim.JavaSort(inputBytes, 8, 8)
+func Figure1Params(inputBytes int64) sim.HadoopJob {
+	p := sim.JavaSort(inputBytes, 8, 8)
 	if inputBytes == 150*netmodel.GB {
 		p.NumReduceTasks = 2345 // the paper's reducer ids run 0..2344
 	}
@@ -22,20 +22,20 @@ func Figure1Params(inputBytes int64) hadoopsim.Params {
 
 // Figure1 runs the shuffle-overhead experiment and returns the report with
 // per-reducer copy/sort/reduce times.
-func Figure1(inputBytes int64) *hadoopsim.Report {
-	return hadoopsim.Run(Figure1Params(inputBytes))
+func Figure1(inputBytes int64) *sim.HadoopReport {
+	return sim.RunHadoop(Figure1Params(inputBytes))
 }
 
 // RenderFigure1 prints the distribution summary next to the paper's, plus
 // a copy-time histogram standing in for the scatter plot.
-func RenderFigure1(r *hadoopsim.Report) string {
+func RenderFigure1(r *sim.HadoopReport) string {
 	var b strings.Builder
 	copySum := r.CopySummary()
 	redSum := r.ReduceSummary()
 	sortSum := r.SortSummary()
 
 	fmt.Fprintf(&b, "Figure 1: shuffle overhead, JavaSort %s, %d maps, %d reduces\n",
-		stats.FormatBytes(r.Params.InputBytes), r.NumMaps, r.NumReduces)
+		stats.FormatBytes(r.Job.InputBytes), r.NumMaps, r.NumReduces)
 	tb := stats.NewTable("stage", "min", "mean", "max", "paper min", "paper mean", "paper max")
 	tb.AddRow("copy",
 		fmt.Sprintf("%.1fs", copySum.Min()), fmt.Sprintf("%.1fs", copySum.Mean()), fmt.Sprintf("%.1fs", copySum.Max()),
@@ -66,7 +66,7 @@ func RenderFigure1(r *hadoopsim.Report) string {
 
 // copyShareOfReducerLifecycle computes the paper's "95%" statistic: total
 // copy time over total reducer lifecycle time.
-func copyShareOfReducerLifecycle(r *hadoopsim.Report) float64 {
+func copyShareOfReducerLifecycle(r *sim.HadoopReport) float64 {
 	var copySum, life float64
 	for _, rd := range r.Reduces {
 		copySum += rd.Copy.Seconds()

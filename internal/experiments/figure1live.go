@@ -8,7 +8,6 @@ import (
 
 	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
-	"github.com/ict-repro/mpid/internal/hadoopsim"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/workload"
 )
@@ -21,8 +20,8 @@ import (
 type Figure1LiveResult struct {
 	SizeBytes int64
 	Report    *hadoop.JobReport
-	// SimCopyPercent is hadoopsim's Table I metric for WordCount at the
-	// same input size.
+	// SimCopyPercent is the simulated Hadoop's Table I metric for
+	// WordCount at the same input size.
 	SimCopyPercent float64
 }
 
@@ -53,7 +52,7 @@ func Figure1LiveAt(sizeBytes int64, adminAddr string) (*Figure1LiveResult, error
 	if err != nil {
 		return nil, fmt.Errorf("experiments: live figure 1 at %d bytes: %w", sizeBytes, err)
 	}
-	sim := hadoopsim.Run(hadoopsim.WordCount(sizeBytes))
+	sim := hadoopWordCount(sizeBytes)
 	return &Figure1LiveResult{
 		SizeBytes:      sizeBytes,
 		Report:         report,
@@ -67,7 +66,7 @@ func RenderFigure1Live(r *Figure1LiveResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1 (live): WordCount %dKB on the real mini-Hadoop engine\n\n", r.SizeBytes>>10)
 	b.WriteString(r.Report.String())
-	fmt.Fprintf(&b, "\ncopy share of all task time: %.1f%% live vs %.1f%% simulated (hadoopsim WordCount, same input)\n",
+	fmt.Fprintf(&b, "\ncopy share of all task time: %.1f%% live vs %.1f%% simulated (Hadoop WordCount, same input)\n",
 		r.Report.CopyShareOfTotal(), r.SimCopyPercent)
 	b.WriteString("(the live copy share includes real heartbeat-paced mapLocations polling and HTTP\n fetches; the simulator models the paper's cluster, so agreement is structural, not exact)\n")
 	return b.String()

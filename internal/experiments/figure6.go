@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ict-repro/mpid/internal/hadoopsim"
-	"github.com/ict-repro/mpid/internal/mpidsim"
 	"github.com/ict-repro/mpid/internal/netmodel"
+	"github.com/ict-repro/mpid/internal/sim"
 )
 
 // Figure6Row compares one input size: WordCount on simulated Hadoop vs the
@@ -36,8 +35,8 @@ func Figure6(maxSizeGB int64) []Figure6Row {
 		if gb > maxSizeGB {
 			continue
 		}
-		h := hadoopsim.Run(hadoopsim.WordCount(gb * netmodel.GB))
-		m := mpidsim.Run(mpidsim.WordCount(gb * netmodel.GB))
+		h := hadoopWordCount(gb * netmodel.GB)
+		m := mpidWordCount(gb*netmodel.GB, netmodel.MPI())
 		row := Figure6Row{
 			SizeGB: gb,
 			Hadoop: h.JobTime.Seconds(),
@@ -49,6 +48,17 @@ func Figure6(maxSizeGB int64) []Figure6Row {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// hadoopWordCount simulates the §IV.C WordCount on Hadoop 0.20.
+func hadoopWordCount(inputBytes int64) *sim.HadoopReport {
+	return sim.RunHadoop(sim.HadoopWordCount(inputBytes))
+}
+
+// mpidWordCount simulates the §IV.C WordCount on MPI-D, with the cluster's
+// NICs running the given fabric (netmodel.MPI() is the paper's GigE).
+func mpidWordCount(inputBytes int64, fabric netmodel.Model) *sim.MPIDReport {
+	return sim.RunMPID(sim.MPIDWordCount(inputBytes), fabric)
 }
 
 // RenderFigure6 prints the sweep in the paper's terms.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ict-repro/mpid/internal/cluster"
-	"github.com/ict-repro/mpid/internal/mpidsim"
 	"github.com/ict-repro/mpid/internal/netmodel"
 	"github.com/ict-repro/mpid/internal/stats"
 )
@@ -32,12 +30,7 @@ func ExtensionInterconnects(sizeGB int64) []InterconnectRow {
 	fabrics := []netmodel.Model{netmodel.MPI(), netmodel.TenGigE(), netmodel.InfiniBand()}
 	var rows []InterconnectRow
 	for _, f := range fabrics {
-		cfg := cluster.Default()
-		cfg.NICBandwidth = f.PeakBandwidth()
-		cfg.NetLatency = f.Latency(0)
-		p := mpidsim.WordCount(sizeGB * netmodel.GB)
-		p.Cluster = cfg
-		r := mpidsim.Run(p)
+		r := mpidWordCount(sizeGB*netmodel.GB, f)
 		rows = append(rows, InterconnectRow{
 			Name:         f.Name(),
 			Latency1B:    float64(f.Latency(1)) / 1e3, // ns -> µs

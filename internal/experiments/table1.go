@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ict-repro/mpid/internal/hadoopsim"
 	"github.com/ict-repro/mpid/internal/netmodel"
+	"github.com/ict-repro/mpid/internal/sim"
 )
 
 // Table1Cell is one (input size, slot config) measurement.
@@ -30,7 +30,7 @@ func Table1(maxSizeGB int64) []Table1Cell {
 			continue
 		}
 		for _, cfg := range Table1Configs {
-			r := hadoopsim.Run(hadoopsim.JavaSort(gb*netmodel.GB, cfg[0], cfg[1]))
+			r := javaSort(gb*netmodel.GB, cfg[0], cfg[1])
 			cell := Table1Cell{
 				SizeGB: gb, MaxMap: cfg[0], MaxReduce: cfg[1],
 				CopyPct: r.CopyPercent(),
@@ -42,6 +42,12 @@ func Table1(maxSizeGB int64) []Table1Cell {
 		}
 	}
 	return cells
+}
+
+// javaSort simulates GridMix JavaSort on the paper's cluster with
+// maxMap/maxReduce slots per node.
+func javaSort(inputBytes int64, maxMap, maxReduce int) *sim.HadoopReport {
+	return sim.RunHadoop(sim.JavaSort(inputBytes, maxMap, maxReduce))
 }
 
 // RenderTable1 prints the matrix in the paper's layout, measured value

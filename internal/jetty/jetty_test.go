@@ -2,11 +2,13 @@ package jetty
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/metrics"
@@ -209,6 +211,14 @@ func TestFileBackedFetch(t *testing.T) {
 	}
 	if !bytes.Equal(fromFile, payload) || !bytes.Equal(fromMem, fromFile) {
 		t.Fatal("file-backed serve is not byte-identical to the in-memory serve")
+	}
+	// A handler counts its serve after io.Copy returns, so the client can
+	// hold every byte first. Shutdown returns once every connection is
+	// idle, that is once both handlers have returned.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.httpSrv.Shutdown(ctx); err != nil {
+		t.Fatalf("waiting for the handlers: %v", err)
 	}
 	if got := reg.Counter("shuffle.sendfile_bytes").Value(); got != int64(len(payload)) {
 		t.Fatalf("sendfile_bytes = %d, want %d", got, len(payload))

@@ -1,4 +1,4 @@
-package hadoopsim
+package sim
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestJavaSortSmallJobConsistency(t *testing.T) {
-	r := Run(JavaSort(1*netmodel.GB, 8, 8))
+	r := RunHadoop(JavaSort(1*netmodel.GB, 8, 8))
 	if r.NumMaps != 16 {
 		t.Fatalf("NumMaps = %d, want 16 (1GB / 64MB)", r.NumMaps)
 	}
@@ -42,25 +42,19 @@ func TestJavaSortSmallJobConsistency(t *testing.T) {
 	}
 }
 
-func TestDeterministicForSeed(t *testing.T) {
-	a := Run(JavaSort(1*netmodel.GB, 4, 4))
-	b := Run(JavaSort(1*netmodel.GB, 4, 4))
+func TestHadoopDeterministic(t *testing.T) {
+	a := RunHadoop(JavaSort(1*netmodel.GB, 4, 4))
+	b := RunHadoop(JavaSort(1*netmodel.GB, 4, 4))
 	if a.JobTime != b.JobTime {
-		t.Fatalf("same seed, different job times: %v vs %v", a.JobTime, b.JobTime)
-	}
-	p := JavaSort(1*netmodel.GB, 4, 4)
-	p.Seed = 99
-	c := Run(p)
-	if c.JobTime == a.JobTime {
-		t.Log("different seeds produced identical job time (possible but unlikely)")
+		t.Fatalf("same job, different job times: %v vs %v", a.JobTime, b.JobTime)
 	}
 }
 
 func TestCopyShareGrowsWithInputSize(t *testing.T) {
 	// Table I's headline shape: the copy share rises with input size
 	// because fetch count grows as maps x reduces.
-	small := Run(JavaSort(1*netmodel.GB, 8, 8)).CopyPercent()
-	large := Run(JavaSort(16*netmodel.GB, 8, 8)).CopyPercent()
+	small := RunHadoop(JavaSort(1*netmodel.GB, 8, 8)).CopyPercent()
+	large := RunHadoop(JavaSort(16*netmodel.GB, 8, 8)).CopyPercent()
 	if large <= small {
 		t.Fatalf("copy%% did not grow: %g%% (1GB) vs %g%% (16GB)", small, large)
 	}
@@ -70,7 +64,7 @@ func TestCopyShareInPaperBandSmall(t *testing.T) {
 	// Paper Table I, small inputs: 33.9%..47.9% across configs. Allow a
 	// generous simulation band.
 	for _, cfg := range [][2]int{{4, 2}, {4, 4}, {8, 8}} {
-		pct := Run(JavaSort(1*netmodel.GB, cfg[0], cfg[1])).CopyPercent()
+		pct := RunHadoop(JavaSort(1*netmodel.GB, cfg[0], cfg[1])).CopyPercent()
 		if pct < 15 || pct > 65 {
 			t.Errorf("1GB %d/%d: copy%% = %g, outside [15,65]", cfg[0], cfg[1], pct)
 		}
@@ -78,7 +72,7 @@ func TestCopyShareInPaperBandSmall(t *testing.T) {
 }
 
 func TestFirstWaveReducersBoundedBySlots(t *testing.T) {
-	r := Run(JavaSort(4*netmodel.GB, 8, 8))
+	r := RunHadoop(JavaSort(4*netmodel.GB, 8, 8))
 	maxFirstWave := 7 * 8 // workers x reduce slots
 	if fw := r.FirstWaveCount(); fw > maxFirstWave {
 		t.Fatalf("first wave = %d > %d", fw, maxFirstWave)
@@ -89,7 +83,7 @@ func TestSortStageTiny(t *testing.T) {
 	// Paper: average sort stage ~0.0102 s. Measure over every reducer
 	// (at 1 GB all reducers are first-wave, so the filtered summary is
 	// empty).
-	r := Run(JavaSort(1*netmodel.GB, 8, 8))
+	r := RunHadoop(JavaSort(1*netmodel.GB, 8, 8))
 	var sum float64
 	for _, rd := range r.Reduces {
 		sum += rd.Sort.Seconds()
@@ -100,8 +94,8 @@ func TestSortStageTiny(t *testing.T) {
 	}
 }
 
-func TestWordCountSingleReducer(t *testing.T) {
-	r := Run(WordCount(1 * netmodel.GB))
+func TestHadoopWordCountSingleReducer(t *testing.T) {
+	r := RunHadoop(HadoopWordCount(1 * netmodel.GB))
 	if r.NumReduces != 1 {
 		t.Fatalf("NumReduces = %d, want 1 (paper's Fig. 6 setup)", r.NumReduces)
 	}
@@ -110,11 +104,11 @@ func TestWordCountSingleReducer(t *testing.T) {
 	}
 }
 
-func TestWordCountScalesSublinearly(t *testing.T) {
+func TestHadoopWordCountScalesSublinearly(t *testing.T) {
 	// Paper Fig. 6: 1 GB -> 49 s, 100 GB -> 2001 s: 100x data, ~41x time.
 	// The fixed overheads must make small jobs relatively expensive.
-	t1 := Run(WordCount(1 * netmodel.GB)).JobTime.Seconds()
-	t8 := Run(WordCount(8 * netmodel.GB)).JobTime.Seconds()
+	t1 := RunHadoop(HadoopWordCount(1 * netmodel.GB)).JobTime.Seconds()
+	t8 := RunHadoop(HadoopWordCount(8 * netmodel.GB)).JobTime.Seconds()
 	if t8 >= 8*t1 {
 		t.Fatalf("no fixed-overhead effect: T(8GB)=%g >= 8*T(1GB)=%g", t8, 8*t1)
 	}
@@ -126,8 +120,8 @@ func TestWordCountScalesSublinearly(t *testing.T) {
 func TestOverSubscribedSlotsContendOnCores(t *testing.T) {
 	// 16/16 slots on 8 cores must not be faster than 8/8 for a CPU-heavy
 	// job (Table I's right column shows no benefit from oversubscription).
-	t88 := Run(JavaSort(8*netmodel.GB, 8, 8)).JobTime
-	t1616 := Run(JavaSort(8*netmodel.GB, 16, 16)).JobTime
+	t88 := RunHadoop(JavaSort(8*netmodel.GB, 8, 8)).JobTime
+	t1616 := RunHadoop(JavaSort(8*netmodel.GB, 16, 16)).JobTime
 	if t1616 < t88*3/4 {
 		t.Fatalf("16/16 (%v) near-linearly faster than 8/8 (%v) despite the core limit", t1616, t88)
 	}
@@ -135,94 +129,26 @@ func TestOverSubscribedSlotsContendOnCores(t *testing.T) {
 
 func TestPartialLastBlock(t *testing.T) {
 	// 1 GB + 1 MB: 17 blocks, the last being 1 MB.
-	r := Run(JavaSort(1*netmodel.GB+1*netmodel.MB, 8, 8))
+	r := RunHadoop(JavaSort(1*netmodel.GB+1*netmodel.MB, 8, 8))
 	if r.NumMaps != 17 {
 		t.Fatalf("NumMaps = %d, want 17", r.NumMaps)
 	}
 }
 
-func TestInvalidInputPanics(t *testing.T) {
+func TestHadoopInvalidInputPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for zero input")
 		}
 	}()
-	Run(Params{})
+	RunHadoop(HadoopJob{})
 }
 
 func TestCopySummaryExcludesFirstWave(t *testing.T) {
-	r := Run(JavaSort(4*netmodel.GB, 8, 8))
+	r := RunHadoop(JavaSort(4*netmodel.GB, 8, 8))
 	total := len(r.Reduces)
 	if got := r.CopySummary().Count() + r.FirstWaveCount(); got != total {
 		t.Fatalf("summary(%d) + firstwave(%d) != reduces(%d)",
 			r.CopySummary().Count(), r.FirstWaveCount(), total)
-	}
-}
-
-func TestSpeculationRescuesStraggler(t *testing.T) {
-	// Inject a 6x-slow worker. Without speculation its map tasks drag the
-	// job; with speculation, duplicates on healthy nodes win.
-	base := JavaSort(2*netmodel.GB, 4, 4)
-	base.SlowNode = 3 // worker index 2
-	base.SlowNodeFactor = 6
-
-	slow := Run(base)
-
-	spec := base
-	spec.Speculative = true
-	fast := Run(spec)
-
-	if fast.Speculated == 0 {
-		t.Fatal("no speculative attempts launched despite a 6x straggler")
-	}
-	if fast.JobTime >= slow.JobTime {
-		t.Fatalf("speculation did not help: %v (spec) vs %v (no spec)", fast.JobTime, slow.JobTime)
-	}
-	// Every map task still completes exactly once.
-	seen := make(map[int]bool)
-	for _, m := range fast.Maps {
-		if seen[m.Task] {
-			t.Fatalf("task %d recorded twice", m.Task)
-		}
-		seen[m.Task] = true
-	}
-	if len(seen) != fast.NumMaps {
-		t.Fatalf("%d unique map completions, want %d", len(seen), fast.NumMaps)
-	}
-}
-
-func TestSpeculationOffByDefault(t *testing.T) {
-	r := Run(JavaSort(1*netmodel.GB, 4, 4))
-	if r.Speculated != 0 {
-		t.Fatalf("Speculated = %d with speculation off", r.Speculated)
-	}
-}
-
-func TestSpeculationHarmlessWithoutStragglers(t *testing.T) {
-	// On a healthy cluster speculation must not distort results: same
-	// unique-completion invariant, comparable job time.
-	p := JavaSort(1*netmodel.GB, 8, 8)
-	p.Speculative = true
-	r := Run(p)
-	if r.JobTime <= 0 {
-		t.Fatal("job did not complete")
-	}
-	seen := make(map[int]bool)
-	for _, m := range r.Maps {
-		if seen[m.Task] {
-			t.Fatalf("task %d recorded twice", m.Task)
-		}
-		seen[m.Task] = true
-	}
-}
-
-func TestSlowNodeInjectionSlowsJob(t *testing.T) {
-	healthy := Run(JavaSort(1*netmodel.GB, 4, 4)).JobTime
-	p := JavaSort(1*netmodel.GB, 4, 4)
-	p.SlowNode = 1
-	p.SlowNodeFactor = 8
-	hurt := Run(p).JobTime
-	if hurt <= healthy {
-		t.Fatalf("slow node did not slow the job: %v vs %v", hurt, healthy)
 	}
 }

@@ -1,14 +1,13 @@
-package mpidsim
+package sim
 
 import (
 	"testing"
 
-	"github.com/ict-repro/mpid/internal/hadoopsim"
 	"github.com/ict-repro/mpid/internal/netmodel"
 )
 
-func TestWordCountConsistency(t *testing.T) {
-	r := Run(WordCount(1 * netmodel.GB))
+func TestMPIDWordCountConsistency(t *testing.T) {
+	r := RunMPID(MPIDWordCount(1*netmodel.GB), netmodel.MPI())
 	if len(r.Mappers) != 49 {
 		t.Fatalf("mappers = %d, want 49", len(r.Mappers))
 	}
@@ -30,17 +29,17 @@ func TestWordCountConsistency(t *testing.T) {
 	}
 }
 
-func TestDeterministic(t *testing.T) {
-	a := Run(WordCount(1 * netmodel.GB))
-	b := Run(WordCount(1 * netmodel.GB))
+func TestMPIDDeterministic(t *testing.T) {
+	a := RunMPID(MPIDWordCount(1*netmodel.GB), netmodel.MPI())
+	b := RunMPID(MPIDWordCount(1*netmodel.GB), netmodel.MPI())
 	if a.JobTime != b.JobTime {
 		t.Fatalf("nondeterministic: %v vs %v", a.JobTime, b.JobTime)
 	}
 }
 
-func TestScalesWithInput(t *testing.T) {
-	t1 := Run(WordCount(1 * netmodel.GB)).JobTime.Seconds()
-	t4 := Run(WordCount(4 * netmodel.GB)).JobTime.Seconds()
+func TestMPIDScalesWithInput(t *testing.T) {
+	t1 := RunMPID(MPIDWordCount(1*netmodel.GB), netmodel.MPI()).JobTime.Seconds()
+	t4 := RunMPID(MPIDWordCount(4*netmodel.GB), netmodel.MPI()).JobTime.Seconds()
 	if t4 <= t1 {
 		t.Fatalf("T(4GB)=%g <= T(1GB)=%g", t4, t1)
 	}
@@ -55,8 +54,8 @@ func TestFasterThanHadoopAtAllScales(t *testing.T) {
 	// Figure 6's headline: the MPI-D simulation beats Hadoop, dramatically
 	// at 1 GB (paper: 8%) and moderately at larger scale (48-56%).
 	for _, gb := range []int64{1, 4, 10} {
-		h := hadoopsim.Run(hadoopsim.WordCount(gb * netmodel.GB)).JobTime.Seconds()
-		m := Run(WordCount(gb * netmodel.GB)).JobTime.Seconds()
+		h := RunHadoop(HadoopWordCount(gb * netmodel.GB)).JobTime.Seconds()
+		m := RunMPID(MPIDWordCount(gb*netmodel.GB), netmodel.MPI()).JobTime.Seconds()
 		if m >= h {
 			t.Errorf("%dGB: MPI-D (%gs) not faster than Hadoop (%gs)", gb, m, h)
 		}
@@ -68,8 +67,8 @@ func TestSpeedupRatioGrowsWithScale(t *testing.T) {
 	// (the advantage is largest on small jobs, where Hadoop's fixed
 	// overheads dominate).
 	ratio := func(gb int64) float64 {
-		h := hadoopsim.Run(hadoopsim.WordCount(gb * netmodel.GB)).JobTime.Seconds()
-		m := Run(WordCount(gb * netmodel.GB)).JobTime.Seconds()
+		h := RunHadoop(HadoopWordCount(gb * netmodel.GB)).JobTime.Seconds()
+		m := RunMPID(MPIDWordCount(gb*netmodel.GB), netmodel.MPI()).JobTime.Seconds()
 		return m / h
 	}
 	r1, r10 := ratio(1), ratio(10)
@@ -84,30 +83,18 @@ func TestSpeedupRatioGrowsWithScale(t *testing.T) {
 	}
 }
 
-func TestMultipleReducersRelieveBottleneck(t *testing.T) {
-	one := WordCount(8 * netmodel.GB)
-	seven := WordCount(8 * netmodel.GB)
-	seven.NumReducers = 7
-	t1 := Run(one).JobTime
-	t7 := Run(seven).JobTime
-	if t7 > t1 {
-		t.Fatalf("7 reducers (%v) slower than 1 (%v)", t7, t1)
-	}
-}
-
-func TestInvalidInputPanics(t *testing.T) {
+func TestMPIDInvalidInputPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for zero input")
 		}
 	}()
-	Run(Params{})
+	RunMPID(Job{}, netmodel.MPI())
 }
 
 func TestUnevenShareDistribution(t *testing.T) {
 	// Input not divisible by mapper count: every byte still processed.
-	p := WordCount(netmodel.GB + 17)
-	r := Run(p)
+	r := RunMPID(MPIDWordCount(netmodel.GB+17), netmodel.MPI())
 	var read int64
 	for _, m := range r.Mappers {
 		read += m.BytesRead
