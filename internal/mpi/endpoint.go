@@ -13,6 +13,7 @@ type endpoint struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []Message // arrival order preserved; scanned for envelope match
+	head   int       // queue[:head] is already received; reset when it empties
 	closed bool
 
 	// pump, when set, is the transport's receiver-driven progress engine
@@ -47,9 +48,23 @@ func (ep *endpoint) deliver(m Message) error {
 	if ep.closed {
 		return ErrWorldClosed
 	}
-	ep.queue = append(ep.queue, m)
+	ep.appendLocked(m)
 	ep.wakeLocked()
 	return nil
+}
+
+// appendLocked queues an arrived message. When the backing array is full
+// and at least half of it is received messages, the live tail moves down
+// instead of the array growing, so a queue that never quite empties stays
+// bounded by its live length.
+func (ep *endpoint) appendLocked(m Message) {
+	if len(ep.queue) == cap(ep.queue) && ep.head > 0 && ep.head >= len(ep.queue)/2 {
+		n := copy(ep.queue, ep.queue[ep.head:])
+		clear(ep.queue[n:])
+		ep.queue = ep.queue[:n]
+		ep.head = 0
+	}
+	ep.queue = append(ep.queue, m)
 }
 
 // wakeLocked broadcasts to blocked receivers, skipping the (cheap but not
@@ -83,17 +98,27 @@ func matches(m Message, source, tag int) bool {
 // findLocked returns the index of the earliest queued match, or -1.
 // Scanning in arrival order preserves non-overtaking for matching envelopes.
 func (ep *endpoint) findLocked(source, tag int) int {
-	for i, m := range ep.queue {
-		if matches(m, source, tag) {
+	for i := ep.head; i < len(ep.queue); i++ {
+		if matches(ep.queue[i], source, tag) {
 			return i
 		}
 	}
 	return -1
 }
 
-// removeLocked removes and returns queue[i].
+// removeLocked removes and returns queue[i]. Taking the head, the common
+// case, only advances the head index; a match further in closes the gap.
 func (ep *endpoint) removeLocked(i int) Message {
 	m := ep.queue[i]
+	if i == ep.head {
+		ep.queue[i] = Message{} // drop payload reference
+		ep.head++
+		if ep.head == len(ep.queue) {
+			ep.queue = ep.queue[:0]
+			ep.head = 0
+		}
+		return m
+	}
 	copy(ep.queue[i:], ep.queue[i+1:])
 	ep.queue[len(ep.queue)-1] = Message{} // drop payload reference
 	ep.queue = ep.queue[:len(ep.queue)-1]
@@ -135,7 +160,7 @@ func (ep *endpoint) recv(source, tag int) (Message, error) {
 				ep.wakeLocked() // hand the pump role to a waiter
 				return m, nil
 			}
-			ep.queue = append(ep.queue, m)
+			ep.appendLocked(m)
 			ep.wakeLocked()
 			continue
 		}

@@ -166,7 +166,7 @@ func TestWorldCloseUnblocksRecv(t *testing.T) {
 		_, _, err := w.Comm(1).Recv(0, 1)
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitForWaiter(t, w.eps[1])
 	w.Close()
 	select {
 	case err := <-errc:
@@ -175,6 +175,115 @@ func TestWorldCloseUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on Close")
+	}
+}
+
+// waitForWaiter returns once a receiver is blocked on ep's cond.
+func waitForWaiter(t *testing.T, ep *endpoint) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		ep.mu.Lock()
+		n := ep.nwait
+		ep.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("receiver never blocked")
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestEndpointDrainsLongQueueInOrder: receiving from the head of a long
+// unexpected-message queue costs O(1), so 200 000 queued messages drain
+// in FIFO order well inside the deadline; a receive that copied the queue
+// would take minutes.
+func TestEndpointDrainsLongQueueInOrder(t *testing.T) {
+	const n = 200_000
+	w := NewWorld(2)
+	defer w.Close()
+	src, dst := w.Comm(0), w.Comm(1)
+	for i := 0; i < n; i++ {
+		if err := src.Send(1, 1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < n; i++ {
+		data, _, err := dst.Recv(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != 1 || data[0] != byte(i) {
+			t.Fatalf("message %d = %v, want [%d]", i, data, byte(i))
+		}
+		if i%4096 == 0 && time.Now().After(deadline) {
+			t.Fatalf("drained only %d of %d messages in 10 s", i, n)
+		}
+	}
+	ep := w.eps[1]
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.head != 0 || len(ep.queue) != 0 {
+		t.Fatalf("drained queue: head %d, len %d; want both 0", ep.head, len(ep.queue))
+	}
+}
+
+// TestEndpointMiddleRemovalKeepsOrder: taking a message from behind the
+// head, then draining, returns every other message in arrival order, and a
+// queue that keeps its head busy reuses its array instead of growing it.
+func TestEndpointMiddleRemovalKeepsOrder(t *testing.T) {
+	w := NewWorld(2)
+	defer w.Close()
+	src, dst := w.Comm(0), w.Comm(1)
+	for i := 0; i < 8; i++ {
+		tag := 1
+		if i == 5 {
+			tag = 2
+		}
+		if err := src.Send(1, tag, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func(tag int) byte {
+		t.Helper()
+		data, _, err := dst.Recv(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data[0]
+	}
+	if got := recv(1); got != 0 {
+		t.Fatalf("first tag-1 message = %d, want 0", got)
+	}
+	if got := recv(2); got != 5 {
+		t.Fatalf("tag-2 message = %d, want 5", got)
+	}
+	for _, want := range []byte{1, 2, 3, 4, 6, 7} {
+		if got := recv(1); got != want {
+			t.Fatalf("tag-1 message = %d, want %d", got, want)
+		}
+	}
+	// One message always queued, one received per send: the array stays
+	// at the size the first sends grew it to.
+	if err := src.Send(1, 1, []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	ep := w.eps[1]
+	for i := 0; i < 10_000; i++ {
+		if err := src.Send(1, 1, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := recv(1); got != byte(i) {
+			t.Fatalf("steady message %d = %d, want %d", i, got, byte(i))
+		}
+	}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if c := cap(ep.queue); c > 16 {
+		t.Fatalf("queue array grew to %d slots with at most 2 live messages", c)
 	}
 }
 

@@ -31,7 +31,7 @@ func onBothEngines(t *testing.T, test func(t *testing.T, eng string)) {
 
 // serveRPC puts the service behind its RPC front-end and returns a
 // connected client; both are torn down with the test.
-func serveRPC(t *testing.T, s *Service, workloads *Workloads) *Client {
+func serveRPC(t testing.TB, s *Service, workloads *Workloads) *Client {
 	t.Helper()
 	srv := hadooprpc.NewServer()
 	srv.Register(NewProtocol(s, workloads))

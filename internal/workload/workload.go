@@ -15,7 +15,8 @@ import (
 
 // Vocabulary holds the word list text generation draws from.
 type Vocabulary struct {
-	words []string
+	words  []string
+	maxLen int // longest word, for sizing generated text
 }
 
 // NewVocabulary synthesizes n pseudo-English words deterministically from
@@ -31,6 +32,7 @@ func NewVocabulary(n int, seed int64) *Vocabulary {
 	}
 	seen := make(map[string]bool, n)
 	words := make([]string, 0, n)
+	maxLen := 0
 	for len(words) < n {
 		var b strings.Builder
 		k := 2 + rng.Intn(4)
@@ -44,8 +46,9 @@ func NewVocabulary(n int, seed int64) *Vocabulary {
 		}
 		seen[w] = true
 		words = append(words, w)
+		maxLen = max(maxLen, len(w))
 	}
-	return &Vocabulary{words: words}
+	return &Vocabulary{words: words, maxLen: maxLen}
 }
 
 // Size returns the vocabulary size.
@@ -55,11 +58,14 @@ func (v *Vocabulary) Size() int { return len(v.words) }
 func (v *Vocabulary) Word(i int) string { return v.words[i] }
 
 // TextGenerator produces lines of Zipf-distributed words, modelling natural
-// text for WordCount. It is deterministic for a given (vocab, seed).
+// text for WordCount. It is deterministic for a given (vocab, seed): its
+// words are exactly those rand.Zipf would draw from rand.NewSource(seed),
+// drawn by table lookup (see zipfSampler) and written straight into the
+// output buffer.
 type TextGenerator struct {
 	vocab *Vocabulary
-	zipf  *rand.Zipf
-	rng   *rand.Rand
+	zipf  *zipfSampler
+	line  []byte // Line's scratch
 	// WordsPerLine controls line length (default 10).
 	WordsPerLine int
 }
@@ -70,23 +76,28 @@ func NewTextGenerator(vocab *Vocabulary, s float64, seed int64) *TextGenerator {
 	if s <= 1 {
 		s = 1.0001 // rand.Zipf requires s > 1
 	}
-	rng := rand.New(rand.NewSource(seed))
 	return &TextGenerator{
 		vocab:        vocab,
-		zipf:         rand.NewZipf(rng, s, 1, uint64(vocab.Size()-1)),
-		rng:          rng,
+		zipf:         newZipfSampler(rand.NewSource(seed), cachedZipfTable(s, uint64(vocab.Size()-1))),
 		WordsPerLine: 10,
 	}
 }
 
+// appendLine appends one line of text, without its newline, to buf.
+func (g *TextGenerator) appendLine(buf []byte) []byte {
+	for i := 0; i < g.WordsPerLine; i++ {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, g.vocab.words[g.zipf.Uint64()]...)
+	}
+	return buf
+}
+
 // Line generates one line of text.
 func (g *TextGenerator) Line() string {
-	n := g.WordsPerLine
-	words := make([]string, n)
-	for i := range words {
-		words[i] = g.vocab.Word(int(g.zipf.Uint64()))
-	}
-	return strings.Join(words, " ")
+	g.line = g.appendLine(g.line[:0])
+	return string(g.line)
 }
 
 // Lines generates n lines.
@@ -99,15 +110,15 @@ func (g *TextGenerator) Lines(n int) []string {
 }
 
 // BytesOfText generates approximately total bytes of newline-terminated
-// text and returns it as one buffer.
+// text and returns it as one buffer: whole lines, stopping at the first
+// line that reaches total.
 func (g *TextGenerator) BytesOfText(total int) []byte {
-	var b strings.Builder
-	b.Grow(total + 128)
-	for b.Len() < total {
-		b.WriteString(g.Line())
-		b.WriteByte('\n')
+	buf := make([]byte, 0, total+g.WordsPerLine*(g.vocab.maxLen+1)+1)
+	for len(buf) < total {
+		buf = g.appendLine(buf)
+		buf = append(buf, '\n')
 	}
-	return []byte(b.String())
+	return buf
 }
 
 // ---------------------------------------------------------------------------
