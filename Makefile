@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build vet test race bench-module chaos serve-chaos bench bench-smoke docs-lint trace-demo report examples loc clean
+.PHONY: all check build vet test race bench-module chaos serve-chaos bench bench-smoke docs-lint trace-demo report figures examples loc clean
 
 all: build vet test
 
@@ -64,23 +64,27 @@ docs-lint:
 	go test -run 'TestPackageDocs|TestCommandDocs|TestMarkdownLinks|TestDocSections' .
 
 # End-to-end tracing demo: run a WordCount over this Makefile's README on
-# the live hadoop engine with span collection on, print the ASCII
-# timeline and final metrics, then validate that the exported JSON will
-# load in chrome://tracing.
+# the live hadoop engine with span collection on, check that the exported
+# JSON will load in chrome://tracing (mpid-job fails if it will not), and
+# print its statistics, the ASCII timeline and the final metrics.
 trace-demo:
 	go run ./cmd/mpid-job -job wordcount -input README.md -engine hadoop \
 		-block 4 -mappers 2 -trace trace-demo.json -metrics -top 5
-	go run ./cmd/mpid-trace trace-demo.json
 
 # Full paper reproduction (150 GB Table I sweep, 100 GB Figure 6 sweep).
 report:
 	go run ./cmd/mpid-report
 
+# The whole evaluation in one command: every model table, each followed by
+# the same figure measured live on this machine (Figures 2 and 3 over
+# loopback, Figure 1 and Figure 6 on the real engines). About half a minute.
+figures:
+	go run ./cmd/mpid-report -live
+
 examples:
 	go run ./examples/quickstart
 	go run ./examples/distributedsort
 	go run ./examples/invertedindex
-	go run ./examples/latency
 	go run ./examples/dfsjob
 	go run ./examples/pagerank
 

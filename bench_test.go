@@ -37,7 +37,7 @@ func benchFigure2(b *testing.B, panel experiments.SizeRange) {
 	var rows []experiments.Figure2Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure2(panel, experiments.Model)
+		rows, err = experiments.Figure2(panel, experiments.Model, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func BenchmarkFigure3Bandwidth(b *testing.B) {
 	var rows []experiments.Figure3Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure3(experiments.Model)
+		rows, err = experiments.Figure3(experiments.Model, "")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,10 +16,11 @@
 //
 // On the hadoop engine, observability flags are available: -metrics
 // prints the jobtracker's final counter snapshot, -trace FILE writes a
-// Chrome trace-event JSON of every task attempt (and prints an ASCII
-// timeline), -events prints the job's flight-recorder table (attempt
-// lifecycle, spills, retries, faults) to stderr, and -admin ADDR serves
-// /metrics, /metrics.prom, /trace.json, /timeline, /events and
+// Chrome trace-event JSON of every task attempt (checked first to load in
+// chrome://tracing, with its event, span and lane counts and an ASCII
+// timeline printed), -events prints the job's flight-recorder table
+// (attempt lifecycle, spills, retries, faults) to stderr, and -admin ADDR
+// serves /metrics, /metrics.prom, /trace.json, /timeline, /events and
 // /debug/pprof/ live for the job's duration.
 package main
 
@@ -31,12 +32,15 @@ import (
 	"regexp"
 	"runtime"
 
+	"github.com/ict-repro/mpid/internal/admin"
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
+	"github.com/ict-repro/mpid/internal/trace"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
@@ -72,15 +76,26 @@ func main() {
 	}
 	splits := mapred.SplitText(text, *blockKB<<10)
 
-	eng, err := engine.New(*engineName, hadoop.Config{NumTrackers: *mappers, AdminAddr: *adminAddr})
+	eng, err := engine.New(*engineName, hadoop.Config{NumTrackers: *mappers})
 	if err != nil {
 		fatal(err)
 	}
 	var tel engine.Telemetry
-	if *showEvents {
+	if *showEvents || *adminAddr != "" {
 		tel.Events = obs.NewRecorder(0)
 	}
+	var adm *admin.Server
+	if *adminAddr != "" {
+		tel.Metrics, tel.Tracer = metrics.NewRegistry(), trace.New("jobtracker")
+		if adm, err = admin.New(*adminAddr, tel.Metrics, tel.Tracer, admin.EventsPage(tel.Events)); err != nil {
+			fatal(fmt.Errorf("admin server: %w", err))
+		}
+		fmt.Fprintf(os.Stderr, "mpid-job: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/)\n", adm.Addr())
+	}
 	result, rep, err := eng.Run(context.Background(), job, splits, tel)
+	if adm != nil {
+		adm.Close()
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -175,18 +190,23 @@ func buildJob(name, pattern string, reducers int) (mapred.Job, error) {
 }
 
 // writeTrace exports the job's span trace as Chrome trace-event JSON
-// (load it at chrome://tracing or ui.perfetto.dev) and prints the ASCII
-// timeline of the same spans to stderr.
+// (load it at chrome://tracing or ui.perfetto.dev), refusing an export that
+// would not load there, and prints its statistics and the ASCII timeline
+// of the same spans to stderr.
 func writeTrace(path string, rep *hadoop.JobReport) error {
 	data, err := rep.ChromeTrace()
 	if err != nil {
 		return fmt.Errorf("trace export: %w", err)
 	}
+	st, err := trace.ValidateChrome(data)
+	if err != nil {
+		return fmt.Errorf("trace export is not a loadable trace: %w", err)
+	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "mpid-job: wrote %d spans to %s (open in chrome://tracing)\n\n%s",
-		len(rep.Spans), path, rep.Timeline(100))
+	fmt.Fprintf(os.Stderr, "%s: ok — %d events, %d spans, %d process lanes, %s span\n\n%s",
+		path, st.Events, st.Spans, st.Procs, st.Duration, rep.Timeline(100))
 	return nil
 }
 

@@ -173,11 +173,11 @@ func TestMPIDOverTCPTransport(t *testing.T) {
 // each other: the models driving Figure 2 must be the same ones whose
 // bandwidth shape Figure 3 reports.
 func TestReportPipelineCoherence(t *testing.T) {
-	rows2, err := experiments.Figure2(experiments.Large, experiments.Model)
+	rows2, err := experiments.Figure2(experiments.Large, experiments.Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows3, err := experiments.Figure3(experiments.Model)
+	rows3, err := experiments.Figure3(experiments.Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}

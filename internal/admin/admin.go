@@ -2,8 +2,9 @@
 // exposing the job's metrics registry, its trace in Chrome trace-event
 // form, an ASCII timeline, and net/http/pprof — the runtime introspection
 // a real Hadoop cluster gets from its web UIs and JMX, scaled down to one
-// process. The hadoop engine starts one per job when Config.AdminAddr is
-// set; cmd/mpid-job and cmd/mpid-shuffle expose it behind -admin.
+// process. The engines never start one: the process that owns a job's
+// registry, tracer and recorder does — cmd/mpid-job for the length of one
+// hadoop-engine run (-admin), cmd/mpid-serve for the life of the service.
 package admin
 
 import (

@@ -29,7 +29,6 @@ import (
 
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/metrics"
-	"github.com/ict-repro/mpid/internal/trace"
 )
 
 // Errors returned by the file system.
@@ -186,7 +185,6 @@ func (d *DataNode) Down() bool {
 type NameNode struct {
 	cfg Config
 	met *metrics.Registry
-	tr  *trace.Tracer
 
 	mu        sync.Mutex
 	files     map[string]*fileMeta
@@ -243,13 +241,6 @@ func (nn *NameNode) SetMetrics(m *metrics.Registry) {
 		d.met = m
 		d.mu.Unlock()
 	}
-}
-
-// SetTracer wires a span collector into the cluster: every block read and
-// block commit records a trace.KindDFS span (proc = the tracer's process),
-// with replica failovers annotated. A nil tracer records nothing.
-func (nn *NameNode) SetTracer(tr *trace.Tracer) {
-	nn.tr = tr
 }
 
 // Config returns the effective configuration.
@@ -393,23 +384,17 @@ func (nn *NameNode) ReadBlock(id BlockID, preferNode int) ([]byte, error) {
 			}
 		}
 	}
-	span := nn.tr.StartRoot(fmt.Sprintf("dfs.read %s#%d", id.Path, id.Index), trace.KindDFS)
-	defer span.End()
 	var lastErr error = ErrBlockLost
 	for i, l := range locs {
 		data, err := nn.datanodes[l].Read(id)
 		if err == nil {
 			if i > 0 {
 				nn.met.Counter("dfs.read_failovers").Inc()
-				span.Annotate("failovers", fmt.Sprint(i))
 			}
-			span.Annotate("bytes", fmt.Sprint(len(data)))
-			span.Annotate("node", fmt.Sprint(l))
 			return data, nil
 		}
 		lastErr = err
 	}
-	span.Annotate("error", lastErr.Error())
 	return nil, fmt.Errorf("%w: %s (last: %v)", ErrBlockLost, id, lastErr)
 }
 
@@ -540,13 +525,8 @@ func (w *FileWriter) commitBlock() error {
 	w.nn.mu.Unlock()
 
 	// Replication pipeline: primary first, then downstream replicas.
-	span := w.nn.tr.StartRoot(fmt.Sprintf("dfs.write %s#%d", id.Path, id.Index), trace.KindDFS)
-	span.Annotate("bytes", fmt.Sprint(len(data)))
-	span.Annotate("replicas", fmt.Sprint(len(locs)))
-	defer span.End()
 	for _, l := range locs {
 		if err := w.nn.datanodes[l].store(id, data); err != nil {
-			span.Annotate("error", err.Error())
 			return err
 		}
 	}

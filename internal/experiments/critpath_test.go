@@ -20,7 +20,7 @@ func TestTraceCriticalPathMatchesTimers(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("live timing assertion; skipped in -short and race builds")
 	}
-	r, err := Figure1LiveAt(256<<10, "")
+	r, err := Figure1LiveAt(256 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestSizeRangeUnknownPanics(t *testing.T) {
 }
 
 func TestFigure2ModelReproducesPaperRatios(t *testing.T) {
-	rows, err := Figure2(Small, Model)
+	rows, err := Figure2(Small, Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFigure2ModelReproducesPaperRatios(t *testing.T) {
 		t.Error("paper anchors not attached at 1B / 1KB")
 	}
 
-	med, err := Figure2(Medium, Model)
+	med, err := Figure2(Medium, Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFigure2ModelReproducesPaperRatios(t *testing.T) {
 
 func TestFigure2RowsCoverEverySize(t *testing.T) {
 	for _, panel := range []SizeRange{Small, Medium, Large} {
-		rows, err := Figure2(panel, Model)
+		rows, err := Figure2(panel, Model, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestFigure2RowsCoverEverySize(t *testing.T) {
 }
 
 func TestRenderFigure2(t *testing.T) {
-	rows, err := Figure2(Small, Model)
+	rows, err := Figure2(Small, Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRenderFigure2(t *testing.T) {
 }
 
 func TestFigure3ModelShape(t *testing.T) {
-	rows, err := Figure3(Model)
+	rows, err := Figure3(Model, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFigure2LiveOrdering(t *testing.T) {
 	// copy amplification must cost real time against MPI's framed stream
 	// (at tiny sizes Go's loopback costs swamp the difference, unlike the
 	// paper's JVM, where RPC loses at every size).
-	rows, err := Figure2(Medium, Live)
+	rows, err := Figure2(Medium, Live, "tcp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestFigure3LiveRPCCollapse(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("live timing assertion; skipped in -short and race builds")
 	}
-	bench, err := newLiveBandwidthBench("")
+	bench, err := newLiveBandwidthBench("tcp")
 	if err != nil {
 		t.Fatal(err)
 	}

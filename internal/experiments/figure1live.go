@@ -33,11 +33,8 @@ type Figure1LiveResult struct {
 // paper's thousands of seconds; the structure (per-reducer copy/sort/
 // reduce split, copy share) is what carries over.
 //
-// A live admin endpoint (metrics, trace, timeline, pprof) is bound at
-// adminAddr for the duration of the run; "" disables it. The returned
-// report carries the job's full span trace either way, so a post-run
-// Chrome export never needs the endpoint.
-func Figure1LiveAt(sizeBytes int64, adminAddr string) (*Figure1LiveResult, error) {
+// The returned report carries the job's full span trace.
+func Figure1LiveAt(sizeBytes int64) (*Figure1LiveResult, error) {
 	vocab := workload.NewVocabulary(2_000, 33)
 	text := workload.NewTextGenerator(vocab, 1.15, sizeBytes).BytesOfText(int(sizeBytes))
 	splits := mapred.SplitText(text, 64<<10)
@@ -47,7 +44,6 @@ func Figure1LiveAt(sizeBytes int64, adminAddr string) (*Figure1LiveResult, error
 	_, report, err := engine.Hadoop{Config: hadoop.Config{
 		NumTrackers: 4, MapSlots: 1, ReduceSlots: 1,
 		Heartbeat: 25 * time.Millisecond,
-		AdminAddr: adminAddr,
 	}}.Run(context.Background(), workload.WordCountJob(2), splits, engine.Telemetry{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: live figure 1 at %d bytes: %w", sizeBytes, err)

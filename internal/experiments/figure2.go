@@ -27,16 +27,10 @@ func (r Figure2Row) Ratio() float64 {
 	return float64(r.RPC) / float64(r.MPI)
 }
 
-// Figure2 produces one panel of the Figure 2 latency comparison over the
-// default live transport (vectored TCP).
-func Figure2(panel SizeRange, mode Mode) ([]Figure2Row, error) {
-	return Figure2Transport(panel, mode, "")
-}
-
-// Figure2Transport is Figure2 with the live MPI side measured over the
-// named transport (see NewTransportWorld; "" means the default vectored
-// TCP). Model mode ignores the transport.
-func Figure2Transport(panel SizeRange, mode Mode, transport string) ([]Figure2Row, error) {
+// Figure2 produces one panel of the Figure 2 latency comparison. Live mode
+// measures the MPI side over the named transport (one of TransportNames);
+// Model mode ignores it.
+func Figure2(panel SizeRange, mode Mode, transport string) ([]Figure2Row, error) {
 	sizes := panel.Sizes()
 	rows := make([]Figure2Row, 0, len(sizes))
 

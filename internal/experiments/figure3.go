@@ -31,17 +31,12 @@ func Figure3PacketSizes() []int64 {
 	return sizes
 }
 
-// Figure3 produces the bandwidth comparison. In Live mode the total
-// transfer is scaled down for small packets so the experiment finishes in
+// Figure3 produces the bandwidth comparison. Live mode measures the MPI
+// series over the named transport (one of TransportNames), scaling the
+// total transfer down for small packets so the experiment finishes in
 // reasonable wall time; bandwidth is a rate, so the series is comparable.
-func Figure3(mode Mode) ([]Figure3Row, error) {
-	return Figure3Transport(mode, "")
-}
-
-// Figure3Transport is Figure3 with the live MPI series measured over the
-// named transport (see NewTransportWorld; "" means the default vectored
-// TCP). Model mode ignores the transport.
-func Figure3Transport(mode Mode, transport string) ([]Figure3Row, error) {
+// Model mode ignores the transport.
+func Figure3(mode Mode, transport string) ([]Figure3Row, error) {
 	sizes := Figure3PacketSizes()
 	rows := make([]Figure3Row, 0, len(sizes))
 	switch mode {

@@ -34,8 +34,8 @@ func liveReps(size int64) int {
 
 const liveWarmup = 5 // dropped iterations, as the paper drops its first 5
 
-// TransportNames lists the names NewTransportWorld accepts — what every
-// -transport flag takes.
+// TransportNames lists the names NewTransportWorld accepts, and so the
+// transports the live Figures 2 and 3 can measure MPI over.
 var TransportNames = []string{"chan", "ring", "ring+copy", "tcp"}
 
 // NewTransportWorld builds an n-rank world over the named transport:
@@ -68,13 +68,9 @@ type liveLatencyBench struct {
 }
 
 // newLiveLatencyBench stands up a 2-rank MPI world over the named
-// transport (see NewTransportWorld; "" means the default vectored TCP)
-// with an echo loop on rank 1, and a Hadoop RPC echo server with a
-// connected client.
+// transport (see NewTransportWorld) with an echo loop on rank 1, and a
+// Hadoop RPC echo server with a connected client.
 func newLiveLatencyBench(transport string) (*liveLatencyBench, error) {
-	if transport == "" {
-		transport = "tcp"
-	}
 	w, err := NewTransportWorld(transport, 2)
 	if err != nil {
 		return nil, err
@@ -206,9 +202,6 @@ type liveBandwidthBench struct {
 }
 
 func newLiveBandwidthBench(transport string) (*liveBandwidthBench, error) {
-	if transport == "" {
-		transport = "tcp"
-	}
 	b := &liveBandwidthBench{sinkErr: make(chan error, 4)}
 	ok := false
 	defer func() {

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ict-repro/mpid/internal/admin"
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -84,12 +83,6 @@ type Config struct {
 	// completion RPCs, and the aggregate lands in JobReport.Spans. Left
 	// nil, a fresh collector (proc "jobtracker") is created per job.
 	Tracer *trace.Tracer
-	// AdminAddr, when non-empty, runs a live admin HTTP server on that
-	// address for the duration of the job, serving /metrics (registry
-	// snapshot), /trace.json (Chrome trace-event export of the spans
-	// collected so far), /timeline (ASCII Gantt) and net/http/pprof under
-	// /debug/pprof/. Use "127.0.0.1:0" for an ephemeral port.
-	AdminAddr string
 	// Watch, when set, is called once the jobtracker is serving, with a
 	// control handle over the cluster's tracker liveness. External liveness
 	// detectors (the job service's active prober, internal/serve) use it to
@@ -270,14 +263,6 @@ func RunWithReportContext(ctx context.Context, job mapred.Job, splits []mapred.S
 			case <-stopWatch:
 			}
 		}()
-	}
-
-	if cfg.AdminAddr != "" {
-		adm, err := admin.New(cfg.AdminAddr, cfg.Metrics, jt.tr, admin.EventsPage(cfg.Events))
-		if err != nil {
-			return nil, nil, fmt.Errorf("hadoop: admin server: %w", err)
-		}
-		defer adm.Close()
 	}
 
 	var wg sync.WaitGroup

@@ -48,9 +48,10 @@ func (r ReduceTiming) Total() time.Duration { return r.Copy + r.Sort + r.Reduce 
 
 // JobReport is the jobtracker's post-job observability bundle: the
 // per-task phase timings shipped on the completion RPCs plus a snapshot
-// of the job's metrics registry (RPC, shuffle, DFS, scheduling and
-// injected-fault counters). RunWithReport returns one per job, even for
-// failed jobs, so a post-mortem can see how far the job got.
+// of the job's metrics registry (RPC, shuffle, task-phase, scheduling and
+// injected-fault counters and timers). RunWithReportContext returns one
+// for every job that started, failed ones included, so a post-mortem can
+// see how far the job got.
 type JobReport struct {
 	Maps    []MapTiming    // sorted by task id; last accepted execution of each
 	Reduces []ReduceTiming // sorted by task id

@@ -21,18 +21,14 @@ func note(s trace.Span, key string) string {
 	return ""
 }
 
-// TestTracedJobSpans runs a clean job with tracing and a live admin
-// endpoint enabled and checks the aggregated trace is complete: a root
+// TestTracedJobSpans runs a clean job with tracing enabled and checks the aggregated trace is complete: a root
 // job span, a scheduler attempt span and a tracker task span per task,
 // the reduce phase spans, shuffle fetch/serve pairs, and a Chrome export
 // that validates.
 func TestTracedJobSpans(t *testing.T) {
 	text := genText(t, 60_000, 7)
 	splits := mapred.SplitText(text, 6_000)
-	_, rep, err := runJob(wcJob(2), splits, Config{
-		NumTrackers: 2,
-		AdminAddr:   "127.0.0.1:0",
-	})
+	_, rep, err := runJob(wcJob(2), splits, Config{NumTrackers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/faults"
-	"github.com/ict-repro/mpid/internal/metrics"
 )
 
 // The ring transport is the shared-memory fast path for co-located ranks:
@@ -112,11 +111,6 @@ type RingConfig struct {
 	// "mpi.rank<r>", peer the destination component), mirroring the TCP
 	// transport's injection points.
 	Injector *faults.Injector
-	// Metrics, when set, counts ring traffic: mpi.ring.sends,
-	// mpi.ring.extern_sends (out-of-line payloads), mpi.ring.parks
-	// (consumer gate parks) and mpi.ring.wakeups (producer-posted
-	// tokens). A nil registry records nothing.
-	Metrics *metrics.Registry
 }
 
 func (cfg RingConfig) withDefaults() RingConfig {
@@ -162,10 +156,6 @@ func NewRingWorldConfig(n int, cfg RingConfig) *World {
 		gates: make([]*gate, n),
 		comps: rankComponents(n),
 	}
-	t.cSends = cfg.Metrics.Counter("mpi.ring.sends")
-	t.cExtern = cfg.Metrics.Counter("mpi.ring.extern_sends")
-	t.cParks = cfg.Metrics.Counter("mpi.ring.parks")
-	t.cWakeups = cfg.Metrics.Counter("mpi.ring.wakeups")
 	for dst := 0; dst < n; dst++ {
 		t.gates[dst] = newGate()
 		t.rings[dst] = make([]*ring, n)
@@ -200,17 +190,14 @@ type gate struct {
 
 func newGate() *gate { return &gate{ch: make(chan struct{}, 1)} }
 
-// signal wakes a parked consumer, if any. Returns whether a token was
-// posted (for metrics).
-func (g *gate) signal() bool {
+// signal wakes a parked consumer, if any.
+func (g *gate) signal() {
 	if g.parked.Load() != 0 && g.parked.Swap(0) != 0 {
 		select {
 		case g.ch <- struct{}{}:
 		default:
 		}
-		return true
 	}
-	return false
 }
 
 // arm declares the consumer parked. The caller must re-poll its rings
@@ -483,11 +470,6 @@ type ringTransport struct {
 	comps []string // precomputed "mpi.rank<r>" names; formatting them per send allocates
 	cfg   RingConfig
 	shut  atomic.Bool
-
-	// Counters are resolved once here: Registry.Counter is a lock+map
-	// lookup, far too heavy for the per-message path. All four are
-	// nil-safe when no registry is attached.
-	cSends, cExtern, cParks, cWakeups *metrics.Counter
 }
 
 func (t *ringTransport) send(to int, m Message) error {
@@ -499,14 +481,7 @@ func (t *ringTransport) send(to int, m Message) error {
 			return err
 		}
 	}
-	if err := t.rings[to][m.Source].push(m); err != nil {
-		return err
-	}
-	t.cSends.Inc()
-	if t.cfg.CopyPayloads && len(m.Data) > t.cfg.InlineBytes {
-		t.cExtern.Inc()
-	}
-	return nil
+	return t.rings[to][m.Source].push(m)
 }
 
 // copies reports whether send copies payloads before returning: true in
@@ -629,8 +604,6 @@ func (p *ringPump) waitNext() (Message, bool) {
 			g.disarm()
 			return Message{}, false
 		}
-		p.t.cParks.Inc()
 		g.wait()
-		p.t.cWakeups.Inc()
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/faults"
-	"github.com/ict-repro/mpid/internal/metrics"
 )
 
 // NewTCPWorld creates a world of n ranks whose messages travel over real TCP
@@ -42,9 +41,6 @@ type TCPOptions struct {
 	// sending rank (peer = destination component), plus "read"/"write"
 	// through the wrapped per-pair connections.
 	Injector *faults.Injector
-	// Metrics, when set, counts framing traffic: mpi.tcp.vectored_writes
-	// (writev flushes) and mpi.tcp.vectored_frames (frames they carried).
-	Metrics *metrics.Registry
 }
 
 // NewTCPWorldOptions creates a TCP world with explicit options.
@@ -62,12 +58,9 @@ func NewTCPWorldOptions(n int, opts TCPOptions) (*World, error) {
 		listeners: make([]net.Listener, n),
 		conns:     make(map[connKey]*tcpConn),
 		inj:       opts.Injector,
-		metrics:   opts.Metrics,
 		comps:     rankComponents(n),
 		pool:      bufpool.New(),
 	}
-	tr.cVecWrites = opts.Metrics.Counter("mpi.tcp.vectored_writes")
-	tr.cVecFrames = opts.Metrics.Counter("mpi.tcp.vectored_frames")
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -115,10 +108,6 @@ type tcpTransport struct {
 	inj       *faults.Injector // nil injects nothing
 	pool      *bufpool.Pool    // frame payload buffers, shared with receivers
 	comps     []string         // precomputed "mpi.rank<r>" injector names
-	metrics   *metrics.Registry
-	// Pre-resolved counters: Registry.Counter is a lock+map lookup, too
-	// heavy per flush. Both are nil-safe without a registry.
-	cVecWrites, cVecFrames *metrics.Counter
 
 	mu     sync.Mutex
 	conns  map[connKey]*tcpConn
@@ -289,7 +278,7 @@ func (t *tcpTransport) sendVectored(c *tcpConn, m Message) error {
 	if n >= eagerThreshold {
 		putFrameHeader(c.rhdr[:], m)
 		c.vec = append(append(c.vec[:0], c.pend...), c.rhdr[:], m.Data)
-		err = t.flushVecLocked(c, len(c.pend)+1)
+		err = t.flushVecLocked(c)
 		c.waiters.Add(-1)
 	} else {
 		buf := t.pool.Get(frameHeaderSize + n)
@@ -302,7 +291,7 @@ func (t *tcpTransport) sendVectored(c *tcpConn, m Message) error {
 		// frame out, or fail and drop the connection for everyone.
 		if last := c.waiters.Add(-1) == 0; last || c.pendBytes >= tcpFlushBytes {
 			c.vec = append(c.vec[:0], c.pend...)
-			err = t.flushVecLocked(c, len(c.pend))
+			err = t.flushVecLocked(c)
 		}
 	}
 	c.mu.Unlock()
@@ -314,7 +303,7 @@ func (t *tcpTransport) sendVectored(c *tcpConn, m Message) error {
 // buffer, keeping every injection point) and recycles the pooled eager
 // frame buffers. Caller holds c.mu and has built c.vec from c.pend plus
 // any rendezvous tail.
-func (t *tcpTransport) flushVecLocked(c *tcpConn, frames int) error {
+func (t *tcpTransport) flushVecLocked(c *tcpConn) error {
 	if len(c.vec) == 0 {
 		return nil
 	}
@@ -331,8 +320,6 @@ func (t *tcpTransport) flushVecLocked(c *tcpConn, frames int) error {
 	c.pend = c.pend[:0]
 	c.pendBytes = 0
 	c.vec = base[:0]
-	t.cVecWrites.Inc()
-	t.cVecFrames.Add(int64(frames))
 	return err
 }
 

@@ -47,7 +47,6 @@ const (
 	KindFetch   = "fetch"   // one shuffle fetch of one map output
 	KindServe   = "serve"   // shuffle-server side of a fetch
 	KindRPC     = "rpc"     // server-side handling of a traced RPC
-	KindDFS     = "dfs"     // block read/write
 	KindFault   = "fault"   // an injected fault firing (instant span)
 )
 
