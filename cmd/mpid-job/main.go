@@ -87,7 +87,7 @@ func main() {
 	var adm *admin.Server
 	if *adminAddr != "" {
 		tel.Metrics, tel.Tracer = metrics.NewRegistry(), trace.New("jobtracker")
-		if adm, err = admin.New(*adminAddr, tel.Metrics, tel.Tracer, admin.EventsPage(tel.Events)); err != nil {
+		if adm, err = admin.New(*adminAddr, tel.Telemetry); err != nil {
 			fatal(fmt.Errorf("admin server: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "mpid-job: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/)\n", adm.Addr())

@@ -102,7 +102,6 @@ func runDaemon(addr, adminAddr, engineName string, slots, queue, trackers int, h
 	if engineName != "hadoop" && (heartbeat != 0 || probeEvery != 0 || probeDead != 0 || noProbe) {
 		return errors.New("-heartbeat, -probe-interval, -probe-dead and -no-probe need -engine hadoop (mpid ranks are goroutines of this process: no tasktrackers to pace or probe)")
 	}
-	rec := obs.NewRecorder(eventCap)
 	svc := serve.New(serve.Config{
 		Slots:      slots,
 		QueueDepth: queue,
@@ -116,7 +115,7 @@ func runDaemon(addr, adminAddr, engineName string, slots, queue, trackers int, h
 			NumTrackers: trackers,
 			Heartbeat:   heartbeat,
 		},
-		Events: rec,
+		EventCap: eventCap,
 	})
 	srv := hadooprpc.NewServer()
 	srv.Register(serve.NewProtocol(svc, serve.NewWorkloads()))
@@ -131,16 +130,15 @@ func runDaemon(addr, adminAddr, engineName string, slots, queue, trackers int, h
 	if adminAddr != "" {
 		cfg := serve.DefaultSeries()
 		cfg.Interval = sample
-		smp := obs.NewSampler(svc.Metrics(), cfg)
+		smp := obs.NewSampler(svc.Telemetry().Metrics, cfg)
 		smp.Start()
 		defer smp.Stop()
 		extras := []admin.Page{
 			{Path: "/jobs", Handler: jobsPage(svc)},
-			admin.EventsPage(rec),
 			admin.HealthPage(svc.Health()),
 		}
 		extras = append(extras, admin.SeriesPages(smp)...)
-		adm, err := admin.New(adminAddr, svc.Metrics(), svc.Tracer(), extras...)
+		adm, err := admin.New(adminAddr, svc.Telemetry(), extras...)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,8 @@
 // Documentation lint, run by `make docs-lint` and the ordinary test
 // suite: every internal package must carry a package doc comment, and
 // every local markdown link in the top-level docs must resolve. The same
-// file pins one source-level design rule, TestNoLegacySurface.
+// file pins two source-level design rules, TestNoLegacySurface and
+// TestOneTelemetryValue.
 package mpid_test
 
 import (
@@ -250,6 +251,68 @@ func TestNoLegacySurface(t *testing.T) {
 				if arg < len(n.Args) {
 					if lit, ok := n.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING && isLegacy(lit.Value) {
 						t.Errorf("%s: flag %s keeps a legacy path selectable", fset.Position(lit.Pos()), lit.Value)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		if err := filepath.WalkDir(root, walk); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneTelemetryValue pins ROADMAP aim 2's "one telemetry handle": a job's
+// observers travel as one obs.Telemetry value, so no exported struct field
+// under internal/ or cmd/ may have type *metrics.Registry, *trace.Tracer or
+// *obs.Recorder. Only the packages that define those types, and
+// obs.Telemetry itself, hold them as fields.
+func TestOneTelemetryValue(t *testing.T) {
+	handles := map[string]bool{"metrics.Registry": true, "trace.Tracer": true, "obs.Recorder": true}
+	skip := map[string]bool{"internal/metrics": true, "internal/trace": true, "internal/obs": true}
+	fset := token.NewFileSet()
+	walk := func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skip[filepath.ToSlash(path)] {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				star, ok := f.Type.(*ast.StarExpr)
+				if !ok {
+					continue
+				}
+				sel, ok := star.X.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				pkg, ok := sel.X.(*ast.Ident)
+				if !ok || !handles[pkg.Name+"."+sel.Sel.Name] {
+					continue
+				}
+				for _, id := range f.Names {
+					if id.IsExported() {
+						t.Errorf("%s: exported field %s is a *%s.%s; carry an obs.Telemetry instead",
+							fset.Position(id.Pos()), id.Name, pkg.Name, sel.Sel.Name)
 					}
 				}
 			}

@@ -1,10 +1,11 @@
 // Package admin is the live observability endpoint: a small HTTP server
-// exposing the job's metrics registry, its trace in Chrome trace-event
-// form, an ASCII timeline, and net/http/pprof — the runtime introspection
-// a real Hadoop cluster gets from its web UIs and JMX, scaled down to one
-// process. The engines never start one: the process that owns a job's
-// registry, tracer and recorder does — cmd/mpid-job for the length of one
-// hadoop-engine run (-admin), cmd/mpid-serve for the life of the service.
+// exposing one obs.Telemetry — its metrics registry, its trace in Chrome
+// trace-event form, an ASCII timeline and its flight recorder — and
+// net/http/pprof: the runtime introspection a real Hadoop cluster gets
+// from its web UIs and JMX, scaled down to one process. The engines never
+// start one: the process that owns a job's telemetry does — cmd/mpid-job
+// for the length of one hadoop-engine run (-admin), cmd/mpid-serve for the
+// life of the service.
 package admin
 
 import (
@@ -16,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
@@ -27,15 +27,14 @@ import (
 //	/metrics.prom   the same snapshot in OpenMetrics text exposition
 //	/trace.json     Chrome trace-event JSON of the spans collected so far
 //	/timeline       fixed-width ASCII Gantt of the same spans
+//	/events         the flight recorder's retained events, oldest first
 //	/debug/pprof/   the standard net/http/pprof handlers
 //
-// plus whatever extra pages the caller mounts (EventsPage, HealthPage,
-// SeriesPages). Reads are live: each request snapshots the
-// registry/tracer at that moment, so polling /metrics during a job
-// watches counters move.
+// plus whatever extra pages the caller mounts (HealthPage, SeriesPages).
+// Reads are live: each request snapshots the telemetry at that moment, so
+// polling /metrics during a job watches counters move.
 type Server struct {
-	met *metrics.Registry
-	tr  *trace.Tracer
+	tel obs.Telemetry
 
 	srv *http.Server
 	ln  net.Listener
@@ -56,15 +55,16 @@ type Page struct {
 }
 
 // New binds addr (use "127.0.0.1:0" for an ephemeral port) and starts
-// serving. A nil registry or tracer is allowed and serves empty content.
-// Extra pages, when given, are mounted alongside the built-in endpoints.
-func New(addr string, met *metrics.Registry, tr *trace.Tracer, extras ...Page) (*Server, error) {
-	s := &Server{met: met, tr: tr}
+// serving tel. A nil member is allowed and serves empty content. Extra
+// pages, when given, are mounted alongside the built-in endpoints.
+func New(addr string, tel obs.Telemetry, extras ...Page) (*Server, error) {
+	s := &Server{tel: tel}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/metrics.prom", s.handleMetricsProm)
 	mux.HandleFunc("/trace.json", s.handleTrace)
 	mux.HandleFunc("/timeline", s.handleTimeline)
+	mux.HandleFunc("/events", s.handleEvents)
 	for _, p := range extras {
 		mux.HandleFunc(p.Path, p.Handler)
 	}
@@ -110,11 +110,11 @@ func (s *Server) Close() error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(s.met.Snapshot().String()))
+	w.Write([]byte(s.tel.Metrics.Snapshot().String()))
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	data, err := trace.ChromeTrace(s.tr.Spans())
+	data, err := trace.ChromeTrace(s.tel.Tracer.Spans())
 	if err != nil {
 		http.Error(w, "admin: trace export: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -125,7 +125,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(trace.RenderTimeline(s.tr.Spans(), 80)))
+	w.Write([]byte(trace.RenderTimeline(s.tel.Tracer.Spans(), 80)))
 }
 
 // PromContentType is the Content-Type /metrics.prom responds with.
@@ -133,20 +133,17 @@ const PromContentType = "application/openmetrics-text; version=1.0.0; charset=ut
 
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", PromContentType)
-	obs.WriteProm(w, "mpid", s.met.Snapshot())
+	obs.WriteProm(w, "mpid", s.tel.Metrics.Snapshot())
 }
 
-// EventsPage serves the flight recorder as a /events text table (newest
-// retained events, oldest first), with a drop count when the ring has
-// wrapped. A nil recorder serves an empty table.
-func EventsPage(rec *obs.Recorder) Page {
-	return Page{Path: "/events", Handler: func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(w, "(%d older events dropped by the ring)\n", d)
-		}
-		w.Write([]byte(obs.RenderEvents(rec.Events())))
-	}}
+// handleEvents serves the flight recorder as a text table, with a drop
+// count when the ring has wrapped.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if d := s.tel.Events.Dropped(); d > 0 {
+		fmt.Fprintf(w, "(%d older events dropped by the ring)\n", d)
+	}
+	w.Write([]byte(obs.RenderEvents(s.tel.Events.Events())))
 }
 
 // HealthPage serves /healthz from an obs.Health: 200 with "ok" plus one

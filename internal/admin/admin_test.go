@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/ict-repro/mpid/internal/metrics"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -37,7 +38,7 @@ func TestEndpoints(t *testing.T) {
 	task.End()
 	root.End()
 
-	s, err := New("127.0.0.1:0", met, tr)
+	s, err := New("127.0.0.1:0", obs.Telemetry{Metrics: met, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestEndpoints(t *testing.T) {
 // TestNilBackends: a server over nil registry and tracer must serve empty
 // content, not panic — both backends are nil-safe by contract.
 func TestNilBackends(t *testing.T) {
-	s, err := New("127.0.0.1:0", nil, nil)
+	s, err := New("127.0.0.1:0", obs.Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestNilBackends(t *testing.T) {
 
 // TestCloseIdempotent: Close twice is fine, and the port stops answering.
 func TestCloseIdempotent(t *testing.T) {
-	s, err := New("127.0.0.1:0", nil, nil)
+	s, err := New("127.0.0.1:0", obs.Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestMetricsPromLints(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		met.Timer("serve.job_latency").Observe(float64(i) / 100)
 	}
-	s, err := New("127.0.0.1:0", met, trace.New("jobtracker"))
+	s, err := New("127.0.0.1:0", obs.Telemetry{Metrics: met, Tracer: trace.New("jobtracker")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMetricsPromLints(t *testing.T) {
 	}
 }
 
-// TestObservabilityPages wires the obs-backed extra pages onto a server and
+// TestObservabilityPages serves a recorder and the obs-backed extra pages and
 // exercises /events, /healthz (both verdicts) and /series[.json].
 func TestObservabilityPages(t *testing.T) {
 	met := metrics.NewRegistry()
@@ -92,8 +92,8 @@ func TestObservabilityPages(t *testing.T) {
 	met.Gauge("serve.running").Set(3)
 	smp.Sample(time.Now())
 
-	extras := append([]Page{EventsPage(rec), HealthPage(h)}, SeriesPages(smp)...)
-	s, err := New("127.0.0.1:0", met, nil, extras...)
+	extras := append([]Page{HealthPage(h)}, SeriesPages(smp)...)
+	s, err := New("127.0.0.1:0", obs.Telemetry{Metrics: met, Events: rec}, extras...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func TestObservabilityPages(t *testing.T) {
 // TestObsPagesNilBackends: the obs pages keep the admin nil-tolerance
 // contract — nil recorder, health and sampler serve empty content.
 func TestObsPagesNilBackends(t *testing.T) {
-	extras := append([]Page{EventsPage(nil), HealthPage(nil)}, SeriesPages(nil)...)
-	s, err := New("127.0.0.1:0", nil, nil, extras...)
+	extras := append([]Page{HealthPage(nil)}, SeriesPages(nil)...)
+	s, err := New("127.0.0.1:0", obs.Telemetry{}, extras...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/mpi"
-	"github.com/ict-repro/mpid/internal/trace"
+	"github.com/ict-repro/mpid/internal/obs"
 )
 
 // Reserved user tags for MPI-D traffic on the underlying communicator.
@@ -106,11 +106,11 @@ type Config struct {
 	// Pool supplies partition serialization buffers on the send side.
 	// Optional; nil allocates.
 	Pool *bufpool.Pool
-	// Metrics, when set, receives the mpid.spill / mpid.realign /
-	// mpid.recv.merge timers and the mpid.* arena/pool counters.
-	Metrics *metrics.Registry
-	// Tracer, when set, records spill/realign/merge spans as roots.
-	Tracer *trace.Tracer
+	// Telemetry observes the instance. Metrics receives the mpid.spill /
+	// mpid.realign / mpid.recv.merge timers and the mpid.* arena/pool
+	// counters; Tracer records spill/realign/merge spans as roots. Nothing
+	// here emits events.
+	obs.Telemetry
 }
 
 // Counters expose what the library did, for tests, the harness and the

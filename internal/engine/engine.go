@@ -13,22 +13,17 @@ import (
 
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/mapred"
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/mpi"
 	"github.com/ict-repro/mpid/internal/obs"
-	"github.com/ict-repro/mpid/internal/trace"
 )
 
-// Telemetry is what observes one job. Every field is optional, and an
-// engine ignores what it has nothing to report to.
+// Telemetry is what observes one job. Every member is optional, and an
+// engine ignores what it has nothing to report to: MPI-D reports mpid.*
+// timers and spill/realign/merge spans and emits no events; the hadoop
+// engine reports hadoop.*, rpc.*, shuffle.* and task.* metrics, its
+// jobtracker's and trackers' spans and its flight-recorder events.
 type Telemetry struct {
-	// Metrics receives the job's counters and timers: hadoop.*, rpc.*,
-	// shuffle.* and task.* from the hadoop engine, mpid.* from MPI-D.
-	Metrics *metrics.Registry
-	// Tracer collects the job's spans.
-	Tracer *trace.Tracer
-	// Events is the job's flight recorder. Only the hadoop engine emits.
-	Events *obs.Recorder
+	obs.Telemetry
 	// Watch is handed the job's tracker-liveness handle once its trackers
 	// serve (hadoop.Config.Watch). MPI-D ranks are goroutines of this
 	// process — nothing to probe — so that engine never calls it.
@@ -59,13 +54,13 @@ func (e MPID) Run(ctx context.Context, job mapred.Job, splits []mapred.Split, te
 		e.Mappers = 2
 	}
 	res, err := mapred.RunContext(ctx, job, splits, mapred.Exec{
-		Mappers: e.Mappers, NewWorld: e.NewWorld, Metrics: tel.Metrics, Tracer: tel.Tracer,
+		Mappers: e.Mappers, NewWorld: e.NewWorld, Telemetry: tel.Telemetry,
 	})
 	return res, nil, err
 }
 
-// Hadoop boots a mini-cluster per job from the Config template. A Telemetry
-// field that is set replaces the template's.
+// Hadoop boots a mini-cluster per job from the Config template. The job's
+// Telemetry and Watch replace the template's.
 type Hadoop struct {
 	Config hadoop.Config
 }
@@ -73,18 +68,7 @@ type Hadoop struct {
 // Run implements Engine.
 func (e Hadoop) Run(ctx context.Context, job mapred.Job, splits []mapred.Split, tel Telemetry) (*mapred.Result, *hadoop.JobReport, error) {
 	cfg := e.Config
-	if tel.Metrics != nil {
-		cfg.Metrics = tel.Metrics
-	}
-	if tel.Tracer != nil {
-		cfg.Tracer = tel.Tracer
-	}
-	if tel.Events != nil {
-		cfg.Events = tel.Events
-	}
-	if tel.Watch != nil {
-		cfg.Watch = tel.Watch
-	}
+	cfg.Telemetry, cfg.Watch = tel.Telemetry, tel.Watch
 	return hadoop.RunWithReportContext(ctx, job, splits, cfg)
 }
 

@@ -14,6 +14,7 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/metrics"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func TestContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := metrics.NewRegistry()
-		res, rep, err := eng.Run(context.Background(), job, splits, Telemetry{Metrics: reg})
+		res, rep, err := eng.Run(context.Background(), job, splits, Telemetry{Telemetry: obs.Telemetry{Metrics: reg}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
@@ -96,9 +95,7 @@ type Injector struct {
 	counts      map[opKey]int
 	crashed     map[string]bool
 	partitioned map[[2]string]bool
-	metrics     *metrics.Registry
-	tracer      *trace.Tracer
-	events      *obs.Recorder
+	tel         obs.Telemetry
 }
 
 // New creates an injector whose probabilistic draws are driven by seed.
@@ -112,43 +109,20 @@ func New(seed int64, rules ...Rule) *Injector {
 	}
 }
 
-// SetMetrics wires a registry into the injector: every fired fault bumps
-// the "faults.injected" counter plus a per-action one
-// ("faults.injected.<fail|delay|drop|crash>"). A nil registry (or nil
-// injector) records nothing.
-func (in *Injector) SetMetrics(m *metrics.Registry) {
+// SetTelemetry wires observers into the injector. Every fired fault bumps
+// tel.Metrics' "faults.injected" counter plus a per-action one
+// ("faults.injected.<fail|delay|drop|crash>"), records an instant
+// trace.KindFault span named "fault.<fail|delay|drop|crash>" on tel.Tracer
+// annotated with the component, operation and peer it hit, and emits an
+// obs.EvFault event on tel.Events cross-linked to that span. Nil members
+// (or a nil injector) record nothing.
+func (in *Injector) SetTelemetry(tel obs.Telemetry) {
 	if in == nil {
 		return
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.metrics = m
-}
-
-// SetTracer wires a span collector into the injector: every fired fault
-// records an instant trace.KindFault span named
-// "fault.<fail|delay|drop|crash>" annotated with the component, operation
-// and peer it hit. A nil tracer (or nil injector) records nothing.
-func (in *Injector) SetTracer(tr *trace.Tracer) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.tracer = tr
-}
-
-// SetEvents wires a flight recorder into the injector: every fired fault
-// emits an obs.EvFault event carrying the component, operation and peer it
-// hit, cross-linked to the KindFault instant span's id. A nil recorder (or
-// nil injector) records nothing.
-func (in *Injector) SetEvents(ev *obs.Recorder) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.events = ev
+	in.tel = tel
 }
 
 // Add appends a rule.
@@ -267,12 +241,12 @@ func (in *Injector) Check(component, operation, peer string) error {
 		in.crashed[component] = true
 	}
 	errOverride, delay := fired.Err, fired.Delay
-	m, tr, ev := in.metrics, in.tracer, in.events
+	tel := in.tel
 	in.mu.Unlock()
 
-	m.Counter("faults.injected").Inc()
-	m.Counter("faults.injected." + actionName(action)).Inc()
-	ictx := tr.Instant(trace.Context{}, "fault."+actionName(action), trace.KindFault,
+	tel.Metrics.Counter("faults.injected").Inc()
+	tel.Metrics.Counter("faults.injected." + actionName(action)).Inc()
+	ictx := tel.Tracer.Instant(trace.Context{}, "fault."+actionName(action), trace.KindFault,
 		trace.Annotation{Key: "component", Value: component},
 		trace.Annotation{Key: "operation", Value: operation},
 		trace.Annotation{Key: "peer", Value: peer})
@@ -280,7 +254,7 @@ func (in *Injector) Check(component, operation, peer string) error {
 	if peer != "" {
 		detail += " peer=" + peer
 	}
-	ev.Emit(obs.Event{Type: obs.EvFault, Span: ictx.Span, Trace: ictx.Trace, Detail: detail})
+	tel.Events.Emit(obs.Event{Type: obs.EvFault, Span: ictx.Span, Trace: ictx.Trace, Detail: detail})
 
 	switch action {
 	case Delay:

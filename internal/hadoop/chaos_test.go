@@ -279,7 +279,7 @@ func TestChaosLateReduceCompletionKeepsPromotedPart(t *testing.T) {
 	if n := len(jt.out.staged); n != 0 {
 		t.Fatalf("%d parts still staged after the commit, want 0", n)
 	}
-	if n := jt.met.Snapshot().Counter("hadoop.outputs_dropped"); n != 1 {
+	if n := jt.cfg.Metrics.Snapshot().Counter("hadoop.outputs_dropped"); n != 1 {
 		t.Fatalf("hadoop.outputs_dropped = %d, want 1", n)
 	}
 }

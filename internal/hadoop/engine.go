@@ -59,7 +59,8 @@ type Config struct {
 	TrackerTimeout time.Duration
 	// RPC configures the tasktrackers' jobtracker clients and, via
 	// MaxAttempts/Backoff, the shuffle fetch retry budget. The zero value
-	// keeps the fail-fast defaults.
+	// keeps the fail-fast defaults. The clients observe into the job's
+	// Telemetry, whatever RPC.Telemetry holds.
 	RPC hadooprpc.Options
 	// Injector, when set, threads fault injection through the cluster:
 	// tracker i is the component "hadoop.tracker<i>" (operation
@@ -67,22 +68,27 @@ type Config struct {
 	// its RPC client uses the hadooprpc injection points, and its shuffle
 	// fetches the jetty ones.
 	Injector *faults.Injector
-	// Metrics receives the job's observability: RPC call counts/latency/
-	// retries/bytes from every tracker's jobtracker client, shuffle fetch
-	// latency/bytes/retries from the copy stage, per-task phase timers
-	// (task.map.run/spill, task.reduce.copy/sort/reduce), scheduling
-	// counters (hadoop.map_launches, hadoop.reexecutions, ...) and — when
-	// an Injector is set — injected-fault counts. Left nil, the engine creates
-	// a fresh registry per job so the jobtracker Report is always populated.
-	Metrics *metrics.Registry
-	// Tracer is the jobtracker's span collector. Every job is traced: the
+	// Telemetry observes the job. Metrics receives RPC call counts/
+	// latency/retries/bytes from every tracker's jobtracker client, shuffle
+	// fetch latency/bytes/retries from the copy stage, per-task phase
+	// timers (task.map.run/spill, task.reduce.copy/sort/reduce),
+	// scheduling counters (hadoop.map_launches, hadoop.reexecutions, ...)
+	// and — when an Injector is set — injected-fault counts; left nil, the
+	// engine creates a fresh registry per job so the jobtracker Report is
+	// always populated. Tracer is the jobtracker's span collector: the
 	// jobtracker opens a root job span plus a scheduler-side span per task
 	// attempt (ended "ok", "failed" or "lost" — which is how attempts that
 	// died with their tracker still appear in the trace), tasktrackers
 	// record task/phase/fetch spans and ship them on heartbeat and
-	// completion RPCs, and the aggregate lands in JobReport.Spans. Left
+	// completion RPCs, and the aggregate lands in JobReport.Spans; left
 	// nil, a fresh collector (proc "jobtracker") is created per job.
-	Tracer *trace.Tracer
+	// Events is the job's flight recorder: the jobtracker emits attempt
+	// lifecycle events (scheduled/failed/lost/superseded) and fetch
+	// redirects, tasktrackers emit spill and fetch-failure events, and the
+	// RPC, jetty and fault layers fold their retry/deadline/fault events
+	// into the same ring. Each event carries the trace span id of the work
+	// it describes. A nil recorder records nothing.
+	obs.Telemetry
 	// Watch, when set, is called once the jobtracker is serving, with a
 	// control handle over the cluster's tracker liveness. External liveness
 	// detectors (the job service's active prober, internal/serve) use it to
@@ -92,13 +98,6 @@ type Config struct {
 	// stays valid until RunWithReportContext returns; calls after that are
 	// safe no-ops.
 	Watch func(ClusterControl)
-	// Events, when set, is the job's flight recorder: the jobtracker emits
-	// attempt lifecycle events (scheduled/failed/lost/superseded) and fetch
-	// redirects, tasktrackers emit spill and fetch-failure events, and the
-	// RPC, jetty and fault layers fold their retry/deadline/fault events
-	// into the same ring. Each event carries the trace span id of the work
-	// it describes. A nil recorder records nothing.
-	Events *obs.Recorder
 }
 
 // TrackerState is an external view of one tasktracker's liveness: its
@@ -166,12 +165,7 @@ func (c Config) rpcOptions() hadooprpc.Options {
 	if o.Injector == nil {
 		o.Injector = c.Injector
 	}
-	if o.Metrics == nil {
-		o.Metrics = c.Metrics
-	}
-	if o.Events == nil {
-		o.Events = c.Events
-	}
+	o.Telemetry = c.Telemetry
 	return o
 }
 
@@ -239,12 +233,9 @@ func RunWithReportContext(ctx context.Context, job mapred.Job, splits []mapred.S
 	cfg = cfg.withDefaults()
 	// Injected faults count toward the same per-job registry, so a chaos
 	// run's report shows re-executions next to the faults that caused them.
-	cfg.Injector.SetMetrics(cfg.Metrics)
-	cfg.Injector.SetEvents(cfg.Events)
-
-	jt := newJobTracker(job, splits, cfg)
 	// Fault firings get their own trace lane; closeTrace merges it.
-	cfg.Injector.SetTracer(jt.faultTr)
+	jt := newJobTracker(job, splits, cfg)
+	cfg.Injector.SetTelemetry(obs.Telemetry{Metrics: cfg.Metrics, Tracer: jt.faultTr, Events: cfg.Events})
 	addr, err := jt.start()
 	if err != nil {
 		return nil, nil, err
@@ -332,12 +323,9 @@ type jobTracker struct {
 	job    mapred.Job
 	splits []mapred.Split
 	cfg    Config
-	met    *metrics.Registry
-	tr     *trace.Tracer
-	ev     *obs.Recorder
 	// faultTr is a dedicated lane for injected-fault instants; the shared
 	// injector fires from every process, so attributing its spans to one
-	// tracker would lie. closeTrace merges it into tr.
+	// tracker would lie. closeTrace merges it into cfg.Tracer.
 	faultTr *trace.Tracer
 
 	srv     *hadooprpc.Server
@@ -374,9 +362,6 @@ func newJobTracker(job mapred.Job, splits []mapred.Split, cfg Config) *jobTracke
 		job:            job,
 		splits:         splits,
 		cfg:            cfg,
-		met:            cfg.Metrics,
-		tr:             cfg.Tracer,
-		ev:             cfg.Events,
 		faultTr:        trace.New("faults"),
 		attemptSpans:   make(map[string]*trace.Span),
 		seenSpans:      make(map[uint64]bool),
@@ -421,7 +406,7 @@ func (jt *jobTracker) start() (string, error) {
 		return "", err
 	}
 	jt.mu.Lock()
-	jt.jobSpan = jt.tr.StartRoot("job", trace.KindJob)
+	jt.jobSpan = jt.cfg.Tracer.StartRoot("job", trace.KindJob)
 	jt.jobSpan.Annotate("maps", fmt.Sprint(len(jt.splits)))
 	jt.jobSpan.Annotate("reduces", fmt.Sprint(jt.job.NumReducers))
 	jt.mu.Unlock()
@@ -531,7 +516,7 @@ func (jt *jobTracker) MarkLost(id int) bool {
 		return false
 	}
 	jt.markLostLocked(jt.trackers[id])
-	jt.met.Counter("hadoop.trackers_probe_lost").Inc()
+	jt.cfg.Metrics.Counter("hadoop.trackers_probe_lost").Inc()
 	// The sweep's all-lost abort may be disabled (TrackerTimeout < 0), so
 	// the externally-driven path must reach the same terminal state itself.
 	jt.abortIfAllLostLocked()
@@ -556,7 +541,7 @@ func (jt *jobTracker) closeTrace() {
 	}
 	jt.jobSpan.Annotate("status", status)
 	jt.jobSpan.End()
-	jt.tr.Add(jt.faultTr.Drain()...)
+	jt.cfg.Tracer.Add(jt.faultTr.Drain()...)
 }
 
 // startAttemptLocked opens the scheduler-side span for one task attempt.
@@ -570,15 +555,15 @@ func (jt *jobTracker) startAttemptLocked(kind string, task, trackerID int) *trac
 		old.Annotate("status", "superseded")
 		old.End()
 		octx := old.Context()
-		jt.ev.Emit(obs.Event{Type: obs.EvAttemptSuperseded, Task: key,
+		jt.cfg.Events.Emit(obs.Event{Type: obs.EvAttemptSuperseded, Task: key,
 			Span: octx.Span, Trace: octx.Trace})
 	}
-	s := jt.tr.StartChild(jt.jobSpan.Context(), key, trace.KindAttempt)
+	s := jt.cfg.Tracer.StartChild(jt.jobSpan.Context(), key, trace.KindAttempt)
 	s.Annotate("attempt", fmt.Sprint(jt.executions[key]))
 	s.Annotate("tracker", fmt.Sprint(trackerID))
 	jt.attemptSpans[key] = s
 	sctx := s.Context()
-	jt.ev.Emit(obs.Event{Type: obs.EvAttemptScheduled, Task: key,
+	jt.cfg.Events.Emit(obs.Event{Type: obs.EvAttemptScheduled, Task: key,
 		Attempt: jt.executions[key], Span: sctx.Span, Trace: sctx.Trace,
 		Detail: fmt.Sprintf("tracker %d", trackerID)})
 	return s
@@ -603,7 +588,7 @@ func (jt *jobTracker) endAttemptLocked(kind string, task int, status string) {
 		}
 		if typ != "" {
 			sctx := s.Context()
-			jt.ev.Emit(obs.Event{Type: typ, Task: key,
+			jt.cfg.Events.Emit(obs.Event{Type: typ, Task: key,
 				Attempt: jt.executions[key], Span: sctx.Span, Trace: sctx.Trace})
 		}
 	}
@@ -618,7 +603,7 @@ func (jt *jobTracker) ingestSpansLocked(blob []byte) {
 	}
 	spans, err := trace.DecodeSpans(blob)
 	if err != nil {
-		jt.met.Counter("trace.corrupt_batches").Inc()
+		jt.cfg.Metrics.Counter("trace.corrupt_batches").Inc()
 		return
 	}
 	for _, s := range spans {
@@ -626,7 +611,7 @@ func (jt *jobTracker) ingestSpansLocked(blob []byte) {
 			continue
 		}
 		jt.seenSpans[s.ID] = true
-		jt.tr.Add(s)
+		jt.cfg.Tracer.Add(s)
 	}
 }
 
@@ -637,7 +622,7 @@ func (jt *jobTracker) ingestSpansLocked(blob []byte) {
 // attempt budget is charged.
 func (jt *jobTracker) markLostLocked(tr *trackerInfo) {
 	tr.lost = true
-	jt.met.Counter("hadoop.trackers_lost").Inc()
+	jt.cfg.Metrics.Counter("hadoop.trackers_lost").Inc()
 	for task, owner := range jt.runningMaps {
 		if owner == tr.id {
 			delete(jt.runningMaps, task)
@@ -730,9 +715,9 @@ func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 			jt.pendingMaps = jt.pendingMaps[1:]
 			jt.runningMaps[task] = tr.id
 			jt.executions[taskKey(taskKindMap, task)]++
-			jt.met.Counter("hadoop.map_launches").Inc()
+			jt.cfg.Metrics.Counter("hadoop.map_launches").Inc()
 			if jt.executions[taskKey(taskKindMap, task)] > 1 {
-				jt.met.Counter("hadoop.reexecutions").Inc()
+				jt.cfg.Metrics.Counter("hadoop.reexecutions").Inc()
 			}
 			span := jt.startAttemptLocked(taskKindMap, task, tr.id)
 			resp = kv.AppendVLong(resp, actLaunchMap)
@@ -746,9 +731,9 @@ func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 			jt.pendingReduces = jt.pendingReduces[1:]
 			jt.runningReduces[task] = tr.id
 			jt.executions[taskKey(taskKindReduce, task)]++
-			jt.met.Counter("hadoop.reduce_launches").Inc()
+			jt.cfg.Metrics.Counter("hadoop.reduce_launches").Inc()
 			if jt.executions[taskKey(taskKindReduce, task)] > 1 {
-				jt.met.Counter("hadoop.reexecutions").Inc()
+				jt.cfg.Metrics.Counter("hadoop.reexecutions").Inc()
 			}
 			span := jt.startAttemptLocked(taskKindReduce, task, tr.id)
 			resp = kv.AppendVLong(resp, actLaunchReduce)
@@ -840,7 +825,7 @@ func (jt *jobTracker) handleReduceCompleted(params [][]byte) ([]byte, error) {
 	}
 	if jt.trackers[trackerID].lost || jt.doneReduces[task] {
 		if jt.out.discard(task, attempt) {
-			jt.met.Counter("hadoop.outputs_dropped").Inc()
+			jt.cfg.Metrics.Counter("hadoop.outputs_dropped").Inc()
 		}
 		return nil, nil
 	}
@@ -849,7 +834,7 @@ func (jt *jobTracker) handleReduceCompleted(params [][]byte) ([]byte, error) {
 		jt.abortLocked(err)
 		return nil, err
 	}
-	jt.met.Counter("hadoop.outputs_dropped").Add(int64(dropped))
+	jt.cfg.Metrics.Counter("hadoop.outputs_dropped").Add(int64(dropped))
 	if owner, running := jt.runningReduces[task]; running && owner == int(trackerID) {
 		delete(jt.runningReduces, task)
 	}
@@ -904,7 +889,7 @@ func (jt *jobTracker) handleTaskFailed(params [][]byte) ([]byte, error) {
 	jt.endAttemptLocked(kind, task, "failed")
 	key := taskKey(kind, task)
 	jt.attempts[key]++
-	jt.met.Counter("hadoop.task_failures").Inc()
+	jt.cfg.Metrics.Counter("hadoop.task_failures").Inc()
 	if jt.attempts[key] >= maxTaskAttempts {
 		jt.abortLocked(fmt.Errorf("hadoop: task %s failed %d times, giving up: %s",
 			key, jt.attempts[key], msg))
@@ -947,7 +932,7 @@ func (jt *jobTracker) handleFetchFailed(params [][]byte) ([]byte, error) {
 	}
 	key := taskKey(taskKindMap, task)
 	jt.attempts[key]++
-	jt.met.Counter("hadoop.fetch_failures").Inc()
+	jt.cfg.Metrics.Counter("hadoop.fetch_failures").Inc()
 	if jt.attempts[key] >= maxTaskAttempts {
 		jt.abortLocked(fmt.Errorf("hadoop: map %d unfetchable after %d attempts", task, jt.attempts[key]))
 		return nil, nil
@@ -958,7 +943,7 @@ func (jt *jobTracker) handleFetchFailed(params [][]byte) ([]byte, error) {
 	if _, running := jt.runningMaps[task]; !running {
 		jt.pendingMaps = append(jt.pendingMaps, task)
 	}
-	jt.ev.Emit(obs.Event{Type: obs.EvFetchRedirect, Task: key,
+	jt.cfg.Events.Emit(obs.Event{Type: obs.EvFetchRedirect, Task: key,
 		Detail: fmt.Sprintf("map output on tracker %d unfetchable; re-queued", trackerID)})
 	return nil, nil
 }

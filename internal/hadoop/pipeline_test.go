@@ -13,6 +13,7 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/metrics"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -179,7 +180,7 @@ func TestObservedCombinerFallbackCounter(t *testing.T) {
 		return mapred.CombinerFromReducerObserved(rekey, reg)
 	}
 	reg := metrics.NewRegistry()
-	got, _, err := runJob(job, splits, Config{NumTrackers: 2, Metrics: reg})
+	got, _, err := runJob(job, splits, Config{NumTrackers: 2, Telemetry: obs.Telemetry{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

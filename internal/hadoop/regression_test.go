@@ -12,6 +12,7 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/metrics"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -47,7 +48,7 @@ func TestReducePollingBoundedWhileMapsPending(t *testing.T) {
 	res, _, err := runJob(job, splits, Config{
 		NumTrackers: 2, MapSlots: 1, ReduceSlots: 1,
 		Heartbeat: 2 * time.Millisecond,
-		Metrics:   m,
+		Telemetry: obs.Telemetry{Metrics: m},
 	})
 	if err != nil {
 		t.Fatal(err)

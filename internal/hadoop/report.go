@@ -170,7 +170,7 @@ func (jt *jobTracker) Report() *JobReport {
 	jt.mu.Unlock()
 	sort.Slice(rep.Maps, func(i, j int) bool { return rep.Maps[i].Task < rep.Maps[j].Task })
 	sort.Slice(rep.Reduces, func(i, j int) bool { return rep.Reduces[i].Task < rep.Reduces[j].Task })
-	rep.Metrics = jt.met.Snapshot()
-	rep.Spans = jt.tr.Spans()
+	rep.Metrics = jt.cfg.Metrics.Snapshot()
+	rep.Spans = jt.cfg.Tracer.Spans()
 	return rep
 }

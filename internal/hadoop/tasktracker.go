@@ -14,7 +14,6 @@ import (
 	"github.com/ict-repro/mpid/internal/jetty"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/shuffle"
 	"github.com/ict-repro/mpid/internal/trace"
@@ -42,9 +41,9 @@ type taskTracker struct {
 	splits []mapred.Split
 	cfg    Config
 	inj    *faults.Injector
-	met    *metrics.Registry
-	tr     *trace.Tracer
-	ev     *obs.Recorder
+	// Telemetry is the job's registry and recorder with a tracer of the
+	// tracker's own, shipped to the jobtracker on heartbeats.
+	obs.Telemetry
 	jobCtx trace.Context // the job root span, from the register response
 
 	rpc       *hadooprpc.Client
@@ -85,9 +84,7 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, out *outputComm
 		splits:    splits,
 		cfg:       cfg,
 		inj:       cfg.Injector,
-		met:       cfg.Metrics,
-		tr:        trace.New(fmt.Sprintf("tracker%d", idx)),
-		ev:        cfg.Events,
+		Telemetry: obs.Telemetry{Metrics: cfg.Metrics, Tracer: trace.New(fmt.Sprintf("tracker%d", idx)), Events: cfg.Events},
 		store:     jetty.NewStore(),
 		fetch:     jetty.NewClient(),
 		pool:      bufpool.New(),
@@ -99,22 +96,19 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, out *outputComm
 		tt.combine = job.ObservedCombiner(cfg.Metrics)
 	}
 	// The shuffle fetch client shares the RPC retry budget, the fault
-	// injector, the job's metrics registry and the tracker's buffer pool,
-	// so fetch buffers recycle through the merger and back into the next
-	// fetch.
+	// injector, the tracker's telemetry and its buffer pool, so fetch
+	// buffers recycle through the merger and back into the next fetch.
 	tt.fetch.MaxAttempts = cfg.RPC.MaxAttempts
 	tt.fetch.Backoff = cfg.RPC.Backoff
 	tt.fetch.Injector = cfg.Injector
-	tt.fetch.Metrics = cfg.Metrics
-	tt.fetch.Events = cfg.Events
+	tt.fetch.Telemetry = tt.Telemetry
 	tt.fetch.Pool = tt.pool
 	tt.fetch.SetSeed(int64(idx) + 1)
 
 	tt.jettySrv = jetty.NewServer(tt.store)
 	tt.jettySrv.Injector = cfg.Injector
 	tt.jettySrv.Component = tt.comp + ".jetty"
-	tt.jettySrv.Metrics = cfg.Metrics
-	tt.jettySrv.Tracer = tt.tr
+	tt.jettySrv.Telemetry = tt.Telemetry
 	addr, err := tt.jettySrv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -181,7 +175,7 @@ func (tt *taskTracker) reportTaskFailed(kind string, task int, taskErr error) {
 		kv.AppendVLong(nil, int64(task)),
 		[]byte(taskErr.Error()),
 	}
-	if blob := trace.EncodeSpans(tt.tr.Drain()); blob != nil {
+	if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
 		params = append(params, blob)
 	}
 	if _, err := tt.rpc.Call("taskFailed", params...); err != nil {
@@ -232,7 +226,7 @@ func (tt *taskTracker) run() error {
 		}
 		// Ship spans drained since the last report; serve-side shuffle
 		// spans have no completion RPC of their own and ride here.
-		if blob := trace.EncodeSpans(tt.tr.Drain()); blob != nil {
+		if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
 			params = append(params, blob)
 		}
 		resp, err := tt.rpc.Call("heartbeat", params...)
@@ -326,7 +320,7 @@ func (tt *taskTracker) launchMap(task, attempt int, pctx trace.Context) {
 			kv.AppendVLong(nil, int64(ph.run)),
 			kv.AppendVLong(nil, int64(ph.spill)),
 		}
-		if blob := trace.EncodeSpans(tt.tr.Drain()); blob != nil {
+		if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
 			params = append(params, blob)
 		}
 		if _, err := tt.rpc.Call("mapCompleted", params...); err != nil {
@@ -372,7 +366,7 @@ func (tt *taskTracker) launchReduce(task, attempt int, pctx trace.Context) {
 			kv.AppendVLong(nil, int64(ph.reduce)),
 			kv.AppendVLong(nil, int64(ph.merge)),
 		}
-		if blob := trace.EncodeSpans(tt.tr.Drain()); blob != nil {
+		if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
 			params = append(params, blob)
 		}
 		if _, err := tt.rpc.Call("reduceCompleted", params...); err != nil {
@@ -408,7 +402,7 @@ type mapPhases struct {
 // and publishes per-reduce partitions into the local shuffle store.
 func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (ph mapPhases, err error) {
 	defer recoverTask(&err)
-	span := tt.tr.StartChild(pctx, fmt.Sprintf("m%d", task), trace.KindTask)
+	span := tt.Tracer.StartChild(pctx, fmt.Sprintf("m%d", task), trace.KindTask)
 	span.Annotate("attempt", fmt.Sprint(attempt))
 	defer span.End()
 	nParts := tt.job.NumReducers
@@ -435,7 +429,7 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (ph map
 	}
 	ph.run = time.Since(runStart)
 	runSpan.End()
-	tt.met.Timer("task.map.run").ObserveDuration(ph.run)
+	tt.Metrics.Timer("task.map.run").ObserveDuration(ph.run)
 
 	// Spill: sort the index, combine and serialize each partition, publish
 	// to the store. Sorting here makes every published segment a run — framed
@@ -452,9 +446,9 @@ func (tt *taskTracker) runMapTask(task, attempt int, pctx trace.Context) (ph map
 	}
 	ph.spill = time.Since(spillStart)
 	spillSpan.End()
-	tt.met.Timer("task.map.spill").ObserveDuration(ph.spill)
+	tt.Metrics.Timer("task.map.spill").ObserveDuration(ph.spill)
 	sctx := spillSpan.Context()
-	tt.ev.Emit(obs.Event{Type: obs.EvSpill, Task: fmt.Sprintf("m%d", task),
+	tt.Events.Emit(obs.Event{Type: obs.EvSpill, Task: fmt.Sprintf("m%d", task),
 		Attempt: attempt, Span: sctx.Span, Trace: sctx.Trace,
 		Detail: fmt.Sprintf("tracker %d: %d partitions, %d bytes", tt.idx, nParts, spilled)})
 	return ph, nil
@@ -509,7 +503,7 @@ type reducePhases struct {
 //     the jobtracker in a tight RPC loop while maps are still running.
 func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out *mapred.PartBuilder, ph reducePhases, err error) {
 	defer recoverTask(&err)
-	span := tt.tr.StartChild(pctx, fmt.Sprintf("r%d", task), trace.KindTask)
+	span := tt.Tracer.StartChild(pctx, fmt.Sprintf("r%d", task), trace.KindTask)
 	span.Annotate("attempt", fmt.Sprint(attempt))
 	defer span.End()
 
@@ -526,10 +520,10 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 		Combine:  combine,
 		Pool:     tt.pool,
 		OnPass: func(pi shuffle.PassInfo) {
-			tt.met.Timer("task.reduce.merge").ObserveDuration(pi.Duration)
-			tt.met.Counter("shuffle.merge_passes").Inc()
+			tt.Metrics.Timer("task.reduce.merge").ObserveDuration(pi.Duration)
+			tt.Metrics.Counter("shuffle.merge_passes").Inc()
 			n := atomic.AddInt64(&passNo, 1)
-			tt.tr.Record(span.Context(), fmt.Sprintf("merge.pass%d", n), trace.KindMerge,
+			tt.Tracer.Record(span.Context(), fmt.Sprintf("merge.pass%d", n), trace.KindMerge,
 				pi.Start, pi.Start.Add(pi.Duration),
 				trace.Annotation{Key: "runs", Value: fmt.Sprint(pi.Runs)},
 				trace.Annotation{Key: "bytes_in", Value: fmt.Sprint(pi.BytesIn)},
@@ -591,7 +585,7 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	}
 	ph.copy = time.Since(copyStart)
 	copySpan.End()
-	tt.met.Timer("task.reduce.copy").ObserveDuration(ph.copy)
+	tt.Metrics.Timer("task.reduce.copy").ObserveDuration(ph.copy)
 
 	// Sort phase = the final k-way merge pass up to its first key group; from
 	// there the pass feeds the reduce function directly, as Hadoop 0.20's final
@@ -607,7 +601,7 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 		if reduceStart.IsZero() {
 			ph.sort = time.Since(sortStart)
 			sortSpan.End()
-			tt.met.Timer("task.reduce.sort").ObserveDuration(ph.sort)
+			tt.Metrics.Timer("task.reduce.sort").ObserveDuration(ph.sort)
 			reduceSpan, reduceStart = span.Child("reduce.reduce", trace.KindPhase), time.Now()
 		}
 	}
@@ -630,7 +624,7 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	sorted() // an empty partition's merge never reaches the reducer
 	ph.reduce = time.Since(reduceStart)
 	reduceSpan.End()
-	tt.met.Timer("task.reduce.reduce").ObserveDuration(ph.reduce)
+	tt.Metrics.Timer("task.reduce.reduce").ObserveDuration(ph.reduce)
 	return out, ph, nil
 }
 
@@ -692,7 +686,7 @@ func (tt *taskTracker) reportFetchFailures(task int, failed []mapOutputLoc) erro
 // buffer may come from the tracker's pool (the fetch client shares it);
 // ownership passes to the caller.
 func (tt *taskTracker) fetchRun(j mapOutputLoc, reduce int, pctx trace.Context) ([]byte, error) {
-	fs := tt.tr.StartChild(pctx, fmt.Sprintf("fetch m%d", j.mapID), trace.KindFetch)
+	fs := tt.Tracer.StartChild(pctx, fmt.Sprintf("fetch m%d", j.mapID), trace.KindFetch)
 	defer fs.End()
 	fs.Annotate("from", fmt.Sprintf("tracker%d", j.trackerID))
 	data, err := tt.fetch.FetchMapOutputContext(tt.ctx, fs.Context(), j.addr,
@@ -715,7 +709,7 @@ func (tt *taskTracker) fetchRun(j mapOutputLoc, reduce int, pctx trace.Context) 
 // to the fetch span that carried the attempts.
 func (tt *taskTracker) emitFetchFail(fs *trace.Span, j mapOutputLoc, reduce int, err error) {
 	fctx := fs.Context()
-	tt.ev.Emit(obs.Event{Type: obs.EvFetchFail, Task: fmt.Sprintf("r%d", reduce),
+	tt.Events.Emit(obs.Event{Type: obs.EvFetchFail, Task: fmt.Sprintf("r%d", reduce),
 		Span: fctx.Span, Trace: fctx.Trace,
 		Detail: fmt.Sprintf("map %d on tracker %d: %v", j.mapID, j.trackerID, err)})
 }

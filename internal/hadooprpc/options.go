@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/ict-repro/mpid/internal/faults"
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
 )
 
@@ -42,17 +41,14 @@ type Options struct {
 	// Component names this client to the injector (default
 	// "hadooprpc.client").
 	Component string
-	// Metrics, when set, receives per-call observability: "rpc.calls" and
+	// Telemetry observes the calls. Metrics receives "rpc.calls" and
 	// "rpc.calls.<method>" counters, an "rpc.latency" timer over whole
 	// Calls (retries included), "rpc.retries" and "rpc.errors" counters,
-	// and "rpc.bytes_sent"/"rpc.bytes_recv" for framed wire bytes. A nil
-	// registry records nothing.
-	Metrics *metrics.Registry
-	// Events, when set, receives flight-recorder events for the
-	// fault-tolerance edges: obs.EvRPCRetry on every retried attempt and
-	// obs.EvRPCDeadline when a Call's total budget expires. A nil recorder
-	// records nothing.
-	Events *obs.Recorder
+	// and "rpc.bytes_sent"/"rpc.bytes_recv" for framed wire bytes. Events
+	// receives the fault-tolerance edges: obs.EvRPCRetry on every retried
+	// attempt and obs.EvRPCDeadline when a Call's total budget expires.
+	// The Tracer is unused: a call carries its caller's trace.Context.
+	obs.Telemetry
 }
 
 func (o Options) withDefaults() Options {

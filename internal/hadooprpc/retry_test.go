@@ -188,8 +188,8 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 }
 
 // TestClientRecordsRetryAndDeadlineEvents checks that the fault-tolerance
-// edges reach Options.Events: one obs.EvRPCRetry per retried attempt and one
-// obs.EvRPCDeadline when a Call's budget expires.
+// edges reach Options.Telemetry.Events: one obs.EvRPCRetry per retried
+// attempt and one obs.EvRPCDeadline when a Call's budget expires.
 func TestClientRecordsRetryAndDeadlineEvents(t *testing.T) {
 	addr := startEchoServer(t)
 	rec := obs.NewRecorder(0)
@@ -201,7 +201,7 @@ func TestClientRecordsRetryAndDeadlineEvents(t *testing.T) {
 		MaxAttempts: 1000,
 		Backoff:     faults.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 		Injector:    inj,
-		Events:      rec,
+		Telemetry:   obs.Telemetry{Events: rec},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,6 @@ import (
 
 	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/faults"
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
@@ -174,13 +173,12 @@ type Server struct {
 	Injector *faults.Injector
 	// Component names this server to the injector (default "jetty.server").
 	Component string
-	// Metrics, when set, counts served map outputs ("shuffle.serves") and
-	// body bytes written ("shuffle.serve_bytes"). Set before Listen.
-	Metrics *metrics.Registry
-	// Tracer, when set, records a serve span per map-output request,
-	// parented under the fetcher's span when the request carries
-	// HeaderTraceContext. Set before Listen.
-	Tracer *trace.Tracer
+	// Telemetry observes the server; set it before Listen. Metrics counts
+	// served map outputs ("shuffle.serves") and body bytes written
+	// ("shuffle.serve_bytes"); Tracer records a serve span per map-output
+	// request, parented under the fetcher's span when the request carries
+	// HeaderTraceContext. The server emits no events.
+	obs.Telemetry
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -389,16 +387,14 @@ type Client struct {
 	// Injector, when set, gates every fetch attempt ("fetch" operation,
 	// peer = server address).
 	Injector *faults.Injector
-	// Metrics, when set, receives fetch observability: "shuffle.fetches"
+	// Telemetry observes the fetches. Metrics receives "shuffle.fetches"
 	// and "shuffle.fetch_bytes" counters, a "shuffle.fetch_latency" timer
 	// over whole fetches (retries included), "shuffle.fetch_retries" for
 	// repeated attempts against the same server and
-	// "shuffle.fetch_errors" for fetches that failed for good.
-	Metrics *metrics.Registry
-	// Events, when set, receives an obs.EvFetchRetry flight-recorder event
-	// for every repeated attempt against the same server. A nil recorder
-	// records nothing.
-	Events *obs.Recorder
+	// "shuffle.fetch_errors" for fetches that failed for good. Events
+	// receives an obs.EvFetchRetry for every repeated attempt against the
+	// same server. The caller traces the fetch, so the Tracer is unused.
+	obs.Telemetry
 	// Pool, when set, supplies the fetch buffers, so a steady
 	// shuffle stops allocating per fetch. Callers that hand fetched
 	// segments to a shuffle.Merger with the same pool get end-to-end buffer

@@ -22,7 +22,7 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/mpi"
-	"github.com/ict-repro/mpid/internal/trace"
+	"github.com/ict-repro/mpid/internal/obs"
 )
 
 // Emit is the output collector handed to map and reduce functions. On every
@@ -223,10 +223,8 @@ type Exec struct {
 	// NewWorld builds the job's world, as RunOnWorld describes; nil means
 	// an in-process world.
 	NewWorld func(n int) (*mpi.World, error)
-	// Metrics and Tracer pass through to every rank's core.Config. Both
-	// are optional.
-	Metrics *metrics.Registry
-	Tracer  *trace.Tracer
+	// Telemetry passes through to every rank's core.Config. Optional.
+	obs.Telemetry
 }
 
 // RunContext is the job runner Run and RunOnWorld wrap. Once ctx is done
@@ -290,8 +288,7 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 			SpillThreshold: job.SpillThreshold,
 			SortValues:     job.SortValues,
 			Pool:           job.Pool,
-			Metrics:        x.Metrics,
-			Tracer:         x.Tracer,
+			Telemetry:      x.Telemetry,
 		}
 		d, err := core.Init(cfg)
 		if err != nil {

@@ -178,30 +178,12 @@ func (t *Timer) Stats() TimerStats {
 	if t.count > 0 {
 		s.Mean = t.sum / float64(t.count)
 	}
-	if len(t.sample) > 0 {
-		sorted := append([]float64(nil), t.sample...)
-		sort.Float64s(sorted)
-		s.P50 = percentile(sorted, 50)
-		s.P95 = percentile(sorted, 95)
-		s.P99 = percentile(sorted, 99)
+	var sample stats.Summary
+	for _, v := range t.sample {
+		sample.Add(v)
 	}
+	s.P50, s.P95, s.P99 = sample.Percentile(50), sample.Percentile(95), sample.Percentile(99)
 	return s
-}
-
-// percentile interpolates between closest ranks of a sorted slice.
-func percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(rank)
-	hi := lo + 1
-	if hi >= n {
-		return sorted[n-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Registry holds named metrics. The zero value is not usable — construct

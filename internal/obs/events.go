@@ -16,7 +16,9 @@
 //     every event into the service-wide parent ring, the way
 //     metrics.NewChild folds counters into fleet totals;
 //   - events carry the trace span id of the work they describe, so a
-//     flight-recorder line cross-links to the span in /trace.json.
+//     flight-recorder line cross-links to the span in /trace.json;
+//   - Telemetry bundles a registry, a tracer and a recorder into the one
+//     value every layer of the live stack takes.
 package obs
 
 import (

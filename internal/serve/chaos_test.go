@@ -104,10 +104,10 @@ func TestChaosProbeDetectedTrackerKill(t *testing.T) {
 		t.Fatal("output after probe-detected kill differs from fault-free run")
 	}
 	// The prober, not the (disabled) sweep, delivered the loss — once.
-	if got := s.Metrics().Counter("hadoop.trackers_probe_lost").Value(); got != 1 {
+	if got := s.Telemetry().Metrics.Counter("hadoop.trackers_probe_lost").Value(); got != 1 {
 		t.Fatalf("trackers_probe_lost = %d, want exactly 1", got)
 	}
-	if got := s.Metrics().Counter("probe.verdicts").Value(); got != 1 {
+	if got := s.Telemetry().Metrics.Counter("probe.verdicts").Value(); got != 1 {
 		t.Fatalf("probe.verdicts = %d, want exactly 1", got)
 	}
 	// Recovery re-executed the dead tracker's work, and within bounds: one
@@ -154,14 +154,14 @@ func TestChaosProbeFlappingNoSpuriousReexecution(t *testing.T) {
 	if inj.Count("hadoop.tracker1.jetty", "ping") == 0 {
 		t.Fatal("no pings reached the flapping tracker")
 	}
-	if s.Metrics().Counter("probe.lost").Value() == 0 {
+	if s.Telemetry().Metrics.Counter("probe.lost").Value() == 0 {
 		t.Fatal("no probe losses recorded — the flap never happened")
 	}
 	// ...and changed nothing.
-	if got := s.Metrics().Counter("probe.verdicts").Value(); got != 0 {
+	if got := s.Telemetry().Metrics.Counter("probe.verdicts").Value(); got != 0 {
 		t.Fatalf("probe.verdicts = %d, want 0 under sub-threshold flapping", got)
 	}
-	if got := s.Metrics().Counter("hadoop.trackers_probe_lost").Value(); got != 0 {
+	if got := s.Telemetry().Metrics.Counter("hadoop.trackers_probe_lost").Value(); got != 0 {
 		t.Fatalf("trackers_probe_lost = %d, want 0", got)
 	}
 	if j.Result.MaxTaskExecutions != 1 {

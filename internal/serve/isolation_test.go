@@ -77,7 +77,7 @@ func TestConcurrentJobMetricsIsolation(t *testing.T) {
 		}
 		sum += got
 	}
-	if got := s.Metrics().Counter("hadoop.map_launches").Value(); got != sum {
+	if got := s.Telemetry().Metrics.Counter("hadoop.map_launches").Value(); got != sum {
 		t.Fatalf("service-wide map_launches = %d, want sum of jobs %d", got, sum)
 	}
 	if err := s.Drain(5 * time.Second); err != nil {
@@ -129,7 +129,7 @@ func TestConcurrentJobTraceIsolation(t *testing.T) {
 		}
 	}
 	// The jobs' spans were folded into the service-wide collector.
-	if got := s.Tracer().Len(); got < len(seen) {
+	if got := s.Telemetry().Tracer.Len(); got < len(seen) {
 		t.Fatalf("service collector holds %d spans, want at least the %d from both jobs", got, len(seen))
 	}
 	if err := s.Drain(5 * time.Second); err != nil {
@@ -205,12 +205,15 @@ func TestConcurrentJobMetricsIsolationMPID(t *testing.T) {
 		if spills < int64(j.Result.MapTasks) {
 			t.Fatalf("%s: %d spills over %d one-record splits — the threshold never fired", j.Name, spills, j.Result.MapTasks)
 		}
-		if got := tap.seen[j.Name].Metrics.Timer("mpid.spill").Stats().Count; got != spills {
+		tap.mu.Lock()
+		tel := tap.seen[j.Name]
+		tap.mu.Unlock()
+		if got := tel.Metrics.Timer("mpid.spill").Stats().Count; got != spills {
 			t.Fatalf("%s: its registry timed %d spills, the job made %d — timers bled across jobs", j.Name, got, spills)
 		}
 		sum += spills
 	}
-	if got := s.Metrics().Timer("mpid.spill").Stats().Count; got != sum {
+	if got := s.Telemetry().Metrics.Timer("mpid.spill").Stats().Count; got != sum {
 		t.Fatalf("service-wide mpid.spill count = %d, want the jobs' sum %d", got, sum)
 	}
 	if err := s.Drain(5 * time.Second); err != nil {

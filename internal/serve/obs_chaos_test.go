@@ -39,7 +39,6 @@ func httpGet(t *testing.T, url string) (int, string) {
 func TestChaosFlightRecorderAndHealth(t *testing.T) {
 	want := cleanDigest(t)
 
-	rec := obs.NewRecorder(0)
 	inj := faults.New(7, faults.Rule{
 		Component: "hadoop.tracker1.jetty",
 		After:     8,
@@ -49,10 +48,9 @@ func TestChaosFlightRecorderAndHealth(t *testing.T) {
 		Engine:  "hadoop",
 		Cluster: chaosCluster(inj),
 		Probe:   ProbeConfig{Interval: time.Millisecond, Timeout: 250 * time.Millisecond, DeadAfter: 3},
-		Events:  rec,
 	})
-	adm, err := admin.New("127.0.0.1:0", s.Metrics(), s.Tracer(),
-		admin.EventsPage(rec), admin.HealthPage(s.Health()))
+	rec := s.Telemetry().Events
+	adm, err := admin.New("127.0.0.1:0", s.Telemetry(), admin.HealthPage(s.Health()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +151,7 @@ func TestChaosFlightRecorderAndHealth(t *testing.T) {
 	// in the service tracer, and every event carries the job identity the
 	// child recorder stamped.
 	spanIDs := make(map[uint64]bool)
-	for _, sp := range s.Tracer().Spans() {
+	for _, sp := range s.Telemetry().Tracer.Spans() {
 		spanIDs[sp.ID] = true
 	}
 	for _, e := range append(append([]obs.Event(nil), lost...), resched...) {

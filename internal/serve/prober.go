@@ -10,7 +10,6 @@ import (
 
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/jetty"
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
 )
 
@@ -104,8 +103,7 @@ type ProbeStats struct {
 type Prober struct {
 	cfg    ProbeConfig
 	cc     hadoop.ClusterControl
-	met    *metrics.Registry
-	ev     *obs.Recorder
+	tel    obs.Telemetry
 	client *jetty.Client
 
 	stop chan struct{}
@@ -115,17 +113,17 @@ type Prober struct {
 	states map[int]*probeState
 }
 
-// NewProber builds a prober over a cluster control handle. Metrics (may be
-// nil) receives "probe.sent", "probe.lost", "probe.verdicts" counters and
-// a "probe.rtt" timer; ev (may be nil) receives an obs.EvProbeVerdict
+// NewProber builds a prober over a cluster control handle. tel.Metrics
+// receives "probe.sent", "probe.lost", "probe.verdicts" counters and a
+// "probe.rtt" timer; tel.Events receives an obs.EvProbeVerdict
 // flight-recorder event whenever a dead verdict latches, emitted before
-// the verdict is delivered to the engine.
-func NewProber(cfg ProbeConfig, cc hadoop.ClusterControl, met *metrics.Registry, ev *obs.Recorder) *Prober {
+// the verdict is delivered to the engine. Either may be nil; probes are
+// not traced.
+func NewProber(cfg ProbeConfig, cc hadoop.ClusterControl, tel obs.Telemetry) *Prober {
 	return &Prober{
 		cfg:    cfg.withDefaults(),
 		cc:     cc,
-		met:    met,
-		ev:     ev,
+		tel:    tel,
 		client: jetty.NewClient(),
 		stop:   make(chan struct{}),
 		states: make(map[int]*probeState),
@@ -185,11 +183,11 @@ func (p *Prober) probe(tr hadoop.TrackerState) {
 	rtt, err := p.client.Ping(ctx, tr.Addr)
 	cancel()
 	ok := err == nil
-	p.met.Counter("probe.sent").Inc()
+	p.tel.Metrics.Counter("probe.sent").Inc()
 	if ok {
-		p.met.Timer("probe.rtt").ObserveDuration(rtt)
+		p.tel.Metrics.Timer("probe.rtt").ObserveDuration(rtt)
 	} else {
-		p.met.Counter("probe.lost").Inc()
+		p.tel.Metrics.Counter("probe.lost").Inc()
 	}
 
 	p.mu.Lock()
@@ -216,11 +214,11 @@ func (p *Prober) probe(tr hadoop.TrackerState) {
 		// Emit the verdict before delivering it: MarkLost synchronously
 		// emits the attempt.lost events, so this order keeps the flight
 		// recorder causal (verdict, then losses, then re-scheduling).
-		p.ev.Emit(obs.Event{Type: obs.EvProbeVerdict,
+		p.tel.Events.Emit(obs.Event{Type: obs.EvProbeVerdict,
 			Detail: fmt.Sprintf("tracker %d (%s) dead after %d consecutive losses",
 				tr.ID, tr.Addr, p.cfg.DeadAfter)})
 		if p.cc.MarkLost(tr.ID) {
-			p.met.Counter("probe.verdicts").Inc()
+			p.tel.Metrics.Counter("probe.verdicts").Inc()
 		}
 	}
 }

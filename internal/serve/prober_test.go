@@ -9,6 +9,7 @@ import (
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/jetty"
 	"github.com/ict-repro/mpid/internal/metrics"
+	"github.com/ict-repro/mpid/internal/obs"
 )
 
 // fakeCC is a scriptable ClusterControl: the prober's verdicts land here
@@ -66,7 +67,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 func TestProberVerdictAfterConsecutiveLosses(t *testing.T) {
 	cc := &fakeCC{trackers: []hadoop.TrackerState{{ID: 0, Addr: "127.0.0.1:1"}}}
 	met := metrics.NewRegistry()
-	p := NewProber(ProbeConfig{Interval: 2 * time.Millisecond, Timeout: 20 * time.Millisecond, DeadAfter: 3}, cc, met, nil)
+	p := NewProber(ProbeConfig{Interval: 2 * time.Millisecond, Timeout: 20 * time.Millisecond, DeadAfter: 3}, cc, obs.Telemetry{Metrics: met})
 	p.Start()
 	defer p.Stop()
 
@@ -109,7 +110,7 @@ func TestProberReArmsAfterRecovery(t *testing.T) {
 
 	cc := &fakeCC{trackers: []hadoop.TrackerState{{ID: 7, Addr: addr}}}
 	met := metrics.NewRegistry()
-	p := NewProber(ProbeConfig{Interval: 2 * time.Millisecond, Timeout: 50 * time.Millisecond, DeadAfter: 3}, cc, met, nil)
+	p := NewProber(ProbeConfig{Interval: 2 * time.Millisecond, Timeout: 50 * time.Millisecond, DeadAfter: 3}, cc, obs.Telemetry{Metrics: met})
 	p.Start()
 	defer p.Stop()
 

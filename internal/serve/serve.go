@@ -120,13 +120,13 @@ type Config struct {
 	// Cluster sizes the engine — NumTrackers is the mapper rank count on
 	// MPI-D, the tasktracker count on hadoop (default 2) — and is
 	// otherwise the hadoop engine's per-job template. The service
-	// overrides Metrics, Tracer, Events and Watch per job.
+	// overrides Telemetry and Watch per job.
 	Cluster hadoop.Config
-	// Events is the service-wide flight recorder (default a fresh
-	// DefaultEventCap ring). Each job records into a child of it stamped
+	// EventCap sizes the service-wide flight recorder's ring (default
+	// obs.DefaultEventCap). Each job records into a child of it stamped
 	// with the job's id and tenant, so the service ring interleaves every
 	// job's admission, attempt, probe and fault events.
-	Events *obs.Recorder
+	EventCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -135,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Events == nil {
-		c.Events = obs.NewRecorder(0)
 	}
 	return c
 }
@@ -259,9 +256,7 @@ type tenantQueue struct {
 type Service struct {
 	cfg    Config
 	engine engine.Engine
-	met    *metrics.Registry
-	tr     *trace.Tracer
-	ev     *obs.Recorder
+	tel    obs.Telemetry
 
 	mu       sync.Mutex
 	probers  map[int64]*Prober // running jobs' probers, for health
@@ -293,9 +288,7 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		engine:  eng,
 		budget:  retainBytes,
-		met:     metrics.NewRegistry(),
-		tr:      tr,
-		ev:      cfg.Events,
+		tel:     obs.Telemetry{Metrics: metrics.NewRegistry(), Tracer: tr, Events: obs.NewRecorder(cfg.EventCap)},
 		probers: make(map[int64]*Prober),
 		tenants: make(map[string]*tenantQueue),
 		drained: make(chan struct{}),
@@ -303,17 +296,11 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Metrics returns the service-wide registry (per-job registries are its
-// children, so these counters are fleet totals).
-func (s *Service) Metrics() *metrics.Registry { return s.met }
-
-// Tracer returns the capped service-wide span collector every finished
-// job's spans fold into.
-func (s *Service) Tracer() *trace.Tracer { return s.tr }
-
-// Events returns the service-wide flight recorder every job's events fold
+// Telemetry returns the service-wide telemetry: the registry whose
+// counters are fleet totals, the capped span collector every finished
+// job's spans fold into, and the flight recorder every job's events fold
 // into.
-func (s *Service) Events() *obs.Recorder { return s.ev }
+func (s *Service) Telemetry() obs.Telemetry { return s.tel }
 
 // Submit queues a job for the tenant, subject to admission control. It
 // returns immediately: a *Job handle on admission, ErrDraining after
@@ -326,15 +313,15 @@ func (s *Service) Submit(tenant, name string, job mapred.Job, splits []mapred.Sp
 	defer s.mu.Unlock()
 	tq := s.tenantLocked(tenant)
 	if s.draining {
-		s.met.Counter("serve.rejected_draining").Inc()
-		s.ev.Emit(obs.Event{Type: obs.EvJobRejected, Tenant: tenant, Detail: "draining"})
+		s.tel.Metrics.Counter("serve.rejected_draining").Inc()
+		s.tel.Events.Emit(obs.Event{Type: obs.EvJobRejected, Tenant: tenant, Detail: "draining"})
 		return nil, ErrDraining
 	}
 	depth := s.cfg.Slots + s.cfg.QueueDepth
 	if backlog := s.running + s.queued; backlog >= depth {
 		tq.rejected++
-		s.met.Counter("serve.rejected").Inc()
-		s.ev.Emit(obs.Event{Type: obs.EvJobRejected, Tenant: tenant,
+		s.tel.Metrics.Counter("serve.rejected").Inc()
+		s.tel.Events.Emit(obs.Event{Type: obs.EvJobRejected, Tenant: tenant,
 			Detail: fmt.Sprintf("saturated: %d/%d backlogged", backlog, depth)})
 		return nil, &SaturatedError{
 			Queued:     backlog,
@@ -360,9 +347,9 @@ func (s *Service) Submit(tenant, name string, job mapred.Job, splits []mapred.Sp
 	tq.waiting = append(tq.waiting, j)
 	tq.queued++
 	s.queued++
-	s.met.Counter("serve.submitted").Inc()
-	s.met.Gauge("serve.queued").Set(int64(s.queued))
-	s.ev.Emit(obs.Event{Type: obs.EvJobAdmitted, Job: j.ID, Tenant: tenant, Detail: name})
+	s.tel.Metrics.Counter("serve.submitted").Inc()
+	s.tel.Metrics.Gauge("serve.queued").Set(int64(s.queued))
+	s.tel.Events.Emit(obs.Event{Type: obs.EvJobAdmitted, Job: j.ID, Tenant: tenant, Detail: name})
 	s.dispatchLocked()
 	return j, nil
 }
@@ -420,8 +407,8 @@ func (s *Service) dispatchLocked() {
 		s.queued--
 		j.state = StateRunning
 		j.started = time.Now()
-		s.met.Gauge("serve.queued").Set(int64(s.queued))
-		s.met.Gauge("serve.running").Set(int64(s.running))
+		s.tel.Metrics.Gauge("serve.queued").Set(int64(s.queued))
+		s.tel.Metrics.Gauge("serve.running").Set(int64(s.running))
 		go s.runJob(j)
 	}
 }
@@ -446,22 +433,15 @@ func (s *Service) popLocked() *Job {
 // runJob executes one admitted job on the service's engine with isolated
 // observability, then folds the results back into the service.
 func (s *Service) runJob(j *Job) {
-	// Isolation: a child registry (updates propagate to the service-wide
-	// parent), a private tracer, and a child recorder that stamps this
-	// job's id and tenant on every engine event and folds them into the
-	// service-wide ring. Concurrent jobs never see each other's counters
-	// or spans.
-	tel := engine.Telemetry{
-		Metrics: s.met.NewChild(),
-		Tracer:  trace.New("jobtracker"),
-		Events:  s.ev.NewChild(j.ID, j.Tenant),
-	}
+	// Isolation: concurrent jobs never see each other's counters or spans,
+	// and the service-wide telemetry still sees them all.
+	tel := engine.Telemetry{Telemetry: s.tel.Child(j.ID, j.Tenant)}
 	var prober *Prober
 	if !s.cfg.Probe.Disable {
 		// Only an engine with trackers calls Watch, so only its jobs get a
 		// prober.
 		tel.Watch = func(cc hadoop.ClusterControl) {
-			prober = NewProber(s.cfg.Probe, cc, tel.Metrics, tel.Events)
+			prober = NewProber(s.cfg.Probe, cc, tel.Telemetry)
 			prober.Start()
 			// Registered probers drive the /healthz probe check; the entry
 			// lives exactly as long as the job runs.
@@ -477,7 +457,7 @@ func (s *Service) runJob(j *Job) {
 	j.cancel()
 	j.job, j.splits = mapred.Job{}, nil
 	// Fold the job's spans into the capped service-wide collector.
-	s.tr.Add(tel.Tracer.Drain()...)
+	s.tel.Tracer.Add(tel.Tracer.Drain()...)
 	j.Result, j.Report, j.Err = res, rep, err
 
 	if err == nil {
@@ -501,14 +481,14 @@ func (s *Service) runJob(j *Job) {
 	if err == nil {
 		j.state = StateDone
 		tq.done++
-		s.met.Counter("serve.done").Inc()
+		s.tel.Metrics.Counter("serve.done").Inc()
 	} else {
 		j.state = StateFailed
 		tq.failed++
-		s.met.Counter("serve.failed").Inc()
+		s.tel.Metrics.Counter("serve.failed").Inc()
 	}
 	lat := now.Sub(j.enqueued)
-	s.met.Timer("serve.job_latency").ObserveDuration(lat)
+	s.tel.Metrics.Timer("serve.job_latency").ObserveDuration(lat)
 	// EWMA over running time (not queue wait): what RetryAfter needs is
 	// how fast slots turn over.
 	const alpha = 0.3
@@ -519,7 +499,7 @@ func (s *Service) runJob(j *Job) {
 		s.ewmaSec = alpha*runSec + (1-alpha)*s.ewmaSec
 	}
 	s.retainLocked(j)
-	s.met.Gauge("serve.running").Set(int64(s.running))
+	s.tel.Metrics.Gauge("serve.running").Set(int64(s.running))
 	s.dispatchLocked()
 	if s.draining && s.running == 0 && s.queued == 0 {
 		select {
@@ -575,8 +555,8 @@ func (s *Service) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		s.met.Counter("serve.drains").Inc()
-		s.ev.Emit(obs.Event{Type: obs.EvServiceDrain,
+		s.tel.Metrics.Counter("serve.drains").Inc()
+		s.tel.Events.Emit(obs.Event{Type: obs.EvServiceDrain,
 			Detail: fmt.Sprintf("%d running, %d queued, budget %v", s.running, s.queued, timeout)})
 		if s.running == 0 && s.queued == 0 {
 			close(s.drained)
@@ -601,7 +581,7 @@ func (s *Service) Drain(timeout time.Duration) error {
 		if j.state == StateQueued || j.state == StateRunning {
 			j.cancel()
 			canceled++
-			s.ev.Emit(obs.Event{Type: obs.EvJobDrained, Job: j.ID, Tenant: j.Tenant,
+			s.tel.Events.Emit(obs.Event{Type: obs.EvJobDrained, Job: j.ID, Tenant: j.Tenant,
 				Detail: fmt.Sprintf("canceled %s after %v drain budget", j.state, timeout)})
 		}
 	}

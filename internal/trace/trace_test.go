@@ -207,15 +207,14 @@ func TestSpansWire(t *testing.T) {
 // TestChromeTrace exports a small two-proc trace and validates it with the
 // same checker the trace-demo tooling uses, then spot-checks the JSON.
 func TestChromeTrace(t *testing.T) {
+	at := func(ms int) time.Time { return time.Unix(0, 0).Add(time.Duration(ms) * time.Millisecond) }
 	jt := New("jobtracker")
-	job := jt.StartRoot("job", KindJob)
+	jt.Record(Context{}, "job", KindJob, at(0), at(4))
+	job := jt.Spans()[0]
 	tt := New("tracker0")
-	m := tt.StartChild(job.Context(), "m0", KindTask)
-	m.Annotate("attempt", "1")
-	time.Sleep(time.Millisecond)
-	m.Child("map.run", KindPhase).End()
-	m.End()
-	job.End()
+	tt.Record(job.Context(), "m0", KindTask, at(1), at(3), Annotation{Key: "attempt", Value: "1"})
+	m := tt.Spans()[0]
+	tt.Record(m.Context(), "map.run", KindPhase, at(1), at(2))
 	jt.Add(tt.Drain()...)
 	spans := jt.Spans()
 
@@ -289,11 +288,10 @@ func TestValidateChromeRejects(t *testing.T) {
 // are labelled, attempts are suffixed, and bars are width-bounded.
 func TestRenderTimeline(t *testing.T) {
 	tr := New("tracker0")
-	s := tr.StartRoot("m1", KindTask)
-	s.Annotate("attempt", "2")
-	time.Sleep(2 * time.Millisecond)
-	s.End()
-	tr.Instant(s.Context(), "fault.fail", KindFault)
+	tr.Record(Context{}, "m1", KindTask, time.Unix(0, 0), time.Unix(0, 0).Add(2*time.Millisecond),
+		Annotation{Key: "attempt", Value: "2"})
+	s := tr.Spans()[0]
+	tr.Record(s.Context(), "fault.fail", KindFault, s.Finish, s.Finish)
 	out := RenderTimeline(tr.Spans(), 40)
 	for _, want := range []string{"m1 a2", "tracker0", "fault.fail", "#", "!"} {
 		if !strings.Contains(out, want) {

@@ -59,8 +59,8 @@ func ParseContext(s string) (Context, error) {
 		return Context{}, nil
 	}
 	dash := strings.IndexByte(s, '-')
-	if dash < 0 {
-		return Context{}, fmt.Errorf("%w: %q", ErrCorrupt, s)
+	if dash < 0 || len(s) > 2*16+1 { // two 16-digit ids and the dash
+		return Context{}, fmt.Errorf("%w: %.40q", ErrCorrupt, s)
 	}
 	tr, err1 := strconv.ParseUint(s[:dash], 16, 64)
 	sp, err2 := strconv.ParseUint(s[dash+1:], 16, 64)
@@ -96,6 +96,12 @@ func EncodeSpans(spans []Span) []byte {
 	return b
 }
 
+// EncodeSpans writes at least 9 bytes per span (three ids, three string
+// lengths, two timestamps and an annotation count) and 2 per annotation.
+// DecodeSpans trusts no count beyond what the bytes left could hold, so a
+// forged count cannot make it allocate.
+const minSpanBytes, minNoteBytes = 9, 2
+
 // DecodeSpans parses an EncodeSpans batch. Empty input decodes to nil.
 func DecodeSpans(b []byte) ([]Span, error) {
 	if len(b) == 0 {
@@ -106,8 +112,8 @@ func DecodeSpans(b []byte) ([]Span, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	b = b[n:]
-	if count < 0 || count > 1<<20 {
-		return nil, fmt.Errorf("%w: %d spans is implausible", ErrCorrupt, count)
+	if count < 0 || count > int64(len(b)/minSpanBytes) {
+		return nil, fmt.Errorf("%w: %d spans in %d bytes", ErrCorrupt, count, len(b))
 	}
 	spans := make([]Span, 0, count)
 	for i := int64(0); i < count; i++ {
@@ -146,8 +152,11 @@ func DecodeSpans(b []byte) ([]Span, error) {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		b = b[n:]
-		if notes < 0 || notes > 1<<16 {
-			return nil, fmt.Errorf("%w: %d annotations is implausible", ErrCorrupt, notes)
+		if notes < 0 || notes > int64(len(b)/minNoteBytes) {
+			return nil, fmt.Errorf("%w: %d annotations in %d bytes", ErrCorrupt, notes, len(b))
+		}
+		if notes > 0 {
+			s.Notes = make([]Annotation, 0, notes)
 		}
 		for a := int64(0); a < notes; a++ {
 			k, n, err := kv.ReadBytes(b)
