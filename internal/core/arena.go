@@ -30,6 +30,19 @@ import (
 // of the key's own block, so a combining job's arena is bounded by distinct
 // keys x combineEvery however many pairs pass through it.
 //
+// A buffer with a combiner also keeps a run per entry (runs, parallel to
+// entries and filled only by combining buffers): the entry's last value,
+// packed into a word when it is at most maxRunValue bytes, and a count of the
+// copies of it that follow in the key's list but not in its block. A pair
+// that repeats the run's value only bumps that count and the entry's nvals;
+// any other value first writes the pending copies to the block and then
+// starts a new run. A fold hands the combiner the block's values followed by
+// the copies, one slice repeated, and starts the next run from the
+// combiner's last output, so WordCount's stream of 1s, folded to counts,
+// leaves a block of a few counts however many pairs pass. The wire form is
+// unchanged: a spill writes any pending copies out as the records they
+// stand for.
+//
 // The table exists so that a combiner, or the value sort, sees all of a key's
 // buffered values. When neither is configured (ungrouped, set at Init), it
 // only saves the spill sorting a key once per pair, which pays while keys
@@ -62,7 +75,8 @@ type arenaBuffer struct {
 	keyArena []byte
 	valArena []byte
 	entries  []arenaEntry
-	slots    []int32 // entry index + 1; 0 = empty
+	runs     []arenaRun // one per entry when combining, else empty
+	slots    []int32    // entry index + 1; 0 = empty
 	// payload is the buffered byte count SpillThreshold is compared against:
 	// every buffered value plus each distinct key once, or each pair's key
 	// when ungrouped, however the pairs are held. Entries, slots and sort
@@ -103,6 +117,47 @@ type arenaEntry struct {
 	valLen int32 // block bytes in use
 	valCap int32 // block capacity
 	nvals  int32
+}
+
+// arenaRun is a combining entry's run: the entry's last value as packValue
+// packs it (0 when it is too long to pack, or the list is empty) and how many
+// copies of it follow the block in the key's list.
+type arenaRun struct {
+	word uint64
+	n    int32
+}
+
+// maxRunValue is the longest value a run packs: its one-byte length prefix
+// and its bytes fill seven bytes of the word, and runMark the eighth, so
+// that a packed word is never 0, the empty value's included.
+const (
+	maxRunValue = 6
+	runMark     = 1 << 63
+)
+
+// packValue returns value's kv record (length byte, then the bytes) as a
+// little-endian word, marked with runMark, or 0 if value is too long.
+func packValue(value []byte) uint64 {
+	if len(value) > maxRunValue {
+		return 0
+	}
+	w := runMark | uint64(len(value))
+	for i, c := range value {
+		w |= uint64(c) << (8 * (i + 1))
+	}
+	return w
+}
+
+// appendRun appends a run's pending copies to dst, each the kv record its
+// word holds.
+func appendRun(dst []byte, r arenaRun) []byte {
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], r.word)
+	rec := word[:word[0]+1]
+	for range r.n {
+		dst = append(dst, rec...)
+	}
+	return dst
 }
 
 const arenaInitSlots = 64 // must stay a power of two
@@ -242,25 +297,55 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 		})
 		b.keyArena = append(b.keyArena, key...)
 		b.insertSlot(h, idx)
+		if combine != nil {
+			b.runs = append(b.runs, arenaRun{})
+		}
 		b.payload += len(key)
 		b.fresh++
 	} else if b.ungrouped {
 		b.payload += len(key)
 	}
 	e := &b.entries[idx]
-	b.appendValue(e, value)
 	b.payload += len(value)
-	if b.ungrouped {
-		if b.window++; b.window == sampleSize {
-			b.perPair = b.fresh*4 > sampleSize*3
-			b.window, b.fresh = 0, 0
+	if combine == nil {
+		b.appendValue(e, value)
+		if b.ungrouped {
+			if b.window++; b.window == sampleSize {
+				b.perPair = b.fresh*4 > sampleSize*3
+				b.window, b.fresh = 0, 0
+			}
 		}
 		return 0
 	}
-	if combine == nil || e.nvals < combineEvery {
+	r := &b.runs[idx]
+	if w := packValue(value); w != 0 && w == r.word {
+		r.n++
+		e.nvals++
+	} else {
+		b.writeRun(e, r)
+		b.appendValue(e, value)
+		r.word = w
+	}
+	if e.nvals < combineEvery {
 		return 0
 	}
-	return b.foldEntry(e, combine, false)
+	return b.foldEntry(idx, combine, false)
+}
+
+// writeRun moves a run's pending copies into its entry's block, so that a
+// different value can follow them there.
+func (b *arenaBuffer) writeRun(e *arenaEntry, r *arenaRun) {
+	if r.n == 0 {
+		return
+	}
+	size := r.n * int32(byte(r.word)+1)
+	if need := e.valLen + size; need > e.valCap {
+		b.growBlock(e, need)
+	}
+	end := e.valOff + e.valLen
+	appendRun(b.valArena[end:end:end+size], *r) // in place: the room is there
+	e.valLen += size
+	r.n = 0
 }
 
 // appendValue copies value, as a kv length-prefixed record, to the end of the
@@ -317,17 +402,33 @@ func (b *arenaBuffer) materialize(e *arenaEntry) [][]byte {
 	return vs
 }
 
-// foldEntry passes an entry's values through the combiner, when set, and then
-// the value sort, when set, and writes the result back over the start of the
-// entry's own block, so a fold strands nothing. The result may alias the block
-// it is about to overwrite (see CombineFunc), so it is staged first. It
-// returns how many values the combiner eliminated.
-func (b *arenaBuffer) foldEntry(e *arenaEntry, combine CombineFunc, sortValues bool) int64 {
+// foldEntry passes entry idx's values, its run's pending copies last, through
+// the combiner, when set, and then the value sort, when set, and writes the
+// result back over the start of the entry's own block, so a fold strands
+// nothing. The result may alias the block it is about to overwrite (see
+// CombineFunc), so it is staged first. The entry's next run starts from the
+// result's last value. It returns how many values the combiner eliminated.
+func (b *arenaBuffer) foldEntry(idx int32, combine CombineFunc, sortValues bool) int64 {
+	e := &b.entries[idx]
 	vs := b.materialize(e)
-	oldLen, oldBytes := len(vs), 0
+	oldBytes := 0
 	for _, v := range vs {
 		oldBytes += len(v)
 	}
+	var r *arenaRun
+	if len(b.runs) > 0 {
+		r = &b.runs[idx]
+	}
+	if r != nil && r.n > 0 {
+		n, last := len(vs), vs[len(vs)-1] // the block ends with the run's value
+		vs = slices.Grow(vs, int(r.n))[:n+int(r.n)]
+		for i := n; i < len(vs); i++ {
+			vs[i] = last
+		}
+		b.scratch = vs
+		oldBytes += int(r.n) * len(last)
+	}
+	oldLen := len(vs)
 	out := vs
 	if combine != nil {
 		out = combine(b.key(e), vs)
@@ -341,6 +442,12 @@ func (b *arenaBuffer) foldEntry(e *arenaEntry, combine CombineFunc, sortValues b
 		newBytes += len(v)
 	}
 	b.stage = stage
+	if r != nil {
+		r.word, r.n = 0, 0
+		if len(out) > 0 {
+			r.word = packValue(out[len(out)-1])
+		}
+	}
 	e.valLen, e.nvals = 0, int32(len(out)) // nothing for a grow to carry over
 	if int32(len(stage)) > e.valCap {
 		b.growBlock(e, int32(len(stage)))
@@ -362,18 +469,23 @@ func (b *arenaBuffer) reset() {
 	b.keyArena = b.keyArena[:0]
 	b.valArena = b.valArena[:0]
 	b.entries = b.entries[:0]
+	b.runs = b.runs[:0]
 	b.clearTable()
 	b.payload = 0
 	b.perPair, b.window, b.fresh = false, 0, 0
 }
 
 // wireBytes is the size the buffered key lists serialize to (kv.AppendKeyList
-// framing included), before any spill-time combine shrinks them.
+// framing included, runs' pending copies written out), before any spill-time
+// combine shrinks them.
 func (b *arenaBuffer) wireBytes() int {
 	n := len(b.keyArena)
 	for i := range b.entries {
 		e := &b.entries[i]
 		n += kv.VLongSize(int64(e.keyLen)) + kv.VLongSize(int64(e.nvals)) + int(e.valLen)
+	}
+	for _, r := range b.runs {
+		n += int(r.n) * int(byte(r.word)+1)
 	}
 	return n
 }
@@ -451,10 +563,10 @@ func (b *arenaBuffer) settleTies(order []sortKey) {
 // spill order, so each buffer is a sorted run — the invariant the receive-side
 // k-way merge builds on. A frame is kv.AppendKeyList's: the key, its value
 // count, then the key's value blocks copied as they lie, since a block already
-// is its values' wire encoding. Equal keys, adjacent entries of an ungrouped
-// buffer, share one frame. A combiner or the value sort first rewrites a key's
-// block in place (foldEntry); combined counts the pairs the combiner
-// eliminated.
+// is its values' wire encoding, each followed by its run's pending copies.
+// Equal keys, adjacent entries of an ungrouped buffer, share one frame. A
+// combiner or the value sort first rewrites a key's block in place
+// (foldEntry); combined counts the pairs the combiner eliminated.
 func (b *arenaBuffer) realign(parts [][]byte, partition PartitionFunc, combine CombineFunc, sortValues bool) (combined int64, err error) {
 	order := b.sortOrder()
 	for i := 0; i < len(order); {
@@ -466,7 +578,7 @@ func (b *arenaBuffer) realign(parts [][]byte, partition PartitionFunc, combine C
 			j++
 		}
 		if combine != nil || sortValues {
-			combined += b.foldEntry(first, combine, sortValues)
+			combined += b.foldEntry(order[i].idx, combine, sortValues)
 			nvals = int64(first.nvals)
 		}
 		p := partition(key, len(parts))
@@ -477,6 +589,9 @@ func (b *arenaBuffer) realign(parts [][]byte, partition PartitionFunc, combine C
 		for _, sk := range order[i:j] {
 			e := &b.entries[sk.idx]
 			dst = append(dst, b.valArena[e.valOff:e.valOff+e.valLen]...)
+			if len(b.runs) > 0 {
+				dst = appendRun(dst, b.runs[sk.idx])
+			}
 		}
 		parts[p] = dst
 		i = j

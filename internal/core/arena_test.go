@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/ict-repro/mpid/internal/kv"
 )
 
 // FuzzArenaKeyWords holds keyWords to its promise: two keys of at most 16
@@ -96,5 +98,71 @@ func TestMaterializeRejectsCorruptBlock(t *testing.T) {
 			vs := b.materialize(e)
 			t.Fatalf("materialize returned %q from a corrupt block", vs)
 		})
+	}
+}
+
+// TestArenaRunsCountRepeatsOutsideTheBlock: in a combining buffer, a key that
+// keeps receiving the same small value holds its copies as a count, leaving
+// the block as it was, while nvals, bytes() and wireBytes() count every copy.
+// A different value writes the copies out ahead of itself, a value too long
+// to pack repeats through the block, and a spill without a fold ships the
+// copies as the records they stand for, wireBytes() bytes in all.
+func TestArenaRunsCountRepeatsOutsideTheBlock(t *testing.T) {
+	b, ref := newArenaBuffer(), refBuffer{}
+	send := func(value []byte, n int) {
+		for range n {
+			b.add([]byte("k"), value, sumCombiner)
+			ref.add([]byte("k"), value, sumCombiner)
+		}
+	}
+	send([]byte{1}, 100)
+	e, r := &b.entries[0], &b.runs[0]
+	if e.valLen != 2 || r.n != 99 || e.nvals != 100 {
+		t.Fatalf("100 copies of one value: block %d bytes, run %d copies, nvals %d; want 2, 99, 100", e.valLen, r.n, e.nvals)
+	}
+	send([]byte{2}, 1)
+	if e.valLen != 2*101 || r.n != 0 {
+		t.Fatalf("after a different value: block %d bytes, run %d copies; want %d, 0", e.valLen, r.n, 2*101)
+	}
+	long := []byte("\x03sevens") // 7 bytes: one more than a run packs
+	send(long, 3)
+	if e.valLen != 2*101+3*int32(len(long)+1) || r.n != 0 {
+		t.Fatalf("after three 7-byte values: block %d bytes, run %d copies; want %d, 0", e.valLen, r.n, 2*101+3*(len(long)+1))
+	}
+	send(long[:5], 20)
+	checkAgainstRef(t, "before the spill", b, ref, false)
+	parts := [][]byte{nil}
+	wire := b.wireBytes()
+	if _, err := b.realign(parts, func([]byte, int) int { return 0 }, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if len(parts[0]) != wire {
+		t.Fatalf("wireBytes() = %d, the spill wrote %d", wire, len(parts[0]))
+	}
+	streamsEqual(t, map[int][]streamEntry{0: ref.sorted()}, map[int][]streamEntry{0: decodeFrames(t, parts[0])})
+}
+
+// TestArenaFoldRestartsRunFromLastOutput: after a fold the block ends with the
+// combiner's last output, so that value, and no other, may seed the next run.
+// The combiner here puts the incoming value first and a marker last; a run
+// seeded from the first output would count the pairs that follow as copies of
+// the marker.
+func TestArenaFoldRestartsRunFromLastOutput(t *testing.T) {
+	lastThenMarker := func(_ []byte, values [][]byte) [][]byte {
+		return [][]byte{values[len(values)-1], {0}}
+	}
+	b, ref := newArenaBuffer(), refBuffer{}
+	for i := 0; i < 3*combineEvery; i++ {
+		b.add([]byte("k"), []byte{1}, lastThenMarker)
+		ref.add([]byte("k"), []byte{1}, lastThenMarker)
+	}
+	checkAgainstRef(t, "after three folds", b, ref, true)
+	parts := [][]byte{nil}
+	if _, err := b.realign(parts, func([]byte, int) int { return 0 }, lastThenMarker, false); err != nil {
+		t.Fatal(err)
+	}
+	want := kv.AppendKeyList(nil, kv.KeyList{Key: []byte("k"), Values: lastThenMarker(nil, ref["k"])})
+	if !bytes.Equal(parts[0], want) {
+		t.Fatalf("spill after the folds is %q, want %q", parts[0], want)
 	}
 }

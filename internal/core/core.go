@@ -61,8 +61,11 @@ var ErrFinalized = errors.New("mpid: instance finalized")
 // shorter) list — the paper's local combiner, "commonly ... assigned as the
 // reduce function". It must be pure: same inputs, same outputs. key and
 // values point into the send buffer and are valid only until the function
-// returns; the result may alias them (return values itself, or a subset),
-// and the buffer copies it before reusing that space.
+// returns; several values may share one backing array (the send buffer
+// hands over a run of repeats of one value as one slice repeated), so the
+// function must not write into its inputs. The result may alias them
+// (return values itself, or a subset), and the buffer copies it before
+// reusing that space.
 type CombineFunc func(key []byte, values [][]byte) [][]byte
 
 // PartitionFunc maps a key to a partition in [0, n). The default is the

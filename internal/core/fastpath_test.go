@@ -147,7 +147,9 @@ func TestSendBufferAccountingAcrossCombineAndSpillCycles(t *testing.T) {
 // TestArenaCombineAliasing pins CombineFunc's contract from the buffer's
 // side: a result may alias the inputs, and the fold writes it back over the
 // very block the inputs live in. Each combiner below breaks a write-back that
-// copies result values in place one after the other.
+// copies result values in place one after the other. The runs subtest feeds
+// each of them values that repeat in stretches of 50, so that a fold's inputs
+// end in a run's copies, one slice repeated, and the results alias those.
 func TestArenaCombineAliasing(t *testing.T) {
 	combiners := []struct {
 		name    string
@@ -173,27 +175,48 @@ func TestArenaCombineAliasing(t *testing.T) {
 			return [][]byte{values[1], sumCombiner(nil, values)[0], values[0], values[1]}
 		}},
 	}
+	// fill sends 3 x combineEvery + 17 pairs, three in four to one hot key,
+	// with value(i) as the i-th value, every one a VLong that sumCombiner
+	// reads, and holds the buffer to refBuffer throughout.
+	fill := func(t *testing.T, combine CombineFunc, value func(i int) []byte) {
+		b, ref := newArenaBuffer(), refBuffer{}
+		for i := 0; i < 3*combineEvery+17; i++ {
+			key := []byte(fmt.Sprintf("key-%d", i%3))
+			if i%4 != 0 {
+				key = []byte("hot")
+			}
+			b.add(key, value(i), combine)
+			ref.add(key, value(i), combine)
+			checkAgainstRef(t, fmt.Sprintf("pair %d", i), b, ref, i%64 == 0)
+		}
+		checkAgainstRef(t, "end", b, ref, true)
+	}
 	for _, c := range combiners {
 		t.Run(c.name, func(t *testing.T) {
-			b, ref := newArenaBuffer(), refBuffer{}
-			for i := 0; i < 3*combineEvery+17; i++ {
-				key := []byte(fmt.Sprintf("key-%d", i%3))
-				if i%4 != 0 {
-					key = []byte("hot")
-				}
+			fill(t, c.combine, func(i int) []byte {
 				value := kv.AppendVLong(nil, int64(i)*int64(i)) // 1 to 4 bytes
 				if i%10 == 5 {
 					// Either side of the one-byte length prefix: 127, 128
 					// and 129 bytes.
 					value = append(value, bytes.Repeat([]byte{byte(i)}, 127+i%3-len(value))...)
 				}
-				b.add(key, value, c.combine)
-				ref.add(key, value, c.combine)
-				checkAgainstRef(t, fmt.Sprintf("pair %d", i), b, ref, i%64 == 0)
-			}
-			checkAgainstRef(t, "end", b, ref, true)
+				return value
+			})
 		})
 	}
+	t.Run("runs", func(t *testing.T) {
+		for _, c := range combiners {
+			t.Run(c.name, func(t *testing.T) {
+				fill(t, c.combine, func(i int) []byte {
+					// Stretch s repeats a value of 1 + s%9 bytes: either
+					// side of the widest value a run packs.
+					s := i / 50
+					value := kv.AppendVLong(nil, int64(s))
+					return append(value, bytes.Repeat([]byte{byte(s)}, s%9+1-len(value))...)
+				})
+			})
+		}
+	})
 }
 
 // zipfKeys draws n keys from a Zipf distribution over distinct words, the
@@ -212,13 +235,13 @@ func zipfKeys(n, distinct int) [][]byte {
 }
 
 // TestArenaFootprintBoundedUnderCombine: a combining job that never reaches
-// the spill threshold must hold memory in proportion to distinct keys x
-// combineEvery, not to pairs emitted. One buffered WordCount value is a 2-byte
-// record, so a key's block settles at 1 KiB (one doubling past combineEvery
-// records, for the folded count in front), the blocks it outgrew add up to
-// less than that, and the arena slice's own growth adds a quarter: under 12
-// bytes per (key, combineEvery slot) for every backing array together. A
-// buffer that keeps even one byte per emitted pair is a megabyte over.
+// the spill threshold must hold memory in proportion to distinct keys, not to
+// pairs emitted. Every WordCount value is 1, so a key's run counts its copies
+// beside the entry and its block holds only the counts its folds left, a few
+// bytes; the key arena, the entries, the run table and the slot table add
+// about 90 bytes per key. All backing arrays together stay under 1 byte per
+// (key, combineEvery slot). A buffer that stores each buffered value, or
+// keeps even one byte per emitted pair, is over.
 func TestArenaFootprintBoundedUnderCombine(t *testing.T) {
 	const emits, distinct = 1_000_000, 500
 	b := newArenaBuffer()
@@ -229,8 +252,10 @@ func TestArenaFootprintBoundedUnderCombine(t *testing.T) {
 	if len(b.entries) != distinct {
 		t.Fatalf("%d distinct keys buffered, want %d", len(b.entries), distinct)
 	}
-	footprint := cap(b.keyArena) + cap(b.valArena) + cap(b.entries)*int(unsafe.Sizeof(arenaEntry{})) + cap(b.slots)*int(unsafe.Sizeof(b.slots[0]))
-	if bound := 12 * distinct * combineEvery; footprint > bound {
+	footprint := cap(b.keyArena) + cap(b.valArena) + cap(b.entries)*int(unsafe.Sizeof(arenaEntry{})) +
+		cap(b.runs)*int(unsafe.Sizeof(arenaRun{})) + cap(b.slots)*int(unsafe.Sizeof(b.slots[0]))
+	t.Logf("footprint %d bytes, %.2f per (key, combineEvery slot)", footprint, float64(footprint)/(distinct*combineEvery))
+	if bound := distinct * combineEvery; footprint > bound {
 		t.Fatalf("send buffer holds %d bytes after %d emits, want at most %d", footprint, emits, bound)
 	}
 	var total int64

@@ -69,6 +69,11 @@ func refRealign(pairs []kv.Pair, nParts int, combine CombineFunc, sortValues boo
 	return parts
 }
 
+// firstCombiner folds a list to its first value. While a key keeps receiving
+// its first value, every fold's result equals the values still coming, so the
+// key's run goes on across the fold.
+func firstCombiner(_ []byte, values [][]byte) [][]byte { return values[:1] }
+
 // FuzzRealign holds the spill's realign, in every send variant, to
 // kv.AppendKeyList over a plain sorted map: the arena is filled from the
 // decoded pairs as Init sets it up for the variant (grouped only for a
@@ -79,7 +84,10 @@ func refRealign(pairs []kv.Pair, nParts int, combine CombineFunc, sortValues boo
 // realigns the first half of the pairs, over the scratch the first spill left
 // behind. Seeds live in testdata/fuzz: duplicate keys, empty keys and values,
 // values either side of the one-byte length prefix (127, 128, 129 and 300
-// bytes), and "a" against "a\x00".
+// bytes), and "a" against "a\x00"; and for runs, one key repeating a value
+// past three folds, two values alternating, runs of the empty value, values
+// of 6, 7 and 8 bytes (either side of maxRunValue), values holding 0x00 and
+// 0xff, and a run broken by a 128-byte value.
 func FuzzRealign(f *testing.F) {
 	variants := []struct {
 		name       string
@@ -93,6 +101,7 @@ func FuzzRealign(f *testing.F) {
 		{"plain/unprobed", nil, false, func(int) []int { return []int{0} }},
 		{"plain/flipped", nil, false, func(n int) []int { return []int{n / 4, n / 2, 3 * n / 4} }},
 		{"combiner", joinCombiner, false, nil},
+		{"combiner/first", firstCombiner, false, nil},
 		{"sortValues", nil, true, nil},
 		{"combiner+sortValues", joinCombiner, true, nil},
 	}

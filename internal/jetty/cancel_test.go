@@ -3,10 +3,12 @@ package jetty
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/faults"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -38,9 +40,13 @@ func TestFetchContextCanceledBeforeAttempt(t *testing.T) {
 	}
 }
 
-// TestFetchContextCancelInterruptsBackoff cancels while the client is
-// sleeping between retries: the fetch must return with the context error
-// well before the remaining backoff budget would have elapsed.
+// TestFetchContextCancelInterruptsBackoff cancels once the first attempt has
+// failed and the client has announced its retry, so it is sleeping between
+// retries or about to: the fetch must return with the context error well
+// before the remaining backoff budget would have elapsed. Cancelling as soon
+// as the injector has counted the attempt is not enough: a cancel that lands
+// before the client checks its context after the attempt returns the
+// attempt's own error.
 func TestFetchContextCancelInterruptsBackoff(t *testing.T) {
 	addr, store := startFaultyServer(t, nil)
 	key := OutputKey{Job: "job", Map: 0, Reduce: 0}
@@ -52,12 +58,15 @@ func TestFetchContextCancelInterruptsBackoff(t *testing.T) {
 	c := NewClient()
 	defer c.Close()
 	c.Injector = inj
+	c.Events = obs.NewRecorder(0)
 	c.MaxAttempts = 50
 	c.Backoff = faults.Backoff{Base: 2 * time.Second, Max: 2 * time.Second}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(30 * time.Millisecond)
+		for len(c.Events.OfType(obs.EvFetchRetry)) == 0 {
+			runtime.Gosched()
+		}
 		cancel()
 	}()
 	start := time.Now()
