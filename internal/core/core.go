@@ -235,6 +235,17 @@ func Init(cfg Config) (*D, error) {
 // Counters returns a snapshot of this instance's counters.
 func (d *D) Counters() Counters { return d.counters }
 
+// ReceivedCap returns the capacity of the buffers the received messages
+// arrived in, which Recv's slices alias: Counters().BytesReceived or more,
+// where a transport delivers a message in a larger buffer. It is final once
+// grouped Recv has returned its first key, and 0 on a rank that is no reducer.
+func (d *D) ReceivedCap() int {
+	if d.recvState == nil {
+		return 0
+	}
+	return d.recvState.held
+}
+
 // IsSender reports whether this rank may call Send.
 func (d *D) IsSender() bool { return d.isSender }
 

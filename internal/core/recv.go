@@ -35,6 +35,8 @@ type receiver struct {
 
 	// sendersLeft counts senders that have not yet sent DoneTag.
 	sendersLeft int
+	// held sums the capacity of every received DataTag payload.
+	held int
 
 	// Streaming mode: fragments decoded from the current message, served
 	// in order.
@@ -85,6 +87,7 @@ func (r *receiver) receiveMessage() (data []byte, more bool, err error) {
 		switch st.Tag {
 		case DataTag:
 			r.d.counters.BytesReceived += int64(len(payload))
+			r.held += cap(payload)
 			return payload, true, nil
 		case DoneTag:
 			r.sendersLeft--
@@ -139,7 +142,9 @@ func (r *receiver) nextStreaming() ([]byte, [][]byte, error) {
 // goroutine: nothing is re-serialized between reception and reduce, and an
 // abandoned stream leaves nothing running. Equal keys concatenate values in
 // run-arrival order. Returned slices alias the received buffers, which are
-// therefore never recycled.
+// therefore never recycled: a reducer's output keeps the pairs it passes
+// through where they lie in those buffers (mapred.PartBuilder), which is sound
+// only because no one writes to a run once it is received.
 func (r *receiver) nextGroupedMerged() ([]byte, [][]byte, error) {
 	if r.merge == nil {
 		for {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"unsafe"
 
 	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/core"
@@ -28,7 +29,10 @@ import (
 // Emit is the output collector handed to map and reduce functions. On every
 // engine it copies key and value before it returns, so the caller may reuse
 // both buffers at once: one of each can serve a whole task. A mapper's
-// emissions enter the shuffle; a reducer's are what Result holds.
+// emissions enter the shuffle; a reducer's are what Result holds. The one
+// exception is MPI-D's pass-through pair: a reduce call's own key emitted
+// with the next of its own values, slice for slice, stays where the shuffle
+// delivered it, and no one reuses those bytes (PartBuilder).
 type Emit func(key, value []byte) error
 
 // Mapper transforms one input record into zero or more key-value pairs.
@@ -42,7 +46,10 @@ type MapperFunc func(key, value []byte, emit Emit) error
 // Map implements Mapper.
 func (f MapperFunc) Map(key, value []byte, emit Emit) error { return f(key, value, emit) }
 
-// Reducer folds a key's value list into zero or more output pairs.
+// Reducer folds a key's value list into zero or more output pairs. Reduce
+// must not write into its key or values: they alias the received runs, which
+// the output may keep (Emit), and, when the reducer serves as MPI-D's
+// combiner, the send buffer (core.CombineFunc).
 type Reducer interface {
 	Reduce(key []byte, values [][]byte, emit Emit) error
 }
@@ -511,6 +518,7 @@ func runReducer(ctx context.Context, d *core.D, job Job, part *[]kv.Pair) error 
 			}
 			return err
 		}
+		out.Group(key, values, d.ReceivedCap())
 		if err := job.Reducer.Reduce(key, values, emit); err != nil {
 			return fmt.Errorf("reduce key %q: %w", key, err)
 		}
@@ -527,11 +535,23 @@ func runReducer(ctx context.Context, d *core.D, job Job, part *[]kv.Pair) error 
 // takes one; a block of constant size taxes every small job (EXPERIMENTS.md).
 // Blocks are plain allocations, never from Job.Pool — a Result
 // outlives its job — and a full one is never regrown: pairs alias it.
+//
+// A reducer that declares each reduce call with Group, as MPI-D's does, keeps
+// a pass-through pair where the shuffle delivered it: a header, cap-limited
+// the same way, files the call's own key and the next of its own values, and
+// nothing is copied. A partition is in place or copied as a whole: at the
+// first pair that is not a pass-through, the pairs kept so far move into a
+// block and Emit copies from then on. The hadoop engine declares no group and
+// copies, as Hadoop 0.20 wrote reduce output to HDFS.
 type PartBuilder struct {
-	received func() int // bytes the shuffle delivered; read when a block fills
+	received func() int // bytes the shuffle delivered; read when a block fills or before the first pair
 	pairs    []kv.Pair
 	block    []byte
 	size     int
+
+	inPlace bool     // every pair so far is a pass-through, filed where it lies
+	key     []byte   // the declared call's key
+	values  [][]byte // its values not yet passed through, in order
 }
 
 // NewPartBuilder returns a builder whose blocks are sized by received.
@@ -539,24 +559,78 @@ func NewPartBuilder(received func() int) *PartBuilder {
 	return &PartBuilder{received: received}
 }
 
+// Group declares the reduce call about to run: its key and values as the
+// shuffle delivered them, in buffers whose capacity totals held bytes, which
+// no one writes to again. The partition starts in place only before its first
+// pair and only when held is at most 9/8 of the bytes received, so it never
+// pins much more than a copy would allocate.
+func (b *PartBuilder) Group(key []byte, values [][]byte, held int) {
+	if b.pairs == nil {
+		received := b.received()
+		b.inPlace = held <= received+received/8
+	}
+	b.key, b.values = key, values
+}
+
 // Emit is the reducer's output collector.
 func (b *PartBuilder) Emit(key, value []byte) error {
 	need := len(key) + len(value)
+	if b.inPlace && b.keep(key, value) {
+		b.size += need
+		return nil
+	}
 	if need > cap(b.block)-len(b.block) {
 		received := b.received()
 		if b.pairs == nil {
-			// Headers for pairs this size, but no more bytes of header
-			// (48 each) than of data: the first key is often the shortest.
-			// serve retains results, so a high guess is clipped in Pairs.
-			b.pairs = make([]kv.Pair, 0, received/max(need, 48)+1)
+			b.headers(received, need)
 		}
 		b.block = make([]byte, 0, max(received, need))
 	}
-	k, v := len(b.block), len(b.block)+len(key)
-	b.block = append(append(b.block, key...), value...)
-	b.pairs = append(b.pairs, kv.Pair{Key: b.block[k:v:v], Value: b.block[v:len(b.block):len(b.block)]})
+	b.pairs = append(b.pairs, b.copy(key, value))
 	b.size += need
 	return nil
+}
+
+// keep files a pass-through pair where it lies and reports true. Given any
+// other pair it ends the partition's time in place: the pairs kept so far
+// move into a block with room for this one too, and it reports false.
+func (b *PartBuilder) keep(key, value []byte) bool {
+	if len(b.values) > 0 && same(key, b.key) && same(value, b.values[0]) {
+		b.values = b.values[1:]
+		if b.pairs == nil {
+			b.headers(b.received(), len(key)+len(value))
+		}
+		b.pairs = append(b.pairs, kv.Pair{Key: key[:len(key):len(key)], Value: value[:len(value):len(value)]})
+		return true
+	}
+	b.inPlace = false
+	if len(b.pairs) > 0 {
+		b.block = make([]byte, 0, max(b.received(), b.size+len(key)+len(value)))
+		for i, p := range b.pairs {
+			b.pairs[i] = b.copy(p.Key, p.Value)
+		}
+	}
+	return false
+}
+
+// same reports whether x and y are one slice: the same bytes, not equal ones.
+func same(x, y []byte) bool {
+	return len(x) == len(y) && unsafe.SliceData(x) == unsafe.SliceData(y)
+}
+
+// headers makes the header slice for pairs need bytes long, but no more bytes
+// of header (48 each) than of data: the first key is often the shortest.
+// serve retains results, so a high guess is clipped in Pairs.
+func (b *PartBuilder) headers(received, need int) {
+	b.pairs = make([]kv.Pair, 0, received/max(need, 48)+1)
+}
+
+// copy appends key and value to the block, which has room for both, and
+// returns a header aliasing the copy.
+func (b *PartBuilder) copy(key, value []byte) kv.Pair {
+	k, v := len(b.block), len(b.block)+len(key)
+	b.block = append(append(b.block, key...), value...)
+	return kv.Pair{Key: b.block[k:v:v], Value: b.block[v:len(b.block):len(b.block)]}
 }
 
 // Pairs returns the partition, its header slice trimmed when more than an

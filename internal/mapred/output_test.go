@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
+	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mpi"
@@ -18,10 +21,21 @@ import (
 
 // A reducer builds its partition of Result where it reduces it: emit copies
 // key and value into blocks the reducer allocated and files a header aliasing
-// the copy. These tests pin what a holder of the Result may rely on, on the
-// chan and the TCP world alike — the path is the same on both.
+// the copy, or, for a pass-through pair, keeps it where the shuffle delivered
+// it. These tests pin what a holder of the Result may rely on, on the chan
+// and the TCP world alike.
 
 var identityMapper = MapperFunc(func(k, v []byte, emit Emit) error { return emit(k, v) })
+
+// identityReducer emits every value under its key, in the order received.
+var identityReducer = ReducerFunc(func(k []byte, values [][]byte, emit Emit) error {
+	for _, v := range values {
+		if err := emit(k, v); err != nil {
+			return err
+		}
+	}
+	return nil
+})
 
 // lineMapper keys a line of lineSplits' text by itself.
 var lineMapper = MapperFunc(func(_, line []byte, emit Emit) error { return emit(line, nil) })
@@ -115,6 +129,144 @@ func TestReducerOutputCrossesBlocks(t *testing.T) {
 	}
 }
 
+// sortPairs returns n TeraSort-shaped pairs, random 10-byte keys with 90-byte
+// values, and the same pairs sorted by key: an identity job's output.
+func sortPairs(n int) (input, sorted []kv.Pair) {
+	rng := rand.New(rand.NewSource(7))
+	input = make([]kv.Pair, n)
+	for i := range input {
+		input[i] = kv.Pair{Key: make([]byte, 10), Value: make([]byte, 90)}
+		rng.Read(input[i].Key)
+		rng.Read(input[i].Value)
+	}
+	sorted = slices.Clone(input)
+	slices.SortFunc(sorted, func(x, y kv.Pair) int { return kv.Compare(x.Key, y.Key) })
+	return input, sorted
+}
+
+// framedInRun reports whether every pair of part lies in a received run as the
+// shuffle framed it: no pair starts at the byte after its predecessor's value,
+// as in a block, and each value follows its own one-byte length record, where
+// in a block it would follow the last byte of its key.
+func framedInRun(part []kv.Pair) bool {
+	if blockBoundaries(part) != len(part)-1 {
+		return false
+	}
+	for _, p := range part {
+		if *(*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(p.Value)), -1)) != byte(len(p.Value)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReducerOutputInPlace: a reducer's pass-through pairs — the reduce call's
+// own key with the next of its own values — stay where the shuffle delivered
+// them, unless the buffers they arrived in hold more than 9/8 of their data
+// (a pooled chan world's class-rounded spill buffers). At the first pair that
+// is not a pass-through the partition is copied as a whole into a block sized
+// as an ordinary one. A kept pair is cap-limited: a run's next frame starts
+// at the byte after each value. Every message here is larger than TCP's
+// 64 KiB eager frame, so it is read into a buffer of its own size, never into
+// a recycled class-sized one.
+func TestReducerOutputInPlace(t *testing.T) {
+	input, want := sortPairs(4000)
+	splits := []Split{NewPairSplit(0, input[:2000]), NewPairSplit(1, input[2000:])}
+	tail := bytes.Repeat([]byte{'x'}, 16)
+	run := func(t *testing.T, job Job, newWorld func(int) (*mpi.World, error)) *Result {
+		t.Helper()
+		job.Mapper = identityMapper
+		res, err := RunOnWorld(job, splits, 2, newWorld)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPairs(t, "after the job", res.Pairs(), want)
+		return res
+	}
+
+	t.Run("tcp/identity", func(t *testing.T) {
+		res := run(t, Job{Name: "identity", Reducer: identityReducer, NumReducers: 2}, mpi.NewTCPWorld)
+		for r, part := range res.ByReducer {
+			if !framedInRun(part) {
+				t.Fatalf("reducer %d copied its %d pass-through pairs", r, len(part))
+			}
+			for i, p := range part {
+				if cap(p.Key) != len(p.Key) || cap(p.Value) != len(p.Value) {
+					t.Fatalf("reducer %d pair %d: capacities %d/%d past lengths %d/%d", r, i, cap(p.Key), cap(p.Value), len(p.Key), len(p.Value))
+				}
+				_ = append(p.Key, tail...)
+				_ = append(p.Value, tail...)
+			}
+		}
+		checkPairs(t, "after appending to every key and value", res.Pairs(), want)
+	})
+
+	t.Run("tcp/converts", func(t *testing.T) {
+		emitted := 0
+		reducer := ReducerFunc(func(k []byte, values [][]byte, emit Emit) error {
+			for _, v := range values {
+				if emitted++; emitted == 101 {
+					v = bytes.Clone(v)
+				}
+				if err := emit(k, v); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		res := run(t, Job{Name: "converts", Reducer: reducer}, mpi.NewTCPWorld)
+		if got := blockBoundaries(res.ByReducer[0]); got != 0 {
+			t.Fatalf("%d block boundaries, want 0: the copied partition fits the one block of the bytes received", got)
+		}
+	})
+
+	t.Run("chan/pooled", func(t *testing.T) {
+		res := run(t, Job{Name: "pooled", Reducer: identityReducer, NumReducers: 2, Pool: bufpool.New()}, nil)
+		for r, part := range res.ByReducer {
+			if got := blockBoundaries(part); got != 0 {
+				t.Fatalf("reducer %d: %d block boundaries, want 0: pairs in class-rounded buffers are copied into one block", r, got)
+			}
+		}
+	})
+
+	t.Run("builder", func(t *testing.T) {
+		const received = 2000 // more than the 1203 bytes emitted
+		values := make([][]byte, 100)
+		for i := range values {
+			values[i] = []byte(fmt.Sprintf("value-%03d", i))
+		}
+		key := []byte("key")
+		for held, inPlace := range map[int]bool{received * 9 / 8: true, received*9/8 + 1: false} {
+			b := NewPartBuilder(func() int { return received })
+			b.Group(key, values, held)
+			for _, v := range values {
+				if err := b.Emit(key, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if kept := b.block == nil && same(b.pairs[99].Value, values[99]); kept != inPlace {
+				t.Fatalf("held %d of %d received: pairs kept in place = %v, want %v", held, received, kept, inPlace)
+			}
+			if err := b.Emit(key, []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			part := b.Pairs()
+			if got := blockBoundaries(part); got != 0 || cap(b.block) != received {
+				t.Fatalf("held %d: %d block boundaries in a block of %d, want one block of the %d received", held, got, cap(b.block), received)
+			}
+			for i, p := range part {
+				v := []byte("new")
+				if i < len(values) {
+					v = values[i]
+				}
+				if !bytes.Equal(p.Key, key) || !bytes.Equal(p.Value, v) || (i < len(values) && same(p.Value, v)) {
+					t.Fatalf("held %d: pair %d is %q/%q, want a copy of %q/%q", held, i, p.Key, p.Value, key, v)
+				}
+			}
+		}
+	})
+}
+
 // TestPartBuilderExactHintNeverRegrows: like-sized pairs of at least 48 bytes
 // whose size hint is exactly their key and value bytes get room for every
 // header at the first emit, so the header slice never regrows, and Pairs
@@ -148,14 +300,6 @@ func TestPartBuilderExactHintNeverRegrows(t *testing.T) {
 // block, with small ones before and after it.
 func TestReducerOutputShapes(t *testing.T) {
 	big := bytes.Repeat([]byte("0123456789abcdef"), 64<<10) // 1 MiB from a reducer that received a few bytes
-	identity := ReducerFunc(func(k []byte, values [][]byte, emit Emit) error {
-		for _, v := range values {
-			if err := emit(k, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	cases := map[string]struct {
 		input       []kv.Pair
 		reducer     Reducer
@@ -164,7 +308,7 @@ func TestReducerOutputShapes(t *testing.T) {
 	}{
 		"empty key and value": {
 			input:   []kv.Pair{kv.P("", "v"), kv.P("a", ""), kv.P("", ""), kv.P("b", "w")},
-			reducer: identity,
+			reducer: identityReducer,
 			want:    [][]kv.Pair{{kv.P("", "v"), kv.P("", ""), kv.P("a", ""), kv.P("b", "w")}},
 		},
 		"nothing emitted": {
@@ -173,7 +317,7 @@ func TestReducerOutputShapes(t *testing.T) {
 				if k[0] == 'z' {
 					return nil
 				}
-				return identity(k, values, emit)
+				return identityReducer(k, values, emit)
 			}),
 			// Reducer 1 is called and emits nothing; reducer 2 gets no key.
 			partitioner: func(key []byte, _ int) int {

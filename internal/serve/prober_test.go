@@ -65,15 +65,19 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // after DeadAfter consecutive losses it must deliver exactly one verdict,
 // and keep delivering none while the losses continue.
 func TestProberVerdictAfterConsecutiveLosses(t *testing.T) {
+	const deadAfter = 3
 	cc := &fakeCC{trackers: []hadoop.TrackerState{{ID: 0, Addr: "127.0.0.1:1"}}}
 	met := metrics.NewRegistry()
-	p := NewProber(ProbeConfig{Interval: 2 * time.Millisecond, Timeout: 20 * time.Millisecond, DeadAfter: 3}, cc, obs.Telemetry{Metrics: met})
+	p := NewProber(ProbeConfig{Interval: 2 * time.Millisecond, Timeout: 20 * time.Millisecond, DeadAfter: deadAfter}, cc, obs.Telemetry{Metrics: met})
 	p.Start()
 	defer p.Stop()
 
 	waitFor(t, 5*time.Second, "dead verdict", func() bool { return cc.calls() >= 1 })
 	// The verdict is latched: continued losses must not re-deliver.
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, 5*time.Second, "losses past the verdict", func() bool {
+		st := p.Stats()
+		return len(st) == 1 && st[0].ConsecLoss >= deadAfter+5
+	})
 	if got := cc.calls(); got != 1 {
 		t.Fatalf("MarkLost called %d times for one continuous outage, want 1", got)
 	}
@@ -81,7 +85,7 @@ func TestProberVerdictAfterConsecutiveLosses(t *testing.T) {
 	if len(st) != 1 || !st[0].Dead {
 		t.Fatalf("Stats() = %+v, want one dead tracker", st)
 	}
-	if st[0].ConsecLoss < 3 || st[0].LossRate == 0 {
+	if st[0].ConsecLoss < deadAfter || st[0].LossRate == 0 {
 		t.Fatalf("Stats() = %+v, want accumulated losses", st[0])
 	}
 	if met.Counter("probe.lost").Value() == 0 {
