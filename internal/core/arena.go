@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -14,21 +15,22 @@ import (
 
 // arenaBuffer is the mapper-side hash table of §IV.A: Send buffers pairs
 // here, grouped by key, so the combiner can merge values locally before
-// anything is serialized or transmitted. Everything lives in three flat
-// slices that are reset — not reallocated — between spills:
+// anything is serialized or transmitted. Everything lives in flat slices that
+// are reset — not reallocated — between spills:
 //
-//	keyArena  all key bytes, appended back to back
-//	valArena  one block per entry, holding its values in insertion order,
-//	          each a kv length-prefixed byte string — already their wire form
-//	entries   one record per distinct key (one per pair once perPair): offsets
-//	          into keyArena plus its block's offset, used length and capacity
+//	arena    each entry's key and value block, and each per-pair frame, back
+//	         to back; a block holds the key's values in insertion order, each
+//	         a kv length-prefixed byte string — already their wire form
+//	entries  one record per distinct key: its key's offset and length plus
+//	         its block's offset, used length and capacity
+//	order    one sort record per entry or frame, appended when it is made
 //
-// A key's first block is cut to fit its first value, so a key that never
-// repeats (TeraSort) wastes nothing. A block that fills moves to the arena's
-// end at twice the capacity; the blocks it leaves behind add up to less than
-// the one it occupies. A combine fold writes its result back over the start
-// of the key's own block, so a combining job's arena is bounded by distinct
-// keys x combineEvery however many pairs pass through it.
+// A key's first block is cut to fit its first value. A block that fills moves
+// to the arena's end at twice the capacity; the blocks it leaves behind add up
+// to less than the one it occupies. Only blocks move, so a key's offset is its
+// creation order. A combine fold writes its result back over the start of the
+// key's own block, so a combining job's arena is bounded by distinct keys x
+// combineEvery however many pairs pass through it.
 //
 // A buffer with a combiner also keeps a run per entry (runs, parallel to
 // entries and filled only by combining buffers): the entry's last value,
@@ -49,71 +51,73 @@ import (
 // repeat, so the buffer watches what the table does for it. It probes in
 // windows of sampleSize pairs; after a window in which more than three pairs
 // in four made an entry of their own, it stops probing (perPair) and appends
-// each pair as an entry of its own, its key stored with it. After
-// unprobedPairs pairs it probes again over an emptied table, so that a job
-// whose keys start repeating halfway through a cycle (a join reading one
-// table's rows, then the other's) is grouped again. A key may thus hold
-// several entries, each younger than the last; the spill's sort makes them
-// adjacent, in insertion order, and they share one frame.
+// each pair as its wire frame: kv.AppendKeyList's bytes for the key and its
+// one value, with no entry. After unprobedPairs pairs it probes again over an
+// emptied table, so that a job whose keys start repeating halfway through a
+// cycle (a join reading one table's rows, then the other's) is grouped again.
+// A key may thus be held by several entries and frames, each younger than the
+// last; the spill's sort makes them adjacent, in arena order, and they share
+// one frame.
 //
 // The hash table itself is open addressing with linear probing over int32
 // entry indices, so lookups touch no pointers and growth is a flat rehash.
 // Each entry holds its key as two words (keyWords), which with its length are
 // a key of at most 16 bytes: a probe decides it in registers, and only a
-// longer key is compared in keyArena. The table hash (keyHash) folds the words
-// with a 64x64->128 multiply and depends on no Partitioner.
+// longer key is compared in the arena. The table hash (keyHash) folds the
+// words with a 64x64->128 multiply and depends on no Partitioner.
 // Steady state, Send allocates nothing: arenas and tables retain their
 // capacity across spill cycles, and across jobs — a private arena comes from
 // arenaPool at Init and goes back, reset, at Finalize, so only the first job
-// of a process grows one from zero.
-//
-// A spill orders entries with a byte radix over fixed-size sort records (see
-// sortOrder), so the arena is dereferenced only to settle keys whose first
-// eight bytes are equal, and copies each block into its partition buffer as
-// it lies (see realign).
+// of a process grows one from zero. A spill sorts the records (sortOrder) and
+// copies each block, and each lone frame, as it lies (realign).
 type arenaBuffer struct {
-	keyArena []byte
-	valArena []byte
-	entries  []arenaEntry
-	runs     []arenaRun // one per entry when combining, else empty
-	slots    []int32    // entry index + 1; 0 = empty
+	arena   []byte
+	entries []arenaEntry
+	runs    []arenaRun // one per entry when combining, else empty
+	slots   []int32    // entry index + 1; 0 = empty
+	order   []sortKey  // one per entry or frame, sorted in place at a spill
 	// payload is the buffered byte count SpillThreshold is compared against:
 	// every buffered value plus each distinct key once, or each pair's key
-	// when ungrouped, however the pairs are held. Entries, slots and sort
-	// records are not counted.
-	payload   int
-	ungrouped bool // no combiner or value sort needs a key's whole list
-	perPair   bool // appending one entry per pair, the table unused
-	window    int  // pairs in the current probed or unprobed window (ungrouped)
-	fresh     int  // pairs of the probed window that made an entry of their own
-	tableFrom int  // the table indexes entries[tableFrom:]
+	// when ungrouped, however the pairs are held. Entries, slots, sort
+	// records and length prefixes are not counted.
+	payload    int
+	frameBytes int  // arena bytes held by per-pair frames
+	ungrouped  bool // no combiner or value sort needs a key's whole list
+	perPair    bool // appending each pair as its frame, the table unused
+	window     int  // pairs in the current probed or unprobed window (ungrouped)
+	fresh      int  // pairs of the probed window that made an entry of their own
+	tableFrom  int  // the table indexes entries[tableFrom:]
+
+	// partition places each new entry or frame; one partition until Init.
+	partition PartitionFunc
+	nParts    int
 
 	scratch [][]byte  // reused value-materialization space
 	stage   []byte    // reused staging space for a fold's result
-	order   []sortKey // reused sort records for realign
-	orderB  []sortKey // the radix passes' other half, swapped with order
+	orderB  []sortKey // the radix pass's target, swapped with order
 }
 
 // arenaPool keeps finalized instances' arenas for the next Init.
 var arenaPool = sync.Pool{New: func() any { return newArenaBuffer() }}
 
-// sortKey is one entry's spill-sort record: its key's kv.Prefix and the
-// entry index. The sort moves integers held in one flat slice and
-// dereferences the arena only on a tie, which also settles what padding
-// cannot ("a" vs "a\x00").
+// sortKey is one entry's or frame's spill-sort record: its key's kv.Prefix,
+// ref (the entry's index, or ^offset of the frame in the arena) and its
+// partition, taken while the key is in cache. The sort moves these 16 bytes
+// and reads the arena only on a tie, which also settles what padding cannot
+// ("a" vs "a\x00").
 type sortKey struct {
 	prefix uint64
-	idx    int32
+	ref    int32
+	part   int32
 }
 
-// arenaEntry is one distinct key, or one pair once perPair, and its value
-// block.
+// arenaEntry is one distinct key of a probed window and its value block.
 type arenaEntry struct {
 	hash   uint64
 	w0, w1 uint64 // keyWords(key)
-	keyOff int32
+	keyOff int32  // key start in the arena
 	keyLen int32
-	valOff int32 // block start in valArena
+	valOff int32 // block start in the arena
 	valLen int32 // block bytes in use
 	valCap int32 // block capacity
 	nvals  int32
@@ -162,6 +166,17 @@ func appendRun(dst []byte, r arenaRun) []byte {
 
 const arenaInitSlots = 64 // must stay a power of two
 
+// The arena's offsets are int32. One add grows it by at most six times its
+// length plus twice the pair (a key or frame, and two block moves to twice a
+// capacity that lies in it; a run's copies and a fold's result aside), so
+// Send refuses a pair that would take it past maxArena (a variable so that a
+// test can lower it). Init bounds the threshold a quarter below that: blocks
+// that move leave holes behind, but a block spans less than twice what it
+// held and its holes less than itself.
+var maxArena = math.MaxInt32 / 8
+
+const maxSpillThreshold = math.MaxInt32 / 8 / 4
+
 // An ungrouped buffer decides whether to probe from windows of sampleSize
 // probed pairs, and probes again after unprobedPairs pairs appended unprobed.
 const (
@@ -170,7 +185,7 @@ const (
 )
 
 func newArenaBuffer() *arenaBuffer {
-	return &arenaBuffer{slots: make([]int32, arenaInitSlots)}
+	return &arenaBuffer{slots: make([]int32, arenaInitSlots), partition: HashPartitioner, nParts: 1}
 }
 
 // keyWords loads a key as two little-endian words from overlapping loads: a
@@ -205,7 +220,46 @@ func keyHash(key []byte, w0, w1 uint64) uint64 {
 }
 
 func (b *arenaBuffer) key(e *arenaEntry) []byte {
-	return b.keyArena[e.keyOff : e.keyOff+e.keyLen]
+	return b.arena[e.keyOff : e.keyOff+e.keyLen]
+}
+
+// at returns a sort record's key, its value records as they lie (a block, or
+// a frame's one record) and how many they are.
+func (b *arenaBuffer) at(r sortKey) (key, vals []byte, nvals int64) {
+	if r.ref >= 0 {
+		e := &b.entries[r.ref]
+		return b.key(e), b.arena[e.valOff : e.valOff+e.valLen], int64(e.nvals)
+	}
+	f := b.arena[^r.ref:]
+	if kl := int(f[0]); kl < 128 && f[kl+2] < 128 { // one-byte lengths
+		return f[1 : 1+kl], f[kl+2 : kl+3+int(f[kl+2])], 1
+	}
+	key, n, _ := kv.ReadBytes(f)
+	vals = f[n+1:] // past the value count, 1
+	_, m, _ := kv.ReadBytes(vals)
+	return key, vals[:m], 1
+}
+
+// keyOf returns a sort record's key and where its key or frame starts in the
+// arena, which is the order records were made in.
+func (b *arenaBuffer) keyOf(r sortKey) ([]byte, int32) {
+	if r.ref >= 0 {
+		e := &b.entries[r.ref]
+		return b.key(e), e.keyOff
+	}
+	key, _, _ := b.at(r)
+	return key, ^r.ref
+}
+
+// record appends the sort record of a new entry or frame, running the
+// partitioner on its key.
+func (b *arenaBuffer) record(key []byte, ref int32) error {
+	p := b.partition(key, b.nParts)
+	if p < 0 || p >= b.nParts {
+		return fmt.Errorf("mpid: partitioner returned %d for %d partitions", p, b.nParts)
+	}
+	b.order = append(b.order, sortKey{kv.Prefix(key), ref, int32(p)})
+	return nil
 }
 
 // find returns the entry index for key, given its keyHash and keyWords, or -1.
@@ -256,34 +310,36 @@ func (b *arenaBuffer) probeAgain() {
 	b.perPair, b.window = false, 0
 }
 
-// add buffers one pair, copying key and value into the arenas (Send promises
-// the caller its buffers are free on return). It returns how many pairs the
-// incremental combiner eliminated (0 without a combiner). Byte accounting is
-// incremental: no walks outside the combine fold itself.
-func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
+// add buffers one pair, copying it into the arena (Send promises the caller
+// its buffers are free on return). It returns how many pairs the incremental
+// combiner eliminated (0 without a combiner), or an error, having buffered
+// nothing, for a pair that the partitioner puts out of range or that would
+// take the arena past maxArena. Byte accounting is incremental: no walks
+// outside the combine fold itself.
+func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) (int64, error) {
+	if len(b.arena)+len(key)+len(value) > maxArena {
+		return 0, fmt.Errorf("mpid: a %d-byte pair would take the send buffer past %d bytes", len(key)+len(value), maxArena)
+	}
 	if b.perPair {
-		off := len(b.valArena)
-		b.valArena = kv.AppendBytes(b.valArena, value)
-		n := int32(len(b.valArena) - off)
-		b.entries = append(b.entries, arenaEntry{
-			keyOff: int32(len(b.keyArena)),
-			keyLen: int32(len(key)),
-			valOff: int32(off),
-			valLen: n,
-			valCap: n,
-			nvals:  1,
-		})
-		b.keyArena = append(b.keyArena, key...)
+		off := len(b.arena)
+		if err := b.record(key, ^int32(off)); err != nil {
+			return 0, err
+		}
+		b.arena = kv.AppendBytes(append(kv.AppendBytes(b.arena, key), 1), value)
+		b.frameBytes += len(b.arena) - off
 		b.payload += len(key) + len(value)
 		if b.window++; b.window == unprobedPairs {
 			b.probeAgain()
 		}
-		return 0
+		return 0, nil
 	}
 	w0, w1 := keyWords(key)
 	h := keyHash(key, w0, w1)
 	idx := b.find(h, w0, w1, key)
 	if idx < 0 {
+		if err := b.record(key, int32(len(b.entries))); err != nil {
+			return 0, err
+		}
 		if (len(b.entries)-b.tableFrom)*4 >= len(b.slots)*3 {
 			b.grow()
 		}
@@ -292,10 +348,10 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 			hash:   h,
 			w0:     w0,
 			w1:     w1,
-			keyOff: int32(len(b.keyArena)),
+			keyOff: int32(len(b.arena)),
 			keyLen: int32(len(key)),
 		})
-		b.keyArena = append(b.keyArena, key...)
+		b.arena = append(b.arena, key...)
 		b.insertSlot(h, idx)
 		if combine != nil {
 			b.runs = append(b.runs, arenaRun{})
@@ -315,7 +371,7 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 				b.window, b.fresh = 0, 0
 			}
 		}
-		return 0
+		return 0, nil
 	}
 	r := &b.runs[idx]
 	if w := packValue(value); w != 0 && w == r.word {
@@ -327,9 +383,9 @@ func (b *arenaBuffer) add(key, value []byte, combine CombineFunc) int64 {
 		r.word = w
 	}
 	if e.nvals < combineEvery {
-		return 0
+		return 0, nil
 	}
-	return b.foldEntry(idx, combine, false)
+	return b.foldEntry(idx, combine, false), nil
 }
 
 // writeRun moves a run's pending copies into its entry's block, so that a
@@ -343,7 +399,7 @@ func (b *arenaBuffer) writeRun(e *arenaEntry, r *arenaRun) {
 		b.growBlock(e, need)
 	}
 	end := e.valOff + e.valLen
-	appendRun(b.valArena[end:end:end+size], *r) // in place: the room is there
+	appendRun(b.arena[end:end:end+size], *r) // in place: the room is there
 	e.valLen += size
 	r.n = 0
 }
@@ -359,7 +415,7 @@ func (b *arenaBuffer) appendValue(e *arenaEntry, value []byte) {
 	if need := e.valLen + size; need > e.valCap {
 		b.growBlock(e, need)
 	}
-	rec := b.valArena[e.valOff+e.valLen : e.valOff+e.valLen+size]
+	rec := b.arena[e.valOff+e.valLen : e.valOff+e.valLen+size]
 	if len(value) < 128 {
 		rec[0] = byte(len(value))
 		copy(rec[1:], value)
@@ -370,22 +426,22 @@ func (b *arenaBuffer) appendValue(e *arenaEntry, value []byte) {
 	e.nvals++
 }
 
-// growBlock moves the entry's block to the end of valArena with room for at
+// growBlock moves the entry's block to the end of the arena with room for at
 // least need bytes and at least twice what it had.
 func (b *arenaBuffer) growBlock(e *arenaEntry, need int32) {
 	newCap := max(need, 2*e.valCap)
-	off := len(b.valArena)
-	b.valArena = slices.Grow(b.valArena, int(newCap))[:off+int(newCap)]
-	copy(b.valArena[off:], b.valArena[e.valOff:e.valOff+e.valLen])
+	off := len(b.arena)
+	b.arena = slices.Grow(b.arena, int(newCap))[:off+int(newCap)]
+	copy(b.arena[off:], b.arena[e.valOff:e.valOff+e.valLen])
 	e.valOff, e.valCap = int32(off), newCap
 }
 
 // materialize decodes an entry's block into the reusable scratch slice, for a
-// fold. The returned slices alias valArena and are valid until the next arena
+// fold. The returned slices alias the arena and are valid until the next arena
 // write.
 func (b *arenaBuffer) materialize(e *arenaEntry) [][]byte {
 	vs := b.scratch[:0]
-	for block := b.valArena[e.valOff : e.valOff+e.valLen]; len(block) > 0; {
+	for block := b.arena[e.valOff : e.valOff+e.valLen]; len(block) > 0; {
 		if n := int(block[0]); n < 128 && n < len(block) {
 			vs = append(vs, block[1:1+n:1+n])
 			block = block[1+n:]
@@ -452,7 +508,7 @@ func (b *arenaBuffer) foldEntry(idx int32, combine CombineFunc, sortValues bool)
 	if int32(len(stage)) > e.valCap {
 		b.growBlock(e, int32(len(stage)))
 	}
-	e.valLen = int32(copy(b.valArena[e.valOff:], stage))
+	e.valLen = int32(copy(b.arena[e.valOff:], stage))
 	b.payload += newBytes - oldBytes
 	return int64(oldLen - len(out))
 }
@@ -461,17 +517,17 @@ func (b *arenaBuffer) foldEntry(idx int32, combine CombineFunc, sortValues bool)
 // is compared against (see payload).
 func (b *arenaBuffer) bytes() int { return b.payload }
 
-func (b *arenaBuffer) empty() bool { return len(b.entries) == 0 }
+func (b *arenaBuffer) empty() bool { return len(b.order) == 0 }
 
 // reset forgets all buffered pairs but keeps every backing array, so the
 // next fill cycle allocates only if it outgrows the previous ones.
 func (b *arenaBuffer) reset() {
-	b.keyArena = b.keyArena[:0]
-	b.valArena = b.valArena[:0]
+	b.arena = b.arena[:0]
 	b.entries = b.entries[:0]
 	b.runs = b.runs[:0]
+	b.order = b.order[:0]
 	b.clearTable()
-	b.payload = 0
+	b.payload, b.frameBytes = 0, 0
 	b.perPair, b.window, b.fresh = false, 0, 0
 }
 
@@ -479,10 +535,10 @@ func (b *arenaBuffer) reset() {
 // framing included, runs' pending copies written out), before any spill-time
 // combine shrinks them.
 func (b *arenaBuffer) wireBytes() int {
-	n := len(b.keyArena)
+	n := b.frameBytes
 	for i := range b.entries {
 		e := &b.entries[i]
-		n += kv.VLongSize(int64(e.keyLen)) + kv.VLongSize(int64(e.nvals)) + int(e.valLen)
+		n += kv.VLongSize(int64(e.keyLen)) + int(e.keyLen) + kv.VLongSize(int64(e.nvals)) + int(e.valLen)
 	}
 	for _, r := range b.runs {
 		n += int(r.n) * int(byte(r.word)+1)
@@ -490,62 +546,80 @@ func (b *arenaBuffer) wireBytes() int {
 	return n
 }
 
-// sortOrder returns the entries' sort records in spill order: keys in
-// bytes.Compare order, equal keys (entries of an ungrouped buffer) in
-// insertion order. The slice is the arena's own and valid until the next sort.
-//
-// The order is an LSD byte radix over the keys' 8-byte prefixes: one pass
-// over the keys fills all eight histograms, a byte position every key agrees
-// on is skipped (short keys agree on their zero padding, so WordCount pays
-// two or three scatter passes and TeraSort eight), and each remaining
-// position is one stable scatter between order and orderB. Keys the prefix
-// cannot separate are then ordered by full-key comparison, run by run.
+// sortOrder sorts the records into spill order: keys in bytes.Compare order,
+// equal keys (entries and frames of an ungrouped buffer) in arena order, the
+// order the records were made in, which the stable radix keeps. The slice is
+// the arena's own and valid until the next add or reset.
 func (b *arenaBuffer) sortOrder() []sortKey {
-	n := len(b.entries)
-	if n == 0 {
-		return nil
+	b.orderB = slices.Grow(b.orderB[:0], len(b.order))[:len(b.order)]
+	radixSort(b.order, b.orderB)
+	b.settleTies(b.order)
+	return b.order
+}
+
+// radixSort sorts rs by prefix, stably, with tmp as scratch of the same
+// length: an MSD radix whose counting pass takes the bits from the highest
+// one where any two prefixes differ down, about one bucket per record and at
+// most 2048, and sorts each bucket the same way, by insertion from 32 records
+// down. Decimal keys, which differ in few bits of each byte, take more passes
+// than TeraSort's random ones, which fill a spill's buckets five deep.
+func radixSort(rs, tmp []sortKey) {
+	if len(rs) <= 32 {
+		for i := 1; i < len(rs); i++ {
+			r, j := rs[i], i
+			for ; j > 0 && rs[j-1].prefix > r.prefix; j-- {
+				rs[j] = rs[j-1]
+			}
+			rs[j] = r
+		}
+		return
 	}
-	src := slices.Grow(b.order[:0], n)[:n]
-	dst := slices.Grow(b.orderB[:0], n)[:n]
-	var hist [8][256]int32
-	for i := range src {
-		p := kv.Prefix(b.key(&b.entries[i]))
-		src[i] = sortKey{p, int32(i)}
-		for d := range hist {
-			hist[d][byte(p>>(8*d))]++
-		}
+	or, and := uint64(0), ^uint64(0)
+	for _, r := range rs {
+		or, and = or|r.prefix, and&r.prefix
 	}
-	for d := range hist {
-		h, shift := &hist[d], 8*d
-		if h[byte(src[0].prefix>>shift)] == int32(n) {
-			continue // every key has the same byte here
-		}
-		off := int32(0)
-		for v, c := range h {
-			h[v], off = off, off+c
-		}
-		for _, sk := range src {
-			v := byte(sk.prefix >> shift)
-			dst[h[v]] = sk
-			h[v]++
-		}
-		src, dst = dst, src
+	if or == and {
+		return
 	}
-	b.order, b.orderB = src, dst
-	b.settleTies(src)
-	return src
+	width := min(bits.Len(uint(len(rs)))-1, 11) // about as many buckets as records
+	shift, mask := max(bits.Len64(or^and)-width, 0), uint64(1)<<width-1
+	var hist [1 << 11]int32
+	ends := hist[:mask+1]
+	for _, r := range rs {
+		ends[r.prefix>>shift&mask]++
+	}
+	start := int32(0)
+	for v, c := range ends {
+		ends[v], start = start, start+c
+	}
+	for _, r := range rs {
+		v := r.prefix >> shift & mask
+		tmp[ends[v]] = r
+		ends[v]++ // after the scatter, the bucket's end
+	}
+	copy(rs, tmp)
+	lo := int32(0)
+	for _, hi := range ends {
+		if hi-lo > 1 {
+			radixSort(rs[lo:hi], tmp[lo:hi])
+		}
+		lo = hi
+	}
 }
 
 // settleTies orders each run of equal prefixes by the full keys, and equal
-// keys by entry index: what the radix leaves undecided are keys sharing their
-// first eight bytes and keys that differ only in trailing zero bytes the
-// padding mimics.
+// keys by arena position: what the radix leaves undecided are keys sharing
+// their first eight bytes and keys that differ only in trailing zero bytes
+// the padding mimics. A run of one key is already in arena order, since the
+// records were made in that order and the radix is stable.
 func (b *arenaBuffer) settleTies(order []sortKey) {
 	byKey := func(x, y sortKey) int {
-		if c := bytes.Compare(b.key(&b.entries[x.idx]), b.key(&b.entries[y.idx])); c != 0 {
+		kx, px := b.keyOf(x)
+		ky, py := b.keyOf(y)
+		if c := bytes.Compare(kx, ky); c != 0 {
 			return c
 		}
-		return cmp.Compare(x.idx, y.idx)
+		return cmp.Compare(px, py)
 	}
 	for i := 0; i < len(order); {
 		j := i + 1
@@ -553,7 +627,11 @@ func (b *arenaBuffer) settleTies(order []sortKey) {
 			j++
 		}
 		if j-i > 1 {
-			slices.SortFunc(order[i:j], byKey)
+			key, _ := b.keyOf(order[i])
+			differs := func(r sortKey) bool { k, _ := b.keyOf(r); return !bytes.Equal(k, key) }
+			if slices.ContainsFunc(order[i+1:j], differs) {
+				slices.SortFunc(order[i:j], byKey)
+			}
 		}
 		i = j
 	}
@@ -562,39 +640,46 @@ func (b *arenaBuffer) settleTies(order []sortKey) {
 // realign appends every buffered key's frame to its partition's buffer, in
 // spill order, so each buffer is a sorted run — the invariant the receive-side
 // k-way merge builds on. A frame is kv.AppendKeyList's: the key, its value
-// count, then the key's value blocks copied as they lie, since a block already
-// is its values' wire encoding, each followed by its run's pending copies.
-// Equal keys, adjacent entries of an ungrouped buffer, share one frame. A
-// combiner or the value sort first rewrites a key's block in place
-// (foldEntry); combined counts the pairs the combiner eliminated.
-func (b *arenaBuffer) realign(parts [][]byte, partition PartitionFunc, combine CombineFunc, sortValues bool) (combined int64, err error) {
+// count, then the key's blocks as they lie (each followed by its run's pending
+// copies) and its per-pair frames' value records. A per-pair frame whose
+// prefix the next record does not share, its lengths one byte each, is
+// copied whole. A combiner or the value sort first rewrites a key's block in
+// place (foldEntry); combined counts the pairs the combiner eliminated.
+func (b *arenaBuffer) realign(parts [][]byte, combine CombineFunc, sortValues bool) (combined int64) {
 	order := b.sortOrder()
 	for i := 0; i < len(order); {
-		first := &b.entries[order[i].idx]
-		key := b.key(first)
-		j, nvals := i+1, int64(first.nvals)
-		for b.ungrouped && j < len(order) && order[j].prefix == order[i].prefix && bytes.Equal(b.key(&b.entries[order[j].idx]), key) {
-			nvals += int64(b.entries[order[j].idx].nvals)
-			j++
-		}
-		if combine != nil || sortValues {
-			combined += b.foldEntry(order[i].idx, combine, sortValues)
-			nvals = int64(first.nvals)
-		}
-		p := partition(key, len(parts))
-		if p < 0 || p >= len(parts) {
-			return combined, fmt.Errorf("mpid: partitioner returned %d for %d partitions", p, len(parts))
-		}
-		dst := kv.AppendVLong(kv.AppendBytes(parts[p], key), nvals)
-		for _, sk := range order[i:j] {
-			e := &b.entries[sk.idx]
-			dst = append(dst, b.valArena[e.valOff:e.valOff+e.valLen]...)
-			if len(b.runs) > 0 {
-				dst = appendRun(dst, b.runs[sk.idx])
+		r := order[i]
+		if r.ref < 0 && (i+1 == len(order) || order[i+1].prefix != r.prefix) {
+			if off, kl := int(^r.ref), int(b.arena[^r.ref]); kl < 128 {
+				if vl := int(b.arena[off+kl+2]); vl < 128 {
+					parts[r.part] = append(parts[r.part], b.arena[off:off+kl+3+vl]...)
+					i++
+					continue
+				}
 			}
 		}
-		parts[p] = dst
+		if combine != nil || sortValues {
+			combined += b.foldEntry(r.ref, combine, sortValues)
+		}
+		key, _, nvals := b.at(r)
+		j := i + 1
+		for ; b.ungrouped && j < len(order) && order[j].prefix == r.prefix; j++ {
+			k, _, n := b.at(order[j])
+			if !bytes.Equal(k, key) {
+				break
+			}
+			nvals += n
+		}
+		dst := kv.AppendVLong(kv.AppendBytes(parts[r.part], key), nvals)
+		for _, s := range order[i:j] {
+			_, vals, _ := b.at(s)
+			dst = append(dst, vals...)
+			if len(b.runs) > 0 {
+				dst = appendRun(dst, b.runs[s.ref]) // a combining buffer holds no frames
+			}
+		}
+		parts[r.part] = dst
 		i = j
 	}
-	return combined, nil
+	return combined
 }

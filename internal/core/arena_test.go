@@ -69,6 +69,30 @@ func TestKeyHashCoversEveryByte(t *testing.T) {
 	}
 }
 
+// TestAddRefusesPairPastMaxArena: a pair that would take the arena past
+// maxArena is refused, whichever way the buffer would hold it, and the buffer
+// is left as it was, so no int32 offset wraps. The bound is lowered to 64
+// bytes for the test.
+func TestAddRefusesPairPastMaxArena(t *testing.T) {
+	defer func(n int) { maxArena = n }(maxArena)
+	maxArena = 64
+	huge := bytes.Repeat([]byte{'x'}, 61)
+	for _, shape := range []struct {
+		name               string
+		ungrouped, perPair bool
+	}{{"grouped", false, false}, {"probing", true, false}, {"per pair", true, true}} {
+		b := newArenaBuffer()
+		b.ungrouped, b.perPair = shape.ungrouped, shape.perPair
+		b.add([]byte("k"), []byte("v"), nil)
+		if _, err := b.add([]byte("k"), huge, nil); err == nil || !strings.Contains(err.Error(), "past") {
+			t.Fatalf("%s: add of a %d-byte value: err = %v, want the arena bound", shape.name, len(huge), err)
+		}
+		if got := snapshot(t, b); b.bytes() != 2 || len(got) != 1 || len(got[0].values) != 1 {
+			t.Fatalf("%s: after the refused pair the buffer holds %d bytes and %d keys, want 2 and 1", shape.name, b.bytes(), len(got))
+		}
+	}
+}
+
 // TestMaterializeRejectsCorruptBlock: a length prefix that claims more bytes
 // than the block holds must stop the decode with the corrupt-block panic,
 // one-byte prefix or not, never yield a value that runs past its block.
@@ -88,7 +112,7 @@ func TestMaterializeRejectsCorruptBlock(t *testing.T) {
 			b.add([]byte("k"), []byte("abc"), nil)
 			b.add([]byte("k"), []byte("abc"), nil)
 			e := &b.entries[0]
-			b.valArena[int(e.valOff)+c.at] = c.with
+			b.arena[int(e.valOff)+c.at] = c.with
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.HasPrefix(msg, "mpid: corrupt send-buffer block") {
@@ -133,9 +157,7 @@ func TestArenaRunsCountRepeatsOutsideTheBlock(t *testing.T) {
 	checkAgainstRef(t, "before the spill", b, ref, false)
 	parts := [][]byte{nil}
 	wire := b.wireBytes()
-	if _, err := b.realign(parts, func([]byte, int) int { return 0 }, nil, false); err != nil {
-		t.Fatal(err)
-	}
+	b.realign(parts, nil, false)
 	if len(parts[0]) != wire {
 		t.Fatalf("wireBytes() = %d, the spill wrote %d", wire, len(parts[0]))
 	}
@@ -158,9 +180,7 @@ func TestArenaFoldRestartsRunFromLastOutput(t *testing.T) {
 	}
 	checkAgainstRef(t, "after three folds", b, ref, true)
 	parts := [][]byte{nil}
-	if _, err := b.realign(parts, func([]byte, int) int { return 0 }, lastThenMarker, false); err != nil {
-		t.Fatal(err)
-	}
+	b.realign(parts, lastThenMarker, false)
 	want := kv.AppendKeyList(nil, kv.KeyList{Key: []byte("k"), Values: lastThenMarker(nil, ref["k"])})
 	if !bytes.Equal(parts[0], want) {
 		t.Fatalf("spill after the folds is %q, want %q", parts[0], want)

@@ -94,8 +94,9 @@ type Config struct {
 	// The payload is every buffered value plus each distinct key once when
 	// a Combiner or SortValues groups the buffer by key; without either, it
 	// counts each pair's key. Bookkeeping is not counted: about 80 bytes per
-	// distinct key, and per pair while a spill's keys are mostly distinct,
-	// so small pairs hold more memory than the threshold. Default 1 MiB.
+	// distinct key, and about 20 per pair while a spill's keys are mostly
+	// distinct, so small pairs hold more memory than the threshold. Default
+	// 1 MiB, at most 64 MiB.
 	SpillThreshold int
 	// SortValues sorts each key's value list during realignment, the
 	// on-demand sorting hook from §IV.A. Off by default.
@@ -202,6 +203,9 @@ func Init(cfg Config) (*D, error) {
 	if cfg.SpillThreshold <= 0 {
 		cfg.SpillThreshold = 1 << 20
 	}
+	if cfg.SpillThreshold > maxSpillThreshold {
+		return nil, fmt.Errorf("mpid: SpillThreshold %d above %d", cfg.SpillThreshold, maxSpillThreshold)
+	}
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = HashPartitioner
 	}
@@ -221,6 +225,7 @@ func Init(cfg Config) (*D, error) {
 		d.buf = arenaPool.Get().(*arenaBuffer)
 		// Only a combiner or the value sort needs a key's whole list.
 		d.buf.ungrouped = cfg.Combiner == nil && !cfg.SortValues
+		d.buf.partition, d.buf.nParts = cfg.Partitioner, len(cfg.Reducers)
 		// Partition buffers may only be retained across spills when the
 		// transport copies payloads before send returns (TCP); the
 		// in-process transport hands the slice itself to the receiver.
@@ -380,16 +385,20 @@ func SampleCuts(sample [][]byte, n int) [][]byte {
 // identically — a requirement of the cross-engine equality gates.
 func RangePartitioner(cuts [][]byte) PartitionFunc {
 	owned := make([][]byte, len(cuts))
+	prefixes := make([]uint64, len(cuts))
 	for i, c := range cuts {
 		owned[i] = append([]byte(nil), c...)
+		prefixes[i] = kv.Prefix(c)
 	}
 	return func(key []byte, n int) int {
 		// The first cut above key, as sort.Search would find it, without
-		// the call through a closure per probe.
+		// the call through a closure per probe. Key prefixes decide unless
+		// they are equal.
+		kp := kv.Prefix(key)
 		p, hi := 0, len(owned)
 		for p < hi {
 			m := int(uint(p+hi) >> 1)
-			if bytes.Compare(key, owned[m]) < 0 {
+			if kp < prefixes[m] || kp == prefixes[m] && bytes.Compare(key, owned[m]) < 0 {
 				hi = m
 			} else {
 				p = m + 1

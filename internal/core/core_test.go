@@ -434,6 +434,13 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Init(Config{Comm: c, Reducers: []int{0}, Senders: []int{1, 1}}); err == nil {
 			return errors.New("duplicate sender accepted")
 		}
+		// The send arena addresses its bytes with int32 offsets.
+		if _, err := Init(Config{Comm: c, Reducers: []int{0}, SpillThreshold: maxSpillThreshold + 1}); err == nil {
+			return errors.New("a SpillThreshold past the arena's int32 offsets accepted")
+		}
+		if _, err := Init(Config{Comm: c, Reducers: []int{0}, SpillThreshold: maxSpillThreshold}); err != nil {
+			return fmt.Errorf("the largest SpillThreshold refused: %w", err)
+		}
 		return nil
 	})
 	if err != nil {
@@ -504,41 +511,49 @@ func TestSendAfterFinalizeFails(t *testing.T) {
 	}
 }
 
+// TestBadPartitionerCaught: a partitioner that answers out of range fails the
+// job with the range check's own error, with one reducer and with two. The
+// partitioner runs when Send buffers a key the buffer does not hold yet, so
+// that Send returns the error, and buffers nothing: the Flush after it ships
+// no message.
 func TestBadPartitionerCaught(t *testing.T) {
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		d, err := Init(Config{
-			Comm:        c,
-			Reducers:    []int{0},
-			Partitioner: func(key []byte, n int) int { return n + 7 },
+	for _, reducers := range [][]int{{0}, {0, 1}} {
+		t.Run(fmt.Sprintf("%d reducers", len(reducers)), func(t *testing.T) {
+			err := mpi.Run(len(reducers)+1, func(c *mpi.Comm) error {
+				d, err := Init(Config{
+					Comm:        c,
+					Reducers:    reducers,
+					Partitioner: func(key []byte, n int) int { return n + 7 },
+				})
+				if err != nil {
+					return err
+				}
+				if d.IsSender() {
+					sendErr := d.Send([]byte("k"), []byte("v"))
+					if sendErr == nil {
+						return errors.New("Send buffered a pair partitioned out of range")
+					}
+					if err := d.Flush(); err != nil || d.Counters().MessagesSent != 0 {
+						return fmt.Errorf("after the refused Send, Flush sent %d messages (err %v), want none", d.Counters().MessagesSent, err)
+					}
+					// The failure is surfaced to the job, which tears the
+					// world down.
+					return fmt.Errorf("partitioner failure: %w", sendErr)
+				}
+				for {
+					if _, _, err := d.Recv(); err == io.EOF {
+						break
+					} else if err != nil {
+						return err // unblocked by teardown
+					}
+				}
+				return nil
+			})
+			want := fmt.Sprintf("mpid: partitioner returned %d for %d partitions", len(reducers)+7, len(reducers))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("job error = %v, want one containing %q", err, want)
+			}
 		})
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 1 {
-			if err := d.Send([]byte("k"), []byte("v")); err != nil {
-				return err
-			}
-			if err := d.Flush(); err == nil {
-				return errors.New("out-of-range partition not caught")
-			}
-			// The buffered pair can never be delivered; the failure is
-			// surfaced to the job, which tears the world down.
-			return fmt.Errorf("partitioner failure: %w", d.Finalize())
-		}
-		for {
-			if _, _, err := d.Recv(); err == io.EOF {
-				break
-			} else if err != nil {
-				return err // unblocked by teardown
-			}
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("bad partitioner did not surface as a job error")
-	}
-	if !strings.Contains(err.Error(), "partition") {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

@@ -77,9 +77,7 @@ func (r refBuffer) sorted() []streamEntry {
 func snapshot(t testing.TB, b *arenaBuffer) []streamEntry {
 	t.Helper()
 	parts := [][]byte{nil}
-	if _, err := b.realign(parts, func([]byte, int) int { return 0 }, nil, false); err != nil {
-		t.Fatal(err)
-	}
+	b.realign(parts, nil, false)
 	return decodeFrames(t, parts[0])
 }
 
@@ -252,7 +250,7 @@ func TestArenaFootprintBoundedUnderCombine(t *testing.T) {
 	if len(b.entries) != distinct {
 		t.Fatalf("%d distinct keys buffered, want %d", len(b.entries), distinct)
 	}
-	footprint := cap(b.keyArena) + cap(b.valArena) + cap(b.entries)*int(unsafe.Sizeof(arenaEntry{})) +
+	footprint := cap(b.arena) + cap(b.entries)*int(unsafe.Sizeof(arenaEntry{})) +
 		cap(b.runs)*int(unsafe.Sizeof(arenaRun{})) + cap(b.slots)*int(unsafe.Sizeof(b.slots[0]))
 	t.Logf("footprint %d bytes, %.2f per (key, combineEvery slot)", footprint, float64(footprint)/(distinct*combineEvery))
 	if bound := distinct * combineEvery; footprint > bound {
@@ -925,7 +923,8 @@ func TestSpillPrefixSortMatchesBytesCompare(t *testing.T) {
 			t.Fatalf("round %d: sorted %d keys, want %d", round, len(order), len(want))
 		}
 		for i := 1; i < len(order); i++ {
-			prev, key := b.key(&b.entries[order[i-1].idx]), b.key(&b.entries[order[i].idx])
+			prev, _ := b.keyOf(order[i-1])
+			key, _ := b.keyOf(order[i])
 			if bytes.Compare(prev, key) >= 0 {
 				t.Fatalf("round %d: %q sorted before %q", round, prev, key)
 			}

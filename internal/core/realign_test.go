@@ -111,6 +111,7 @@ func FuzzRealign(f *testing.F) {
 		for _, v := range variants {
 			b := newArenaBuffer()
 			b.ungrouped = v.combine == nil && !v.sortValues
+			b.nParts = nParts
 			for _, batch := range [][]kv.Pair{pairs, pairs[:len(pairs)/2]} {
 				var flips []int
 				if v.flips != nil {
@@ -128,9 +129,7 @@ func FuzzRealign(f *testing.F) {
 					b.add(p.Key, p.Value, v.combine)
 				}
 				got := make([][]byte, nParts)
-				if _, err := b.realign(got, HashPartitioner, v.combine, v.sortValues); err != nil {
-					t.Fatal(err)
-				}
+				b.realign(got, v.combine, v.sortValues)
 				for p, want := range refRealign(batch, nParts, v.combine, v.sortValues) {
 					if !bytes.Equal(got[p], want) {
 						t.Fatalf("%s, %d pairs: partition %d is\n%q\nwant\n%q", v.name, len(batch), p, got[p], want)
@@ -140,6 +139,51 @@ func FuzzRealign(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestUngroupedKeyAcrossEntryAndFrames: in an ungrouped buffer, a key sent
+// while the buffer probes lies in an entry, and the same key sent after a
+// window of distinct keys stopped the probing lies in per-pair frames. The
+// spill must still write the key once, its values in the order they were
+// sent.
+func TestUngroupedKeyAcrossEntryAndFrames(t *testing.T) {
+	b := newArenaBuffer()
+	b.ungrouped = true
+	b.add([]byte("k"), []byte("v0"), nil)
+	for i := 1; i < sampleSize; i++ {
+		b.add([]byte(fmt.Sprintf("distinct-%03d", i)), []byte("x"), nil)
+	}
+	if !b.perPair {
+		t.Fatal("a window of distinct keys left the probing on")
+	}
+	b.add([]byte("k"), []byte("v1"), nil)
+	b.add([]byte("k"), []byte("v2"), nil)
+	entries, frames := 0, 0
+	for _, r := range b.order {
+		if key, _ := b.keyOf(r); string(key) != "k" {
+			continue
+		}
+		if r.ref >= 0 {
+			entries++
+		} else {
+			frames++
+		}
+	}
+	if entries != 1 || frames != 2 {
+		t.Fatalf(`"k" lies in %d entries and %d frames, want 1 and 2`, entries, frames)
+	}
+	var got [][]byte
+	for _, e := range snapshot(t, b) {
+		if string(e.key) == "k" {
+			if got != nil {
+				t.Fatal(`the spill wrote "k" twice`)
+			}
+			got = e.values
+		}
+	}
+	if want := [][]byte{[]byte("v0"), []byte("v1"), []byte("v2")}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf(`"k" spilled with %q, want %q`, got, want)
+	}
 }
 
 // TestUngroupedBufferProbesInWindows walks an ungrouped buffer through its

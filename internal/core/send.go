@@ -18,12 +18,19 @@ const combineEvery = 256
 
 // Send buffers one key-value pair for delivery to the reducer owning its
 // partition — MPI_D_Send. It returns quickly: at worst it triggers a spill
-// of the buffered table. The caller keeps ownership of key and value.
+// of the buffered table. The caller keeps ownership of key and value. The
+// partitioner runs here, for each key the buffer does not hold yet, so a
+// partition out of range fails this Send, as does a pair that would take the
+// buffer past its int32 offsets (about 256 MiB). It then buffers nothing.
 func (d *D) Send(key, value []byte) error {
 	if !d.sendOpen {
 		return d.sendRefused()
 	}
-	d.counters.PairsCombined += d.buf.add(key, value, d.cfg.Combiner)
+	combined, err := d.buf.add(key, value, d.cfg.Combiner)
+	if err != nil {
+		return err
+	}
+	d.counters.PairsCombined += combined
 	d.counters.PairsSent++
 	if d.buf.bytes() >= d.cfg.SpillThreshold {
 		return d.spill()
@@ -46,7 +53,7 @@ func (d *D) sendRefused() error {
 // SendPair is Send for a kv.Pair.
 func (d *D) SendPair(p kv.Pair) error { return d.Send(p.Key, p.Value) }
 
-// spill drains the hash table: combine, partition, realign, transmit. This
+// spill drains the hash table: combine, realign, transmit. This
 // is the heart of MPI-D — it converts the discrete, variable-size key-value
 // world into the contiguous fixed-layout buffers MPI moves efficiently.
 //
@@ -66,11 +73,7 @@ func (d *D) spill() error {
 
 	// Realignment: each key's frame into its partition's contiguous buffer,
 	// in sorted key order.
-	combined, err := d.buf.realign(parts, d.cfg.Partitioner, d.cfg.Combiner, d.cfg.SortValues)
-	d.counters.PairsCombined += combined
-	if err != nil {
-		return err
-	}
+	d.counters.PairsCombined += d.buf.realign(parts, d.cfg.Combiner, d.cfg.SortValues)
 	d.buf.reset()
 	realignEnd := time.Now()
 	d.realignTimer.ObserveDuration(realignEnd.Sub(spillStart))

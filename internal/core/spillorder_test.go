@@ -28,7 +28,7 @@ func checkSpillOrder(t testing.TB, b *arenaBuffer, keys [][]byte) {
 		t.Fatalf("sorted %d keys, want %d", len(order), len(want))
 	}
 	for i, sk := range order {
-		if key := b.key(&b.entries[sk.idx]); !bytes.Equal(key, want[i]) {
+		if key, _ := b.keyOf(sk); !bytes.Equal(key, want[i]) {
 			t.Fatalf("position %d: sorted %q, bytes.Compare order has %q", i, key, want[i])
 		}
 	}
@@ -56,13 +56,31 @@ func spillOrderCases() map[string][][]byte {
 	for i := range onePrefix {
 		onePrefix[i] = append([]byte("samepref"), randomKeys(rng, 1, rng.Intn(6))[0]...)
 	}
+	// The highest differing bit is the first byte's top one, so 100 keys that
+	// start with two zero bytes share one radix bucket, past the insertion
+	// cutoff.
+	oneBucket := [][]byte{{0xFF}}
+	for _, k := range randomKeys(rng, 100, 8) {
+		oneBucket = append(oneBucket, append([]byte{0, 0}, k...))
+	}
+	// Prefixes that differ only in their lowest byte bucket on their lowest
+	// bits; some keys run past eight bytes, so ties remain.
+	lowByte := make([][]byte, 60)
+	for i := range lowByte {
+		lowByte[i] = append([]byte("abcdefg"), byte(rng.Intn(256)))
+		if i%3 == 0 {
+			lowByte[i] = append(lowByte[i], byte(i))
+		}
+	}
 	return map[string][][]byte{
 		"random 10-byte": randomKeys(rng, 10_000, 10),
 		// Ties are buffered longest first: the radix is stable, so keys
 		// buffered in sorted order would come out right without a tie pass.
 		"shorter than 8":   {[]byte("a\x00\x00"), []byte("a\x00"), []byte("a"), []byte(""), []byte("b"), []byte("ab"), {0, 0}, {0}, {0xFF}, []byte("abcdefg\x00\x00"), []byte("abcdefg\x00"), []byte("abcdefg")},
 		"shared 8+ prefix": sharedLong,
-		"one prefix":       onePrefix,
+		"one prefix":       onePrefix, // no differing bit: ties decide all
+		"one big bucket":   oneBucket,
+		"low byte differs": lowByte,
 		"one byte differs": {[]byte("aaaaaaaa1"), []byte("aaaaabaa0"), []byte("aaaaaaaa"), []byte("aaaaabaa"), []byte("aaaaacaa")},
 		"n=0":              {},
 		"n=1":              {[]byte("only")},
