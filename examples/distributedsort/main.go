@@ -25,17 +25,16 @@ import (
 func main() {
 	const records = 100_000
 	gen := workload.NewSortGenerator(2026)
-	var pairs []kv.Pair
-	for _, r := range gen.Records(records) {
-		pairs = append(pairs, kv.Pair{Key: r.Key, Value: r.Value})
-	}
+	keyLen, recLen := gen.KeySize(), gen.RecordSize()
+	input := gen.AppendRecords(nil, records)
+	span := func(lo, hi int) []byte { return input[lo*recLen : hi*recLen] }
 
 	// Four splits of uneven size, as HDFS blocks would be.
 	splits := []mapred.Split{
-		mapred.NewPairSplit(0, pairs[:20_000]),
-		mapred.NewPairSplit(1, pairs[20_000:55_000]),
-		mapred.NewPairSplit(2, pairs[55_000:90_000]),
-		mapred.NewPairSplit(3, pairs[90_000:]),
+		mapred.NewRecordSplit(0, span(0, 20_000), keyLen, recLen),
+		mapred.NewRecordSplit(1, span(20_000, 55_000), keyLen, recLen),
+		mapred.NewRecordSplit(2, span(55_000, 90_000), keyLen, recLen),
+		mapred.NewRecordSplit(3, span(90_000, records), keyLen, recLen),
 	}
 
 	identityMap := mapred.MapperFunc(func(k, v []byte, emit mapred.Emit) error {
@@ -53,8 +52,8 @@ func main() {
 	// Sample every 50th key for the range boundaries, as TeraSort samples
 	// its input before launching the job.
 	var sample [][]byte
-	for i := 0; i < len(pairs); i += 50 {
-		sample = append(sample, pairs[i].Key)
+	for i := 0; i < records; i += 50 {
+		sample = append(sample, span(i, i+1)[:keyLen])
 	}
 
 	job := mapred.Job{

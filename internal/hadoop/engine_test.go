@@ -132,15 +132,13 @@ func TestMiniHadoopMatchesMPIDEngine(t *testing.T) {
 }
 
 func TestMiniHadoopSortJobGlobalOrder(t *testing.T) {
+	const records = 1_000
 	gen := workload.NewSortGenerator(3)
-	records := gen.Records(1_000)
-	var pairs []kv.Pair
-	for _, r := range records {
-		pairs = append(pairs, kv.Pair{Key: r.Key, Value: r.Value})
-	}
+	keyLen, recLen := gen.KeySize(), gen.RecordSize()
+	block := gen.AppendRecords(nil, records)
 	splits := []mapred.Split{
-		mapred.NewPairSplit(0, pairs[:400]),
-		mapred.NewPairSplit(1, pairs[400:]),
+		mapred.NewRecordSplit(0, block[:400*recLen], keyLen, recLen),
+		mapred.NewRecordSplit(1, block[400*recLen:], keyLen, recLen),
 	}
 	identityMap := mapred.MapperFunc(func(k, v []byte, emit mapred.Emit) error { return emit(k, v) })
 	identityReduce := mapred.ReducerFunc(func(k []byte, values [][]byte, emit mapred.Emit) error {
@@ -164,12 +162,36 @@ func TestMiniHadoopSortJobGlobalOrder(t *testing.T) {
 	for _, rp := range res.ByReducer {
 		out = append(out, rp...)
 	}
-	if len(out) != len(pairs) {
-		t.Fatalf("output %d records, want %d", len(out), len(pairs))
+	if len(out) != records {
+		t.Fatalf("output %d records, want %d", len(out), records)
 	}
 	for i := 1; i < len(out); i++ {
 		if kv.Compare(out[i-1].Key, out[i].Key) > 0 {
 			t.Fatalf("global order violated at %d", i)
+		}
+	}
+}
+
+// TestSplitLenOfTeraSortSplits: a map task sizes its output buffer from
+// splitLen, so a TeraSort split read from one record block must report what
+// the same records as a PairSplit report.
+func TestSplitLenOfTeraSortSplits(t *testing.T) {
+	for _, skew := range []int64{0, 150} {
+		_, splits, err := workload.TeraSort(map[string]int64{"records": 100_000, "splits": 16, "reducers": 2, "seed": 7, "skew": skew})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range splits {
+			var pairs []kv.Pair
+			if err := s.Records(func(k, v []byte) error {
+				pairs = append(pairs, kv.Pair{Key: k, Value: v})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := splitLen(s), mapred.NewPairSplit(s.ID(), pairs).Len(); got != want || got == 0 {
+				t.Fatalf("skew=%d split %d: splitLen %d, want the PairSplit's %d", skew, s.ID(), got, want)
+			}
 		}
 	}
 }

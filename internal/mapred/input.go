@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"bytes"
+	"fmt"
 
 	"github.com/ict-repro/mpid/internal/kv"
 )
@@ -92,8 +93,43 @@ func SplitText(data []byte, blockSize int) []Split {
 	return splits
 }
 
-// PairSplit is a split over pre-formed key-value records, used by the sort
-// example where inputs are (key, value) records rather than text lines.
+// RecordSplit is the TeraInputFormat analogue: data is back-to-back
+// fixed-width records, each a keyLen-byte key followed by its value, and
+// Records yields sub-slices of data, not copies.
+type RecordSplit struct {
+	id                int
+	data              []byte
+	keyLen, recordLen int
+}
+
+// NewRecordSplit wraps len(data)/recordLen records as a split.
+func NewRecordSplit(id int, data []byte, keyLen, recordLen int) *RecordSplit {
+	return &RecordSplit{id: id, data: data, keyLen: keyLen, recordLen: recordLen}
+}
+
+// ID implements Split.
+func (s *RecordSplit) ID() int { return s.id }
+
+// Len returns the split size in bytes.
+func (s *RecordSplit) Len() int { return len(s.data) }
+
+// Records implements Split, yielding (key, value) records. Each is
+// capacity-limited, so an append to one cannot overwrite the next.
+func (s *RecordSplit) Records(yield func(key, value []byte) error) error {
+	if s.keyLen < 0 || s.recordLen < max(s.keyLen, 1) || len(s.data)%s.recordLen != 0 {
+		return fmt.Errorf("mapred: %d bytes are not whole %d-byte records with %d-byte keys", len(s.data), s.recordLen, s.keyLen)
+	}
+	for i := 0; i < len(s.data); i += s.recordLen {
+		k, end := i+s.keyLen, i+s.recordLen
+		if err := yield(s.data[i:k:k], s.data[k:end:end]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PairSplit is a split over pre-formed key-value records, for inputs built
+// as kv.Pairs rather than read from a text or record block.
 type PairSplit struct {
 	id    int
 	pairs []kv.Pair

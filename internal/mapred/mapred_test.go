@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -412,6 +413,72 @@ func TestLineSplitKeysOutliveRecords(t *testing.T) {
 		_ = append(k, 'x')
 	}
 	check("after appending to every key")
+}
+
+// TestRecordSplit: a fixed-width split yields every whole record in order as
+// sub-slices of its block, counts its bytes as Len, and an append to a key or
+// value cannot reach the record's other half or the next record.
+func TestRecordSplit(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		data              string
+		keyLen, recordLen int
+		want              []string // "key|value" per record; nil wants an error
+	}{
+		{"three records", "k1AAAk2BBBk3CCC", 2, 5, []string{"k1|AAA", "k2|BBB", "k3|CCC"}},
+		{"one record", "key-00000042vv", 12, 14, []string{"key-00000042|vv"}},
+		{"empty split", "", 10, 100, []string{}},
+		{"keys only", "abcd", 2, 2, []string{"ab|", "cd|"}},
+		{"values only", "abcd", 0, 2, []string{"|ab", "|cd"}},
+		{"partial record", "k1AAAk2", 2, 5, nil},
+		{"zero record length", "abc", 0, 0, nil},
+		{"key past record", "abcdef", 4, 3, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := []byte(tc.data)
+			s := NewRecordSplit(7, data, tc.keyLen, tc.recordLen)
+			if s.ID() != 7 {
+				t.Fatalf("ID = %d, want 7", s.ID())
+			}
+			got := []string{}
+			bytesSeen := 0
+			err := s.Records(func(k, v []byte) error {
+				got = append(got, string(k)+"|"+string(v))
+				bytesSeen += len(k) + len(v)
+				_ = append(k, '#')
+				_ = append(v, '#')
+				return nil
+			})
+			if tc.want == nil {
+				if err == nil {
+					t.Fatalf("Records accepted %q as %d-byte records with %d-byte keys: %q", tc.data, tc.recordLen, tc.keyLen, got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("records %q, want %q", got, tc.want)
+			}
+			if s.Len() != bytesSeen || s.Len() != len(tc.data) {
+				t.Fatalf("Len = %d, want the %d key and value bytes", s.Len(), bytesSeen)
+			}
+			if string(data) != tc.data {
+				t.Fatalf("appends to yielded records rewrote the block: %q, was %q", data, tc.data)
+			}
+		})
+	}
+
+	stop := errors.New("stop")
+	calls := 0
+	err := NewRecordSplit(0, []byte("k1AAAk2BBB"), 2, 5).Records(func(_, _ []byte) error {
+		calls++
+		return stop
+	})
+	if err != stop || calls != 1 {
+		t.Fatalf("Records returned %v after %d calls, want the yield's error after 1", err, calls)
+	}
 }
 
 func TestSplitTextCoversAllBytes(t *testing.T) {

@@ -248,28 +248,17 @@ func TeraSort(params map[string]int64) (mapred.Job, []mapred.Split, error) {
 		return mapred.Job{}, nil, fmt.Errorf("workload: terasort params out of range (records=%d splits=%d reducers=%d skew=%d)", records, nSplits, reducers, skew)
 	}
 
-	var recs []SortRecord
+	n := int(records)
+	var block []byte
+	var keyLen, recLen int
 	if skew > 0 {
-		recs = NewSkewedSortGenerator(seed, float64(skew)/100, int(records)/4+2).Records(int(records))
+		g := NewSkewedSortGenerator(seed, float64(skew)/100, n/4+2)
+		block, keyLen, recLen = g.AppendRecords(nil, n), g.KeySize(), g.RecordSize()
 	} else {
-		recs = NewSortGenerator(seed).Records(int(records))
+		g := NewSortGenerator(seed)
+		block, keyLen, recLen = g.AppendRecords(nil, n), g.KeySize(), g.RecordSize()
 	}
-	pairs := make([]kv.Pair, len(recs))
-	for i, r := range recs {
-		pairs[i] = kv.Pair{Key: r.Key, Value: r.Value}
-	}
-
-	// Sample the input for range boundaries, as TeraSort samples before
-	// launching: ~512 evenly strided keys are plenty for tens of reducers.
-	stride := len(pairs) / 512
-	if stride < 1 {
-		stride = 1
-	}
-	var sample [][]byte
-	for i := 0; i < len(pairs); i += stride {
-		sample = append(sample, pairs[i].Key)
-	}
-	partitioner := core.RangePartitioner(core.SampleCuts(sample, int(reducers)))
+	partitioner := core.RangePartitioner(sampleCuts(block, keyLen, recLen, int(reducers)))
 
 	identityMap := mapred.MapperFunc(func(k, v []byte, emit mapred.Emit) error {
 		return emit(k, v)
@@ -297,23 +286,27 @@ func TeraSort(params map[string]int64) (mapred.Job, []mapred.Split, error) {
 		Partitioner: partitioner,
 		NumReducers: int(reducers),
 	}
-	return job, chunkPairs(pairs, int(nSplits)), nil
+	// Cut the block into splits at record boundaries, as TeraInputFormat
+	// reads HDFS blocks of whole records.
+	splits := make([]mapred.Split, min(int(nSplits), n))
+	for i := range splits {
+		lo, hi := i*n/len(splits)*recLen, (i+1)*n/len(splits)*recLen
+		splits[i] = mapred.NewRecordSplit(i, block[lo:hi], keyLen, recLen)
+	}
+	return job, splits, nil
 }
 
-// chunkPairs slices pairs into n contiguous PairSplits.
-func chunkPairs(pairs []kv.Pair, n int) []mapred.Split {
-	if n > len(pairs) && len(pairs) > 0 {
-		n = len(pairs)
+// sampleCuts samples a block of recLen-byte records for range boundaries,
+// as TeraSort samples before launching: ~512 evenly strided keys are
+// plenty for tens of reducers.
+func sampleCuts(block []byte, keyLen, recLen, reducers int) [][]byte {
+	n := len(block) / recLen
+	stride := max(n/512, 1)
+	sample := make([][]byte, 0, (n+stride-1)/stride)
+	for i := 0; i < n; i += stride {
+		sample = append(sample, block[i*recLen:i*recLen+keyLen])
 	}
-	if n < 1 {
-		n = 1
-	}
-	splits := make([]mapred.Split, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*len(pairs)/n, (i+1)*len(pairs)/n
-		splits = append(splits, mapred.NewPairSplit(i, pairs[lo:hi]))
-	}
-	return splits
+	return core.SampleCuts(sample, reducers)
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -124,14 +126,10 @@ func (g *TextGenerator) BytesOfText(total int) []byte {
 // ---------------------------------------------------------------------------
 // GridMix JavaSort records
 
-// SortRecord mirrors the TeraSort/GridMix record geometry: a 10-byte random
-// key and a fixed-size filler value; 100 bytes total by default.
-type SortRecord struct {
-	Key   []byte
-	Value []byte
-}
-
-// SortGenerator produces deterministic sortable records.
+// SortGenerator produces deterministic sortable records in the TeraSort /
+// GridMix geometry: a 10-byte uniform-random printable key, so hash and
+// range partitioning both spread them evenly, and a fixed-size filler
+// value; 100 bytes in all by default.
 type SortGenerator struct {
 	rng       *rand.Rand
 	ValueSize int // default 90
@@ -142,31 +140,37 @@ func NewSortGenerator(seed int64) *SortGenerator {
 	return &SortGenerator{rng: rand.New(rand.NewSource(seed)), ValueSize: 90}
 }
 
-// Record generates one record. Keys are uniform-random printable bytes so
-// hash and range partitioning both spread them evenly.
-func (g *SortGenerator) Record() SortRecord {
-	key := make([]byte, 10)
-	for i := range key {
-		key[i] = byte(' ' + g.rng.Intn(95))
-	}
-	val := make([]byte, g.ValueSize)
-	for i := range val {
-		val[i] = byte('A' + g.rng.Intn(26))
-	}
-	return SortRecord{Key: key, Value: val}
+// AppendRecords appends n records to dst, back to back, as TeraGen writes
+// them, and returns the extended slice.
+func (g *SortGenerator) AppendRecords(dst []byte, n int) []byte {
+	return appendRecords(dst, n, g.KeySize(), g.ValueSize, g.rng, func(key []byte) {
+		for i := range key {
+			key[i] = byte(' ' + g.rng.Intn(95))
+		}
+	})
 }
 
-// Records generates n records.
-func (g *SortGenerator) Records(n int) []SortRecord {
-	out := make([]SortRecord, n)
-	for i := range out {
-		out[i] = g.Record()
-	}
-	return out
-}
+// KeySize returns the byte size of one generated key.
+func (g *SortGenerator) KeySize() int { return 10 }
 
 // RecordSize returns the byte size of one generated record.
-func (g *SortGenerator) RecordSize() int { return 10 + g.ValueSize }
+func (g *SortGenerator) RecordSize() int { return g.KeySize() + g.ValueSize }
+
+// appendRecords appends n records of keyLen+valueLen bytes to dst: each
+// key written by key, then its value's letters drawn from rng.
+func appendRecords(dst []byte, n, keyLen, valueLen int, rng *rand.Rand, key func([]byte)) []byte {
+	size := keyLen + valueLen
+	dst = slices.Grow(dst, n*size)
+	for ; n > 0; n-- {
+		rec := dst[len(dst) : len(dst)+size]
+		key(rec[:keyLen])
+		for i := keyLen; i < size; i++ {
+			rec[i] = byte('A' + rng.Intn(26))
+		}
+		dst = dst[:len(dst)+size]
+	}
+	return dst
+}
 
 // SkewedSortGenerator produces sortable records whose keys are drawn from a
 // Zipf distribution over a bounded key universe — the skewed-key
@@ -177,8 +181,9 @@ func (g *SortGenerator) RecordSize() int { return 10 + g.ValueSize }
 // range partitioners and produces the duplicate-key outputs that stress
 // output canonicalization.
 type SkewedSortGenerator struct {
-	rng  *rand.Rand
-	zipf *rand.Zipf
+	rng    *rand.Rand
+	zipf   *rand.Zipf
+	keyLen int // "key-" and the zero-padded draw: 12 up to a universe of 10^8
 	// ValueSize is the filler value length (default 90, as SortGenerator).
 	ValueSize int
 }
@@ -197,29 +202,30 @@ func NewSkewedSortGenerator(seed int64, s float64, universe int) *SkewedSortGene
 	return &SkewedSortGenerator{
 		rng:       rng,
 		zipf:      rand.NewZipf(rng, s, 1, uint64(universe-1)),
+		keyLen:    len("key-") + max(8, len(strconv.Itoa(universe-1))),
 		ValueSize: 90,
 	}
 }
 
-// Record generates one record. The key renders the Zipf draw zero-padded so
-// lexicographic key order matches numeric order.
-func (g *SkewedSortGenerator) Record() SortRecord {
-	key := []byte(fmt.Sprintf("key-%08d", g.zipf.Uint64()))
-	val := make([]byte, g.ValueSize)
-	for i := range val {
-		val[i] = byte('A' + g.rng.Intn(26))
-	}
-	return SortRecord{Key: key, Value: val}
+// AppendRecords appends n records to dst, back to back, and returns the
+// extended slice. A key renders its Zipf draw zero-padded so lexicographic
+// key order matches numeric order.
+func (g *SkewedSortGenerator) AppendRecords(dst []byte, n int) []byte {
+	return appendRecords(dst, n, g.keyLen, g.ValueSize, g.rng, func(key []byte) {
+		copy(key, "key-")
+		v := g.zipf.Uint64()
+		for i := len(key) - 1; i >= len("key-"); i-- {
+			key[i] = byte('0' + v%10)
+			v /= 10
+		}
+	})
 }
 
-// Records generates n records.
-func (g *SkewedSortGenerator) Records(n int) []SortRecord {
-	out := make([]SortRecord, n)
-	for i := range out {
-		out[i] = g.Record()
-	}
-	return out
-}
+// KeySize returns the byte size of one generated key.
+func (g *SkewedSortGenerator) KeySize() int { return g.keyLen }
+
+// RecordSize returns the byte size of one generated record.
+func (g *SkewedSortGenerator) RecordSize() int { return g.keyLen + g.ValueSize }
 
 // ---------------------------------------------------------------------------
 // Graph generation (PageRank)

@@ -2,6 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -119,35 +123,136 @@ func TestZipfParameterClamped(t *testing.T) {
 
 func TestSortGeneratorGeometry(t *testing.T) {
 	g := NewSortGenerator(11)
-	r := g.Record()
-	if len(r.Key) != 10 || len(r.Value) != 90 {
-		t.Fatalf("record geometry %d/%d, want 10/90", len(r.Key), len(r.Value))
+	r := g.AppendRecords([]byte("prefix"), 2)[len("prefix"):]
+	if len(r) != 200 || g.KeySize() != 10 || g.RecordSize() != 100 {
+		t.Fatalf("2 records take %d bytes, KeySize %d, RecordSize %d; want 200, 10, 100", len(r), g.KeySize(), g.RecordSize())
 	}
-	if g.RecordSize() != 100 {
-		t.Fatalf("RecordSize = %d", g.RecordSize())
+	for _, rec := range [][]byte{r[:100], r[100:]} {
+		for _, b := range rec[:10] {
+			if b < ' ' || b > '~' {
+				t.Fatalf("non-printable key byte %d", b)
+			}
+		}
+		for _, b := range rec[10:] {
+			if b < 'A' || b > 'Z' {
+				t.Fatalf("value byte %q is not a capital letter", b)
+			}
+		}
 	}
-	for _, b := range r.Key {
-		if b < ' ' || b > '~' {
-			t.Fatalf("non-printable key byte %d", b)
+
+	// A universe past 10^8 widens every skewed key alike, so key order
+	// stays numeric order.
+	for _, tc := range []struct{ universe, keyLen int }{{100, 12}, {100_000_000, 12}, {100_000_001, 13}} {
+		sg := NewSkewedSortGenerator(3, 1.5, tc.universe)
+		rec := sg.AppendRecords(nil, 1)
+		if sg.KeySize() != tc.keyLen || sg.RecordSize() != tc.keyLen+90 || len(rec) != tc.keyLen+90 {
+			t.Fatalf("universe %d: KeySize %d, RecordSize %d, record of %d bytes; want a %d-byte key", tc.universe, sg.KeySize(), sg.RecordSize(), len(rec), tc.keyLen)
+		}
+		if _, err := strconv.ParseUint(string(rec[len("key-"):tc.keyLen]), 10, 64); err != nil || string(rec[:4]) != "key-" {
+			t.Fatalf("universe %d: key %q is not key- and digits", tc.universe, rec[:tc.keyLen])
 		}
 	}
 }
 
 func TestSortGeneratorDeterministicAndSpread(t *testing.T) {
-	a := NewSortGenerator(20).Records(100)
-	b := NewSortGenerator(20).Records(100)
-	for i := range a {
-		if !bytes.Equal(a[i].Key, b[i].Key) {
-			t.Fatalf("records diverge at %d", i)
-		}
+	a := NewSortGenerator(20).AppendRecords(nil, 100)
+	b := NewSortGenerator(20).AppendRecords(nil, 100)
+	if !bytes.Equal(a, b) {
+		t.Fatal("records diverge")
 	}
 	// Keys should be spread: first bytes should cover a wide range.
 	firstBytes := make(map[byte]bool)
-	for _, r := range a {
-		firstBytes[r.Key[0]] = true
+	for i := 0; i < len(a); i += 100 {
+		firstBytes[a[i]] = true
 	}
 	if len(firstBytes) < 30 {
 		t.Errorf("keys poorly spread: %d distinct first bytes", len(firstBytes))
+	}
+}
+
+// TestTeraSortInputByteIdentical holds TeraSort's input to digests taken
+// from the generators that made a record as two allocations (a key and a
+// value) and a split as a slice of kv.Pairs: the record stream, the range
+// cuts for 2 and 16 reducers, and, through TeraSort itself, every split's
+// ID, byte length and records with the partition each lands in.
+func TestTeraSortInputByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		skew                 int64
+		stream, cuts, splits string
+	}{
+		{"uniform", 0,
+			"3830af88a1136a0799f793e9f9fe459223edf7fcbe1fce3ca14db76ffa775de4",
+			"88fd888515135f9fb1184bde492cad288f635397e3672bd8e030944ff52a9b6d",
+			"ea2f39b249f0213f7d06e18e54ddb7ab0c0a24a59d68501f464c71ed7cbfe080"},
+		{"skew=150", 150,
+			"31ced634dce94947c13469e9c4c87522369218d65f7dae5484f039b9986d2e0e",
+			"8c3c12e8388e3f1a3786d5dcb83f8ea43aa9c558491ae962d81d6c0757447414",
+			"ca3f7b593f7c904fa8066705c32834f06a7a0e7f1292148d2f5cb97683aba9c0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const records = 100_000
+			var block []byte
+			var keyLen, recLen int
+			if tc.skew > 0 {
+				g := NewSkewedSortGenerator(7, float64(tc.skew)/100, records/4+2)
+				block, keyLen, recLen = g.AppendRecords(nil, records), g.KeySize(), g.RecordSize()
+			} else {
+				g := NewSortGenerator(7)
+				block, keyLen, recLen = g.AppendRecords(nil, records), g.KeySize(), g.RecordSize()
+			}
+			check := func(what, want string, sum []byte) {
+				t.Helper()
+				if got := hex.EncodeToString(sum); got != want {
+					t.Errorf("%s digest %s, want %s", what, got, want)
+				}
+			}
+			stream := sha256.Sum256(block)
+			check("record stream", tc.stream, stream[:])
+
+			h := sha256.New()
+			for _, reducers := range []int{2, 16} {
+				for _, c := range sampleCuts(block, keyLen, recLen, reducers) {
+					h.Write(binary.AppendUvarint(nil, uint64(len(c))))
+					h.Write(c)
+				}
+			}
+			check("range cuts", tc.cuts, h.Sum(nil))
+
+			job, splits, err := TeraSort(map[string]int64{"records": records, "splits": 16, "reducers": 2, "seed": 7, "skew": tc.skew})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Reset()
+			for _, s := range splits {
+				h.Write(binary.AppendUvarint(nil, uint64(s.ID())))
+				h.Write(binary.AppendUvarint(nil, uint64(s.(interface{ Len() int }).Len())))
+				if err := s.Records(func(k, v []byte) error {
+					h.Write(k)
+					h.Write(v)
+					h.Write([]byte{byte(job.Partitioner(k, job.NumReducers))})
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("splits", tc.splits, h.Sum(nil))
+		})
+	}
+}
+
+// TestTeraSortInputAllocatesPerSplit: TeraSort's input is one block cut into
+// splits, so building it allocates per split and per range cut, not per
+// record (it was two objects and a pointer-bearing header per record, which
+// every GC cycle of a sort job then marked).
+func TestTeraSortInputAllocatesPerSplit(t *testing.T) {
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, _, err := TeraSort(map[string]int64{"records": 100_000, "splits": 16, "reducers": 2, "seed": 7}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 100 {
+		t.Fatalf("TeraSort of 100 000 records allocates %.0f times, want under 100", allocs)
 	}
 }
 
