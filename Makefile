@@ -58,10 +58,12 @@ bench-smoke:
 	go test -bench=. -benchtime=1x ./...
 
 # Documentation lint: every internal package must carry a package doc
-# comment, and every local markdown link in the top-level docs must
-# resolve. Backed by docs_test.go so `go test ./...` enforces it too.
+# comment, every local markdown link in the top-level docs must resolve,
+# and every `go run ./<dir>` here, in README.md and in the verify skill
+# must name a directory. Backed by docs_test.go so `go test ./...`
+# enforces it too.
 docs-lint:
-	go test -run 'TestPackageDocs|TestCommandDocs|TestMarkdownLinks|TestDocSections' .
+	go test -run 'TestPackageDocs|TestCommandDocs|TestMarkdownLinks|TestGoRunTargets|TestDocSections' .
 
 # End-to-end tracing demo: run a WordCount over this Makefile's README on
 # the live hadoop engine with span collection on, check that the exported
@@ -85,7 +87,6 @@ examples:
 	go run ./examples/quickstart
 	go run ./examples/distributedsort
 	go run ./examples/invertedindex
-	go run ./examples/dfsjob
 	go run ./examples/pagerank
 
 # The line counts ROADMAP.md's "State at PR N" quotes: non-test Go outside

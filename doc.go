@@ -1,9 +1,9 @@
 // Package mpid is a from-scratch Go reproduction of "Can MPI Benefit
 // Hadoop and MapReduce Applications?" (Lu, Wang, Zha, Xu — ICPP 2011): the
 // MPI-D key-value extension to MPI, the substrates it is measured against
-// (Hadoop RPC, HTTP-over-Jetty, a mini-HDFS), a MapReduce framework over
-// MPI-D, and a calibrated discrete-event simulation stack that regenerates
-// every table and figure of the paper's evaluation.
+// (Hadoop RPC, HTTP-over-Jetty), a MapReduce framework over MPI-D, and a
+// calibrated discrete-event simulation stack that regenerates every table
+// and figure of the paper's evaluation.
 //
 // The repository holds two real execution engines that run the same
 // mapred.Job:
@@ -13,8 +13,8 @@
 //     TCP transports, MPI_D_Send/Recv with hash-table buffering, local
 //     combining, hash-mod partitioning and realignment into contiguous
 //     buffers;
-//   - the Hadoop path (internal/hadooprpc + internal/jetty + internal/dfs
-//     → internal/hadoop): a miniature but real Hadoop 0.20 — jobtracker
+//   - the Hadoop path (internal/hadooprpc + internal/jetty →
+//     internal/hadoop): a miniature but real Hadoop 0.20 — jobtracker
 //     heartbeat scheduling, slot-bounded tasktrackers, HTTP shuffle with a
 //     pipelined k-way merge engine (internal/shuffle) that overlaps
 //     merging and combining with the copy phase.

@@ -1,8 +1,8 @@
 // Documentation lint, run by `make docs-lint` and the ordinary test
-// suite: every internal package must carry a package doc comment, and
-// every local markdown link in the top-level docs must resolve. The same
-// file pins two source-level design rules, TestNoLegacySurface and
-// TestOneTelemetryValue.
+// suite: every internal package must carry a package doc comment, every
+// local markdown link in the top-level docs must resolve, and every
+// `go run ./<dir>` recipe must name a directory. The same file pins two
+// source-level design rules, TestNoLegacySurface and TestOneTelemetryValue.
 package mpid_test
 
 import (
@@ -369,5 +369,28 @@ func TestMarkdownLinks(t *testing.T) {
 			t.Errorf("%s: %v", doc, err)
 		}
 		f.Close()
+	}
+}
+
+// goRun matches `go run ./<dir>`, also when a wrapped paragraph breaks the
+// line between its words.
+var goRun = regexp.MustCompile(`\bgo\s+run\s+\./([\w./-]*[\w-])`)
+
+// TestGoRunTargets checks that every `go run ./<dir>` the Makefile, README.md
+// and the verify skill give names an existing directory, so deleting a
+// command or an example cannot leave a recipe behind that no longer runs.
+// The design docs are left out: they quote removed commands as history.
+func TestGoRunTargets(t *testing.T) {
+	for _, doc := range []string{"Makefile", "README.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.FromSlash(doc))
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		for _, m := range goRun.FindAllStringSubmatch(string(text), -1) {
+			if fi, err := os.Stat(filepath.FromSlash(m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s: %q names no directory", doc, m[0])
+			}
+		}
 	}
 }

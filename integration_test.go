@@ -1,123 +1,23 @@
-// Integration tests exercising the whole stack end to end: DFS storage,
-// TextInputFormat splits, the MapReduce framework, the MPI-D library, the
-// message-passing runtime (both transports), and the experiment drivers.
+// Integration tests that cross package boundaries: the MPI-D library over
+// the TCP message-passing runtime, the experiment drivers checked against
+// each other, and the workload generator's determinism.
 package mpid_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
-	"strings"
 	"testing"
 
 	"github.com/ict-repro/mpid/internal/core"
-	"github.com/ict-repro/mpid/internal/dfs"
 	"github.com/ict-repro/mpid/internal/experiments"
 	"github.com/ict-repro/mpid/internal/kv"
-	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/mpi"
 	"github.com/ict-repro/mpid/internal/netmodel"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
-// TestFullPipelineDFSToMPIDToDFS runs the complete Hadoop-shaped flow on
-// real components: ingest into the mini-HDFS, kill a datanode, run
-// WordCount on the MPI-D runtime over per-block splits, write part files
-// back, and verify against a sequential reference.
-func TestFullPipelineDFSToMPIDToDFS(t *testing.T) {
-	nn, err := dfs.NewCluster(5, dfs.Config{BlockSize: 4 << 10, Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vocab := workload.NewVocabulary(800, 77)
-	text := workload.NewTextGenerator(vocab, 1.2, 78).BytesOfText(120 << 10)
-
-	w, err := nn.Create("/in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(text); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	nn.DataNode(1).Fail() // replication must carry the job
-
-	splits, err := mapred.DFSSplits(nn, "/in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := mapred.Job{
-		Mapper:      benchMapper,
-		Reducer:     benchReducer,
-		Combiner:    mapred.CombinerFromReducer(benchReducer),
-		NumReducers: 3,
-	}
-	res, err := mapred.Run(job, splits, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Write part files back into the DFS and re-read them.
-	for r, pairs := range res.ByReducer {
-		out, err := nn.Create(fmt.Sprintf("/out/part-%d", r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range pairs {
-			n, _, err := kv.ReadVLong(p.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(out, "%s\t%d\n", p.Key, n)
-		}
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Reference counts from the original text.
-	want := make(map[string]int64)
-	for _, line := range strings.Split(string(text), "\n") {
-		for _, word := range strings.Fields(line) {
-			want[word]++
-		}
-	}
-
-	// Parse the part files back.
-	got := make(map[string]int64)
-	for r := 0; r < 3; r++ {
-		f, err := nn.Open(fmt.Sprintf("/out/part-%d", r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := io.ReadAll(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-			if line == "" {
-				continue
-			}
-			parts := strings.SplitN(line, "\t", 2)
-			var n int64
-			fmt.Sscanf(parts[1], "%d", &n)
-			got[parts[0]] += n
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("distinct words: got %d, want %d", len(got), len(want))
-	}
-	for word, n := range want {
-		if got[word] != n {
-			t.Errorf("count[%q] = %d, want %d", word, got[word], n)
-		}
-	}
-}
-
 // TestMPIDOverTCPTransport runs the real MPI-D library over real sockets:
-// the same WordCount flow, but every intermediate byte crosses the kernel.
+// a WordCount whose every intermediate byte crosses the kernel.
 func TestMPIDOverTCPTransport(t *testing.T) {
 	w, err := mpi.NewTCPWorld(4)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package faults is a deterministic, seedable fault-injection layer for the
-// live communication substrates (hadooprpc, jetty, the mpi TCP transport,
-// dfs DataNode I/O) and the fault-tolerance helpers those substrates use to
-// survive it (bounded retry with exponential backoff and jitter).
+// live communication substrates (hadooprpc, jetty, the mpi TCP transport)
+// and the fault-tolerance helpers those substrates use to survive it
+// (bounded retry with exponential backoff and jitter).
 //
 // The injector is rule-driven: each Rule matches an operation by component
 // name, operation name, peer and the per-(component, operation) call count,

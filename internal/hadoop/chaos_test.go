@@ -2,11 +2,9 @@ package hadoop
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"time"
 
-	"github.com/ict-repro/mpid/internal/dfs"
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -15,8 +13,8 @@ import (
 
 // Chaos tests: the live engine must complete jobs — with output
 // byte-identical to a fault-free run — while the fault injector breaks
-// RPCs, kills a tasktracker mid-job, and crashes a DataNode mid-read.
-// All seeds are fixed; the suites are deterministic.
+// RPCs or kills a tasktracker mid-job. All seeds are fixed; the suites are
+// deterministic.
 
 // encodePairs frames a sorted pair list for byte-exact comparison.
 func encodePairs(pairs []kv.Pair) []byte {
@@ -132,66 +130,6 @@ func TestChaosTrackerCrashMidJob(t *testing.T) {
 	}
 	if got, want := encodePairs(res.Pairs()), encodePairs(clean.Pairs()); !bytes.Equal(got, want) {
 		t.Fatalf("output after tracker crash differs from fault-free run (%d vs %d bytes)", len(got), len(want))
-	}
-}
-
-// TestChaosDataNodeCrashMidRead runs WordCount over DFS input while a
-// DataNode crashes partway through serving block reads: replica failover
-// inside the DFS read path must absorb the loss without a single task
-// failure, and the counts must be exact.
-func TestChaosDataNodeCrashMidRead(t *testing.T) {
-	nn, err := dfs.NewCluster(3, dfs.Config{BlockSize: 2_048, Replication: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := genText(t, 50_000, 3)
-	w, err := nn.Create("/input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.Copy(w, bytes.NewReader(text)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	splits, err := mapred.DFSSplits(nn, "/input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) < 4 {
-		t.Fatalf("only %d splits — too few to crash mid-read", len(splits))
-	}
-
-	// Node 2 survives its first three block reads, then dies.
-	inj := faults.New(1, faults.Rule{
-		Component: "dfs.datanode2",
-		Operation: "read",
-		After:     3,
-		Action:    faults.Crash,
-	})
-	nn.SetInjector(inj)
-
-	res, _, err := runJob(wcJob(2), splits, Config{NumTrackers: 2})
-	if err != nil {
-		t.Fatalf("job with DataNode crash: %v", err)
-	}
-	if !nn.DataNode(2).Down() {
-		t.Fatal("datanode 2 never crashed — too few reads reached it")
-	}
-	got := decode(t, res.Pairs())
-	want := refCounts(text)
-	if len(got) != len(want) {
-		t.Fatalf("distinct words: got %d, want %d", len(got), len(want))
-	}
-	for word, n := range want {
-		if got[word] != n {
-			t.Fatalf("count[%q] = %d, want %d", word, got[word], n)
-		}
-	}
-	// Failover, not re-execution, absorbed this fault.
-	if res.FailedAttempts != 0 {
-		t.Fatalf("FailedAttempts = %d, want 0 (DFS failover should be invisible to the engine)", res.FailedAttempts)
 	}
 }
 

@@ -498,28 +498,52 @@ func TestSplitTextCoversAllBytes(t *testing.T) {
 }
 
 func TestSplitTextNoStraddlingRecords(t *testing.T) {
-	// The word multiset over all splits must equal the whole text's.
-	text := genText(10_000, 6)
-	splits := SplitText(text, 777)
-	counts := make(map[string]int64)
-	for _, s := range splits {
-		if err := s.Records(func(_, v []byte) error {
-			for _, w := range bytes.Fields(v) {
-				counts[string(w)]++
+	// Every line is yielded exactly once and in order, the splits' bytes
+	// concatenate back to the input, and split IDs run 0, 1, 2, …: short
+	// blocks cut most lines, a line longer than several blocks must extend
+	// its split, and a tail without a newline is still a record.
+	five := []byte("alpha bravo\ncharlie\ndelta echo foxtrot golf\nhotel\nindia juliet\n")
+	cases := []struct {
+		name      string
+		text      []byte
+		blockSize int
+	}{
+		{"generated", genText(10_000, 6), 777},
+		{"five lines", five, 5},
+		{"five lines", five, 7},
+		{"five lines", five, 13},
+		{"five lines", five, 64},
+		{"five lines", five, 1024},
+		{"unterminated tail", []byte("first\nsecond\nunterminated tail"), 8},
+		{"long line", []byte("short\n" + strings.Repeat("x", 100) + "\nlast\n"), 16},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/block=%d", c.name, c.blockSize), func(t *testing.T) {
+			want := strings.Split(string(c.text), "\n")
+			if want[len(want)-1] == "" {
+				want = want[:len(want)-1]
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := refWordCount(text)
-	if len(counts) != len(want) {
-		t.Fatalf("distinct words %d, want %d", len(counts), len(want))
-	}
-	for w, c := range want {
-		if counts[w] != c {
-			t.Fatalf("count[%q] = %d, want %d", w, counts[w], c)
-		}
+			var lines []string
+			var joined []byte
+			for i, s := range SplitText(c.text, c.blockSize) {
+				if s.ID() != i {
+					t.Fatalf("split %d has ID %d", i, s.ID())
+				}
+				joined = append(joined, s.(*LineSplit).data...)
+				if err := s.Records(func(_, v []byte) error {
+					lines = append(lines, string(v))
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(joined, c.text) {
+				t.Fatalf("splits concatenate to %q, want %q", joined, c.text)
+			}
+			if !slices.Equal(lines, want) {
+				t.Fatalf("lines = %q, want %q", lines, want)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package metrics is the observability substrate for the live stack: a
 // lightweight, concurrency-safe registry of named counters, gauges and
 // timers that the runtime components (hadooprpc clients, the jetty shuffle
-// path, the dfs block store, the fault injector and the hadoop engine)
-// report into, and that per-job reports render from.
+// path, the fault injector and the hadoop engine) report into, and that
+// per-job reports render from.
 //
 // The paper's central measurement (§II.A) is a per-phase time breakdown —
 // where does a reduce task's wall time go? The simulators produce those

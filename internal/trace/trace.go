@@ -2,9 +2,8 @@
 // concurrency-safe span collector plus a propagation format that travels as
 // a trailing RPC parameter (hadooprpc) and an HTTP header (jetty), so one
 // job's wall time can be attributed span by span across the jobtracker, the
-// tasktrackers, the shuffle servers and the DFS — the per-task timeline view
-// behind the paper's Figure 1, but for a single live run instead of an
-// aggregate.
+// tasktrackers and the shuffle servers — the per-task timeline view behind
+// the paper's Figure 1, but for a single live run instead of an aggregate.
 //
 // The aggregate metrics layer (internal/metrics) answers "how much time did
 // the copy stage take across the job"; this package answers "why did reducer
@@ -65,7 +64,7 @@ type Span struct {
 	Parent uint64 // parent span id, 0 for roots
 	Name   string // e.g. "m3", "reduce.copy", "fetch m7"
 	Kind   string
-	Proc   string // emitting process lane: "jobtracker", "tracker0", "dfs"
+	Proc   string // emitting process lane: "jobtracker", "tracker0", "faults"
 	Start  time.Time
 	Finish time.Time
 	Notes  []Annotation

@@ -76,8 +76,9 @@ type textCase struct {
 }
 
 // textCases lists the (vocabulary, s, seed, size) of every generator call
-// site in the module, the benchmark's two sizes included, plus clamped s
-// and non-default line lengths.
+// site in the module, the benchmark's two sizes included, plus clamped s,
+// non-default line lengths and two vocabulary sizes no call site uses
+// (800 and 3 000 words).
 var textCases = []textCase{
 	{site: "bench serve-open", vocabN: 500, vocabSeed: 1, s: 1.15, seed: 7, size: 512 << 10},
 	{site: "bench serve-open seed 3", vocabN: 500, vocabSeed: 1, s: 1.15, seed: 3, size: 512 << 10},
@@ -85,7 +86,7 @@ var textCases = []textCase{
 	{site: "suite wordcount", vocabN: 500, vocabSeed: 1, s: 1.15, seed: 1, size: 32 << 10},
 	{site: "suite grep", vocabN: 500, vocabSeed: 2, s: 1.15, seed: 2, size: 64 << 10},
 	{site: "suite invindex", vocabN: 300, vocabSeed: 1, s: 1.2, seed: 4, size: 6 << 10, wordsPerLine: 8},
-	{site: "examples/dfsjob", vocabN: 3_000, vocabSeed: 21, s: 1.2, seed: 22, size: 1 << 20},
+	{site: "vocab 3000, s=1.2", vocabN: 3_000, vocabSeed: 21, s: 1.2, seed: 22, size: 1 << 20},
 	{site: "examples/quickstart", vocabN: 5_000, vocabSeed: 42, s: 1.15, seed: 7, size: 2 << 20},
 	{site: "examples/invertedindex", vocabN: 400, vocabSeed: 11, s: 1.3, seed: 117, size: 4 << 10},
 	{site: "experiments figure 6", vocabN: 2_000, vocabSeed: 33, s: 1.15, seed: 1 << 20, size: 1 << 20},
@@ -93,7 +94,7 @@ var textCases = []textCase{
 	{site: "hadoop tests", vocabN: 300, vocabSeed: 11, s: 1.1, seed: 12, size: 120_000},
 	{site: "hadoop bench events", vocabN: 300, vocabSeed: 1, s: 1.1, seed: 2, size: 256 << 10},
 	{site: "root bench", vocabN: 2_000, vocabSeed: 3, s: 1.15, seed: 4, size: 1 << 20},
-	{site: "root integration", vocabN: 800, vocabSeed: 77, s: 1.2, seed: 78, size: 120 << 10},
+	{site: "vocab 800, s=1.2", vocabN: 800, vocabSeed: 77, s: 1.2, seed: 78, size: 120 << 10},
 	{site: "root determinism", vocabN: 100, vocabSeed: 42, s: 1.1, seed: 1, size: 10_000},
 	{site: "clamped s=0.5", vocabN: 100, vocabSeed: 2, s: 0.5, seed: 3, size: 64 << 10},
 	{site: "clamped s=1", vocabN: 500, vocabSeed: 1, s: 1, seed: 9, size: 64 << 10},

@@ -254,44 +254,3 @@ func NewGraph(vertices, avgDegree int, seed int64) [][]int {
 	}
 	return g
 }
-
-// ---------------------------------------------------------------------------
-// Statistical descriptors used by the simulators. At 150 GB the DES cannot
-// materialize records; it works from these aggregate properties instead.
-
-// TextProfile describes WordCount-relevant statistics of generated text
-// without materializing it.
-type TextProfile struct {
-	// AvgWordLen is the mean word length in bytes (excluding separator).
-	AvgWordLen float64
-	// WordsPerByte is the expected number of words per input byte.
-	WordsPerByte float64
-	// DistinctPerBlock estimates distinct words seen in a block of the
-	// given size; with a Zipf vocabulary this saturates near the
-	// vocabulary size for any block over a few MB.
-	VocabSize int
-}
-
-// Profile measures a generator empirically over sample bytes of text, so
-// the simulators use the same distribution the real examples process.
-func (g *TextGenerator) Profile(sampleBytes int) TextProfile {
-	buf := g.BytesOfText(sampleBytes)
-	words := 0
-	wordBytes := 0
-	distinct := make(map[string]bool)
-	for _, line := range strings.Split(string(buf), "\n") {
-		for _, w := range strings.Fields(line) {
-			words++
-			wordBytes += len(w)
-			distinct[w] = true
-		}
-	}
-	if words == 0 {
-		return TextProfile{VocabSize: g.vocab.Size()}
-	}
-	return TextProfile{
-		AvgWordLen:   float64(wordBytes) / float64(words),
-		WordsPerByte: float64(words) / float64(len(buf)),
-		VocabSize:    len(distinct),
-	}
-}

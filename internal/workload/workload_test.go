@@ -255,20 +255,3 @@ func TestTeraSortInputAllocatesPerSplit(t *testing.T) {
 		t.Fatalf("TeraSort of 100 000 records allocates %.0f times, want under 100", allocs)
 	}
 }
-
-func TestProfileReportsPlausibleText(t *testing.T) {
-	v := NewVocabulary(2000, 1)
-	g := NewTextGenerator(v, 1.1, 9)
-	p := g.Profile(200000)
-	if p.AvgWordLen < 3 || p.AvgWordLen > 13 {
-		t.Errorf("AvgWordLen = %g", p.AvgWordLen)
-	}
-	// words per byte ~ 1/(avgLen+1)
-	approx := 1 / (p.AvgWordLen + 1)
-	if p.WordsPerByte < approx*0.8 || p.WordsPerByte > approx*1.2 {
-		t.Errorf("WordsPerByte = %g, expected near %g", p.WordsPerByte, approx)
-	}
-	if p.VocabSize < 100 || p.VocabSize > 2000 {
-		t.Errorf("VocabSize = %d", p.VocabSize)
-	}
-}
