@@ -14,13 +14,13 @@ check: build vet test race bench-module
 chaos:
 	go test ./internal/hadoop/ -run TestChaos -v
 
-# The job-service chaos suite under the race detector, one half per engine.
-# hadoop: probe-detected tracker kill recovering byte-identical, and probe
-# flapping causing no spurious re-execution. MPI-D, whose ranks cannot be
-# lost without the process: cancel, deadline, a failing, panicking or
-# vanished rank — on the runtime, its mpi substrate and through the service
-# — each ending in the failure's own error with no goroutine left behind.
-# Both: a panicking mapper or reducer fails its own job and no other.
+# The job-service chaos suite under the race detector, on MPI-D, whose
+# ranks cannot be lost without the process: cancel, deadline, a failing,
+# panicking or vanished rank — on the runtime, its mpi substrate and
+# through the service — each ending in the failure's own error with no
+# goroutine left behind, a panicking mapper or reducer failing its own job
+# and no other, and a panicking job watched through the service's flight
+# recorder and /healthz.
 serve-chaos:
 	go test -race ./internal/serve/ -run 'TestChaos|TestDrain|TestMapperPanicFailsJobOnly' -v
 	go test -race ./internal/mapred/ -run 'TestContext|TestRankFailureEndsJob|TestReducerFailureLeavesNoResult' -v

@@ -80,14 +80,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var tel engine.Telemetry
+	var tel obs.Telemetry
 	if *showEvents || *adminAddr != "" {
 		tel.Events = obs.NewRecorder(0)
 	}
 	var adm *admin.Server
 	if *adminAddr != "" {
 		tel.Metrics, tel.Tracer = metrics.NewRegistry(), trace.New("jobtracker")
-		if adm, err = admin.New(*adminAddr, tel.Telemetry); err != nil {
+		if adm, err = admin.New(*adminAddr, tel); err != nil {
 			fatal(fmt.Errorf("admin server: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "mpid-job: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/)\n", adm.Addr())

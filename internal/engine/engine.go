@@ -1,10 +1,10 @@
 // Package engine is the one contract a MapReduce job in this repository runs
 // through, and its two implementations: the MPI-D runtime (internal/mapred
 // over an internal/mpi world — the paper's proposal) and the mini-Hadoop
-// cluster (internal/hadoop — the paper's baseline). The job service, mpid-job
-// and the workload suite hold an Engine and never name either runtime's own
-// entry points, so which stack serves a job is one value chosen at
-// construction.
+// cluster (internal/hadoop — the paper's baseline). mpid-job, the live
+// figures and the workload suite hold an Engine and never name either
+// runtime's own entry points, so which stack serves a job is one value chosen
+// at construction; the job service holds an MPID.
 package engine
 
 import (
@@ -17,25 +17,18 @@ import (
 	"github.com/ict-repro/mpid/internal/obs"
 )
 
-// Telemetry is what observes one job. Every member is optional, and an
-// engine ignores what it has nothing to report to: MPI-D reports mpid.*
-// timers and spill/realign/merge spans and emits no events; the hadoop
-// engine reports hadoop.*, rpc.*, shuffle.* and task.* metrics, its
-// jobtracker's and trackers' spans and its flight-recorder events.
-type Telemetry struct {
-	obs.Telemetry
-	// Watch is handed the job's tracker-liveness handle once its trackers
-	// serve (hadoop.Config.Watch). MPI-D ranks are goroutines of this
-	// process — nothing to probe — so that engine never calls it.
-	Watch func(hadoop.ClusterControl)
-}
-
 // Engine runs one job to completion. Once ctx is done the job stops and the
 // error satisfies errors.Is with the context's error. The report is the
 // hadoop jobtracker's (nil from MPI-D, which has no jobtracker); it is
 // returned for failed jobs too.
+//
+// Every member of tel is optional, and an engine ignores what it has nothing
+// to report to: MPI-D reports mpid.* timers and spill/realign/merge spans and
+// emits no events; the hadoop engine reports hadoop.*, rpc.*, shuffle.* and
+// task.* metrics, its jobtracker's and trackers' spans and its
+// flight-recorder events.
 type Engine interface {
-	Run(ctx context.Context, job mapred.Job, splits []mapred.Split, tel Telemetry) (*mapred.Result, *hadoop.JobReport, error)
+	Run(ctx context.Context, job mapred.Job, splits []mapred.Split, tel obs.Telemetry) (*mapred.Result, *hadoop.JobReport, error)
 }
 
 // MPID runs each job on a world of its own: 1 master + job.NumReducers
@@ -49,26 +42,26 @@ type MPID struct {
 }
 
 // Run implements Engine.
-func (e MPID) Run(ctx context.Context, job mapred.Job, splits []mapred.Split, tel Telemetry) (*mapred.Result, *hadoop.JobReport, error) {
+func (e MPID) Run(ctx context.Context, job mapred.Job, splits []mapred.Split, tel obs.Telemetry) (*mapred.Result, *hadoop.JobReport, error) {
 	if e.Mappers <= 0 {
 		e.Mappers = 2
 	}
 	res, err := mapred.RunContext(ctx, job, splits, mapred.Exec{
-		Mappers: e.Mappers, NewWorld: e.NewWorld, Telemetry: tel.Telemetry,
+		Mappers: e.Mappers, NewWorld: e.NewWorld, Telemetry: tel,
 	})
 	return res, nil, err
 }
 
 // Hadoop boots a mini-cluster per job from the Config template. The job's
-// Telemetry and Watch replace the template's.
+// telemetry replaces the template's.
 type Hadoop struct {
 	Config hadoop.Config
 }
 
 // Run implements Engine.
-func (e Hadoop) Run(ctx context.Context, job mapred.Job, splits []mapred.Split, tel Telemetry) (*mapred.Result, *hadoop.JobReport, error) {
+func (e Hadoop) Run(ctx context.Context, job mapred.Job, splits []mapred.Split, tel obs.Telemetry) (*mapred.Result, *hadoop.JobReport, error) {
 	cfg := e.Config
-	cfg.Telemetry, cfg.Watch = tel.Telemetry, tel.Watch
+	cfg.Telemetry = tel
 	return hadoop.RunWithReportContext(ctx, job, splits, cfg)
 }
 

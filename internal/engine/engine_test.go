@@ -53,7 +53,7 @@ func TestContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := metrics.NewRegistry()
-		res, rep, err := eng.Run(context.Background(), job, splits, Telemetry{Telemetry: obs.Telemetry{Metrics: reg}})
+		res, rep, err := eng.Run(context.Background(), job, splits, obs.Telemetry{Metrics: reg})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -70,7 +70,7 @@ func TestContract(t *testing.T) {
 		}
 		outputs = append(outputs, flat)
 
-		if _, _, err := eng.Run(dead, job, splits, Telemetry{}); !errors.Is(err, context.Canceled) {
+		if _, _, err := eng.Run(dead, job, splits, obs.Telemetry{}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s under a canceled context: %v, want context.Canceled", name, err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestEmitCopiesBeforeReturning(t *testing.T) {
 		}
 		job := build(reuse)
 		job.MaxTaskAttempts = attempts
-		res, _, err := eng.Run(context.Background(), job, splits, Telemetry{})
+		res, _, err := eng.Run(context.Background(), job, splits, obs.Telemetry{})
 		if err != nil {
 			t.Fatalf("%s engine: %v", engine, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
@@ -82,7 +83,7 @@ func runRounds(t *testing.T, name string, job mapred.Job, splits []mapred.Split,
 	var pairs []kv.Pair
 	var shuffled int64
 	for round := 0; round < rounds; round++ {
-		res, _, err := eng.Run(context.Background(), job, splits, Telemetry{})
+		res, _, err := eng.Run(context.Background(), job, splits, obs.Telemetry{})
 		if err != nil {
 			t.Fatalf("%s engine, round %d: %v", name, round, err)
 		}

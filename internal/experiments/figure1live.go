@@ -9,6 +9,7 @@ import (
 	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
@@ -44,7 +45,7 @@ func Figure1LiveAt(sizeBytes int64) (*Figure1LiveResult, error) {
 	_, report, err := engine.Hadoop{Config: hadoop.Config{
 		NumTrackers: 4, MapSlots: 1, ReduceSlots: 1,
 		Heartbeat: 25 * time.Millisecond,
-	}}.Run(context.Background(), workload.WordCountJob(2), splits, engine.Telemetry{})
+	}}.Run(context.Background(), workload.WordCountJob(2), splits, obs.Telemetry{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: live figure 1 at %d bytes: %w", sizeBytes, err)
 	}

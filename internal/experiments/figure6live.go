@@ -9,6 +9,7 @@ import (
 	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
@@ -52,14 +53,14 @@ func Figure6Live(sizes []int64) ([]Figure6LiveRow, error) {
 		splits := mapred.SplitText(text, 64<<10)
 
 		start := time.Now()
-		hres, _, err := hadoopEng.Run(context.Background(), job, splits, engine.Telemetry{})
+		hres, _, err := hadoopEng.Run(context.Background(), job, splits, obs.Telemetry{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: live hadoop at %d bytes: %w", size, err)
 		}
 		hTime := time.Since(start)
 
 		start = time.Now()
-		mres, _, err := mpidEng.Run(context.Background(), job, splits, engine.Telemetry{})
+		mres, _, err := mpidEng.Run(context.Background(), job, splits, obs.Telemetry{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: live mpid at %d bytes: %w", size, err)
 		}

@@ -54,8 +54,7 @@ type Config struct {
 	Heartbeat time.Duration
 	// TrackerTimeout is how long a tracker may go without heartbeating
 	// before the jobtracker declares it lost and re-queues its tasks
-	// (default max(500 ms, 150 heartbeats); negative disables liveness
-	// detection).
+	// (default max(500 ms, 150 heartbeats)).
 	TrackerTimeout time.Duration
 	// RPC configures the tasktrackers' jobtracker clients and, via
 	// MaxAttempts/Backoff, the shuffle fetch retry budget. The zero value
@@ -89,46 +88,6 @@ type Config struct {
 	// into the same ring. Each event carries the trace span id of the work
 	// it describes. A nil recorder records nothing.
 	obs.Telemetry
-	// Watch, when set, is called once the jobtracker is serving, with a
-	// control handle over the cluster's tracker liveness. External liveness
-	// detectors (the job service's active prober, internal/serve) use it to
-	// observe tracker addresses and feed dead verdicts into the same
-	// re-execution path the heartbeat-timeout sweep uses — so recovery can
-	// start on probe loss instead of waiting out TrackerTimeout. The handle
-	// stays valid until RunWithReportContext returns; calls after that are
-	// safe no-ops.
-	Watch func(ClusterControl)
-}
-
-// TrackerState is an external view of one tasktracker's liveness: its
-// jobtracker-assigned id, the address of its jetty shuffle server (which
-// doubles as the probe surface — it dies with the tracker, and it is
-// exactly the component whose death strands map outputs), whether it has
-// been declared lost, and when it last heartbeated.
-type TrackerState struct {
-	ID       int
-	Addr     string
-	Lost     bool
-	LastSeen time.Time
-}
-
-// ClusterControl is the handle Config.Watch receives: enough to observe
-// tracker liveness from outside and to feed externally-detected deaths
-// into the engine's re-execution machinery.
-type ClusterControl interface {
-	// Trackers snapshots every registered tracker's state. Trackers
-	// register asynchronously, so early calls may see fewer than
-	// Config.NumTrackers entries. Once the job has finished or failed it
-	// returns none: the trackers are shutting their servers down, and a
-	// prober must not read that as death.
-	Trackers() []TrackerState
-	// MarkLost declares a tracker dead, re-queueing its running tasks and
-	// re-executing its completed maps elsewhere — the same path the
-	// heartbeat-timeout sweep takes. It reports whether the verdict acted:
-	// false when the id is unknown, the tracker is already lost, or the
-	// job has already finished or failed, making it safe to call from a
-	// flapping prober — duplicate verdicts are no-ops.
-	MarkLost(id int) bool
 }
 
 func (c Config) withDefaults() Config {
@@ -144,7 +103,7 @@ func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 2 * time.Millisecond
 	}
-	if c.TrackerTimeout == 0 {
+	if c.TrackerTimeout <= 0 {
 		c.TrackerTimeout = 150 * c.Heartbeat
 		if c.TrackerTimeout < 500*time.Millisecond {
 			c.TrackerTimeout = 500 * time.Millisecond
@@ -241,9 +200,6 @@ func RunWithReportContext(ctx context.Context, job mapred.Job, splits []mapred.S
 		return nil, nil, err
 	}
 	defer jt.stop()
-	if cfg.Watch != nil {
-		cfg.Watch(jt)
-	}
 	if ctx.Done() != nil {
 		stopWatch := make(chan struct{})
 		defer close(stopWatch)
@@ -410,19 +366,15 @@ func (jt *jobTracker) start() (string, error) {
 	jt.jobSpan.Annotate("maps", fmt.Sprint(len(jt.splits)))
 	jt.jobSpan.Annotate("reduces", fmt.Sprint(jt.job.NumReducers))
 	jt.mu.Unlock()
-	if jt.cfg.TrackerTimeout > 0 {
-		jt.done = make(chan struct{})
-		jt.sweeper.Add(1)
-		go jt.sweepLoop()
-	}
+	jt.done = make(chan struct{})
+	jt.sweeper.Add(1)
+	go jt.sweepLoop()
 	return addr, nil
 }
 
 func (jt *jobTracker) stop() {
-	if jt.done != nil {
-		close(jt.done)
-		jt.sweeper.Wait()
-	}
+	close(jt.done)
+	jt.sweeper.Wait()
 	jt.srv.Close()
 }
 
@@ -454,73 +406,27 @@ func (jt *jobTracker) sweepLoop() {
 	}
 }
 
-// overLocked reports whether the job has finished or failed — the point
-// past which tracker liveness no longer matters. Caller holds jt.mu.
-func (jt *jobTracker) overLocked() bool {
-	return jt.failure != nil || jt.reducesDone == jt.job.NumReducers
-}
-
+// sweep declares the trackers silent past TrackerTimeout lost and fails the
+// job once none is left alive. A finished or failed job is left alone: its
+// trackers are shutting down, which is not death.
 func (jt *jobTracker) sweep(now time.Time) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	if jt.overLocked() || len(jt.trackers) == 0 {
+	if jt.failure != nil || jt.reducesDone == jt.job.NumReducers || len(jt.trackers) == 0 {
 		return
 	}
+	alive := 0
 	for _, tr := range jt.trackers {
 		if !tr.lost && now.Sub(tr.lastSeen) > jt.cfg.TrackerTimeout {
 			jt.markLostLocked(tr)
 		}
-	}
-	jt.abortIfAllLostLocked()
-}
-
-// abortIfAllLostLocked fails the job once no tracker is left alive.
-func (jt *jobTracker) abortIfAllLostLocked() {
-	for _, tr := range jt.trackers {
 		if !tr.lost {
-			return
+			alive++
 		}
 	}
-	jt.abortLocked(errors.New("hadoop: all tasktrackers lost"))
-}
-
-// Trackers implements ClusterControl: a snapshot of every registered
-// tracker's liveness state, empty once the job is over — from then on
-// MarkLost is inert, so there is nothing left worth probing.
-func (jt *jobTracker) Trackers() []TrackerState {
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	if jt.overLocked() {
-		return nil
+	if alive == 0 {
+		jt.abortLocked(errors.New("hadoop: all tasktrackers lost"))
 	}
-	out := make([]TrackerState, 0, len(jt.trackers))
-	for _, tr := range jt.trackers {
-		out = append(out, TrackerState{
-			ID:       tr.id,
-			Addr:     tr.jettyAddr,
-			Lost:     tr.lost,
-			LastSeen: tr.lastSeen,
-		})
-	}
-	return out
-}
-
-// MarkLost implements ClusterControl: an externally-detected tracker death
-// takes the same path as the heartbeat-timeout sweep. Idempotent and inert
-// once the job has finished or failed, so a flapping prober can never
-// corrupt a completed job or double-requeue work.
-func (jt *jobTracker) MarkLost(id int) bool {
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	if id < 0 || id >= len(jt.trackers) || jt.overLocked() || jt.trackers[id].lost {
-		return false
-	}
-	jt.markLostLocked(jt.trackers[id])
-	jt.cfg.Metrics.Counter("hadoop.trackers_probe_lost").Inc()
-	// The sweep's all-lost abort may be disabled (TrackerTimeout < 0), so
-	// the externally-driven path must reach the same terminal state itself.
-	jt.abortIfAllLostLocked()
-	return true
 }
 
 // closeTrace finishes the job's trace: scheduler attempt spans still open

@@ -218,6 +218,65 @@ func TestMiniHadoopReducerErrorAbortsJob(t *testing.T) {
 	}
 }
 
+// TestMiniHadoopTaskPanicFailsJobOnly: a user mapper or reducer that panics
+// fails its own job, with the panic in the error, once MaxTaskAttempts
+// attempts have panicked; the process keeps running, and the next job on a
+// fresh cluster succeeds.
+func TestMiniHadoopTaskPanicFailsJobOnly(t *testing.T) {
+	text := mapred.SplitText([]byte("x y\nz\n"), 2)
+	badMapper := mapred.Job{Mapper: mapred.MapperFunc(func(_, _ []byte, _ mapred.Emit) error { panic("user mapper exploded") }),
+		Reducer: wcReducer, MaxTaskAttempts: 2}
+	badReducer := mapred.Job{Mapper: wcMapper, MaxTaskAttempts: 2,
+		Reducer: mapred.ReducerFunc(func(_ []byte, _ [][]byte, _ mapred.Emit) error { panic("user reducer exploded") })}
+	for want, bad := range map[string]mapred.Job{"user mapper exploded": badMapper, "user reducer exploded": badReducer} {
+		if _, _, err := runJob(bad, text, Config{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("job error = %v, want the panic %q", err, want)
+		}
+	}
+	res, _, err := runJob(mapred.Job{Mapper: wcMapper, Reducer: wcReducer}, text, Config{})
+	if err != nil {
+		t.Fatalf("job after the panicked jobs: %v", err)
+	}
+	if got := len(res.Pairs()); got != 3 {
+		t.Fatalf("job after the panicked jobs: %d words, want 3", got)
+	}
+}
+
+// TestHadoopJobCanceledMidMapEnds: a job canceled by its own mapper, on the
+// tenth of 20000 one-record splits, stops through the engine alone — the
+// mapper never looks at the context — and returns the context's error well
+// inside the map phase.
+func TestHadoopJobCanceledMidMapEnds(t *testing.T) {
+	const nSplits = 20000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mapped atomic.Int64
+	job := mapred.Job{NumReducers: 1, Reducer: wcReducer,
+		Mapper: mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
+			if mapped.Add(1) == 10 {
+				cancel()
+			}
+			return emit(line, kv.AppendVLong(nil, 1))
+		})}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RunWithReportContext(ctx, job, mapred.SplitText([]byte(strings.Repeat("x\n", nSplits)), 1), Config{NumTrackers: 2})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("job error = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("canceled job hung:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	if n := mapped.Load(); n > nSplits/100 {
+		t.Errorf("%d of %d splits mapped: the cancel did not stop the map phase", n, nSplits)
+	}
+}
+
 // TestHadoopJobCanceledMidReduceEnds: a job canceled by its reducer, on the
 // first of the partition's keys, stops at the next key — the final merge feeds
 // the reducer and polls the job's context between keys — and returns the

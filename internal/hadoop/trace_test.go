@@ -8,6 +8,7 @@ import (
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/trace"
 )
 
@@ -138,7 +139,11 @@ func TestTracedJobSpans(t *testing.T) {
 // trace tells the recovery story: the killed attempt appears with status
 // "lost" even though its tracker never shipped spans, the re-execution
 // appears with a higher attempt number and status "ok", injected faults
-// show up as fault spans, and the Chrome export stays well-formed.
+// show up as fault spans, and the Chrome export stays well-formed. The
+// flight recorder tells it too: the sweep's loss verdict leaves an
+// attempt.lost event per killed attempt, each followed by an
+// attempt.scheduled event re-executing its task, and every one of those
+// events names the trace span of its attempt.
 func TestChaosTrackerCrashTrace(t *testing.T) {
 	text := genText(t, 120_000, 11)
 	splits := mapred.SplitText(text, 3_000)
@@ -155,6 +160,7 @@ func TestChaosTrackerCrashTrace(t *testing.T) {
 		After:     10,
 		Action:    faults.Crash,
 	})
+	rec := obs.NewRecorder(0)
 	res, rep, err := runJob(job, splits, Config{
 		NumTrackers:    3,
 		Injector:       inj,
@@ -163,12 +169,47 @@ func TestChaosTrackerCrashTrace(t *testing.T) {
 			MaxAttempts: 3,
 			Backoff:     faults.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
 		},
+		Telemetry: obs.Telemetry{Events: rec},
 	})
 	if err != nil {
 		t.Fatalf("job with tracker crash: %v", err)
 	}
 	if res.MaxTaskExecutions < 2 {
 		t.Fatalf("MaxTaskExecutions = %d, want >= 2", res.MaxTaskExecutions)
+	}
+
+	// The recorded chain: every attempt lost to the crash is followed,
+	// strictly later in Seq order, by its task scheduled again with a
+	// higher attempt number; each event names its attempt's span, and a
+	// lost attempt's span ended "lost".
+	spanByID := make(map[uint64]trace.Span, len(rep.Spans))
+	for _, s := range rep.Spans {
+		spanByID[s.ID] = s
+	}
+	lost := rec.OfType(obs.EvAttemptLost)
+	if len(lost) == 0 {
+		t.Fatalf("no attempt.lost events after the crash\n%s", obs.RenderEvents(rec.Events()))
+	}
+	scheduled := rec.OfType(obs.EvAttemptScheduled)
+	for _, l := range lost {
+		if sp, ok := spanByID[l.Span]; !ok || note(sp, "status") != "lost" {
+			t.Errorf("attempt.lost %s/%d names span %d, found %v with status %q", l.Task, l.Attempt, l.Span, ok, note(sp, "status"))
+		}
+		var redo *obs.Event
+		for i, e := range scheduled {
+			if e.Task == l.Task && e.Attempt > l.Attempt && e.Seq > l.Seq {
+				redo = &scheduled[i]
+				break
+			}
+		}
+		if redo == nil {
+			t.Errorf("attempt.lost %s/%d (seq %d) is never followed by a re-execution\n%s",
+				l.Task, l.Attempt, l.Seq, obs.RenderEvents(rec.Events()))
+			continue
+		}
+		if _, ok := spanByID[redo.Span]; redo.Span == 0 || !ok {
+			t.Errorf("re-execution %s/%d names span %d, not among the report's %d spans", redo.Task, redo.Attempt, redo.Span, len(rep.Spans))
+		}
 	}
 
 	// Scheduler attempt spans by task name: the crash must leave at least

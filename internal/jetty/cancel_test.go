@@ -82,37 +82,3 @@ func TestFetchContextCancelInterruptsBackoff(t *testing.T) {
 		t.Fatalf("attempts = %d, want 1 (cancel must stop the retry loop)", n)
 	}
 }
-
-// TestPing exercises the probe endpoint: a live server answers with a
-// measurable round trip, a dead port errors, and an injected ping fault
-// surfaces as a loss without disturbing the serve path.
-func TestPing(t *testing.T) {
-	inj := faults.New(1, faults.Rule{Component: "jetty.server", Operation: "ping", After: 1})
-	addr, store := startFaultyServer(t, inj)
-	store.Put(OutputKey{Job: "job", Map: 0, Reduce: 0}, []byte("data"))
-
-	c := NewClient()
-	defer c.Close()
-	ctx := context.Background()
-	rtt, err := c.Ping(ctx, addr)
-	if err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	if rtt <= 0 {
-		t.Fatalf("rtt = %v, want > 0", rtt)
-	}
-	// Second ping hits the injected fault; the data path stays healthy.
-	if _, err := c.Ping(ctx, addr); err == nil {
-		t.Fatal("injected ping fault did not surface")
-	}
-	if _, err := c.FetchMapOutput(addr, OutputKey{Job: "job", Map: 0, Reduce: 0}); err != nil {
-		t.Fatalf("fetch after ping fault: %v", err)
-	}
-
-	// A dead address is a loss, bounded by the context deadline.
-	dctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
-	defer cancel()
-	if _, err := c.Ping(dctx, "127.0.0.1:1"); err == nil {
-		t.Fatal("ping to dead port succeeded")
-	}
-}

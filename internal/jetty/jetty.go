@@ -201,7 +201,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/mapOutput", s.handleMapOutput)
 	mux.HandleFunc("/stream", s.handleStream)
-	mux.HandleFunc("/ping", s.handlePing)
 	srv := &http.Server{Handler: mux}
 	s.mu.Lock()
 	s.ln, s.httpSrv = ln, srv
@@ -309,24 +308,6 @@ func (s *Server) serveFile(w http.ResponseWriter, span *trace.Span, path string,
 	n, _ := io.Copy(w, io.LimitReader(f, size))
 	s.Metrics.Counter("shuffle.serves_zerocopy").Inc()
 	s.Metrics.Counter("shuffle.sendfile_bytes").Add(n)
-}
-
-// handlePing answers liveness probes: a tiny 200 that proves the tracker's
-// data path — the same HTTP server reducers fetch map outputs from — is up
-// and answering. The injector gates it ("ping" operation) so chaos tests
-// can make a live tracker look dead and a dead one flap back.
-func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
-	comp := s.Component
-	if comp == "" {
-		comp = "jetty.server"
-	}
-	if err := s.Injector.Check(comp, "ping", r.RemoteAddr); err != nil {
-		http.Error(w, "jetty: injected fault: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	s.Metrics.Counter("shuffle.pings").Inc()
-	w.Header().Set("Content-Length", "4")
-	w.Write([]byte("pong"))
 }
 
 // handleStream serves size synthetic bytes, the §II.B bandwidth endpoint,
@@ -492,34 +473,6 @@ func (c *Client) fetchOnce(ctx context.Context, url, peer string, tctx trace.Con
 		return nil, err
 	}
 	return c.fetch(ctx, url, tctx)
-}
-
-// Ping probes the server's /ping endpoint under the given context and
-// returns the round-trip time. Any transport failure, non-200 status or
-// context expiry is a probe loss.
-func (c *Client) Ping(ctx context.Context, addr string) (time.Duration, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/ping", nil)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		// A torn body means the connection is poisoned mid-response.
-		// Closing the body without a completed drain makes the transport
-		// drop the connection instead of returning it to the idle pool,
-		// where it would fail the next probe too.
-		resp.Body.Close()
-		return 0, err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, &statusError{code: resp.StatusCode, status: resp.Status}
-	}
-	return time.Since(start), nil
 }
 
 // FetchStream retrieves size bytes from the bandwidth endpoint with the

@@ -55,10 +55,6 @@ const (
 	EvAttemptLost       = "attempt.lost"
 	EvAttemptSuperseded = "attempt.superseded"
 
-	// EvProbeVerdict: the liveness prober latched a dead verdict and the
-	// engine acted on it.
-	EvProbeVerdict = "probe.verdict"
-
 	// EvRPCRetry / EvRPCDeadline: a hadooprpc call retried a transport
 	// failure / exhausted its total time budget.
 	EvRPCRetry    = "rpc.retry"

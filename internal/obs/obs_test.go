@@ -117,8 +117,8 @@ func TestRecorderOfType(t *testing.T) {
 	if got := len(r.OfType(EvSpill)); got != 2 {
 		t.Fatalf("OfType(spill) = %d, want 2", got)
 	}
-	if got := len(r.OfType(EvProbeVerdict)); got != 0 {
-		t.Fatalf("OfType(probe.verdict) = %d, want 0", got)
+	if got := len(r.OfType(EvFetchFail)); got != 0 {
+		t.Fatalf("OfType(fetch.fail) = %d, want 0", got)
 	}
 }
 

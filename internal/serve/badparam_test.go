@@ -80,8 +80,8 @@ func TestBadParamWireCodec(t *testing.T) {
 // TestBadParamRoundTripsRPC submits a typo'd parameter through the real
 // wire path and asserts the client gets the typed error back.
 func TestBadParamRoundTripsRPC(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(5 * time.Second)
 		c := serveRPC(t, s, NewWorkloads())
 

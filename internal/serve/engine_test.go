@@ -10,25 +10,29 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/obs"
 )
 
 // Tests of what the engine contract promises the service beyond "runs the
-// job": the two engines agree byte for byte, a straggler that ignores its
-// context still stops, a panicking job takes nothing else down, and a
-// finished job's record is bounded and holds none of its input.
+// job": the served output equals the baseline engine's byte for byte, a
+// straggler that ignores its context still stops, a panicking job takes
+// nothing else down, and a finished job's record is bounded and holds none
+// of its input.
 
-// TestCrossEngineDigestsOverRPC submits the same registered workloads, by
-// name and parameters as a remote client would, to a service on each
-// engine: the digests that come back over the wire must be equal.
+// TestCrossEngineDigestsOverRPC submits registered workloads, by name and
+// parameters as a remote client would, to the service, and runs the same
+// workloads directly on the mini-Hadoop engine, the reference
+// implementation: the digest that comes back over the wire must equal
+// OutputDigest of the baseline's output.
 func TestCrossEngineDigestsOverRPC(t *testing.T) {
-	clients := map[string]*Client{}
-	for _, eng := range []string{"mpid", "hadoop"} {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
-		t.Cleanup(func() { s.Drain(10 * time.Second) })
-		clients[eng] = serveRPC(t, s, NewWorkloads())
-	}
+	s := New(Config{Cluster: testCluster()})
+	t.Cleanup(func() { s.Drain(10 * time.Second) })
+	wl := NewWorkloads()
+	c := serveRPC(t, s, wl)
+	baseline := engine.Hadoop{Config: testCluster()}
 	workloads := map[string]map[string]int64{
 		"wordcount": {"bytes": 32 << 10, "split": 4 << 10, "reducers": 3},
 		"terasort":  {"records": 2000, "splits": 5, "reducers": 3},
@@ -37,23 +41,28 @@ func TestCrossEngineDigestsOverRPC(t *testing.T) {
 	}
 	for name, params := range workloads {
 		t.Run(name, func(t *testing.T) {
-			digests := map[string][]byte{}
-			for eng, c := range clients {
-				id, err := c.Submit("alice", name, params)
-				if err != nil {
-					t.Fatalf("%s: submit: %v", eng, err)
-				}
-				res, err := c.Wait(id)
-				if err != nil || !res.OK {
-					t.Fatalf("%s: wait = %+v, %v", eng, res, err)
-				}
-				digests[eng] = res.Digest
+			id, err := c.Submit("alice", name, params)
+			if err != nil {
+				t.Fatalf("submit: %v", err)
 			}
-			if !bytes.Equal(digests["mpid"], digests["hadoop"]) {
-				t.Fatalf("engines disagree: mpid %x, hadoop %x", digests["mpid"], digests["hadoop"])
+			res, err := c.Wait(id)
+			if err != nil || !res.OK {
+				t.Fatalf("wait = %+v, %v", res, err)
 			}
-			if bytes.Equal(digests["mpid"], OutputDigest(nil)) {
-				t.Fatal("both engines returned the digest of no output")
+			job, splits, err := wl.Build(name, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := baseline.Run(context.Background(), job, splits, obs.Telemetry{})
+			if err != nil {
+				t.Fatalf("hadoop: %v", err)
+			}
+			want := OutputDigest(ref)
+			if !bytes.Equal(res.Digest, want) {
+				t.Fatalf("served digest %x, hadoop's %x", res.Digest, want)
+			}
+			if bytes.Equal(want, OutputDigest(nil)) {
+				t.Fatal("hadoop returned the digest of no output")
 			}
 		})
 	}
@@ -66,9 +75,9 @@ func TestCrossEngineDigestsOverRPC(t *testing.T) {
 // at a millisecond each — ten seconds of map phase on two mappers. A drain
 // with a 50 ms budget must stop it through the engine alone.
 func TestDrainCancelsJobThatIgnoresItsContext(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
+	onEngine(t, func(t *testing.T) {
 		const nSplits = 20000
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+		s := New(Config{Cluster: testCluster()})
 		var mapped atomic.Int64
 		job := mapred.Job{
 			Name: "grinder", NumReducers: 1,
@@ -102,12 +111,10 @@ func TestDrainCancelsJobThatIgnoresItsContext(t *testing.T) {
 
 // TestMapperPanicFailsJobOnly: a user mapper or reducer that panics fails
 // its own job with the panic in the error, and the service goes on admitting
-// and running jobs. mpi.RunOn recovers a rank's panic; the hadoop engine's
-// tasktracker recovers a task's and reports it failed, so the job ends once
-// MaxTaskAttempts attempts have panicked.
+// and running jobs: mpi.RunOn recovers a rank's panic.
 func TestMapperPanicFailsJobOnly(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(5 * time.Second)
 		job, splits := smallWC(t)
 		badMapper, badReducer := job, job
@@ -143,8 +150,8 @@ type pinnedSplit struct{ mapred.Split }
 // finished job must not keep the job's splits alive — at 512 KiB of input a
 // job, that was the service's whole memory footprint.
 func TestFinishedJobReleasesInput(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(5 * time.Second)
 		freed := make(chan struct{})
 		j := func() *Job { // its own frame, so no local outlives the submission

@@ -1,12 +1,11 @@
-// Package serve is the long-lived multi-tenant job service: it puts one
-// engine.Engine — the MPI-D runtime by default, the mini-Hadoop cluster on
-// request — behind a daemon that accepts concurrent submissions, queues them
-// fairly across tenants, and survives saturation and component failure —
-// promoting an engine from "run one job, exit" to the persistent-deployment
-// shape the DataMPI follow-up work evaluates with mixed workloads: one
-// resident service, the communication runtime a choice behind one job API.
+// Package serve is the long-lived multi-tenant job service: it puts the
+// MPI-D runtime (engine.MPID) behind a daemon that accepts concurrent
+// submissions, queues them fairly across tenants, and survives saturation
+// and failing jobs — promoting the runtime from "run one job, exit" to the
+// persistent-deployment shape the DataMPI follow-up work evaluates with
+// mixed workloads: one resident service on the MPI runtime.
 //
-// The service's contract has five parts:
+// The service's contract has four parts:
 //
 //   - Admission control and backpressure: a bounded number of concurrent
 //     job slots plus a bounded waiting queue. A submission past both is
@@ -25,18 +24,13 @@
 //     digest — never its input — and finished records are evicted oldest
 //     first once together they hold more than a fixed byte budget. An
 //     evicted id answers ErrExpired, a never-issued one ErrUnknownJob.
-//   - Active liveness probing, on the engine that has something to probe:
-//     every job running on hadoop tasktrackers gets a Prober that paces
-//     probe requests at them and feeds dead verdicts into the engine's
-//     re-execution path via hadoop.ClusterControl, so recovery starts on
-//     probe loss rather than heartbeat-timeout expiry. MPI-D ranks are
-//     goroutines of the service process; they cannot be lost without it.
 //
-// Drain implements graceful shutdown (cmd/mpid-serve wires it to SIGTERM):
-// stop admitting, let queued and running jobs finish, and past the drain
-// budget cancel the stragglers through their job contexts — which MPI-D
-// turns into a world abort that unblocks every rank, and hadoop threads
-// down to the shuffle fetch loops, so cancellation is prompt on both.
+// A job's ranks are goroutines of the service process on an in-process
+// world, so no rank can be lost without the service: there is no liveness
+// detector here. Drain implements graceful shutdown (cmd/mpid-serve wires
+// it to SIGTERM): stop admitting, let queued and running jobs finish, and
+// past the drain budget cancel the stragglers through their job contexts,
+// which MPI-D turns into a world abort that unblocks every rank.
 package serve
 
 import (
@@ -103,29 +97,22 @@ func (e *SaturatedError) Is(target error) bool { return target == ErrSaturated }
 // Config sizes the service.
 type Config struct {
 	// Slots is the number of jobs allowed to run concurrently (default 4).
-	// Each job is its own world or mini-cluster, so this bounds
+	// Each job is its own MPI-D world, so this bounds
 	// process-wide goroutine and socket load.
 	Slots int
 	// QueueDepth bounds jobs waiting beyond the running ones (default 64).
 	// A submission finding Slots running and QueueDepth queued is rejected
 	// with *SaturatedError.
 	QueueDepth int
-	// Probe configures each running job's liveness prober (hadoop engine;
-	// MPI-D has no trackers to probe). The zero value probes with
-	// defaults; set Probe.Disable to rely on heartbeat timeouts alone.
-	Probe ProbeConfig
-	// Engine names what runs the jobs, as engine.New does: "mpid" (the
-	// default) or "hadoop". New panics on any other name.
-	Engine string
-	// Cluster sizes the engine — NumTrackers is the mapper rank count on
-	// MPI-D, the tasktracker count on hadoop (default 2) — and is
-	// otherwise the hadoop engine's per-job template. The service
-	// overrides Telemetry and Watch per job.
+	// Cluster sizes each job's world: only NumTrackers is read, as the
+	// mapper rank count (default 2). It is a hadoop.Config because the
+	// repository benchmark sets it so; ROADMAP item 4(l) turns it into a
+	// plain mapper count.
 	Cluster hadoop.Config
 	// EventCap sizes the service-wide flight recorder's ring (default
 	// obs.DefaultEventCap). Each job records into a child of it stamped
 	// with the job's id and tenant, so the service ring interleaves every
-	// job's admission, attempt, probe and fault events.
+	// job's admission, completion and drain events.
 	EventCap int
 }
 
@@ -165,8 +152,8 @@ func (s JobState) String() string {
 	return fmt.Sprintf("state%d", int(s))
 }
 
-// Job is one submission's handle. Result, Report and Err are written
-// exactly once, before Done() closes; read them only after <-Done().
+// Job is one submission's handle. Result and Err are written exactly once,
+// before Done() closes; read them only after <-Done().
 type Job struct {
 	ID     int64
 	Tenant string
@@ -181,9 +168,11 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	// Written once by runJob before done closes. Report is the hadoop
-	// engine's; MPI-D jobs have none.
+	// Written once by runJob before done closes.
 	Result *mapred.Result
+	// Report is always nil: MPI-D has no jobtracker to report. It stays
+	// because the repository benchmark reads it; ROADMAP item 4(l) removes
+	// it.
 	Report *hadoop.JobReport
 	Err    error
 	digest []byte // OutputDigest(Result), hashed once
@@ -259,7 +248,6 @@ type Service struct {
 	tel    obs.Telemetry
 
 	mu       sync.Mutex
-	probers  map[int64]*Prober // running jobs' probers, for health
 	tenants  map[string]*tenantQueue
 	ring     []string // tenant round-robin order, append-only
 	rr       int      // next ring slot to serve
@@ -278,18 +266,13 @@ type Service struct {
 // New creates a service. It is idle until submissions arrive.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	eng, err := engine.New(cfg.Engine, cfg.Cluster)
-	if err != nil {
-		panic("serve: " + err.Error())
-	}
 	tr := trace.New("serve")
 	tr.SetCap(traceCap)
 	return &Service{
 		cfg:     cfg,
-		engine:  eng,
+		engine:  engine.MPID{Mappers: cfg.Cluster.NumTrackers},
 		budget:  retainBytes,
 		tel:     obs.Telemetry{Metrics: metrics.NewRegistry(), Tracer: tr, Events: obs.NewRecorder(cfg.EventCap)},
-		probers: make(map[int64]*Prober),
 		tenants: make(map[string]*tenantQueue),
 		drained: make(chan struct{}),
 		jobs:    make(map[int64]*Job),
@@ -435,30 +418,13 @@ func (s *Service) popLocked() *Job {
 func (s *Service) runJob(j *Job) {
 	// Isolation: concurrent jobs never see each other's counters or spans,
 	// and the service-wide telemetry still sees them all.
-	tel := engine.Telemetry{Telemetry: s.tel.Child(j.ID, j.Tenant)}
-	var prober *Prober
-	if !s.cfg.Probe.Disable {
-		// Only an engine with trackers calls Watch, so only its jobs get a
-		// prober.
-		tel.Watch = func(cc hadoop.ClusterControl) {
-			prober = NewProber(s.cfg.Probe, cc, tel.Telemetry)
-			prober.Start()
-			// Registered probers drive the /healthz probe check; the entry
-			// lives exactly as long as the job runs.
-			s.mu.Lock()
-			s.probers[j.ID] = prober
-			s.mu.Unlock()
-		}
-	}
-	res, rep, err := s.engine.Run(j.ctx, j.job, j.splits, tel)
-	if prober != nil {
-		prober.Stop()
-	}
+	tel := s.tel.Child(j.ID, j.Tenant)
+	res, _, err := s.engine.Run(j.ctx, j.job, j.splits, tel)
 	j.cancel()
 	j.job, j.splits = mapred.Job{}, nil
 	// Fold the job's spans into the capped service-wide collector.
 	s.tel.Tracer.Add(tel.Tracer.Drain()...)
-	j.Result, j.Report, j.Err = res, rep, err
+	j.Result, j.Err = res, err
 
 	if err == nil {
 		tel.Events.Emit(obs.Event{Type: obs.EvJobDone, Detail: j.Name})
@@ -471,9 +437,8 @@ func (s *Service) runJob(j *Job) {
 	// part of the job's latency.
 	now := time.Now()
 	j.digest = OutputDigest(res)
-	j.size = recordBytes(res, rep)
+	j.size = recordBytes(res)
 	s.mu.Lock()
-	delete(s.probers, j.ID)
 	j.finished = now
 	tq := s.tenants[j.Tenant]
 	tq.running--
@@ -527,9 +492,9 @@ func (s *Service) retainLocked(j *Job) {
 }
 
 // recordBytes approximates what a finished job's record keeps alive: the
-// output pairs' bytes and slice headers, the report's spans, timings and
-// metric entries at flat per-item estimates, and the record itself.
-func recordBytes(res *mapred.Result, rep *hadoop.JobReport) int64 {
+// output pairs' bytes and slice headers at a flat per-pair estimate, and
+// the record itself.
+func recordBytes(res *mapred.Result) int64 {
 	n := int64(512)
 	if res != nil {
 		for _, pairs := range res.ByReducer {
@@ -539,17 +504,13 @@ func recordBytes(res *mapred.Result, rep *hadoop.JobReport) int64 {
 			}
 		}
 	}
-	if rep != nil {
-		n += 256*int64(len(rep.Spans)) + 64*int64(len(rep.Maps)+len(rep.Reduces))
-		n += 128 * int64(len(rep.Metrics.Counters)+len(rep.Metrics.Gauges)+len(rep.Metrics.Timers))
-	}
 	return n
 }
 
 // Drain begins graceful shutdown: stop admitting, let queued and running
 // jobs finish, and past the timeout cancel what remains through the job
-// contexts (either engine stops a canceled job promptly, whether or not
-// its user code watches the context). It returns nil when everything finished
+// contexts (the engine stops a canceled job promptly, whether or not its
+// user code watches the context). It returns nil when everything finished
 // within budget, or an error naming how many jobs were canceled.
 func (s *Service) Drain(timeout time.Duration) error {
 	s.mu.Lock()
@@ -590,24 +551,6 @@ func (s *Service) Drain(timeout time.Duration) error {
 	return fmt.Errorf("serve: drain timed out after %v, canceled %d jobs", timeout, canceled)
 }
 
-// DeadTrackers counts latched dead-tracker verdicts across all running
-// jobs' probers — nonzero while a probe-detected death is still being
-// recovered from (the verdict clears when the job finishes or the tracker
-// answers again).
-func (s *Service) DeadTrackers() int {
-	s.mu.Lock()
-	probers := make([]*Prober, 0, len(s.probers))
-	for _, p := range s.probers {
-		probers = append(probers, p)
-	}
-	s.mu.Unlock()
-	n := 0
-	for _, p := range probers {
-		n += p.DeadCount()
-	}
-	return n
-}
-
 // Saturated reports whether admission control is at capacity: the next
 // Submit would be rejected.
 func (s *Service) Saturated() bool {
@@ -623,19 +566,11 @@ func (s *Service) Draining() bool {
 	return s.draining
 }
 
-// Health builds the service's /healthz evaluator: "probe" fails while any
-// running job's prober holds a latched dead-tracker verdict, "saturation"
-// fails while admission control is rejecting, "draining" fails once
-// shutdown has begun (so load balancers stop routing to a daemon on its
-// way out).
+// Health builds the service's /healthz evaluator: "saturation" fails while
+// admission control is rejecting, "draining" fails once shutdown has begun
+// (so load balancers stop routing to a daemon on its way out).
 func (s *Service) Health() *obs.Health {
 	h := obs.NewHealth()
-	h.Register("probe", func() obs.Status {
-		if n := s.DeadTrackers(); n > 0 {
-			return obs.Unhealthy("%d dead trackers under recovery", n)
-		}
-		return obs.Healthy("0 dead trackers")
-	})
 	h.Register("saturation", func() obs.Status {
 		st := s.Stats()
 		if s.Saturated() {
@@ -653,17 +588,13 @@ func (s *Service) Health() *obs.Health {
 }
 
 // DefaultSeries selects the service counters, gauges and timers worth a
-// soak-length history: admission and completion rates, backlog levels,
-// fault-recovery activity, and job/probe latency percentiles.
+// soak-length history: admission and completion rates, backlog levels, and
+// job latency percentiles.
 func DefaultSeries() obs.SeriesConfig {
 	return obs.SeriesConfig{
-		Counters: []string{
-			"serve.submitted", "serve.done", "serve.failed", "serve.rejected",
-			"probe.lost", "probe.verdicts", "rpc.retries",
-			"hadoop.reexecutions", "shuffle.fetch_errors", "faults.injected",
-		},
-		Gauges: []string{"serve.running", "serve.queued"},
-		Timers: []string{"serve.job_latency", "probe.rtt"},
+		Counters: []string{"serve.submitted", "serve.done", "serve.failed", "serve.rejected"},
+		Gauges:   []string{"serve.running", "serve.queued"},
+		Timers:   []string{"serve.job_latency"},
 	}
 }
 

@@ -15,18 +15,16 @@ import (
 	"github.com/ict-repro/mpid/internal/mapred"
 )
 
-// testCluster is the small fast per-job engine template every serve test
-// uses: two mapper ranks on MPI-D, two trackers on hadoop.
+// testCluster sizes every serve test's jobs: two mapper ranks.
 func testCluster() hadoop.Config {
 	return hadoop.Config{NumTrackers: 2}
 }
 
-// onBothEngines runs a test of the service contract — what must hold
-// whichever engine is behind it — once per Config.Engine name.
-func onBothEngines(t *testing.T, test func(t *testing.T, eng string)) {
-	for _, eng := range []string{"mpid", "hadoop"} {
-		t.Run(eng, func(t *testing.T) { test(t, eng) })
-	}
+// onEngine runs a test of the service contract as a subtest named for the
+// engine behind the service, "mpid", so each test's results keep the name
+// they carried when the service could also run hadoop.
+func onEngine(t *testing.T, test func(t *testing.T)) {
+	t.Run("mpid", test)
 }
 
 // serveRPC puts the service behind its RPC front-end and returns a
@@ -78,8 +76,8 @@ func gatedJob(name string, release, stop <-chan struct{}) (mapred.Job, []mapred.
 }
 
 func TestSubmitRunsJob(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		job, splits := smallWC(t)
 		j, err := s.Submit("alice", "wc", job, splits)
 		if err != nil {
@@ -91,9 +89,9 @@ func TestSubmitRunsJob(t *testing.T) {
 		if j.Result == nil || len(j.Result.Pairs()) == 0 {
 			t.Fatal("finished job has no output")
 		}
-		// The report is the hadoop jobtracker's; MPI-D has none to give.
-		if hasReport := j.Report != nil; hasReport != (eng == "hadoop") {
-			t.Fatalf("job report present = %v on the %s engine", hasReport, eng)
+		// The report is a jobtracker's; MPI-D has none to give.
+		if j.Report != nil {
+			t.Fatal("MPI-D job carries a report")
 		}
 		if j.Latency() <= 0 {
 			t.Fatalf("latency = %v, want > 0", j.Latency())
@@ -102,7 +100,6 @@ func TestSubmitRunsJob(t *testing.T) {
 		if st.Done != 1 || st.Failed != 0 {
 			t.Fatalf("stats = %+v, want done=1 failed=0", st)
 		}
-		// Healthy on either engine — "probe" included, trackers or none.
 		if ok, checks := s.Health().Evaluate(); !ok {
 			t.Fatalf("idle service unhealthy: %+v", checks)
 		}
@@ -133,11 +130,11 @@ func TestSubmitDefaultsTenant(t *testing.T) {
 // error carrying the queue depth and a positive retry hint — and that the
 // slot freed by a finished job admits again.
 func TestAdmissionControlSaturates(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
+	onEngine(t, func(t *testing.T) {
 		release := make(chan struct{})
 		stop := make(chan struct{})
 		t.Cleanup(func() { close(stop) })
-		s := New(Config{Slots: 1, QueueDepth: 2, Engine: eng, Cluster: testCluster()})
+		s := New(Config{Slots: 1, QueueDepth: 2, Cluster: testCluster()})
 
 		var jobs []*Job
 		for i := 0; i < 3; i++ { // 1 running + 2 queued
@@ -195,11 +192,11 @@ func TestAdmissionControlSaturates(t *testing.T) {
 // must run b's job before a's backlog drains, while a's own jobs stay in
 // submission order.
 func TestSchedulingFairAcrossTenantsFIFOWithin(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
+	onEngine(t, func(t *testing.T) {
 		release := make(chan struct{})
 		stop := make(chan struct{})
 		t.Cleanup(func() { close(stop) })
-		s := New(Config{Slots: 1, QueueDepth: 16, Engine: eng, Cluster: testCluster()})
+		s := New(Config{Slots: 1, QueueDepth: 16, Cluster: testCluster()})
 
 		var mu sync.Mutex
 		var order []string
@@ -258,8 +255,8 @@ func TestSchedulingFairAcrossTenantsFIFOWithin(t *testing.T) {
 }
 
 func TestDrainGraceful(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		job, splits := smallWC(t)
 		var jobs []*Job
 		for i := 0; i < 3; i++ {
@@ -293,23 +290,17 @@ func TestDrainGraceful(t *testing.T) {
 // must cancel the job, report it, and still return (the engine threads the
 // cancellation down, so the straggler actually stops).
 func TestDrainTimeoutCancelsStragglers(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 
-		var mu sync.Mutex
+		// The job's context exists only once Submit returns: the mapper waits
+		// for submitted, closed once jctx is set, then for the cancellation.
 		var jctx context.Context
+		submitted := make(chan struct{})
 		mapper := mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
-			// Wait for the submitted job's context, then for its cancellation.
-			for {
-				mu.Lock()
-				c := jctx
-				mu.Unlock()
-				if c != nil {
-					<-c.Done()
-					return c.Err()
-				}
-				time.Sleep(time.Millisecond)
-			}
+			<-submitted
+			<-jctx.Done()
+			return jctx.Err()
 		})
 		reducer := mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred.Emit) error {
 			return emit(key, nil)
@@ -319,9 +310,8 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mu.Lock()
 		jctx = j.ctx
-		mu.Unlock()
+		close(submitted)
 
 		err = s.Drain(100 * time.Millisecond)
 		if err == nil {
@@ -341,8 +331,8 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 }
 
 func TestOutputDigestDeterministicAndSensitive(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(5 * time.Second)
 		run := func(seed int64) []byte {
 			job, splits, err := WordCount(map[string]int64{"bytes": 8 << 10, "seed": seed})
@@ -372,8 +362,8 @@ func TestOutputDigestDeterministicAndSensitive(t *testing.T) {
 }
 
 func TestLookupUnknownJob(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(time.Second)
 		if _, err := s.Lookup(99); !errors.Is(err, ErrUnknownJob) {
 			t.Fatalf("err = %v, want ErrUnknownJob", err)
@@ -385,8 +375,8 @@ func TestLookupUnknownJob(t *testing.T) {
 // submit/wait/stats, the digest crossing the wire intact, and unknown
 // workloads failing cleanly.
 func TestRPCRoundTrip(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(5 * time.Second)
 		c := serveRPC(t, s, NewWorkloads())
 
@@ -428,11 +418,11 @@ func TestRPCRoundTrip(t *testing.T) {
 // TestRPCSaturationRoundTrip checks a saturated admission crosses the wire
 // as a reconstructable typed error with the retry hint intact.
 func TestRPCSaturationRoundTrip(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
+	onEngine(t, func(t *testing.T) {
 		release := make(chan struct{})
 		stop := make(chan struct{})
 		t.Cleanup(func() { close(stop) })
-		s := New(Config{Slots: 1, QueueDepth: 1, Engine: eng, Cluster: testCluster()})
+		s := New(Config{Slots: 1, QueueDepth: 1, Cluster: testCluster()})
 		workloads := NewWorkloads()
 		workloads.Register("gate", func(map[string]int64) (mapred.Job, []mapred.Split, error) {
 			job, splits := gatedJob("gate", release, stop)
@@ -487,8 +477,8 @@ func TestSaturatedEncodeDecode(t *testing.T) {
 }
 
 func TestJobsListing(t *testing.T) {
-	onBothEngines(t, func(t *testing.T, eng string) {
-		s := New(Config{Engine: eng, Cluster: testCluster()})
+	onEngine(t, func(t *testing.T) {
+		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(5 * time.Second)
 		job, splits := smallWC(t)
 		j, err := s.Submit("alice", "wc", job, splits)
