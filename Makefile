@@ -66,12 +66,15 @@ docs-lint:
 	go test -run 'TestPackageDocs|TestCommandDocs|TestMarkdownLinks|TestGoRunTargets|TestDocSections' .
 
 # End-to-end tracing demo: run a WordCount over this Makefile's README on
-# the live hadoop engine with span collection on, check that the exported
-# JSON will load in chrome://tracing (mpid-job fails if it will not), and
-# print its statistics, the ASCII timeline and the final metrics.
+# the live hadoop engine and then on MPI-D, each with span collection on,
+# check that each exported JSON will load in chrome://tracing (mpid-job
+# fails if it will not), and print its statistics, the ASCII timeline and
+# the final metrics.
 trace-demo:
 	go run ./cmd/mpid-job -job wordcount -input README.md -engine hadoop \
 		-block 4 -mappers 2 -trace trace-demo.json -metrics -top 5
+	go run ./cmd/mpid-job -job wordcount -input README.md -engine mpid \
+		-block 4 -mappers 2 -trace trace-demo-mpid.json -metrics -top 5
 
 # Full paper reproduction (150 GB Table I sweep, 100 GB Figure 6 sweep).
 report:
@@ -100,4 +103,4 @@ loc:
 
 clean:
 	go clean ./...
-	rm -f trace-demo.json
+	rm -f trace-demo.json trace-demo-mpid.json

@@ -14,14 +14,16 @@
 //
 // Output goes to stdout as key<TAB>value lines, like Hadoop's text output.
 //
-// On the hadoop engine, observability flags are available: -metrics
-// prints the jobtracker's final counter snapshot, -trace FILE writes a
-// Chrome trace-event JSON of every task attempt (checked first to load in
-// chrome://tracing, with its event, span and lane counts and an ASCII
-// timeline printed), -events prints the job's flight-recorder table
-// (attempt lifecycle, spills, retries, faults) to stderr, and -admin ADDR
-// serves /metrics, /metrics.prom, /trace.json, /timeline, /events and
-// /debug/pprof/ live for the job's duration.
+// Observability flags work on either engine: -metrics prints the job's final
+// metrics snapshot, -trace FILE writes a Chrome trace-event JSON of the job's
+// spans (checked first to load in chrome://tracing, with its event, span and
+// lane counts and an ASCII timeline printed), -events prints the job's
+// flight-recorder table to stderr, and -admin ADDR serves /metrics,
+// /metrics.prom, /trace.json, /timeline, /events and /debug/pprof/ live for
+// the job's duration. MPI-D records its mpid.spill, mpid.realign and
+// mpid.recv.merge spans on an "mpid" lane and emits no events; the hadoop
+// engine traces every task attempt under its "jobtracker" lane and records
+// attempt lifecycle, spills, retries and faults.
 package main
 
 import (
@@ -53,17 +55,14 @@ func main() {
 	mappers := flag.Int("mappers", runtime.GOMAXPROCS(0), "mapper count (mpid engine) / tasktrackers (hadoop engine)")
 	blockKB := flag.Int("block", 256, "split size in KB")
 	top := flag.Int("top", 0, "print only the first N output pairs (0 = all)")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the job to this file (hadoop engine)")
-	adminAddr := flag.String("admin", "", "serve /metrics, /trace.json, /timeline and pprof on this address for the job's duration (hadoop engine; use 127.0.0.1:0 for an ephemeral port)")
-	showMetrics := flag.Bool("metrics", false, "print the job's final metrics snapshot to stderr (hadoop engine)")
-	showEvents := flag.Bool("events", false, "print the job's flight-recorder events to stderr (hadoop engine)")
+	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the job to this file")
+	adminAddr := flag.String("admin", "", "serve /metrics, /trace.json, /timeline and pprof on this address for the job's duration (use 127.0.0.1:0 for an ephemeral port)")
+	showMetrics := flag.Bool("metrics", false, "print the job's final metrics snapshot to stderr")
+	showEvents := flag.Bool("events", false, "print the job's flight-recorder events to stderr")
 	flag.Parse()
 
 	if *input == "" {
 		fatal(fmt.Errorf("-input is required"))
-	}
-	if *engineName != "hadoop" && (*traceFile != "" || *adminAddr != "" || *showMetrics || *showEvents) {
-		fatal(fmt.Errorf("-trace, -admin, -metrics and -events need -engine hadoop (the mpid engine has no jobtracker to observe)"))
 	}
 	text, err := os.ReadFile(*input)
 	if err != nil {
@@ -84,15 +83,21 @@ func main() {
 	if *showEvents || *adminAddr != "" {
 		tel.Events = obs.NewRecorder(0)
 	}
+	if *showMetrics || *traceFile != "" || *adminAddr != "" {
+		lane := "mpid"
+		if *engineName == "hadoop" {
+			lane = "jobtracker"
+		}
+		tel.Metrics, tel.Tracer = metrics.NewRegistry(), trace.New(lane)
+	}
 	var adm *admin.Server
 	if *adminAddr != "" {
-		tel.Metrics, tel.Tracer = metrics.NewRegistry(), trace.New("jobtracker")
 		if adm, err = admin.New(*adminAddr, tel); err != nil {
 			fatal(fmt.Errorf("admin server: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "mpid-job: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/)\n", adm.Addr())
 	}
-	result, rep, err := eng.Run(context.Background(), job, splits, tel)
+	result, _, err := eng.Run(context.Background(), job, splits, tel)
 	if adm != nil {
 		adm.Close()
 	}
@@ -100,13 +105,13 @@ func main() {
 		fatal(err)
 	}
 	if *showMetrics {
-		fmt.Fprint(os.Stderr, rep.Metrics.String())
+		fmt.Fprint(os.Stderr, tel.Metrics.String())
 	}
 	if *showEvents {
 		fmt.Fprint(os.Stderr, obs.RenderEvents(tel.Events.Events()))
 	}
 	if *traceFile != "" {
-		if err := writeTrace(*traceFile, rep); err != nil {
+		if err := writeTrace(*traceFile, tel.Tracer.Spans()); err != nil {
 			fatal(err)
 		}
 	}
@@ -193,8 +198,8 @@ func buildJob(name, pattern string, reducers int) (mapred.Job, error) {
 // (load it at chrome://tracing or ui.perfetto.dev), refusing an export that
 // would not load there, and prints its statistics and the ASCII timeline
 // of the same spans to stderr.
-func writeTrace(path string, rep *hadoop.JobReport) error {
-	data, err := rep.ChromeTrace()
+func writeTrace(path string, spans []trace.Span) error {
+	data, err := trace.ChromeTrace(spans)
 	if err != nil {
 		return fmt.Errorf("trace export: %w", err)
 	}
@@ -206,7 +211,7 @@ func writeTrace(path string, rep *hadoop.JobReport) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "%s: ok — %d events, %d spans, %d process lanes, %s span\n\n%s",
-		path, st.Events, st.Spans, st.Procs, st.Duration, rep.Timeline(100))
+		path, st.Events, st.Spans, st.Procs, st.Duration, trace.RenderTimeline(spans, 100))
 	return nil
 }
 

@@ -6,9 +6,9 @@
 // Daemon mode (the default):
 //
 //	mpid-serve -addr 127.0.0.1:9070 -admin 127.0.0.1:9071
-//	mpid-serve -trackers 3 -slots 8
+//	mpid-serve -mappers 3 -slots 8
 //
-// Each job runs on an in-process MPI-D world of -trackers mapper ranks.
+// Each job runs on an in-process MPI-D world of -mappers mapper ranks.
 //
 // The daemon serves the JobServiceProtocol on -addr and, when -admin is
 // set, the observability endpoints (/metrics, /metrics.prom, /trace.json,
@@ -57,7 +57,7 @@ func main() {
 	adminAddr := flag.String("admin", "", "daemon: admin HTTP listen address (empty = no admin server)")
 	slots := flag.Int("slots", 4, "daemon: concurrent-job slots")
 	queue := flag.Int("queue", 64, "daemon: admission queue depth")
-	trackers := flag.Int("trackers", 2, "daemon: mapper ranks per job")
+	mappers := flag.Int("mappers", 2, "daemon: mapper ranks per job")
 	drain := flag.Duration("drain", 30*time.Second, "daemon: graceful drain budget on SIGTERM")
 	eventCap := flag.Int("events", obs.DefaultEventCap, "daemon: flight-recorder ring capacity")
 	sample := flag.Duration("sample", time.Second, "daemon: metrics time-series sampling interval")
@@ -77,17 +77,17 @@ func main() {
 		}
 		return
 	}
-	if err := runDaemon(*addr, *adminAddr, *slots, *queue, *trackers, *drain, *eventCap, *sample); err != nil {
+	if err := runDaemon(*addr, *adminAddr, *slots, *queue, *mappers, *drain, *eventCap, *sample); err != nil {
 		fail(err)
 	}
 }
 
-func runDaemon(addr, adminAddr string, slots, queue, trackers int, drain time.Duration,
+func runDaemon(addr, adminAddr string, slots, queue, mappers int, drain time.Duration,
 	eventCap int, sample time.Duration) error {
 	svc := serve.New(serve.Config{
 		Slots:      slots,
 		QueueDepth: queue,
-		Cluster:    hadoop.Config{NumTrackers: trackers},
+		Cluster:    hadoop.Config{NumTrackers: mappers},
 		EventCap:   eventCap,
 	})
 	srv := hadooprpc.NewServer()

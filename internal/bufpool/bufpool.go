@@ -1,24 +1,23 @@
-// Package bufpool is the shared size-classed byte-buffer pool behind every
-// hot data path in the repository: MPI-D spill realignment (internal/core),
-// the pipelined shuffle/merge engine (internal/shuffle), the jetty shuffle
-// wire (internal/jetty) and the TCP MPI transport's frame reader
-// (internal/mpi).
+// Package bufpool is the shared size-classed byte-buffer pool behind the
+// data paths that recycle buffers between owners: the TCP MPI transport's
+// frame reader (internal/mpi), which reads frames into the buffers its
+// receivers put back, and the hadoop engine's jetty shuffle fetches
+// (internal/jetty) and merge passes (internal/shuffle), one pool per
+// tasktracker.
 //
-// It grew out of internal/shuffle's BufferPool (PR 4), promoted to its own
-// package once the MPI-D fast path needed the same recycling on both sides
-// of the exchange: a spill serializes realigned partitions into pooled
-// buffers, and the transport reads frames into the buffers its receivers
-// put back. MPI-D's own grouped receiver puts nothing back — its merge
-// hands the reduce function slices of the received runs — which is why the
-// TCP frame reader asks with Lookup and sizes its misses exactly instead of
-// rounding them up to a class it will never see again.
+// It grew out of internal/shuffle's BufferPool (PR 4). MPI-D's spill no
+// longer uses it: each rank owns its partition buffers, kept with its send
+// arena. MPI-D's grouped receiver puts nothing back — its merge hands the
+// reduce function slices of the received runs — which is why the TCP frame
+// reader asks with Lookup and sizes its misses exactly instead of rounding
+// them up to a class it will never see again.
 //
 // Buffers are grouped into power-of-two size classes so a Get never reuses
 // a buffer more than 2x larger than requested (which would strand memory),
 // and a slightly larger request later still hits the pool. Each class is a
 // sync.Pool, so idle buffers are released under GC pressure rather than
 // pinned forever. Hit/miss counts are kept with atomics and exported via
-// Stats for the mpid.pool.* metrics.
+// Stats.
 //
 // A nil *Pool is valid everywhere and simply allocates, matching the
 // nil-registry contract of internal/metrics and internal/faults.

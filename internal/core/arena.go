@@ -69,7 +69,8 @@ import (
 // capacity across spill cycles, and across jobs — a private arena comes from
 // arenaPool at Init and goes back, reset, at Finalize, so only the first job
 // of a process grows one from zero. A spill sorts the records (sortOrder) and
-// copies each block, and each lone frame, as it lies (realign).
+// copies each block, and each lone frame, as it lies (realign) into the
+// partition buffers the arena keeps with the rest (partBufs).
 type arenaBuffer struct {
 	arena   []byte
 	entries []arenaEntry
@@ -95,6 +96,7 @@ type arenaBuffer struct {
 	scratch [][]byte  // reused value-materialization space
 	stage   []byte    // reused staging space for a fold's result
 	orderB  []sortKey // the radix pass's target, swapped with order
+	parts   [][]byte  // the spill's partition buffers (partBufs)
 }
 
 // arenaPool keeps finalized instances' arenas for the next Init.
@@ -529,6 +531,23 @@ func (b *arenaBuffer) reset() {
 	b.clearTable()
 	b.payload, b.frameBytes = 0, 0
 	b.perPair, b.window, b.fresh = false, 0, 0
+}
+
+// partBufs returns n empty partition buffers for a spill to realign into.
+// They are the rank's own: they keep their capacity across spills and, with
+// the arena, across jobs. One short of an even share of what the spill will
+// serialize (plus 512 bytes) is replaced by one of that size first, so a
+// balanced spill never regrows a buffer by doubling.
+func (b *arenaBuffer) partBufs(n int) [][]byte {
+	b.parts = slices.Grow(b.parts[:0], n)[:n]
+	est := b.wireBytes()/n + 512
+	for i, p := range b.parts {
+		if cap(p) < est {
+			p = make([]byte, 0, est)
+		}
+		b.parts[i] = p[:0]
+	}
+	return b.parts
 }
 
 // wireBytes is the size the buffered key lists serialize to (kv.AppendKeyList

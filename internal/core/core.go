@@ -38,7 +38,6 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/mpi"
@@ -107,13 +106,9 @@ type Config struct {
 	// (with disjoint value lists), as in the paper's streaming reducer.
 	Streaming bool
 
-	// Pool supplies partition serialization buffers on the send side.
-	// Optional; nil allocates.
-	Pool *bufpool.Pool
 	// Telemetry observes the instance. Metrics receives the mpid.spill /
-	// mpid.realign / mpid.recv.merge timers and the mpid.* arena/pool
-	// counters; Tracer records spill/realign/merge spans as roots. Nothing
-	// here emits events.
+	// mpid.realign / mpid.recv.merge timers; Tracer records
+	// spill/realign/merge spans as roots. Nothing here emits events.
 	obs.Telemetry
 }
 
@@ -144,11 +139,9 @@ type D struct {
 	isReducer bool
 
 	// Send side.
-	buf        *arenaBuffer
-	partBufs   [][]byte // partition buffers retained across spills
-	reuseParts bool     // transport copies payloads, so retaining is safe
-	sendOpen   bool
-	finalized  bool
+	buf       *arenaBuffer
+	sendOpen  bool
+	finalized bool
 
 	// Receive side.
 	recvState *receiver
@@ -157,7 +150,6 @@ type D struct {
 	spillTimer   *metrics.Timer
 	realignTimer *metrics.Timer
 	mergeTimer   *metrics.Timer
-	partReuse    *metrics.Counter
 
 	counters Counters
 }
@@ -220,16 +212,11 @@ func Init(cfg Config) (*D, error) {
 	d.spillTimer = cfg.Metrics.Timer("mpid.spill")
 	d.realignTimer = cfg.Metrics.Timer("mpid.realign")
 	d.mergeTimer = cfg.Metrics.Timer("mpid.recv.merge")
-	d.partReuse = cfg.Metrics.Counter("mpid.spill.partbuf.reused")
 	if d.isSender {
 		d.buf = arenaPool.Get().(*arenaBuffer)
 		// Only a combiner or the value sort needs a key's whole list.
 		d.buf.ungrouped = cfg.Combiner == nil && !cfg.SortValues
 		d.buf.partition, d.buf.nParts = cfg.Partitioner, len(cfg.Reducers)
-		// Partition buffers may only be retained across spills when the
-		// transport copies payloads before send returns (TCP); the
-		// in-process transport hands the slice itself to the receiver.
-		d.reuseParts = cfg.Comm.SendCopies()
 	}
 	if d.isReducer {
 		d.recvState = &receiver{d: d, sendersLeft: len(cfg.Senders)}
@@ -274,11 +261,6 @@ func (d *D) Finalize() error {
 	if err := d.CloseSend(); err != nil {
 		return err
 	}
-	// Return retained partition buffers and publish pool effectiveness.
-	for _, b := range d.partBufs {
-		d.cfg.Pool.Put(b)
-	}
-	d.partBufs = nil
 	// The arena goes back for the next job's Init. Send, Flush and CloseSend
 	// all return before they reach d.buf on a finalized instance.
 	if d.buf != nil {
@@ -286,12 +268,6 @@ func (d *D) Finalize() error {
 		arenaPool.Put(d.buf)
 	}
 	d.buf = nil
-	if d.cfg.Pool != nil {
-		s := d.cfg.Pool.Stats()
-		d.cfg.Metrics.Gauge("mpid.pool.gets").Set(s.Gets)
-		d.cfg.Metrics.Gauge("mpid.pool.hits").Set(s.Hits)
-		d.cfg.Metrics.Gauge("mpid.pool.puts").Set(s.Puts)
-	}
 	d.finalized = true
 	return nil
 }

@@ -761,12 +761,12 @@ func TestPaperStyleAliases(t *testing.T) {
 	}
 }
 
-// TestSpillSizesPartitionBuffersWithoutPool: a job without a pool (every
-// served and every CLI job) must still serialize each partition into one
-// buffer sized for it, framing bytes included, rather than grow it from
-// nothing by doubling on every spill. The chan transport hands the reducer
-// the sender's partition buffer itself, so its capacity tells: an even share
-// of the arena's serialized size plus takePartBufs' 512 bytes of slack.
+// TestSpillSizesPartitionBuffersWithoutPool: a spill realigns each partition
+// into a buffer of the rank's own, sized for it, framing bytes included —
+// an even share of the arena's serialized size plus partBufs' 512 bytes of
+// slack — rather than grown from nothing by doubling. The chan transport
+// hands the reducer its message itself, so the reducer gets an exact copy: a
+// buffer of just its data, with no slack to pin.
 func TestSpillSizesPartitionBuffersWithoutPool(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		if c.Rank() < 2 {
@@ -775,9 +775,8 @@ func TestSpillSizesPartitionBuffersWithoutPool(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if cap(data) != len(data)+512 {
-				return fmt.Errorf("partition %d: %d bytes in a buffer of %d, want one allocation of %d (regrown, or sized without the framing)",
-					c.Rank(), len(data), cap(data), len(data)+512)
+			if cap(data) != len(data) {
+				return fmt.Errorf("partition %d: %d bytes handed over in a buffer of %d, want an exact copy", c.Rank(), len(data), cap(data))
 			}
 			return nil
 		}
@@ -793,7 +792,16 @@ func TestSpillSizesPartitionBuffersWithoutPool(t *testing.T) {
 				}
 			}
 		}
-		return d.Flush()
+		if err := d.Flush(); err != nil {
+			return err
+		}
+		for p, data := range d.buf.parts {
+			if cap(data) != len(data)+512 {
+				return fmt.Errorf("partition %d: %d bytes realigned into a buffer of %d, want one allocation of %d (regrown, or sized without the framing)",
+					p, len(data), cap(data), len(data)+512)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,8 +59,10 @@ func (d *D) SendPair(p kv.Pair) error { return d.Send(p.Key, p.Value) }
 //
 // Partitions are serialized in sorted key order, making every shipped
 // buffer a sorted run — the invariant the receive-side k-way merge builds
-// on. Partition buffers come from Config.Pool and, when the transport
-// copies payloads (TCP), are retained and reused across spills.
+// on. They are realigned into the rank's own partition buffers, which a
+// transport that copies payloads (TCP) sends as they are. The in-process
+// transport hands the slice itself to the receiver, so it gets an exact copy:
+// a buffer of just its data, while the rank keeps its own.
 func (d *D) spill() error {
 	if d.buf.empty() {
 		return nil
@@ -68,8 +70,7 @@ func (d *D) spill() error {
 	d.counters.Spills++
 
 	spillStart := time.Now()
-	nParts := d.numPartitions()
-	parts := d.takePartBufs(nParts)
+	parts := d.buf.partBufs(d.numPartitions())
 
 	// Realignment: each key's frame into its partition's contiguous buffer,
 	// in sorted key order.
@@ -78,9 +79,13 @@ func (d *D) spill() error {
 	realignEnd := time.Now()
 	d.realignTimer.ObserveDuration(realignEnd.Sub(spillStart))
 
+	handOver := !d.comm.SendCopies()
 	for p, data := range parts {
 		if len(data) == 0 {
 			continue
+		}
+		if handOver {
+			data = append(make([]byte, 0, len(data)), data...)
 		}
 		dst := d.partitionOwner(p)
 		d.counters.MessagesSent++
@@ -89,11 +94,6 @@ func (d *D) spill() error {
 			return err
 		}
 	}
-	if d.reuseParts {
-		// The transport copied every payload, so the buffers are ours again.
-		d.partBufs = parts
-		d.partReuse.Add(int64(nParts))
-	}
 	end := time.Now()
 	d.spillTimer.ObserveDuration(end.Sub(spillStart))
 	if d.cfg.Tracer != nil {
@@ -101,28 +101,6 @@ func (d *D) spill() error {
 		d.cfg.Tracer.Record(trace.Context{}, "mpid.spill", trace.KindMerge, spillStart, end)
 	}
 	return nil
-}
-
-// takePartBufs returns nParts empty partition buffers: the retained ones
-// from the previous spill when the transport allows reuse, fresh pool
-// buffers otherwise (ownership then transfers with the message). Fresh ones
-// are sized to an even share of what the arena will serialize, so a balanced
-// spill never regrows them; a nil pool allocates that size.
-func (d *D) takePartBufs(nParts int) [][]byte {
-	parts := d.partBufs
-	d.partBufs = nil
-	if len(parts) == nParts {
-		for i := range parts {
-			parts[i] = parts[i][:0]
-		}
-		return parts
-	}
-	parts = make([][]byte, nParts)
-	est := d.buf.wireBytes()/nParts + 512
-	for i := range parts {
-		parts[i] = d.cfg.Pool.Get(est)[:0]
-	}
-	return parts
 }
 
 // Flush forces a spill of whatever is buffered, without closing the stream.

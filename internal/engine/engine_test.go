@@ -15,6 +15,7 @@ import (
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
+	"github.com/ict-repro/mpid/internal/trace"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
@@ -37,8 +38,9 @@ func TestNewSelectsByName(t *testing.T) {
 
 // TestContract runs one job through both engines as a caller of the
 // interface sees them: same canonical output, the job's metrics in the
-// registry handed in, a report from hadoop alone, and a dead context
-// refused with the context's own error.
+// registry and its spans in the tracer handed in (MPI-D's on one "mpid"
+// lane, as mpid-job names it), a report from hadoop alone, and a dead
+// context refused with the context's own error.
 func TestContract(t *testing.T) {
 	job, splits, err := workload.WordCount(map[string]int64{"bytes": 16 << 10, "split": 4 << 10, "reducers": 2})
 	if err != nil {
@@ -52,8 +54,8 @@ func TestContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := metrics.NewRegistry()
-		res, rep, err := eng.Run(context.Background(), job, splits, obs.Telemetry{Metrics: reg})
+		reg, tr := metrics.NewRegistry(), trace.New(map[string]string{"mpid": "mpid", "hadoop": "jobtracker"}[name])
+		res, rep, err := eng.Run(context.Background(), job, splits, obs.Telemetry{Metrics: reg, Tracer: tr})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -63,6 +65,28 @@ func TestContract(t *testing.T) {
 		own := map[string]string{"mpid": "mpid.spill", "hadoop": "task.map.run"}[name]
 		if reg.Timer(own).Stats().Count == 0 {
 			t.Errorf("%s: the registry handed in saw no %s", name, own)
+		}
+		spans := tr.Spans()
+		data, err := trace.ChromeTrace(spans)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st, err := trace.ValidateChrome(data); err != nil || st.Spans == 0 {
+			t.Errorf("%s: the tracer handed in exports %+v, %v", name, st, err)
+		}
+		if name == "mpid" {
+			seen := map[string]bool{}
+			for _, s := range spans {
+				if s.Proc != "mpid" {
+					t.Errorf("mpid: span %s on lane %q", s.Name, s.Proc)
+				}
+				seen[s.Name] = true
+			}
+			for _, want := range []string{"mpid.spill", "mpid.realign", "mpid.recv.merge"} {
+				if !seen[want] {
+					t.Errorf("mpid: no %s span among %d", want, len(spans))
+				}
+			}
 		}
 		var flat []byte
 		for _, p := range res.Pairs() {

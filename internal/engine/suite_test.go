@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
@@ -58,7 +57,6 @@ func buildRow(t *testing.T, row string) (mapred.Job, []mapred.Split) {
 			if err != nil {
 				t.Fatalf("build %s: %v", row, err)
 			}
-			job.Pool = bufpool.New() // MPI-D's pooled send path; hadoop ignores it
 			return job, splits
 		}
 	}

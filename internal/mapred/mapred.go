@@ -130,7 +130,10 @@ type Job struct {
 	// SpillThreshold and SortValues pass through to core.Config.
 	SpillThreshold int
 	SortValues     bool
-	// Pool passes a shared buffer pool through to core.Config.Pool.
+	// Pool is read by nothing: each MPI-D rank owns its spill buffers.
+	//
+	// Deprecated: ignored; ROADMAP 4(k) deletes it with the benchmark's
+	// assignment.
 	Pool *bufpool.Pool
 	// MaxTaskAttempts is how many times a failing map task is retried
 	// before the job fails (mapred.map.max.attempts; Hadoop defaults to
@@ -294,7 +297,6 @@ func RunContext(ctx context.Context, job Job, splits []Split, x Exec) (*Result, 
 			Partitioner:    job.Partitioner,
 			SpillThreshold: job.SpillThreshold,
 			SortValues:     job.SortValues,
-			Pool:           job.Pool,
 			Telemetry:      x.Telemetry,
 		}
 		d, err := core.Init(cfg)
@@ -533,8 +535,8 @@ func runReducer(ctx context.Context, d *core.D, job Job, part *[]kv.Pair) error 
 // Result's holder cannot reach the next pair. A block is sized from the bytes
 // the shuffle delivered to the reducer, so an output no larger than its input
 // takes one; a block of constant size taxes every small job (EXPERIMENTS.md).
-// Blocks are plain allocations, never from Job.Pool — a Result
-// outlives its job — and a full one is never regrown: pairs alias it.
+// Blocks are plain allocations, never from a pool — a Result outlives its
+// job — and a full one is never regrown: pairs alias it.
 //
 // A reducer that declares each reduce call with Group, as MPI-D's does, keeps
 // a pass-through pair where the shuffle delivered it: a header, cap-limited

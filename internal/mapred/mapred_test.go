@@ -13,7 +13,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mpi"
@@ -632,11 +631,11 @@ func TestTaskRetryNoFailuresIsFreeOfSideEffects(t *testing.T) {
 
 // TestResultOutlivesWorld pins what a holder of a Result relies on: it
 // aliases nothing pooled or recycled. A reducer copies its output into blocks
-// it allocated itself — never from Job.Pool, never a transport's receive
+// it allocated itself — never from a pool, never a transport's receive
 // buffer — so nothing changes it: not the world closing, not the next job
-// churning the same shared pool. On each transport a sort job's result is
-// checked only after a second, different job ran over the same bufpool and
-// the first world is long closed.
+// reusing a mapper's send buffers. On each transport a sort job's result is
+// checked only after a second job on the arena, and its partition buffers,
+// the first job left, and after the first world is long closed.
 func TestResultOutlivesWorld(t *testing.T) {
 	worlds := map[string]func(n int) (*mpi.World, error){
 		"chan": func(n int) (*mpi.World, error) { return mpi.NewWorld(n), nil },
@@ -666,13 +665,12 @@ func TestResultOutlivesWorld(t *testing.T) {
 	}
 	for name, newWorld := range worlds {
 		t.Run(name, func(t *testing.T) {
-			pool := bufpool.New()
 			run := func(pairs []kv.Pair) *Result {
 				t.Helper()
 				job := Job{
 					Name: "sort", Mapper: identityMap, Reducer: identityReduce,
 					Partitioner: core.FirstByteRangePartitioner, NumReducers: 2,
-					SpillThreshold: 32 << 10, Pool: pool,
+					SpillThreshold: 32 << 10,
 				}
 				splits := []Split{NewPairSplit(0, pairs[:len(pairs)/2]), NewPairSplit(1, pairs[len(pairs)/2:])}
 				res, err := RunOnWorld(job, splits, 2, newWorld)

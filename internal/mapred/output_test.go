@@ -163,7 +163,9 @@ func framedInRun(part []kv.Pair) bool {
 // TestReducerOutputInPlace: a reducer's pass-through pairs — the reduce call's
 // own key with the next of its own values — stay where the shuffle delivered
 // them, unless the buffers they arrived in hold more than 9/8 of their data
-// (a pooled chan world's class-rounded spill buffers). At the first pair that
+// (a TCP eager frame read into a recycled class-sized buffer). A chan spill
+// hands each reducer a buffer of exactly its data, so its pairs stay in place
+// too, with the ignored Job.Pool set or not. At the first pair that
 // is not a pass-through the partition is copied as a whole into a block sized
 // as an ordinary one. A kept pair is cap-limited: a run's next frame starts
 // at the byte after each value. Every message here is larger than TCP's
@@ -223,8 +225,8 @@ func TestReducerOutputInPlace(t *testing.T) {
 	t.Run("chan/pooled", func(t *testing.T) {
 		res := run(t, Job{Name: "pooled", Reducer: identityReducer, NumReducers: 2, Pool: bufpool.New()}, nil)
 		for r, part := range res.ByReducer {
-			if got := blockBoundaries(part); got != 0 {
-				t.Fatalf("reducer %d: %d block boundaries, want 0: pairs in class-rounded buffers are copied into one block", r, got)
+			if !framedInRun(part) {
+				t.Fatalf("reducer %d copied its %d pass-through pairs: a spill hands a chan receiver an exact buffer, and Job.Pool is ignored", r, len(part))
 			}
 		}
 	})

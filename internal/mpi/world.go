@@ -163,8 +163,8 @@ func (c *Comm) Size() int { return c.world.size }
 // SendCopies reports whether Send copies the payload before returning. When
 // true (TCP transport) the caller may reuse its buffer immediately after
 // Send; when false (in-process transport) ownership transfers with the
-// message, as Send documents. MPI-D's spill path uses this to recycle
-// realigned partition buffers across spills where it is safe.
+// message, as Send documents. MPI-D's spill sends its own partition
+// buffers where this is true and an exact copy of each where it is false.
 func (c *Comm) SendCopies() bool { return c.world.tr.copies() }
 
 // RecvBufferPool returns the pool the transport looks received frame

@@ -17,14 +17,15 @@ type Telemetry struct {
 }
 
 // Child scopes t to one job: a child registry whose updates also feed t's,
-// a fresh "jobtracker" span collector, and a child recorder that stamps the
-// job's id and tenant on every event and folds it into t's ring. Concurrent
-// jobs with children of one Telemetry never see each other's counters or
-// spans. Nil members of t give parentless children.
+// a fresh span collector on the "mpid" lane (the job service runs MPI-D),
+// and a child recorder that stamps the job's id and tenant on every event
+// and folds it into t's ring. Concurrent jobs with children of one Telemetry
+// never see each other's counters or spans. Nil members of t give
+// parentless children.
 func (t Telemetry) Child(job int64, tenant string) Telemetry {
 	return Telemetry{
 		Metrics: t.Metrics.NewChild(),
-		Tracer:  trace.New("jobtracker"),
+		Tracer:  trace.New("mpid"),
 		Events:  t.Events.NewChild(job, tenant),
 	}
 }

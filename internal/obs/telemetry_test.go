@@ -9,7 +9,7 @@ import (
 
 // TestTelemetryChild checks a job scope: the child's counters and events
 // fold into the parent's, its events carry the job and tenant, and its
-// spans go to a tracer of its own on the "jobtracker" lane.
+// spans go to a tracer of its own on the "mpid" lane.
 func TestTelemetryChild(t *testing.T) {
 	parent := Telemetry{Metrics: metrics.NewRegistry(), Tracer: trace.New("serve"), Events: NewRecorder(0)}
 	a, b := parent.Child(1, "alice"), parent.Child(2, "bob")
@@ -28,7 +28,7 @@ func TestTelemetryChild(t *testing.T) {
 	if len(ev) != 1 || ev[0].Job != 1 || ev[0].Tenant != "alice" {
 		t.Errorf("parent events = %+v, want one stamped job 1 / alice", ev)
 	}
-	if a.Tracer == parent.Tracer || a.Tracer == b.Tracer || a.Tracer.Proc() != "jobtracker" {
+	if a.Tracer == parent.Tracer || a.Tracer == b.Tracer || a.Tracer.Proc() != "mpid" {
 		t.Errorf("child tracer is shared or on lane %q", a.Tracer.Proc())
 	}
 	if parent.Tracer.Len() != 0 || b.Tracer.Len() != 0 || a.Tracer.Len() != 1 {

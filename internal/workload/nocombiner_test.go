@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/mapred"
 )
 
@@ -17,13 +16,12 @@ func benchNoCombinerJob(b *testing.B, build func(map[string]int64) (mapred.Job, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	job.Pool = bufpool.New()
 	run := func() {
 		if _, err := mapred.Run(job, splits, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
-	run() // first job in the process: arenas and pools grow from zero
+	run() // first job in the process: arenas grow from zero
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

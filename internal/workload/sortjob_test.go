@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/mpi"
@@ -15,7 +14,7 @@ import (
 
 // The benchmark's sort-mpid-tcp job, reproduced here so its cost per job is
 // a committed measurement: TeraSort 100 000 x 100 B over a per-job loopback
-// TCP world, 2 mappers + 2 reducers, one buffer pool shared by every job.
+// TCP world, 2 mappers + 2 reducers.
 const (
 	sortJobRecords = 100_000
 	sortJobBytes   = sortJobRecords * 100
@@ -30,7 +29,6 @@ func sortJobTCP(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	job.Pool = bufpool.New()
 	return func() {
 		res, err := mapred.RunOnWorld(job, splits, sortJobMappers, func(n int) (*mpi.World, error) {
 			return mpi.NewTCPWorldOptions(n, mpi.TCPOptions{})
@@ -51,6 +49,29 @@ func BenchmarkSortJobTCP(b *testing.B) {
 	run() // first job in the process: arenas and pools grow from zero
 	b.ReportAllocs()
 	b.SetBytes(sortJobBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkWordCountJobChan is the benchmark's wc-mpid-chan job, the paper's
+// Figure 6 job: 8 MiB of Zipf text in 256 KiB splits, combiner on, 2 mappers
+// and 2 reducers over an in-process world. Read B/op for what a spill hands
+// its reducers.
+func BenchmarkWordCountJobChan(b *testing.B) {
+	job, splits, err := WordCount(map[string]int64{"bytes": 8 << 20, "split": 256 << 10, "reducers": 2, "seed": 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		if _, err := mapred.Run(job, splits, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // first job in the process: arenas grow from zero
+	b.ReportAllocs()
+	b.SetBytes(8 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
@@ -119,7 +140,6 @@ func sortJobHadoop(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	job.Pool = bufpool.New()
 	return func() {
 		res, _, err := hadoop.RunWithReportContext(context.Background(), job, splits, hadoop.Config{NumTrackers: sortJobMappers})
 		if err != nil {
