@@ -72,9 +72,9 @@ docs-lint:
 # the final metrics.
 trace-demo:
 	go run ./cmd/mpid-job -job wordcount -input README.md -engine hadoop \
-		-block 4 -mappers 2 -trace trace-demo.json -metrics -top 5
+		-param split=4096 -mappers 2 -trace trace-demo.json -metrics -top 5
 	go run ./cmd/mpid-job -job wordcount -input README.md -engine mpid \
-		-block 4 -mappers 2 -trace trace-demo-mpid.json -metrics -top 5
+		-param split=4096 -mappers 2 -trace trace-demo-mpid.json -metrics -top 5
 
 # Full paper reproduction (150 GB Table I sweep, 100 GB Figure 6 sweep).
 report:

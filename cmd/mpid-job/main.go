@@ -1,16 +1,18 @@
-// Command mpid-job runs a MapReduce job over a local text file on either
-// execution engine in this repository:
+// Command mpid-job runs one job of the workload suite (workload.Suite) on
+// either execution engine in this repository:
 //
 //	mpid-job -job wordcount -input corpus.txt            # MPI-D engine
 //	mpid-job -job wordcount -input corpus.txt -engine hadoop
-//	mpid-job -job grep -pattern 'mpi.*d' -input corpus.txt
-//	mpid-job -job sort -input records.txt
+//	mpid-job -job grep -param needle=0 -param bytes=1048576
+//	mpid-job -job terasort -param records=1000 -param reducers=8 -top 5
 //
-// Jobs:
-//
-//	wordcount  (word, count) over whitespace-separated words
-//	grep       lines matching -pattern, keyed by byte offset
-//	sort       lines sorted lexicographically (range-partitioned)
+// -job takes any suite name (-help lists them with their parameters), and
+// each -param k=v sets one of the job's integer parameters; a name the job
+// does not declare is refused, as the job service refuses it. Without
+// -input the job runs on the input its builder generates. -input FILE
+// replaces that with the file's lines, cut into splits of -param split
+// bytes (default 256 KiB); it is accepted for every job that declares a
+// split parameter, the line-oriented ones.
 //
 // Output goes to stdout as key<TAB>value lines, like Hadoop's text output.
 //
@@ -28,56 +30,97 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"regexp"
 	"runtime"
+	"slices"
+	"strings"
 
 	"github.com/ict-repro/mpid/internal/admin"
-	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
+	"github.com/ict-repro/mpid/internal/serve"
 	"github.com/ict-repro/mpid/internal/trace"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
 func main() {
-	jobName := flag.String("job", "wordcount", "job: wordcount, grep or sort")
-	input := flag.String("input", "", "input text file (required)")
-	engineName := flag.String("engine", "mpid", "execution engine: mpid or hadoop")
-	pattern := flag.String("pattern", "", "regexp for -job grep")
-	reducers := flag.Int("reducers", 2, "reduce task count")
-	mappers := flag.Int("mappers", runtime.GOMAXPROCS(0), "mapper count (mpid engine) / tasktrackers (hadoop engine)")
-	blockKB := flag.Int("block", 256, "split size in KB")
-	top := flag.Int("top", 0, "print only the first N output pairs (0 = all)")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the job to this file")
-	adminAddr := flag.String("admin", "", "serve /metrics, /trace.json, /timeline and pprof on this address for the job's duration (use 127.0.0.1:0 for an ephemeral port)")
-	showMetrics := flag.Bool("metrics", false, "print the job's final metrics snapshot to stderr")
-	showEvents := flag.Bool("events", false, "print the job's flight-recorder events to stderr")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "mpid-job: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	if *input == "" {
-		fatal(fmt.Errorf("-input is required"))
+// inputSplit is the split size -input cuts a file at when no -param split
+// is given.
+const inputSplit = 256 << 10
+
+func run(args []string, stdout, stderr io.Writer) error {
+	suite := workload.Suite()
+	var names []string
+	for _, spec := range suite {
+		names = append(names, spec.Name)
 	}
-	text, err := os.ReadFile(*input)
-	if err != nil {
-		fatal(err)
+	fs := flag.NewFlagSet("mpid-job", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jobName := fs.String("job", "wordcount", "suite job: "+strings.Join(names, " | "))
+	jobParams := map[string]int64{}
+	fs.Func("param", "job parameters k=v[,k=v...] (repeatable)", func(s string) error { return serve.ParseParams(jobParams, s) })
+	input := fs.String("input", "", "run on this text file's lines instead of the generated input (jobs with a split parameter)")
+	engineName := fs.String("engine", "mpid", "execution engine: mpid or hadoop")
+	mappers := fs.Int("mappers", runtime.GOMAXPROCS(0), "mapper count (mpid engine) / tasktrackers (hadoop engine)")
+	top := fs.Int("top", 0, "print only the first N output pairs (0 = all)")
+	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON of the job to this file")
+	adminAddr := fs.String("admin", "", "serve /metrics, /trace.json, /timeline and pprof on this address for the job's duration (use 127.0.0.1:0 for an ephemeral port)")
+	showMetrics := fs.Bool("metrics", false, "print the job's final metrics snapshot to stderr")
+	showEvents := fs.Bool("events", false, "print the job's flight-recorder events to stderr")
+	fs.Usage = func() {
+		fs.PrintDefaults()
+		fmt.Fprintln(stderr, "\njobs:")
+		for _, spec := range suite {
+			fmt.Fprintf(stderr, "  %-10s %s\n  %-10s -param %s\n", spec.Name, spec.Description, "", strings.Join(spec.Params, "|"))
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 
-	job, err := buildJob(*jobName, *pattern, *reducers)
-	if err != nil {
-		fatal(err)
+	i := slices.IndexFunc(suite, func(s workload.Spec) bool { return s.Name == *jobName })
+	if i < 0 {
+		return fmt.Errorf("unknown job %q (want %s)", *jobName, strings.Join(names, ", "))
 	}
-	splits := mapred.SplitText(text, *blockKB<<10)
+	spec := suite[i]
+	if *input != "" && !slices.Contains(spec.Params, "split") {
+		return fmt.Errorf("-input: job %s reads no lines (it has no split parameter)", spec.Name)
+	}
+	job, splits, err := serve.NewWorkloads().Build(spec.Name, jobParams)
+	if err != nil {
+		return err
+	}
+	if *input != "" {
+		text, err := os.ReadFile(*input)
+		if err != nil {
+			return err
+		}
+		splits = mapred.SplitText(text, int(workload.Param(jobParams, "split", inputSplit)))
+	}
 
 	eng, err := engine.New(*engineName, hadoop.Config{NumTrackers: *mappers})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var tel obs.Telemetry
 	if *showEvents || *adminAddr != "" {
@@ -93,112 +136,54 @@ func main() {
 	var adm *admin.Server
 	if *adminAddr != "" {
 		if adm, err = admin.New(*adminAddr, tel); err != nil {
-			fatal(fmt.Errorf("admin server: %w", err))
+			return fmt.Errorf("admin server: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "mpid-job: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/)\n", adm.Addr())
+		fmt.Fprintf(stderr, "mpid-job: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/)\n", adm.Addr())
 	}
 	result, _, err := eng.Run(context.Background(), job, splits, tel)
 	if adm != nil {
 		adm.Close()
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *showMetrics {
-		fmt.Fprint(os.Stderr, tel.Metrics.String())
+		fmt.Fprint(stderr, tel.Metrics.String())
 	}
 	if *showEvents {
-		fmt.Fprint(os.Stderr, obs.RenderEvents(tel.Events.Events()))
+		fmt.Fprint(stderr, obs.RenderEvents(tel.Events.Events()))
 	}
 	if *traceFile != "" {
-		if err := writeTrace(*traceFile, tel.Tracer.Spans()); err != nil {
-			fatal(err)
+		if err := writeTrace(stderr, *traceFile, tel.Tracer.Spans()); err != nil {
+			return err
 		}
 	}
 
 	pairs := result.Pairs()
-	fmt.Fprintf(os.Stderr, "mpid-job: %s on %s engine: %d splits, %d output pairs\n",
-		*jobName, *engineName, len(splits), len(pairs))
+	fmt.Fprintf(stderr, "mpid-job: %s on %s engine: %d splits, %d output pairs\n",
+		spec.Name, *engineName, len(splits), len(pairs))
 	for i, p := range pairs {
 		if *top > 0 && i == *top {
 			break
 		}
-		if *jobName == "wordcount" {
+		if spec.Counts {
 			n, _, err := kv.ReadVLong(p.Value)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%s\t%d\n", p.Key, n)
+			fmt.Fprintf(stdout, "%s\t%d\n", p.Key, n)
 			continue
 		}
-		fmt.Printf("%s\t%s\n", p.Key, p.Value)
+		fmt.Fprintf(stdout, "%s\t%s\n", p.Key, p.Value)
 	}
-}
-
-// buildJob assembles the requested job.
-func buildJob(name, pattern string, reducers int) (mapred.Job, error) {
-	switch name {
-	case "wordcount":
-		return workload.WordCountJob(reducers), nil
-
-	case "grep":
-		if pattern == "" {
-			return mapred.Job{}, fmt.Errorf("-job grep needs -pattern")
-		}
-		re, err := regexp.Compile(pattern)
-		if err != nil {
-			return mapred.Job{}, fmt.Errorf("bad -pattern: %w", err)
-		}
-		return mapred.Job{
-			Name: name,
-			Mapper: mapred.MapperFunc(func(offset, line []byte, emit mapred.Emit) error {
-				if re.Match(line) {
-					off, _, err := kv.ReadVLong(offset)
-					if err != nil {
-						return err
-					}
-					return emit([]byte(fmt.Sprintf("%012d", off)), line)
-				}
-				return nil
-			}),
-			Reducer: mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred.Emit) error {
-				for _, v := range values {
-					if err := emit(key, v); err != nil {
-						return err
-					}
-				}
-				return nil
-			}),
-			NumReducers: reducers,
-		}, nil
-
-	case "sort":
-		identity := mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred.Emit) error {
-			for _, v := range values {
-				if err := emit(key, v); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		return mapred.Job{
-			Name: name,
-			Mapper: mapred.MapperFunc(func(_, line []byte, emit mapred.Emit) error {
-				return emit(line, nil)
-			}),
-			Reducer:     identity,
-			Partitioner: core.FirstByteRangePartitioner,
-			NumReducers: reducers,
-		}, nil
-	}
-	return mapred.Job{}, fmt.Errorf("unknown job %q (want wordcount, grep or sort)", name)
+	return nil
 }
 
 // writeTrace exports the job's span trace as Chrome trace-event JSON
 // (load it at chrome://tracing or ui.perfetto.dev), refusing an export that
 // would not load there, and prints its statistics and the ASCII timeline
 // of the same spans to stderr.
-func writeTrace(path string, spans []trace.Span) error {
+func writeTrace(stderr io.Writer, path string, spans []trace.Span) error {
 	data, err := trace.ChromeTrace(spans)
 	if err != nil {
 		return fmt.Errorf("trace export: %w", err)
@@ -210,12 +195,7 @@ func writeTrace(path string, spans []trace.Span) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s: ok — %d events, %d spans, %d process lanes, %s span\n\n%s",
+	fmt.Fprintf(stderr, "%s: ok — %d events, %d spans, %d process lanes, %s span\n\n%s",
 		path, st.Events, st.Spans, st.Procs, st.Duration, trace.RenderTimeline(spans, 100))
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "mpid-job: %v\n", err)
-	os.Exit(1)
 }

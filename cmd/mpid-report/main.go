@@ -4,7 +4,7 @@
 // paper's published values beside each measurement. EXPERIMENTS.md is
 // produced from this output.
 //
-//	mpid-report [-quick] [-live [-transport chan|ring|ring+copy|tcp]] [-only fig2,fig3,fig1,table1,fig6,interconnects]
+//	mpid-report [-quick] [-live [-transport chan|tcp]] [-only fig2,fig3,fig1,table1,fig6,interconnects]
 //
 // The default reproduces the full paper scale (150 GB Table I rows, 100 GB
 // Figure 6 sweep); -quick caps the simulated inputs for a smoke run. -live

@@ -39,8 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -175,8 +173,8 @@ func runClient(addr, submit, tenant, params string, stats bool, timeout time.Dur
 		return nil
 	}
 
-	args, err := parseParams(params)
-	if err != nil {
+	args := map[string]int64{}
+	if err := serve.ParseParams(args, params); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -204,26 +202,6 @@ func runClient(addr, submit, tenant, params string, stats bool, timeout time.Dur
 	fmt.Printf("mpid-serve: job %d done in %s (client wall %s)\n", id, res.Duration.Round(time.Microsecond), time.Since(start).Round(time.Microsecond))
 	fmt.Printf("mpid-serve: output digest %s\n", hex.EncodeToString(res.Digest))
 	return nil
-}
-
-// parseParams turns "bytes=65536,reducers=2" into workload parameters.
-func parseParams(s string) (map[string]int64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]int64)
-	for _, part := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad parameter %q (want key=value)", part)
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad parameter %q: %w", part, err)
-		}
-		out[key] = n
-	}
-	return out, nil
 }
 
 func fail(err error) {

@@ -2,110 +2,54 @@
 // real MPI-D runtime — the classic search-engine workload the MapReduce
 // paper motivates.
 //
-// Mappers emit (word, documentID) for every word of every document;
-// reducers receive each word's full posting list (merged across mappers by
-// MPI-D's grouped receive), deduplicate and sort it, and emit the postings.
+// The job is the suite's inverted index (workload.InvertedIndex): each
+// input line is "d<id> w1 w2 ...", mappers emit (word, documentID) for
+// every word, and reducers receive each word's full posting list (merged
+// across mappers by MPI-D's grouped receive), deduplicate and sort it, and
+// emit the postings. The reducer unions lists, so it doubles as the
+// combiner that shrinks them before they leave the mapper.
 //
 //	go run ./examples/invertedindex
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
+	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/workload"
 )
 
 func main() {
-	// Synthesize a corpus of documents; each split is one document, and
-	// the split ID is the document ID.
 	const docs = 24
-	vocab := workload.NewVocabulary(400, 11)
-	var splits []mapred.Split
-	for d := 0; d < docs; d++ {
-		gen := workload.NewTextGenerator(vocab, 1.3, int64(100+d))
-		splits = append(splits, mapred.NewLineSplit(d, gen.BytesOfText(4<<10)))
-	}
-
-	// docSplit wraps LineSplit so the mapper sees (docID, line) records.
-	// The framework passes the byte offset as key; we re-key by document
-	// using a split-aware wrapper.
-	indexed := make([]mapred.Split, len(splits))
-	for i, s := range splits {
-		indexed[i] = &docSplit{Split: s, doc: i}
-	}
-
-	mapper := mapred.MapperFunc(func(docID, line []byte, emit mapred.Emit) error {
-		for _, w := range bytes.Fields(line) {
-			if err := emit(w, docID); err != nil {
-				return err
-			}
-		}
-		return nil
+	job, splits, err := workload.InvertedIndex(map[string]int64{
+		"docs": docs, "lines": 5, "reducers": 4, "seed": 11,
 	})
-
-	// The reducer deduplicates document IDs and emits a sorted posting
-	// list for the word.
-	reducer := mapred.ReducerFunc(func(word []byte, values [][]byte, emit mapred.Emit) error {
-		seen := make(map[string]bool)
-		var ids []int
-		for _, v := range values {
-			if seen[string(v)] {
-				continue
-			}
-			seen[string(v)] = true
-			id, err := strconv.Atoi(string(v))
-			if err != nil {
-				return err
-			}
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		parts := make([]string, len(ids))
-		for i, id := range ids {
-			parts[i] = strconv.Itoa(id)
-		}
-		return emit(word, []byte(strings.Join(parts, ",")))
-	})
-
-	job := mapred.Job{
-		Name:        "inverted-index",
-		Mapper:      mapper,
-		Reducer:     reducer,
-		NumReducers: 4,
+	if err != nil {
+		log.Fatalf("invertedindex: %v", err)
 	}
-	result, err := mapred.Run(job, indexed, 6)
+	result, err := mapred.Run(job, splits, 6)
 	if err != nil {
 		log.Fatalf("invertedindex: %v", err)
 	}
 
+	// Every posting list is sorted and names each document once.
 	index := result.Pairs()
+	width := func(p kv.Pair) int { return len(strings.Fields(string(p.Value))) }
+	for _, p := range index {
+		ids := strings.Fields(string(p.Value))
+		if !slices.IsSorted(ids) || len(slices.Compact(ids)) != len(ids) || len(ids) > docs {
+			log.Fatalf("invertedindex: %s has postings [%s]", p.Key, p.Value)
+		}
+	}
 	fmt.Printf("indexed %d documents: %d distinct terms\n", docs, len(index))
 	// Show the widest posting lists.
-	sort.Slice(index, func(i, j int) bool {
-		return strings.Count(string(index[i].Value), ",") > strings.Count(string(index[j].Value), ",")
-	})
+	slices.SortStableFunc(index, func(a, b kv.Pair) int { return width(b) - width(a) })
 	fmt.Println("terms appearing in the most documents:")
-	for i := 0; i < 5 && i < len(index); i++ {
-		fmt.Printf("  %-20s -> [%s]\n", index[i].Key, index[i].Value)
+	for _, p := range index[:min(5, len(index))] {
+		fmt.Printf("  %-12s (%2d) -> [%s]\n", p.Key, width(p), p.Value)
 	}
-}
-
-// docSplit re-keys a split's records with its document ID.
-type docSplit struct {
-	mapred.Split
-	doc int
-}
-
-// Records implements mapred.Split.
-func (d *docSplit) Records(yield func(key, value []byte) error) error {
-	docID := []byte(strconv.Itoa(d.doc))
-	return d.Split.Records(func(_, line []byte) error {
-		return yield(docID, line)
-	})
 }

@@ -2,178 +2,70 @@
 //
 // The paper's related work (§V) discusses Twister, a runtime for iterative
 // MapReduce; this example shows the same class of workload on MPI-D: each
-// iteration is one MapReduce job whose output feeds the next. The map
-// function distributes a vertex's rank over its outgoing links; the reduce
-// function sums incoming contributions and applies the damping factor.
+// iteration is one run of the suite's PageRank round (workload.PageRankJob),
+// whose output feeds the next through workload.PageRankNextSplits — the
+// state lines travel in memory from the reducers to the next round's
+// mappers. The map function distributes a vertex's rank over its outgoing
+// links; the reduce function sums incoming contributions and applies the
+// damping factor.
 //
 //	go run ./examples/pagerank
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
+	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/workload"
 )
 
 const (
 	vertices   = 2_000
 	avgDegree  = 8
-	damping    = 0.85
 	iterations = 12
+	splitBytes = 16 << 10
 )
 
-// graph[v] lists v's outgoing neighbours.
-func buildGraph(seed int64) [][]int {
-	rng := rand.New(rand.NewSource(seed))
-	g := make([][]int, vertices)
-	for v := range g {
-		// Preferential-attachment-flavoured degrees: hubs exist.
-		deg := 1 + rng.Intn(2*avgDegree)
-		seen := make(map[int]bool, deg)
-		for len(g[v]) < deg {
-			u := rng.Intn(vertices)
-			if u == v || seen[u] {
-				continue
-			}
-			seen[u] = true
-			g[v] = append(g[v], u)
-		}
-	}
-	return g
-}
-
-// record encodes one vertex as a line: "v rank n1 n2 n3 ...".
-func record(v int, rank float64, links []int) string {
-	parts := make([]string, 0, len(links)+2)
-	parts = append(parts, strconv.Itoa(v), strconv.FormatFloat(rank, 'g', 17, 64))
-	for _, u := range links {
-		parts = append(parts, strconv.Itoa(u))
-	}
-	return strings.Join(parts, " ")
+// rank reads a state line's rank: "<id> <rank> <neighbours...>".
+func rank(p kv.Pair) float64 {
+	r, _ := strconv.ParseFloat(strings.Fields(string(p.Value))[1], 64) // formatted by the reducer
+	return r
 }
 
 func main() {
-	graph := buildGraph(4)
-
-	// Initial state: uniform ranks.
-	lines := make([]string, vertices)
-	for v := range graph {
-		lines[v] = record(v, 1.0/vertices, graph[v])
-	}
-
-	// map: emit (neighbour, contribution) for each link, plus the vertex's
-	// own adjacency so reduce can rebuild the state record.
-	mapper := mapred.MapperFunc(func(_, value []byte, emit mapred.Emit) error {
-		fields := strings.Fields(string(value))
-		if len(fields) < 2 {
-			return nil
-		}
-		v := fields[0]
-		rank, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return err
-		}
-		links := fields[2:]
-		// Re-emit structure under its own key, marked with "L:".
-		if err := emit([]byte(v), []byte("L:"+strings.Join(links, " "))); err != nil {
-			return err
-		}
-		if len(links) == 0 {
-			return nil
-		}
-		share := rank / float64(len(links))
-		contribution := []byte("R:" + strconv.FormatFloat(share, 'g', 17, 64))
-		for _, u := range links {
-			if err := emit([]byte(u), contribution); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	// reduce: sum contributions, apply damping, reattach adjacency.
-	reducer := mapred.ReducerFunc(func(key []byte, values [][]byte, emit mapred.Emit) error {
-		var sum float64
-		links := ""
-		for _, val := range values {
-			s := string(val)
-			switch {
-			case strings.HasPrefix(s, "R:"):
-				r, err := strconv.ParseFloat(s[2:], 64)
-				if err != nil {
-					return err
-				}
-				sum += r
-			case strings.HasPrefix(s, "L:"):
-				links = s[2:]
-			}
-		}
-		rank := (1-damping)/vertices + damping*sum
-		out := string(key) + " " + strconv.FormatFloat(rank, 'g', 17, 64)
-		if links != "" {
-			out += " " + links
-		}
-		return emit(key, []byte(out))
-	})
-
-	for iter := 0; iter < iterations; iter++ {
-		input := []byte(strings.Join(lines, "\n") + "\n")
-		result, err := mapred.Run(mapred.Job{
-			Name:        fmt.Sprintf("pagerank-iter-%d", iter),
-			Mapper:      mapper,
-			Reducer:     reducer,
-			NumReducers: 4,
-		}, mapred.SplitText(input, 16<<10), 4)
+	job := workload.PageRankJob(vertices, 4)
+	splits := workload.PageRankInitialSplits(vertices, avgDegree, 4, splitBytes)
+	var pairs []kv.Pair
+	for iter := 1; iter <= iterations; iter++ {
+		result, err := mapred.Run(job, splits, 4)
 		if err != nil {
 			log.Fatalf("pagerank iteration %d: %v", iter, err)
 		}
-		pairs := result.Pairs()
-		if len(pairs) != vertices {
+		if pairs = result.Pairs(); len(pairs) != vertices {
 			log.Fatalf("iteration %d produced %d vertices, want %d", iter, len(pairs), vertices)
 		}
-		next := make([]string, 0, vertices)
-		var total float64
+		var mass float64
 		for _, p := range pairs {
-			next = append(next, string(p.Value))
-			fields := strings.Fields(string(p.Value))
-			r, _ := strconv.ParseFloat(fields[1], 64)
-			total += r
+			mass += rank(p)
 		}
-		lines = next
-		fmt.Printf("iteration %2d: rank mass = %.6f\n", iter+1, total)
+		fmt.Printf("iteration %2d: rank mass = %.6f\n", iter, mass)
+		// Sanity: the graph has no dangling vertices, so no rank mass leaks.
+		if math.Abs(mass-1) > 0.05 {
+			log.Fatalf("rank mass diverged: %f", mass)
+		}
+		splits = workload.PageRankNextSplits(pairs, splitBytes)
 	}
 
-	// Report the top-ranked vertices.
-	type vr struct {
-		v    int
-		rank float64
-	}
-	var ranks []vr
-	for _, line := range lines {
-		fields := strings.Fields(line)
-		v, _ := strconv.Atoi(fields[0])
-		r, _ := strconv.ParseFloat(fields[1], 64)
-		ranks = append(ranks, vr{v, r})
-	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i].rank > ranks[j].rank })
+	slices.SortStableFunc(pairs, func(a, b kv.Pair) int { return cmp.Compare(rank(b), rank(a)) })
 	fmt.Println("top 5 vertices:")
-	for i := 0; i < 5; i++ {
-		fmt.Printf("  v%-6d rank %.6f\n", ranks[i].v, ranks[i].rank)
-	}
-
-	// Sanity: rank mass must be near 1 minus the mass leaked to dangling
-	// contributions (this graph has no dangling vertices).
-	var mass float64
-	for _, r := range ranks {
-		mass += r.rank
-	}
-	if math.Abs(mass-1) > 0.05 {
-		log.Fatalf("rank mass diverged: %f", mass)
+	for _, p := range pairs[:5] {
+		fmt.Printf("  v%-6s rank %.6f\n", p.Key, rank(p))
 	}
 }

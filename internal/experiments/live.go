@@ -36,20 +36,14 @@ const liveWarmup = 5 // dropped iterations, as the paper drops its first 5
 
 // TransportNames lists the names NewTransportWorld accepts, and so the
 // transports the live Figures 2 and 3 can measure MPI over.
-var TransportNames = []string{"chan", "ring", "ring+copy", "tcp"}
+var TransportNames = []string{"chan", "tcp"}
 
 // NewTransportWorld builds an n-rank world over the named transport:
-// "chan" (in-process reference), "ring" (shared-memory-style rings,
-// zero-copy hand-off), "ring+copy" (ring with the copying device
-// emulation) or "tcp" (loopback TCP, vectored framing).
+// "chan" (in-process reference) or "tcp" (loopback TCP, vectored framing).
 func NewTransportWorld(name string, n int) (*mpi.World, error) {
 	switch name {
 	case "chan":
 		return mpi.NewWorld(n), nil
-	case "ring":
-		return mpi.NewRingWorld(n), nil
-	case "ring+copy":
-		return mpi.NewRingWorldConfig(n, mpi.RingConfig{CopyPayloads: true}), nil
 	case "tcp":
 		return mpi.NewTCPWorld(n)
 	}

@@ -3,7 +3,6 @@ package mpi
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -118,6 +117,14 @@ type tcpTransport struct {
 // frameHeader is src(int32) tag(int32) length(uint32).
 const frameHeaderSize = 12
 
+// maxFrame caps a frame's payload length. The reader allocates a header's
+// length before it reads the payload, so a header above the cap closes its
+// connection instead: one stray or hostile 12-byte header cannot cost a 4 GiB
+// allocation. The largest message an in-tree sender forms is an MPI-D spill,
+// the wire form of at most core's send arena (256 MiB) plus a few bytes of
+// framing per key; the live Figures 2 and 3 send at most 64 MiB.
+const maxFrame = 1 << 30
+
 // eagerThreshold is the eager/rendezvous split point. Messages below it are
 // copied into a pooled frame buffer queued on the connection (eager: the
 // sender's buffer is free on return, flushes batch across back-to-back
@@ -230,22 +237,26 @@ func putFrameHeader(b []byte, m Message) {
 // reaches the receiver as Status.Source, which callers index per-rank state
 // with and send replies to (mapred's master answers a split request at it),
 // and it names the sender in this transport's per-pair connection table — so
-// one outside [0, n) is an error. Any length is legal, as in send.
+// one outside [0, n) is an error. So is a length above maxFrame, which send
+// never frames.
 func parseFrameHeader(b []byte, n int) (m Message, size uint32, err error) {
 	m.Source = int(int32(binary.BigEndian.Uint32(b[0:4])))
 	m.Tag = int(int32(binary.BigEndian.Uint32(b[4:8])))
 	if m.Source < 0 || m.Source >= n {
 		return Message{}, 0, fmt.Errorf("mpi: frame from rank %d in a world of %d", m.Source, n)
 	}
-	return m, binary.BigEndian.Uint32(b[8:12]), nil
+	if size = binary.BigEndian.Uint32(b[8:12]); size > maxFrame {
+		return Message{}, 0, fmt.Errorf("mpi: %d-byte frame over the %d-byte cap", size, maxFrame)
+	}
+	return m, size, nil
 }
 
 func (t *tcpTransport) send(to int, m Message) error {
 	if m.Tag > (1<<31-1) || m.Tag < -(1<<31) {
 		return fmt.Errorf("mpi: tag %d does not fit the TCP frame", m.Tag)
 	}
-	if int64(len(m.Data)) > (1<<32 - 1) {
-		return errors.New("mpi: message over 4 GiB cannot be framed")
+	if len(m.Data) > maxFrame {
+		return fmt.Errorf("mpi: %d-byte message over the %d-byte frame cap", len(m.Data), maxFrame)
 	}
 	if t.inj != nil {
 		if err := t.inj.Check(t.comps[m.Source], "send", t.comps[to]); err != nil {

@@ -315,35 +315,57 @@ func TestPutBackPingPongAllocFree(t *testing.T) {
 // and deliver nothing.
 func TestTCPOutOfRangeSourceClosesConnection(t *testing.T) {
 	for _, src := range []int{2, -1, 1 << 30} {
-		w, err := NewTCPWorld(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := net.Dial("tcp", w.tr.(*tcpTransport).addrs[1])
-		if err != nil {
-			t.Fatal(err)
-		}
 		frame := make([]byte, frameHeaderSize+5)
 		putFrameHeader(frame, Message{Source: src, Tag: 7, Data: frame[frameHeaderSize:]})
-		if _, err := raw.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		raw.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-			t.Fatalf("source %d: read on the offending connection = %v, want EOF (closed by the receiver)", src, err)
-		}
-		if n := queued(w, 1); n != 0 {
-			t.Fatalf("source %d: the frame was delivered (%d queued)", src, n)
-		}
-		raw.Close()
-		w.Close()
+		requireRejected(t, fmt.Sprintf("source %d", src), frame)
+	}
+}
+
+// TestTCPOversizedFrameClosesConnection writes headers from a valid rank
+// whose lengths pass maxFrame, with no payload behind them. The reader must
+// drop the connection before it allocates the length: before the cap, one
+// such header cost a 4 GiB buffer.
+func TestTCPOversizedFrameClosesConnection(t *testing.T) {
+	for _, size := range []uint32{maxFrame + 1, 1<<32 - 1} {
+		hdr := make([]byte, frameHeaderSize)
+		putFrameHeader(hdr, Message{Source: 0, Tag: 7})
+		binary.BigEndian.PutUint32(hdr[8:], size)
+		requireRejected(t, fmt.Sprintf("length %d", size), hdr)
+	}
+}
+
+// requireRejected writes raw bytes onto rank 1's listener of a fresh 2-rank
+// TCP world and requires the receiver to close the connection and deliver
+// nothing.
+func requireRejected(t *testing.T, what string, raw []byte) {
+	t.Helper()
+	w, err := NewTCPWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	conn, err := net.Dial("tcp", w.tr.(*tcpTransport).addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("%s: read on the offending connection = %v, want EOF (closed by the receiver)", what, err)
+	}
+	if n := queued(w, 1); n != 0 {
+		t.Fatalf("%s: the frame was delivered (%d queued)", what, n)
 	}
 }
 
 // FuzzTCPFrameHeader holds parseFrameHeader to two properties: it inverts
 // putFrameHeader for every envelope send accepts, and on arbitrary header
-// bytes it returns an error or an in-range source — never a panic, never a
-// rank the receive side would index out of range with.
+// bytes it returns an error or an in-range source and a length within
+// maxFrame — never a panic, never a rank the receive side would index out
+// of range with, never a length the reader should not allocate.
 func FuzzTCPFrameHeader(f *testing.F) {
 	seed := func(m Message, size uint32, n int) {
 		hdr := make([]byte, frameHeaderSize)
@@ -367,6 +389,9 @@ func FuzzTCPFrameHeader(f *testing.F) {
 		}
 		if m.Source < 0 || m.Source >= n {
 			t.Fatalf("accepted source %d in a world of %d", m.Source, n)
+		}
+		if size > maxFrame {
+			t.Fatalf("accepted a %d-byte frame, over the %d-byte cap", size, maxFrame)
 		}
 		// What it accepted re-encodes to the bytes it was given.
 		again := make([]byte, frameHeaderSize)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"maps"
 	"testing"
 	"time"
 )
@@ -104,4 +105,24 @@ func TestBadParamRoundTripsRPC(t *testing.T) {
 			t.Fatalf("stats after rejected submit = %+v, want all zero", st)
 		}
 	})
+}
+
+// TestParseParams pins the k=v[,k=v...] syntax mpid-serve -params and
+// mpid-job -param share: later values win, an empty string adds nothing,
+// and a part that is not key=integer is an error.
+func TestParseParams(t *testing.T) {
+	p := map[string]int64{"seed": 1}
+	for _, s := range []string{"bytes=65536, reducers=2", "", "seed=-3"} {
+		if err := ParseParams(p, s); err != nil {
+			t.Fatalf("ParseParams(%q): %v", s, err)
+		}
+	}
+	if want := map[string]int64{"bytes": 65536, "reducers": 2, "seed": -3}; !maps.Equal(p, want) {
+		t.Fatalf("params = %v, want %v", p, want)
+	}
+	for _, s := range []string{"bytes", "bytes=1k", "a=1,,b=2"} {
+		if err := ParseParams(map[string]int64{}, s); err == nil {
+			t.Errorf("ParseParams(%q) accepted", s)
+		}
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/ict-repro/mpid/internal/hadooprpc"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/workload"
 )
 
 // testCluster sizes every serve test's jobs: two mapper ranks.
@@ -49,7 +50,7 @@ func serveRPC(t testing.TB, s *Service, workloads *Workloads) *Client {
 // smallWC is a quick deterministic WordCount job.
 func smallWC(t *testing.T) (mapred.Job, []mapred.Split) {
 	t.Helper()
-	job, splits, err := WordCount(map[string]int64{"bytes": 8 << 10, "split": 2 << 10})
+	job, splits, err := workload.WordCount(map[string]int64{"bytes": 8 << 10, "split": 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestOutputDigestDeterministicAndSensitive(t *testing.T) {
 		s := New(Config{Cluster: testCluster()})
 		defer s.Drain(5 * time.Second)
 		run := func(seed int64) []byte {
-			job, splits, err := WordCount(map[string]int64{"bytes": 8 << 10, "seed": seed})
+			job, splits, err := workload.WordCount(map[string]int64{"bytes": 8 << 10, "seed": seed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -114,9 +115,23 @@ func (w *Workloads) Build(name string, params map[string]int64) (mapred.Job, []m
 	return reg.fn(params)
 }
 
-// WordCount is the built-in WordCount workload, kept as a directly callable
-// builder for tests and embedders; it is the same function the suite
-// registers under "wordcount". See workload.WordCount for the parameters.
-func WordCount(params map[string]int64) (mapred.Job, []mapred.Split, error) {
-	return workload.WordCount(params)
+// ParseParams adds the workload parameters written "k=v[,k=v...]" to
+// params; an empty s adds none. mpid-serve's -params and mpid-job's -param
+// are written this way.
+func ParseParams(params map[string]int64, s string) error {
+	if s == "" {
+		return nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return fmt.Errorf("bad parameter %q (want key=value)", part)
+		}
+		n, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad parameter %q: %w", part, err)
+		}
+		params[key] = n
+	}
+	return nil
 }

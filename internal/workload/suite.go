@@ -26,21 +26,22 @@ func observedCombiner(r mapred.Reducer) func(*metrics.Registry) core.CombineFunc
 	}
 }
 
-// This file is the workload suite: every benchmarkable job the repository
-// knows, as wire-parameterizable specs. The paper's evaluation — and every
-// baseline before this suite existed — is WordCount, whose unique output
-// keys hide whole classes of bugs (duplicate-key canonicalization,
-// partitioner skew, value-order-sensitive reducers). The suite adds the
-// workloads from "Sorting, Searching, and Simulation in the MapReduce
-// Framework": a sampled-range-partitioner TeraSort, inverted index, grep,
-// a two-table join, and an iterative PageRank, each built so its output is
-// byte-identical across the MPI-D and hadoop engines — reducers
-// canonicalize value order internally instead of depending on arrival
-// order, which no engine guarantees.
+// This file is the workload suite: the one place a job is defined, as
+// wire-parameterizable specs that the job service, mpid-job, the examples,
+// the engine equality tests and the benchmark all build from. The paper's
+// evaluation — and every baseline before this suite existed — is
+// WordCount, whose unique output keys hide whole classes of bugs
+// (duplicate-key canonicalization, partitioner skew, value-order-sensitive
+// reducers). The suite adds the workloads from "Sorting, Searching, and
+// Simulation in the MapReduce Framework": a sampled-range-partitioner
+// TeraSort, inverted index, grep, a two-table join, and an iterative
+// PageRank, each built so its output is byte-identical across the MPI-D and
+// hadoop engines — reducers canonicalize value order internally instead of
+// depending on arrival order, which no engine guarantees.
 //
-// Each Spec declares the integer parameters it accepts; the serve registry
-// rejects submissions naming any other parameter, so a client typo cannot
-// silently run a default-configured job.
+// Each Spec declares the integer parameters it accepts; the serve registry,
+// and mpid-job through it, rejects any other parameter name, so a typo
+// cannot silently run a default-configured job.
 
 // Spec is one named workload: its wire-encodable parameters and a builder
 // producing the runnable job.
@@ -55,6 +56,9 @@ type Spec struct {
 	Params []string
 	// Build constructs the job and its input splits from parameters.
 	Build func(params map[string]int64) (mapred.Job, []mapred.Split, error)
+	// Counts marks a job whose every output value is a kv VLong count,
+	// which a text listing prints as a decimal.
+	Counts bool
 }
 
 // Suite returns every workload spec in registry order: wordcount, terasort,
@@ -66,6 +70,7 @@ func Suite() []Spec {
 			Description: "Zipf text word frequency (the paper's §IV micro-benchmark)",
 			Params:      []string{"bytes", "split", "reducers", "seed"},
 			Build:       WordCount,
+			Counts:      true,
 		},
 		{
 			Name:        "terasort",
@@ -84,6 +89,7 @@ func Suite() []Spec {
 			Description: "distributed grep: matching lines counted by content",
 			Params:      []string{"bytes", "split", "reducers", "seed", "needle"},
 			Build:       Grep,
+			Counts:      true,
 		},
 		{
 			Name:        "join",
