@@ -130,7 +130,7 @@ func TestDocSections(t *testing.T) {
 			"## 13. Shuffle-byte reduction",
 			"## 14. Transport raw speed",
 			"mapred.combiner.fallback", "mergeFactor",
-			"NewRingWorld", "CopyPayloads", "PutFile",
+			"NewRingWorld", "CopyPayloads", "`Store.PutFile` is retired",
 			"TestPutBackPingPongAllocFree",
 			"-engine mpid|hadoop", "engine.New", "mapred.RunContext",
 			"mpi.World.Abort", "ErrExpired",
@@ -165,7 +165,7 @@ func TestDocSections(t *testing.T) {
 		"ARCHITECTURE.md": {
 			"shuffle-byte reduction (ext.)",
 			"transport raw speed (ext.)",
-			"NewRingWorld", "Store.PutFile",
+			"NewRingWorld", "`jetty.Store.PutFile` is retired",
 			"**`internal/engine`**", "Engine.Run",
 			"## Who reaches what",
 			"### Reached by tests alone",

@@ -20,9 +20,8 @@
 //     number, so mappers never name a destination (§III, third challenge).
 //   - Recv() is called by reducers. It receives with MPI's wildcard
 //     source, reverse-realigns the contiguous buffers back into key/value
-//     lists and hands them to the application, merging partial lists from
-//     different mappers per key (grouped mode) or streaming them as they
-//     arrive (streaming mode).
+//     lists and hands them to the application, each key once with the
+//     partial lists of every mapper merged, keys in sorted order.
 //   - Finalize() flushes remaining buffered pairs and tears the instance
 //     down; reducers observe end-of-stream once every sender finalized.
 //
@@ -100,11 +99,6 @@ type Config struct {
 	// SortValues sorts each key's value list during realignment, the
 	// on-demand sorting hook from §IV.A. Off by default.
 	SortValues bool
-	// Streaming makes Recv hand over key/value-list fragments as they
-	// arrive instead of merging per key across mappers first. Uses
-	// constant reducer memory, but a key may be delivered more than once
-	// (with disjoint value lists), as in the paper's streaming reducer.
-	Streaming bool
 
 	// Telemetry observes the instance. Metrics receives the mpid.spill /
 	// mpid.realign / mpid.recv.merge timers; Tracer records
@@ -230,7 +224,7 @@ func (d *D) Counters() Counters { return d.counters }
 // ReceivedCap returns the capacity of the buffers the received messages
 // arrived in, which Recv's slices alias: Counters().BytesReceived or more,
 // where a transport delivers a message in a larger buffer. It is final once
-// grouped Recv has returned its first key, and 0 on a rank that is no reducer.
+// Recv has returned its first key, and 0 on a rank that is no reducer.
 func (d *D) ReceivedCap() int {
 	if d.recvState == nil {
 		return 0
@@ -308,23 +302,6 @@ func HashPartitioner(key []byte, n int) int {
 		h *= prime64
 	}
 	return int(h % uint64(n))
-}
-
-// FirstByteRangePartitioner splits keys by first byte into n contiguous
-// ranges — the original sort-friendly partitioner. It assumes first bytes
-// are uniform over the whole byte range, which real key distributions are
-// not: skewed or narrow-alphabet keys pile into a handful of partitions.
-// Kept as the naive baseline; use RangePartitioner over SampleCuts for
-// real distributions (TeraSort's sampled partitioner).
-func FirstByteRangePartitioner(key []byte, n int) int {
-	if len(key) == 0 {
-		return 0
-	}
-	p := int(key[0]) * n / 256
-	if p >= n {
-		p = n - 1
-	}
-	return p
 }
 
 // SampleCuts derives at most n-1 range boundaries from a key sample, the

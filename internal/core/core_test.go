@@ -147,13 +147,6 @@ func TestWordCountTinySpillThreshold(t *testing.T) {
 	checkCounts(t, got, referenceCounts(words))
 }
 
-func TestWordCountStreamingMode(t *testing.T) {
-	// Streaming may deliver a key multiple times; the aggregate must match.
-	words := sampleWords([]int{1, 2}, 300, 6)
-	got := runWordCount(t, Config{Reducers: []int{0}, Combiner: sumCombiner, SpillThreshold: 128, Streaming: true}, 3, words)
-	checkCounts(t, got, referenceCounts(words))
-}
-
 func TestGroupedModeKeysSortedAndUnique(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		d, err := Init(Config{Comm: c, Reducers: []int{0}})
@@ -578,27 +571,6 @@ func TestHashPartitionerProperties(t *testing.T) {
 	}
 }
 
-func TestFirstByteRangePartitioner(t *testing.T) {
-	if FirstByteRangePartitioner(nil, 4) != 0 {
-		t.Error("empty key should land in partition 0")
-	}
-	if FirstByteRangePartitioner([]byte{0}, 4) != 0 {
-		t.Error("byte 0 should land in partition 0")
-	}
-	if FirstByteRangePartitioner([]byte{255}, 4) != 3 {
-		t.Error("byte 255 should land in last partition")
-	}
-	// Ordering: partition is monotone in first byte.
-	prev := 0
-	for b := 0; b < 256; b++ {
-		p := FirstByteRangePartitioner([]byte{byte(b)}, 5)
-		if p < prev {
-			t.Fatalf("partition decreased at byte %d", b)
-		}
-		prev = p
-	}
-}
-
 func TestRandomizedEquivalenceProperty(t *testing.T) {
 	// Property: for random workloads, spill thresholds and reducer
 	// counts, grouped MPI-D output always equals the sequential reference.
@@ -635,25 +607,6 @@ func TestHashPartitionerQuickProperties(t *testing.T) {
 		parts := int(n%32) + 1
 		p := HashPartitioner(key, parts)
 		return p >= 0 && p < parts && p == HashPartitioner(key, parts)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFirstByteRangePartitionerQuickProperties(t *testing.T) {
-	// quick.Check: in range, deterministic, monotone in the first byte.
-	f := func(a, b byte, n uint8) bool {
-		parts := int(n%16) + 1
-		pa := FirstByteRangePartitioner([]byte{a}, parts)
-		pb := FirstByteRangePartitioner([]byte{b}, parts)
-		if pa < 0 || pa >= parts || pb < 0 || pb >= parts {
-			return false
-		}
-		if a <= b {
-			return pa <= pb
-		}
-		return pb <= pa
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -785,6 +738,10 @@ func TestSpillSizesPartitionBuffersWithoutPool(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// Init may hand over a pooled arena whose partition buffers an
+		// earlier test grew past this spill's share; they would be kept,
+		// not sized. Start from none, as a rank's first spill does.
+		d.buf.parts = nil
 		for i := 0; i < 400; i++ {
 			for _, p := range []string{"a", "b"} { // two partitions of equal size
 				if err := d.Send([]byte(fmt.Sprintf("%s%04d", p, i)), []byte("value")); err != nil {

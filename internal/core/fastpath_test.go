@@ -492,7 +492,7 @@ func TestUnexpectedTagReturnsTypedError(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Grouped receive against the Streaming-regroup oracle
+// Grouped receive against the raw-reception oracle
 
 // streamEntry is one Recv result with its bytes deep-copied out of the
 // library's buffers.
@@ -508,16 +508,80 @@ const turnTag = 4242
 // Recv stream, in order.
 func collectStreams(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair) map[int][]streamEntry {
 	t.Helper()
-	streams, _ := collectStreamsInTurn(t, cfg, nRanks, pairsBySender, false)
+	streams, _ := collectStreamsInTurn(t, cfg, nRanks, pairsBySender, false, recvGrouped)
 	return streams
 }
 
-// collectStreamsInTurn is collectStreams that also reports how many data
-// messages (= sorted runs) the senders shipped. With inTurn set, the ranks of
-// cfg.Senders send one after the other, each handing a baton to the next
-// once its stream is closed, so every reducer sees the same arrival order on
-// every run and a multi-sender exchange can be compared byte for byte.
-func collectStreamsInTurn(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair, inTurn bool) (map[int][]streamEntry, int64) {
+// collectFragments runs one MPI-D exchange whose reducers bypass Recv
+// (recvRaw) and captures every fragment each reducer rank took off the
+// communicator, in arrival order.
+func collectFragments(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair, inTurn bool) map[int][]streamEntry {
+	t.Helper()
+	fragments, _ := collectStreamsInTurn(t, cfg, nRanks, pairsBySender, inTurn, recvRaw)
+	return fragments
+}
+
+// recvGrouped drains a reducer's stream through Recv.
+func recvGrouped(_ *mpi.Comm, d *D, _ int) ([]streamEntry, error) {
+	var out []streamEntry
+	for {
+		key, values, err := d.Recv()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, copyEntry(key, values))
+	}
+}
+
+// recvRaw drains a reducer's messages without core's receiver: wildcard
+// MPI receives until every sender's DoneTag is in, each DataTag payload
+// decoded frame by frame with kv.ReadKeyList.
+func recvRaw(c *mpi.Comm, _ *D, senders int) ([]streamEntry, error) {
+	var out []streamEntry
+	for senders > 0 {
+		payload, st, err := c.Recv(mpi.AnySource, mpi.AnyTag)
+		if err != nil {
+			return nil, err
+		}
+		switch st.Tag {
+		case DoneTag:
+			senders--
+		case DataTag:
+			for len(payload) > 0 {
+				kl, n, err := kv.ReadKeyList(payload)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, copyEntry(kl.Key, kl.Values))
+				payload = payload[n:]
+			}
+		default:
+			return nil, fmt.Errorf("unexpected tag %d from rank %d", st.Tag, st.Source)
+		}
+	}
+	return out, nil
+}
+
+// copyEntry deep-copies a key and its values out of the library's buffers.
+func copyEntry(key []byte, values [][]byte) streamEntry {
+	e := streamEntry{key: append([]byte(nil), key...)}
+	for _, v := range values {
+		e.values = append(e.values, append([]byte(nil), v...))
+	}
+	return e
+}
+
+// collectStreamsInTurn runs one MPI-D exchange, drains every reducer rank
+// with recv, and reports how many data messages (= sorted runs) the senders
+// shipped. With inTurn set, the ranks of cfg.Senders send one after the
+// other, each handing a baton to the next once its stream is closed, so
+// every reducer sees the same arrival order on every run and a multi-sender
+// exchange can be compared byte for byte.
+func collectStreamsInTurn(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair, inTurn bool,
+	recv func(c *mpi.Comm, d *D, senders int) ([]streamEntry, error)) (map[int][]streamEntry, int64) {
 	t.Helper()
 	streams := make(map[int][]streamEntry)
 	var runs int64
@@ -559,20 +623,9 @@ func collectStreamsInTurn(t *testing.T, cfg Config, nRanks int, pairsBySender ma
 			mu.Unlock()
 		}
 		if d.IsReducer() {
-			var local []streamEntry
-			for {
-				key, values, err := d.Recv()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				e := streamEntry{key: append([]byte(nil), key...)}
-				for _, v := range values {
-					e.values = append(e.values, append([]byte(nil), v...))
-				}
-				local = append(local, e)
+			local, err := recv(c, d, len(cfg.Senders))
+			if err != nil {
+				return err
 			}
 			mu.Lock()
 			streams[c.Rank()] = local
@@ -586,15 +639,14 @@ func collectStreamsInTurn(t *testing.T, cfg Config, nRanks int, pairsBySender ma
 	return streams, runs
 }
 
-// regroupStreaming is the grouped receive's reference, built without the
-// k-way merge: the same exchange in Streaming mode (a production mode with
-// the identical send side) hands over every fragment in arrival order;
-// concatenating each key's fragments in that order and draining keys sorted
-// is, by Recv's contract, exactly the grouped stream.
-func regroupStreaming(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair, inTurn bool) map[int][]streamEntry {
+// regroupFragments is the grouped receive's reference, built without core's
+// receiver or the k-way merge: the same exchange received raw (recvRaw)
+// yields every fragment in arrival order; concatenating each key's
+// fragments in that order and draining keys sorted is, by Recv's contract,
+// exactly the grouped stream.
+func regroupFragments(t *testing.T, cfg Config, nRanks int, pairsBySender map[int][]kv.Pair, inTurn bool) map[int][]streamEntry {
 	t.Helper()
-	cfg.Streaming = true
-	fragments, _ := collectStreamsInTurn(t, cfg, nRanks, pairsBySender, inTurn)
+	fragments := collectFragments(t, cfg, nRanks, pairsBySender, inTurn)
 	out := make(map[int][]streamEntry, len(fragments))
 	for rank, frags := range fragments {
 		byKey := make(map[string][][]byte)
@@ -672,7 +724,7 @@ var sendVariants = []struct {
 }
 
 // TestGroupedStreamByteIdentical drives the same single-sender workload
-// through grouped Recv and through the Streaming-regroup oracle and requires
+// through grouped Recv and through the raw-reception oracle and requires
 // the reducer-visible streams to match byte for byte. A single sender makes
 // arrival order deterministic (per-pair FIFO), so this is an exact check;
 // the tiny spill threshold forces far more runs than any merge fan-in the
@@ -683,7 +735,7 @@ func TestGroupedStreamByteIdentical(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 512}
 			v.mut(&cfg)
-			streamsEqual(t, regroupStreaming(t, cfg, 2, pairs, false), collectStreams(t, cfg, 2, pairs))
+			streamsEqual(t, regroupFragments(t, cfg, 2, pairs, false), collectStreams(t, cfg, 2, pairs))
 		})
 	}
 }
@@ -693,21 +745,21 @@ func TestGroupedStreamByteIdentical(t *testing.T) {
 // warm band recur in every spill of every sender) ship well over 64 runs to
 // two reducers, taking turns so arrival order is the same on both sides.
 // Every duplicate key must then concatenate its values in run-arrival
-// order, exactly as regrouping the Streaming fragments does.
+// order, exactly as regrouping the raw fragments does.
 func TestGroupedManyRunsMultiSenderByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{2: genPairs(2500, 1), 3: genPairs(2500, 9), 4: genPairs(1500, 4)}
 	for _, combiner := range []CombineFunc{nil, sumCombiner} {
 		cfg := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 256, Combiner: combiner}
-		grouped, runs := collectStreamsInTurn(t, cfg, 5, pairs, true)
+		grouped, runs := collectStreamsInTurn(t, cfg, 5, pairs, true, recvGrouped)
 		if perReducer := runs / 2; perReducer < 64 {
 			t.Fatalf("only %d runs per reducer, want at least 64", perReducer)
 		}
-		streamsEqual(t, regroupStreaming(t, cfg, 5, pairs, true), grouped)
+		streamsEqual(t, regroupFragments(t, cfg, 5, pairs, true), grouped)
 	}
 }
 
-// refStream is what one sender's pairs must look like to a single streaming
-// reducer, derived from the specification alone: buffer into refBuffer, and
+// refStream is the fragment sequence one sender's pairs must arrive as at a
+// single reducer, derived from the specification alone: buffer into refBuffer, and
 // whenever the payload reaches the threshold (and once at close) hand over
 // every key in sorted order with its combined, optionally sorted, value list.
 func refStream(cfg Config, pairs []kv.Pair) []streamEntry {
@@ -736,29 +788,29 @@ func refStream(cfg Config, pairs []kv.Pair) []streamEntry {
 }
 
 // TestStreamingStreamByteIdentical checks the whole send side — arena, fold,
-// spill order, realign, wire — against refStream in streaming mode, in every
-// send variant: fragments must arrive in the same order with the same bytes,
-// since spills serialize in sorted key order and a single sender's messages
-// are FIFO.
+// spill order, realign, wire — against refStream, in every send variant: the
+// fragments the reducer receives raw must arrive in the same order with the
+// same bytes, since spills serialize in sorted key order and a single
+// sender's messages are FIFO.
 func TestStreamingStreamByteIdentical(t *testing.T) {
 	pairs := map[int][]kv.Pair{1: genPairs(3000, 5)}
 	for _, v := range sendVariants {
 		t.Run(v.name, func(t *testing.T) {
-			cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 768, Streaming: true}
+			cfg := Config{Reducers: []int{0}, Senders: []int{1}, SpillThreshold: 768}
 			v.mut(&cfg)
-			streamsEqual(t, map[int][]streamEntry{0: refStream(cfg, pairs[1])}, collectStreams(t, cfg, 2, pairs))
+			streamsEqual(t, map[int][]streamEntry{0: refStream(cfg, pairs[1])}, collectFragments(t, cfg, 2, pairs, false))
 		})
 	}
 }
 
 // TestGroupedMultiSenderAggregateEquivalent compares grouped Recv with the
-// Streaming-regroup oracle under concurrent senders. Arrival order across
+// raw-reception oracle under concurrent senders. Arrival order across
 // senders is racy, so the per-key value order is not deterministic; keys
 // (sorted, exactly once) and per-key value multisets must still agree.
 func TestGroupedMultiSenderAggregateEquivalent(t *testing.T) {
 	pairs := map[int][]kv.Pair{2: genPairs(2500, 1), 3: genPairs(2500, 9), 4: genPairs(1000, 4)}
 	cfg := Config{Reducers: []int{0, 1}, Senders: []int{2, 3, 4}, SpillThreshold: 1024, Combiner: sumCombiner}
-	oracle := regroupStreaming(t, cfg, 5, pairs, false)
+	oracle := regroupFragments(t, cfg, 5, pairs, false)
 	grouped := collectStreams(t, cfg, 5, pairs)
 
 	normalize := func(streams map[int][]streamEntry) map[string][]string {

@@ -94,7 +94,8 @@ func TestRangePartitionerBalancesSkew(t *testing.T) {
 		return counts
 	}
 	sampledCounts := count(sampled)
-	naiveCounts := count(FirstByteRangePartitioner)
+	// The naive baseline: n ranges of equal first-byte width.
+	naiveCounts := count(RangePartitioner([][]byte{{32}, {64}, {96}, {128}, {160}, {192}, {224}}))
 
 	max := func(c []int) int {
 		m := 0

@@ -29,7 +29,7 @@ func (e *UnexpectedTagError) Error() string {
 }
 
 // receiver is the reducer-side state behind Recv: wildcard reception,
-// reverse realignment and (in grouped mode) the cross-mapper merge.
+// reverse realignment and the cross-mapper merge.
 type receiver struct {
 	d *D
 
@@ -38,12 +38,8 @@ type receiver struct {
 	// held sums the capacity of every received DataTag payload.
 	held int
 
-	// Streaming mode: fragments decoded from the current message, served
-	// in order.
-	fragments []kv.KeyList
-
-	// Grouped mode (default): the received partition buffers, each a
-	// sorted run numbered by arrival, and the one k-way pass over them.
+	// The received partition buffers, each a sorted run numbered by
+	// arrival, and the one k-way pass over them.
 	runs       []shuffle.Run
 	merge      *shuffle.Iterator
 	mergeStart time.Time
@@ -53,16 +49,11 @@ type receiver struct {
 // it in a loop; io.EOF signals that every sender finalized and all data was
 // delivered.
 //
-// In the default grouped mode each key is returned exactly once with all
-// its values merged across mappers, keys in lexicographic order. In
-// Streaming mode fragments are returned in arrival order as each message is
-// reverse-realigned, so a key may appear once per sending spill.
+// Each key is returned exactly once with all its values merged across
+// mappers, keys in lexicographic order.
 func (d *D) Recv() ([]byte, [][]byte, error) {
 	if !d.isReducer {
 		return nil, nil, fmt.Errorf("mpid: rank %d is not a reducer", d.comm.Rank())
-	}
-	if d.cfg.Streaming {
-		return d.recvState.nextStreaming()
 	}
 	return d.recvState.nextGroupedMerged()
 }
@@ -96,43 +87,6 @@ func (r *receiver) receiveMessage() (data []byte, more bool, err error) {
 		}
 	}
 	return nil, false, nil
-}
-
-// decode reverse-realigns one contiguous partition buffer back into
-// key/value-list fragments ("the sequential data stream will be
-// re-constructed as key-value pairs").
-func (r *receiver) decode(data []byte) ([]kv.KeyList, error) {
-	var out []kv.KeyList
-	for len(data) > 0 {
-		klist, n, err := kv.ReadKeyList(data)
-		if err != nil {
-			return nil, fmt.Errorf("mpid: corrupt partition buffer: %w", err)
-		}
-		out = append(out, klist)
-		r.d.counters.PairsReceived += int64(len(klist.Values))
-		data = data[n:]
-	}
-	return out, nil
-}
-
-// nextStreaming yields fragments in arrival order.
-func (r *receiver) nextStreaming() ([]byte, [][]byte, error) {
-	for len(r.fragments) == 0 {
-		data, more, err := r.receiveMessage()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !more {
-			return nil, nil, io.EOF
-		}
-		r.fragments, err = r.decode(data)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	f := r.fragments[0]
-	r.fragments = r.fragments[1:]
-	return f.Key, f.Values, nil
 }
 
 // nextGroupedMerged is the single-pass grouped drain: each received

@@ -152,7 +152,7 @@ func TestMiniHadoopSortJobGlobalOrder(t *testing.T) {
 	res, _, err := runJob(mapred.Job{
 		Mapper:      identityMap,
 		Reducer:     identityReduce,
-		Partitioner: core.FirstByteRangePartitioner,
+		Partitioner: core.RangePartitioner([][]byte{{64}, {128}, {192}}),
 		NumReducers: 4,
 	}, splits, Config{NumTrackers: 2})
 	if err != nil {

@@ -64,14 +64,6 @@ type JobReport struct {
 	Spans []trace.Span
 }
 
-// ChromeTrace exports the job's spans as a chrome://tracing /
-// ui.perfetto.dev trace-event JSON file.
-func (r *JobReport) ChromeTrace() ([]byte, error) { return trace.ChromeTrace(r.Spans) }
-
-// Timeline renders the job's spans as a fixed-width ASCII Gantt chart, the
-// live analogue of the paper's Figure 1 (width <= 0 uses the default).
-func (r *JobReport) Timeline(width int) string { return trace.RenderTimeline(r.Spans, width) }
-
 // CopyShareOfReduce is the copy phase's share of total reducer time,
 // Σcopy / Σ(copy+sort+reduce) × 100 — the quantity the paper's Figure 1
 // makes visible per reducer. Zero when no reduce timings were recorded.

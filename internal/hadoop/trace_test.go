@@ -119,7 +119,7 @@ func TestTracedJobSpans(t *testing.T) {
 		t.Error("no serve span is parented under a fetch span — shuffle trace context not propagated")
 	}
 
-	data, err := rep.ChromeTrace()
+	data, err := trace.ChromeTrace(rep.Spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTracedJobSpans(t *testing.T) {
 	if st.Spans != len(rep.Spans) {
 		t.Errorf("chrome export has %d spans, report has %d", st.Spans, len(rep.Spans))
 	}
-	if tl := rep.Timeline(100); !strings.Contains(tl, "m0") || !strings.Contains(tl, "job") {
+	if tl := trace.RenderTimeline(rep.Spans, 100); !strings.Contains(tl, "m0") || !strings.Contains(tl, "job") {
 		t.Errorf("timeline missing expected rows:\n%s", tl)
 	}
 }
@@ -270,7 +270,7 @@ func TestChaosTrackerCrashTrace(t *testing.T) {
 		}
 	}
 
-	data, err := rep.ChromeTrace()
+	data, err := trace.ChromeTrace(rep.Spans)
 	if err != nil {
 		t.Fatal(err)
 	}

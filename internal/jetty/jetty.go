@@ -19,7 +19,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -84,27 +83,15 @@ type OutputKey struct {
 }
 
 // Store holds map outputs a server can serve. It is safe for concurrent
-// use: mappers put while reducers fetch. A segment is either an in-memory
-// byte slice (Put) or a reference to a spill file on disk (PutFile); the
-// server serves both through the same servlet, using sendfile for the
-// file-backed ones.
+// use: mappers put while reducers fetch.
 type Store struct {
-	mu    sync.RWMutex
-	data  map[OutputKey][]byte
-	files map[OutputKey]fileSegment
-}
-
-// fileSegment is a disk-resident map output: the spill file path and the
-// segment's byte length (validated at PutFile time so serves can set
-// Content-Length without a stat).
-type fileSegment struct {
-	path string
-	size int64
+	mu   sync.RWMutex
+	data map[OutputKey][]byte
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{data: make(map[OutputKey][]byte), files: make(map[OutputKey]fileSegment)}
+	return &Store{data: make(map[OutputKey][]byte)}
 }
 
 // Put registers the output of one (job, map) for one reduce. The store
@@ -115,53 +102,12 @@ func (s *Store) Put(key OutputKey, data []byte) {
 	s.data[key] = data
 }
 
-// PutFile registers a disk-resident output: the segment lives in the spill
-// file at path and is served straight off disk (sendfile). The file is
-// stat'd once here so its size is known; the caller must keep it intact
-// until Delete.
-func (s *Store) PutFile(key OutputKey, path string) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("jetty: put file segment: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.files[key] = fileSegment{path: path, size: fi.Size()}
-	return nil
-}
-
-// Get returns the stored in-memory output and whether it exists. File-backed
-// segments are not materialized here; they are served directly by the
-// server (see GetFile).
+// Get returns the stored output and whether it exists.
 func (s *Store) Get(key OutputKey) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d, ok := s.data[key]
 	return d, ok
-}
-
-// GetFile returns the path and size of a file-backed output.
-func (s *Store) GetFile(key OutputKey) (string, int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, ok := s.files[key]
-	return f.path, f.size, ok
-}
-
-// Delete removes an output (job cleanup). For file-backed segments only the
-// reference is dropped; the spill file itself belongs to the caller.
-func (s *Store) Delete(key OutputKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.data, key)
-	delete(s.files, key)
-}
-
-// Len returns the number of stored outputs.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data) + len(s.files)
 }
 
 // Server is the embedded HTTP server a tasktracker would run.
@@ -257,18 +203,9 @@ func (s *Server) handleMapOutput(w http.ResponseWriter, r *http.Request) {
 	}
 	key := OutputKey{Job: job, Map: mapID, Reduce: reduceID}
 	data, ok := s.store.Get(key)
-	var fpath string
-	var fsize int64
-	if !ok {
-		fpath, fsize, ok = s.store.GetFile(key)
-	}
 	if !ok {
 		span.Annotate("error", "gone")
 		http.Error(w, "jetty: no such map output", http.StatusGone)
-		return
-	}
-	if fpath != "" {
-		s.serveFile(w, span, fpath, fsize, reduceID)
 		return
 	}
 	span.Annotate("bytes", strconv.Itoa(len(data)))
@@ -280,34 +217,7 @@ func (s *Server) handleMapOutput(w http.ResponseWriter, r *http.Request) {
 	// net/http's ResponseWriter implements io.ReaderFrom; with
 	// Content-Length set the body bypasses chunked encoding, so io.Copy
 	// moves the segment in one buffered pass.
-	n, _ := io.Copy(w, bytes.NewReader(data))
-	s.Metrics.Counter("shuffle.serves_zerocopy").Inc()
-	s.Metrics.Counter("shuffle.zerocopy_bytes").Add(n)
-}
-
-// serveFile streams a file-backed segment. io.Copy finds the
-// ResponseWriter's io.ReaderFrom and the *os.File source, which on Linux
-// collapses into sendfile(2): the segment moves disk→socket without ever
-// entering user space — the Jetty NIO transferTo serving Hadoop uses when
-// shuffle outputs spill to disk.
-func (s *Server) serveFile(w http.ResponseWriter, span *trace.Span, path string, size int64, reduceID int) {
-	f, err := os.Open(path)
-	if err != nil {
-		span.Annotate("error", err.Error())
-		http.Error(w, "jetty: map output unreadable", http.StatusGone)
-		return
-	}
-	defer f.Close()
-	span.Annotate("bytes", strconv.FormatInt(size, 10))
-	span.Annotate("sendfile", "1")
-	w.Header().Set(HeaderMapOutputLength, strconv.FormatInt(size, 10))
-	w.Header().Set(HeaderForReduce, strconv.Itoa(reduceID))
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	s.Metrics.Counter("shuffle.serves").Inc()
-	s.Metrics.Counter("shuffle.serve_bytes").Add(size)
-	n, _ := io.Copy(w, io.LimitReader(f, size))
-	s.Metrics.Counter("shuffle.serves_zerocopy").Inc()
-	s.Metrics.Counter("shuffle.sendfile_bytes").Add(n)
+	io.Copy(w, bytes.NewReader(data))
 }
 
 // handleStream serves size synthetic bytes, the §II.B bandwidth endpoint,

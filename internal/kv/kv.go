@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Pair is a single key-value record. Keys and values are opaque bytes; the
@@ -193,27 +192,9 @@ func ReadBytes(b []byte) ([]byte, int, error) {
 func BytesSize(b []byte) int { return VLongSize(int64(len(b))) + len(b) }
 
 // ---------------------------------------------------------------------------
-// Typed helpers for common Hadoop writables.
-
-// EncodeInt64 renders v as a fixed 8-byte big-endian value (LongWritable).
-func EncodeInt64(v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return b[:]
-}
-
-// DecodeInt64 parses a LongWritable value.
-func DecodeInt64(b []byte) (int64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("kv: LongWritable needs 8 bytes, got %d", len(b))
-	}
-	return int64(binary.BigEndian.Uint64(b)), nil
-}
-
-// ---------------------------------------------------------------------------
 // Pair stream encoding: the on-the-wire format of a realigned partition.
 // Each record is AppendBytes(key) ++ AppendBytes(value); a partition is a
-// plain concatenation, so it can be scanned sequentially in streaming mode.
+// plain concatenation, so it can be scanned sequentially.
 
 // AppendPair appends the framed encoding of p to dst.
 func AppendPair(dst []byte, p Pair) []byte {
@@ -311,165 +292,4 @@ func (a *ListArena) Take(n int) [][]byte {
 	vs := a.free[:n:n]
 	a.free = a.free[n:]
 	return vs
-}
-
-// ---------------------------------------------------------------------------
-// Streaming reader/writer over io interfaces, used by spill files and the
-// reduce-side reverse realignment.
-
-// Writer frames pairs onto an io.Writer.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-	n   int64
-}
-
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// WritePair frames and writes one pair.
-func (w *Writer) WritePair(p Pair) error {
-	w.buf = AppendPair(w.buf[:0], p)
-	n, err := w.w.Write(w.buf)
-	w.n += int64(n)
-	return err
-}
-
-// BytesWritten returns the total framed bytes written.
-func (w *Writer) BytesWritten() int64 { return w.n }
-
-// Reader scans framed pairs from an io.Reader.
-type Reader struct {
-	r   *bufferedReader
-	key []byte
-	val []byte
-}
-
-// bufferedReader is a minimal pull buffer; bufio would work but pulling
-// exactly what the frames need keeps ReadPair allocation-free after warmup.
-type bufferedReader struct {
-	r   io.Reader
-	buf []byte
-	pos int
-	end int
-}
-
-func (br *bufferedReader) readByte() (byte, error) {
-	if br.pos == br.end {
-		if err := br.fill(); err != nil {
-			return 0, err
-		}
-	}
-	b := br.buf[br.pos]
-	br.pos++
-	return b, nil
-}
-
-func (br *bufferedReader) fill() error {
-	if br.buf == nil {
-		br.buf = make([]byte, 32*1024)
-	}
-	br.pos, br.end = 0, 0
-	n, err := br.r.Read(br.buf)
-	if n > 0 {
-		br.end = n
-		return nil
-	}
-	if err == nil {
-		err = io.ErrNoProgress
-	}
-	return err
-}
-
-func (br *bufferedReader) readFull(dst []byte) error {
-	for len(dst) > 0 {
-		if br.pos == br.end {
-			if err := br.fill(); err != nil {
-				if err == io.EOF {
-					return io.ErrUnexpectedEOF
-				}
-				return err
-			}
-		}
-		n := copy(dst, br.buf[br.pos:br.end])
-		br.pos += n
-		dst = dst[n:]
-	}
-	return nil
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: &bufferedReader{r: r}}
-}
-
-func (r *Reader) readVLong() (int64, error) {
-	b0, err := r.r.readByte()
-	if err != nil {
-		return 0, err
-	}
-	first := int8(b0)
-	if first >= -112 {
-		return int64(first), nil
-	}
-	var n int
-	neg := false
-	if first < -120 {
-		n = -(int(first) + 120)
-		neg = true
-	} else {
-		n = -(int(first) + 112)
-	}
-	var v int64
-	for i := 0; i < n; i++ {
-		b, err := r.r.readByte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		v = v<<8 | int64(b)
-	}
-	if neg {
-		v = ^v
-	}
-	return v, nil
-}
-
-func (r *Reader) readBytesInto(dst []byte) ([]byte, error) {
-	n, err := r.readVLong()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("kv: negative length %d", n)
-	}
-	if cap(dst) < int(n) {
-		dst = make([]byte, n)
-	}
-	dst = dst[:n]
-	if err := r.r.readFull(dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ReadPair reads the next framed pair. The returned slices are only valid
-// until the next call. io.EOF marks a clean end of stream.
-func (r *Reader) ReadPair() (Pair, error) {
-	k, err := r.readBytesInto(r.key)
-	if err != nil {
-		return Pair{}, err // EOF before a key is a clean end
-	}
-	r.key = k
-	v, err := r.readBytesInto(r.val)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Pair{}, err
-	}
-	r.val = v
-	return Pair{Key: r.key, Value: r.val}, nil
 }

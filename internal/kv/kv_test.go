@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -153,81 +152,12 @@ func TestKeyListEmptyValues(t *testing.T) {
 	}
 }
 
-func TestInt64Codec(t *testing.T) {
-	for _, v := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64} {
-		got, err := DecodeInt64(EncodeInt64(v))
-		if err != nil || got != v {
-			t.Errorf("Int64 roundtrip %d: got %d err %v", v, got, err)
-		}
-	}
-	if _, err := DecodeInt64([]byte{1, 2}); err == nil {
-		t.Error("DecodeInt64 of 2 bytes succeeded")
-	}
-}
-
 func TestCompareIsLexicographic(t *testing.T) {
 	if Compare([]byte("a"), []byte("b")) >= 0 ||
 		Compare([]byte("b"), []byte("a")) <= 0 ||
 		Compare([]byte("ab"), []byte("ab")) != 0 ||
 		Compare([]byte("a"), []byte("ab")) >= 0 {
 		t.Error("Compare is not lexicographic")
-	}
-}
-
-func TestStreamWriterReader(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	pairs := []Pair{P("a", "1"), P("bb", "22"), P("", ""), P("ccc", "")}
-	var want int64
-	for _, p := range pairs {
-		if err := w.WritePair(p); err != nil {
-			t.Fatal(err)
-		}
-		want += int64(PairSize(p))
-	}
-	if w.BytesWritten() != want {
-		t.Errorf("BytesWritten = %d, want %d", w.BytesWritten(), want)
-	}
-	r := NewReader(&buf)
-	for i, p := range pairs {
-		got, err := r.ReadPair()
-		if err != nil {
-			t.Fatalf("pair %d: %v", i, err)
-		}
-		if !bytes.Equal(got.Key, p.Key) || !bytes.Equal(got.Value, p.Value) {
-			t.Errorf("pair %d = %v, want %v", i, got, p)
-		}
-	}
-	if _, err := r.ReadPair(); err != io.EOF {
-		t.Errorf("end of stream err = %v, want io.EOF", err)
-	}
-}
-
-func TestStreamReaderLargeRecords(t *testing.T) {
-	// Records larger than the 32 KiB internal buffer must still decode.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	big := bytes.Repeat([]byte("x"), 100*1024)
-	if err := w.WritePair(Pair{Key: []byte("big"), Value: big}); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
-	got, err := r.ReadPair()
-	if err != nil || !bytes.Equal(got.Value, big) {
-		t.Fatalf("large record: err=%v len=%d", err, len(got.Value))
-	}
-}
-
-func TestStreamReaderTruncatedValue(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WritePair(P("key", "value")); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	r := NewReader(bytes.NewReader(trunc))
-	if _, err := r.ReadPair(); err != io.ErrUnexpectedEOF {
-		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
 

@@ -247,7 +247,7 @@ func TestDistributedSortJob(t *testing.T) {
 		Name:        "javasort",
 		Mapper:      identityMap,
 		Reducer:     identityReduce,
-		Partitioner: core.FirstByteRangePartitioner,
+		Partitioner: core.RangePartitioner([][]byte{{64}, {128}, {192}}),
 		NumReducers: 4,
 	}, splits, 3)
 	if err != nil {
@@ -669,7 +669,7 @@ func TestResultOutlivesWorld(t *testing.T) {
 				t.Helper()
 				job := Job{
 					Name: "sort", Mapper: identityMap, Reducer: identityReduce,
-					Partitioner: core.FirstByteRangePartitioner, NumReducers: 2,
+					Partitioner: core.RangePartitioner([][]byte{{128}}), NumReducers: 2,
 					SpillThreshold: 32 << 10,
 				}
 				splits := []Split{NewPairSplit(0, pairs[:len(pairs)/2]), NewPairSplit(1, pairs[len(pairs)/2:])}

@@ -437,8 +437,8 @@ type Config struct {
 	// intermediate passes (never in the final pass, so the reduce function
 	// still sees a value list). Must be associative and commutative.
 	Combine Combiner
-	// Pool recycles intermediate pass buffers; segment buffers handed to
-	// Add are recycled too once a pass consumes them. Optional.
+	// Pool takes back the runs an intermediate pass consumes: the segment
+	// buffers handed to Add and earlier passes' outputs. Optional.
 	Pool *bufpool.Pool
 	// OnPass, when set, observes every completed intermediate pass — the
 	// hook the tasktracker uses to emit merge spans and metrics. Called
@@ -529,7 +529,10 @@ func (m *Merger) runPass(batch []Run) {
 			minSeq = r.Seq
 		}
 	}
-	out := m.cfg.Pool.Get(bytesIn)[:0]
+	// The output is sized exactly: the pool seldom holds a buffer of a
+	// pass's size, and a fresh pooled one is rounded up to its size class,
+	// up to twice bytesIn.
+	out := make([]byte, 0, bytesIn)
 	var keys int
 	err := func() (err error) {
 		// The combiner is user code and this goroutine is the merger's own:
