@@ -12,11 +12,11 @@
 //
 // The daemon serves the JobServiceProtocol on -addr and, when -admin is
 // set, the observability endpoints (/metrics, /metrics.prom, /trace.json,
-// /timeline, /jobs, /events, /healthz, /series, /series.json,
-// /debug/pprof/) on -admin: -events sizes the flight-recorder ring and
-// -sample paces the time-series sampler behind /series.json. SIGTERM or
-// SIGINT starts a graceful drain: no new admissions, queued and running
-// jobs finish, and anything still unfinished after -drain is canceled.
+// /timeline, /jobs, /events, /healthz, /debug/pprof/) on -admin. /healthz
+// answers 200 while the service admits work and 503 once admission is at
+// capacity or a drain has begun. SIGTERM or SIGINT starts a graceful drain:
+// no new admissions, queued and running jobs finish, and anything still
+// unfinished after -drain is canceled.
 //
 // Client mode, against a running daemon:
 //
@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -45,7 +46,6 @@ import (
 	"github.com/ict-repro/mpid/internal/admin"
 	"github.com/ict-repro/mpid/internal/hadoop"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
-	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/serve"
 )
 
@@ -57,8 +57,6 @@ func main() {
 	queue := flag.Int("queue", 64, "daemon: admission queue depth")
 	mappers := flag.Int("mappers", 2, "daemon: mapper ranks per job")
 	drain := flag.Duration("drain", 30*time.Second, "daemon: graceful drain budget on SIGTERM")
-	eventCap := flag.Int("events", obs.DefaultEventCap, "daemon: flight-recorder ring capacity")
-	sample := flag.Duration("sample", time.Second, "daemon: metrics time-series sampling interval")
 
 	// Client flags.
 	connect := flag.String("connect", "", "client: daemon address to connect to (enables client mode)")
@@ -75,18 +73,21 @@ func main() {
 		}
 		return
 	}
-	if err := runDaemon(*addr, *adminAddr, *slots, *queue, *mappers, *drain, *eventCap, *sample); err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	if err := runDaemon(*addr, *adminAddr, *slots, *queue, *mappers, *drain, sig, os.Stdout); err != nil {
 		fail(err)
 	}
 }
 
+// runDaemon serves until a signal arrives on stop, then drains, writing its
+// progress to out.
 func runDaemon(addr, adminAddr string, slots, queue, mappers int, drain time.Duration,
-	eventCap int, sample time.Duration) error {
+	stop <-chan os.Signal, out io.Writer) error {
 	svc := serve.New(serve.Config{
 		Slots:      slots,
 		QueueDepth: queue,
 		Cluster:    hadoop.Config{NumTrackers: mappers},
-		EventCap:   eventCap,
 	})
 	srv := hadooprpc.NewServer()
 	srv.Register(serve.NewProtocol(svc, serve.NewWorkloads()))
@@ -95,40 +96,43 @@ func runDaemon(addr, adminAddr string, slots, queue, mappers int, drain time.Dur
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("mpid-serve: serving %s v%d on %s (mpid engine, %d slots, %d queue)\n",
+	fmt.Fprintf(out, "mpid-serve: serving %s v%d on %s (mpid engine, %d slots, %d queue)\n",
 		serve.ProtocolName, serve.ProtocolVersion, bound, slots, queue)
 
 	if adminAddr != "" {
-		cfg := serve.DefaultSeries()
-		cfg.Interval = sample
-		smp := obs.NewSampler(svc.Telemetry().Metrics, cfg)
-		smp.Start()
-		defer smp.Stop()
-		extras := []admin.Page{
-			{Path: "/jobs", Handler: jobsPage(svc)},
-			admin.HealthPage(svc.Health()),
-		}
-		extras = append(extras, admin.SeriesPages(smp)...)
-		adm, err := admin.New(adminAddr, svc.Telemetry(), extras...)
+		adm, err := admin.New(adminAddr, svc.Telemetry(),
+			admin.Page{Path: "/jobs", Handler: jobsPage(svc)},
+			admin.Page{Path: "/healthz", Handler: healthzPage(svc)})
 		if err != nil {
 			return err
 		}
 		defer adm.Close()
-		fmt.Printf("mpid-serve: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /jobs /events /healthz /series /series.json /debug/pprof/)\n", adm.Addr())
+		fmt.Fprintf(out, "mpid-serve: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /jobs /events /healthz /debug/pprof/)\n", adm.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	got := <-sig
-	fmt.Printf("mpid-serve: %s received, draining (budget %s)\n", got, drain)
+	got := <-stop
+	fmt.Fprintf(out, "mpid-serve: %s received, draining (budget %s)\n", got, drain)
 	if err := svc.Drain(drain); err != nil {
-		fmt.Printf("mpid-serve: drain incomplete: %v\n", err)
+		fmt.Fprintf(out, "mpid-serve: drain incomplete: %v\n", err)
 	} else {
-		fmt.Println("mpid-serve: drained cleanly")
+		fmt.Fprintln(out, "mpid-serve: drained cleanly")
 	}
 	st := svc.Stats()
-	fmt.Printf("mpid-serve: lifetime done=%d failed=%d rejected=%d\n", st.Done, st.Failed, st.Rejected)
+	fmt.Fprintf(out, "mpid-serve: lifetime done=%d failed=%d rejected=%d\n", st.Done, st.Failed, st.Rejected)
 	return nil
+}
+
+// healthzPage serves the service's health report: 200 while every check
+// passes, 503 otherwise.
+func healthzPage(svc *serve.Service) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ok, report := svc.Health()
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if !ok {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		io.WriteString(w, report)
+	}
 }
 
 // jobsPage renders the retained job table: the service-level view the

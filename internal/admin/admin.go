@@ -4,8 +4,8 @@
 // net/http/pprof: the runtime introspection a real Hadoop cluster gets
 // from its web UIs and JMX, scaled down to one process. The engines never
 // start one: the process that owns a job's telemetry does — cmd/mpid-job
-// for the length of one hadoop-engine run (-admin), cmd/mpid-serve for the
-// life of the service.
+// for the length of one run (-admin), cmd/mpid-serve for the life of the
+// service.
 package admin
 
 import (
@@ -13,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 	"time"
 
@@ -30,7 +29,8 @@ import (
 //	/events         the flight recorder's retained events, oldest first
 //	/debug/pprof/   the standard net/http/pprof handlers
 //
-// plus whatever extra pages the caller mounts (HealthPage, SeriesPages).
+// plus whatever extra pages the caller mounts (mpid-serve's /jobs and
+// /healthz).
 // Reads are live: each request snapshots the telemetry at that moment, so
 // polling /metrics during a job watches counters move.
 type Server struct {
@@ -144,40 +144,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "(%d older events dropped by the ring)\n", d)
 	}
 	w.Write([]byte(obs.RenderEvents(s.tel.Events.Events())))
-}
-
-// HealthPage serves /healthz from an obs.Health: 200 with "ok" plus one
-// line per check when every check passes, 503 otherwise. A nil Health is
-// always healthy — a daemon with no checks registered has nothing to fail.
-func HealthPage(h *obs.Health) Page {
-	return Page{Path: "/healthz", Handler: func(w http.ResponseWriter, r *http.Request) {
-		ok, results := h.Evaluate()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if !ok {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		w.Write([]byte(obs.RenderHealth(ok, results)))
-	}}
-}
-
-// SeriesPages serves a sampler's history: /series.json (the machine view)
-// and /series (ASCII sparklines; ?width=N sets the window). A nil sampler
-// serves empty history.
-func SeriesPages(smp *obs.Sampler) []Page {
-	return []Page{
-		{Path: "/series.json", Handler: func(w http.ResponseWriter, r *http.Request) {
-			data, err := smp.MarshalJSON()
-			if err != nil {
-				http.Error(w, "admin: series export: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(data)
-		}},
-		{Path: "/series", Handler: func(w http.ResponseWriter, r *http.Request) {
-			width, _ := strconv.Atoi(r.URL.Query().Get("width"))
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.Write([]byte(obs.RenderSeries(smp.Snapshot(), width)))
-		}},
-	}
 }

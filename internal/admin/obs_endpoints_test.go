@@ -1,11 +1,9 @@
 package admin
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
@@ -70,30 +68,18 @@ func TestMetricsPromLints(t *testing.T) {
 	}
 }
 
-// TestObservabilityPages serves a recorder and the obs-backed extra pages and
-// exercises /events, /healthz (both verdicts) and /series[.json].
+// TestObservabilityPages serves a recorder and one caller-mounted extra page
+// and exercises /events (with the ring's drop count) and the extra page.
 func TestObservabilityPages(t *testing.T) {
-	met := metrics.NewRegistry()
 	rec := obs.NewRecorder(2)
 	rec.Emit(obs.Event{Type: obs.EvJobAdmitted, Job: 1, Tenant: "alice"})
 	rec.Emit(obs.Event{Type: obs.EvSpill, Job: 1, Task: "m0"})
 	rec.Emit(obs.Event{Type: obs.EvJobDone, Job: 1}) // wraps the 2-cap ring
 
-	healthy := true
-	h := obs.NewHealth()
-	h.Register("probe", func() obs.Status {
-		if healthy {
-			return obs.Healthy("all trackers answering")
-		}
-		return obs.Unhealthy("1 dead tracker under recovery")
-	})
-
-	smp := obs.NewSampler(met, obs.SeriesConfig{Gauges: []string{"serve.running"}})
-	met.Gauge("serve.running").Set(3)
-	smp.Sample(time.Now())
-
-	extras := append([]Page{HealthPage(h)}, SeriesPages(smp)...)
-	s, err := New("127.0.0.1:0", obs.Telemetry{Metrics: met, Events: rec}, extras...)
+	extra := Page{Path: "/jobs", Handler: func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("job table\n"))
+	}}
+	s, err := New("127.0.0.1:0", obs.Telemetry{Metrics: metrics.NewRegistry(), Events: rec}, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,47 +102,20 @@ func TestObservabilityPages(t *testing.T) {
 		t.Errorf("/events shows an event the ring dropped:\n%s", body)
 	}
 
-	resp, body = getResp(t, s, "/healthz")
-	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(body, "ok\n") {
-		t.Fatalf("/healthz healthy = %d %q", resp.StatusCode, body)
-	}
-	healthy = false
-	resp, body = getResp(t, s, "/healthz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz unhealthy = %d, want 503", resp.StatusCode)
-	}
-	if !strings.Contains(body, "1 dead tracker") {
-		t.Errorf("/healthz body missing failing detail:\n%s", body)
-	}
-
-	resp, body = getResp(t, s, "/series.json")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/series.json = %d", resp.StatusCode)
-	}
-	var snap obs.SeriesSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/series.json is not valid JSON: %v\n%s", err, body)
-	}
-	if len(snap.Series) != 1 || snap.Series[0].Name != "serve.running" {
-		t.Fatalf("/series.json = %+v, want the serve.running series", snap)
-	}
-
-	resp, body = getResp(t, s, "/series?width=10")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "serve.running") {
-		t.Fatalf("/series = %d:\n%s", resp.StatusCode, body)
+	if resp, body = getResp(t, s, "/jobs"); resp.StatusCode != http.StatusOK || body != "job table\n" {
+		t.Fatalf("mounted /jobs = %d %q", resp.StatusCode, body)
 	}
 }
 
 // TestObsPagesNilBackends: the obs pages keep the admin nil-tolerance
-// contract — nil recorder, health and sampler serve empty content.
+// contract — a nil recorder and registry serve empty content.
 func TestObsPagesNilBackends(t *testing.T) {
-	extras := append([]Page{HealthPage(nil)}, SeriesPages(nil)...)
-	s, err := New("127.0.0.1:0", obs.Telemetry{}, extras...)
+	s, err := New("127.0.0.1:0", obs.Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, path := range []string{"/events", "/healthz", "/series", "/series.json", "/metrics.prom"} {
+	for _, path := range []string{"/events", "/metrics.prom"} {
 		resp, body := getResp(t, s, path)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s with nil backends = %d\n%s", path, resp.StatusCode, body)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/kv"
@@ -124,8 +125,10 @@ func (r *receiver) nextGroupedMerged() ([]byte, [][]byte, error) {
 	if !ok {
 		if d := r.d; r.runs != nil {
 			d.mergeTimer.ObserveDuration(time.Since(r.mergeStart))
-			d.cfg.Tracer.Record(trace.Context{}, "mpid.recv.merge", trace.KindMerge,
-				r.mergeStart, time.Now(), trace.Annotation{Key: "runs", Value: fmt.Sprint(len(r.runs))})
+			if d.cfg.Tracer != nil {
+				d.cfg.Tracer.Record(trace.Context{}, "mpid.recv.merge", trace.KindMerge, r.mergeStart, time.Now(),
+					d.rankNote(), trace.Annotation{Key: "runs", Value: strconv.Itoa(len(r.runs))})
+			}
 			r.runs = nil // observe once; Recv keeps answering io.EOF
 		}
 		return nil, nil, io.EOF

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/ict-repro/mpid/internal/kv"
@@ -97,8 +98,9 @@ func (d *D) spill() error {
 	end := time.Now()
 	d.spillTimer.ObserveDuration(end.Sub(spillStart))
 	if d.cfg.Tracer != nil {
-		d.cfg.Tracer.Record(trace.Context{}, "mpid.realign", trace.KindMerge, spillStart, realignEnd)
-		d.cfg.Tracer.Record(trace.Context{}, "mpid.spill", trace.KindMerge, spillStart, end)
+		rank := d.rankNote()
+		d.cfg.Tracer.Record(trace.Context{}, "mpid.realign", trace.KindMerge, spillStart, realignEnd, rank)
+		d.cfg.Tracer.Record(trace.Context{}, "mpid.spill", trace.KindMerge, spillStart, end, rank)
 	}
 	return nil
 }
@@ -112,4 +114,9 @@ func (d *D) Flush() error {
 		return nil
 	}
 	return d.spill()
+}
+
+// rankNote annotates this rank's spans with its rank.
+func (d *D) rankNote() trace.Annotation {
+	return trace.Annotation{Key: "rank", Value: strconv.Itoa(d.comm.Rank())}
 }

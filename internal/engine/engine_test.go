@@ -75,17 +75,34 @@ func TestContract(t *testing.T) {
 			t.Errorf("%s: the tracer handed in exports %+v, %v", name, st, err)
 		}
 		if name == "mpid" {
-			seen := map[string]bool{}
+			// Each MPI-D span names its rank; the two reducers' merges
+			// name two ranks.
+			seen, mergeRanks := map[string]bool{}, map[string]bool{}
 			for _, s := range spans {
 				if s.Proc != "mpid" {
 					t.Errorf("mpid: span %s on lane %q", s.Name, s.Proc)
 				}
 				seen[s.Name] = true
+				rank := ""
+				for _, n := range s.Notes {
+					if n.Key == "rank" {
+						rank = n.Value
+					}
+				}
+				if rank == "" {
+					t.Errorf("mpid: span %s carries no rank note: %+v", s.Name, s.Notes)
+				}
+				if s.Name == "mpid.recv.merge" {
+					mergeRanks[rank] = true
+				}
 			}
 			for _, want := range []string{"mpid.spill", "mpid.realign", "mpid.recv.merge"} {
 				if !seen[want] {
 					t.Errorf("mpid: no %s span among %d", want, len(spans))
 				}
+			}
+			if len(mergeRanks) != 2 {
+				t.Errorf("mpid: recv.merge spans name ranks %v, want 2 distinct", mergeRanks)
 			}
 		}
 		var flat []byte

@@ -123,7 +123,7 @@ func (c *Client) ensureConn(deadline time.Time) (*conn, error) {
 // dialLocked establishes one connection generation: TCP connect, header,
 // read loop, handshake.
 func (c *Client) dialLocked(deadline time.Time) (*conn, error) {
-	if err := c.opts.Injector.Check(c.opts.Component, "dial", c.addr); err != nil {
+	if err := c.opts.Injector.Check(component, "dial", c.addr); err != nil {
 		return nil, err
 	}
 	d := net.Dialer{Deadline: deadline}
@@ -137,7 +137,7 @@ func (c *Client) dialLocked(deadline time.Time) (*conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	nc = faults.WrapConn(nc, c.opts.Injector, c.opts.Component, c.addr)
+	nc = faults.WrapConn(nc, c.opts.Injector, component, c.addr)
 	cn := &conn{
 		nc:      nc,
 		w:       bufio.NewWriterSize(nc, 64*1024),
@@ -334,7 +334,7 @@ func (c *Client) CallTraced(tctx []byte, method string, params ...[]byte) ([]byt
 
 // attempt is one try of a Call: injection point, connection, exchange.
 func (c *Client) attempt(method string, params [][]byte, tctx []byte, deadline time.Time) ([]byte, error) {
-	if err := c.opts.Injector.Check(c.opts.Component, "call", method); err != nil {
+	if err := c.opts.Injector.Check(component, "call", method); err != nil {
 		if errors.Is(err, faults.ErrDropped) {
 			c.mu.Lock()
 			cn := c.cur

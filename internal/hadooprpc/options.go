@@ -35,12 +35,9 @@ type Options struct {
 	// Backoff shapes the delay between retries.
 	Backoff faults.Backoff
 	// Injector, when set, receives injection points: "dial" and "call"
-	// operations on Component, plus "read"/"write" through the wrapped
-	// connection.
+	// operations on component "hadooprpc.client", plus "read"/"write"
+	// through the wrapped connection.
 	Injector *faults.Injector
-	// Component names this client to the injector (default
-	// "hadooprpc.client").
-	Component string
 	// Telemetry observes the calls. Metrics receives "rpc.calls" and
 	// "rpc.calls.<method>" counters, an "rpc.latency" timer over whole
 	// Calls (retries included), "rpc.retries" and "rpc.errors" counters,
@@ -61,11 +58,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 1
 	}
-	if o.Component == "" {
-		o.Component = "hadooprpc.client"
-	}
 	return o
 }
+
+// component names every client to a fault injector.
+const component = "hadooprpc.client"
 
 // jitterSeed drives retry jitter; fixed, so backoff schedules reproduce.
 const jitterSeed = 1

@@ -1,15 +1,14 @@
 // Package obs is the post-mortem observability layer over the live stack:
 // a flight recorder of typed structured events (internal/metrics answers
 // "how much", internal/trace answers "where did the time go", this package
-// answers "what happened, in what order"), a time-series sampler that turns
-// the point-in-time metrics registry into bounded rate/saturation history
-// for long soaks, OpenMetrics text exposition for external scrapers, and a
-// named-check health model driving /healthz.
+// answers "what happened, in what order"), OpenMetrics text exposition of
+// a metrics snapshot for external scrapers, and Telemetry, the one value
+// jobs and the engines emit into.
 //
 // Design points, following internal/metrics and internal/faults:
 //
-//   - a nil *Recorder, *Sampler or *Health is valid everywhere and records
-//     nothing, so hot paths thread them unconditionally;
+//   - a nil *Recorder is valid everywhere and records nothing, so hot
+//     paths thread it unconditionally;
 //   - the recorder is a bounded ring: a long-lived daemon keeps the newest
 //     events at fixed memory, counting what it dropped;
 //   - per-job child recorders stamp their job/tenant identity and fold

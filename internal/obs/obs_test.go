@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -252,189 +251,5 @@ func TestLintPromRejects(t *testing.T) {
 	ok := "# TYPE x_total gauge\nx_total 5\n# EOF\n"
 	if err := LintProm([]byte(ok)); err != nil {
 		t.Errorf("gauge named x_total rejected: %v", err)
-	}
-}
-
-func TestSamplerRatesAndRings(t *testing.T) {
-	reg := metrics.NewRegistry()
-	smp := NewSampler(reg, SeriesConfig{
-		Counters: []string{"c"},
-		Gauges:   []string{"g"},
-		Timers:   []string{"t"},
-	})
-	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-
-	// First sample: no baseline, so rate is zero (not a spike).
-	reg.Counter("c").Add(100)
-	smp.Sample(base)
-	// Then 50 increments over 2 seconds = 25/s.
-	reg.Counter("c").Add(50)
-	reg.Gauge("g").Set(7)
-	for i := 1; i <= 10; i++ {
-		reg.Timer("t").Observe(float64(i) / 100) // 10..100 ms
-	}
-	smp.Sample(base.Add(2 * time.Second))
-
-	snap := smp.Snapshot()
-	byName := map[string]Series{}
-	for _, s := range snap.Series {
-		byName[s.Name] = s
-	}
-	c := byName["c"]
-	if c.Kind != "rate" || len(c.Points) != 2 {
-		t.Fatalf("counter series = %+v", c)
-	}
-	if c.Points[0].V != 0 {
-		t.Fatalf("first counter sample rate = %v, want 0", c.Points[0].V)
-	}
-	if c.Points[1].V != 25 {
-		t.Fatalf("counter rate = %v, want 25/s", c.Points[1].V)
-	}
-	if g := byName["g"]; g.Kind != "gauge" || g.Points[1].V != 7 {
-		t.Fatalf("gauge series = %+v", g)
-	}
-	p50 := byName["t.p50"]
-	if p50.Kind != "ms" || len(p50.Points) != 2 {
-		t.Fatalf("timer p50 series = %+v", p50)
-	}
-	// 10..100ms observations: p50 is ~55ms; allow interpolation slack.
-	if v := p50.Points[1].V; v < 40 || v > 70 {
-		t.Fatalf("timer p50 = %v ms, want ~55", v)
-	}
-	if _, ok := byName["t.p99"]; !ok {
-		t.Fatal("timer must expand to a .p99 series")
-	}
-
-	// Ring wraps at DefaultSeriesCap.
-	for i := 3; i <= DefaultSeriesCap+6; i++ {
-		smp.Sample(base.Add(time.Duration(i) * time.Second))
-	}
-	snap = smp.Snapshot()
-	for _, s := range snap.Series {
-		if len(s.Points) != DefaultSeriesCap {
-			t.Fatalf("series %s has %d points, want %d (ring cap)", s.Name, len(s.Points), DefaultSeriesCap)
-		}
-		for i := 1; i < len(s.Points); i++ {
-			if s.Points[i-1].UnixMs >= s.Points[i].UnixMs {
-				t.Fatalf("series %s points not oldest-first", s.Name)
-			}
-		}
-	}
-
-	// JSON body has the documented shape.
-	body, err := smp.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded SeriesSnapshot
-	if err := json.Unmarshal(body, &decoded); err != nil {
-		t.Fatalf("series.json does not round-trip: %v", err)
-	}
-	if len(decoded.Series) != len(snap.Series) {
-		t.Fatalf("round-trip lost series: %d vs %d", len(decoded.Series), len(snap.Series))
-	}
-}
-
-func TestSamplerNilSafe(t *testing.T) {
-	var s *Sampler
-	s.Start()
-	s.Sample(time.Now())
-	s.Stop()
-	if snap := s.Snapshot(); len(snap.Series) != 0 {
-		t.Fatal("nil sampler must report no series")
-	}
-}
-
-func TestSamplerStartStop(t *testing.T) {
-	reg := metrics.NewRegistry()
-	smp := NewSampler(reg, SeriesConfig{Interval: time.Millisecond, Counters: []string{"c"}})
-	smp.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if len(smp.Snapshot().Series) > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	smp.Stop()
-	if len(smp.Snapshot().Series) == 0 {
-		t.Fatal("sampler goroutine took no samples")
-	}
-	smp.Stop() // second Stop is a no-op
-}
-
-func TestSpark(t *testing.T) {
-	if got := Spark(nil, 10); got != "" {
-		t.Fatalf("Spark(nil) = %q", got)
-	}
-	flat := Spark([]float64{5, 5, 5}, 10)
-	if flat != "▁▁▁" {
-		t.Fatalf("flat sparkline = %q, want all-low", flat)
-	}
-	ramp := []rune(Spark([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 10))
-	if len(ramp) != 8 || ramp[0] != '▁' || ramp[7] != '█' {
-		t.Fatalf("ramp sparkline = %q", string(ramp))
-	}
-	// Width trims to the newest values.
-	if got := Spark([]float64{0, 0, 9, 9}, 2); got != "▁▁" {
-		t.Fatalf("trimmed sparkline = %q, want the two newest (flat) values", got)
-	}
-}
-
-func TestRenderSeries(t *testing.T) {
-	reg := metrics.NewRegistry()
-	smp := NewSampler(reg, SeriesConfig{Gauges: []string{"g"}})
-	reg.Gauge("g").Set(42)
-	smp.Sample(time.Now())
-	out := RenderSeries(smp.Snapshot(), 0)
-	if !strings.Contains(out, "g") || !strings.Contains(out, "last=42") {
-		t.Fatalf("RenderSeries output:\n%s", out)
-	}
-}
-
-func TestHealth(t *testing.T) {
-	var nilH *Health
-	if ok, res := nilH.Evaluate(); !ok || res != nil {
-		t.Fatal("nil Health must evaluate healthy with no checks")
-	}
-	nilH.Register("x", func() Status { return Healthy("") }) // no panic
-
-	h := NewHealth()
-	ok, _ := h.Evaluate()
-	if !ok {
-		t.Fatal("empty Health must be healthy")
-	}
-	dead := 0
-	h.Register("probe", func() Status {
-		if dead > 0 {
-			return Unhealthy("%d dead trackers", dead)
-		}
-		return Healthy("all trackers answering")
-	})
-	h.Register("saturation", func() Status { return Healthy("0/8 backlogged") })
-
-	ok, results := h.Evaluate()
-	if !ok || len(results) != 2 {
-		t.Fatalf("ok=%v results=%d, want healthy with 2 checks", ok, len(results))
-	}
-	if results[0].Name != "probe" || results[1].Name != "saturation" {
-		t.Fatalf("results out of registration order: %+v", results)
-	}
-	dead = 2
-	ok, results = h.Evaluate()
-	if ok {
-		t.Fatal("one failing check must flip overall health")
-	}
-	out := RenderHealth(ok, results)
-	if !strings.HasPrefix(out, "unhealthy\n") || !strings.Contains(out, "2 dead trackers") || !strings.Contains(out, "FAIL") {
-		t.Fatalf("RenderHealth output:\n%s", out)
-	}
-	dead = 0
-	ok, results = h.Evaluate()
-	if !ok {
-		t.Fatal("health must recover when the check clears")
-	}
-	if out := RenderHealth(ok, results); !strings.HasPrefix(out, "ok\n") {
-		t.Fatalf("RenderHealth output:\n%s", out)
 	}
 }

@@ -29,28 +29,28 @@ func httpGet(t *testing.T, url string) (int, string) {
 }
 
 // TestChaosFlightRecorderAndHealth watches a job whose mapper panics, run
-// beside a healthy one, through the service's flight recorder and /healthz
-// rather than through the jobs. /healthz must flip unhealthy while the two
-// jobs fill every slot and queue position and recover once they end, since
-// a failed job is no fault of the service. Each job must record exactly
-// one admission and then one outcome, stamped with its identity. The
-// failure must name the panic on /events. A drain must flip /healthz
-// unhealthy for good.
+// beside a healthy one, through the service's flight recorder and health
+// report (the /healthz body) rather than through the jobs. Health must flip
+// unhealthy while the two jobs fill every slot and queue position and
+// recover once they end, since a failed job is no fault of the service.
+// Each job must record exactly one admission and then one outcome, stamped
+// with its identity. The failure must name the panic on /events. A drain
+// must flip health unhealthy for good.
 func TestChaosFlightRecorderAndHealth(t *testing.T) {
 	release := make(chan struct{})
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
 	s := New(Config{Slots: 1, QueueDepth: 1, Cluster: testCluster()})
 	rec := s.Telemetry().Events
-	adm, err := admin.New("127.0.0.1:0", s.Telemetry(), admin.HealthPage(s.Health()))
+	adm, err := admin.New("127.0.0.1:0", s.Telemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer adm.Close()
 	base := "http://" + adm.Addr()
 
-	if code, body := httpGet(t, base+"/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz before chaos: %d\n%s", code, body)
+	if ok, report := s.Health(); !ok {
+		t.Fatalf("health before chaos: unhealthy\n%s", report)
 	}
 
 	bad, badSplits := gatedJob("bad", release, stop)
@@ -72,9 +72,8 @@ func TestChaosFlightRecorderAndHealth(t *testing.T) {
 	}
 
 	// One job runs and one waits: admission is at capacity.
-	code, body := httpGet(t, base+"/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "saturation") {
-		t.Fatalf("/healthz at capacity: %d, want 503 naming saturation\n%s", code, body)
+	if ok, report := s.Health(); ok || !strings.Contains(report, "saturation   FAIL") {
+		t.Fatalf("health at capacity: ok=%v, want unhealthy naming saturation\n%s", ok, report)
 	}
 
 	close(release)
@@ -85,8 +84,8 @@ func TestChaosFlightRecorderAndHealth(t *testing.T) {
 	if err := jg.Wait(context.Background()); err != nil {
 		t.Fatalf("job beside the panicked one: %v", err)
 	}
-	if code, body := httpGet(t, base+"/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz after both jobs ended: %d, want 200 (recovered)\n%s", code, body)
+	if ok, report := s.Health(); !ok {
+		t.Fatalf("health after both jobs ended: unhealthy, want recovered\n%s", report)
 	}
 
 	// Each job's recorded chain: one admission, then one outcome, both
@@ -128,9 +127,8 @@ func TestChaosFlightRecorderAndHealth(t *testing.T) {
 	if err := s.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	code, body = httpGet(t, base+"/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
-		t.Fatalf("/healthz after drain: %d, want 503 naming draining\n%s", code, body)
+	if ok, report := s.Health(); ok || !strings.Contains(report, "draining     FAIL") {
+		t.Fatalf("health after drain: ok=%v, want unhealthy naming draining\n%s", ok, report)
 	}
 	if len(rec.OfType(obs.EvServiceDrain)) != 1 {
 		t.Fatalf("service.drain events = %d, want 1\n%s", len(rec.OfType(obs.EvServiceDrain)), obs.RenderEvents(rec.Events()))

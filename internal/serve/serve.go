@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -109,11 +110,6 @@ type Config struct {
 	// repository benchmark sets it so; ROADMAP item 4(l) turns it into a
 	// plain mapper count.
 	Cluster hadoop.Config
-	// EventCap sizes the service-wide flight recorder's ring (default
-	// obs.DefaultEventCap). Each job records into a child of it stamped
-	// with the job's id and tenant, so the service ring interleaves every
-	// job's admission, completion and drain events.
-	EventCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -268,11 +264,21 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	tr := trace.New("serve")
 	tr.SetCap(traceCap)
+	// The service's own series exist from boot, at zero: a scrape of a
+	// service that has not yet failed or rejected a job still carries
+	// every family, so rates over successive scrapes have a baseline.
+	reg := metrics.NewRegistry()
+	for _, c := range []string{"serve.submitted", "serve.done", "serve.failed", "serve.rejected"} {
+		reg.Counter(c)
+	}
+	reg.Gauge("serve.running")
+	reg.Gauge("serve.queued")
+	reg.Timer("serve.job_latency")
 	return &Service{
 		cfg:     cfg,
 		engine:  engine.MPID{Mappers: cfg.Cluster.NumTrackers},
 		budget:  retainBytes,
-		tel:     obs.Telemetry{Metrics: metrics.NewRegistry(), Tracer: tr, Events: obs.NewRecorder(cfg.EventCap)},
+		tel:     obs.Telemetry{Metrics: reg, Tracer: tr, Events: obs.NewRecorder(obs.DefaultEventCap)},
 		tenants: make(map[string]*tenantQueue),
 		drained: make(chan struct{}),
 		jobs:    make(map[int64]*Job),
@@ -551,51 +557,37 @@ func (s *Service) Drain(timeout time.Duration) error {
 	return fmt.Errorf("serve: drain timed out after %v, canceled %d jobs", timeout, canceled)
 }
 
-// Saturated reports whether admission control is at capacity: the next
-// Submit would be rejected.
-func (s *Service) Saturated() bool {
+// Health answers /healthz from one snapshot of the service: "saturation"
+// fails while admission control is rejecting, "draining" fails once
+// shutdown has begun (so load balancers stop routing to a daemon on its way
+// out), and ok holds iff both pass. The report is the verdict line "ok" or
+// "unhealthy", then one line per check.
+func (s *Service) Health() (ok bool, report string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running+s.queued >= s.cfg.Slots+s.cfg.QueueDepth
-}
-
-// Draining reports whether graceful shutdown has begun.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Health builds the service's /healthz evaluator: "saturation" fails while
-// admission control is rejecting, "draining" fails once shutdown has begun
-// (so load balancers stop routing to a daemon on its way out).
-func (s *Service) Health() *obs.Health {
-	h := obs.NewHealth()
-	h.Register("saturation", func() obs.Status {
-		st := s.Stats()
-		if s.Saturated() {
-			return obs.Unhealthy("backlog %d/%d", st.Running+st.Queued, s.cfg.Slots+s.cfg.QueueDepth)
-		}
-		return obs.Healthy("backlog %d/%d", st.Running+st.Queued, s.cfg.Slots+s.cfg.QueueDepth)
-	})
-	h.Register("draining", func() obs.Status {
-		if s.Draining() {
-			return obs.Unhealthy("shutdown in progress")
-		}
-		return obs.Healthy("admitting")
-	})
-	return h
-}
-
-// DefaultSeries selects the service counters, gauges and timers worth a
-// soak-length history: admission and completion rates, backlog levels, and
-// job latency percentiles.
-func DefaultSeries() obs.SeriesConfig {
-	return obs.SeriesConfig{
-		Counters: []string{"serve.submitted", "serve.done", "serve.failed", "serve.rejected"},
-		Gauges:   []string{"serve.running", "serve.queued"},
-		Timers:   []string{"serve.job_latency"},
+	backlog, depth, draining := s.running+s.queued, s.cfg.Slots+s.cfg.QueueDepth, s.draining
+	s.mu.Unlock()
+	saturated := backlog >= depth
+	ok = !saturated && !draining
+	var b strings.Builder
+	if ok {
+		b.WriteString("ok\n")
+	} else {
+		b.WriteString("unhealthy\n")
 	}
+	check := func(name string, fail bool, detail string) {
+		mark := "ok"
+		if fail {
+			mark = "FAIL"
+		}
+		fmt.Fprintf(&b, "  %-12s %-4s %s\n", name, mark, detail)
+	}
+	check("saturation", saturated, fmt.Sprintf("backlog %d/%d", backlog, depth))
+	drain := "admitting"
+	if draining {
+		drain = "shutdown in progress"
+	}
+	check("draining", draining, drain)
+	return ok, b.String()
 }
 
 // TenantStats is one tenant's lifetime accounting.

@@ -101,8 +101,8 @@ func TestSubmitRunsJob(t *testing.T) {
 		if st.Done != 1 || st.Failed != 0 {
 			t.Fatalf("stats = %+v, want done=1 failed=0", st)
 		}
-		if ok, checks := s.Health().Evaluate(); !ok {
-			t.Fatalf("idle service unhealthy: %+v", checks)
+		if ok, report := s.Health(); !ok || !strings.HasPrefix(report, "ok\n") {
+			t.Fatalf("idle service unhealthy:\n%s", report)
 		}
 		if err := s.Drain(5 * time.Second); err != nil {
 			t.Fatal(err)
