@@ -65,6 +65,10 @@ func main() {
 // is given.
 const inputSplit = 256 << 10
 
+// adminPages names what admin.New mounts, for -admin's help and its
+// start-up line.
+const adminPages = "/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/"
+
 func run(args []string, stdout, stderr io.Writer) error {
 	suite := workload.Suite()
 	var names []string
@@ -81,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mappers := fs.Int("mappers", runtime.GOMAXPROCS(0), "mapper count (mpid engine) / tasktrackers (hadoop engine)")
 	top := fs.Int("top", 0, "print only the first N output pairs (0 = all)")
 	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON of the job to this file")
-	adminAddr := fs.String("admin", "", "serve /metrics, /trace.json, /timeline and pprof on this address for the job's duration (use 127.0.0.1:0 for an ephemeral port)")
+	adminAddr := fs.String("admin", "", "serve "+adminPages+" on this address for the job's duration (use 127.0.0.1:0 for an ephemeral port)")
 	showMetrics := fs.Bool("metrics", false, "print the job's final metrics snapshot to stderr")
 	showEvents := fs.Bool("events", false, "print the job's flight-recorder events to stderr")
 	fs.Usage = func() {
@@ -138,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if adm, err = admin.New(*adminAddr, tel); err != nil {
 			return fmt.Errorf("admin server: %w", err)
 		}
-		fmt.Fprintf(stderr, "mpid-job: admin on http://%s (/metrics /metrics.prom /trace.json /timeline /events /debug/pprof/)\n", adm.Addr())
+		fmt.Fprintf(stderr, "mpid-job: admin on http://%s (%s)\n", adm.Addr(), adminPages)
 	}
 	result, _, err := eng.Run(context.Background(), job, splits, tel)
 	if adm != nil {

@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"io"
+	"net/http"
 	"os"
+	"strings"
 	"testing"
 
+	"github.com/ict-repro/mpid/internal/admin"
+	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/serve"
 	"github.com/ict-repro/mpid/internal/workload"
 )
@@ -80,6 +85,38 @@ func TestWordCountInputMatchesGolden(t *testing.T) {
 	for _, eng := range []string{"mpid", "hadoop"} {
 		if got := job(t, "-job", "wordcount", "-input", "testdata/corpus.txt", "-engine", eng); got != string(want) {
 			t.Errorf("-engine %s printed\n%s\nwant testdata/wordcount.golden:\n%s", eng, got, want)
+		}
+	}
+}
+
+// TestAdminHelpNamesEveryPage: -h's line for -admin names every page the
+// admin server mounts, and each page it names answers.
+func TestAdminHelpNamesEveryPage(t *testing.T) {
+	var help bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+	_, line, ok := strings.Cut(help.String(), "-admin")
+	if !ok {
+		t.Fatalf("-h lists no -admin flag:\n%s", help.String())
+	}
+	line, _, _ = strings.Cut(line, "\n  -")
+	adm, err := admin.New("127.0.0.1:0", obs.Telemetry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adm.Close()
+	for _, page := range []string{"/metrics", "/metrics.prom", "/trace.json", "/timeline", "/events", "/debug/pprof/"} {
+		if !strings.Contains(line, " "+page+" ") {
+			t.Errorf("-admin's help does not name %s:%s", page, line)
+		}
+		resp, err := http.Get("http://" + adm.Addr() + page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", page, resp.StatusCode)
 		}
 	}
 }

@@ -115,6 +115,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	}
 	for _, name := range []string{
 		"serve.submitted", "serve.done", "serve.failed", "serve.rejected",
+		"serve.rejected_draining", "serve.drains",
 		"serve.running", "serve.queued", "serve.job_latency",
 	} {
 		if fam := obs.PromName("mpid", name); !strings.Contains(body, "# TYPE "+fam+" ") {

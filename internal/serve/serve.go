@@ -268,7 +268,7 @@ func New(cfg Config) *Service {
 	// service that has not yet failed or rejected a job still carries
 	// every family, so rates over successive scrapes have a baseline.
 	reg := metrics.NewRegistry()
-	for _, c := range []string{"serve.submitted", "serve.done", "serve.failed", "serve.rejected"} {
+	for _, c := range []string{"serve.submitted", "serve.done", "serve.failed", "serve.rejected", "serve.rejected_draining", "serve.drains"} {
 		reg.Counter(c)
 	}
 	reg.Gauge("serve.running")

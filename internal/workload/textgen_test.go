@@ -72,13 +72,28 @@ type textCase struct {
 	s            float64
 	seed         int64
 	size         int
-	wordsPerLine int // 0: the default
+	wordsPerLine int  // 0: the default
+	longWords    bool // stretch every fifth word: see longWordVocabulary
+}
+
+// longWordVocabulary is NewVocabulary(n, seed) with every fifth word, the
+// hottest among them, stretched to 15, 16, 17, 31, 32, 33 or 40 bytes, so
+// its slots are 48 bytes wide and a word may end on either side of a
+// 16-byte block.
+func longWordVocabulary(n int, seed int64) *Vocabulary {
+	words := syllableWords(n, seed)
+	lengths := []int{15, 16, 17, 31, 32, 33, 40}
+	for i := 0; i < n; i += 5 {
+		w := words[i]
+		words[i] = strings.Repeat(w, 40/len(w)+1)[:lengths[i/5%len(lengths)]]
+	}
+	return vocabularyOf(words)
 }
 
 // textCases lists the (vocabulary, s, seed, size) of every generator call
 // site in the module, the benchmark's two sizes included, plus clamped s,
-// non-default line lengths and two vocabulary sizes no call site uses
-// (800 and 3 000 words).
+// non-default line lengths, two vocabulary sizes no call site uses
+// (800 and 3 000 words) and words too long for a 16-byte slot.
 var textCases = []textCase{
 	{site: "bench serve-open", vocabN: 500, vocabSeed: 1, s: 1.15, seed: 7, size: 512 << 10},
 	{site: "bench serve-open seed 3", vocabN: 500, vocabSeed: 1, s: 1.15, seed: 3, size: 512 << 10},
@@ -100,10 +115,14 @@ var textCases = []textCase{
 	{site: "clamped s=1", vocabN: 500, vocabSeed: 1, s: 1, seed: 9, size: 64 << 10},
 	{site: "3 words a line", vocabN: 100, vocabSeed: 2, s: 1.1, seed: 3, size: 32 << 10, wordsPerLine: 3},
 	{site: "1 word a line", vocabN: 1_000, vocabSeed: 1, s: 1.2, seed: 5, size: 16 << 10, wordsPerLine: 1},
+	{site: "words of 15 to 40 bytes", vocabN: 500, vocabSeed: 1, s: 1.15, seed: 7, size: 256 << 10, longWords: true},
 }
 
 func (c textCase) generators() (*TextGenerator, *refTextGenerator) {
 	vocab := NewVocabulary(c.vocabN, c.vocabSeed)
+	if c.longWords {
+		vocab = longWordVocabulary(c.vocabN, c.vocabSeed)
+	}
 	g, ref := NewTextGenerator(vocab, c.s, c.seed), newRefTextGenerator(vocab, c.s, c.seed)
 	if c.wordsPerLine != 0 {
 		g.WordsPerLine, ref.WordsPerLine = c.wordsPerLine, c.wordsPerLine
@@ -118,6 +137,9 @@ func TestTextGeneratorByteIdentical(t *testing.T) {
 	for _, c := range textCases {
 		t.Run(c.site, func(t *testing.T) {
 			g, ref := c.generators()
+			if c.longWords && g.vocab.width != 48 {
+				t.Fatalf("slots are %d bytes wide, want 48", g.vocab.width)
+			}
 			got, want := g.BytesOfText(c.size), ref.BytesOfText(c.size)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("BytesOfText(%d): %d bytes, first difference at %d; want %d bytes",

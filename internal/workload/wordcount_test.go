@@ -81,6 +81,28 @@ func TestWordCountMapAllocs(t *testing.T) {
 	}
 }
 
+// TestWordCountBuildAllocs gates building the served WordCount job: with
+// its vocabulary memoized, a build makes the generator, the text buffer,
+// the splits and the job, 22 allocations; the budget is that plus a fifth.
+// A vocabulary rebuilt per job costs over 600.
+func TestWordCountBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what escapes and allocates")
+	}
+	params := map[string]int64{"bytes": 524288, "split": 65536, "reducers": 2, "seed": 7}
+	build := func() {
+		if _, _, err := WordCount(params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warms the vocabulary memo
+	allocs := testing.AllocsPerRun(5, build)
+	t.Logf("a warm 512 KiB WordCount build: %.0f allocations", allocs)
+	if budget := 22 * 1.2; allocs > budget {
+		t.Fatalf("a warm 512 KiB WordCount build allocates %.0f times, budget %.0f", allocs, budget)
+	}
+}
+
 // BenchmarkWordCountMap is the map side of the WordCount job over one 256 KiB
 // split: MB/s of input, and allocs/op is allocations per split.
 func BenchmarkWordCountMap(b *testing.B) {

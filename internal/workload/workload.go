@@ -13,17 +13,74 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
-// Vocabulary holds the word list text generation draws from.
+// Vocabulary holds the word list text generation draws from. It is never
+// written after it is built, so NewVocabulary shares one among its callers.
 type Vocabulary struct {
-	words  []string
-	maxLen int // longest word, for sizing generated text
+	words []string
+	// slots holds word i at slots[i*width:], then a space, then zero
+	// padding up to width, a multiple of 16.
+	slots []byte
+	width int
 }
+
+type vocabKey struct {
+	n    int
+	seed int64
+}
+
+// vocabularies memoizes NewVocabulary by (n, seed). Job builders ask for a
+// vocabulary per job, and a long-lived job service meets job seeds without
+// end, so the memo keeps at most vocabCacheMax vocabularies of at most
+// vocabCacheMaxWords words, and makes room for a new one by dropping
+// another.
+var vocabularies struct {
+	sync.Mutex
+	m map[vocabKey]*Vocabulary
+}
+
+const (
+	vocabCacheMax      = 16
+	vocabCacheMaxWords = 1 << 14
+)
 
 // NewVocabulary synthesizes n pseudo-English words deterministically from
 // the seed. Words are syllable chains, 3-12 letters, guaranteed unique.
+// Callers with the same (n, seed) may share one *Vocabulary.
 func NewVocabulary(n int, seed int64) *Vocabulary {
+	k := vocabKey{n, seed}
+	vocabularies.Lock()
+	v, ok := vocabularies.m[k]
+	vocabularies.Unlock()
+	if ok {
+		return v
+	}
+	v = vocabularyOf(syllableWords(n, seed))
+	if n > vocabCacheMaxWords {
+		return v
+	}
+	vocabularies.Lock()
+	defer vocabularies.Unlock()
+	if w, ok := vocabularies.m[k]; ok {
+		return w // a concurrent caller built it first
+	}
+	if vocabularies.m == nil {
+		vocabularies.m = make(map[vocabKey]*Vocabulary)
+	}
+	for old := range vocabularies.m {
+		if len(vocabularies.m) < vocabCacheMax {
+			break
+		}
+		delete(vocabularies.m, old)
+	}
+	vocabularies.m[k] = v
+	return v
+}
+
+// syllableWords draws NewVocabulary's words.
+func syllableWords(n int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	syllables := []string{
 		"ba", "be", "bi", "bo", "bu", "da", "de", "di", "do", "du",
@@ -34,7 +91,6 @@ func NewVocabulary(n int, seed int64) *Vocabulary {
 	}
 	seen := make(map[string]bool, n)
 	words := make([]string, 0, n)
-	maxLen := 0
 	for len(words) < n {
 		var b strings.Builder
 		k := 2 + rng.Intn(4)
@@ -48,9 +104,21 @@ func NewVocabulary(n int, seed int64) *Vocabulary {
 		}
 		seen[w] = true
 		words = append(words, w)
-		maxLen = max(maxLen, len(w))
 	}
-	return &Vocabulary{words: words, maxLen: maxLen}
+	return words
+}
+
+// vocabularyOf lays words out in slots wide enough for the longest.
+func vocabularyOf(words []string) *Vocabulary {
+	width := 16
+	for _, w := range words {
+		width = max(width, (len(w)+1+15)&^15)
+	}
+	v := &Vocabulary{words: words, slots: make([]byte, len(words)*width), width: width}
+	for i, w := range words {
+		v.slots[i*width+copy(v.slots[i*width:], w)] = ' '
+	}
+	return v
 }
 
 // Size returns the vocabulary size.
@@ -85,21 +153,35 @@ func NewTextGenerator(vocab *Vocabulary, s float64, seed int64) *TextGenerator {
 	}
 }
 
-// appendLine appends one line of text, without its newline, to buf.
+// appendLine appends one line of text and its newline to buf. Each word is
+// one copy of its whole slot, in 16-byte blocks, after which the line
+// advances past the word and its space only, so the next word overwrites
+// the padding; the line's last space becomes its newline. Past the line,
+// buf's spare capacity holds padding.
 func (g *TextGenerator) appendLine(buf []byte) []byte {
-	for i := 0; i < g.WordsPerLine; i++ {
-		if i > 0 {
-			buf = append(buf, ' ')
-		}
-		buf = append(buf, g.vocab.words[g.zipf.Uint64()]...)
+	if g.WordsPerLine <= 0 {
+		return append(buf, '\n')
 	}
-	return buf
+	v := g.vocab
+	n := len(buf)
+	buf = slices.Grow(buf, g.WordsPerLine*v.width)
+	out := buf[:cap(buf)]
+	for range g.WordsPerLine {
+		i := int(g.zipf.Uint64())
+		slot := v.slots[i*v.width : (i+1)*v.width]
+		for k := 0; k < len(slot); k += 16 {
+			*(*[16]byte)(out[n+k:]) = *(*[16]byte)(slot[k:])
+		}
+		n += len(v.words[i]) + 1
+	}
+	out[n-1] = '\n'
+	return out[:n]
 }
 
 // Line generates one line of text.
 func (g *TextGenerator) Line() string {
 	g.line = g.appendLine(g.line[:0])
-	return string(g.line)
+	return string(g.line[:len(g.line)-1])
 }
 
 // Lines generates n lines.
@@ -115,10 +197,9 @@ func (g *TextGenerator) Lines(n int) []string {
 // text and returns it as one buffer: whole lines, stopping at the first
 // line that reaches total.
 func (g *TextGenerator) BytesOfText(total int) []byte {
-	buf := make([]byte, 0, total+g.WordsPerLine*(g.vocab.maxLen+1)+1)
+	buf := make([]byte, 0, total+max(g.WordsPerLine, 0)*g.vocab.width)
 	for len(buf) < total {
 		buf = g.appendLine(buf)
-		buf = append(buf, '\n')
 	}
 	return buf
 }

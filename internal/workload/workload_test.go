@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -45,6 +46,61 @@ func TestVocabularyDeterministic(t *testing.T) {
 	if same == 100 {
 		t.Fatal("different seeds produced identical vocabularies")
 	}
+}
+
+// TestVocabularyMemo: NewVocabulary hands every caller of one (n, seed)
+// the same vocabulary, keeps at most vocabCacheMax of them whatever the
+// number of seeds asked for, and builds one too large to keep afresh.
+func TestVocabularyMemo(t *testing.T) {
+	a := NewVocabulary(123, 4567)
+	if b := NewVocabulary(123, 4567); a != b {
+		t.Fatal("NewVocabulary(123, 4567) built twice in a row")
+	}
+	for seed := int64(0); seed < 2*vocabCacheMax; seed++ {
+		NewVocabulary(50, 1000+seed)
+	}
+	vocabularies.Lock()
+	kept := len(vocabularies.m)
+	vocabularies.Unlock()
+	if kept > vocabCacheMax {
+		t.Fatalf("memo holds %d vocabularies, bound %d", kept, vocabCacheMax)
+	}
+	const big = vocabCacheMaxWords + 1
+	b1, b2 := NewVocabulary(big, 3), NewVocabulary(big, 3)
+	if b1 == b2 {
+		t.Fatalf("a %d-word vocabulary was kept", big)
+	}
+	for i := range big {
+		if b1.Word(i) != b2.Word(i) {
+			t.Fatalf("two %d-word vocabularies diverge at %d", big, i)
+		}
+	}
+}
+
+// TestVocabularyMemoConcurrent: callers racing on more keys than the memo
+// keeps each get the words a fresh build draws. Run under -race.
+func TestVocabularyMemoConcurrent(t *testing.T) {
+	const keys = vocabCacheMax + 4
+	want := make([]*Vocabulary, keys)
+	for k := range want {
+		want[k] = vocabularyOf(syllableWords(200, int64(7000+k)))
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 3 * keys {
+				k := (r + g*5) % keys
+				v := NewVocabulary(200, int64(7000+k))
+				if !bytes.Equal(v.slots, want[k].slots) || v.Word(199) != want[k].Word(199) {
+					t.Errorf("NewVocabulary(200, %d) differs from a fresh build", 7000+k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTextGeneratorDeterministic(t *testing.T) {
