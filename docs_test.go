@@ -2,7 +2,8 @@
 // suite: every internal package must carry a package doc comment, every
 // local markdown link in the top-level docs must resolve, and every
 // `go run ./<dir>` recipe must name a directory. The same file pins two
-// source-level design rules, TestNoLegacySurface and TestOneTelemetryValue.
+// source-level design rules, TestNoLegacySurface and TestOneTelemetryValue,
+// and checks that every test the CI workflow names by -run exists.
 package mpid_test
 
 import (
@@ -14,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -393,4 +395,63 @@ func TestGoRunTargets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ciGoTest matches one `go test` command of a CI step, up to the `&&`
+// chaining the next one or the end of its line; ciRunFlag its -run pattern;
+// testFunc a test, fuzz, benchmark or example function in a _test.go file.
+var (
+	ciGoTest  = regexp.MustCompile(`go test[^&\n]*`)
+	ciRunFlag = regexp.MustCompile(`-run\s+('[^']*'|\S+)`)
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+)
+
+// TestCIRunNamesExist checks that every name a `go test -run` in the CI
+// workflow lists matches a test function of the packages that command
+// tests. `go test -run` passes silently when a name matches nothing, so a
+// renamed or deleted test would otherwise drop out of its CI step unseen.
+func TestCIRunNamesExist(t *testing.T) {
+	ci, err := os.ReadFile(filepath.FromSlash(".github/workflows/ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := 0
+	for _, cmd := range ciGoTest.FindAllString(string(ci), -1) {
+		run := ciRunFlag.FindStringSubmatch(cmd)
+		if run == nil {
+			continue
+		}
+		var pkgs, funcs []string
+		for _, field := range strings.Fields(cmd) {
+			if !strings.HasPrefix(field, "./") {
+				continue
+			}
+			pkgs = append(pkgs, field)
+			files, _ := filepath.Glob(filepath.Join(filepath.FromSlash(field), "*_test.go"))
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+					funcs = append(funcs, m[1])
+				}
+			}
+		}
+		for _, name := range strings.Split(strings.Trim(run[1], "'"), "|") {
+			names++
+			re, err := regexp.Compile(name)
+			if err != nil {
+				t.Errorf("ci.yml: -run name %q: %v", name, err)
+				continue
+			}
+			if !slices.ContainsFunc(funcs, re.MatchString) {
+				t.Errorf("ci.yml: -run name %q matches no test function in %s", name, strings.Join(pkgs, " "))
+			}
+		}
+	}
+	if names == 0 {
+		t.Fatal("ci.yml: found no `go test -run` names")
+	}
+	t.Logf("%d -run names checked", names)
 }

@@ -41,6 +41,7 @@ import (
 	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/mpi"
 	"github.com/ict-repro/mpid/internal/obs"
+	"github.com/ict-repro/mpid/internal/shuffle"
 )
 
 // Reserved user tags for MPI-D traffic on the underlying communicator.
@@ -61,10 +62,17 @@ var ErrFinalized = errors.New("mpid: instance finalized")
 // values point into the send buffer and are valid only until the function
 // returns; several values may share one backing array (the send buffer
 // hands over a run of repeats of one value as one slice repeated), so the
-// function must not write into its inputs. The result may alias them
-// (return values itself, or a subset), and the buffer copies it before
-// reusing that space.
-type CombineFunc func(key []byte, values [][]byte) [][]byte
+// function must not write into its inputs. The result may alias them (a
+// subset of values), and the buffer copies it before reusing that space.
+//
+// A combiner declines by returning its values argument itself: the key's
+// values then go on uncombined. MPI-D counts such a key as combining
+// nothing (PairsCombined); the hadoop engine counts each decline as
+// mapred.combiner.fallback.
+//
+// CombineFunc is shuffle.Combiner, so one job combiner serves MPI-D's send
+// buffer and the hadoop engine's map spill and merge passes alike.
+type CombineFunc = shuffle.Combiner
 
 // PartitionFunc maps a key to a partition in [0, n). The default is the
 // hash-mod selector, "similar to the HashPartitioner in the Hadoop

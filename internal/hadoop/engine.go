@@ -78,9 +78,10 @@ type Config struct {
 	// jobtracker opens a root job span plus a scheduler-side span per task
 	// attempt (ended "ok", "failed" or "lost" — which is how attempts that
 	// died with their tracker still appear in the trace), tasktrackers
-	// record task/phase/fetch spans and ship them on heartbeat and
-	// completion RPCs, and the aggregate lands in JobReport.Spans; left
-	// nil, a fresh collector (proc "jobtracker") is created per job.
+	// record task/phase/fetch spans on lanes of their own and drain them
+	// into it before each heartbeat and task report, and the aggregate
+	// lands in JobReport.Spans; left nil, a fresh collector (proc
+	// "jobtracker") is created per job.
 	// Events is the job's flight recorder: the jobtracker emits attempt
 	// lifecycle events (scheduled/failed/lost/superseded) and fetch
 	// redirects, tasktrackers emit spill and fetch-failure events, and the
@@ -291,7 +292,6 @@ type jobTracker struct {
 	mu             sync.Mutex
 	jobSpan        *trace.Span
 	attemptSpans   map[string]*trace.Span // open scheduler-side attempt spans
-	seenSpans      map[uint64]bool        // shipped span ids, for replay dedup
 	trackers       []*trackerInfo
 	pendingMaps    []int
 	runningMaps    map[int]int // map task -> tracker currently executing it
@@ -320,7 +320,6 @@ func newJobTracker(job mapred.Job, splits []mapred.Split, cfg Config) *jobTracke
 		cfg:            cfg,
 		faultTr:        trace.New("faults"),
 		attemptSpans:   make(map[string]*trace.Span),
-		seenSpans:      make(map[uint64]bool),
 		runningMaps:    make(map[int]int),
 		completed:      make(map[int]bool),
 		mapLocation:    make(map[int]int),
@@ -452,8 +451,8 @@ func (jt *jobTracker) closeTrace() {
 
 // startAttemptLocked opens the scheduler-side span for one task attempt.
 // These spans live on the jobtracker, not the tracker running the task, so
-// an attempt that dies with its tracker — which can never ship its own
-// spans — still appears in the trace, ended "lost". The span id rides the
+// an attempt that dies with its tracker — whose undrained spans die with
+// it — still appears in the trace, ended "lost". The span id rides the
 // launch action so the tracker's task span can parent under it.
 func (jt *jobTracker) startAttemptLocked(kind string, task, trackerID int) *trace.Span {
 	key := taskKey(kind, task)
@@ -497,27 +496,6 @@ func (jt *jobTracker) endAttemptLocked(kind string, task int, status string) {
 			jt.cfg.Events.Emit(obs.Event{Type: typ, Task: key,
 				Attempt: jt.executions[key], Span: sctx.Span, Trace: sctx.Trace})
 		}
-	}
-}
-
-// ingestSpansLocked merges a span batch a tasktracker shipped on an RPC.
-// Batches can be redelivered (the RPC layer retries whole frames), so
-// spans already seen are dropped by id.
-func (jt *jobTracker) ingestSpansLocked(blob []byte) {
-	if len(blob) == 0 {
-		return
-	}
-	spans, err := trace.DecodeSpans(blob)
-	if err != nil {
-		jt.cfg.Metrics.Counter("trace.corrupt_batches").Inc()
-		return
-	}
-	for _, s := range spans {
-		if jt.seenSpans[s.ID] {
-			continue
-		}
-		jt.seenSpans[s.ID] = true
-		jt.cfg.Tracer.Add(s)
 	}
 }
 
@@ -573,13 +551,12 @@ func (jt *jobTracker) handleRegister(params [][]byte) ([]byte, error) {
 	return resp, nil
 }
 
-// handleHeartbeat: [trackerID, seq, freeMapSlots, freeReduceSlots, spans?]
-// -> action list. At most one map and one reduce launch per heartbeat, the
+// handleHeartbeat: [trackerID, seq, freeMapSlots, freeReduceSlots] ->
+// action list. At most one map and one reduce launch per heartbeat, the
 // 0.20 behaviour; launch actions are [act, task, attempt, spanID] so the
 // tracker can label and parent its task span. A repeated seq replays the
 // cached response, so a transport-level retry of a lost response cannot
-// double-assign tasks. The optional fifth parameter is an encoded span
-// batch the tracker drained since its last report.
+// double-assign tasks.
 func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 	if len(params) < 4 {
 		return nil, errors.New("heartbeat wants 4 parameters")
@@ -598,11 +575,7 @@ func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 	tr := jt.trackers[trackerID]
 	tr.lastSeen = time.Now()
 	if seq == tr.lastSeq && tr.lastResp != nil {
-		// Replayed heartbeat: its span batch was ingested on first delivery.
 		return tr.lastResp, nil
-	}
-	if len(params) > 4 {
-		jt.ingestSpansLocked(params[4])
 	}
 
 	var resp []byte
@@ -655,13 +628,11 @@ func (jt *jobTracker) handleHeartbeat(params [][]byte) ([]byte, error) {
 	return resp, nil
 }
 
-// handleMapCompleted: [trackerID, mapID, runNs, spillNs, spans?].
-// Idempotent; completions from trackers already declared lost are ignored
-// (their shuffle output is unreachable and the map was re-queued). The
+// handleMapCompleted: [trackerID, mapID, runNs, spillNs]. Idempotent;
+// completions from trackers already declared lost are ignored (their
+// shuffle output is unreachable and the map was re-queued). The
 // runNs/spillNs parameters carry the task's measured phase wall times for
-// the job report (the latest accepted completion wins); the optional fifth
-// is the tracker's drained span batch, which is ingested even from lost
-// trackers — the work happened, the trace should show it.
+// the job report (the latest accepted completion wins).
 func (jt *jobTracker) handleMapCompleted(params [][]byte) ([]byte, error) {
 	if len(params) < 4 {
 		return nil, errors.New("mapCompleted wants 4 parameters")
@@ -675,9 +646,6 @@ func (jt *jobTracker) handleMapCompleted(params [][]byte) ([]byte, error) {
 	defer jt.mu.Unlock()
 	if trackerID < 0 || int(trackerID) >= len(jt.trackers) {
 		return nil, fmt.Errorf("unknown tracker %d", trackerID)
-	}
-	if len(params) > 4 {
-		jt.ingestSpansLocked(params[4])
 	}
 	if jt.trackers[trackerID].lost {
 		return nil, nil
@@ -702,13 +670,12 @@ func (jt *jobTracker) handleMapCompleted(params [][]byte) ([]byte, error) {
 }
 
 // handleReduceCompleted: [trackerID, reduceID, attempt, pairs, bytes,
-// copyNs, sortNs, reduceNs, mergeNs, spans?]. The attempt staged its part
+// copyNs, sortNs, reduceNs, mergeNs]. The attempt staged its part
 // in the job's output committer; the first completion accepted promotes it,
 // and later ones — retried RPCs, attempts re-executed after a tracker was
 // wrongly presumed lost, attempts from a lost tracker — drop their part. The
 // Ns parameters carry the reduce task's measured copy/sort/reduce phase
-// wall times plus the background merge CPU time overlapped with copy; the
-// optional tenth is the tracker's drained span batch.
+// wall times plus the background merge CPU time overlapped with copy.
 func (jt *jobTracker) handleReduceCompleted(params [][]byte) ([]byte, error) {
 	if len(params) < 9 {
 		return nil, errors.New("reduceCompleted wants 9 parameters")
@@ -725,9 +692,6 @@ func (jt *jobTracker) handleReduceCompleted(params [][]byte) ([]byte, error) {
 	}
 	if task < 0 || task >= len(jt.outputs) {
 		return nil, fmt.Errorf("reduce id %d out of range", task)
-	}
-	if len(params) > 9 {
-		jt.ingestSpansLocked(params[9])
 	}
 	if jt.trackers[trackerID].lost || jt.doneReduces[task] {
 		if jt.out.discard(task, attempt) {
@@ -759,7 +723,7 @@ func (jt *jobTracker) handleReduceCompleted(params [][]byte) ([]byte, error) {
 	return nil, nil
 }
 
-// handleTaskFailed: [trackerID, kind, taskID, message, spans?]. The task
+// handleTaskFailed: [trackerID, kind, taskID, message]. The task
 // is re-queued and charged one attempt; past maxTaskAttempts the job
 // aborts with the task's error.
 func (jt *jobTracker) handleTaskFailed(params [][]byte) ([]byte, error) {
@@ -784,9 +748,6 @@ func (jt *jobTracker) handleTaskFailed(params [][]byte) ([]byte, error) {
 	defer jt.mu.Unlock()
 	if trackerID < 0 || int(trackerID) >= len(jt.trackers) {
 		return nil, fmt.Errorf("unknown tracker %d", trackerID)
-	}
-	if len(params) > 4 {
-		jt.ingestSpansLocked(params[4])
 	}
 	if jt.trackers[trackerID].lost {
 		return nil, nil // already re-queued by markLostLocked

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/faults"
 	"github.com/ict-repro/mpid/internal/hadooprpc"
 	"github.com/ict-repro/mpid/internal/kv"
@@ -150,13 +150,15 @@ func TestPipelinedUnderChaosMatchesFaultFree(t *testing.T) {
 	}
 }
 
-// TestObservedCombinerFallbackCounter: a job that supplies its combiner as an
-// ObservedCombiner factory has it bound to the job's registry, so a combiner
-// whose derived reducer rekeys its output — tripping CombinerFromReducer's
-// fallback, which passes the values through untouched — is visible as
-// mapred.combiner.fallback while the output still matches the combiner-free
-// run.
-func TestObservedCombinerFallbackCounter(t *testing.T) {
+// TestCombinerFallbackCounter: a job combiner that declines — here one
+// derived from a reducer that rekeys its output, so CombinerFromReducer
+// hands its values back untouched — counts mapred.combiner.fallback on the
+// job's registry at every combine the engine makes: in the map spill (8
+// maps, below mergeFactor, so no merge pass runs) and in the reduce-side
+// merge passes (40 maps). The spill combines each distinct key of each map
+// once, so the calls past that count are the merge passes'. The output
+// still matches the combiner-free run.
+func TestCombinerFallbackCounter(t *testing.T) {
 	rekey := mapred.ReducerFunc(func(_ []byte, values [][]byte, emit mapred.Emit) error {
 		var total int64
 		for _, v := range values {
@@ -169,26 +171,55 @@ func TestObservedCombinerFallbackCounter(t *testing.T) {
 		return emit([]byte("rekeyed"), kv.AppendVLong(nil, total))
 	})
 	text := genText(t, 40_000, 23)
-	splits := mapred.SplitText(text, 5_000)
-	job := wcJob(2)
-	job.Combiner = nil
-	plain, _, err := runJob(job, splits, Config{NumTrackers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job.ObservedCombiner = func(reg *metrics.Registry) core.CombineFunc {
-		return mapred.CombinerFromReducerObserved(rekey, reg)
-	}
-	reg := metrics.NewRegistry()
-	got, _, err := runJob(job, splits, Config{NumTrackers: 2, Telemetry: obs.Telemetry{Metrics: reg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodePairs(got.Pairs()), encodePairs(plain.Pairs())) {
-		t.Fatal("fallback did not pass values through untouched")
-	}
-	if reg.Snapshot().Counter("mapred.combiner.fallback") == 0 {
-		t.Fatal("rekeying combiner tripped no fallbacks in the job's registry")
+	for _, tc := range []struct {
+		split  int
+		passes bool
+	}{{5_000, false}, {1_000, true}} {
+		splits := mapred.SplitText(text, tc.split)
+		job := wcJob(2)
+		job.Combiner = nil
+		plain, _, err := runJob(job, splits, Config{NumTrackers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spillCalls := 0
+		for _, sp := range splits {
+			keys := map[string]bool{}
+			if err := sp.Records(func(k, v []byte) error {
+				return job.Mapper.Map(k, v, func(key, _ []byte) error {
+					keys[string(key)] = true
+					return nil
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			spillCalls += len(keys)
+		}
+		declining := mapred.CombinerFromReducer(rekey)
+		var calls atomic.Int64
+		job.Combiner = func(key []byte, values [][]byte) [][]byte {
+			calls.Add(1)
+			return declining(key, values)
+		}
+		reg := metrics.NewRegistry()
+		got, _, err := runJob(job, splits, Config{NumTrackers: 2, Telemetry: obs.Telemetry{Metrics: reg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodePairs(got.Pairs()), encodePairs(plain.Pairs())) {
+			t.Fatalf("%d maps: declined combines did not pass values through untouched", len(splits))
+		}
+		snap := reg.Snapshot()
+		passes, fallbacks := snap.Counter("shuffle.merge_passes"), snap.Counter("mapred.combiner.fallback")
+		if tc.passes != (passes > 0) {
+			t.Fatalf("%d maps: %d merge passes", len(splits), passes)
+		}
+		if fallbacks != calls.Load() {
+			t.Fatalf("%d maps: %d fallbacks counted for %d declined combines", len(splits), fallbacks, calls.Load())
+		}
+		if merged := calls.Load() - int64(spillCalls); merged < 0 || tc.passes != (merged > 0) || spillCalls == 0 {
+			t.Fatalf("%d maps: %d combines, %d of them in the map spill", len(splits), calls.Load(), spillCalls)
+		}
 	}
 }
 

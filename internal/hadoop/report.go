@@ -59,7 +59,7 @@ type JobReport struct {
 	// Spans is the job's aggregated trace, sorted by start time: the root
 	// job span, a scheduler-side span per task attempt (re-executions
 	// included, with attempt numbers and terminal status annotations), and
-	// the task/phase/fetch/serve spans shipped by the tasktrackers. Spans
+	// the task/phase/fetch/serve spans the tasktrackers drained into it. Spans
 	// of attempts that died with their tracker appear with status "lost".
 	Spans []trace.Span
 }

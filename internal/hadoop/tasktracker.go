@@ -14,6 +14,7 @@ import (
 	"github.com/ict-repro/mpid/internal/jetty"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
+	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/shuffle"
 	"github.com/ict-repro/mpid/internal/trace"
@@ -42,7 +43,8 @@ type taskTracker struct {
 	cfg    Config
 	inj    *faults.Injector
 	// Telemetry is the job's registry and recorder with a tracer of the
-	// tracker's own, shipped to the jobtracker on heartbeats.
+	// tracker's own, which names its lane and is drained into the job's
+	// collector before each heartbeat and task report.
 	obs.Telemetry
 	jobCtx trace.Context // the job root span, from the register response
 
@@ -54,11 +56,8 @@ type taskTracker struct {
 	fetch     *jetty.Client
 	pool      *bufpool.Pool // fetch + merge buffers, shared across this tracker's reduces
 
-	// combine is the job combiner every combine stage on this tracker uses
-	// (map spill, reduce-side merge passes). When the job provides an
-	// ObservedCombiner factory it is bound to the job's metrics registry
-	// here, so combiner fallbacks anywhere on the tracker surface as
-	// mapred.combiner.fallback.
+	// combine is the job's combiner as every combine stage on this tracker
+	// (map spill, reduce-side merge passes) uses it: countDeclines wraps it.
 	combine core.CombineFunc
 
 	mapSem    chan struct{}
@@ -90,10 +89,7 @@ func newTaskTracker(ctx context.Context, idx int, jtAddr string, out *outputComm
 		pool:      bufpool.New(),
 		mapSem:    make(chan struct{}, cfg.MapSlots),
 		reduceSem: make(chan struct{}, cfg.ReduceSlots),
-	}
-	tt.combine = job.Combiner
-	if job.ObservedCombiner != nil {
-		tt.combine = job.ObservedCombiner(cfg.Metrics)
+		combine:   countDeclines(job.Combiner, cfg.Metrics),
 	}
 	// The shuffle fetch client shares the RPC retry budget, the fault
 	// injector, the tracker's telemetry and its buffer pool, so fetch
@@ -150,6 +146,23 @@ func (tt *taskTracker) close() {
 	tt.fetch.Close()
 }
 
+// countDeclines wraps a job's combiner so that each combine which declines
+// — returns its values argument itself (core.CombineFunc) — counts
+// mapred.combiner.fallback on reg. A nil combiner stays nil.
+func countDeclines(combine core.CombineFunc, reg *metrics.Registry) core.CombineFunc {
+	if combine == nil {
+		return nil
+	}
+	declined := reg.Counter("mapred.combiner.fallback")
+	return func(key []byte, values [][]byte) [][]byte {
+		out := combine(key, values)
+		if len(out) == len(values) && len(out) > 0 && &out[0] == &values[0] {
+			declined.Inc()
+		}
+		return out
+	}
+}
+
 // noteErr records a tracker-level problem (not a task failure).
 func (tt *taskTracker) noteErr(err error) {
 	tt.mu.Lock()
@@ -175,9 +188,7 @@ func (tt *taskTracker) reportTaskFailed(kind string, task int, taskErr error) {
 		kv.AppendVLong(nil, int64(task)),
 		[]byte(taskErr.Error()),
 	}
-	if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
-		params = append(params, blob)
-	}
+	tt.cfg.Tracer.Add(tt.Tracer.Drain()...)
 	if _, err := tt.rpc.Call("taskFailed", params...); err != nil {
 		tt.noteErr(fmt.Errorf("hadoop: reporting %s task %d failure: %w", kind, task, err))
 	}
@@ -224,11 +235,12 @@ func (tt *taskTracker) run() error {
 			kv.AppendVLong(nil, int64(free(tt.mapSem))),
 			kv.AppendVLong(nil, int64(free(tt.reduceSem))),
 		}
-		// Ship spans drained since the last report; serve-side shuffle
-		// spans have no completion RPC of their own and ride here.
-		if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
-			params = append(params, blob)
-		}
+		// Trackers share the jobtracker's process: finished spans go
+		// straight to the job's collector before each report, here and at
+		// each task's, and never ride the call, so a failed call loses
+		// none. Serve-side shuffle spans have no task report of their own
+		// and get there on heartbeats.
+		tt.cfg.Tracer.Add(tt.Tracer.Drain()...)
 		resp, err := tt.rpc.Call("heartbeat", params...)
 		if err != nil {
 			// Orderly shutdown: drain running tasks, then report with
@@ -312,18 +324,14 @@ func (tt *taskTracker) launchMap(task, attempt int, pctx trace.Context) {
 			tt.reportTaskFailed(taskKindMap, task, fmt.Errorf("map task %d: %w", task, err))
 			return
 		}
-		// The task's spans are finished before the completion RPC, so the
-		// shipped batch always covers the attempt that just completed.
-		params := [][]byte{
+		// The task's spans are finished before its report, so the drain
+		// always covers the attempt that just completed.
+		tt.cfg.Tracer.Add(tt.Tracer.Drain()...)
+		if _, err := tt.rpc.Call("mapCompleted",
 			kv.AppendVLong(nil, int64(tt.id)),
 			kv.AppendVLong(nil, int64(task)),
 			kv.AppendVLong(nil, int64(ph.run)),
-			kv.AppendVLong(nil, int64(ph.spill)),
-		}
-		if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
-			params = append(params, blob)
-		}
-		if _, err := tt.rpc.Call("mapCompleted", params...); err != nil {
+			kv.AppendVLong(nil, int64(ph.spill))); err != nil {
 			tt.noteErr(err)
 			return
 		}
@@ -355,7 +363,8 @@ func (tt *taskTracker) launchReduce(task, attempt int, pctx trace.Context) {
 			}
 			return
 		}
-		params := [][]byte{
+		tt.cfg.Tracer.Add(tt.Tracer.Drain()...)
+		if _, err := tt.rpc.Call("reduceCompleted",
 			kv.AppendVLong(nil, int64(tt.id)),
 			kv.AppendVLong(nil, int64(task)),
 			kv.AppendVLong(nil, int64(attempt)),
@@ -364,12 +373,7 @@ func (tt *taskTracker) launchReduce(task, attempt int, pctx trace.Context) {
 			kv.AppendVLong(nil, int64(ph.copy)),
 			kv.AppendVLong(nil, int64(ph.sort)),
 			kv.AppendVLong(nil, int64(ph.reduce)),
-			kv.AppendVLong(nil, int64(ph.merge)),
-		}
-		if blob := trace.EncodeSpans(tt.Tracer.Drain()); blob != nil {
-			params = append(params, blob)
-		}
-		if _, err := tt.rpc.Call("reduceCompleted", params...); err != nil {
+			kv.AppendVLong(nil, int64(ph.merge))); err != nil {
 			tt.noteErr(err)
 			return
 		}
@@ -507,17 +511,13 @@ func (tt *taskTracker) runReduceTask(task, attempt int, pctx trace.Context) (out
 	span.Annotate("attempt", fmt.Sprint(attempt))
 	defer span.End()
 
-	var combine shuffle.Combiner
-	if tt.combine != nil {
-		combine = shuffle.Combiner(tt.combine)
-	}
 	// OnPass fires from each background pass's own goroutine, and passes
 	// can overlap — the pass number must be atomic.
 	var passNo int64
 	merger := shuffle.NewMerger(shuffle.Config{
 		Expected: len(tt.splits),
 		Factor:   mergeFactor,
-		Combine:  combine,
+		Combine:  tt.combine,
 		Pool:     tt.pool,
 		OnPass: func(pi shuffle.PassInfo) {
 			tt.Metrics.Timer("task.reduce.merge").ObserveDuration(pi.Duration)

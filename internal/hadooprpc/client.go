@@ -156,7 +156,7 @@ func (c *Client) dialLocked(deadline time.Time) (*conn, error) {
 
 	var ver [8]byte
 	binary.BigEndian.PutUint64(ver[:], uint64(c.version))
-	got, err := c.callOn(cn, getProtocolVersionMethod, [][]byte{ver[:]}, nil, deadline)
+	got, err := c.callOn(cn, getProtocolVersionMethod, [][]byte{ver[:]}, deadline)
 	if err != nil {
 		cn.kill(errConnAbandoned)
 		return nil, fmt.Errorf("hadooprpc: handshake: %w", err)
@@ -215,7 +215,7 @@ func (cn *conn) readLoop() {
 // timeout abandons the generation and fails with os.ErrDeadlineExceeded:
 // once the response stream is out of sync with the caller's patience, the
 // safe move is Hadoop's — reconnect.
-func (c *Client) callOn(cn *conn, method string, params [][]byte, tctx []byte, deadline time.Time) ([]byte, error) {
+func (c *Client) callOn(cn *conn, method string, params [][]byte, deadline time.Time) ([]byte, error) {
 	ch := make(chan result, 1)
 
 	cn.mu.Lock()
@@ -227,7 +227,7 @@ func (c *Client) callOn(cn *conn, method string, params [][]byte, tctx []byte, d
 	id := cn.nextID
 	cn.nextID++
 	cn.pending[id] = ch
-	frame, err := encodeCall(id, c.protocol, method, params, tctx)
+	frame, err := encodeCall(id, c.protocol, method, params)
 	if err == nil {
 		_, err = cn.w.Write(frame)
 		if err == nil {
@@ -274,14 +274,6 @@ func (c *Client) invalidate(cn *conn) {
 // copy-then-send behaviour. Transport failures are retried on a fresh
 // connection up to Options.MaxAttempts total attempts.
 func (c *Client) Call(method string, params ...[]byte) ([]byte, error) {
-	return c.CallTraced(nil, method, params...)
-}
-
-// CallTraced is Call with a propagated trace context: tctx (an encoded
-// trace.Context) rides the call frame as a trailing type-tagged parameter.
-// Handlers that do not understand tracing never see it; servers that do
-// can parent their spans under the caller's. A nil tctx is a plain Call.
-func (c *Client) CallTraced(tctx []byte, method string, params ...[]byte) ([]byte, error) {
 	m := c.opts.Metrics
 	m.Counter("rpc.calls").Inc()
 	m.Counter("rpc.calls." + method).Inc()
@@ -292,7 +284,7 @@ func (c *Client) CallTraced(tctx []byte, method string, params ...[]byte) ([]byt
 	// MaxAttempts fresh timeouts.
 	deadline := c.deadline(start)
 	for attempt := 1; ; attempt++ {
-		value, err := c.attempt(method, params, tctx, deadline)
+		value, err := c.attempt(method, params, deadline)
 		if err == nil || !retryable(err) {
 			if err != nil {
 				m.Counter("rpc.errors").Inc()
@@ -333,7 +325,7 @@ func (c *Client) CallTraced(tctx []byte, method string, params ...[]byte) ([]byt
 }
 
 // attempt is one try of a Call: injection point, connection, exchange.
-func (c *Client) attempt(method string, params [][]byte, tctx []byte, deadline time.Time) ([]byte, error) {
+func (c *Client) attempt(method string, params [][]byte, deadline time.Time) ([]byte, error) {
 	if err := c.opts.Injector.Check(component, "call", method); err != nil {
 		if errors.Is(err, faults.ErrDropped) {
 			c.mu.Lock()
@@ -349,7 +341,7 @@ func (c *Client) attempt(method string, params [][]byte, tctx []byte, deadline t
 	if err != nil {
 		return nil, err
 	}
-	value, err := c.callOn(cn, method, params, tctx, deadline)
+	value, err := c.callOn(cn, method, params, deadline)
 	if err != nil && !IsRemote(err) {
 		c.invalidate(cn)
 	}

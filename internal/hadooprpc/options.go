@@ -44,7 +44,7 @@ type Options struct {
 	// and "rpc.bytes_sent"/"rpc.bytes_recv" for framed wire bytes. Events
 	// receives the fault-tolerance edges: obs.EvRPCRetry on every retried
 	// attempt and obs.EvRPCDeadline when a Call's total budget expires.
-	// The Tracer is unused: a call carries its caller's trace.Context.
+	// The Tracer is unused: a call carries no trace context.
 	obs.Telemetry
 }
 

@@ -68,11 +68,6 @@ var (
 // fully materialized, as in Hadoop.
 type Handler func(params [][]byte) ([]byte, error)
 
-// TracedHandler is a handler that also receives the caller's encoded trace
-// context (nil when the caller sent none). The context is opaque to this
-// package; internal/trace decodes it.
-type TracedHandler func(tctx []byte, params [][]byte) ([]byte, error)
-
 // Protocol is a named, versioned set of methods — the analogue of a Java
 // interface extending VersionedProtocol.
 type Protocol struct {
@@ -83,11 +78,6 @@ type Protocol struct {
 	Version int64
 	// Methods maps method name to handler.
 	Methods map[string]Handler
-	// Traced maps method name to context-aware handler; a method present
-	// here takes precedence over Methods. Plain handlers interoperate with
-	// traced callers regardless — the dispatcher strips the trace parameter
-	// before they see the call.
-	Traced map[string]TracedHandler
 }
 
 // Server serves registered protocols over TCP.
@@ -255,9 +245,6 @@ func (s *Server) dispatch(c *call) ([]byte, error) {
 		binary.BigEndian.PutUint64(out[:], uint64(p.Version))
 		return out[:], nil
 	}
-	if th, ok := p.Traced[c.method]; ok {
-		return th(c.tctx, c.params)
-	}
 	h, ok := p.Methods[c.method]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrUnknownMethod, c.protocol, c.method)
@@ -304,7 +291,6 @@ type call struct {
 	protocol string
 	method   string
 	params   [][]byte
-	tctx     []byte // trace context carried by a traceParamTypeName param
 }
 
 // --------------------------------------------------------------------------
@@ -339,20 +325,15 @@ func readString(r io.Reader) (string, error) {
 }
 
 // paramTypeName tags every parameter, as ObjectWritable writes the declared
-// class name before the instance bytes.
+// class name before the instance bytes. A parameter under any other tag
+// is skipped on read rather than delivered, so a peer that appends
+// parameters of its own (an older one sent a trailing trace context) still
+// interoperates.
 const paramTypeName = "org.apache.hadoop.io.BytesWritable"
 
-// traceParamTypeName tags the optional trailing trace-context parameter.
-// The type tag is the wire discriminator: handlers never see the trace
-// parameter (the dispatcher routes it separately), and parameters with a
-// type tag this server does not understand are skipped rather than
-// delivered — which is what lets traced and untraced peers interoperate.
-const traceParamTypeName = "org.ict.mpid.TraceContext"
-
 // encodeCall materializes the full call frame: callID, then frame length,
-// then protocol, method, parameters and — when tctx is non-empty — the
-// trailing trace-context parameter under its own type tag.
-func encodeCall(id int32, protocol, method string, params [][]byte, tctx []byte) ([]byte, error) {
+// then protocol, method and parameters.
+func encodeCall(id int32, protocol, method string, params [][]byte) ([]byte, error) {
 	// Body first (Hadoop writes length-prefixed frames).
 	body := &lenBuffer{}
 	if err := writeString(body, protocol); err != nil {
@@ -361,32 +342,17 @@ func encodeCall(id int32, protocol, method string, params [][]byte, tctx []byte)
 	if err := writeString(body, method); err != nil {
 		return nil, err
 	}
-	n := len(params)
-	if len(tctx) > 0 {
-		n++
-	}
 	var cnt [4]byte
-	binary.BigEndian.PutUint32(cnt[:], uint32(n))
+	binary.BigEndian.PutUint32(cnt[:], uint32(len(params)))
 	body.Write(cnt[:])
-	writeParam := func(typeName string, p []byte) error {
-		if err := writeString(body, typeName); err != nil {
-			return err
+	for _, p := range params {
+		if err := writeString(body, paramTypeName); err != nil {
+			return nil, err
 		}
 		var l [4]byte
 		binary.BigEndian.PutUint32(l[:], uint32(len(p)))
 		body.Write(l[:])
 		body.Write(p) // the copy Hadoop pays serializing into the frame
-		return nil
-	}
-	for _, p := range params {
-		if err := writeParam(paramTypeName, p); err != nil {
-			return nil, err
-		}
-	}
-	if len(tctx) > 0 {
-		if err := writeParam(traceParamTypeName, tctx); err != nil {
-			return nil, err
-		}
 	}
 	frame := make([]byte, 8+body.Len())
 	binary.BigEndian.PutUint32(frame[0:4], uint32(id))
@@ -437,7 +403,6 @@ func readCall(r io.Reader) (*call, error) {
 		return nil, fmt.Errorf("hadooprpc: %d parameters is implausible", n)
 	}
 	params := make([][]byte, 0, n)
-	var tctx []byte
 	for i := uint32(0); i < n; i++ {
 		typeName, err := readString(br)
 		if err != nil {
@@ -455,17 +420,13 @@ func readCall(r io.Reader) (*call, error) {
 		if _, err := io.ReadFull(br, p); err != nil {
 			return nil, err
 		}
-		switch typeName {
-		case paramTypeName:
+		// A parameter of any other type is skipped rather than handed to a
+		// handler that cannot interpret it.
+		if typeName == paramTypeName {
 			params = append(params, p)
-		case traceParamTypeName:
-			tctx = p
-		default:
-			// An unknown parameter type from a newer peer: skip it rather
-			// than hand handlers a parameter they cannot interpret.
 		}
 	}
-	return &call{id: id, protocol: protocol, method: method, params: params, tctx: tctx}, nil
+	return &call{id: id, protocol: protocol, method: method, params: params}, nil
 }
 
 type sliceReader struct {

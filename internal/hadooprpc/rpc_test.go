@@ -219,7 +219,7 @@ func TestEncodeCallFrameOverhead(t *testing.T) {
 	// and the payload — the copy amplification the paper attributes RPC
 	// slowness to. Verify framing size accounting.
 	payload := bytes.Repeat([]byte{1}, 1000)
-	frame, err := encodeCall(7, EchoProtocolName, "recv", [][]byte{payload}, nil)
+	frame, err := encodeCall(7, EchoProtocolName, "recv", [][]byte{payload})
 	if err != nil {
 		t.Fatal(err)
 	}

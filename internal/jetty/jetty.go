@@ -317,22 +317,16 @@ func (c *Client) SetSeed(seed int64) { c.jit = faults.NewJitter(seed) }
 // FetchMapOutput retrieves one map output from a server, retrying transient
 // failures per the client's retry configuration.
 func (c *Client) FetchMapOutput(addr string, key OutputKey) ([]byte, error) {
-	return c.FetchMapOutputTraced(trace.Context{}, addr, key)
+	return c.FetchMapOutputContext(context.Background(), trace.Context{}, addr, key)
 }
 
-// FetchMapOutputTraced is FetchMapOutput with trace propagation: a valid
-// tctx rides the request as HeaderTraceContext so the serving tasktracker
-// can parent its serve span under the reducer's fetch span. An invalid
-// (zero) context sends no header.
-func (c *Client) FetchMapOutputTraced(tctx trace.Context, addr string, key OutputKey) ([]byte, error) {
-	return c.FetchMapOutputContext(context.Background(), tctx, addr, key)
-}
-
-// FetchMapOutputContext is FetchMapOutputTraced under a context: ctx
-// cancellation aborts the in-flight HTTP exchange and cuts the backoff
-// schedule short, so a killed or drained job stops fetching promptly
-// instead of riding its retries out. Returns ctx.Err() (possibly wrapped)
-// once the context is done.
+// FetchMapOutputContext is FetchMapOutput under a context and with trace
+// propagation. ctx cancellation aborts the in-flight HTTP exchange and cuts
+// the backoff schedule short, so a killed or drained job stops fetching
+// promptly instead of riding its retries out; it returns ctx.Err() (possibly
+// wrapped) once the context is done. A valid tctx rides the request as
+// HeaderTraceContext so the serving tasktracker can parent its serve span
+// under the reducer's fetch span; an invalid (zero) context sends no header.
 func (c *Client) FetchMapOutputContext(ctx context.Context, tctx trace.Context, addr string, key OutputKey) ([]byte, error) {
 	url := fmt.Sprintf("http://%s/mapOutput?job=%s&map=%d&reduce=%d",
 		addr, key.Job, key.Map, key.Reduce)

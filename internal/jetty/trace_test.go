@@ -1,6 +1,7 @@
 package jetty
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ict-repro/mpid/internal/trace"
@@ -26,7 +27,7 @@ func TestServeSpanPropagation(t *testing.T) {
 
 	fetcher := trace.New("tracker1")
 	fspan := fetcher.StartRoot("fetch m3", trace.KindFetch)
-	if _, err := c.FetchMapOutputTraced(fspan.Context(), addr, key); err != nil {
+	if _, err := c.FetchMapOutputContext(context.Background(), fspan.Context(), addr, key); err != nil {
 		t.Fatal(err)
 	}
 	fspan.End()
@@ -56,7 +57,7 @@ func TestServeSpanPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if _, err := c.FetchMapOutputTraced(fspan.Context(), addr2, key); err != nil {
+	if _, err := c.FetchMapOutputContext(context.Background(), fspan.Context(), addr2, key); err != nil {
 		t.Fatalf("traced fetch against untraced server: %v", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/ict-repro/mpid/internal/kv"
-	"github.com/ict-repro/mpid/internal/metrics"
 )
 
 // dupKeyResult builds a Result whose output holds dup copies of every key
@@ -78,56 +77,39 @@ func TestPairsDeterministicAcrossLayouts(t *testing.T) {
 }
 
 // TestCombinerFromReducerCombines covers the sound case: an order-
-// insensitive same-key reducer combines and nothing falls back.
+// insensitive same-key reducer combines, so the combiner does not decline.
 func TestCombinerFromReducerCombines(t *testing.T) {
-	reg := metrics.NewRegistry()
-	combine := CombinerFromReducerObserved(wordCountReducer, reg)
-	out := combine([]byte("w"), [][]byte{
-		kv.AppendVLong(nil, 1), kv.AppendVLong(nil, 1), kv.AppendVLong(nil, 3),
-	})
+	in := [][]byte{kv.AppendVLong(nil, 1), kv.AppendVLong(nil, 1), kv.AppendVLong(nil, 3)}
+	out := CombinerFromReducer(wordCountReducer)([]byte("w"), in)
 	if len(out) != 1 {
 		t.Fatalf("combined to %d values, want 1", len(out))
 	}
 	if n, _, _ := kv.ReadVLong(out[0]); n != 5 {
 		t.Fatalf("combined count = %d, want 5", n)
 	}
-	if v := reg.Counter("mapred.combiner.fallback").Value(); v != 0 {
-		t.Fatalf("fallback counter = %d, want 0", v)
-	}
 }
 
 // TestCombinerFromReducerKeyMismatchFallsBack is the regression test for
 // the silent-corruption bug: a derived reducer emitting under a different
 // key than its input had its output re-filed under the input key. The
-// combiner must detect the mismatch, return the values uncombined, and
-// count the fallback.
+// combiner must detect the mismatch and decline: return its values
+// argument itself, which is how an engine tells a declined combine from a
+// done one. A failing reducer declines the same way.
 func TestCombinerFromReducerKeyMismatchFallsBack(t *testing.T) {
 	// A reducer that re-keys its output — sound as a reducer, unsound as a
 	// combiner (e.g. an inverting job emitting (value, key)).
 	rekeying := ReducerFunc(func(key []byte, values [][]byte, emit Emit) error {
 		return emit(append(append([]byte(nil), key...), '!'), kv.AppendVLong(nil, int64(len(values))))
 	})
-	reg := metrics.NewRegistry()
-	combine := CombinerFromReducerObserved(rekeying, reg)
+	failing := ReducerFunc(func([]byte, [][]byte, Emit) error { return fmt.Errorf("no") })
 	in := [][]byte{[]byte("a"), []byte("b")}
-	out := combine([]byte("k"), in)
-	if len(out) != len(in) {
-		t.Fatalf("fallback returned %d values, want the %d originals", len(out), len(in))
-	}
-	for i := range in {
-		if !bytes.Equal(out[i], in[i]) {
-			t.Fatalf("value %d rewritten to %q, want %q untouched", i, out[i], in[i])
+	for name, r := range map[string]Reducer{"rekeying": rekeying, "failing": failing} {
+		out := CombinerFromReducer(r)([]byte("k"), in)
+		if len(out) != len(in) || &out[0] != &in[0] {
+			t.Fatalf("%s: returned %q, want its values argument itself", name, out)
 		}
-	}
-	if v := reg.Counter("mapred.combiner.key_mismatch").Value(); v != 1 {
-		t.Fatalf("key_mismatch counter = %d, want 1", v)
-	}
-	if v := reg.Counter("mapred.combiner.fallback").Value(); v != 1 {
-		t.Fatalf("fallback counter = %d, want 1", v)
-	}
-	// The nil-registry derivation must behave identically, just uncounted.
-	out = CombinerFromReducer(rekeying)([]byte("k"), in)
-	if len(out) != len(in) || !bytes.Equal(out[0], in[0]) {
-		t.Fatalf("nil-registry fallback altered values: %q", out)
+		if !bytes.Equal(out[0], []byte("a")) || !bytes.Equal(out[1], []byte("b")) {
+			t.Fatalf("%s: values rewritten to %q", name, out)
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"github.com/ict-repro/mpid/internal/bufpool"
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/kv"
-	"github.com/ict-repro/mpid/internal/metrics"
 	"github.com/ict-repro/mpid/internal/mpi"
 	"github.com/ict-repro/mpid/internal/obs"
 )
@@ -67,20 +66,9 @@ func (f ReducerFunc) Reduce(key []byte, values [][]byte, emit Emit) error {
 // assigned as the reduce function"). The reducer must emit values under the
 // same key for this to be sound; an emission under any other key would be
 // silently re-filed under the input key and corrupt the shuffle, so the
-// combiner checks every emitted key and falls back to not combining when
-// one differs. CombinerFromReducerObserved additionally counts fallbacks.
+// combiner checks every emitted key and declines (core.CombineFunc) when
+// one differs or the reducer fails.
 func CombinerFromReducer(r Reducer) core.CombineFunc {
-	return CombinerFromReducerObserved(r, nil)
-}
-
-// CombinerFromReducerObserved is CombinerFromReducer with a metrics hook:
-// every fallback (reducer error, or an emission whose key differs from the
-// combined key) increments mapred.combiner.fallback on reg, and key
-// mismatches additionally increment mapred.combiner.key_mismatch. A nil
-// registry records nothing.
-func CombinerFromReducerObserved(r Reducer, reg *metrics.Registry) core.CombineFunc {
-	fallbacks := reg.Counter("mapred.combiner.fallback")
-	mismatches := reg.Counter("mapred.combiner.key_mismatch")
 	return func(key []byte, values [][]byte) [][]byte {
 		var out [][]byte
 		mismatch := false
@@ -91,15 +79,10 @@ func CombinerFromReducerObserved(r Reducer, reg *metrics.Registry) core.CombineF
 			out = append(out, append([]byte(nil), v...))
 			return nil
 		})
-		if mismatch {
-			mismatches.Inc()
-		}
 		if err != nil || mismatch {
 			// A combiner has no error channel (it runs inside Send), and a
 			// reducer emitting under a different key cannot be re-filed
-			// under this one; fall back to not combining rather than
-			// corrupting data.
-			fallbacks.Inc()
+			// under this one; decline rather than corrupt data.
 			return values
 		}
 		return out
@@ -116,13 +99,6 @@ type Job struct {
 	// Combiner optionally pre-reduces map output locally. Use
 	// CombinerFromReducer for the common case.
 	Combiner core.CombineFunc
-	// ObservedCombiner, when set, builds a metrics-observing variant of
-	// Combiner bound to an engine's per-job registry (normally via
-	// CombinerFromReducerObserved). The hadoop engine, which combines
-	// outside the MPI-D send path (map spill, reduce-side merge passes),
-	// prefers it over Combiner so combiner fallbacks surface as
-	// mapred.combiner.fallback in the job's /metrics.prom.
-	ObservedCombiner func(*metrics.Registry) core.CombineFunc
 	// Partitioner overrides MPI-D's hash-mod default.
 	Partitioner core.PartitionFunc
 	// NumReducers is the reducer count (default 1).

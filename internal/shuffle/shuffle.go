@@ -42,9 +42,9 @@ import (
 	"github.com/ict-repro/mpid/internal/kv"
 )
 
-// Combiner pre-reduces a key's value list. It matches core.CombineFunc so
-// a job's combiner threads straight through. It must be associative and
-// commutative, and may be applied zero or more times per key.
+// Combiner pre-reduces a key's value list. core.CombineFunc is this type
+// and holds its full contract, declining included. It must be associative
+// and commutative, and may be applied zero or more times per key.
 type Combiner func(key []byte, values [][]byte) [][]byte
 
 // ---------------------------------------------------------------------------

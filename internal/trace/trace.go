@@ -1,6 +1,6 @@
 // Package trace is the distributed-tracing substrate for the live stack: a
-// concurrency-safe span collector plus a propagation format that travels as
-// a trailing RPC parameter (hadooprpc) and an HTTP header (jetty), so one
+// concurrency-safe span collector plus a propagation format that travels in
+// the jobtracker's register response and as an HTTP header (jetty), so one
 // job's wall time can be attributed span by span across the jobtracker, the
 // tasktrackers and the shuffle servers — the per-task timeline view behind
 // the paper's Figure 1, but for a single live run instead of an aggregate.
@@ -10,10 +10,10 @@
 // 3 stall" — which fetch retried, which map re-execution pushed the tail,
 // which injected fault started the cascade. Spans carry trace/span/parent
 // ids, a kind, wall-clock start/end and ordered annotations; finished spans
-// accumulate in a Tracer and can be drained, shipped over RPC in the span
-// wire format (EncodeSpans), merged into an aggregating Tracer, exported as
-// Chrome trace-event JSON (ChromeTrace) or rendered as a fixed-width ASCII
-// timeline (RenderTimeline).
+// accumulate in a Tracer, which names one process lane, and are drained
+// from it into the job's collector (Add), exported as Chrome trace-event
+// JSON (ChromeTrace) or rendered as a fixed-width ASCII timeline
+// (RenderTimeline).
 //
 // Design points, following internal/metrics and internal/faults:
 //
@@ -22,9 +22,9 @@
 //     tracing unconditionally without branching at call sites;
 //   - span and trace ids come from one process-wide atomic counter, so ids
 //     are unique across every tracer in the process (the mini-cluster's
-//     "machines" share an address space; what crosses the wire is the
-//     encoded context, exactly as it would between real processes);
-//   - Context is the unit of propagation: binary on the RPC path,
+//     "machines" share an address space, so their lanes hand finished spans
+//     to one collector instead of shipping them);
+//   - Context is the unit of propagation: binary in the register response,
 //     "trace-span" hex text in the HTTP header.
 package trace
 
@@ -45,7 +45,6 @@ const (
 	KindMerge   = "merge"   // one background merge pass inside the copy phase
 	KindFetch   = "fetch"   // one shuffle fetch of one map output
 	KindServe   = "serve"   // shuffle-server side of a fetch
-	KindRPC     = "rpc"     // server-side handling of a traced RPC
 	KindFault   = "fault"   // an injected fault firing (instant span)
 )
 
@@ -56,7 +55,7 @@ type Annotation struct {
 
 // Span is one timed operation. Live spans handed out by a Tracer are
 // mutated through their methods (guarded by the tracer's lock) until End;
-// finished spans are plain immutable records — the form EncodeSpans ships
+// finished spans are plain immutable records — the form Drain hands out
 // and JobReport exposes.
 type Span struct {
 	Trace  uint64 // trace id, shared by every span of one job
@@ -224,8 +223,8 @@ func (t *Tracer) trimLocked() {
 	t.done = kept
 }
 
-// Add merges finished spans (typically decoded from a remote tracer's
-// Drain) into this collector.
+// Add merges finished spans (typically another lane's Drain) into this
+// collector.
 func (t *Tracer) Add(spans ...Span) {
 	if t == nil || len(spans) == 0 {
 		return
@@ -236,9 +235,9 @@ func (t *Tracer) Add(spans ...Span) {
 	t.mu.Unlock()
 }
 
-// Drain removes and returns the finished spans collected so far — the
-// shipping primitive: a tasktracker drains on every heartbeat and
-// completion RPC and sends the encoded batch along.
+// Drain removes and returns the finished spans collected so far, for
+// another tracer's Add: a tasktracker drains its lane into the job's
+// collector on every heartbeat and task report.
 func (t *Tracer) Drain() []Span {
 	if t == nil {
 		return nil
@@ -282,8 +281,7 @@ func (s *Span) Context() Context {
 	return Context{Trace: s.Trace, Span: s.ID}
 }
 
-// Annotate appends one key=value note. No-op on nil, finished or
-// already-shipped spans.
+// Annotate appends one key=value note. No-op on nil or finished spans.
 func (s *Span) Annotate(key, value string) {
 	if s == nil || s.tracer == nil {
 		return

@@ -163,47 +163,6 @@ func TestContextWire(t *testing.T) {
 	}
 }
 
-// TestSpansWire round-trips a span batch through the RPC shipping format.
-func TestSpansWire(t *testing.T) {
-	tr := New("tracker1")
-	s := tr.StartRoot("m3", KindTask)
-	s.Annotate("attempt", "2")
-	s.Annotate("tracker", "1")
-	s.Child("map.run", KindPhase).End()
-	s.End()
-	in := tr.Drain()
-
-	out, err := DecodeSpans(EncodeSpans(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("decoded %d spans, want %d", len(out), len(in))
-	}
-	for i := range in {
-		a, b := in[i], out[i]
-		if a.Trace != b.Trace || a.ID != b.ID || a.Parent != b.Parent ||
-			a.Name != b.Name || a.Kind != b.Kind || a.Proc != b.Proc {
-			t.Fatalf("span %d identity mismatch: %+v vs %+v", i, a, b)
-		}
-		if !a.Start.Equal(b.Start) || !a.Finish.Equal(b.Finish) {
-			t.Fatalf("span %d time mismatch", i)
-		}
-		if fmt.Sprint(a.Notes) != fmt.Sprint(b.Notes) {
-			t.Fatalf("span %d notes mismatch: %v vs %v", i, a.Notes, b.Notes)
-		}
-	}
-	if EncodeSpans(nil) != nil {
-		t.Fatal("empty batch encoded to bytes")
-	}
-	if got, err := DecodeSpans(nil); err != nil || got != nil {
-		t.Fatalf("empty batch decode: %v %v", got, err)
-	}
-	if _, err := DecodeSpans([]byte{0x02, 0x01}); err == nil {
-		t.Fatal("corrupt batch accepted")
-	}
-}
-
 // TestChromeTrace exports a small two-proc trace and validates it with the
 // same checker the trace-demo tooling uses, then spot-checks the JSON.
 func TestChromeTrace(t *testing.T) {

@@ -13,18 +13,7 @@ import (
 	"github.com/ict-repro/mpid/internal/core"
 	"github.com/ict-repro/mpid/internal/kv"
 	"github.com/ict-repro/mpid/internal/mapred"
-	"github.com/ict-repro/mpid/internal/metrics"
 )
-
-// observedCombiner builds the Job.ObservedCombiner hook for a derived
-// combiner: the hadoop engine, which combines outside the MPI-D send path,
-// binds it to its per-job registry so combiner fallbacks are visible as
-// mapred.combiner.fallback in /metrics.prom.
-func observedCombiner(r mapred.Reducer) func(*metrics.Registry) core.CombineFunc {
-	return func(reg *metrics.Registry) core.CombineFunc {
-		return mapred.CombinerFromReducerObserved(r, reg)
-	}
-}
 
 // This file is the workload suite: the one place a job is defined, as
 // wire-parameterizable specs that the job service, mpid-job, the examples,
@@ -204,12 +193,11 @@ func WordCountJob(reducers int) mapred.Job {
 	})
 	reducer := sumReducer()
 	return mapred.Job{
-		Name:             "wordcount",
-		Mapper:           mapper,
-		Reducer:          reducer,
-		Combiner:         mapred.CombinerFromReducer(reducer),
-		ObservedCombiner: observedCombiner(reducer),
-		NumReducers:      reducers,
+		Name:        "wordcount",
+		Mapper:      mapper,
+		Reducer:     reducer,
+		Combiner:    mapred.CombinerFromReducer(reducer),
+		NumReducers: reducers,
 	}
 }
 
@@ -378,12 +366,11 @@ func InvertedIndex(params map[string]int64) (mapred.Job, []mapred.Split, error) 
 		return emit(key, []byte(strings.Join(postings, " ")))
 	})
 	job := mapred.Job{
-		Name:             "invindex",
-		Mapper:           mapper,
-		Reducer:          reducer,
-		Combiner:         mapred.CombinerFromReducer(reducer),
-		ObservedCombiner: observedCombiner(reducer),
-		NumReducers:      int(reducers),
+		Name:        "invindex",
+		Mapper:      mapper,
+		Reducer:     reducer,
+		Combiner:    mapred.CombinerFromReducer(reducer),
+		NumReducers: int(reducers),
 	}
 	return job, splits, nil
 }
@@ -426,12 +413,11 @@ func Grep(params map[string]int64) (mapred.Job, []mapred.Split, error) {
 	})
 	reducer := sumReducer()
 	job := mapred.Job{
-		Name:             "grep",
-		Mapper:           mapper,
-		Reducer:          reducer,
-		Combiner:         mapred.CombinerFromReducer(reducer),
-		ObservedCombiner: observedCombiner(reducer),
-		NumReducers:      int(reducers),
+		Name:        "grep",
+		Mapper:      mapper,
+		Reducer:     reducer,
+		Combiner:    mapred.CombinerFromReducer(reducer),
+		NumReducers: int(reducers),
 	}
 	return job, splits, nil
 }
