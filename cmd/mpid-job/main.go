@@ -6,13 +6,13 @@
 //	mpid-job -job grep -param needle=0 -param bytes=1048576
 //	mpid-job -job terasort -param records=1000 -param reducers=8 -top 5
 //
-// -job takes any suite name (-help lists them with their parameters), and
-// each -param k=v sets one of the job's integer parameters; a name the job
-// does not declare is refused, as the job service refuses it. Without
-// -input the job runs on the input its builder generates. -input FILE
-// replaces that with the file's lines, cut into splits of -param split
-// bytes (default 256 KiB); it is accepted for every job that declares a
-// split parameter, the line-oriented ones.
+// -job takes any suite name (-help lists them with each parameter's
+// default), and each -param k=v sets one of the job's integer parameters; a
+// name the job does not declare, or a value below the parameter's least, is
+// refused, as the job service refuses it. -input FILE runs the job on the
+// file's lines, cut into splits of -param split bytes (default 256 KiB),
+// instead of generating its input; it is accepted for every job that
+// declares a split parameter, the line-oriented ones.
 //
 // Output goes to stdout as key<TAB>value lines, like Hadoop's text output.
 //
@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	jobName := fs.String("job", "wordcount", "suite job: "+strings.Join(names, " | "))
 	jobParams := map[string]int64{}
 	fs.Func("param", "job parameters k=v[,k=v...] (repeatable)", func(s string) error { return serve.ParseParams(jobParams, s) })
-	input := fs.String("input", "", "run on this text file's lines instead of the generated input (jobs with a split parameter)")
+	input := fs.String("input", "", "run on this text file's lines, in splits of -param split bytes (default 256 KiB), instead of generating input (jobs with a split parameter)")
 	engineName := fs.String("engine", "mpid", "execution engine: mpid or hadoop")
 	mappers := fs.Int("mappers", runtime.GOMAXPROCS(0), "mapper count (mpid engine) / tasktrackers (hadoop engine)")
 	top := fs.Int("top", 0, "print only the first N output pairs (0 = all)")
@@ -90,9 +90,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	showEvents := fs.Bool("events", false, "print the job's flight-recorder events to stderr")
 	fs.Usage = func() {
 		fs.PrintDefaults()
-		fmt.Fprintln(stderr, "\njobs:")
+		fmt.Fprintln(stderr, "\njobs, each with its parameters' defaults:")
 		for _, spec := range suite {
-			fmt.Fprintf(stderr, "  %-10s %s\n  %-10s -param %s\n", spec.Name, spec.Description, "", strings.Join(spec.Params, "|"))
+			fmt.Fprintf(stderr, "  %-10s %s\n  %-10s -param", spec.Name, spec.Description, "")
+			for _, p := range spec.Params {
+				fmt.Fprintf(stderr, " %s=%d", p.Name, p.Default)
+			}
+			fmt.Fprintln(stderr)
 		}
 	}
 	if err := fs.Parse(args); err != nil {
@@ -107,19 +111,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown job %q (want %s)", *jobName, strings.Join(names, ", "))
 	}
 	spec := suite[i]
-	if *input != "" && !slices.Contains(spec.Params, "split") {
-		return fmt.Errorf("-input: job %s reads no lines (it has no split parameter)", spec.Name)
+	if err := serve.NewWorkloads().Check(spec.Name, jobParams); err != nil {
+		return err
 	}
-	job, splits, err := serve.NewWorkloads().Build(spec.Name, jobParams)
+	v, err := spec.Values(jobParams)
 	if err != nil {
 		return err
 	}
-	if *input != "" {
-		text, err := os.ReadFile(*input)
-		if err != nil {
-			return err
+	var splits []mapred.Split
+	if _, lines := v["split"]; *input == "" {
+		splits, err = spec.Input(v)
+	} else if !lines {
+		err = fmt.Errorf("-input: job %s reads no lines (it has no split parameter)", spec.Name)
+	} else {
+		var text []byte
+		if text, err = os.ReadFile(*input); err == nil {
+			splits = mapred.SplitText(text, int(workload.Param(jobParams, "split", inputSplit)))
 		}
-		splits = mapred.SplitText(text, int(workload.Param(jobParams, "split", inputSplit)))
+	}
+	if err != nil {
+		return err
+	}
+	job, err := spec.Job(v, splits)
+	if err != nil {
+		return err
 	}
 
 	eng, err := engine.New(*engineName, hadoop.Config{NumTrackers: *mappers})

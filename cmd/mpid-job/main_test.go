@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -86,6 +87,32 @@ func TestWordCountInputMatchesGolden(t *testing.T) {
 		if got := job(t, "-job", "wordcount", "-input", "testdata/corpus.txt", "-engine", eng); got != string(want) {
 			t.Errorf("-engine %s printed\n%s\nwant testdata/wordcount.golden:\n%s", eng, got, want)
 		}
+	}
+}
+
+// TestInputSkipsGenerator: with -input, the job's own input is never
+// generated, so a 64 MiB bytes parameter costs nothing and the listing is
+// still the file's.
+func TestInputSkipsGenerator(t *testing.T) {
+	want, err := os.ReadFile("testdata/wordcount.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err = run([]string{"-job", "wordcount", "-input", "testdata/corpus.txt", "-param", "bytes=67108864"}, &stdout, io.Discard)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != string(want) {
+		t.Errorf("printed\n%s\nwant testdata/wordcount.golden:\n%s", stdout.String(), want)
+	}
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("the run allocated %d B", alloc)
+	if alloc >= 8<<20 {
+		t.Errorf("the run allocated %d B; a 64 MiB input was generated and not read", alloc)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	const docs = 24
-	job, splits, err := workload.InvertedIndex(map[string]int64{
+	job, splits, err := workload.InvertedIndex.Build(map[string]int64{
 		"docs": docs, "lines": 5, "reducers": 4, "seed": 11,
 	})
 	if err != nil {

@@ -2,7 +2,7 @@
 //
 // The paper's related work (§V) discusses Twister, a runtime for iterative
 // MapReduce; this example shows the same class of workload on MPI-D: each
-// iteration is one run of the suite's PageRank round (workload.PageRankJob),
+// iteration is one run of the suite's PageRank round (workload.PageRank),
 // whose output feeds the next through workload.PageRankNextSplits — the
 // state lines travel in memory from the reducers to the next round's
 // mappers. The map function distributes a vertex's rank over its outgoing
@@ -40,8 +40,12 @@ func rank(p kv.Pair) float64 {
 }
 
 func main() {
-	job := workload.PageRankJob(vertices, 4)
-	splits := workload.PageRankInitialSplits(vertices, avgDegree, 4, splitBytes)
+	job, splits, err := workload.PageRank.Build(map[string]int64{
+		"vertices": vertices, "degree": avgDegree, "split": splitBytes, "reducers": 4, "seed": 4,
+	})
+	if err != nil {
+		log.Fatalf("pagerank: %v", err)
+	}
 	var pairs []kv.Pair
 	for iter := 1; iter <= iterations; iter++ {
 		result, err := mapred.Run(job, splits, 4)

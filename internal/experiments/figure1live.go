@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/ict-repro/mpid/internal/engine"
 	"github.com/ict-repro/mpid/internal/hadoop"
-	"github.com/ict-repro/mpid/internal/mapred"
 	"github.com/ict-repro/mpid/internal/obs"
 	"github.com/ict-repro/mpid/internal/workload"
 )
@@ -36,16 +34,8 @@ type Figure1LiveResult struct {
 //
 // The returned report carries the job's full span trace.
 func Figure1LiveAt(sizeBytes int64) (*Figure1LiveResult, error) {
-	vocab := workload.NewVocabulary(2_000, 33)
-	text := workload.NewTextGenerator(vocab, 1.15, sizeBytes).BytesOfText(int(sizeBytes))
-	splits := mapred.SplitText(text, 64<<10)
-
-	// Same cluster shape and heartbeat scaling as Figure6Live: 64 KB tasks
-	// get a 25 ms heartbeat where the paper pairs 64 MB tasks with 3 s.
-	_, report, err := engine.Hadoop{Config: hadoop.Config{
-		NumTrackers: 4, MapSlots: 1, ReduceSlots: 1,
-		Heartbeat: 25 * time.Millisecond,
-	}}.Run(context.Background(), workload.WordCountJob(2), splits, obs.Telemetry{})
+	_, report, err := engine.Hadoop{Config: liveCluster}.Run(context.Background(),
+		workload.WordCountJob(2), liveWordCountInput(sizeBytes), obs.Telemetry{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: live figure 1 at %d bytes: %w", sizeBytes, err)
 	}

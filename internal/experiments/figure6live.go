@@ -30,27 +30,34 @@ func (r Figure6LiveRow) Ratio() float64 {
 	return float64(r.MPID) / float64(r.Hadoop)
 }
 
+// liveCluster is the cluster both live WordCount figures run on. The
+// paper pairs a 3 s heartbeat with 64 MB tasks; these 64 KB tasks get
+// 25 ms, keeping the scheduling-to-work ratio comparable.
+var liveCluster = hadoop.Config{
+	NumTrackers: 4, MapSlots: 1, ReduceSlots: 1,
+	Heartbeat: 25 * time.Millisecond,
+}
+
+// liveWordCountInput is the input both live WordCount figures run on: size
+// bytes of Zipf text over a 2 000-word vocabulary, seeded by the size, in
+// 64 KB splits.
+func liveWordCountInput(size int64) []mapred.Split {
+	text := workload.NewTextGenerator(workload.NewVocabulary(2_000, 33), 1.15, size).BytesOfText(int(size))
+	return mapred.SplitText(text, 64<<10)
+}
+
 // Figure6Live runs the engine comparison at the given input sizes (bytes).
 // This is the live analogue of Figure 6 scaled to one machine: both data
 // paths are real — the Hadoop engine pays RPC heartbeat scheduling, map
 // output materialization and HTTP shuffle fetches; the MPI-D engine ships
 // combined, realigned buffers between pre-spawned ranks.
 func Figure6Live(sizes []int64) ([]Figure6LiveRow, error) {
-	vocab := workload.NewVocabulary(2_000, 33)
 	job := workload.WordCountJob(2)
-	// The heartbeat is scaled with the workload: the paper's cluster pairs
-	// a 3 s heartbeat with 64 MB tasks; these 64 KB tasks get 25 ms,
-	// keeping the scheduling-to-work ratio comparable rather than hiding
-	// the cost the paper measures.
-	hadoopEng := engine.Hadoop{Config: hadoop.Config{
-		NumTrackers: 4, MapSlots: 1, ReduceSlots: 1,
-		Heartbeat: 25 * time.Millisecond,
-	}}
+	hadoopEng := engine.Hadoop{Config: liveCluster}
 	mpidEng := engine.MPID{Mappers: 4}
 	var rows []Figure6LiveRow
 	for _, size := range sizes {
-		text := workload.NewTextGenerator(vocab, 1.15, size).BytesOfText(int(size))
-		splits := mapred.SplitText(text, 64<<10)
+		splits := liveWordCountInput(size)
 
 		start := time.Now()
 		hres, _, err := hadoopEng.Run(context.Background(), job, splits, obs.Telemetry{})

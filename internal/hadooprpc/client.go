@@ -126,10 +126,7 @@ func (c *Client) dialLocked(deadline time.Time) (*conn, error) {
 	if err := c.opts.Injector.Check(component, "dial", c.addr); err != nil {
 		return nil, err
 	}
-	d := net.Dialer{Deadline: deadline}
-	if c.opts.DialTimeout > 0 {
-		d.Timeout = c.opts.DialTimeout
-	}
+	d := net.Dialer{Timeout: dialTimeout, Deadline: deadline}
 	nc, err := d.Dial("tcp", c.addr)
 	if err != nil {
 		return nil, err

@@ -9,16 +9,12 @@ import (
 	"github.com/ict-repro/mpid/internal/obs"
 )
 
-// Options configures a client's fault-tolerance behaviour: connect and
-// per-call deadlines, a bounded retry budget with exponential backoff and
-// jitter, and an optional fault injector for chaos testing. The zero value
-// gives sane production defaults with retries disabled, preserving the
-// fail-fast semantics the benchmarks rely on.
+// Options configures a client's fault-tolerance behaviour: per-call
+// deadlines, a bounded retry budget with exponential backoff and jitter,
+// and an optional fault injector for chaos testing. The zero value gives
+// sane production defaults with retries disabled, preserving the fail-fast
+// semantics the benchmarks rely on.
 type Options struct {
-	// DialTimeout bounds the TCP connect (default 10 s; negative
-	// disables). Without it a dead address blocks on OS defaults —
-	// minutes on most systems.
-	DialTimeout time.Duration
 	// CallTimeout bounds one whole Call — every attempt, reconnect and
 	// backoff sleep included — at 30 s by default (negative disables).
 	// It is a total budget, not a per-attempt one: a flapping peer that
@@ -49,9 +45,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 10 * time.Second
-	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = 30 * time.Second
 	}
@@ -60,6 +53,10 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// dialTimeout bounds a TCP connect. Without it a dead address blocks on OS
+// defaults — minutes on most systems.
+const dialTimeout = 10 * time.Second
 
 // component names every client to a fault injector.
 const component = "hadooprpc.client"

@@ -63,7 +63,11 @@ type Workloads struct {
 func NewWorkloads() *Workloads {
 	w := &Workloads{m: make(map[string]registered)}
 	for _, spec := range workload.Suite() {
-		w.Register(spec.Name, spec.Build, spec.Params...)
+		var params []string
+		for _, p := range spec.Params {
+			params = append(params, p.Name)
+		}
+		w.Register(spec.Name, spec.Build, params...)
 	}
 	return w
 }
@@ -81,26 +85,14 @@ func (w *Workloads) Register(name string, fn Workload, params ...string) {
 	w.m[name] = registered{fn: fn, params: known}
 }
 
-// Names lists the registered workloads, sorted.
-func (w *Workloads) Names() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	names := make([]string, 0, len(w.m))
-	for name := range w.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Build constructs the named workload's job, rejecting unknown workload
-// names and — with a typed *BadParamError — unknown parameter names.
-func (w *Workloads) Build(name string, params map[string]int64) (mapred.Job, []mapred.Split, error) {
+// Check rejects an unknown workload name and — with a typed
+// *BadParamError — a parameter name the workload does not declare.
+func (w *Workloads) Check(name string, params map[string]int64) error {
 	w.mu.Lock()
 	reg, ok := w.m[name]
 	w.mu.Unlock()
 	if !ok {
-		return mapred.Job{}, nil, fmt.Errorf("serve: unknown workload %q", name)
+		return fmt.Errorf("serve: unknown workload %q", name)
 	}
 	for p := range params {
 		if !reg.params[p] {
@@ -109,10 +101,21 @@ func (w *Workloads) Build(name string, params map[string]int64) (mapred.Job, []m
 				known = append(known, k)
 			}
 			sort.Strings(known)
-			return mapred.Job{}, nil, &BadParamError{Workload: name, Param: p, Known: known}
+			return &BadParamError{Workload: name, Param: p, Known: known}
 		}
 	}
-	return reg.fn(params)
+	return nil
+}
+
+// Build constructs the named workload's job once Check accepts it.
+func (w *Workloads) Build(name string, params map[string]int64) (mapred.Job, []mapred.Split, error) {
+	if err := w.Check(name, params); err != nil {
+		return mapred.Job{}, nil, err
+	}
+	w.mu.Lock()
+	fn := w.m[name].fn
+	w.mu.Unlock()
+	return fn(params)
 }
 
 // ParseParams adds the workload parameters written "k=v[,k=v...]" to

@@ -32,11 +32,11 @@ func benchNoCombinerJob(b *testing.B, build func(map[string]int64) (mapred.Job, 
 // BenchmarkPageRankJob is one PageRank round over 20 000 vertices of average
 // out-degree 6: about 140 000 pairs on 20 000 keys.
 func BenchmarkPageRankJob(b *testing.B) {
-	benchNoCombinerJob(b, PageRank, map[string]int64{"vertices": 20_000, "degree": 6, "split": 64 << 10, "reducers": 2})
+	benchNoCombinerJob(b, PageRank.Build, map[string]int64{"vertices": 20_000, "degree": 6, "split": 64 << 10, "reducers": 2})
 }
 
 // BenchmarkJoinJob is the repartition join of 20 000 users and 200 000 orders:
 // 220 000 pairs on 20 000 keys.
 func BenchmarkJoinJob(b *testing.B) {
-	benchNoCombinerJob(b, Join, map[string]int64{"users": 20_000, "orders": 200_000, "split": 64 << 10, "reducers": 2})
+	benchNoCombinerJob(b, Join.Build, map[string]int64{"users": 20_000, "orders": 200_000, "split": 64 << 10, "reducers": 2})
 }

@@ -65,6 +65,33 @@ func TestSuiteSpecsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpecValues: every suite spec resolves a missing parameter to its
+// declared default and refuses a value one below its least, naming the
+// parameter. A parameter whose least is math.MinInt64 has no value below it.
+func TestSpecValues(t *testing.T) {
+	for _, spec := range Suite() {
+		v, err := spec.Values(nil)
+		if err != nil {
+			t.Fatalf("%s defaults: %v", spec.Name, err)
+		}
+		if len(v) != len(spec.Params) {
+			t.Errorf("%s resolves %d values for %d parameters", spec.Name, len(v), len(spec.Params))
+		}
+		for _, p := range spec.Params {
+			if got, ok := v[p.Name]; !ok || got != p.Default {
+				t.Errorf("%s: missing %s resolves to %d (present %v), want its default %d", spec.Name, p.Name, got, ok, p.Default)
+			}
+			if p.Least == math.MinInt64 {
+				continue
+			}
+			_, err := spec.Values(map[string]int64{p.Name: p.Least - 1})
+			if err == nil || !strings.Contains(err.Error(), p.Name+"=") {
+				t.Errorf("%s: %s=%d gives error %v, want one naming %s", spec.Name, p.Name, p.Least-1, err, p.Name)
+			}
+		}
+	}
+}
+
 func TestTeraSortGloballySorted(t *testing.T) {
 	for name, params := range map[string]map[string]int64{
 		"uniform": {"records": 5000},
@@ -184,8 +211,10 @@ func TestJoinShape(t *testing.T) {
 // and asserts rank mass conservation plus convergence to a fixed point.
 func TestPageRankChainedRoundsConverge(t *testing.T) {
 	const vertices = 200
-	job := PageRankJob(vertices, 2)
-	splits := PageRankInitialSplits(vertices, 5, 1, 4<<10)
+	job, splits, err := PageRank.Build(map[string]int64{"vertices": vertices, "degree": 5, "split": 4 << 10, "reducers": 2, "seed": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ranks := func(pairs []kv.Pair) map[string]float64 {
 		out := make(map[string]float64, len(pairs))

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/ict-repro/mpid/internal/mapred"
 )
 
 func TestVocabularyUniqueWords(t *testing.T) {
@@ -268,7 +270,11 @@ func TestTeraSortInputByteIdentical(t *testing.T) {
 
 			h := sha256.New()
 			for _, reducers := range []int{2, 16} {
-				for _, c := range sampleCuts(block, keyLen, recLen, reducers) {
+				cuts, err := sampleCuts([]mapred.Split{mapred.NewRecordSplit(0, block, keyLen, recLen)}, reducers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cuts {
 					h.Write(binary.AppendUvarint(nil, uint64(len(c))))
 					h.Write(c)
 				}
